@@ -6,7 +6,7 @@
 // Usage:
 //
 //	lam-serve -registry ./models [-addr :8080] [-workers N]
-//	         [-max-batch 32] [-max-delay 1ms]
+//	         [-max-batch 32]
 //	         [-max-inflight 0] [-queue 64]
 //	         [-warm name1,name2] [-inject-latency 0]
 //	         [-layout implicit-left] [-pprof localhost:6060]
@@ -17,16 +17,18 @@
 //	         [-rollout-margin 0.95] [-rollout-holddown 1h]
 //	         [-log-format text] [-trace-slow 0]
 //
-// Throughput knobs: -max-batch/-max-delay micro-batch concurrent
-// single-row /predict requests into one compiled-plane batch (bit
-// identical to unbatched scoring; <= 1 disables); -max-inflight/-queue
-// bound concurrency and shed overload with 429 + Retry-After (0
-// disables admission control); -layout picks the tree-traversal layout
-// applied to every loaded model (exact layouts are bit-identical,
-// quantized ones trade bounded accuracy for a ~4x smaller table);
-// -pprof exposes net/http/pprof on a separate listener for CPU/heap
-// profiling under load. See the README's "Capacity planning & tuning"
-// section and cmd/lam-loadgen for measuring the effect.
+// Throughput knobs: -max-batch caps how many single-row /predict
+// requests that queued behind a running score of the same model are
+// scored as one compiled-plane batch (bit identical to unbatched
+// scoring; a request that finds its model idle is scored at once; <= 1
+// disables); -max-inflight/-queue bound concurrency and shed overload
+// with 429 + Retry-After (0 disables admission control); -layout picks
+// the tree-traversal layout applied to every loaded model (exact
+// layouts are bit-identical, quantized ones trade bounded accuracy for
+// a ~4x smaller table); -pprof exposes net/http/pprof on a separate
+// listener for CPU/heap profiling under load. See the README's
+// "Capacity planning & tuning" section and cmd/lam-loadgen for
+// measuring the effect.
 //
 // Endpoints:
 //
@@ -144,8 +146,7 @@ func main() {
 	regDir := flag.String("registry", "", "model registry directory (required; see lam-predict -registry)")
 	workers := flag.Int("workers", 0, "worker pool size for batch prediction (0 = GOMAXPROCS, 1 = sequential)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
-	maxBatch := flag.Int("max-batch", 32, "coalesce up to this many concurrent single-row /predict requests into one batch (<= 1 disables)")
-	maxDelay := flag.Duration("max-delay", time.Millisecond, "longest a coalesced request waits for batch-mates before a partial flush")
+	maxBatch := flag.Int("max-batch", 32, "score up to this many single-row /predict requests that queued behind a running score of the same model as one batch (<= 1 disables)")
 	maxInflight := flag.Int("max-inflight", 0, "bound on concurrently served /predict requests (0 disables admission control)")
 	queueLen := flag.Int("queue", 64, "requests allowed to wait for an in-flight slot beyond -max-inflight; a full queue sheds with 429")
 	warm := flag.String("warm", "", "comma-separated model names to preload; GET /readyz reports 503 until all are resident (fleet readiness gate)")
@@ -209,10 +210,10 @@ func main() {
 		s.Layout = layout
 		lg.Info("traversal layout set", "layout", layout.String())
 	}
-	s.Coalesce = serve.CoalesceConfig{MaxBatch: *maxBatch, MaxDelay: *maxDelay}
+	s.Coalesce = serve.CoalesceConfig{MaxBatch: *maxBatch}
 	s.Admit = serve.AdmitConfig{MaxInflight: *maxInflight, Queue: *queueLen}
 	if s.Coalesce.MaxBatch > 1 {
-		lg.Info("coalescing enabled", "max_batch", *maxBatch, "max_delay", *maxDelay)
+		lg.Info("coalescing enabled", "max_batch", *maxBatch)
 	}
 	if *maxInflight > 0 {
 		lg.Info("admission control enabled", "max_inflight", *maxInflight, "queue", *queueLen)

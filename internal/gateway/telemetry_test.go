@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"lam/internal/registry"
 	"lam/internal/serve"
@@ -24,7 +23,7 @@ func newTracedReplica(t *testing.T, dir string, names []string) (*serve.Server, 
 		t.Fatal(err)
 	}
 	s := serve.New(reg)
-	s.Coalesce = serve.CoalesceConfig{MaxBatch: 2, MaxDelay: time.Millisecond}
+	s.Coalesce = serve.CoalesceConfig{MaxBatch: 2}
 	s.Admit = serve.AdmitConfig{MaxInflight: 8, Queue: 8}
 	s.WarmNames = names
 	ts := httptest.NewServer(s.Handler())

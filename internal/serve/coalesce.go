@@ -13,44 +13,45 @@ import (
 )
 
 // CoalesceConfig tunes micro-batch coalescing of single-row /predict
-// requests. Concurrent single-row requests that resolve to the same
-// loaded model are queued and flushed as one batch when either
-// MaxBatch rows have accumulated or MaxDelay has elapsed since the
-// first row arrived — whichever comes first. Batch scoring is
-// bit-identical to row-at-a-time scoring (the internal/ml contract),
-// so coalescing is invisible to clients except as latency/throughput.
+// requests. The policy is work-conserving (group commit): a request
+// that finds its model idle is scored at once, on its own goroutine,
+// exactly as an uncoalesced request would be; requests that arrive
+// while a score for the same loaded model is running queue behind it
+// and are scored together, at most MaxBatch rows per batch, as soon as
+// it finishes. Nothing waits on a clock, so a batch forms only when
+// there is contention to amortise. Batch scoring is bit-identical to
+// row-at-a-time scoring (the internal/ml contract), so coalescing is
+// invisible to clients except as latency/throughput.
 type CoalesceConfig struct {
-	// MaxBatch is the flush size: a batch is scored as soon as this
-	// many rows are waiting. <= 1 disables coalescing entirely.
+	// MaxBatch caps the rows scored per batch. <= 1 disables coalescing
+	// entirely.
 	MaxBatch int
-	// MaxDelay bounds how long the first row of a batch waits for
-	// batch-mates before the partial batch is flushed anyway; it is the
-	// worst-case latency coalescing can add to a request. <= 0 means
-	// 1ms.
+	// MaxDelay is ignored.
+	//
+	// Deprecated: the coalescer no longer has a batch window. The field
+	// remains only so existing struct literals keep compiling.
 	MaxDelay time.Duration
 }
 
 func (c CoalesceConfig) enabled() bool { return c.MaxBatch > 1 }
 
-func (c CoalesceConfig) normalized() CoalesceConfig {
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = time.Millisecond
-	}
-	return c
-}
-
-// coalescer accumulates concurrent single-row requests into per-model
-// batches. Keying by loaded *registry.Model (not by name) means a hot
-// swap naturally starts a fresh batch for the new version while rows
-// already queued flush on the model they were admitted against — the
-// same finish-on-the-old-version semantics in-flight batch requests
+// coalescer batches the single-row requests that queue behind a running
+// score. Keying by loaded *registry.Model (not by name) means a hot
+// swap naturally starts a fresh queue for the new version while rows
+// already queued are scored on the model they were admitted against —
+// the same finish-on-the-old-version semantics in-flight batch requests
 // get.
 type coalescer struct {
-	cfg     CoalesceConfig
-	metrics *Metrics
+	maxBatch int
+	metrics  *Metrics
 
-	mu      sync.Mutex
-	pending map[*registry.Model]*pendingBatch
+	mu sync.Mutex
+	// queues has a key for every busy model — one with a leader's solo
+	// score or a drain in progress. The value stays nil until a first
+	// follower arrives, so a lone request allocates nothing here, and
+	// the key is deleted when the busy period ends, so a swapped-out
+	// model is not retained.
+	queues map[*registry.Model]*modelQueue
 }
 
 // flushResult is one waiter's share of a flushed batch.
@@ -59,53 +60,43 @@ type flushResult struct {
 	err error
 }
 
-// pendingBatch is a batch still accumulating rows. Waiter channels are
-// buffered so the flusher never blocks on a departed client.
-type pendingBatch struct {
+// modelQueue is the rows waiting behind one model's running score.
+// Waiter channels are buffered so the drain never blocks on a departed
+// client.
+type modelQueue struct {
 	rows    [][]float64
 	waiters []chan flushResult
-	timer   *time.Timer
 }
 
 func newCoalescer(cfg CoalesceConfig, m *Metrics) *coalescer {
 	return &coalescer{
-		cfg:     cfg.normalized(),
-		metrics: m,
-		pending: make(map[*registry.Model]*pendingBatch),
+		maxBatch: cfg.MaxBatch,
+		metrics:  m,
+		queues:   make(map[*registry.Model]*modelQueue),
 	}
 }
 
-// predict enqueues one row for model m and blocks until its batch is
-// flushed (by size or by timer) and the row's result fans back out.
-// Cancellation abandons the wait, never the batch: the row is scored
-// and discarded, so batch-mates are unaffected.
+// predict scores one row for model m. Finding m idle, the caller
+// becomes the busy period's leader and scores the row itself on its own
+// context; otherwise the row queues for the drain and the caller waits
+// for its result. Cancellation abandons the wait, never the batch: the
+// row is scored and discarded, so batch-mates are unaffected.
 func (c *coalescer) predict(ctx context.Context, m *registry.Model, x []float64) (float64, error) {
-	// The coalesce span is the queue wait: enqueue to fan-out. It is
-	// what -trace-slow shows when MaxDelay dominates a request.
+	// The coalesce span is the time spent in here: a leader's own
+	// score, or a follower's wait from enqueue to fan-out.
 	defer telemetry.StartSpan(ctx, "coalesce").End()
-	ch := make(chan flushResult, 1)
 	c.mu.Lock()
-	b := c.pending[m]
-	if b == nil {
-		b = &pendingBatch{}
-		c.pending[m] = b
-		// The timer flush handles the trickle case: a lone request
-		// waits at most MaxDelay before being scored solo.
-		b.timer = time.AfterFunc(c.cfg.MaxDelay, func() { c.flushTimer(m, b) })
+	if _, busy := c.queues[m]; !busy {
+		c.queues[m] = nil
+		c.mu.Unlock()
+		// Deferred so that a cancelled — or panicking — leader still
+		// hands whatever queued behind it to the drain.
+		defer c.endLead(m)
+		c.count(1)
+		return m.Predict(ctx, x)
 	}
-	b.rows = append(b.rows, x)
-	b.waiters = append(b.waiters, ch)
-	full := len(b.rows) >= c.cfg.MaxBatch
-	if full {
-		delete(c.pending, m)
-		b.timer.Stop()
-	}
+	ch := c.enqueueLocked(m, x)
 	c.mu.Unlock()
-	if full {
-		// The goroutine that completed the batch scores it; the other
-		// members just wait on their channels.
-		c.flush(m, b)
-	}
 	select {
 	case res := <-ch:
 		return res.y, res.err
@@ -114,43 +105,84 @@ func (c *coalescer) predict(ctx context.Context, m *registry.Model, x []float64)
 	}
 }
 
-// flushTimer is the MaxDelay path. The batch may have been flushed by
-// size (and a new one started under the same key) between the timer
-// firing and the lock being taken, so it flushes only the exact batch
-// it was armed for.
-func (c *coalescer) flushTimer(m *registry.Model, b *pendingBatch) {
-	c.mu.Lock()
-	if c.pending[m] != b {
-		c.mu.Unlock()
-		return
+// enqueueLocked queues x behind busy model m and returns the channel
+// its result will arrive on. Caller holds c.mu.
+func (c *coalescer) enqueueLocked(m *registry.Model, x []float64) chan flushResult {
+	q := c.queues[m]
+	if q == nil {
+		q = &modelQueue{}
+		c.queues[m] = q
 	}
-	delete(c.pending, m)
-	c.mu.Unlock()
-	c.flush(m, b)
+	ch := make(chan flushResult, 1)
+	q.rows = append(q.rows, x)
+	q.waiters = append(q.waiters, ch)
+	return ch
 }
 
-// flush scores the coalesced rows as one batch into a pooled buffer
-// and fans the results back out. The flush context is deliberately not
-// any single request's: one disconnecting client must not cancel its
-// batch-mates. If the batch call fails, every row is re-scored
-// individually so one bad row cannot poison the batch — each waiter
-// receives exactly the value or error a direct single-row call would
-// have produced, which is the "never a wrong answer" half of the
-// coalescing contract.
-func (c *coalescer) flush(m *registry.Model, b *pendingBatch) {
-	c.metrics.CoalesceFlushes.Add(1)
-	c.metrics.CoalesceRows.Add(uint64(len(b.rows)))
-	c.metrics.CoalesceMaxFlush.SetMax(int64(len(b.rows)))
-	buf := ml.GetScratch(len(b.rows))
+// endLead finishes a leader's solo score: the busy period ends if
+// nothing queued meanwhile, otherwise it passes to a drain goroutine —
+// not to the leader's own, so the leader answers its client now and the
+// queued rows never depend on a client goroutine staying alive.
+func (c *coalescer) endLead(m *registry.Model) {
+	c.mu.Lock()
+	q := c.queues[m]
+	if q == nil {
+		delete(c.queues, m)
+	}
+	c.mu.Unlock()
+	if q != nil {
+		go c.drain(m, q)
+	}
+}
+
+// drain scores m's queue in arrival order, at most maxBatch rows per
+// flush, picking up rows that arrive during a flush on the next turn,
+// and ends the busy period when it finds the queue empty.
+func (c *coalescer) drain(m *registry.Model, q *modelQueue) {
+	for {
+		c.mu.Lock()
+		n := min(len(q.rows), c.maxBatch)
+		if n == 0 {
+			delete(c.queues, m)
+			c.mu.Unlock()
+			return
+		}
+		// Followers append past n, so the flush below reads its prefix
+		// of the backing arrays without the lock.
+		rows, waiters := q.rows[:n], q.waiters[:n]
+		q.rows, q.waiters = q.rows[n:], q.waiters[n:]
+		c.mu.Unlock()
+		c.flush(m, rows, waiters)
+	}
+}
+
+// flush scores rows as one batch into a pooled buffer and fans the
+// results back out. The flush context is deliberately not any single
+// request's: one disconnecting client must not cancel its batch-mates.
+// If the batch call fails, every row is re-scored individually so one
+// bad row cannot poison the batch — each waiter receives exactly the
+// value or error a direct single-row call would have produced, which is
+// the "never a wrong answer" half of the coalescing contract.
+func (c *coalescer) flush(m *registry.Model, rows [][]float64, waiters []chan flushResult) {
+	c.count(len(rows))
+	buf := ml.GetScratch(len(rows))
 	defer ml.PutScratch(buf)
-	if err := m.PredictBatchInto(context.Background(), b.rows, *buf); err == nil {
-		for i, ch := range b.waiters {
+	if err := m.PredictBatchInto(context.Background(), rows, *buf); err == nil {
+		for i, ch := range waiters {
 			ch <- flushResult{y: (*buf)[i]}
 		}
 		return
 	}
-	for i, ch := range b.waiters {
-		y, err := m.Predict(context.Background(), b.rows[i])
+	for i, ch := range waiters {
+		y, err := m.Predict(context.Background(), rows[i])
 		ch <- flushResult{y: y, err: err}
 	}
+}
+
+// count records one flush of n rows; a leader's solo score is a flush
+// of one, so rows per flush stays the "is batching happening" signal.
+func (c *coalescer) count(n int) {
+	c.metrics.CoalesceFlushes.Add(1)
+	c.metrics.CoalesceRows.Add(uint64(n))
+	c.metrics.CoalesceMaxFlush.SetMax(int64(n))
 }

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
-	"time"
 
 	"lam/internal/experiments"
 	"lam/internal/machine"
@@ -51,20 +50,22 @@ func benchRegistry(b *testing.B) (*registry.Registry, [][]float64) {
 // benchmarkServeSingles drives the full /predict round trip for
 // single-row requests from many concurrent clients — the workload the
 // coalescer exists for. With coalesce=false every request walks the
-// ensemble alone; with coalesce=true concurrent requests share
-// tree-major compiled batches. Run the pair:
+// ensemble alone; with coalesce=true the requests that find the model
+// busy share tree-major compiled batches. Run the pair:
 //
-//	go test ./internal/serve -bench 'ServeCoalesced|ServePerRequest' -cpu 8
+//	go test ./internal/serve -run '^$' -bench 'ServeCoalesced|ServePerRequest' -cpu 2
 //
-// The acceptance claim (see ISSUE/EXPERIMENTS) is that under >= 32
-// concurrent single-row clients the coalesced server sustains
-// measurably higher throughput.
+// What the pair has shown on the 2-core development host is parity, not
+// a win: 45.6-49.6 vs 42.3-48.6 µs/op over three runs each at -cpu 2
+// (EXPERIMENTS.md, "Work-conserving coalescer"). The round trip is
+// dominated by HTTP and JSON, so the pair guards against coalescing
+// costing throughput under contention; it does not demonstrate a gain.
 func benchmarkServeSingles(b *testing.B, coalesce bool) {
 	reg, X := benchRegistry(b)
 	srv := New(reg)
 	srv.Workers = 1
 	if coalesce {
-		srv.Coalesce = CoalesceConfig{MaxBatch: 16, MaxDelay: time.Millisecond}
+		srv.Coalesce = CoalesceConfig{MaxBatch: 16}
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

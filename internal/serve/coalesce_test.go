@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -10,11 +12,34 @@ import (
 	"testing"
 	"time"
 
+	"lam/internal/dataset"
 	"lam/internal/experiments"
 	"lam/internal/hybrid"
+	"lam/internal/lamerr"
 	"lam/internal/machine"
 	"lam/internal/registry"
 )
+
+// stencilGridSplit returns the 2% train / held-out split of the
+// stencil-grid dataset the throughput-plane tests train on, with its
+// analytical model.
+func stencilGridSplit(t *testing.T) (train, test *dataset.Dataset, am hybrid.AnalyticalModel) {
+	t.Helper()
+	m := machine.BlueWatersXE6()
+	ds, err := experiments.DatasetByName("stencil-grid", m, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	am, err = experiments.AMByDataset("stencil-grid", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test, err = ds.SampleFraction(0.02, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return train, test, am
+}
 
 // newThroughputServer builds a registry with one trained hybrid model
 // and returns a live server with the given throughput-plane configs,
@@ -22,20 +47,7 @@ import (
 // instance for metric assertions, and held-out feature rows.
 func newThroughputServer(t *testing.T, co CoalesceConfig, ad AdmitConfig) (*httptest.Server, *Server, *hybrid.Model, [][]float64) {
 	t.Helper()
-	m := machine.BlueWatersXE6()
-	ds, err := experiments.DatasetByName("stencil-grid", m, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	am, err := experiments.AMByDataset("stencil-grid", m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	train, test, err := ds.SampleFraction(0.02, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, test, am := stencilGridSplit(t)
 	hy, err := hybrid.Train(train, am, hybrid.Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +76,7 @@ func newThroughputServer(t *testing.T, co CoalesceConfig, ad AdmitConfig) (*http
 // observable only in the metrics, never in the payloads.
 func TestCoalescedBitIdentical(t *testing.T) {
 	ts, srv, hy, X := newThroughputServer(t,
-		CoalesceConfig{MaxBatch: 8, MaxDelay: 2 * time.Millisecond}, AdmitConfig{})
+		CoalesceConfig{MaxBatch: 8}, AdmitConfig{})
 
 	want := make([]float64, len(X))
 	for i, x := range X {
@@ -138,80 +150,101 @@ func TestCoalescedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCoalesceFlushTriggers pins both flush triggers: MaxBatch fires
-// well before a long MaxDelay when enough rows accumulate, and a lone
-// request is flushed solo once MaxDelay elapses.
-func TestCoalesceFlushTriggers(t *testing.T) {
-	// Size trigger: the delay is far beyond the test's patience, so
-	// only MaxBatch-triggered flushes can complete these requests.
-	ts, srv, hy, X := newThroughputServer(t,
-		CoalesceConfig{MaxBatch: 4, MaxDelay: 30 * time.Second}, AdmitConfig{})
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, body := postPredict(t, ts.URL, map[string]any{"model": "grid-hybrid", "x": X[i]})
+// TestCoalesceWorkConserving pins the coalescing policy: a request that
+// finds its model idle is scored at once as a flush of one, and only
+// the rows that queue behind a running score are batched, MaxBatch at a
+// time.
+func TestCoalesceWorkConserving(t *testing.T) {
+	const maxBatch = 64
+	ts, srv, hy, X := newThroughputServer(t, CoalesceConfig{MaxBatch: maxBatch}, AdmitConfig{})
+
+	// Sequential requests never overlap, so none may wait for
+	// batch-mates: coalescing must cost a lone request nothing over the
+	// uncoalesced path. The yardstick is the same registry served
+	// without a coalescer, which keeps the bound independent of host
+	// speed; the slack is half of what a 1 ms batch window per request
+	// would add.
+	const sequential = 200
+	plain := httptest.NewServer(New(srv.reg).Handler())
+	defer plain.Close()
+	timeSequential := func(url string) time.Duration {
+		start := time.Now()
+		for i := 0; i < sequential; i++ {
+			x := X[i%len(X)]
+			resp, body := postPredict(t, url, map[string]any{"model": "grid-hybrid", "x": x})
 			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
-				return
+				t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)
 			}
-			var out predictOut
-			if err := json.Unmarshal(body, &out); err != nil {
-				t.Error(err)
-				return
-			}
-			want, err := hy.Predict(X[i])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if out.Y == nil || *out.Y != want {
-				t.Errorf("row %d: served %v, want %v", i, out.Y, want)
-			}
-		}(i)
+		}
+		return time.Since(start)
 	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("8 requests with MaxBatch 4 took %s: size-triggered flush did not fire", elapsed)
+	timeSequential(plain.URL) // warm the client's connection pool and both code paths
+	perRequest := timeSequential(plain.URL)
+	coalesced := timeSequential(ts.URL)
+	if slack := sequential * time.Millisecond / 2; coalesced > perRequest+slack {
+		t.Fatalf("%d sequential requests took %s coalesced vs %s uncoalesced: lone requests are waiting",
+			sequential, coalesced, perRequest)
 	}
-	if rows := srv.Metrics.CoalesceRows.Load(); rows != 8 {
-		t.Fatalf("coalesced %d rows, want 8", rows)
-	}
-	if f := srv.Metrics.CoalesceFlushes.Load(); f != 2 {
-		t.Fatalf("flushed %d times, want exactly 2 (two full batches)", f)
-	}
-	if mx := srv.Metrics.CoalesceMaxFlush.Load(); mx != 4 {
-		t.Fatalf("max flush %d rows, want exactly MaxBatch=4", mx)
+	if f, rows := srv.Metrics.CoalesceFlushes.Load(), srv.Metrics.CoalesceRows.Load(); f != sequential || rows != sequential {
+		t.Fatalf("%d sequential requests: %d flushes / %d rows, want every request a flush of one", sequential, f, rows)
 	}
 
-	// Delay trigger: a lone request must wait out MaxDelay, then be
-	// scored as a 1-row flush.
-	ts2, srv2, hy2, X2 := newThroughputServer(t,
-		CoalesceConfig{MaxBatch: 64, MaxDelay: 50 * time.Millisecond}, AdmitConfig{})
-	start = time.Now()
-	resp, body := postPredict(t, ts2.URL, map[string]any{"model": "grid-hybrid", "x": X2[0]})
-	elapsed := time.Since(start)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var out predictOut
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	want, err := hy2.Predict(X2[0])
+	// Rows queued behind a busy model drain in arrival order, MaxBatch
+	// per flush, and the busy period leaves nothing behind.
+	m, err := srv.load(context.Background(), "grid-hybrid", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Y == nil || *out.Y != want {
-		t.Fatalf("served %v, want %v", out.Y, want)
+	c := srv.co
+	queued := make([][]float64, 2*maxBatch+3)
+	for i := range queued {
+		queued[i] = X[i%len(X)]
 	}
-	if elapsed < 40*time.Millisecond {
-		t.Fatalf("lone request returned after %s, before the 50ms MaxDelay window", elapsed)
+	waiters := queueBehindBusy(c, m, queued)
+	c.drain(m, c.queues[m])
+	checkAnswered(t, hy, waiters, queued)
+	// 2*MaxBatch+3 rows in flushes of MaxBatch, MaxBatch, 3: the fewest
+	// flushes the cap allows, and the cap reached but never exceeded.
+	if f, rows := srv.Metrics.CoalesceFlushes.Load()-sequential, srv.Metrics.CoalesceRows.Load()-sequential; f != 3 || rows != uint64(len(queued)) {
+		t.Fatalf("drain of %d rows: %d flushes / %d rows, want 3 / %d", len(queued), f, rows, len(queued))
 	}
-	if f, rows := srv2.Metrics.CoalesceFlushes.Load(), srv2.Metrics.CoalesceRows.Load(); f != 1 || rows != 1 {
-		t.Fatalf("lone request: %d flushes / %d rows, want 1 / 1", f, rows)
+	if mx := srv.Metrics.CoalesceMaxFlush.Load(); mx != maxBatch {
+		t.Fatalf("max flush %d rows, want exactly MaxBatch=%d", mx, maxBatch)
+	}
+	if n := len(c.queues); n != 0 {
+		t.Fatalf("%d model queues left after the drain, want 0", n)
+	}
+}
+
+// queueBehindBusy marks m busy, as a leader's solo score would, unless
+// it already is, and queues rows behind it, returning their result
+// channels in order. The caller ends the busy period with c.drain or
+// c.endLead.
+func queueBehindBusy(c *coalescer, m *registry.Model, rows [][]float64) []chan flushResult {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, busy := c.queues[m]; !busy {
+		c.queues[m] = nil
+	}
+	waiters := make([]chan flushResult, len(rows))
+	for i, x := range rows {
+		waiters[i] = c.enqueueLocked(m, x)
+	}
+	return waiters
+}
+
+// checkAnswered receives every waiter's result and requires it to be
+// the library's bit-identical prediction for the matching row.
+func checkAnswered(t *testing.T, hy *hybrid.Model, waiters []chan flushResult, rows [][]float64) {
+	t.Helper()
+	for i, ch := range waiters {
+		want, err := hy.Predict(rows[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := <-ch; res.err != nil || res.y != want {
+			t.Fatalf("queued row %d: got (%v, %v), want %v", i, res.y, res.err, want)
+		}
 	}
 }
 
@@ -257,19 +290,20 @@ func TestColdStartSingleFlight(t *testing.T) {
 }
 
 // TestAdmissionShedsNeverWrong drives far more concurrent requests
-// than the in-flight + queue budget admits while the coalescer's delay
-// holds slots busy: the budgeted requests must all come back correct,
+// than the in-flight + queue budget admits while injected latency holds
+// slots busy: the budgeted requests must all come back correct,
 // everything else must be a 429 with Retry-After — a shed is always an
 // honest refusal, never a wrong answer.
 func TestAdmissionShedsNeverWrong(t *testing.T) {
-	// MaxDelay is the window within which all clients must hit the
-	// admission gate for the shed split to be deterministic; 1s is
-	// generous even on a loaded 1-core CI box, and the assertions
-	// below still allow a straggler to be admitted into a freed slot.
 	const inflight, queue, clients = 2, 2, 16
 	ts, srv, hy, X := newThroughputServer(t,
-		CoalesceConfig{MaxBatch: 64, MaxDelay: time.Second},
+		CoalesceConfig{MaxBatch: 64},
 		AdmitConfig{MaxInflight: inflight, Queue: queue})
+	// The injected latency is the window within which all clients must
+	// hit the admission gate for the shed split to be deterministic; 1s
+	// is generous even on a loaded 1-core CI box, and the assertions
+	// below still allow a straggler to be admitted into a freed slot.
+	srv.InjectLatency = time.Second
 
 	var ok, shed atomic.Uint64
 	var wg sync.WaitGroup
@@ -313,7 +347,7 @@ func TestAdmissionShedsNeverWrong(t *testing.T) {
 	wg.Wait()
 
 	// Nominally exactly inflight+queue requests are served and the
-	// rest shed; a goroutine scheduled after the first flush freed
+	// rest shed; a goroutine scheduled after the first responses freed
 	// slots can raise the served count, so assert bounds, not the
 	// exact split — the invariant under test is "budget served
 	// correctly, overflow shed honestly, nothing lost".
@@ -343,7 +377,7 @@ func TestAdmissionShedsNeverWrong(t *testing.T) {
 func TestOverloadBoundedQueue(t *testing.T) {
 	const inflight, queue, clients, iters = 2, 4, 32, 10
 	ts, srv, hy, X := newThroughputServer(t,
-		CoalesceConfig{MaxBatch: 64, MaxDelay: 2 * time.Millisecond},
+		CoalesceConfig{MaxBatch: 64},
 		AdmitConfig{MaxInflight: inflight, Queue: queue})
 
 	want := make([]float64, len(X))
@@ -403,48 +437,188 @@ func TestOverloadBoundedQueue(t *testing.T) {
 	}
 }
 
-// TestCoalescedBadRowDoesNotPoisonBatch queues a wrong-arity row and a
-// valid row into the same coalesced batch: the valid row must get its
-// bit-identical answer, the bad row its own 400 — the per-row fallback
-// of the flush error path.
+// TestCoalescedBadRowDoesNotPoisonBatch queues a row the model rejects
+// and a valid row into the same flush: the valid row must get its
+// bit-identical answer, the bad row its own client error — the per-row
+// fallback of the flush error path.
 func TestCoalescedBadRowDoesNotPoisonBatch(t *testing.T) {
-	ts, _, hy, X := newThroughputServer(t,
-		CoalesceConfig{MaxBatch: 2, MaxDelay: time.Second}, AdmitConfig{})
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	var goodStatus, badStatus int
-	var goodBody []byte
-	go func() {
-		defer wg.Done()
-		resp, body := postPredict(t, ts.URL, map[string]any{"model": "grid-hybrid", "x": X[0]})
-		goodStatus, goodBody = resp.StatusCode, body
-	}()
-	go func() {
-		defer wg.Done()
-		// Arity matches but the analytical model rejects non-positive
-		// dimensions — an error the batch path reports for the whole
-		// batch, exercising the per-row fallback.
-		resp, _ := postPredict(t, ts.URL, map[string]any{"model": "grid-hybrid", "x": []float64{-1, 240, 160}})
-		badStatus = resp.StatusCode
-	}()
-	wg.Wait()
-
-	if badStatus != http.StatusBadRequest {
-		t.Fatalf("bad row: status %d, want 400", badStatus)
-	}
-	if goodStatus != http.StatusOK {
-		t.Fatalf("good row: status %d: %s", goodStatus, goodBody)
-	}
-	var out predictOut
-	if err := json.Unmarshal(goodBody, &out); err != nil {
-		t.Fatal(err)
-	}
-	want, err := hy.Predict(X[0])
+	_, srv, hy, X := newThroughputServer(t, CoalesceConfig{MaxBatch: 2}, AdmitConfig{})
+	m, err := srv.load(context.Background(), "grid-hybrid", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Y == nil || *out.Y != want {
-		t.Fatalf("good row served %v, want %v", out.Y, want)
+	// Arity matches but the analytical model rejects non-positive
+	// dimensions — an error the batch path reports for the whole batch,
+	// which is what sends the flush to the per-row fallback.
+	rows := [][]float64{X[0], {-1, 240, 160}}
+	if err := m.PredictBatchInto(context.Background(), rows, make([]float64, len(rows))); err == nil {
+		t.Fatal("fixture batch scored cleanly; the fallback would not be exercised")
 	}
+	c := srv.co
+	waiters := queueBehindBusy(c, m, rows)
+	c.drain(m, c.queues[m])
+	if f, n := srv.Metrics.CoalesceFlushes.Load(), srv.Metrics.CoalesceRows.Load(); f != 1 || n != 2 {
+		t.Fatalf("%d flushes / %d rows, want both rows in one flush", f, n)
+	}
+
+	checkAnswered(t, hy, waiters[:1], rows[:1])
+	if bad := <-waiters[1]; !errors.Is(predictError(bad.err), lamerr.ErrBadRequest) {
+		t.Fatalf("bad row: error %v, want a bad-request error", bad.err)
+	}
+}
+
+// waitIdle waits for every busy period to end: a drain answers its last
+// waiter a moment before it retires the model's queue.
+func waitIdle(t *testing.T, c *coalescer) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c.mu.Lock()
+		n := len(c.queues)
+		c.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d model queues still busy", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCoalesceCancellation pins what a cancelled request may and may
+// not take down with it: a follower abandons only its own wait, and a
+// leader's busy period still passes to the drain.
+func TestCoalesceCancellation(t *testing.T) {
+	_, srv, hy, X := newThroughputServer(t, CoalesceConfig{MaxBatch: 8}, AdmitConfig{})
+	m, err := srv.load(context.Background(), "grid-hybrid", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := srv.co
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	// A follower that gives up while queued: its row stays in the
+	// batch, it gets ErrCancelled, its batch-mates get their answers.
+	mates := X[:2]
+	waiters := queueBehindBusy(c, m, mates)
+	if _, err := c.predict(cancelled, m, X[2]); !errors.Is(err, lamerr.ErrCancelled) {
+		t.Fatalf("cancelled follower: error %v, want ErrCancelled", err)
+	}
+	more := queueBehindBusy(c, m, X[3:4])
+	c.drain(m, c.queues[m])
+	checkAnswered(t, hy, append(waiters, more...), [][]float64{X[0], X[1], X[3]})
+	if f, n := srv.Metrics.CoalesceFlushes.Load(), srv.Metrics.CoalesceRows.Load(); f != 1 || n != 4 {
+		t.Fatalf("%d flushes / %d rows, want the abandoned row scored with its three batch-mates", f, n)
+	}
+	waitIdle(t, c)
+
+	// A leader whose context is already cancelled fails on its own
+	// context and still ends its busy period.
+	if _, err := c.predict(cancelled, m, X[0]); !errors.Is(err, lamerr.ErrCancelled) {
+		t.Fatalf("cancelled leader: error %v, want ErrCancelled", err)
+	}
+	waitIdle(t, c)
+
+	// Rows that queued behind a leader are handed to a drain goroutine
+	// when the leader finishes, however it finished.
+	waiters = queueBehindBusy(c, m, mates)
+	c.endLead(m)
+	checkAnswered(t, hy, waiters, mates)
+	waitIdle(t, c)
+}
+
+// TestCoalesceHotSwapStress hammers three models from sixteen clients
+// while new versions of all three are published: every answer must be
+// bit-identical to the library's for the version that served it, every
+// flush within MaxBatch, and no model — swapped out or current — may
+// keep a queue afterwards.
+func TestCoalesceHotSwapStress(t *testing.T) {
+	train, test, am := stencilGridSplit(t)
+	X := test.X[:16]
+	const versions = 2
+	var hys [versions]*hybrid.Model
+	var want [versions][]float64
+	for v := range hys {
+		hy, err := hybrid.Train(train, am, hybrid.Config{Seed: int64(v + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hys[v] = hy
+		for _, x := range X {
+			y, err := hy.Predict(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[v] = append(want[v], y)
+		}
+	}
+	reg, err := registry.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"m0", "m1", "m2"}
+	publish := func(v int) error {
+		for _, name := range names {
+			meta := registry.Meta{Name: name, Workload: "stencil-grid", Machine: "bluewaters"}
+			if _, err := reg.SaveHybrid(hys[v], meta); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := publish(0); err != nil {
+		t.Fatal(err)
+	}
+	const maxBatch = 4
+	srv := New(reg)
+	srv.Coalesce = CoalesceConfig{MaxBatch: maxBatch}
+	srv.Handler() // builds srv.co
+	ctx := context.Background()
+
+	// The clients call the resolve-then-coalesce pair the handler runs,
+	// without HTTP between them: a 4 µs score only overlaps another when
+	// the calls come this densely.
+	const clients, perClient = 16, 400
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for it := 0; it < perClient; it++ {
+				if w == 0 && it == perClient/3 {
+					if err := publish(1); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				i := (w + it) % len(X)
+				name := names[(w+it)%len(names)]
+				m, err := srv.load(ctx, name, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				y, err := srv.co.predict(ctx, m, X[i])
+				if v := m.Meta.Version; err != nil || v < 1 || v > versions || y != want[v-1][i] {
+					t.Errorf("%s@v%d row %d: served (%v, %v), want bit-identical to that version", name, v, i, y, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	t.Logf("%d rows in %d flushes", srv.Metrics.CoalesceRows.Load(), srv.Metrics.CoalesceFlushes.Load())
+	if rows := srv.Metrics.CoalesceRows.Load(); rows != clients*perClient {
+		t.Fatalf("coalescer scored %d rows, want %d", rows, clients*perClient)
+	}
+	if mx := srv.Metrics.CoalesceMaxFlush.Load(); mx > maxBatch {
+		t.Fatalf("a flush held %d rows, above MaxBatch %d", mx, maxBatch)
+	}
+	if swaps := srv.Metrics.ModelSwaps.Load(); swaps != uint64(len(names)) {
+		t.Fatalf("%d hot swaps, want one per model", swaps)
+	}
+	waitIdle(t, srv.co)
 }

@@ -39,9 +39,11 @@ type Metrics struct {
 	// through the micro-batch coalescer (every single when coalescing
 	// is on).
 	CoalescedRequests *telemetry.Counter
-	// CoalesceFlushes counts scored batches; CoalesceRows the rows in
-	// them. CoalesceRows / CoalesceFlushes is the mean flush size — the
-	// number to watch when tuning MaxBatch/MaxDelay.
+	// CoalesceFlushes counts scored batches, a lone request's solo score
+	// included as a flush of one; CoalesceRows the rows in them.
+	// CoalesceRows / CoalesceFlushes is the mean flush size: 1 when no
+	// request ever found its model busy, above 1 in proportion to how
+	// much same-model contention is being amortised.
 	CoalesceFlushes *telemetry.Counter
 	CoalesceRows    *telemetry.Counter
 	// CoalesceMaxFlush is the largest flush observed; it can never

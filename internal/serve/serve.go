@@ -604,8 +604,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		asp.End()
 		if err != nil {
 			if errors.Is(err, errOverloaded) {
-				// Shed, not failed: the client is told to back off for
-				// roughly one coalescing window plus queue turnover.
+				// Shed, not failed: the client is told to back off while
+				// the admission queue turns over.
 				w.Header().Set("Retry-After", "1")
 				writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
 				return

@@ -92,7 +92,10 @@ func (b *Bagging) FitCtx(ctx context.Context, X [][]float64, y []float64) error 
 	if err != nil {
 		return err
 	}
-	compiled := compileBaggedTrees(models)
+	compiled, err := compileBaggedTrees(models)
+	if err != nil {
+		return err
+	}
 	if compiled != nil && b.Layout != LayoutDefault {
 		if err := compiled.SetLayout(b.Layout); err != nil {
 			return err
@@ -104,18 +107,18 @@ func (b *Bagging) FitCtx(ctx context.Context, X [][]float64, y []float64) error 
 }
 
 // compileBaggedTrees fuses the members into one shared node table when
-// every base model is a DecisionTree; the mean combine is bit-identical
-// to summing member Predict calls in order.
-func compileBaggedTrees(models []Regressor) *CompiledEnsemble {
+// every base model is a DecisionTree (nil otherwise); the mean combine
+// is bit-identical to summing member Predict calls in order.
+func compileBaggedTrees(models []Regressor) (*CompiledEnsemble, error) {
 	trees := make([]*DecisionTree, len(models))
 	for i, m := range models {
 		t, ok := m.(*DecisionTree)
 		if !ok {
-			return nil
+			return nil, nil
 		}
 		trees[i] = t
 	}
-	return compileMeanEnsemble(trees)
+	return compileEnsemble(trees, combineMean, 0, 0)
 }
 
 // Predict returns the mean prediction of the ensemble.

@@ -187,6 +187,20 @@ func appendTreeConfig(buf []byte, cfg TreeConfig) []byte {
 	return appendI64(buf, cfg.Seed)
 }
 
+// materializeLeft rebuilds the explicit left-child array the canonical
+// layout keeps implicit: i+1 for internal nodes, -1 for leaves.
+func materializeLeft(c *CompiledTree) []int32 {
+	left := make([]int32, c.Len())
+	for i, f := range c.feature {
+		if f < 0 {
+			left[i] = -1
+		} else {
+			left[i] = int32(i) + 1
+		}
+	}
+	return left
+}
+
 // appendTreeBody writes one fitted tree (config, importances and the
 // compiled node table) without a kind tag — forests and boosters embed
 // member trees directly since their members are trees by construction.
@@ -721,7 +735,9 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 			}
 			f.trees = append(f.trees, t)
 		}
-		f.compiled = compileMeanEnsemble(f.trees)
+		if f.compiled, err = compileEnsemble(f.trees, combineMean, 0, 0); err != nil {
+			return nil, corruptf("%v", err)
+		}
 		return f, nil
 	case binKindLinreg:
 		lambda, err := r.f64()
@@ -804,7 +820,9 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 			}
 			g.stages = append(g.stages, t)
 		}
-		g.compiled = compileBoostedEnsemble(g.stages, init, rate)
+		if g.compiled, err = compileEnsemble(g.stages, combineBoosted, init, rate); err != nil {
+			return nil, corruptf("%v", err)
+		}
 		return g, nil
 	case binKindPipeline:
 		p, err := r.count(16)
@@ -858,7 +876,9 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 			}
 			b.models = append(b.models, m)
 		}
-		b.compiled = compileBaggedTrees(b.models)
+		if b.compiled, err = compileBaggedTrees(b.models); err != nil {
+			return nil, corruptf("%v", err)
+		}
 		return b, nil
 	case binKindStacking:
 		passThrough, err := r.i64()

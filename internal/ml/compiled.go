@@ -24,7 +24,7 @@ func b2i32(b bool) int32 {
 // walk touches a mostly ascending address sequence, needs one fewer
 // cache line per level than the explicit two-child form, and the
 // descent itself compiles to a conditional move instead of a branch
-// (see predictFrom), so the CPU never mispredicts data-dependent
+// (see predictHot), so the CPU never mispredicts data-dependent
 // splits. Every tree-based estimator (DecisionTree, Forest, Bagging
 // over tree bases, GradientBoosting) compiles at Fit/load time; there
 // is no pointer-tree runtime representation left.
@@ -86,20 +86,13 @@ func (c *CompiledTree) split(idx int32, feature int, threshold float64, left, ri
 
 // Predict walks the tree iteratively from the root. The caller
 // guarantees x has the arity the tree was fitted on (the estimator
-// wrappers check). Allocation-free.
-func (c *CompiledTree) Predict(x []float64) float64 { return c.predictFrom(0, x) }
-
-// predictFrom walks one tree of a (possibly concatenated) node table
-// starting at root. The slice headers are hoisted into locals so the
-// loop reloads nothing through the receiver, and the descent is
-// branchless: the left child is implicit at i+1, so the step is a
-// compare and a conditional move, never a data-dependent branch the
-// CPU could mispredict. The comparison direction (x <= threshold goes
-// left, everything else — including NaN — goes right) is exactly the
-// legacy recursive walk's, so exact layouts stay bit-identical.
-func (c *CompiledTree) predictFrom(root int32, x []float64) float64 {
+// wrappers check). The slice headers are hoisted into locals so the
+// loop reloads nothing through the receiver. The comparison direction
+// (x <= threshold goes left, everything else — including NaN — goes
+// right) is exactly the legacy recursive walk's. Allocation-free.
+func (c *CompiledTree) Predict(x []float64) float64 {
 	feature, threshold, right := c.feature, c.threshold, c.right
-	i := root
+	i := int32(0)
 	for {
 		f := feature[i]
 		if f < 0 {
@@ -117,37 +110,45 @@ func (c *CompiledTree) predictFrom(root int32, x []float64) float64 {
 // 16-byte record, so each visited node costs a single cache line where
 // the SoA walk touches three (feature, threshold and right live in
 // separate arrays). Leaves reuse the threshold slot for the leaf value
-// — the walk never touches the value column at all. Derived from the
-// canonical table for LayoutImplicitLeft (the serving default); the
-// values are verbatim copies, so the walk stays bit-identical.
+// — the walk never touches the value column at all. The values are
+// verbatim copies of the member tree's, so the walk stays bit-identical.
 type hotNode struct {
 	threshold float64 // leaf value when feature < 0
 	feature   int32
 	right     int32
 }
 
-// buildHotNodes packs a (possibly concatenated) canonical node table.
-func buildHotNodes(c *CompiledTree) []hotNode {
-	hot := make([]hotNode, c.Len())
-	for i, f := range c.feature {
-		if f < 0 {
-			hot[i] = hotNode{threshold: c.value[i], feature: -1}
-		} else {
-			hot[i] = hotNode{threshold: c.threshold[i], feature: f, right: c.right[i]}
+// packTree writes one member tree's packed records into dst (exactly
+// c.Len() long), rebasing its tree-local right-child indices by base,
+// the tree's first index in the fused table. Leaves and splits
+// alternate unpredictably in preorder, so the leaf/split choice is made
+// with a sign mask instead of a branch: the loop runs at half the cost
+// of the branching form, which is what lets the fuse stay on the
+// calling goroutine (see compileEnsemble).
+func packTree(dst []hotNode, c *CompiledTree, base int) {
+	n := len(dst)
+	feature, threshold, value, right := c.feature[:n], c.threshold[:n], c.value[:n], c.right[:n]
+	b := int32(base)
+	for i, f := range feature {
+		leaf := f >> 31 // all ones for a leaf (feature < 0), else zero
+		tb, vb := math.Float64bits(threshold[i]), math.Float64bits(value[i])
+		dst[i] = hotNode{
+			threshold: math.Float64frombits(tb ^ (tb^vb)&uint64(int64(leaf))),
+			feature:   f | leaf,
+			right:     (b + right[i]) &^ leaf,
 		}
 	}
-	return hot
 }
 
-// predictHot is predictFrom over the packed record array: one cache
-// line per visited node and a fully branchless step. Go's compiler
-// lowers `if cond { next = i+1 }` to a conditional jump (not CMOV) for
-// float-controlled conditions, so the select is done arithmetically:
-// the comparison materialises as a SETcc byte (b2i32), negating it
-// gives an all-ones/all-zero mask, and the mask picks between right
-// and i+1 with no data-dependent control flow for the predictor to
-// miss. NaN features compare false and take the right child, exactly
-// like the recursive walk.
+// predictHot is CompiledTree.Predict over the packed record array,
+// starting at any tree's root: one cache line per visited node and a
+// fully branchless step. Go's compiler lowers `if cond { next = i+1 }`
+// to a conditional jump (not CMOV) for float-controlled conditions, so
+// the select is done arithmetically: the comparison materialises as a
+// SETcc byte (b2i32), negating it gives an all-ones/all-zero mask, and
+// the mask picks between right and i+1 with no data-dependent control
+// flow for the predictor to miss. NaN features compare false and take
+// the right child, exactly like the recursive walk.
 func predictHot(hot []hotNode, root int32, x []float64) float64 {
 	i := root
 	for {
@@ -235,39 +236,37 @@ const (
 	combineBoosted
 )
 
-// CompiledEnsemble is a whole tree ensemble flattened onto one shared
-// contiguous node table: every member tree's nodes are concatenated
-// (each tree preorder-contiguous) with per-tree root offsets, so batch
-// scoring streams through one allocation-free memory region instead of
-// hopping between per-tree heaps.
+// CompiledEnsemble is a whole tree ensemble fused onto one contiguous
+// table of packed 16-byte records: every member tree's nodes are
+// concatenated (each tree preorder-contiguous, right-child indices
+// rebased) with per-tree root offsets, so scoring streams through one
+// allocation-free memory region instead of hopping between per-tree
+// heaps. The packed table is the only fused form: the member trees keep
+// their own structure-of-arrays tables (at load those alias the
+// artifact's file buffer), and nothing else holds a per-node copy.
 //
-// The canonical table is the implicit-left branchless layout; SetLayout
+// The packed table is the implicit-left branchless layout; SetLayout
 // derives the alternative traversal forms (explicit-child baseline,
 // level-order batch striding, quantized tables) from it. SetLayout is
 // not safe to call concurrently with prediction — apply it right after
 // Fit/load, before the ensemble is shared (the registry/serve layers
 // do exactly that).
 type CompiledEnsemble struct {
-	nodes   CompiledTree
+	// hot is the fused packed table, hot[roots[t]] the root of tree t.
+	hot     []hotNode
 	roots   []int32
 	combine ensembleCombine
 	// init and rate are the boosting constants (combineBoosted only).
 	init, rate float64
 
 	// layout is the active traversal layout (always resolved, never
-	// LayoutDefault; the zero value acts as LayoutImplicitLeft). The
-	// derived tables below are non-nil only for their layout.
+	// LayoutDefault). The derived tables below are non-nil only for
+	// their layout.
 	layout Layout
-	// hot is the packed 16-byte-per-node walk table for
-	// LayoutImplicitLeft (nil for other layouts and for ad-hoc
-	// ensembles that never had a layout applied, which fall back to
-	// the SoA walk — bit-identical either way).
-	hot []hotNode
-	// stdLeft is the materialised explicit left-child array for
-	// LayoutStandard (the PR 3 baseline walk).
-	stdLeft []int32
-	// lvl is the depth-bucketed level-order table for LayoutLevelOrder.
-	lvl *levelEnsemble
+	// explicit is the explicit-child table: in preorder for
+	// LayoutStandard (the PR 3 baseline walk), breadth-first for
+	// LayoutLevelOrder.
+	explicit *explicitTable
 	// qt is the quantized node table for LayoutQuant16/LayoutQuant8.
 	qt *quantEnsemble
 }
@@ -276,45 +275,55 @@ type CompiledEnsemble struct {
 func (e *CompiledEnsemble) NumTrees() int { return len(e.roots) }
 
 // NumNodes returns the total node count across all members.
-func (e *CompiledEnsemble) NumNodes() int { return e.nodes.Len() }
+func (e *CompiledEnsemble) NumNodes() int { return len(e.hot) }
 
-// appendTree copies one compiled tree into the shared node table,
-// rebasing its child indices, and records its root.
-func (e *CompiledEnsemble) appendTree(t *CompiledTree) {
-	base := int32(e.nodes.Len())
-	e.roots = append(e.roots, base)
-	e.nodes.feature = append(e.nodes.feature, t.feature...)
-	e.nodes.threshold = append(e.nodes.threshold, t.threshold...)
-	e.nodes.value = append(e.nodes.value, t.value...)
-	for _, r := range t.right {
-		if r >= 0 {
-			r += base
+// treeEnd returns one past the last fused index of member tree t.
+func (e *CompiledEnsemble) treeEnd(t int) int32 {
+	if t+1 < len(e.roots) {
+		return e.roots[t+1]
+	}
+	return int32(len(e.hot))
+}
+
+// fusedRoots lays n member trees of treeLen(t) nodes end to end: it
+// returns each tree's first index in the fused table and the table's
+// length. Sizes are summed in int and a table int32 node indices
+// cannot address is refused, never wrapped.
+func fusedRoots(n int, treeLen func(t int) int) ([]int32, int, error) {
+	roots := make([]int32, n)
+	total := 0
+	for t := range roots {
+		l := treeLen(t)
+		if l > math.MaxInt32-total {
+			return nil, 0, fmt.Errorf("ml: ensemble exceeds %d nodes at tree %d of %d (%d so far, %d more)", math.MaxInt32, t, n, total, l)
 		}
-		e.nodes.right = append(e.nodes.right, r)
+		roots[t] = int32(total)
+		total += l
 	}
+	return roots, total, nil
 }
 
-// compileMeanEnsemble concatenates fitted trees into a mean-combining
-// ensemble (forests, bagged trees) and applies the process-default
-// traversal layout.
-func compileMeanEnsemble(trees []*DecisionTree) *CompiledEnsemble {
-	e := &CompiledEnsemble{combine: combineMean}
-	for _, t := range trees {
-		e.appendTree(&t.nodes)
+// compileEnsemble is the one place member trees are fused: it sizes the
+// packed table exactly, allocates it once, fills each tree's disjoint
+// range straight from the tree's own arrays and applies the
+// process-default traversal layout. The fill runs on the calling
+// goroutine: it is a millisecond of streaming work per half million
+// nodes, and fanning it out made a cold load's time depend on whether a
+// second core happened to be free (a helper descheduled mid-tree stalls
+// the join). init and rate are the boosting constants, ignored by
+// combineMean. It fails only when the ensemble is too large for int32
+// node indices.
+func compileEnsemble(trees []*DecisionTree, combine ensembleCombine, init, rate float64) (*CompiledEnsemble, error) {
+	roots, total, err := fusedRoots(len(trees), func(t int) int { return trees[t].nodes.Len() })
+	if err != nil {
+		return nil, err
+	}
+	e := &CompiledEnsemble{hot: make([]hotNode, total), roots: roots, combine: combine, init: init, rate: rate}
+	for t, tree := range trees {
+		packTree(e.hot[roots[t]:e.treeEnd(t)], &tree.nodes, int(roots[t]))
 	}
 	e.applyDefaultLayout()
-	return e
-}
-
-// compileBoostedEnsemble concatenates boosting stages with their
-// shrinkage constants and applies the process-default traversal layout.
-func compileBoostedEnsemble(stages []*DecisionTree, init, rate float64) *CompiledEnsemble {
-	e := &CompiledEnsemble{combine: combineBoosted, init: init, rate: rate}
-	for _, t := range stages {
-		e.appendTree(&t.nodes)
-	}
-	e.applyDefaultLayout()
-	return e
+	return e, nil
 }
 
 // Predict scores one feature vector, folding the member trees in
@@ -332,25 +341,8 @@ func (e *CompiledEnsemble) Predict(x []float64) float64 {
 	}
 	// Implicit-left branchless — also serves LayoutLevelOrder: the
 	// level table is a batch-striding layout, single rows walk the
-	// canonical preorder form (bit-identical either way). The packed
-	// hot table is preferred when the layout built one.
-	if e.hot != nil {
-		return e.predictHotInterleaved(x)
-	}
-	switch e.combine {
-	case combineBoosted:
-		out := e.init
-		for _, r := range e.roots {
-			out += e.rate * e.nodes.predictFrom(r, x)
-		}
-		return out
-	default:
-		s := 0.0
-		for _, r := range e.roots {
-			s += e.nodes.predictFrom(r, x)
-		}
-		return s / float64(len(e.roots))
-	}
+	// packed preorder table (bit-identical either way).
+	return e.predictHotInterleaved(x)
 }
 
 // hotLanes is the number of member trees a single-row ensemble walk
@@ -414,58 +406,40 @@ func (e *CompiledEnsemble) predictHotInterleaved(x []float64) float64 {
 // predictStd is Predict through the LayoutStandard explicit-child walk
 // (the PR 3 baseline kept for benchmarking and regression guarding).
 func (e *CompiledEnsemble) predictStd(x []float64) float64 {
+	std := e.explicit
 	switch e.combine {
 	case combineBoosted:
 		out := e.init
 		for _, r := range e.roots {
-			out += e.rate * e.predictFromStd(r, x)
+			out += e.rate * std.predictFrom(r, x)
 		}
 		return out
 	default:
 		s := 0.0
 		for _, r := range e.roots {
-			s += e.predictFromStd(r, x)
+			s += std.predictFrom(r, x)
 		}
 		return s / float64(len(e.roots))
-	}
-}
-
-// predictFromStd is the explicit two-child branchy descent: exactly the
-// pre-PR 8 hot loop, reading the materialised left array.
-func (e *CompiledEnsemble) predictFromStd(root int32, x []float64) float64 {
-	feature, threshold := e.nodes.feature, e.nodes.threshold
-	left, right := e.stdLeft, e.nodes.right
-	i := root
-	for {
-		f := feature[i]
-		if f < 0 {
-			return e.nodes.value[i]
-		}
-		if x[f] <= threshold[i] {
-			i = left[i]
-		} else {
-			i = right[i]
-		}
 	}
 }
 
 // PredictInto scores one feature vector per member prefix: out[i] is
 // the prediction using trees [0, i] — the staged-prediction primitive.
 // out must have NumTrees elements. Staged prediction is an analysis
-// path, not a serving path, so it always walks the exact canonical
-// table regardless of the active layout. Allocation-free.
+// path, not a serving path, so it always walks the exact packed table
+// regardless of the active layout. Allocation-free.
 func (e *CompiledEnsemble) PredictInto(x []float64, out []float64) {
 	switch e.combine {
 	case combineBoosted:
 		acc := e.init
 		for i, r := range e.roots {
-			acc += e.rate * e.nodes.predictFrom(r, x)
+			acc += e.rate * predictHot(e.hot, r, x)
 			out[i] = acc
 		}
 	default:
 		s := 0.0
 		for i, r := range e.roots {
-			s += e.nodes.predictFrom(r, x)
+			s += predictHot(e.hot, r, x)
 			out[i] = s / float64(i+1)
 		}
 	}
@@ -519,10 +493,10 @@ func (e *CompiledEnsemble) PredictBatchInto(X [][]float64, out []float64) {
 		e.qt.predictBatchInto(X, out)
 		return
 	case LayoutLevelOrder:
-		e.lvl.predictBatchInto(e, X, out)
+		e.explicit.predictBatchLevels(e, X, out)
 		return
 	}
-	if int64(e.nodes.Len()) < batchTreeMajorMinNodes.Load() {
+	if int64(len(e.hot)) < batchTreeMajorMinNodes.Load() {
 		for i, x := range X {
 			out[i] = e.Predict(x)
 		}
@@ -532,33 +506,20 @@ func (e *CompiledEnsemble) PredictBatchInto(X [][]float64, out []float64) {
 		e.predictBatchTreeMajorStd(X, out)
 		return
 	}
-	hot := e.hot
 	switch e.combine {
 	case combineBoosted:
 		for i := range out {
 			out[i] = e.init
 		}
 		for _, r := range e.roots {
-			if hot != nil {
-				predictHotTreeRows(hot, r, X, out, e.rate)
-			} else {
-				for i, x := range X {
-					out[i] += e.rate * e.nodes.predictFrom(r, x)
-				}
-			}
+			predictHotTreeRows(e.hot, r, X, out, e.rate)
 		}
 	default:
 		for i := range out {
 			out[i] = 0
 		}
 		for _, r := range e.roots {
-			if hot != nil {
-				predictHotTreeRows(hot, r, X, out, 1)
-			} else {
-				for i, x := range X {
-					out[i] += e.nodes.predictFrom(r, x)
-				}
-			}
+			predictHotTreeRows(e.hot, r, X, out, 1)
 		}
 		n := float64(len(e.roots))
 		for i := range out {
@@ -608,6 +569,7 @@ func predictHotTreeRows(hot []hotNode, r int32, X [][]float64, out []float64, sc
 // predictBatchTreeMajorStd is the tree-major batch walk through the
 // LayoutStandard explicit-child descent.
 func (e *CompiledEnsemble) predictBatchTreeMajorStd(X [][]float64, out []float64) {
+	std := e.explicit
 	switch e.combine {
 	case combineBoosted:
 		for i := range out {
@@ -615,7 +577,7 @@ func (e *CompiledEnsemble) predictBatchTreeMajorStd(X [][]float64, out []float64
 		}
 		for _, r := range e.roots {
 			for i, x := range X {
-				out[i] += e.rate * e.predictFromStd(r, x)
+				out[i] += e.rate * std.predictFrom(r, x)
 			}
 		}
 	default:
@@ -624,7 +586,7 @@ func (e *CompiledEnsemble) predictBatchTreeMajorStd(X [][]float64, out []float64
 		}
 		for _, r := range e.roots {
 			for i, x := range X {
-				out[i] += e.predictFromStd(r, x)
+				out[i] += std.predictFrom(r, x)
 			}
 		}
 		n := float64(len(e.roots))
@@ -632,17 +594,4 @@ func (e *CompiledEnsemble) predictBatchTreeMajorStd(X [][]float64, out []float64
 			out[i] /= n
 		}
 	}
-}
-
-// MeanAbs returns the mean absolute leaf value across the table — a
-// cheap structural fingerprint used by tests; NaN for empty ensembles.
-func (e *CompiledEnsemble) MeanAbs() float64 {
-	if e.nodes.Len() == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, v := range e.nodes.value {
-		s += math.Abs(v)
-	}
-	return s / float64(e.nodes.Len())
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"lam/internal/parallel"
 )
 
 // The legacy pointer-tree representation, retained here as the
@@ -435,5 +437,258 @@ func TestPredictAllocationFree(t *testing.T) {
 	x := Xq[0]
 	if allocs := testing.AllocsPerRun(100, func() { g.StagedPredictInto(x, staged) }); allocs != 0 {
 		t.Errorf("gbr: StagedPredictInto allocates %.1f per call, want 0", allocs)
+	}
+}
+
+// The pre-single-pass compile, retained as the executable specification
+// of the fused table: member trees were appended one by one onto four
+// append-grown arrays (refFused.appendTree, right pushed element by
+// element with an int32 base) and the packed walk table was a second
+// full copy of those (refBuildHotNodes). compileEnsemble must produce
+// exactly the records this pair does.
+
+type refFused struct {
+	feature   []int32
+	threshold []float64
+	value     []float64
+	right     []int32
+	roots     []int32
+}
+
+func (e *refFused) appendTree(t *CompiledTree) {
+	base := int32(len(e.feature))
+	e.roots = append(e.roots, base)
+	e.feature = append(e.feature, t.feature...)
+	e.threshold = append(e.threshold, t.threshold...)
+	e.value = append(e.value, t.value...)
+	for _, r := range t.right {
+		if r >= 0 {
+			r += base
+		}
+		e.right = append(e.right, r)
+	}
+}
+
+func refBuildHotNodes(e *refFused) []hotNode {
+	hot := make([]hotNode, len(e.feature))
+	for i, f := range e.feature {
+		if f < 0 {
+			hot[i] = hotNode{threshold: e.value[i], feature: -1}
+		} else {
+			hot[i] = hotNode{threshold: e.threshold[i], feature: f, right: e.right[i]}
+		}
+	}
+	return hot
+}
+
+// assertFusedEqualsReference compiles trees the reference way and
+// compares the ensemble's packed table and roots element for element.
+func assertFusedEqualsReference(t *testing.T, name string, e *CompiledEnsemble, trees []*DecisionTree) {
+	t.Helper()
+	var ref refFused
+	for _, tr := range trees {
+		ref.appendTree(&tr.nodes)
+	}
+	want := refBuildHotNodes(&ref)
+	if len(e.hot) != len(want) || len(e.roots) != len(ref.roots) {
+		t.Fatalf("%s: fused %d nodes / %d roots, reference %d / %d", name, len(e.hot), len(e.roots), len(want), len(ref.roots))
+	}
+	for i, r := range ref.roots {
+		if e.roots[i] != r {
+			t.Fatalf("%s: root %d = %d, reference %d", name, i, e.roots[i], r)
+		}
+	}
+	for i, w := range want {
+		g := e.hot[i]
+		if g.feature != w.feature || g.right != w.right || !sameBits(g.threshold, w.threshold) {
+			t.Fatalf("%s: node %d = %+v, reference %+v", name, i, g, w)
+		}
+	}
+}
+
+// assertLayoutsFromPacked derives every layout from e's packed table
+// and checks single and batch predictions against want (the recursive
+// reference): exact layouts bit for bit, quantised ones within the
+// stated bound on rows clear of every quantisation band.
+func assertLayoutsFromPacked(t *testing.T, name string, e *CompiledEnsemble, Xq [][]float64, want []float64) {
+	t.Helper()
+	defer SetBatchTreeMajorThreshold(0)
+	defer func() {
+		if err := e.SetLayout(LayoutImplicitLeft); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	out := make([]float64, len(Xq))
+	for _, layout := range []Layout{LayoutImplicitLeft, LayoutStandard, LayoutLevelOrder, LayoutQuant16, LayoutQuant8} {
+		if err := e.SetLayout(layout); err != nil {
+			t.Fatalf("%s: SetLayout(%v): %v", name, layout, err)
+		}
+		for _, thr := range []int{1 << 30, 1} { // row-major, tree-major
+			SetBatchTreeMajorThreshold(thr)
+			e.PredictBatchInto(Xq, out)
+			for i, x := range Xq {
+				single := e.Predict(x)
+				if !sameBits(single, out[i]) {
+					t.Fatalf("%s %v thr=%d row %d: single %x != batch %x", name, layout, thr, i, single, out[i])
+				}
+				if layout.Exact() {
+					if !sameBits(single, want[i]) {
+						t.Fatalf("%s %v thr=%d row %d: %x != recursive %x", name, layout, thr, i, single, want[i])
+					}
+				} else if safeRow(e, e.qt, x) {
+					if rel := math.Abs(single-want[i]) / math.Max(1, math.Abs(want[i])); rel > 1e-5 {
+						t.Fatalf("%s %v row %d: relative error %.3g on a safe row", name, layout, i, rel)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCompileEnsembleMatchesReference is the differential test of the
+// single-pass compile: for mean and boosted ensembles over random tree
+// configurations and datasets, one-tree ensembles and lone-leaf trees,
+// with 1 and 4 default workers, the packed table equals the old
+// append-then-copy pair's element for element, and every layout derived
+// from it predicts what the recursive walk does.
+func TestCompileEnsembleMatchesReference(t *testing.T) {
+	defer parallel.SetDefaultWorkers(0)
+	rng := rand.New(rand.NewSource(0x14))
+	for trial := 0; trial < 12; trial++ {
+		n := 30 + rng.Intn(170)
+		p := 1 + rng.Intn(6)
+		X, y := randomRegression(rng, n, p)
+		Xq, _ := randomRegression(rng, 48, p)
+		cfg := randomTreeConfig(rng)
+		nTrees := 1 + rng.Intn(9)
+		switch trial {
+		case 0:
+			nTrees = 1
+		case 1:
+			// Constant response: every member is a lone leaf.
+			for i := range y {
+				y[i] = 3.25
+			}
+		}
+
+		f := &Forest{NTrees: nTrees, Tree: cfg, Bootstrap: rng.Intn(2) == 0, Seed: rng.Int63()}
+		g := &GradientBoosting{NStages: nTrees, MaxDepth: 1 + rng.Intn(4), Seed: rng.Int63()}
+		for _, workers := range []int{1, 4} {
+			parallel.SetDefaultWorkers(workers)
+			if err := f.Fit(X, y); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Fit(X, y); err != nil {
+				t.Fatal(err)
+			}
+			assertFusedEqualsReference(t, "forest", f.compiled, f.trees)
+			assertFusedEqualsReference(t, "gbr", g.compiled, g.stages)
+			if trial == 1 && f.compiled.NumNodes() != nTrees {
+				t.Fatalf("lone-leaf fixture grew %d nodes for %d trees", f.compiled.NumNodes(), nTrees)
+			}
+		}
+
+		refs := make([]*refNode, len(f.trees))
+		for i, tr := range f.trees {
+			refs[i] = refTree(&tr.nodes)
+		}
+		grefs := make([]*refNode, len(g.stages))
+		for i, tr := range g.stages {
+			grefs[i] = refTree(&tr.nodes)
+		}
+		fwant := make([]float64, len(Xq))
+		gwant := make([]float64, len(Xq))
+		for i, x := range Xq {
+			fwant[i] = refForestPredict(refs, x)
+			gwant[i] = refBoostedPredict(grefs, g.init, g.rate, x)
+		}
+		assertLayoutsFromPacked(t, "forest", f.compiled, Xq, fwant)
+		assertLayoutsFromPacked(t, "gbr", g.compiled, Xq, gwant)
+
+		// The decode paths compile through the same function.
+		assertFusedEqualsReference(t, "forest json", roundTrip(t, f).(*Forest).compiled, f.trees)
+		bin, err := AppendBinary(nil, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := DecodeBinary(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertFusedEqualsReference(t, "gbr lamb1", loaded.(*GradientBoosting).compiled, g.stages)
+	}
+}
+
+// TestPackTreeMasksLeaves pins packTree's branch-free leaf/split select
+// on encodings a fit never produces: any negative feature is a leaf and
+// packs as feature -1, right 0 and the leaf value's exact bits (NaN
+// payloads included), whatever sits in the leaf's threshold and right
+// slots; a split keeps its threshold bits and gets its right rebased.
+func TestPackTreeMasksLeaves(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	c := CompiledTree{
+		feature:   []int32{2, -1, 0, -7, math.MinInt32},
+		threshold: []float64{nan, 9, math.Copysign(0, -1), nan, 1},
+		value:     []float64{5, 1.5, 6, nan, math.Inf(-1)},
+		right:     []int32{2, 99, 4, -3, 0},
+		nSamples:  make([]int32, 5),
+	}
+	want := []hotNode{
+		{threshold: nan, feature: 2, right: 1002},
+		{threshold: 1.5, feature: -1},
+		{threshold: math.Copysign(0, -1), feature: 0, right: 1004},
+		{threshold: nan, feature: -1},
+		{threshold: math.Inf(-1), feature: -1},
+	}
+	got := make([]hotNode, len(want))
+	packTree(got, &c, 1000)
+	for i, w := range want {
+		g := got[i]
+		if g.feature != w.feature || g.right != w.right || !sameBits(g.threshold, w.threshold) {
+			t.Fatalf("node %d = %+v (%#x), want %+v (%#x)", i, g, math.Float64bits(g.threshold), w, math.Float64bits(w.threshold))
+		}
+	}
+}
+
+// TestFusedRootsRefusesOverflow pins the size check on lengths alone:
+// node counts are summed in int, and an ensemble whose fused table
+// int32 indices cannot address is refused instead of wrapping.
+func TestFusedRootsRefusesOverflow(t *testing.T) {
+	lens := []int{1 << 30, 1<<30 - 1, 7}
+	roots, total, err := fusedRoots(len(lens)-1, func(i int) int { return lens[i] })
+	if err != nil || total != math.MaxInt32 || roots[1] != 1<<30 {
+		t.Fatalf("a table of exactly MaxInt32 nodes: roots %v total %d err %v", roots, total, err)
+	}
+	if _, _, err := fusedRoots(len(lens), func(i int) int { return lens[i] }); err == nil {
+		t.Fatal("a table of MaxInt32+7 nodes was accepted")
+	}
+}
+
+// TestCompileAllocationsConstant pins the exact-size pass: compiling a
+// fitted forest allocates the ensemble, its roots and its packed table
+// — a count that depends on neither the number of trees nor their
+// size.
+func TestCompileAllocationsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rng := rand.New(rand.NewSource(9))
+	var counts []float64
+	for _, shape := range []struct{ rows, trees int }{{40, 2}, {400, 16}, {1500, 64}} {
+		X, y := randomRegression(rng, shape.rows, 4)
+		f := &Forest{NTrees: shape.trees, Tree: TreeConfig{Splitter: RandomSplitter}, Seed: 1}
+		if err := f.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		counts = append(counts, testing.AllocsPerRun(10, func() {
+			if _, err := compileEnsemble(f.trees, combineMean, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	for _, c := range counts {
+		if c != counts[0] || c > 5 {
+			t.Fatalf("compile allocations per shape = %v, want one small constant", counts)
+		}
 	}
 }

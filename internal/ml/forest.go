@@ -115,7 +115,10 @@ func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
 	if err != nil {
 		return err
 	}
-	compiled := compileMeanEnsemble(trees)
+	compiled, err := compileEnsemble(trees, combineMean, 0, 0)
+	if err != nil {
+		return err
+	}
 	if f.Layout != LayoutDefault {
 		if err := compiled.SetLayout(f.Layout); err != nil {
 			return err

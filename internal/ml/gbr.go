@@ -142,7 +142,10 @@ func (g *GradientBoosting) FitCtx(ctx context.Context, X [][]float64, y []float6
 			}
 		})
 	}
-	compiled := compileBoostedEnsemble(stages, mean, rate)
+	compiled, err := compileEnsemble(stages, combineBoosted, mean, rate)
+	if err != nil {
+		return err
+	}
 	if g.Layout != LayoutDefault {
 		if err := compiled.SetLayout(g.Layout); err != nil {
 			return err

@@ -7,18 +7,18 @@ import (
 
 // Layout selects the traversal layout of a compiled tree ensemble.
 //
-// The canonical storage is always implicit-left preorder; the layout
-// chooses which derived form the prediction paths walk:
+// The canonical storage is always the packed implicit-left preorder
+// table; the layout chooses which form the prediction paths walk:
 //
 //   - LayoutImplicitLeft — the default: branchless descent over the
-//     canonical table (compare + conditional move, only the right-child
-//     array in the hot loop). Exact.
+//     packed table itself (one 16-byte record per visited node, the
+//     compare result turned into an index mask). Exact.
 //   - LayoutStandard — the explicit two-child branchy walk (the PR 3
 //     baseline), kept for benchmarking and the CI regression guard.
 //     Exact.
 //   - LayoutLevelOrder — a depth-bucketed level-order (BFS) table used
 //     for tree-major batch striding: a batch walks one level of one
-//     tree per pass. Single-row prediction uses the canonical walk.
+//     tree per pass. Single-row prediction uses the packed walk.
 //     Exact.
 //   - LayoutQuant16 / LayoutQuant8 — opt-in quantized node tables:
 //     thresholds become per-feature affine-coded 16- or 8-bit integers
@@ -124,27 +124,25 @@ func resolveLayout(l Layout) Layout {
 }
 
 // SetLayout switches the ensemble to the given traversal layout,
-// building whatever derived table it needs. Exact layouts cannot fail;
-// quantized layouts return an error when the ensemble exceeds the
-// 16-bit table's addressing limits (see buildQuantEnsemble). Not safe
-// to call concurrently with prediction: apply right after Fit/load,
-// before the ensemble is shared.
+// deriving whatever table it needs from the packed one. Exact layouts
+// cannot fail; quantized layouts return an error when the ensemble
+// exceeds the 16-bit table's addressing limits (see
+// buildQuantEnsemble). Not safe to call concurrently with prediction:
+// apply right after Fit/load, before the ensemble is shared.
 func (e *CompiledEnsemble) SetLayout(l Layout) error {
 	l = resolveLayout(l)
 	var (
-		hot     []hotNode
-		stdLeft []int32
-		lvl     *levelEnsemble
-		qt      *quantEnsemble
-		err     error
+		explicit *explicitTable
+		qt       *quantEnsemble
+		err      error
 	)
 	switch l {
 	case LayoutImplicitLeft:
-		hot = buildHotNodes(&e.nodes)
+		// The packed table itself.
 	case LayoutStandard:
-		stdLeft = materializeLeft(&e.nodes)
+		explicit = buildStdTable(e)
 	case LayoutLevelOrder:
-		lvl = buildLevelEnsemble(e)
+		explicit = buildLevelTable(e)
 	case LayoutQuant16, LayoutQuant8:
 		bits := 16
 		if l == LayoutQuant8 {
@@ -156,18 +154,13 @@ func (e *CompiledEnsemble) SetLayout(l Layout) error {
 	default:
 		return fmt.Errorf("ml: unknown layout %d", int(l))
 	}
-	e.hot, e.stdLeft, e.lvl, e.qt = hot, stdLeft, lvl, qt
+	e.explicit, e.qt = explicit, qt
 	e.layout = l
 	return nil
 }
 
 // Layout returns the ensemble's active traversal layout.
-func (e *CompiledEnsemble) Layout() Layout {
-	if e.layout == LayoutDefault {
-		return LayoutImplicitLeft
-	}
-	return e.layout
-}
+func (e *CompiledEnsemble) Layout() Layout { return e.layout }
 
 // applyDefaultLayout applies the process default at compile time,
 // best-effort: a quantized default that does not fit this ensemble
@@ -179,20 +172,6 @@ func (e *CompiledEnsemble) applyDefaultLayout() {
 		// unquantizable ensemble: fall back to the exact default.
 		_ = e.SetLayout(LayoutImplicitLeft)
 	}
-}
-
-// materializeLeft rebuilds the explicit left-child array the canonical
-// layout keeps implicit: i+1 for internal nodes, -1 for leaves.
-func materializeLeft(c *CompiledTree) []int32 {
-	left := make([]int32, c.Len())
-	for i, f := range c.feature {
-		if f < 0 {
-			left[i] = -1
-		} else {
-			left[i] = int32(i) + 1
-		}
-	}
-	return left
 }
 
 // SetLayoutOf applies a traversal layout to a fitted estimator's

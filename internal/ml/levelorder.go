@@ -1,89 +1,116 @@
 package ml
 
-// The depth-bucketed level-order layout (LayoutLevelOrder). Each
-// member tree's nodes are re-emitted breadth-first, level by level, so
-// all nodes of one depth are contiguous. Tree-major batch scoring then
-// walks *one level of one tree per pass* over the whole row block:
-// every active row advances exactly one level per sweep, which keeps
-// the touched node span of each pass as small as one level bucket
-// instead of one root-to-leaf path per row. Rows that reach a leaf
-// fold its value into their accumulator (in tree order, so the result
-// stays bit-identical to per-row Predict) and drop out of the sweep.
+// The explicit-child layouts. Both re-emit the packed preorder table
+// with the left child stored again, because both give up the preorder
+// property that makes it implicit:
 //
-// This is a batch layout: single-row prediction keeps using the
-// canonical preorder walk, which is bit-identical.
+//   - LayoutStandard keeps the preorder node order and is the PR 3
+//     branchy two-child walk, a benchmark baseline.
+//   - LayoutLevelOrder re-emits every member tree breadth-first, level
+//     by level, so all nodes of one depth are contiguous. Tree-major
+//     batch scoring then walks *one level of one tree per pass* over
+//     the whole row block: every active row advances exactly one level
+//     per sweep, which keeps the touched node span of each pass as
+//     small as one level bucket instead of one root-to-leaf path per
+//     row. Rows that reach a leaf fold its value into their accumulator
+//     (in tree order, so the result stays bit-identical to per-row
+//     Predict) and drop out of the sweep. This is a batch layout:
+//     single-row prediction keeps using the packed preorder walk, which
+//     is bit-identical.
 
-// levelEnsemble holds the BFS re-emission of a compiled ensemble.
-// Child indices are explicit (the implicit-left trick is a preorder
-// property) and global across the concatenated trees.
-type levelEnsemble struct {
-	feature   []int32
-	threshold []float64
-	value     []float64
-	left      []int32
-	right     []int32
-	roots     []int32
+// explicitTable is a fused ensemble with both child indices stored,
+// global across the concatenated trees. Like the packed table it is
+// derived from, a leaf (feature < 0) keeps its value in the threshold
+// slot. Either node order leaves every tree in its own span with its
+// root first, so the ensemble's roots address this table too.
+type explicitTable struct {
+	feature     []int32
+	threshold   []float64
+	left, right []int32
 }
 
-// buildLevelEnsemble re-emits every member tree of e breadth-first.
-func buildLevelEnsemble(e *CompiledEnsemble) *levelEnsemble {
-	n := e.nodes.Len()
-	le := &levelEnsemble{
-		feature:   make([]int32, 0, n),
-		threshold: make([]float64, 0, n),
-		value:     make([]float64, 0, n),
-		left:      make([]int32, 0, n),
-		right:     make([]int32, 0, n),
-		roots:     make([]int32, 0, len(e.roots)),
+func newExplicitTable(n int) *explicitTable {
+	return &explicitTable{
+		feature:   make([]int32, n),
+		threshold: make([]float64, n),
+		left:      make([]int32, n),
+		right:     make([]int32, n),
 	}
-	c := &e.nodes
-	// queue holds global old indices in BFS order; newIdx maps a
-	// position in queue to its new global index, which is just the
-	// emission order — so children enqueued later automatically get
-	// later (deeper-level) slots.
-	queue := make([]int32, 0, 64)
+}
+
+// set writes node i; children are ignored at a leaf.
+func (tb *explicitTable) set(i int32, n hotNode, left, right int32) {
+	if n.feature < 0 {
+		left, right = -1, -1
+	}
+	tb.feature[i], tb.threshold[i], tb.left[i], tb.right[i] = n.feature, n.threshold, left, right
+}
+
+// buildStdTable materialises the left child the packed table keeps
+// implicit, in the same preorder.
+func buildStdTable(e *CompiledEnsemble) *explicitTable {
+	tb := newExplicitTable(len(e.hot))
+	for i, n := range e.hot {
+		tb.set(int32(i), n, int32(i)+1, n.right)
+	}
+	return tb
+}
+
+// buildLevelTable re-emits every member tree of e breadth-first.
+func buildLevelTable(e *CompiledEnsemble) *explicitTable {
+	tb := newExplicitTable(len(e.hot))
+	// queue holds one tree's preorder indices in BFS order; a node's new
+	// index is its tree's root plus its position in queue, so children
+	// enqueued later automatically get later (deeper-level) slots.
+	var queue []int32
+	newOf := make([]int32, len(e.hot)) // preorder index -> BFS index
 	for _, root := range e.roots {
-		base := int32(len(le.feature))
-		le.roots = append(le.roots, base)
-		queue = queue[:0]
-		queue = append(queue, root)
-		// First pass: BFS emission order. A node's new index is
-		// base + its position in queue.
+		queue = append(queue[:0], root)
 		for qi := 0; qi < len(queue); qi++ {
 			old := queue[qi]
-			if c.feature[old] >= 0 {
-				queue = append(queue, old+1, c.right[old])
+			newOf[old] = root + int32(qi)
+			if n := e.hot[old]; n.feature >= 0 {
+				queue = append(queue, old+1, n.right)
 			}
 		}
-		// newOf maps old (tree-local offset from the tree's first old
-		// node is not contiguous in BFS, so index by old global).
-		newOf := make(map[int32]int32, len(queue))
-		for qi, old := range queue {
-			newOf[old] = base + int32(qi)
-		}
 		for _, old := range queue {
-			f := c.feature[old]
-			le.feature = append(le.feature, f)
-			le.threshold = append(le.threshold, c.threshold[old])
-			le.value = append(le.value, c.value[old])
-			if f < 0 {
-				le.left = append(le.left, -1)
-				le.right = append(le.right, -1)
+			n := e.hot[old]
+			if n.feature < 0 {
+				tb.set(newOf[old], n, -1, -1)
 			} else {
-				le.left = append(le.left, newOf[old+1])
-				le.right = append(le.right, newOf[c.right[old]])
+				tb.set(newOf[old], n, newOf[old+1], newOf[n.right])
 			}
 		}
 	}
-	return le
+	return tb
 }
 
-// predictBatchInto is the level-synchronous tree-major batch walk:
-// outer loop trees, middle loop level sweeps, inner loop rows. Each
-// row's accumulator folds tree contributions in tree order, so the
-// result is bit-identical to per-row Predict calls. Steady-state
-// allocation-free (the per-row cursor comes from a pool).
-func (le *levelEnsemble) predictBatchInto(e *CompiledEnsemble, X [][]float64, out []float64) {
+// predictFrom is the explicit two-child branchy descent from one
+// tree's root: the pre-PR 8 hot loop.
+func (tb *explicitTable) predictFrom(root int32, x []float64) float64 {
+	feature, threshold := tb.feature, tb.threshold
+	left, right := tb.left, tb.right
+	i := root
+	for {
+		f := feature[i]
+		if f < 0 {
+			return threshold[i]
+		}
+		if x[f] <= threshold[i] {
+			i = left[i]
+		} else {
+			i = right[i]
+		}
+	}
+}
+
+// predictBatchLevels is the level-synchronous tree-major batch walk
+// over a breadth-first table: outer loop trees, middle loop level
+// sweeps, inner loop rows. Each row's accumulator folds tree
+// contributions in tree order, so the result is bit-identical to
+// per-row Predict calls. Steady-state allocation-free (the per-row
+// cursor comes from a pool).
+func (tb *explicitTable) predictBatchLevels(e *CompiledEnsemble, X [][]float64, out []float64) {
 	boosted := e.combine == combineBoosted
 	if boosted {
 		for i := range out {
@@ -96,9 +123,9 @@ func (le *levelEnsemble) predictBatchInto(e *CompiledEnsemble, X [][]float64, ou
 	}
 	curp := getScratchI32(len(X))
 	cur := *curp
-	feature, threshold := le.feature, le.threshold
-	left, right := le.left, le.right
-	for _, r := range le.roots {
+	feature, threshold := tb.feature, tb.threshold
+	left, right := tb.left, tb.right
+	for _, r := range e.roots {
 		for i := range cur {
 			cur[i] = r
 		}
@@ -112,9 +139,9 @@ func (le *levelEnsemble) predictBatchInto(e *CompiledEnsemble, X [][]float64, ou
 				f := feature[n]
 				if f < 0 {
 					if boosted {
-						out[i] += e.rate * le.value[n]
+						out[i] += e.rate * threshold[n]
 					} else {
-						out[i] += le.value[n]
+						out[i] += threshold[n]
 					}
 					cur[i] = -1
 					active--
@@ -130,7 +157,7 @@ func (le *levelEnsemble) predictBatchInto(e *CompiledEnsemble, X [][]float64, ou
 	}
 	putScratchI32(curp)
 	if !boosted {
-		n := float64(len(le.roots))
+		n := float64(len(e.roots))
 		for i := range out {
 			out[i] /= n
 		}

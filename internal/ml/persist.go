@@ -383,7 +383,10 @@ func decodeModel(env modelEnvelope) (Regressor, error) {
 		if len(f.trees) == 0 {
 			return nil, fmt.Errorf("ml: corrupt forest: no trees")
 		}
-		f.compiled = compileMeanEnsemble(f.trees)
+		var err error
+		if f.compiled, err = compileEnsemble(f.trees, combineMean, 0, 0); err != nil {
+			return nil, corruptf("%v", err)
+		}
 		return f, nil
 	case "linreg":
 		var d linregDTO
@@ -420,7 +423,10 @@ func decodeModel(env modelEnvelope) (Regressor, error) {
 		if len(g.stages) == 0 {
 			return nil, fmt.Errorf("ml: corrupt gbr: no stages")
 		}
-		g.compiled = compileBoostedEnsemble(g.stages, g.init, g.rate)
+		var err error
+		if g.compiled, err = compileEnsemble(g.stages, combineBoosted, g.init, g.rate); err != nil {
+			return nil, corruptf("%v", err)
+		}
 		return g, nil
 	case "pipeline":
 		var d pipelineDTO
@@ -456,7 +462,10 @@ func decodeModel(env modelEnvelope) (Regressor, error) {
 			}
 			b.models = append(b.models, m)
 		}
-		b.compiled = compileBaggedTrees(b.models)
+		var err error
+		if b.compiled, err = compileBaggedTrees(b.models); err != nil {
+			return nil, corruptf("%v", err)
+		}
 		return b, nil
 	case "stacking":
 		var d stackingDTO

@@ -79,12 +79,6 @@ func (q *quantEnsemble) TableBytes() int {
 		len(q.leafVal)*4 + (len(q.roots)+len(q.leafBase))*4 + (len(q.lo)+len(q.scale))*8
 }
 
-// exactTableBytes is the canonical table's per-node footprint for the
-// same ensemble, for shrink-factor reporting.
-func exactTableBytes(e *CompiledEnsemble) int {
-	return e.nodes.Len()*28 + len(e.roots)*4
-}
-
 // buildQuantEnsemble quantizes a compiled ensemble's node table. The
 // feature arity is inferred from the table (max feature index + 1) —
 // unreferenced trailing features simply never participate in a split.
@@ -94,15 +88,15 @@ func buildQuantEnsemble(e *CompiledEnsemble, bits int) (*quantEnsemble, error) {
 	if bits != 8 && bits != 16 {
 		return nil, fmt.Errorf("ml: quantization bits must be 8 or 16, got %d", bits)
 	}
-	n := e.nodes.Len()
+	hot := e.hot
+	n := len(hot)
 	if n == 0 {
 		return nil, fmt.Errorf("ml: cannot quantize an empty ensemble")
 	}
-	c := &e.nodes
 	nFeatures := 0
-	for _, f := range c.feature {
-		if int(f) >= nFeatures {
-			nFeatures = int(f) + 1
+	for _, nd := range hot {
+		if int(nd.feature) >= nFeatures {
+			nFeatures = int(nd.feature) + 1
 		}
 	}
 	if nFeatures > math.MaxInt16 {
@@ -121,11 +115,11 @@ func buildQuantEnsemble(e *CompiledEnsemble, bits int) (*quantEnsemble, error) {
 	// Per-feature threshold range across the whole ensemble.
 	hi := make([]float64, nFeatures)
 	seen := make([]bool, nFeatures)
-	for i, f := range c.feature {
+	for _, nd := range hot {
+		f, t := nd.feature, nd.threshold
 		if f < 0 {
 			continue
 		}
-		t := c.threshold[i]
 		if !seen[f] {
 			q.lo[f], hi[f], seen[f] = t, t, true
 		} else {
@@ -155,11 +149,10 @@ func buildQuantEnsemble(e *CompiledEnsemble, bits int) (*quantEnsemble, error) {
 		}
 	}
 	qthr := make([]float64, n) // staging before narrowing
-	for i, f := range c.feature {
-		if f < 0 {
-			continue
+	for i, nd := range hot {
+		if f := nd.feature; f >= 0 {
+			qthr[i] = quantizeCode(nd.threshold, q.lo[f], q.scale[f], maxQ)
 		}
-		qthr[i] = quantizeCode(c.threshold[i], q.lo[f], q.scale[f], maxQ)
 	}
 	if q.bits == 8 {
 		q.qthr8 = make([]uint8, n)
@@ -174,27 +167,24 @@ func buildQuantEnsemble(e *CompiledEnsemble, bits int) (*quantEnsemble, error) {
 	}
 	// Per-tree link and leaf-value re-emission.
 	for t, root := range e.roots {
-		end := n
-		if t+1 < len(e.roots) {
-			end = int(e.roots[t+1])
-		}
-		treeLen := end - int(root)
+		end := e.treeEnd(t)
+		treeLen := int(end - root)
 		if treeLen > quantMaxNodesPerTree {
 			return nil, fmt.Errorf("ml: cannot quantize: tree %d has %d nodes, exceeding the uint16 link space (%d)", t, treeLen, quantMaxNodesPerTree)
 		}
 		q.roots = append(q.roots, root)
 		q.leafBase = append(q.leafBase, int32(len(q.leafVal)))
 		leaves := 0
-		for g := int(root); g < end; g++ {
-			f := c.feature[g]
-			if f < 0 {
+		for g := root; g < end; g++ {
+			nd := hot[g]
+			if nd.feature < 0 {
 				q.feature[g] = -1
 				q.next[g] = uint16(leaves)
-				q.leafVal = append(q.leafVal, float32(c.value[g]))
+				q.leafVal = append(q.leafVal, float32(nd.threshold))
 				leaves++
 			} else {
-				q.feature[g] = int16(f)
-				q.next[g] = uint16(c.right[g] - root)
+				q.feature[g] = int16(nd.feature)
+				q.next[g] = uint16(nd.right - root)
 			}
 		}
 	}
@@ -534,18 +524,11 @@ func Quantize(r Regressor, bits int) (Regressor, error) {
 		if !v.IsFitted() {
 			return nil, fmt.Errorf("ml: cannot quantize an unfitted DecisionTree")
 		}
-		e := &CompiledEnsemble{combine: combineMean}
-		e.appendTree(&v.nodes)
-		q, err := buildQuantEnsemble(e, bits)
+		e, err := compileEnsemble([]*DecisionTree{v}, combineMean, 0, 0)
 		if err != nil {
 			return nil, err
 		}
-		if q.nFeatures < v.nFeatures {
-			q.nFeatures = v.nFeatures
-			q.lo = append(q.lo, make([]float64, v.nFeatures-len(q.lo))...)
-			q.scale = append(q.scale, make([]float64, v.nFeatures-len(q.scale))...)
-		}
-		return &QuantizedModel{q: q}, nil
+		return quantizeEnsemble(e, v.nFeatures, bits)
 	case *Forest:
 		if v.compiled == nil {
 			return nil, fmt.Errorf("ml: cannot quantize an unfitted Forest")

@@ -19,18 +19,18 @@ func refQuantPredict(e *CompiledEnsemble, q *quantEnsemble, x []float64) float64
 	for f := range qx {
 		qx[f] = uint16(quantizeCode(x[f], q.lo[f], q.scale[f], maxQ))
 	}
-	c := &e.nodes
 	var walk func(i int32) float64
 	walk = func(i int32) float64 {
-		f := c.feature[i]
+		n := e.hot[i]
+		f := n.feature
 		if f < 0 {
-			return float64(float32(c.value[i]))
+			return float64(float32(n.threshold))
 		}
-		qt := uint16(quantizeCode(c.threshold[i], q.lo[f], q.scale[f], maxQ))
+		qt := uint16(quantizeCode(n.threshold, q.lo[f], q.scale[f], maxQ))
 		if qx[f] <= qt {
 			return walk(i + 1)
 		}
-		return walk(c.right[i])
+		return walk(n.right)
 	}
 	if q.combine == combineBoosted {
 		out := q.init
@@ -65,15 +65,15 @@ func quantStep(q *quantEnsemble, f int) float64 {
 // Only visited nodes matter — a band elsewhere in the tree is never
 // compared against.
 func safeRow(e *CompiledEnsemble, q *quantEnsemble, x []float64) bool {
-	c := &e.nodes
 	for _, root := range e.roots {
 		i := root
 		for {
-			f := c.feature[i]
+			n := e.hot[i]
+			f := n.feature
 			if f < 0 {
 				break
 			}
-			t := c.threshold[i]
+			t := n.threshold
 			d := x[f] - t
 			if d > 0 && d <= quantStep(q, int(f)) {
 				return false
@@ -81,7 +81,7 @@ func safeRow(e *CompiledEnsemble, q *quantEnsemble, x []float64) bool {
 			if x[f] <= t {
 				i++
 			} else {
-				i = c.right[i]
+				i = n.right
 			}
 		}
 	}
@@ -202,6 +202,12 @@ func TestQuantizeErrorBound(t *testing.T) {
 			}
 		}
 	}
+}
+
+// exactTableBytes is the member trees' exact footprint for the same
+// ensemble (28 bytes a node, see quant.go), for shrink-factor reporting.
+func exactTableBytes(e *CompiledEnsemble) int {
+	return e.NumNodes()*28 + len(e.roots)*4
 }
 
 // TestQuantizedTableShrink pins the footprint claim. A binary tree is

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -233,13 +234,13 @@ func TestCorruptLamb1FailsTyped(t *testing.T) {
 	}
 }
 
-// benchModel builds a serving-scale regressor: a 100-tree extra-trees
-// pipeline fitted on a few thousand samples, the shape lam-serve
-// actually cold-loads.
-func benchModel(b *testing.B) ml.Regressor {
+// benchModel builds a serving-shape regressor: a 100-tree extra-trees
+// pipeline fitted on n samples (a few thousand is what lam-serve
+// actually cold-loads).
+func benchModel(b testing.TB, n int) ml.Regressor {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
-	n, d := 4000, 6
+	d := 6
 	X := make([][]float64, n)
 	y := make([]float64, n)
 	for i := range X {
@@ -259,26 +260,61 @@ func benchModel(b *testing.B) ml.Regressor {
 
 // benchRegistry publishes the bench model once per format and returns
 // the registry.
-func benchRegistry(b *testing.B, format string) *Registry {
+func benchRegistry(b testing.TB, format string, n int) *Registry {
 	b.Helper()
 	reg, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := reg.SaveRegressorOpts(benchModel(b), Meta{Name: "bench"}, SaveOptions{Format: format}); err != nil {
+	if _, err := reg.SaveRegressorOpts(benchModel(b, n), Meta{Name: "bench"}, SaveOptions{Format: format}); err != nil {
 		b.Fatal(err)
 	}
 	return reg
 }
 
 func benchColdLoad(b *testing.B, format string) {
-	reg := benchRegistry(b, format)
+	reg := benchRegistry(b, format, 4000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := reg.Load("bench", 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestColdLoadAllocationBudget pins what a lamb1 cold load may
+// allocate: the file (which the member trees' tables then alias), one
+// packed 16-byte record per node, and 64 KB for everything else (the
+// per-tree headers, roots, meta.json). A second fused copy of the nodes
+// or an append-grown table breaks the budget several times over.
+func TestColdLoadAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	reg := benchRegistry(t, artifact.FormatLAMB1, 800)
+	info, _, err := reg.ArtifactInfo("bench", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Trees != 100 || info.Nodes < 50_000 {
+		t.Fatalf("fixture is %d trees / %d nodes, want a 100-tree serving-shape model", info.Trees, info.Nodes)
+	}
+	budget := uint64(info.SizeBytes + 16*info.Nodes + 64<<10)
+	const loads = 5
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < loads; i++ {
+		if _, err := reg.Load("bench", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perLoad := (after.TotalAlloc - before.TotalAlloc) / loads
+	t.Logf("cold load allocates %d B of a %d B budget", perLoad, budget)
+	if perLoad > budget {
+		t.Fatalf("cold load allocates %d B, budget %d B (file %d + 16 x %d nodes + 64 KB)", perLoad, budget, info.SizeBytes, info.Nodes)
 	}
 }
 

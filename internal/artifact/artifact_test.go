@@ -2,10 +2,12 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -347,6 +349,30 @@ func TestJSONV1CorruptionFailsTyped(t *testing.T) {
 
 // goldenPredictions is the sidecar document pinning each golden's
 // expected behaviour: the probe inputs and the exact predictions.
+// assembleLamb1 builds the lamb1 artifact of p the plain way — header,
+// payload appended to a buffer with no spare capacity, CRC trailer — as
+// the reference the capacity-hinted encoder must match byte for byte.
+func assembleLamb1(t testing.TB, p *Payload) []byte {
+	t.Helper()
+	buf := make([]byte, lamb1HeaderLen)
+	copy(buf, lamb1Magic[:])
+	kind := lamb1KindRegressor
+	var err error
+	if p.Hybrid != nil {
+		kind = lamb1KindHybrid
+		buf, err = hybrid.AppendBinary(buf, p.Hybrid)
+	} else {
+		buf, err = ml.AppendBinary(buf, p.Regressor)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(buf[8:12], lamb1VersionLatest)
+	binary.LittleEndian.PutUint32(buf[12:16], kind)
+	binary.LittleEndian.PutUint64(buf[16:24], uint64(len(buf)-lamb1HeaderLen))
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+}
+
 type goldenPredictions struct {
 	X    [][]float64 `json:"x"`
 	Pred []float64   `json:"pred"`
@@ -428,6 +454,9 @@ func TestGoldenArtifacts(t *testing.T) {
 			// Convert golden → lamb1 → decode: the upgrade path every
 			// legacy registry takes.
 			bin := encode(t, lamb1Codec{}, p)
+			if !bytes.Equal(bin, assembleLamb1(t, p)) {
+				t.Fatal("lamb1 bytes depend on the encoder's buffer capacity hint")
+			}
 			binInfo, fromBin, err := Inspect(bin, opts)
 			if err != nil {
 				t.Fatalf("decoding converted golden: %v", err)

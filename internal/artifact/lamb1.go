@@ -63,7 +63,12 @@ func (lamb1Codec) Encode(w io.Writer, p *Payload) error {
 	// Encode the payload first: its length lives in the header and its
 	// bytes under the CRC, and append-style encoding lets the whole
 	// artifact be assembled in one buffer and written in one call.
-	buf := make([]byte, lamb1HeaderLen)
+	// The capacity is a hint, not a second size walk: tree nodes are 28
+	// bytes each on the wire and dominate any artifact that is large,
+	// so sizing for them up front spares a 14 MB forest the dozens of
+	// grow-and-copy rounds append would take; append still corrects an
+	// under-estimate.
+	buf := make([]byte, lamb1HeaderLen, lamb1HeaderLen+28*p.Stats().Nodes+4096)
 	copy(buf, lamb1Magic[:])
 	var kind uint32
 	var err error

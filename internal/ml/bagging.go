@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"lam/internal/parallel"
 	"lam/internal/xmath"
@@ -73,8 +74,22 @@ func (b *Bagging) FitCtx(ctx context.Context, X [][]float64, y []float64) error 
 		size = 1
 	}
 	models := make([]Regressor, n)
+	// Tree bases share one column view and take their bootstrap as an
+	// index list into it; it is built when the first base turns out to
+	// be a tree.
+	cols := sync.OnceValue(func() [][]float64 { return columnView(X) })
 	err := parallel.ForCtx(ctx, n, b.Workers, func(t int) error {
-		rng := rand.New(rand.NewSource(int64(xmath.Hash64(uint64(b.Seed), uint64(t), 0x62616767))))
+		seed := int64(xmath.Hash64(uint64(b.Seed), uint64(t), 0x62616767))
+		m := b.NewBase()
+		models[t] = m
+		if tree, ok := m.(*DecisionTree); ok {
+			tb := getTreeBuilder()
+			defer tb.release()
+			tb.sampleBootstrap(seed, len(X), size)
+			tb.fit(tree, cols(), y)
+			return nil
+		}
+		rng := rand.New(rand.NewSource(seed))
 		bx := make([][]float64, size)
 		by := make([]float64, size)
 		for i := 0; i < size; i++ {
@@ -82,12 +97,7 @@ func (b *Bagging) FitCtx(ctx context.Context, X [][]float64, y []float64) error 
 			bx[i] = X[j]
 			by[i] = y[j]
 		}
-		m := b.NewBase()
-		if err := m.Fit(bx, by); err != nil {
-			return err
-		}
-		models[t] = m
-		return nil
+		return m.Fit(bx, by)
 	})
 	if err != nil {
 		return err

@@ -59,31 +59,6 @@ type CompiledTree struct {
 // Len returns the number of nodes.
 func (c *CompiledTree) Len() int { return len(c.feature) }
 
-// grow appends a leaf node and returns its index.
-func (c *CompiledTree) grow(value float64, n int) int32 {
-	idx := int32(len(c.feature))
-	c.feature = append(c.feature, -1)
-	c.threshold = append(c.threshold, 0)
-	c.value = append(c.value, value)
-	c.right = append(c.right, -1)
-	c.nSamples = append(c.nSamples, int32(n))
-	return idx
-}
-
-// split turns the leaf at idx into an internal node. The builder grows
-// the left subtree immediately after idx (preorder), so left must be
-// idx+1 — the canonical-layout invariant the whole plane rests on; it
-// is asserted here so a future builder change cannot silently corrupt
-// traversal.
-func (c *CompiledTree) split(idx int32, feature int, threshold float64, left, right int32) {
-	if left != idx+1 {
-		panic(fmt.Sprintf("ml: tree builder broke the preorder invariant: node %d has left child %d, want %d", idx, left, idx+1))
-	}
-	c.feature[idx] = int32(feature)
-	c.threshold[idx] = threshold
-	c.right[idx] = right
-}
-
 // Predict walks the tree iteratively from the root. The caller
 // guarantees x has the arity the tree was fitted on (the estimator
 // wrappers check). The slice headers are hoisted into locals so the

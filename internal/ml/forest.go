@@ -3,7 +3,6 @@ package ml
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"lam/internal/parallel"
 	"lam/internal/xmath"
@@ -86,30 +85,22 @@ func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
 		nTrees = 100
 	}
 	trees := make([]*DecisionTree, nTrees)
+	cols := columnView(X)
 	err = parallel.ForCtx(ctx, nTrees, f.Workers, func(t int) error {
 		// Every tree's randomness derives only from (Seed, t), so the
 		// worker pool cannot perturb the fitted ensemble.
-		treeSeed := int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x7265657301))
 		cfg := f.Tree
-		cfg.Seed = treeSeed
+		cfg.Seed = int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x7265657301))
 
-		tx, ty := X, y
+		b := getTreeBuilder()
+		defer b.release()
 		if f.Bootstrap {
-			rng := rand.New(rand.NewSource(int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x626f6f74))))
-			bx := make([][]float64, n)
-			by := make([]float64, n)
-			for i := 0; i < n; i++ {
-				j := rng.Intn(n)
-				bx[i] = X[j]
-				by[i] = y[j]
-			}
-			tx, ty = bx, by
+			b.sampleBootstrap(int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x626f6f74)), n, n)
+		} else {
+			b.sampleAll(n)
 		}
-		tree := NewDecisionTree(cfg)
-		if err := tree.Fit(tx, ty); err != nil {
-			return err
-		}
-		trees[t] = tree
+		trees[t] = NewDecisionTree(cfg)
+		b.fit(trees[t], cols, y)
 		return nil
 	})
 	if err != nil {

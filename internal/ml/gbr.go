@@ -3,18 +3,11 @@ package ml
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"lam/internal/lamerr"
 	"lam/internal/parallel"
 	"lam/internal/xmath"
 )
-
-// newSeededRand derives an independent deterministic stream from a base
-// seed and a stream index.
-func newSeededRand(seed, stream int64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(xmath.Hash64(uint64(seed), uint64(stream), 0x676272))))
-}
 
 // GradientBoosting is a least-squares gradient-boosted trees regressor:
 // shallow CART trees fitted stage-wise to the residuals, scaled by a
@@ -106,6 +99,11 @@ func (g *GradientBoosting) FitCtx(ctx context.Context, X [][]float64, y []float6
 	if subN < 1 {
 		subN = 1
 	}
+	// The stages are sequential, so one builder and one column view
+	// serve them all; each stage fits the shared residual vector.
+	cols := columnView(X)
+	b := getTreeBuilder()
+	defer b.release()
 	for s := 0; s < stagesN; s++ {
 		if err := ctx.Err(); err != nil {
 			return parallel.Cancelled(err)
@@ -113,26 +111,18 @@ func (g *GradientBoosting) FitCtx(ctx context.Context, X [][]float64, y []float6
 		for i := range residual {
 			residual[i] = y[i] - current[i]
 		}
-		tx, ty := X, residual
 		if subN < n {
 			// Deterministic per-stage subsample.
-			rng := newSeededRand(g.Seed, int64(s))
-			perm := rng.Perm(n)[:subN]
-			tx = make([][]float64, subN)
-			ty = make([]float64, subN)
-			for k, i := range perm {
-				tx[k] = X[i]
-				ty[k] = residual[i]
-			}
+			b.sampleSubset(int64(xmath.Hash64(uint64(g.Seed), uint64(s), 0x676272)), n, subN)
+		} else {
+			b.sampleAll(n)
 		}
 		tree := NewDecisionTree(TreeConfig{
 			MaxDepth:       depth,
 			MinSamplesLeaf: g.MinSamplesLeaf,
 			Seed:           g.Seed + int64(s)*7919,
 		})
-		if err := tree.Fit(tx, ty); err != nil {
-			return fmt.Errorf("ml: boosting stage %d: %w", s, err)
-		}
+		b.fit(tree, cols, residual)
 		stages = append(stages, tree)
 		// Disjoint per-index writes: the update is bit-identical for
 		// every worker count.

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // Splitter selects how a tree node chooses its split threshold.
@@ -92,42 +93,16 @@ func (t *DecisionTree) Compiled() *CompiledTree { return &t.nodes }
 // before Fit).
 func (t *DecisionTree) NumFeatures() int { return t.nFeatures }
 
-// Fit grows the tree on (X, y).
+// Fit grows the tree on (X, y). A failed fit leaves the receiver
+// untouched: fitted state is assigned only once the tree is grown.
 func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
-	p, err := checkXY(X, y)
-	if err != nil {
+	if _, err := checkXY(X, y); err != nil {
 		return err
 	}
-	cfg := t.Config.normalized()
-
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	importances := make([]float64, p)
-	b := &treeBuilder{
-		X: X, y: y, cfg: cfg, rng: rng,
-		nFeatures: p, importances: importances,
-		featBuf: make([]int, p),
-		scratch: make([]splitSample, len(X)),
-	}
-	b.build(idx, 1)
-	// Normalise importances to sum to 1 (when any split happened).
-	total := 0.0
-	for _, v := range importances {
-		total += v
-	}
-	if total > 0 {
-		for i := range importances {
-			importances[i] /= total
-		}
-	}
-	// Assign fitted state only on success, so a failed refit of an
-	// already-fitted tree leaves it untouched.
-	t.nFeatures = p
-	t.importances = importances
-	t.nodes = b.out
+	b := getTreeBuilder()
+	defer b.release()
+	b.sampleAll(len(X))
+	b.fit(t, columnView(X), y)
 	return nil
 }
 
@@ -174,29 +149,198 @@ func (t *DecisionTree) FeatureImportances() []float64 {
 	return copyVector(t.importances)
 }
 
+// columnView transposes a validated design matrix into one column-major
+// block: cols[f][i] == X[i][f]. It is built once per fit and shared
+// read-only by every tree of an ensemble, so the split search streams a
+// feature's column instead of chasing one row header per sample per
+// candidate feature, and a bootstrap or subsample is an index list into
+// it rather than a copied row set.
+func columnView(X [][]float64) [][]float64 {
+	n, p := len(X), len(X[0])
+	flat := make([]float64, n*p)
+	cols := make([][]float64, p)
+	for f := range cols {
+		cols[f] = flat[f*n : (f+1)*n : (f+1)*n]
+	}
+	for i, row := range X {
+		for f, v := range row {
+			cols[f][i] = v
+		}
+	}
+	return cols
+}
+
 // splitSample pairs one feature value with its response for sorting.
 type splitSample struct {
 	v, y float64
 }
 
-// treeBuilder holds the shared state of one Fit call. Nodes are
-// appended to out in preorder (parent, left subtree, right subtree),
-// which is the layout CompiledTree's iterative traversal and the
-// persistence format both rely on.
-type treeBuilder struct {
-	X           [][]float64
-	y           []float64
-	cfg         TreeConfig
-	rng         *rand.Rand
-	nFeatures   int
-	importances []float64
-	featBuf     []int
-	scratch     []splitSample
-	out         CompiledTree
+// buildNode is one node of the table a tree is grown into, in preorder
+// (parent, left subtree, right subtree) — the order CompiledTree's
+// traversal and the persistence format rely on. Leaves keep feature -1.
+type buildNode struct {
+	threshold, value         float64
+	feature, right, nSamples int32
 }
 
-// build grows the subtree over the sample indices idx at the given
-// depth and returns its root's index in the node table.
+// splitFunc is the split-search strategy: it scores one candidate
+// feature, given as its column of the training view, over a node's
+// samples and returns the threshold and the children's summed squared
+// error. ok is false when the feature admits no valid split there.
+type splitFunc func(b *treeBuilder, col []float64, idx []int) (thr, sse float64, ok bool)
+
+// treeBuilder owns all the working memory of growing one tree and is
+// recycled through treeBuilderPool, so a warmed fit allocates only what
+// the fitted tree keeps (its exact-size node arrays and importances).
+//
+// idx is the tree's one sample-index array — positions into the column
+// view, with repeats for a bootstrap. Each split partitions the node's
+// range of it stably in place: lefts compact forward, rights pass
+// through tmp and are copied back behind them, and the children are the
+// two sub-ranges. Every node therefore sees its samples in its parent's
+// order — the order the allocating builder's two appended slices had —
+// so every sum folds in the same sequence and every sort starts from
+// the same permutation: the grown tree is bit-identical to that
+// builder's (tree_ref_test.go keeps it as the spec).
+//
+// cols, y and importances belong to the fit in progress, not to the
+// builder; release drops them so a pooled builder never pins a caller's
+// training set.
+type treeBuilder struct {
+	cols        [][]float64
+	y           []float64
+	importances []float64
+	cfg         TreeConfig
+	split       splitFunc // chosen once per tree from cfg.Splitter
+
+	rng     *rand.Rand
+	idx     []int
+	tmp     []int
+	featBuf []int
+	scratch []splitSample
+	nodes   []buildNode
+}
+
+var treeBuilderPool = sync.Pool{New: func() any {
+	return &treeBuilder{rng: rand.New(rand.NewSource(0))}
+}}
+
+func getTreeBuilder() *treeBuilder { return treeBuilderPool.Get().(*treeBuilder) }
+
+// release returns the builder to the pool holding nothing of the fit it
+// served but its own scratch.
+func (b *treeBuilder) release() {
+	b.cols, b.y, b.importances = nil, nil, nil
+	treeBuilderPool.Put(b)
+}
+
+// samples resizes the index array to n entries for the caller to fill.
+func (b *treeBuilder) samples(n int) []int {
+	if cap(b.idx) < n {
+		b.idx = make([]int, n)
+	}
+	b.idx = b.idx[:n]
+	return b.idx
+}
+
+// sampleAll selects every one of n training samples, in order.
+func (b *treeBuilder) sampleAll(n int) {
+	idx := b.samples(n)
+	for i := range idx {
+		idx[i] = i
+	}
+}
+
+// sampleBootstrap draws size samples of n with replacement: one
+// rng.Intn(n) per sample from the stream rand.NewSource(seed) starts.
+func (b *treeBuilder) sampleBootstrap(seed int64, n, size int) {
+	b.rng.Seed(seed)
+	idx := b.samples(size)
+	for i := range idx {
+		idx[i] = b.rng.Intn(n)
+	}
+}
+
+// sampleSubset draws k of n samples without replacement: the first k
+// entries of rand.New(rand.NewSource(seed)).Perm(n), built with Perm's
+// own draw sequence directly in the index array.
+func (b *treeBuilder) sampleSubset(seed int64, n, k int) {
+	b.rng.Seed(seed)
+	idx := b.samples(n)
+	for i := range idx {
+		j := b.rng.Intn(i + 1)
+		idx[i] = idx[j]
+		idx[j] = i
+	}
+	b.idx = idx[:k]
+}
+
+// fit grows t over the selected samples of the column view and
+// response, and assigns t's fitted state.
+func (b *treeBuilder) fit(t *DecisionTree, cols [][]float64, y []float64) {
+	p, n := len(cols), len(b.idx)
+	b.cols, b.y = cols, y
+	b.cfg = t.Config.normalized()
+	b.split = (*treeBuilder).randomSplit
+	if b.cfg.Splitter != RandomSplitter {
+		b.split = (*treeBuilder).bestSplit
+		if cap(b.scratch) < n {
+			b.scratch = make([]splitSample, n)
+		}
+	}
+	b.importances = make([]float64, p)
+	// Same stream as rand.New(rand.NewSource(Seed)) without the 4.9 kB
+	// source per tree.
+	b.rng.Seed(b.cfg.Seed)
+	if cap(b.tmp) < n {
+		b.tmp = make([]int, n)
+	}
+	if cap(b.featBuf) < p {
+		b.featBuf = make([]int, p)
+	}
+	b.featBuf = b.featBuf[:p]
+	b.nodes = b.nodes[:0]
+
+	b.build(b.idx, 1)
+
+	// Normalise importances to sum to 1 (when any split happened).
+	total := 0.0
+	for _, v := range b.importances {
+		total += v
+	}
+	if total > 0 {
+		for i := range b.importances {
+			b.importances[i] /= total
+		}
+	}
+	t.nFeatures = p
+	t.importances = b.importances
+	t.nodes = b.compiled()
+}
+
+// compiled copies the grown node table into an exact-size CompiledTree.
+func (b *treeBuilder) compiled() CompiledTree {
+	n := len(b.nodes)
+	c := CompiledTree{
+		feature:   make([]int32, n),
+		threshold: make([]float64, n),
+		value:     make([]float64, n),
+		right:     make([]int32, n),
+		nSamples:  make([]int32, n),
+	}
+	for i, nd := range b.nodes {
+		c.feature[i] = nd.feature
+		c.threshold[i] = nd.threshold
+		c.value[i] = nd.value
+		c.right[i] = nd.right
+		c.nSamples[i] = nd.nSamples
+	}
+	return c
+}
+
+// build grows the subtree over the sample indices idx (a range of
+// b.idx, reordered in place) at the given depth and returns its root's
+// index in the node table.
 func (b *treeBuilder) build(idx []int, depth int) int32 {
 	n := len(idx)
 	sum, sum2 := 0.0, 0.0
@@ -206,7 +350,8 @@ func (b *treeBuilder) build(idx []int, depth int) int32 {
 	}
 	mean := sum / float64(n)
 	sse := sum2 - sum*sum/float64(n)
-	node := b.out.grow(mean, n)
+	node := int32(len(b.nodes))
+	b.nodes = append(b.nodes, buildNode{value: mean, feature: -1, right: -1, nSamples: int32(n)})
 
 	if n < b.cfg.MinSamplesSplit ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) ||
@@ -219,42 +364,53 @@ func (b *treeBuilder) build(idx []int, depth int) int32 {
 		return node
 	}
 
-	left := make([]int, 0, n)
-	right := make([]int, 0, n)
-	for _, i := range idx {
-		if b.X[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
+	// Which side a sample takes is a coin flip the branch predictor
+	// loses, so both destinations are written and only the cursors
+	// depend on the comparison (idx[k] trails the read position, so the
+	// in-place write never clobbers an unread sample).
+	col, rights := b.cols[feat], b.tmp[:n]
+	k := 0
+	for j, i := range idx {
+		idx[k] = i
+		rights[j-k] = i
+		k += int(b2i32(col[i] <= thr))
 	}
-	if len(left) < b.cfg.MinSamplesLeaf || len(right) < b.cfg.MinSamplesLeaf {
+	copy(idx[k:], rights)
+	// Not redundant with the splitters' own MinSamplesLeaf checks:
+	// bestSplit counts a side by sorted position, the partition by
+	// `<= thr`, and the two disagree when the feature holds NaN (a NaN
+	// threshold sends every sample right). Without this an empty child
+	// would recurse on the whole node forever.
+	if k < b.cfg.MinSamplesLeaf || n-k < b.cfg.MinSamplesLeaf {
 		return node
 	}
 
 	b.importances[feat] += gain
-	l := b.build(left, depth+1)
-	r := b.build(right, depth+1)
-	b.out.split(node, feat, thr, l, r)
+	// The left subtree must start at node+1 — the canonical-preorder
+	// invariant every traversal rests on (left children are implicit).
+	// Asserted so a builder change cannot silently corrupt the walk.
+	if l := b.build(idx[:k], depth+1); l != node+1 {
+		panic(fmt.Sprintf("ml: tree builder broke the preorder invariant: node %d has left child %d, want %d", node, l, node+1))
+	}
+	r := b.build(idx[k:], depth+1)
+	nd := &b.nodes[node]
+	nd.feature, nd.threshold, nd.right = int32(feat), thr, r
 	return node
 }
 
 // candidateFeatures fills b.featBuf with the features to examine at one
 // node: all of them, or a MaxFeatures-sized random subset.
 func (b *treeBuilder) candidateFeatures() []int {
-	k := b.cfg.MaxFeatures
-	if k <= 0 || k >= b.nFeatures {
-		for i := range b.featBuf {
-			b.featBuf[i] = i
-		}
-		return b.featBuf
-	}
-	// Partial Fisher-Yates for a k-subset.
 	for i := range b.featBuf {
 		b.featBuf[i] = i
 	}
+	k, p := b.cfg.MaxFeatures, len(b.featBuf)
+	if k <= 0 || k >= p {
+		return b.featBuf
+	}
+	// Partial Fisher-Yates for a k-subset.
 	for i := 0; i < k; i++ {
-		j := i + b.rng.Intn(b.nFeatures-i)
+		j := i + b.rng.Intn(p-i)
 		b.featBuf[i], b.featBuf[j] = b.featBuf[j], b.featBuf[i]
 	}
 	return b.featBuf[:k]
@@ -265,14 +421,7 @@ func (b *treeBuilder) candidateFeatures() []int {
 func (b *treeBuilder) findSplit(idx []int, parentSSE float64) (feat int, thr float64, gain float64, ok bool) {
 	bestSSE := math.Inf(1)
 	for _, f := range b.candidateFeatures() {
-		var t float64
-		var s float64
-		var valid bool
-		if b.cfg.Splitter == RandomSplitter {
-			t, s, valid = b.randomSplit(idx, f)
-		} else {
-			t, s, valid = b.bestSplit(idx, f)
-		}
+		t, s, valid := b.split(b, b.cols[f], idx)
 		if valid && s < bestSSE {
 			bestSSE, feat, thr, ok = s, f, t, true
 		}
@@ -293,14 +442,27 @@ func (b *treeBuilder) findSplit(idx []int, parentSSE float64) (feat int, thr flo
 	return feat, thr, gain, true
 }
 
-// bestSplit scans all midpoints of feature f (CART exact search).
-func (b *treeBuilder) bestSplit(idx []int, f int) (thr, sse float64, ok bool) {
+// bestSplit scans all midpoints of one feature column (CART exact
+// search).
+func (b *treeBuilder) bestSplit(col []float64, idx []int) (thr, sse float64, ok bool) {
 	n := len(idx)
 	ss := b.scratch[:n]
 	for k, i := range idx {
-		ss[k] = splitSample{v: b.X[i][f], y: b.y[i]}
+		ss[k] = splitSample{v: col[i], y: b.y[i]}
 	}
-	sort.Slice(ss, func(a, c int) bool { return ss[a].v < ss[c].v })
+	// The comparator is spelled out rather than cmp.Compare, which
+	// orders NaN first: this one calls NaN equal to everything, exactly
+	// as `a.v < c.v` under sort.Slice did, so pdqsort takes the same
+	// decisions and ties land in the same order.
+	slices.SortFunc(ss, func(a, c splitSample) int {
+		if a.v < c.v {
+			return -1
+		}
+		if c.v < a.v {
+			return 1
+		}
+		return 0
+	})
 	if ss[0].v == ss[n-1].v {
 		return 0, 0, false // constant feature
 	}
@@ -343,12 +505,12 @@ func (b *treeBuilder) bestSplit(idx []int, f int) (thr, sse float64, ok bool) {
 	return thr, best, ok
 }
 
-// randomSplit draws one uniform threshold in (min, max) of feature f
-// (extra-trees rule) and scores it.
-func (b *treeBuilder) randomSplit(idx []int, f int) (thr, sse float64, ok bool) {
+// randomSplit draws one uniform threshold in (min, max) of one feature
+// column (extra-trees rule) and scores it.
+func (b *treeBuilder) randomSplit(col []float64, idx []int) (thr, sse float64, ok bool) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, i := range idx {
-		v := b.X[i][f]
+		v := col[i]
 		if v < lo {
 			lo = v
 		}
@@ -364,20 +526,25 @@ func (b *treeBuilder) randomSplit(idx []int, f int) (thr, sse float64, ok bool) 
 		thr = lo
 	}
 
-	nl, nr := 0, 0
+	// Branch-free scoring: each sample's response is added to its own
+	// side and +0 to the other. An accumulator that starts at +0 can
+	// never become -0, so adding +0 leaves its bits alone and each side
+	// folds exactly the values, in exactly the order, a branch would
+	// have given it.
+	nl := 0
 	leftSum, leftSum2, rightSum, rightSum2 := 0.0, 0.0, 0.0, 0.0
 	for _, i := range idx {
-		y := b.y[i]
-		if b.X[i][f] <= thr {
-			nl++
-			leftSum += y
-			leftSum2 += y * y
-		} else {
-			nr++
-			rightSum += y
-			rightSum2 += y * y
-		}
+		left := b2i32(col[i] <= thr)
+		nl += int(left)
+		yb, mask := math.Float64bits(b.y[i]), uint64(-int64(left)) // all ones when left
+		yl := math.Float64frombits(yb & mask)
+		yr := math.Float64frombits(yb &^ mask)
+		leftSum += yl
+		leftSum2 += yl * yl
+		rightSum += yr
+		rightSum2 += yr * yr
 	}
+	nr := len(idx) - nl
 	if nl < b.cfg.MinSamplesLeaf || nr < b.cfg.MinSamplesLeaf {
 		return 0, 0, false
 	}

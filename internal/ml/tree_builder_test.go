@@ -1,0 +1,334 @@
+package ml
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// tiedData builds a regression set that provokes every order-sensitive
+// step of the builder: features quantised to a few levels (ties in the
+// sort and on both sides of a threshold), one constant feature, and a
+// share of exact duplicate rows, some with different responses.
+func tiedData(rng *rand.Rand, n, p int) ([][]float64, []float64) {
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		if i > 0 && rng.Intn(5) == 0 {
+			j := rng.Intn(i)
+			X[i] = append([]float64(nil), X[j]...)
+			y[i] = y[j]
+			if rng.Intn(2) == 0 {
+				y[i] += rng.NormFloat64()
+			}
+			continue
+		}
+		x := make([]float64, p)
+		for f := range x {
+			switch f % 3 {
+			case 0:
+				x[f] = float64(rng.Intn(4))
+			case 1:
+				x[f] = rng.NormFloat64()
+			default:
+				x[f] = math.Round(rng.Float64()*8) / 8
+			}
+		}
+		if p > 3 {
+			x[3] = 2.5 // constant feature
+		}
+		X[i] = x
+		y[i] = 3*x[0] - x[p/2]*x[p/2] + rng.NormFloat64()*0.3
+		// Signed zeros and exactly cancelling responses: the sums must
+		// fold them the way the reference's branches do.
+		switch rng.Intn(12) {
+		case 0:
+			y[i] = math.Copysign(0, -1)
+		case 1:
+			y[i] = float64(rng.Intn(3) - 1)
+		}
+	}
+	return X, y
+}
+
+// assertSameTree compares two fitted trees node for node and importance
+// for importance, floats by bit pattern.
+func assertSameTree(t *testing.T, what string, got, want *DecisionTree) {
+	t.Helper()
+	g, w := &got.nodes, &want.nodes
+	if g.Len() != w.Len() {
+		t.Fatalf("%s: %d nodes, reference has %d", what, g.Len(), w.Len())
+	}
+	if len(g.threshold) != g.Len() || len(g.value) != g.Len() || len(g.right) != g.Len() || len(g.nSamples) != g.Len() {
+		t.Fatalf("%s: ragged node arrays", what)
+	}
+	for i := 0; i < w.Len(); i++ {
+		if g.feature[i] != w.feature[i] || g.right[i] != w.right[i] || g.nSamples[i] != w.nSamples[i] ||
+			math.Float64bits(g.threshold[i]) != math.Float64bits(w.threshold[i]) ||
+			math.Float64bits(g.value[i]) != math.Float64bits(w.value[i]) {
+			t.Fatalf("%s: node %d = (f %d, thr %v, val %v, right %d, n %d), reference (f %d, thr %v, val %v, right %d, n %d)",
+				what, i, g.feature[i], g.threshold[i], g.value[i], g.right[i], g.nSamples[i],
+				w.feature[i], w.threshold[i], w.value[i], w.right[i], w.nSamples[i])
+		}
+	}
+	if got.nFeatures != want.nFeatures || len(got.importances) != len(want.importances) {
+		t.Fatalf("%s: arity %d/%d importances, reference %d/%d", what, got.nFeatures, len(got.importances), want.nFeatures, len(want.importances))
+	}
+	for f := range want.importances {
+		if math.Float64bits(got.importances[f]) != math.Float64bits(want.importances[f]) {
+			t.Fatalf("%s: importance[%d] = %v, reference %v", what, f, got.importances[f], want.importances[f])
+		}
+	}
+}
+
+func assertSameTrees(t *testing.T, what string, got, want []*DecisionTree) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d trees, reference has %d", what, len(got), len(want))
+	}
+	for i := range want {
+		assertSameTree(t, fmt.Sprintf("%s tree %d", what, i), got[i], want[i])
+	}
+}
+
+// TestTreeBuilderMatchesReference is the differential test between the
+// pooled builder and the allocating reference builder in
+// tree_ref_test.go: every tree, alone or as an ensemble member, must
+// come out node for node and bit for bit the same, and the artifacts
+// written from it byte for byte the same.
+func TestTreeBuilderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x7ee5))
+	rechecks := 0
+	for trial := 0; trial < 60; trial++ {
+		n, p := 1+rng.Intn(160), 1+rng.Intn(6)
+		X, y := tiedData(rng, n, p)
+		what := fmt.Sprintf("trial %d (n=%d p=%d)", trial, n, p)
+		if trial%10 == 9 {
+			// Responses no sum survives unscathed: the builders must
+			// still agree on every bit of what comes out.
+			hostile := []float64{math.Copysign(0, -1), 0, 1, -1, 1e308, -1e308, math.Inf(1), math.NaN()}
+			for i := range y {
+				y[i] = hostile[rng.Intn(len(hostile)-4*(trial/10%2))]
+			}
+		}
+
+		cfg := randomTreeConfig(rng)
+		tree := NewDecisionTree(cfg)
+		if err := tree.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		ref, r := refFitTreeCounting(cfg, X, y)
+		rechecks += r
+		assertSameTree(t, fmt.Sprintf("%s tree %+v", what, cfg), tree, ref)
+
+		forest := &Forest{NTrees: 1 + rng.Intn(5), Tree: randomTreeConfig(rng), Bootstrap: trial%2 == 0, Seed: rng.Int63(), Workers: 1 + trial%3}
+		if err := forest.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		refTrees := refFitForest(forest, X, y)
+		assertSameTrees(t, fmt.Sprintf("%s forest %+v bootstrap=%v", what, forest.Tree, forest.Bootstrap), forest.trees, refTrees)
+		assertSameArtifacts(t, what+" forest", forest, &Forest{NTrees: forest.NTrees, Tree: forest.Tree, Bootstrap: forest.Bootstrap, Seed: forest.Seed, trees: refTrees, nFeatures: p})
+
+		bagCfg := randomTreeConfig(rng)
+		bag := &Bagging{NewBase: func() Regressor { return NewDecisionTree(bagCfg) }, N: 1 + rng.Intn(4), SampleFrac: 0.3 + 0.7*rng.Float64(), Seed: rng.Int63()}
+		if err := bag.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		bagTrees := make([]*DecisionTree, len(bag.models))
+		for i, m := range bag.models {
+			bagTrees[i] = m.(*DecisionTree)
+		}
+		assertSameTrees(t, fmt.Sprintf("%s bagging %+v frac=%v", what, bagCfg, bag.SampleFrac), bagTrees, refFitBaggedTrees(bag, bagCfg, X, y))
+
+		gbr := &GradientBoosting{NStages: 1 + rng.Intn(6), MaxDepth: rng.Intn(5), MinSamplesLeaf: rng.Intn(4), Seed: rng.Int63(), Workers: 1 + trial%2}
+		if trial%3 != 0 {
+			gbr.Subsample = 0.2 + 0.8*rng.Float64()
+		}
+		if err := gbr.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		refStages := refFitBoosting(gbr, X, y)
+		assertSameTrees(t, fmt.Sprintf("%s boosting subsample=%v", what, gbr.Subsample), gbr.stages, refStages)
+		assertSameArtifacts(t, what+" boosting", gbr, &GradientBoosting{
+			NStages: gbr.NStages, LearningRate: gbr.LearningRate, MaxDepth: gbr.MaxDepth, MinSamplesLeaf: gbr.MinSamplesLeaf,
+			Subsample: gbr.Subsample, Seed: gbr.Seed, init: gbr.init, rate: gbr.rate, stages: refStages,
+		})
+	}
+	// The generated cases hold no NaN, and on them both splitters enforce
+	// MinSamplesLeaf themselves: the builder's post-partition re-check is
+	// there for NaN features only (TestTreeNaNFeature).
+	if rechecks != 0 {
+		t.Errorf("the post-partition MinSamplesLeaf re-check fired %d times on NaN-free data", rechecks)
+	}
+}
+
+// assertSameArtifacts encodes a model fitted by the pooled builder and
+// its twin assembled from reference-built trees through both wire
+// formats and compares the bytes.
+func assertSameArtifacts(t *testing.T, what string, got, want Regressor) {
+	t.Helper()
+	gb, err := AppendBinary(nil, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := AppendBinary(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, wb) {
+		t.Fatalf("%s: binary encodings differ (%d vs %d bytes)", what, len(gb), len(wb))
+	}
+	// JSON refuses non-finite leaf values (the hostile-response trials
+	// grow them); then both sides must refuse alike.
+	var gj, wj bytes.Buffer
+	gerr, werr := SaveModel(&gj, got), SaveModel(&wj, want)
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("%s: JSON encode errors differ: %v vs %v", what, gerr, werr)
+	}
+	if gerr == nil && !bytes.Equal(gj.Bytes(), wj.Bytes()) {
+		t.Fatalf("%s: JSON encodings differ", what)
+	}
+}
+
+// TestTreeNaNFeature pins the one case where the builder's
+// post-partition MinSamplesLeaf re-check is live: bestSplit counts a
+// side by sorted position and can propose a NaN threshold, which the
+// partition's `<=` sends wholly right. The fit must terminate and match
+// the reference, whose re-check is seen firing.
+func TestTreeNaNFeature(t *testing.T) {
+	nan := math.NaN()
+	X := [][]float64{{nan, 1}, {1, 2}, {2, nan}, {nan, 4}, {3, 5}, {4, nan}, {5, 7}, {nan, 8}}
+	y := []float64{1, 5, 2, 8, 3, 9, 4, 7}
+	fired := 0
+	for _, splitter := range []Splitter{BestSplitter, RandomSplitter} {
+		for seed := int64(0); seed < 8; seed++ {
+			cfg := TreeConfig{Splitter: splitter, Seed: seed}
+			tree := NewDecisionTree(cfg)
+			if err := tree.Fit(X, y); err != nil {
+				t.Fatal(err)
+			}
+			ref, r := refFitTreeCounting(cfg, X, y)
+			fired += r
+			assertSameTree(t, fmt.Sprintf("%v seed %d", splitter, seed), tree, ref)
+		}
+	}
+	if fired == 0 {
+		t.Error("no NaN case reached the post-partition MinSamplesLeaf re-check; the test no longer covers it")
+	}
+}
+
+// TestTreeBuilderReleasesTrainingSet: the pooled builder must not pin a
+// caller's training data between fits.
+func TestTreeBuilderReleasesTrainingSet(t *testing.T) {
+	collected := make(chan string, 2)
+	func() {
+		n := 100_000
+		X := make([][]float64, n)
+		y := make([]float64, n)
+		for i := range X {
+			X[i] = []float64{float64(i % 97), float64(i % 13)}
+			y[i] = float64(i % 7)
+		}
+		runtime.SetFinalizer(&X[0], func(*[]float64) { collected <- "X" })
+		runtime.SetFinalizer(&y[0], func(*float64) { collected <- "y" })
+		et := &Forest{NTrees: 2, Tree: TreeConfig{Splitter: RandomSplitter, MaxDepth: 6}, Workers: 1}
+		if err := et.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewDecisionTree(TreeConfig{MaxDepth: 4}).Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	// White box: whichever builder the pool hands back holds no view,
+	// response or importances of the fit it last served.
+	b := getTreeBuilder()
+	if b.cols != nil || b.y != nil || b.importances != nil {
+		t.Errorf("released builder still references its last fit: cols %v, y %v, importances %v", b.cols != nil, b.y != nil, b.importances != nil)
+	}
+	b.release()
+
+	smallX, smallY := synthetic(10, 1)
+	if err := NewDecisionTree(TreeConfig{}).Fit(smallX, smallY); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	for seen := 0; seen < 2; {
+		select {
+		case <-collected:
+			seen++
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the 10^5-row training set is still reachable after a small fit and two GCs (%d of 2 finalizers ran)", seen)
+		}
+	}
+}
+
+// TestFailedRefitLeavesTreeUntouched: Fit's comment promises a failed
+// refit keeps the fitted state.
+func TestFailedRefitLeavesTreeUntouched(t *testing.T) {
+	X, y := synthetic(80, 3)
+	tree := NewDecisionTree(TreeConfig{Seed: 1})
+	if err := tree.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	before := *tree
+	if err := tree.Fit([][]float64{{1, 2}, {3}}, []float64{1, 2}); err == nil {
+		t.Fatal("ragged refit succeeded")
+	}
+	if err := tree.Fit(X, y[:10]); err == nil {
+		t.Fatal("mismatched refit succeeded")
+	}
+	assertSameTree(t, "after failed refits", tree, &before)
+	if &tree.nodes.feature[0] != &before.nodes.feature[0] {
+		t.Error("failed refit replaced the node table")
+	}
+	// And a good refit after the failures still works.
+	if err := tree.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	assertSameTree(t, "refit after failures", tree, &before)
+}
+
+// TestForestFitAllocBudget: a warmed extra-trees fit allocates what the
+// model keeps — the members' exact-size 28 B/node arrays and the
+// 16 B/node packed table — plus slack, in a number of mallocs that
+// grows with the tree count, not the node count.
+func TestForestFitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	X, y := friedman1(1500, 0.5, 7)
+	const nTrees = 100
+	fit := func() *Forest {
+		et := NewExtraTrees(nTrees, 11)
+		et.Workers = 1
+		if err := et.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		return et
+	}
+	fit() // warm the builder pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	et := fit()
+	runtime.ReadMemStats(&after)
+
+	nodes := et.compiled.NumNodes()
+	bytes := after.TotalAlloc - before.TotalAlloc
+	mallocs := after.Mallocs - before.Mallocs
+	budget := uint64(1.5 * float64(28*nodes+16*nodes))
+	t.Logf("%d trees, %d nodes: %d bytes (budget %d), %d mallocs", nTrees, nodes, bytes, budget, mallocs)
+	if bytes > budget {
+		t.Errorf("fit allocated %d bytes for %d nodes, budget %d", bytes, nodes, budget)
+	}
+	if nodes < 100*nTrees {
+		t.Fatalf("only %d nodes: trees too small to tell per-node from per-tree mallocs", nodes)
+	}
+	if limit := uint64(16*nTrees + 64); mallocs > limit {
+		t.Errorf("fit made %d mallocs for %d trees (%d nodes), want <= %d", mallocs, nTrees, nodes, limit)
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"lam/internal/dataset"
 	"lam/internal/lamerr"
@@ -296,17 +297,29 @@ func (m *Model) PredictBatchCtx(ctx context.Context, X [][]float64) ([]float64, 
 	return out, nil
 }
 
-// intoBlock is the row count between context polls on the sequential
-// Into path.
-const intoBlock = 256
+// batchBlock is the row count PredictBatchIntoCtx scores at a time: the
+// same kernel-sized block internal/ml's batch path uses (its batchBlock;
+// see there for the measurement), so one block here is one sequential
+// tree-major walk there. It bounds the pooled augmented block, is the
+// unit dealt to workers and the distance between context polls.
+const batchBlock = 256
 
 // PredictBatchIntoCtx scores every row of X into out (which must have
-// len(X) elements) with prompt cancellation between rows: the
+// len(X) elements) with prompt cancellation between row blocks: the
 // allocation-free serving path behind registry batch prediction and
-// lam-serve. With Workers == 1 the loop runs inline and — given an
-// allocation-free analytical model — performs zero steady-state
-// allocations per row: the stacked feature vector and the ML
-// pipeline's scaled row both come from pooled scratch.
+// lam-serve. Each block of up to batchBlock rows is scored as a block —
+// the analytical column once, one batch call into the ML component,
+// then the mode's coupling per row in Predict's operation order — so
+// the result is bit-identical to len(X) sequential Predict calls for
+// every worker count, and the ML component's tree-major kernel is
+// reached from every caller. Workers are resolved over the number of
+// blocks: up to one block (an /observe batch, a coalescer drain) runs
+// inline on the caller's goroutine and — given an allocation-free
+// analytical model — performs zero steady-state allocations.
+//
+// On a failing row (wrong arity, analytical-model error) the error is
+// the one Predict returns for the lowest such row, and every row
+// before it has been written.
 func (m *Model) PredictBatchIntoCtx(ctx context.Context, X [][]float64, out []float64) error {
 	if !m.IsFitted() {
 		return fmt.Errorf("hybrid: %w", lamerr.ErrNotFitted)
@@ -315,53 +328,129 @@ func (m *Model) PredictBatchIntoCtx(ctx context.Context, X [][]float64, out []fl
 		return fmt.Errorf("hybrid: %w: output slice holds %d values for %d rows",
 			lamerr.ErrDimension, len(out), len(X))
 	}
-	// The sequential branch mirrors ml.PredictBatchIntoCtx's inline
-	// block loop rather than sharing a helper: a closure-taking helper
-	// would cost one heap allocation per call, breaking the hard
-	// zero-allocation assertions the serve tests make on this path.
-	if parallel.Resolve(m.cfg.Workers, len(X)) == 1 {
-		if ctx == nil || ctx.Done() == nil {
-			for i, x := range X {
-				p, err := m.Predict(x)
-				if err != nil {
-					return err
-				}
-				out[i] = p
-			}
-			return nil
-		}
+	blocks := (len(X) + batchBlock - 1) / batchBlock
+	if parallel.Resolve(m.cfg.Workers, blocks) > 1 {
+		return parallel.ForCtx(ctx, blocks, m.cfg.Workers, func(b int) error {
+			lo := b * batchBlock
+			hi := min(lo+batchBlock, len(X))
+			return m.predictBlock(X[lo:hi], out[lo:hi])
+		})
+	}
+	// The sequential branch is a plain loop, not ForCtx with one
+	// worker: a closure would cost one heap allocation per call,
+	// breaking the hard zero-allocation assertions the serve tests make
+	// on this path.
+	var done <-chan struct{}
+	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return parallel.Cancelled(err)
 		}
-		done := ctx.Done()
-		for lo := 0; lo < len(X); lo += intoBlock {
-			select {
-			case <-done:
-				return parallel.Cancelled(ctx.Err())
-			default:
-			}
-			hi := lo + intoBlock
-			if hi > len(X) {
-				hi = len(X)
-			}
-			for i := lo; i < hi; i++ {
-				p, err := m.Predict(X[i])
-				if err != nil {
-					return err
-				}
-				out[i] = p
-			}
-		}
-		return nil
+		done = ctx.Done()
 	}
-	return parallel.ForCtx(ctx, len(X), m.cfg.Workers, func(i int) error {
-		p, err := m.Predict(X[i])
-		if err != nil {
+	for lo := 0; lo < len(X); lo += batchBlock {
+		select {
+		case <-done:
+			return parallel.Cancelled(ctx.Err())
+		default:
+		}
+		hi := min(lo+batchBlock, len(X))
+		if err := m.predictBlock(X[lo:hi], out[lo:hi]); err != nil {
 			return err
 		}
-		out[i] = p
+	}
+	return nil
+}
+
+// augBlock is the pooled block stack mode augments its rows into: one
+// flat backing array and the row views over it. The views point only
+// into flat, so a pooled block keeps no caller's rows alive, and it
+// holds at most batchBlock rows.
+type augBlock struct {
+	flat []float64
+	rows [][]float64
+}
+
+var augBlockPool = sync.Pool{New: func() any { return new(augBlock) }}
+
+// predictBlock scores one block of at most batchBlock rows into out.
+// The analytical column is computed first, into out itself; if row k
+// fails, the rows before it are still scored and row k's error — the
+// text Predict gives it — is returned.
+func (m *Model) predictBlock(X [][]float64, out []float64) error {
+	var rowErr error
+	for i, x := range X {
+		if len(x) != m.nFeatures {
+			rowErr = fmt.Errorf("hybrid: %w: predict got %d features, want %d",
+				lamerr.ErrDimension, len(x), m.nFeatures)
+		} else if out[i], rowErr = m.am.Predict(x); rowErr != nil {
+			rowErr = fmt.Errorf("hybrid: analytical model: %w", rowErr)
+		}
+		if rowErr != nil {
+			X, out = X[:i], out[:i]
+			break
+		}
+	}
+	if err := m.coupleBlock(X, out); err != nil {
+		return err
+	}
+	return rowErr
+}
+
+// coupleBlock turns out from the block's analytical column into its
+// predictions: one batch call into the ML component, then the mode's
+// coupling and the optional aggregate per row, in Predict's operation
+// order.
+func (m *Model) coupleBlock(X [][]float64, out []float64) error {
+	n := len(X)
+	if n == 0 {
 		return nil
-	})
+	}
+	mlBuf := ml.GetScratch(n)
+	defer ml.PutScratch(mlBuf)
+	stacked := *mlBuf
+	var err error
+	if m.cfg.Mode == StackMode {
+		p := m.nFeatures + 1
+		blk := augBlockPool.Get().(*augBlock)
+		defer augBlockPool.Put(blk)
+		if cap(blk.flat) < n*p {
+			blk.flat = make([]float64, n*p)
+		}
+		if cap(blk.rows) < n {
+			blk.rows = make([][]float64, n)
+		}
+		blk.flat, blk.rows = blk.flat[:n*p], blk.rows[:n]
+		for i, x := range X {
+			aug := blk.flat[i*p : (i+1)*p : (i+1)*p]
+			copy(aug, x)
+			aug[p-1] = out[i]
+			blk.rows[i] = aug
+		}
+		err = ml.PredictBatchInto(m.mlModel, blk.rows, stacked, 1)
+	} else {
+		err = ml.PredictBatchInto(m.mlModel, X, stacked, 1)
+	}
+	if err != nil {
+		return fmt.Errorf("hybrid: %w", err)
+	}
+	w := m.cfg.AggregateWeight
+	if w == 0 {
+		w = 0.5
+	}
+	for i, amP := range out {
+		s := stacked[i]
+		switch m.cfg.Mode {
+		case ResidualMode:
+			s = amP + s
+		case RatioMode:
+			s = amP * s
+		}
+		if m.cfg.Aggregate {
+			s = w*s + (1-w)*amP
+		}
+		out[i] = s
+	}
+	return nil
 }
 
 // MAPE evaluates the trained model on a held-out dataset and returns

@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -131,8 +130,7 @@ func predictHot(hot []hotNode, root int32, x []float64) float64 {
 		if n.feature < 0 {
 			return n.threshold
 		}
-		goLeft := -b2i32(x[n.feature] <= n.threshold) // all ones when left
-		i = n.right + ((i + 1 - n.right) & goLeft)
+		i = hotStep(i, n, x)
 	}
 }
 
@@ -320,56 +318,75 @@ func (e *CompiledEnsemble) Predict(x []float64) float64 {
 	return e.predictHotInterleaved(x)
 }
 
-// hotLanes is the number of member trees a single-row ensemble walk
-// descends simultaneously. Each walk is a serial chain of dependent
-// loads — on tables past the cache the walker mostly waits on memory —
-// but walks of different trees are independent, so stepping a few in
-// lockstep keeps that many misses in flight. Leaf values are still
-// folded in tree order, so the result is bit-identical to walking the
-// trees one by one.
-const hotLanes = 4
+// hotStep is predictHot's branchless descent from node n at index i:
+// the comparison becomes an all-ones/all-zero mask that picks between
+// the implicit left child (i+1) and n.right.
+func hotStep(i int32, n hotNode, x []float64) int32 {
+	goLeft := -b2i32(x[n.feature] <= n.threshold) // all ones when left
+	return n.right + ((i + 1 - n.right) & goLeft)
+}
 
 // predictHotInterleaved is the implicit-left single-row ensemble walk
-// over the packed hot table, hotLanes trees at a time.
+// over the packed hot table, four trees in lockstep. Each walk is a
+// serial chain of dependent loads, but walks of different trees are
+// independent, so stepping four at once keeps that many loads in
+// flight. The four cursors and their loaded records are plain locals,
+// not arrays indexed by a lane loop: the walk is instruction-bound
+// (the table mostly hits cache), and lanes the compiler can keep in
+// registers cost a third less per node visit than lanes it must spill
+// and reload (EXPERIMENTS.md § Batch budget). A lane that reaches its
+// leaf idles on a predictable branch until the slowest lane lands.
+// Leaf values are still folded in tree order, so the result is
+// bit-identical to walking the trees one by one; the trees past the
+// last full group of four go through predictHot.
 func (e *CompiledEnsemble) predictHotInterleaved(x []float64) float64 {
 	hot, roots := e.hot, e.roots
-	var idx [hotLanes]int32
-	var val [hotLanes]float64
-	boosted := e.combine == combineBoosted
+	boosted, rate := e.combine == combineBoosted, e.rate
 	out := 0.0
 	if boosted {
 		out = e.init
 	}
-	for g := 0; g < len(roots); g += hotLanes {
-		m := len(roots) - g
-		if m > hotLanes {
-			m = hotLanes
-		}
-		for l := 0; l < m; l++ {
-			idx[l] = roots[g+l]
-		}
-		for active := m; active > 0; {
-			active = 0
-			for l := 0; l < m; l++ {
-				i := idx[l]
-				n := hot[i]
-				if n.feature < 0 {
-					val[l] = n.threshold
-					continue
-				}
-				active++
-				goLeft := -b2i32(x[n.feature] <= n.threshold)
-				idx[l] = n.right + ((i + 1 - n.right) & goLeft)
+	g := 0
+	for ; g+4 <= len(roots); g += 4 {
+		i0, i1, i2, i3 := roots[g], roots[g+1], roots[g+2], roots[g+3]
+		n0, n1, n2, n3 := hot[i0], hot[i1], hot[i2], hot[i3]
+		// A leaf's feature is negative, so the AND is negative only
+		// once every lane has landed.
+		for n0.feature&n1.feature&n2.feature&n3.feature >= 0 {
+			if n0.feature >= 0 {
+				i0 = hotStep(i0, n0, x)
+				n0 = hot[i0]
+			}
+			if n1.feature >= 0 {
+				i1 = hotStep(i1, n1, x)
+				n1 = hot[i1]
+			}
+			if n2.feature >= 0 {
+				i2 = hotStep(i2, n2, x)
+				n2 = hot[i2]
+			}
+			if n3.feature >= 0 {
+				i3 = hotStep(i3, n3, x)
+				n3 = hot[i3]
 			}
 		}
 		if boosted {
-			for l := 0; l < m; l++ {
-				out += e.rate * val[l]
-			}
+			out += rate * n0.threshold
+			out += rate * n1.threshold
+			out += rate * n2.threshold
+			out += rate * n3.threshold
 		} else {
-			for l := 0; l < m; l++ {
-				out += val[l]
-			}
+			out += n0.threshold
+			out += n1.threshold
+			out += n2.threshold
+			out += n3.threshold
+		}
+	}
+	for _, r := range roots[g:] {
+		if boosted {
+			out += rate * predictHot(hot, r, x)
+		} else {
+			out += predictHot(hot, r, x)
 		}
 	}
 	if !boosted {
@@ -420,36 +437,10 @@ func (e *CompiledEnsemble) PredictInto(x []float64, out []float64) {
 	}
 }
 
-// batchTreeMajorMinNodes is the node-table size above which batch
-// scoring switches from row-major to tree-major traversal. Small
-// ensembles (shallow boosting stages) fit in L1/L2 whole, and
-// row-major keeps the accumulator in a register; large forests blow
-// the cache per row, and tree-major keeps one tree's nodes hot across
-// the whole block instead. Either order is bit-identical (see below),
-// so the cutoff is purely a performance knob — tunable per host via
-// SetBatchTreeMajorThreshold (the atomic makes runtime retuning safe
-// while serving).
-var batchTreeMajorMinNodes atomic.Int64
-
-const defaultBatchTreeMajorMinNodes = 4096
-
-func init() { batchTreeMajorMinNodes.Store(defaultBatchTreeMajorMinNodes) }
-
-// SetBatchTreeMajorThreshold tunes the node-table size at which batch
-// scoring switches from row-major to tree-major traversal. Values < 1
-// restore the built-in default (4096). Both orders are bit-identical;
-// the threshold is purely a per-host performance knob (benchmark with
-// lam-bench).
-func SetBatchTreeMajorThreshold(n int) {
-	if n < 1 {
-		n = defaultBatchTreeMajorMinNodes
-	}
-	batchTreeMajorMinNodes.Store(int64(n))
-}
-
-// BatchTreeMajorThreshold returns the current row-major/tree-major
-// switchover threshold.
-func BatchTreeMajorThreshold() int { return int(batchTreeMajorMinNodes.Load()) }
+// batchTreeMajorMinNodes is the node-table size from which batch
+// scoring is tree-major. Either order is bit-identical (see
+// PredictBatchInto), so the cutoff is purely a matter of speed.
+const batchTreeMajorMinNodes = 4096
 
 // PredictBatchInto scores every row of X into out sequentially with
 // zero steady-state allocations; out must have len(X) elements. For
@@ -466,21 +457,40 @@ func (e *CompiledEnsemble) PredictBatchInto(X [][]float64, out []float64) {
 	switch e.layout {
 	case LayoutQuant16, LayoutQuant8:
 		e.qt.predictBatchInto(X, out)
-		return
 	case LayoutLevelOrder:
 		e.explicit.predictBatchLevels(e, X, out)
-		return
-	}
-	if int64(len(e.hot)) < batchTreeMajorMinNodes.Load() {
-		for i, x := range X {
-			out[i] = e.Predict(x)
+	default:
+		if len(e.hot) < batchTreeMajorMinNodes {
+			e.predictBatchRowMajor(X, out)
+		} else {
+			e.predictBatchTreeMajor(X, out)
 		}
-		return
 	}
+}
+
+// predictBatchRowMajor is the batch walk of small tables: every row
+// folds the whole ensemble before the next row starts.
+func (e *CompiledEnsemble) predictBatchRowMajor(X [][]float64, out []float64) {
+	for i, x := range X {
+		out[i] = e.Predict(x)
+	}
+}
+
+// predictBatchTreeMajor is the batch walk of large tables through the
+// packed (or, for LayoutStandard, the explicit-child) descent: every
+// tree is walked for all rows before the next tree starts. The packed
+// kernel takes rows four at a time, so the one to three rows past the
+// last full group are folded row-major instead — rows are independent,
+// and the single-row walk keeps four trees in flight for them where a
+// lone row in the tree-major order would keep nothing in flight.
+func (e *CompiledEnsemble) predictBatchTreeMajor(X [][]float64, out []float64) {
 	if e.layout == LayoutStandard {
 		e.predictBatchTreeMajorStd(X, out)
 		return
 	}
+	full := len(X) &^ 3
+	e.predictBatchRowMajor(X[full:], out[full:])
+	X, out = X[:full], out[:full]
 	switch e.combine {
 	case combineBoosted:
 		for i := range out {
@@ -504,40 +514,41 @@ func (e *CompiledEnsemble) PredictBatchInto(X [][]float64, out []float64) {
 }
 
 // predictHotTreeRows accumulates one tree's scaled leaf values into out
-// for every row of X, hotLanes rows in lockstep — the batch twin of
-// predictHotInterleaved: within a tree the rows are independent walks,
-// so stepping a few at once keeps their loads in flight. The caller's
+// for every row of X (a multiple of four), four rows in lockstep — the
+// batch twin of predictHotInterleaved, with the same register-resident
+// lanes: within a tree the rows are independent walks. The caller's
 // outer loop still visits trees in order, so each out[i] accumulates
 // tree contributions exactly as the row-major walk would.
 func predictHotTreeRows(hot []hotNode, r int32, X [][]float64, out []float64, scale float64) {
-	var idx [hotLanes]int32
-	var val [hotLanes]float64
-	for g := 0; g < len(X); g += hotLanes {
-		m := len(X) - g
-		if m > hotLanes {
-			m = hotLanes
-		}
-		for l := 0; l < m; l++ {
-			idx[l] = r
-		}
-		for active := m; active > 0; {
-			active = 0
-			for l := 0; l < m; l++ {
-				i := idx[l]
-				n := hot[i]
-				if n.feature < 0 {
-					val[l] = n.threshold
-					continue
-				}
-				active++
-				x := X[g+l]
-				goLeft := -b2i32(x[n.feature] <= n.threshold)
-				idx[l] = n.right + ((i + 1 - n.right) & goLeft)
+	out = out[:len(X)]
+	root := hot[r]
+	for g := 0; g+4 <= len(X); g += 4 {
+		x0, x1, x2, x3 := X[g], X[g+1], X[g+2], X[g+3]
+		i0, i1, i2, i3 := r, r, r, r
+		n0, n1, n2, n3 := root, root, root, root
+		for n0.feature&n1.feature&n2.feature&n3.feature >= 0 {
+			if n0.feature >= 0 {
+				i0 = hotStep(i0, n0, x0)
+				n0 = hot[i0]
+			}
+			if n1.feature >= 0 {
+				i1 = hotStep(i1, n1, x1)
+				n1 = hot[i1]
+			}
+			if n2.feature >= 0 {
+				i2 = hotStep(i2, n2, x2)
+				n2 = hot[i2]
+			}
+			if n3.feature >= 0 {
+				i3 = hotStep(i3, n3, x3)
+				n3 = hot[i3]
 			}
 		}
-		for l := 0; l < m; l++ {
-			out[g+l] += scale * val[l]
-		}
+		o := out[g : g+4 : g+4]
+		o[0] += scale * n0.threshold
+		o[1] += scale * n1.threshold
+		o[2] += scale * n2.threshold
+		o[3] += scale * n3.threshold
 	}
 }
 

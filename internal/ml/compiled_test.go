@@ -207,7 +207,7 @@ func TestCompiledEquivalence(t *testing.T) {
 }
 
 // TestCompiledEquivalenceTreeMajor crosses the batchTreeMajorMinNodes
-// threshold so batch scoring takes the tree-major traversal, and
+// cutoff so batch scoring takes the tree-major traversal, and
 // asserts it stays bit-identical to per-row Predict calls and to the
 // recursive reference.
 func TestCompiledEquivalenceTreeMajor(t *testing.T) {
@@ -219,7 +219,7 @@ func TestCompiledEquivalenceTreeMajor(t *testing.T) {
 	if err := f.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if n := f.compiled.NumNodes(); n < BatchTreeMajorThreshold() {
+	if n := f.compiled.NumNodes(); n < batchTreeMajorMinNodes {
 		t.Fatalf("setup too small for the tree-major path: %d nodes", n)
 	}
 	refs := make([]*refNode, len(f.trees))
@@ -392,7 +392,7 @@ func TestPredictAllocationFree(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	X, y := randomRegression(rng, 200, 4)
-	Xq, _ := randomRegression(rng, 50, 4)
+	Xq, _ := randomRegression(rng, 2*batchBlock, 4) // two pooled blocks per wrapper
 	out := make([]float64, len(Xq))
 
 	fit := func(r Regressor) Regressor {
@@ -512,7 +512,6 @@ func assertFusedEqualsReference(t *testing.T, name string, e *CompiledEnsemble, 
 // stated bound on rows clear of every quantisation band.
 func assertLayoutsFromPacked(t *testing.T, name string, e *CompiledEnsemble, Xq [][]float64, want []float64) {
 	t.Helper()
-	defer SetBatchTreeMajorThreshold(0)
 	defer func() {
 		if err := e.SetLayout(LayoutImplicitLeft); err != nil {
 			t.Fatal(err)
@@ -523,17 +522,16 @@ func assertLayoutsFromPacked(t *testing.T, name string, e *CompiledEnsemble, Xq 
 		if err := e.SetLayout(layout); err != nil {
 			t.Fatalf("%s: SetLayout(%v): %v", name, layout, err)
 		}
-		for _, thr := range []int{1 << 30, 1} { // row-major, tree-major
-			SetBatchTreeMajorThreshold(thr)
-			e.PredictBatchInto(Xq, out)
+		for _, bw := range batchWalks(e) {
+			bw.walk(Xq, out)
 			for i, x := range Xq {
 				single := e.Predict(x)
 				if !sameBits(single, out[i]) {
-					t.Fatalf("%s %v thr=%d row %d: single %x != batch %x", name, layout, thr, i, single, out[i])
+					t.Fatalf("%s %v %s row %d: single %x != batch %x", name, layout, bw.name, i, single, out[i])
 				}
 				if layout.Exact() {
 					if !sameBits(single, want[i]) {
-						t.Fatalf("%s %v thr=%d row %d: %x != recursive %x", name, layout, thr, i, single, want[i])
+						t.Fatalf("%s %v %s row %d: %x != recursive %x", name, layout, bw.name, i, single, want[i])
 					}
 				} else if safeRow(e, e.qt, x) {
 					if rel := math.Abs(single-want[i]) / math.Max(1, math.Abs(want[i])); rel > 1e-5 {

@@ -104,16 +104,11 @@ func PredictBatchCtx(ctx context.Context, r Regressor, X [][]float64, workers in
 	return out, nil
 }
 
-// intoBlock is the row count between context polls on the sequential
-// Into path: large enough that the poll is noise, small enough that
-// cancellation stays prompt for microsecond-scale tree walks.
-const intoBlock = 256
-
 // PredictBatchIntoCtx is PredictBatchInto with prompt cancellation
 // between row blocks — the allocation-free serving path behind
 // registry batch prediction and lam-serve's /predict endpoint. With
-// workers == 1 the loop runs inline with zero allocations (the
-// sequential case is a plain loop, no closure, no pool dispatch).
+// workers == 1 (or at most one block of rows) the loop runs inline
+// with zero allocations: a plain loop, no closure, no pool dispatch.
 func PredictBatchIntoCtx(ctx context.Context, r Regressor, X [][]float64, out []float64, workers int) error {
 	if err := checkInto(r, X, out); err != nil {
 		return err
@@ -125,33 +120,21 @@ func PredictBatchIntoCtx(ctx context.Context, r Regressor, X [][]float64, out []
 	if err := ctx.Err(); err != nil {
 		return parallel.Cancelled(err)
 	}
-	seq, hasSeq := r.(seqBatchIntoPredictor)
-	if parallel.Resolve(workers, len(X)) == 1 {
+	if parallel.Resolve(workers, batchBlocks(len(X))) == 1 {
 		done := ctx.Done()
-		for lo := 0; lo < len(X); lo += intoBlock {
+		for lo := 0; lo < len(X); lo += batchBlock {
 			select {
 			case <-done:
 				return parallel.Cancelled(ctx.Err())
 			default:
 			}
-			hi := lo + intoBlock
-			if hi > len(X) {
-				hi = len(X)
-			}
-			if hasSeq {
-				seq.predictBatchIntoSeq(X[lo:hi], out[lo:hi])
-			} else {
-				predictRows(r, X[lo:hi], out[lo:hi])
-			}
+			hi := min(lo+batchBlock, len(X))
+			predictSeq(r, X[lo:hi], out[lo:hi])
 		}
 		return nil
 	}
-	return parallel.ForBlocksCtx(ctx, len(X), workers, 16, func(lo, hi int) {
-		if hasSeq {
-			seq.predictBatchIntoSeq(X[lo:hi], out[lo:hi])
-		} else {
-			predictRows(r, X[lo:hi], out[lo:hi])
-		}
+	return parallel.ForBlocksCtx(ctx, len(X), workers, batchBlock, func(lo, hi int) {
+		predictSeq(r, X[lo:hi], out[lo:hi])
 	})
 }
 

@@ -24,10 +24,17 @@
 //     write into a caller-owned output slice of exactly len(X)
 //     elements and perform zero allocations per call in steady state
 //     with Workers == 1 — single-row scratch (pipeline scaling rows,
-//     stacking meta-features) comes from sync.Pools (GetScratch /
-//     PutScratch). This is the allocation-free path lam-serve feeds
-//     its pooled response buffers through; TestPredictAllocationFree
-//     and the serve-side AllocsPerRun guards enforce it in CI.
+//     stacking meta-features; GetScratch / PutScratch) and the
+//     wrappers' batch blocks come from sync.Pools. This is the
+//     allocation-free path lam-serve feeds its pooled response buffers
+//     through; TestPredictAllocationFree and the serve-side
+//     AllocsPerRun guards enforce it in CI.
+//   - Batch means batch: a row block reaches the tree-major kernel as
+//     a block through every wrapper nesting. Pipeline and Stacking
+//     transform up to batchBlock rows at a time into a pooled block
+//     and hand it to the inner model's batch walk (see
+//     seqBatchIntoPredictor); TestBatchPathMatchesPerRow pins the
+//     result to a per-row Predict loop bit for bit.
 //   - Fitted estimators are immutable: after a successful Fit, Predict
 //     and PredictBatch are safe for unbounded concurrent use, which is
 //     what lets the server hot-swap model versions under live traffic.

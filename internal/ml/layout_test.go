@@ -9,6 +9,49 @@ import (
 // recursive reference walk.
 var exactLayouts = []Layout{LayoutImplicitLeft, LayoutStandard, LayoutLevelOrder}
 
+// batchWalk is one way a compiled ensemble can score a row block.
+type batchWalk struct {
+	name string
+	walk func(X [][]float64, out []float64)
+}
+
+// batchWalks returns every batch walk e's active layout can take: the
+// one PredictBatchInto picks by table size and, for the layouts that
+// have both, the row-major and tree-major walks called directly — so a
+// small fixture exercises the tree-major striding and a large one the
+// row-major fold, with no process-wide state to flip.
+func batchWalks(e *CompiledEnsemble) []batchWalk {
+	walks := []batchWalk{{"dispatch", e.PredictBatchInto}}
+	switch e.layout {
+	case LayoutImplicitLeft, LayoutStandard:
+		walks = append(walks,
+			batchWalk{"row-major", e.predictBatchRowMajor},
+			batchWalk{"tree-major", e.predictBatchTreeMajor})
+	case LayoutQuant16, LayoutQuant8:
+		walks = append(walks, quantBatchWalks(e.qt)...)
+	}
+	return walks
+}
+
+// quantBatchWalks returns q's row-major and tree-major walks, each
+// behind the row quantization predictBatchInto does first.
+func quantBatchWalks(q *quantEnsemble) []batchWalk {
+	over := func(walk func(flat []uint16, out []float64)) func(X [][]float64, out []float64) {
+		return func(X [][]float64, out []float64) {
+			p := q.nFeatures
+			flat := make([]uint16, len(X)*p)
+			for i, x := range X {
+				q.quantizeRow(x, flat[i*p:(i+1)*p])
+			}
+			walk(flat, out[:len(X)])
+		}
+	}
+	return []batchWalk{
+		{"row-major", over(q.predictBatchRowMajor)},
+		{"tree-major", over(q.predictBatchTreeMajor)},
+	}
+}
+
 func TestLayoutParseRoundTrip(t *testing.T) {
 	for _, l := range []Layout{LayoutDefault, LayoutImplicitLeft, LayoutStandard,
 		LayoutLevelOrder, LayoutQuant16, LayoutQuant8} {
@@ -31,11 +74,10 @@ func TestLayoutParseRoundTrip(t *testing.T) {
 // TestCompiledEquivalenceLayouts is the layout extension of
 // TestCompiledEquivalence: across random tree configurations, every
 // exact layout must produce bit-identical predictions to the legacy
-// recursive pointer walk — single vector and batch, on both sides of
-// the tree-major threshold (forced via SetBatchTreeMajorThreshold so
-// small fixtures exercise the tree-major striding too).
+// recursive pointer walk — single vector and batch, through both the
+// row-major and the tree-major walk (called directly, see batchWalks,
+// so small fixtures exercise the tree-major striding too).
 func TestCompiledEquivalenceLayouts(t *testing.T) {
-	defer SetBatchTreeMajorThreshold(0)
 	rng := rand.New(rand.NewSource(0x1a7))
 	for trial := 0; trial < 8; trial++ {
 		n := 30 + rng.Intn(170)
@@ -73,26 +115,21 @@ func TestCompiledEquivalenceLayouts(t *testing.T) {
 			if got := f.compiled.Layout(); got != layout {
 				t.Fatalf("forest layout = %v, want %v", got, layout)
 			}
-			// Both batch strategies: row-major (huge threshold) and
-			// tree-major (threshold 1).
-			for _, thr := range []int{1 << 30, 1} {
-				SetBatchTreeMajorThreshold(thr)
-				if err := f.PredictBatchInto(Xq, out); err != nil {
-					t.Fatal(err)
-				}
+			for _, bw := range batchWalks(f.compiled) {
+				bw.walk(Xq, out)
 				for i, x := range Xq {
 					want := refForestPredict(refs, x)
 					if !sameBits(out[i], want) {
-						t.Fatalf("forest %v thr=%d row %d: %x != recursive %x (cfg %+v)", layout, thr, i, out[i], want, cfg)
+						t.Fatalf("forest %v %s row %d: %x != recursive %x (cfg %+v)", layout, bw.name, i, out[i], want, cfg)
 					}
 				}
-				if err := g.PredictBatchInto(Xq, out); err != nil {
-					t.Fatal(err)
-				}
+			}
+			for _, bw := range batchWalks(g.compiled) {
+				bw.walk(Xq, out)
 				for i, x := range Xq {
 					want := refBoostedPredict(grefs, g.init, g.rate, x)
 					if !sameBits(out[i], want) {
-						t.Fatalf("gbr %v thr=%d row %d: %x != recursive %x", layout, thr, i, out[i], want)
+						t.Fatalf("gbr %v %s row %d: %x != recursive %x", layout, bw.name, i, out[i], want)
 					}
 				}
 			}
@@ -105,51 +142,6 @@ func TestCompiledEquivalenceLayouts(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSetBatchTreeMajorThresholdBoundary pins the satellite contract:
-// the tree-major crossover is tunable at runtime, the two strategies
-// are bit-identical at the boundary, and 0 restores the default.
-func TestSetBatchTreeMajorThresholdBoundary(t *testing.T) {
-	defer SetBatchTreeMajorThreshold(0)
-	rng := rand.New(rand.NewSource(0x7e57))
-	X, y := randomRegression(rng, 300, 4)
-	Xq, _ := randomRegression(rng, 64, 4)
-
-	f := &Forest{NTrees: 12, Tree: TreeConfig{Splitter: RandomSplitter}, Seed: 3, Workers: 1}
-	if err := f.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	nodes := f.compiled.NumNodes()
-
-	rowMajor := make([]float64, len(Xq))
-	treeMajor := make([]float64, len(Xq))
-	// Just above the table size: row-major. At the table size (the
-	// boundary value where n >= threshold first holds): tree-major.
-	SetBatchTreeMajorThreshold(nodes + 1)
-	if got := BatchTreeMajorThreshold(); got != nodes+1 {
-		t.Fatalf("threshold getter = %d, want %d", got, nodes+1)
-	}
-	if err := f.PredictBatchInto(Xq, rowMajor); err != nil {
-		t.Fatal(err)
-	}
-	SetBatchTreeMajorThreshold(nodes)
-	if err := f.PredictBatchInto(Xq, treeMajor); err != nil {
-		t.Fatal(err)
-	}
-	for i := range rowMajor {
-		if !sameBits(rowMajor[i], treeMajor[i]) {
-			t.Fatalf("row %d: row-major %x != tree-major %x", i, rowMajor[i], treeMajor[i])
-		}
-		if want := f.Predict(Xq[i]); !sameBits(rowMajor[i], want) {
-			t.Fatalf("row %d: batch %x != single %x", i, rowMajor[i], want)
-		}
-	}
-
-	SetBatchTreeMajorThreshold(0)
-	if got := BatchTreeMajorThreshold(); got != defaultBatchTreeMajorMinNodes {
-		t.Fatalf("threshold after reset = %d, want default %d", got, defaultBatchTreeMajorMinNodes)
 	}
 }
 
@@ -256,7 +248,6 @@ func TestLayoutPredictAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	defer SetBatchTreeMajorThreshold(0)
 	rng := rand.New(rand.NewSource(0xa110c))
 	X, y := randomRegression(rng, 200, 4)
 	Xq, _ := randomRegression(rng, 50, 4)
@@ -271,18 +262,31 @@ func TestLayoutPredictAllocationFree(t *testing.T) {
 		if err := SetLayoutOf(f, layout); err != nil {
 			t.Fatal(err)
 		}
-		for _, thr := range []int{1 << 30, 1} {
-			SetBatchTreeMajorThreshold(thr)
-			x := Xq[0]
-			if allocs := testing.AllocsPerRun(100, func() { f.Predict(x) }); allocs != 0 {
-				t.Errorf("%v: Predict allocates %.1f per call, want 0", layout, allocs)
+		x := Xq[0]
+		if allocs := testing.AllocsPerRun(100, func() { f.Predict(x) }); allocs != 0 {
+			t.Errorf("%v: Predict allocates %.1f per call, want 0", layout, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if err := f.PredictBatchInto(Xq, out); err != nil {
+				t.Fatal(err)
 			}
-			if allocs := testing.AllocsPerRun(50, func() {
-				if err := f.PredictBatchInto(Xq, out); err != nil {
-					t.Fatal(err)
-				}
-			}); allocs != 0 {
-				t.Errorf("%v thr=%d: PredictBatchInto allocates %.1f per batch, want 0", layout, thr, allocs)
+		}); allocs != 0 {
+			t.Errorf("%v: PredictBatchInto allocates %.1f per batch, want 0", layout, allocs)
+		}
+		walks := batchWalks(f.compiled)
+		if q := f.compiled.qt; q != nil {
+			// The quantized walks score a pre-quantized block; the
+			// pooled quantization in front of them is covered by
+			// "dispatch".
+			flat := make([]uint16, len(Xq)*q.nFeatures)
+			walks = []batchWalk{walks[0],
+				{"row-major", func(_ [][]float64, out []float64) { q.predictBatchRowMajor(flat, out) }},
+				{"tree-major", func(_ [][]float64, out []float64) { q.predictBatchTreeMajor(flat, out) }},
+			}
+		}
+		for _, bw := range walks {
+			if allocs := testing.AllocsPerRun(50, func() { bw.walk(Xq, out) }); allocs != 0 {
+				t.Errorf("%v %s: batch walk allocates %.1f per batch, want 0", layout, bw.name, allocs)
 			}
 		}
 	}

@@ -62,25 +62,43 @@ func checkInto(r Regressor, X [][]float64, out []float64) error {
 	return nil
 }
 
-// seqBatchIntoPredictor is the internal fast-path contract of the
-// compiled inference plane: score a validated row block into out
-// sequentially (no pool dispatch, no allocation), using the
-// estimator's best batch walk — the fused node table for tree
-// ensembles, a reused scratch row for pipelines. The generic batch
-// cores below dispatch through it per block, so every layer that
-// funnels into them (registry, serve, the experiment sweeps) gets the
-// compiled walk without per-call-site wiring; the caller's workers
-// argument still governs parallelism.
+// seqBatchIntoPredictor is the one batch contract of the compiled
+// inference plane: score a validated row block into out sequentially
+// (no pool dispatch, no allocation), using the estimator's best batch
+// walk — the fused node table's tree-major kernel for tree ensembles;
+// for the wrappers (Pipeline, Stacking) a block → block transform into
+// a pooled rowBlock that is handed to the inner model's own
+// predictBatchIntoSeq, so every nesting reaches the kernel. The generic
+// batch cores below dispatch through it per block, so every layer that
+// funnels into them (registry, serve, hybrid, the experiment sweeps)
+// gets the compiled walk without per-call-site wiring; the caller's
+// workers argument still governs parallelism. Implementations must
+// never call back into the generic cores, so dispatch cannot recurse.
 type seqBatchIntoPredictor interface {
 	predictBatchIntoSeq(X [][]float64, out []float64)
 }
+
+// batchBlock is the one block size of the batch path: the rows a
+// wrapper transforms into its pooled rowBlock at a time, the rows
+// between context polls, and the unit the batch cores deal to workers.
+// It is sized for the tree-major kernel, which re-reads one tree's
+// nodes for every row of the block: on a table far past the cache, 16-
+// row blocks cost 1.4x a 256-row block's time per row and a 512-row
+// block 0.9x; on an L2-resident table the size stops mattering from 64
+// rows (EXPERIMENTS.md § Batch budget). 256 keeps the pooled block and
+// the cancellation latency small and still lets a 512-row request use
+// two workers.
+const batchBlock = 256
+
+// batchBlocks returns how many batchBlock-row blocks cover n rows.
+func batchBlocks(n int) int { return (n + batchBlock - 1) / batchBlock }
 
 // PredictBatchInto applies r to every row of X, writing the results
 // into out (which must have len(X) elements) instead of allocating:
 // the serve-grade batch path. With workers == 1 and an estimator from
 // this package the call performs zero allocations in steady state —
 // compiled tree walks are allocation-free and the scaler/stacking
-// layers draw scratch from sync.Pools.
+// layers draw their blocks from sync.Pools.
 func PredictBatchInto(r Regressor, X [][]float64, out []float64, workers int) error {
 	if err := checkInto(r, X, out); err != nil {
 		return err
@@ -90,30 +108,32 @@ func PredictBatchInto(r Regressor, X [][]float64, out []float64, workers int) er
 }
 
 // predictBatchInto is the shared validated core of the Into batch
-// paths. The sequential case has no closure and no pool dispatch, so
-// it is provably allocation-free.
+// paths. Workers are resolved over the number of blocks, so anything
+// up to one block is scored inline on the caller's goroutine; that
+// case has no closure and no pool dispatch, so it is provably
+// allocation-free.
 func predictBatchInto(r Regressor, X [][]float64, out []float64, workers int) {
-	seq, hasSeq := r.(seqBatchIntoPredictor)
-	if parallel.Resolve(workers, len(X)) == 1 {
-		if hasSeq {
-			seq.predictBatchIntoSeq(X, out)
-			return
-		}
-		predictRows(r, X, out)
+	if parallel.Resolve(workers, batchBlocks(len(X))) == 1 {
+		predictSeq(r, X, out)
 		return
 	}
-	parallel.ForBlocks(len(X), workers, 16, func(lo, hi int) {
-		if hasSeq {
-			seq.predictBatchIntoSeq(X[lo:hi], out[lo:hi])
-		} else {
-			predictRows(r, X[lo:hi], out[lo:hi])
-		}
+	parallel.ForBlocks(len(X), workers, batchBlock, func(lo, hi int) {
+		predictSeq(r, X[lo:hi], out[lo:hi])
 	})
 }
 
-// predictRows is the plain per-row fallback for regressors without a
-// compiled batch walk. Implementations of seqBatchIntoPredictor must
-// never call back into the generic cores, so dispatch cannot recurse.
+// predictSeq scores a validated row block sequentially through r's
+// batch walk, or row by row for regressors without one (KNN, linear
+// regression, foreign implementations).
+func predictSeq(r Regressor, X [][]float64, out []float64) {
+	if seq, ok := r.(seqBatchIntoPredictor); ok {
+		seq.predictBatchIntoSeq(X, out)
+		return
+	}
+	predictRows(r, X, out)
+}
+
+// predictRows is the plain per-row loop.
 func predictRows(r Regressor, X [][]float64, out []float64) {
 	for i, x := range X {
 		out[i] = r.Predict(x)

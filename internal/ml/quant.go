@@ -232,6 +232,11 @@ func quantWalk[T uint8 | uint16](feature []int16, qthr []T, next []uint16, leafV
 	}
 }
 
+// hotLanes is the number of walks the quantized kernels step in
+// lockstep (trees for one row, rows for one tree), so that many
+// dependent loads stay in flight.
+const hotLanes = 4
+
 // predictQuantized folds the member trees over one quantized row,
 // hotLanes trees at a time (same latency-hiding interleave as
 // predictHotInterleaved; leaf values still fold in tree order).
@@ -307,8 +312,8 @@ func (q *quantEnsemble) predict(x []float64) float64 {
 }
 
 // predictBatchInto scores a row block. Rows are quantized once into a
-// pooled flat buffer; above the tree-major threshold the outer loop
-// walks trees so the (already small) quantized table's hot span stays
+// pooled flat buffer; from the tree-major cutoff the outer loop walks
+// trees so the (already small) quantized table's hot span stays
 // resident across the whole block.
 func (q *quantEnsemble) predictBatchInto(X [][]float64, out []float64) {
 	p := q.nFeatures
@@ -317,13 +322,27 @@ func (q *quantEnsemble) predictBatchInto(X [][]float64, out []float64) {
 	for i, x := range X {
 		q.quantizeRow(x, flat[i*p:(i+1)*p])
 	}
-	if int64(len(q.feature)) < batchTreeMajorMinNodes.Load() {
-		for i := range X {
-			out[i] = q.predictQuantized(flat[i*p : (i+1)*p])
-		}
-		putScratchU16(qp)
-		return
+	if len(q.feature) < batchTreeMajorMinNodes {
+		q.predictBatchRowMajor(flat, out)
+	} else {
+		q.predictBatchTreeMajor(flat, out)
 	}
+	putScratchU16(qp)
+}
+
+// predictBatchRowMajor folds the whole ensemble per quantized row of
+// the flat block.
+func (q *quantEnsemble) predictBatchRowMajor(flat []uint16, out []float64) {
+	p := q.nFeatures
+	for i := range out {
+		out[i] = q.predictQuantized(flat[i*p : (i+1)*p])
+	}
+}
+
+// predictBatchTreeMajor walks every tree over all quantized rows of
+// the flat block before the next tree starts.
+func (q *quantEnsemble) predictBatchTreeMajor(flat []uint16, out []float64) {
+	p := q.nFeatures
 	if q.combine == combineBoosted {
 		for i := range out {
 			out[i] = q.init
@@ -353,7 +372,6 @@ func (q *quantEnsemble) predictBatchInto(X [][]float64, out []float64) {
 			out[i] /= n
 		}
 	}
-	putScratchU16(qp)
 }
 
 // quantTreeRows accumulates one quantized tree's scaled leaf values

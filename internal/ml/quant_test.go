@@ -90,10 +90,9 @@ func safeRow(e *CompiledEnsemble, q *quantEnsemble, x []float64) bool {
 
 // TestQuantizedMatchesReference pins the quantized table against the
 // recursive integer-compare reference, bit for bit, across both widths
-// and both combine modes, single and batch, on both sides of the
-// tree-major threshold.
+// and both combine modes, single and batch, through both the row-major
+// and the tree-major walk.
 func TestQuantizedMatchesReference(t *testing.T) {
-	defer SetBatchTreeMajorThreshold(0)
 	rng := rand.New(rand.NewSource(0x9a17))
 	for trial := 0; trial < 6; trial++ {
 		n := 40 + rng.Intn(160)
@@ -126,15 +125,17 @@ func TestQuantizedMatchesReference(t *testing.T) {
 					t.Fatalf("%s: Bits() = %d, want %d", src.name, qm.Bits(), bits)
 				}
 				out := make([]float64, len(Xq))
-				for _, thr := range []int{1 << 30, 1} {
-					SetBatchTreeMajorThreshold(thr)
-					if err := qm.PredictBatchInto(Xq, out); err != nil {
+				walks := append([]batchWalk{{"dispatch", func(X [][]float64, out []float64) {
+					if err := qm.PredictBatchInto(X, out); err != nil {
 						t.Fatal(err)
 					}
+				}}}, quantBatchWalks(qm.q)...)
+				for _, bw := range walks {
+					bw.walk(Xq, out)
 					for i, x := range Xq {
 						want := refQuantPredict(src.e, qm.q, x)
 						if !sameBits(out[i], want) {
-							t.Fatalf("%s/%d thr=%d row %d: batch %x != reference %x", src.name, bits, thr, i, out[i], want)
+							t.Fatalf("%s/%d %s row %d: batch %x != reference %x", src.name, bits, bw.name, i, out[i], want)
 						}
 						if got := qm.Predict(x); !sameBits(got, want) {
 							t.Fatalf("%s/%d row %d: single %x != reference %x", src.name, bits, i, got, want)

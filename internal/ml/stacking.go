@@ -207,7 +207,34 @@ func (s *Stacking) PredictBatchInto(X [][]float64, out []float64) error {
 }
 
 // predictBatchIntoSeq implements the compiled plane's sequential block
-// contract; the per-row pooled meta vector is the whole state.
+// contract as a block → block transform: up to batchBlock rows at a
+// time, the pooled meta block (the layout assemble produced at fit
+// time) is filled column by column from each base model's batch walk,
+// then batch-scored by the meta model. Every base and the meta model
+// see the rows Predict would have shown them, so the result is
+// bit-identical to a per-row loop.
 func (s *Stacking) predictBatchIntoSeq(X [][]float64, out []float64) {
-	predictRows(s, X, out)
+	skip := 0
+	if s.PassThrough && len(X) > 0 {
+		skip = len(X[0])
+	}
+	for lo := 0; lo < len(X); lo += batchBlock {
+		hi := min(lo+batchBlock, len(X))
+		rows, col := X[lo:hi], out[lo:hi]
+		blk := getRowBlock(len(rows), skip+len(s.bases))
+		for i, x := range rows {
+			copy(blk.rows[i], x[:skip])
+		}
+		// out's own block is the column scratch: the meta walk
+		// overwrites it last, after every base column has been copied
+		// out of it.
+		for b, base := range s.bases {
+			predictSeq(base, rows, col)
+			for i, v := range col {
+				blk.rows[i][skip+b] = v
+			}
+		}
+		predictSeq(s.meta, blk.rows, col)
+		putRowBlock(blk)
+	}
 }

@@ -55,12 +55,3 @@ func LayoutOf(r Regressor) (Layout, bool) { return ml.LayoutOf(r) }
 // refitted; publish it as a new artifact version, never over the exact
 // model. The source model is not modified.
 func Quantize(r Regressor, bits int) (Regressor, error) { return ml.Quantize(r, bits) }
-
-// SetBatchTreeMajorThreshold retunes the node-count threshold above
-// which batch prediction switches from row-major to tree-major
-// traversal. n < 1 restores the built-in default (4096). The switch is
-// bit-identical either way; this is purely a cache-behaviour knob.
-func SetBatchTreeMajorThreshold(n int) { ml.SetBatchTreeMajorThreshold(n) }
-
-// BatchTreeMajorThreshold returns the current switchover threshold.
-func BatchTreeMajorThreshold() int { return ml.BatchTreeMajorThreshold() }

@@ -6,18 +6,11 @@
 //
 //	lam-bench [-fig all|fig3a|fig3b|fig5|fig6|fig7|fig8]
 //	          [-machine bluewaters|xeon|edge] [-seed N] [-reps N] [-trees N]
-//	          [-workers N] [-layout implicit-left] [-json]
+//	          [-workers N] [-json]
 //
 // -workers bounds the worker pool used for ensemble fitting and the
 // per-figure sweeps (0 = GOMAXPROCS, 1 = fully sequential); results
 // are bit-identical for every value.
-//
-// -layout sets the process-default tree-traversal layout every
-// compiled ensemble adopts (see the README's layout table). The exact
-// layouts — implicit-left, standard, level-order — leave every MAPE
-// series bit-identical and only move wall-clock time; the quantized
-// layouts (quant16, quant8) perturb predictions within the
-// quantization bound and exist here to measure that trade.
 //
 // -json replaces the text tables with one machine-readable JSON
 // document on stdout: run parameters plus, per benchmark, the
@@ -55,7 +48,6 @@ type jsonReport struct {
 	Reps       int             `json:"reps"`
 	Trees      int             `json:"trees"`
 	Workers    int             `json:"workers"`
-	Layout     string          `json:"layout,omitempty"`
 	GoMaxProcs int             `json:"gomaxprocs"`
 	Benchmarks []jsonBenchmark `json:"benchmarks"`
 }
@@ -100,7 +92,6 @@ func main() {
 	trees := flag.Int("trees", 100, "ensemble size for tree models")
 	workers := flag.Int("workers", 0, "worker pool size for parallel fitting and sweeps (0 = GOMAXPROCS, 1 = sequential)")
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON document (per-benchmark ns/op + MAPE series) instead of text tables")
-	layoutFlag := flag.String("layout", "", "traversal layout for every compiled ensemble: default, implicit-left (branchless), standard, level-order, quant16, quant8 (exact layouts leave MAPE bit-identical)")
 	flag.Parse()
 
 	// ^C / SIGTERM cancel the context; the sweeps notice at the next
@@ -109,13 +100,6 @@ func main() {
 	defer stop()
 
 	lam.SetWorkers(*workers)
-	if *layoutFlag != "" {
-		layout, err := lam.ParseLayout(*layoutFlag)
-		if err != nil {
-			fatal(err)
-		}
-		lam.SetDefaultLayout(layout)
-	}
 	m, err := lam.MachineByName(*machineName)
 	if err != nil {
 		fatal(err)
@@ -134,7 +118,6 @@ func main() {
 		rep := jsonReport{
 			Schema: "lam-bench/v1", Machine: *machineName, Seed: *seed,
 			Reps: *reps, Trees: *trees, Workers: lam.Workers(),
-			Layout:     lam.DefaultLayout().String(),
 			GoMaxProcs: runtime.GOMAXPROCS(0),
 		}
 		for _, id := range ids {

@@ -6,13 +6,12 @@
 //	lam-model info     -registry ./models -name grid-hybrid [-version 3] [-json]
 //	lam-model convert  -registry ./models -name grid-hybrid [-version 3] -to lamb1
 //	lam-model convert  -registry ./models -name grid-hybrid -all -to jsonv1
-//	lam-model quantize -registry ./models -name grid-hybrid [-version 3] [-bits 8]
 //
 // info decodes one stored version and prints its artifact format,
-// payload kind, estimator structure, tree/node counts, node layout and
-// quantization mode, encoded size and (for lamb1) the CRC32-C trailer
-// checksum, alongside the registry metadata. -json emits the same as
-// one JSON object for scripting.
+// payload kind, estimator structure, tree/node counts, node layout,
+// encoded size and (for lamb1) the CRC32-C trailer checksum, alongside
+// the registry metadata. -json emits the same as one JSON object for
+// scripting.
 //
 // convert re-encodes a version in place in the named format (lamb1 or
 // jsonv1) — predictions are bit-identical across formats, so this is
@@ -20,12 +19,6 @@
 // before the old one is removed, and a reader mid-convert still loads a
 // consistent version. Converting to the format a version already uses
 // is a no-op. -all converts every version of the name.
-//
-// quantize loads a tree-based version, quantizes its node table to
-// -bits (16 or 8) wide integer thresholds (~3.5-4x smaller, approximate
-// within one quantization step per split — see the README), and
-// publishes the result as a NEW version of the same name. The exact
-// source version is never modified or replaced.
 package main
 
 import (
@@ -47,8 +40,6 @@ func main() {
 		runInfo(os.Args[2:])
 	case "convert":
 		runConvert(os.Args[2:])
-	case "quantize":
-		runQuantize(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 	default:
@@ -61,12 +52,9 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   lam-model info     -registry DIR -name NAME [-version N] [-json]
   lam-model convert  -registry DIR -name NAME [-version N | -all] -to FORMAT
-  lam-model quantize -registry DIR -name NAME [-version N] [-bits 16|8]
 
 Formats: %s (default for new saves), %s (legacy JSON).
 -version 0 (the default) means the latest version.
-quantize publishes the quantized model as a NEW version of NAME (the
-exact source version is left untouched — quantization is approximate).
 `, lam.FormatLAMB1, lam.FormatJSONV1)
 	os.Exit(2)
 }
@@ -124,9 +112,6 @@ func runInfo(args []string) {
 	if info.NodeLayout != "" {
 		fmt.Printf("  layout:     %s\n", info.NodeLayout)
 	}
-	if info.Quant != "" {
-		fmt.Printf("  quant:      %s\n", info.Quant)
-	}
 	fmt.Printf("  size:       %d bytes\n", info.SizeBytes)
 	if info.CRC32 != 0 {
 		fmt.Printf("  crc32c:     %08x\n", info.CRC32)
@@ -183,46 +168,6 @@ func runConvert(args []string) {
 		}
 		fmt.Printf("%s v%d: %s\n", meta.Name, meta.Version, meta.Format)
 	}
-}
-
-func runQuantize(args []string) {
-	fs := flag.NewFlagSet("lam-model quantize", flag.ExitOnError)
-	regDir, name, version := openArgs(fs)
-	bits := fs.Int("bits", 16, "quantized threshold width: 16 or 8")
-	fs.Parse(args)
-
-	reg := openRegistry(*regDir, *name)
-	src, err := reg.Load(*name, *version)
-	if err != nil {
-		fatal(err)
-	}
-	// Carry the source metadata; save allocates the next version and
-	// stamps kind/format/timestamp itself. The source version is never
-	// touched: quantized predictions approximate the exact ones, so the
-	// result is always published as a new version.
-	meta := src.Meta
-	var out lam.ModelMeta
-	if hy := src.Hybrid(); hy != nil {
-		qm, err := hy.Quantize(*bits)
-		if err != nil {
-			fatal(err)
-		}
-		out, err = reg.SaveHybrid(qm, meta)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		q, err := lam.Quantize(src.Regressor(), *bits)
-		if err != nil {
-			fatal(err)
-		}
-		out, err = reg.SaveRegressor(q, meta)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Printf("%s v%d: quant%d (from v%d; recorded test MAPE is the exact model's)\n",
-		out.Name, out.Version, *bits, src.Meta.Version)
 }
 
 func fatal(err error) {

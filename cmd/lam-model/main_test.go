@@ -1,0 +1,100 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"lam/internal/ml"
+	"lam/internal/registry"
+)
+
+// TestMain lets the tests run this binary as lam-model itself: with
+// LAM_MODEL_TEST_CLI=1 the test binary runs main() on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("LAM_MODEL_TEST_CLI") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+func runCLI(t *testing.T, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "LAM_MODEL_TEST_CLI=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var ee *exec.ExitError
+	switch {
+	case errors.As(err, &ee):
+		exit = ee.ExitCode()
+	case err != nil:
+		t.Fatal(err)
+	}
+	return out.String(), errb.String(), exit
+}
+
+// TestInfoRefusesRetiredQuant: `lam-model info` on a retired quantised
+// version prints the refusal and exits non-zero; the exact source
+// version beside it still inspects.
+func TestInfoRefusesRetiredQuant(t *testing.T) {
+	X := make([][]float64, 60)
+	y := make([]float64, 60)
+	for i := range X {
+		X[i] = []float64{float64(i % 11), float64(i % 4), float64(i % 3)}
+		y[i] = X[i][0] + X[i][1] - X[i][2]
+	}
+	f := ml.NewExtraTrees(3, 1)
+	if err := f.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	reg, err := registry.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.SaveRegressor(f, registry.Meta{Name: "m"}); err != nil {
+		t.Fatal(err)
+	}
+	quant, err := os.ReadFile(filepath.Join("..", "..", "internal", "artifact", "testdata", "retired_quant16_forest.lamb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := filepath.Join(dir, "m", "v0002")
+	if err := os.MkdirAll(v2, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := json.Marshal(registry.Meta{Name: "m", Version: 2, Kind: registry.KindRegressor, Format: "lamb1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(v2, "meta.json"), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(v2, "model.lamb"), quant, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, stderr, exit := runCLI(t, "info", "-registry", dir, "-name", "m")
+	if exit == 0 {
+		t.Fatal("info on a retired quantised version exited 0")
+	}
+	if !strings.Contains(stderr, "quantized") || !strings.Contains(stderr, "re-publish") {
+		t.Fatalf("stderr %q does not name quantisation and the remedy", stderr)
+	}
+
+	stdout, stderr, exit := runCLI(t, "info", "-registry", dir, "-name", "m", "-version", "1")
+	if exit != 0 {
+		t.Fatalf("info on the exact version exited %d: %s", exit, stderr)
+	}
+	if !strings.Contains(stdout, "implicit-left") {
+		t.Fatalf("exact version's info lacks its node layout:\n%s", stdout)
+	}
+}

@@ -9,7 +9,7 @@
 //	         [-max-batch 32]
 //	         [-max-inflight 0] [-queue 64]
 //	         [-warm name1,name2] [-inject-latency 0]
-//	         [-layout implicit-left] [-pprof localhost:6060]
+//	         [-pprof localhost:6060]
 //	         [-online] [-window 512] [-drift-threshold 1.5]
 //	         [-min-samples 64] [-holdout 0.25]
 //	         [-rollout] [-rollout-stages 0.01,0.10,0.50,1.0]
@@ -22,13 +22,10 @@
 // scored as one compiled-plane batch (bit identical to unbatched
 // scoring; a request that finds its model idle is scored at once; <= 1
 // disables); -max-inflight/-queue bound concurrency and shed overload
-// with 429 + Retry-After (0 disables admission control); -layout picks
-// the tree-traversal layout applied to every loaded model (exact
-// layouts are bit-identical, quantized ones trade bounded accuracy for
-// a ~4x smaller table); -pprof exposes net/http/pprof on a separate
-// listener for CPU/heap profiling under load. See the README's
-// "Capacity planning & tuning" section and cmd/lam-loadgen for
-// measuring the effect.
+// with 429 + Retry-After (0 disables admission control); -pprof exposes
+// net/http/pprof on a separate listener for CPU/heap profiling under
+// load. See the README's "Capacity planning & tuning" section and
+// cmd/lam-loadgen for measuring the effect.
 //
 // Endpoints:
 //
@@ -150,7 +147,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "bound on concurrently served /predict requests (0 disables admission control)")
 	queueLen := flag.Int("queue", 64, "requests allowed to wait for an in-flight slot beyond -max-inflight; a full queue sheds with 429")
 	warm := flag.String("warm", "", "comma-separated model names to preload; GET /readyz reports 503 until all are resident (fleet readiness gate)")
-	layoutFlag := flag.String("layout", "", "traversal layout applied to every loaded model: default, implicit-left (branchless), standard, level-order, quant16, quant8 (quantized layouts are approximate; see README)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	injectLatency := flag.Duration("inject-latency", 0, "fault injection: sleep this long inside every /predict while holding its admission slot (fleet/capacity testing only; 0 = off)")
 	onlineOn := flag.Bool("online", false, "enable the online adaptation plane (/observe ingest, drift detection, background retrain, hot swap)")
@@ -202,14 +198,6 @@ func main() {
 	s.Log = lg
 	s.Tracer.Slow = *traceSlow
 	s.Tracer.Logger = lg
-	if *layoutFlag != "" {
-		layout, err := lam.ParseLayout(*layoutFlag)
-		if err != nil {
-			fatal(err)
-		}
-		s.Layout = layout
-		lg.Info("traversal layout set", "layout", layout.String())
-	}
 	s.Coalesce = serve.CoalesceConfig{MaxBatch: *maxBatch}
 	s.Admit = serve.AdmitConfig{MaxInflight: *maxInflight, Queue: *queueLen}
 	if s.Coalesce.MaxBatch > 1 {

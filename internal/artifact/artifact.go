@@ -144,9 +144,6 @@ type Info struct {
 	// "explicit-children" for version-1 and jsonv1 artifacts. Empty for
 	// non-tree estimators.
 	NodeLayout string `json:"node_layout,omitempty"`
-	// Quant is the quantization mode ("quant16" / "quant8") when the
-	// payload is a quantized node table, empty for exact models.
-	Quant string `json:"quant,omitempty"`
 	// SizeBytes is the artifact's total encoded size.
 	SizeBytes int `json:"size_bytes"`
 	// CRC32 is the lamb1 trailer checksum (Castagnoli), zero for
@@ -173,7 +170,6 @@ func Inspect(data []byte, opts DecodeOptions) (Info, *Payload, error) {
 		Estimator: stats.Kind,
 		Trees:     stats.Trees,
 		Nodes:     stats.Nodes,
-		Quant:     stats.Quant,
 		SizeBytes: len(data),
 	}
 	if stats.Trees > 0 {

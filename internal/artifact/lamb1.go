@@ -35,10 +35,10 @@ var lamb1Magic = [8]byte{'L', 'A', 'M', 'B', '1', '\r', '\n', 0}
 const (
 	// lamb1Version1 payloads carry explicit left-child arrays in every
 	// tree body; lamb1Version2 drops them (the canonical layout makes
-	// left implicit, shrinking tree bodies 25%) and adds the quantized
-	// model kind. The header version equals the ml binary payload
-	// version, so decode threads it straight down. New artifacts are
-	// written at lamb1VersionLatest; both versions decode forever.
+	// left implicit, shrinking tree bodies 25%). The header version
+	// equals the ml binary payload version, so decode threads it
+	// straight down. New artifacts are written at lamb1VersionLatest;
+	// both versions decode forever.
 	lamb1Version1      = 1
 	lamb1VersionLatest = ml.BinaryVersionLatest
 	lamb1HeaderLen     = 24

@@ -1,9 +1,9 @@
 package artifact
 
 import (
-	"encoding/binary"
-	"hash/crc32"
-	"math"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lam/internal/hybrid"
@@ -13,100 +13,82 @@ import (
 // Version-1 decode regression: artifacts written before the implicit-left
 // node layout (PR 8) carry explicit left-child arrays in every tree body
 // and a version-1 lamb1 header. Those files must keep decoding forever,
-// bit-identically. The encoder half of version 1 survives as
-// ml.AppendBinaryVersion, so the tests build real v1 artifacts rather
-// than pinning opaque byte fixtures.
+// bit-identically. The version-1 writer is gone from the code base; the
+// bytes it wrote for each fixture are committed under
+// testdata/lamb1_v1_*.lamb (written by the last build that had it, PR 23)
+// and are the compatibility contract.
 
-// encodeLamb1V1 assembles a lamb1 version-1 artifact: v1 header, v1
-// payload (explicit left arrays), CRC trailer — exactly what a pre-PR 8
-// build wrote.
-func encodeLamb1V1(t testing.TB, p *Payload) []byte {
+func readV1Fixture(t testing.TB, name string) []byte {
 	t.Helper()
-	buf := make([]byte, lamb1HeaderLen)
-	copy(buf, lamb1Magic[:])
-	var kind uint32
-	var err error
-	if p.Hybrid != nil {
-		kind = lamb1KindHybrid
-		// The v1 hybrid payload is the same fixed 32-byte coupling
-		// header followed by a v1 ML section.
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(hybridMode(p.Hybrid))))
-		var agg uint64
-		if hybridAggregate(p.Hybrid) {
-			agg = 1
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, agg)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(hybridAggregateWeight(p.Hybrid)))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Hybrid.NumFeatures()))
-		buf, err = ml.AppendBinaryVersion(buf, p.Hybrid.ML(), ml.BinaryVersion1)
-	} else {
-		kind = lamb1KindRegressor
-		buf, err = ml.AppendBinaryVersion(buf, p.Regressor, ml.BinaryVersion1)
-	}
+	data, err := os.ReadFile(filepath.Join("testdata", "lamb1_v1_"+name+".lamb"))
 	if err != nil {
-		t.Fatalf("v1 encode: %v", err)
+		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(buf[8:12], lamb1Version1)
-	binary.LittleEndian.PutUint32(buf[12:16], kind)
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(len(buf)-lamb1HeaderLen))
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+	if v := lamb1FormatVersion(data); v != lamb1Version1 {
+		t.Fatalf("%s: fixture header says version %d, want %d", name, v, lamb1Version1)
+	}
+	return data
 }
 
-func hybridMode(m *hybrid.Model) hybrid.Mode { return m.Config().Mode }
-func hybridAggregate(m *hybrid.Model) bool   { return m.Config().Aggregate }
-func hybridAggregateWeight(m *hybrid.Model) float64 {
-	return m.Config().AggregateWeight
-}
-
-// TestLamb1V1Decode checks every tree-carrying fixture decodes from a
-// version-1 artifact bit-identically, and that Inspect reports the
-// legacy explicit-children node layout for it.
+// TestLamb1V1Decode checks every fixture's committed version-1 artifact
+// decodes to the predictions pinned beside the jsonv1 goldens and to a
+// fresh fit's, bit for bit, and that Inspect reports the legacy
+// explicit-children node layout for it.
 func TestLamb1V1Decode(t *testing.T) {
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			reg, probe := fitFixture(t, fx.build)
-			p := &Payload{Regressor: reg}
-			want := predict(t, p, probe)
+			rawPred, err := os.ReadFile(filepath.Join("testdata", "golden_"+fx.name+".pred.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want goldenPredictions
+			if err := json.Unmarshal(rawPred, &want); err != nil {
+				t.Fatal(err)
+			}
 
-			data := encodeLamb1V1(t, p)
-			info, decoded, err := Inspect(data, DecodeOptions{})
+			info, decoded, err := Inspect(readV1Fixture(t, fx.name), DecodeOptions{})
 			if err != nil {
 				t.Fatalf("v1 Inspect: %v", err)
 			}
-			requireBitIdentical(t, "lamb1-v1", want, predict(t, decoded, probe))
+			requireBitIdentical(t, "lamb1-v1 vs golden", want.Pred, predict(t, decoded, want.X))
+			reg, probe := fitFixture(t, fx.build)
+			requireBitIdentical(t, "lamb1-v1 vs fresh fit",
+				predict(t, &Payload{Regressor: reg}, probe), predict(t, decoded, probe))
 			if info.Format != FormatLAMB1 {
 				t.Fatalf("format %q, want lamb1", info.Format)
 			}
 			if info.Trees > 0 && info.NodeLayout != "explicit-children" {
 				t.Fatalf("v1 node layout %q, want explicit-children", info.NodeLayout)
 			}
-			if info.Quant != "" {
-				t.Fatalf("v1 quant %q, want empty", info.Quant)
-			}
 		})
 	}
 }
 
-// TestLamb1V1DecodeHybrid is the same regression for a hybrid payload.
-func TestLamb1V1DecodeHybrid(t *testing.T) {
-	m, probe := fitHybrid(t, hybrid.Config{Seed: 1, Mode: hybrid.ResidualMode})
-	p := &Payload{Hybrid: m}
-	want := predict(t, p, probe)
+// v1HybridML is the ML component of the committed version-1 hybrid
+// fixture: small, so the fixture is a few kilobytes.
+func v1HybridML() ml.Regressor { return &ml.Pipeline{Model: ml.NewExtraTrees(6, 1)} }
 
-	data := encodeLamb1V1(t, p)
-	decoded, err := lamb1Codec{}.Decode(data, DecodeOptions{Analytical: testAM})
+// TestLamb1V1DecodeHybrid is the same regression for a hybrid payload
+// (residual coupling, so the header's mode word is non-zero).
+func TestLamb1V1DecodeHybrid(t *testing.T) {
+	m, probe := fitHybrid(t, hybrid.Config{Seed: 1, Mode: hybrid.ResidualMode, NewML: v1HybridML})
+	want := predict(t, &Payload{Hybrid: m}, probe)
+
+	decoded, err := lamb1Codec{}.Decode(readV1Fixture(t, "hybrid"), DecodeOptions{Analytical: testAM})
 	if err != nil {
 		t.Fatalf("v1 hybrid decode: %v", err)
+	}
+	if got := decoded.Hybrid.Config().Mode; got != hybrid.ResidualMode {
+		t.Fatalf("v1 hybrid mode %v, want residual", got)
 	}
 	requireBitIdentical(t, "lamb1-v1-hybrid", want, predict(t, decoded, probe))
 }
 
 // TestLamb1VersionReporting pins the header versions and the Inspect
-// layout/quant fields across the format generations: new artifacts are
-// v2 implicit-left; quantized payloads surface their mode; jsonv1 stays
-// explicit-children.
+// node-layout field across the format generations: new artifacts are
+// v2 implicit-left; jsonv1 stays explicit-children.
 func TestLamb1VersionReporting(t *testing.T) {
-	reg, probe := fitFixture(t, fixtures[1].build) // forest
+	reg, _ := fitFixture(t, fixtures[1].build) // forest
 	p := &Payload{Regressor: reg}
 
 	data := encode(t, lamb1Codec{}, p)
@@ -128,28 +110,5 @@ func TestLamb1VersionReporting(t *testing.T) {
 	}
 	if jinfo.NodeLayout != "explicit-children" {
 		t.Fatalf("jsonv1 node layout %q, want explicit-children", jinfo.NodeLayout)
-	}
-
-	qreg, err := ml.Quantize(reg, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qp := &Payload{Regressor: qreg}
-	qdata := encode(t, lamb1Codec{}, qp)
-	qinfo, qdecoded, err := Inspect(qdata, DecodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qinfo.Quant != "quant16" {
-		t.Fatalf("quant %q, want quant16", qinfo.Quant)
-	}
-	if qinfo.NodeLayout != "implicit-left" {
-		t.Fatalf("quant node layout %q, want implicit-left", qinfo.NodeLayout)
-	}
-	requireBitIdentical(t, "quant-roundtrip", predict(t, qp, probe), predict(t, qdecoded, probe))
-
-	// A quantized payload cannot be downgraded to version 1.
-	if _, err := ml.AppendBinaryVersion(nil, qreg, ml.BinaryVersion1); err == nil {
-		t.Fatal("v1 encode of a quantized model succeeded, want error")
 	}
 }

@@ -45,9 +45,9 @@ func smallML() ml.Regressor {
 
 // TestBatchPathMatchesPerRow is the differential test of the hybrid's
 // block path: for every coupling mode, with and without the aggregate,
-// under every exact layout, batch size and worker count,
-// PredictBatchIntoCtx writes exactly — math.Float64bits — what a
-// per-row Predict loop returns, with and without a cancellable context.
+// under every batch size and worker count, PredictBatchIntoCtx writes
+// exactly — math.Float64bits — what a per-row Predict loop returns,
+// with and without a cancellable context.
 func TestBatchPathMatchesPerRow(t *testing.T) {
 	train, am := syntheticWorkload(300, 11)
 	rng := rand.New(rand.NewSource(12))
@@ -62,28 +62,23 @@ func TestBatchPathMatchesPerRow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, layout := range []ml.Layout{ml.LayoutImplicitLeft, ml.LayoutStandard, ml.LayoutLevelOrder} {
-				if err := m.SetLayout(layout); err != nil {
+			for i, x := range Xq {
+				if want[i], err = m.Predict(x); err != nil {
 					t.Fatal(err)
 				}
-				for i, x := range Xq {
-					if want[i], err = m.Predict(x); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for _, n := range batchSizes {
-					for _, workers := range []int{1, 2, 7} {
-						m.cfg.Workers = workers
-						for _, c := range []context.Context{nil, ctx} {
-							got := make([]float64, n)
-							if err := m.PredictBatchIntoCtx(c, Xq[:n], got); err != nil {
-								t.Fatalf("%v agg=%v %v n=%d workers=%d: %v", mode, agg, layout, n, workers, err)
-							}
-							for i := range got {
-								if !sameBits(got[i], want[i]) {
-									t.Fatalf("%v agg=%v %v n=%d workers=%d row %d (%v): block path %x != Predict %x",
-										mode, agg, layout, n, workers, i, Xq[i], got[i], want[i])
-								}
+			}
+			for _, n := range batchSizes {
+				for _, workers := range []int{1, 2, 7} {
+					m.cfg.Workers = workers
+					for _, c := range []context.Context{nil, ctx} {
+						got := make([]float64, n)
+						if err := m.PredictBatchIntoCtx(c, Xq[:n], got); err != nil {
+							t.Fatalf("%v agg=%v n=%d workers=%d: %v", mode, agg, n, workers, err)
+						}
+						for i := range got {
+							if !sameBits(got[i], want[i]) {
+								t.Fatalf("%v agg=%v n=%d workers=%d row %d (%v): block path %x != Predict %x",
+									mode, agg, n, workers, i, Xq[i], got[i], want[i])
 							}
 						}
 					}

@@ -200,32 +200,6 @@ func (m *Model) Config() Config { return m.cfg }
 // IsFitted reports whether the model carries a trained ML component.
 func (m *Model) IsFitted() bool { return m != nil && m.mlModel != nil }
 
-// SetLayout switches the ML component's compiled tree plane to the
-// given traversal layout (see ml.Layout). Not concurrency-safe: apply
-// right after Train/load, before the model is shared.
-func (m *Model) SetLayout(l ml.Layout) error {
-	if !m.IsFitted() {
-		return fmt.Errorf("hybrid: %w", lamerr.ErrNotFitted)
-	}
-	return ml.SetLayoutOf(m.mlModel, l)
-}
-
-// Quantize returns a new hybrid model whose ML component is replaced by
-// a frozen bits-wide quantized table (see ml.Quantize); the analytical
-// model and coupling configuration are shared. The source model is not
-// modified. Quantization is approximate — publish the result as a new
-// artifact version, never over the exact model.
-func (m *Model) Quantize(bits int) (*Model, error) {
-	if !m.IsFitted() {
-		return nil, fmt.Errorf("hybrid: %w", lamerr.ErrNotFitted)
-	}
-	qml, err := ml.Quantize(m.mlModel, bits)
-	if err != nil {
-		return nil, fmt.Errorf("hybrid: %w", err)
-	}
-	return &Model{cfg: m.cfg, am: m.am, mlModel: qml, nFeatures: m.nFeatures}, nil
-}
-
 // Predict scores one feature vector: run the AM, couple it with the ML
 // component per the mode, optionally aggregate.
 func (m *Model) Predict(x []float64) (float64, error) {

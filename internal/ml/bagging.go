@@ -32,11 +32,6 @@ type Bagging struct {
 	// worker count: each member's bootstrap RNG is derived from
 	// (Seed, member index) before fan-out.
 	Workers int
-	// Layout selects the fused ensemble's traversal layout when every
-	// base model is a DecisionTree; LayoutDefault means the process
-	// default (SetDefaultLayout). Ignored for non-tree bases (apply
-	// SetLayoutOf to the fitted estimator instead, which recurses).
-	Layout Layout
 
 	models []Regressor
 	// compiled is the fused flat node table when every base model is a
@@ -105,11 +100,6 @@ func (b *Bagging) FitCtx(ctx context.Context, X [][]float64, y []float64) error 
 	compiled, err := compileBaggedTrees(models)
 	if err != nil {
 		return err
-	}
-	if compiled != nil && b.Layout != LayoutDefault {
-		if err := compiled.SetLayout(b.Layout); err != nil {
-			return err
-		}
 	}
 	b.models = models
 	b.compiled = compiled

@@ -254,10 +254,10 @@ func diffModels(t *testing.T, X [][]float64, y []float64) []diffModel {
 }
 
 // TestBatchPathMatchesPerRow is the differential test of the block
-// path: for every wrapper nesting, every exact layout, every size in
-// diffSizes and 1, 2 and 7 workers, PredictBatchInto and the
-// cancellable PredictBatchIntoCtx produce exactly — math.Float64bits —
-// what a per-row Predict loop does, on awkwardRows.
+// path: for every wrapper nesting, every size in diffSizes and 1, 2 and
+// 7 workers, PredictBatchInto and the cancellable PredictBatchIntoCtx
+// produce exactly — math.Float64bits — what a per-row Predict loop
+// does, on awkwardRows.
 func TestBatchPathMatchesPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xb10c))
 	const p = 5
@@ -273,32 +273,27 @@ func TestBatchPathMatchesPerRow(t *testing.T) {
 
 	want := make([]float64, len(Xq))
 	for _, m := range models {
-		for _, layout := range exactLayouts {
-			if err := SetLayoutOf(m.r, layout); err != nil {
-				t.Fatalf("%s: SetLayoutOf(%v): %v", m.name, layout, err)
-			}
-			for i, x := range Xq {
-				want[i] = m.r.Predict(x)
-			}
-			for _, n := range diffSizes {
-				for _, workers := range []int{1, 2, 7} {
-					got := make([]float64, n)
-					check := func(entry string, err error) {
-						t.Helper()
-						if err != nil {
-							t.Fatalf("%s %v %s n=%d workers=%d: %v", m.name, layout, entry, n, workers, err)
-						}
-						for i := range got {
-							if !sameBits(got[i], want[i]) {
-								t.Fatalf("%s %v %s n=%d workers=%d row %d (%v): block path %x != per-row %x",
-									m.name, layout, entry, n, workers, i, Xq[i], got[i], want[i])
-							}
-							got[i] = -1
-						}
+		for i, x := range Xq {
+			want[i] = m.r.Predict(x)
+		}
+		for _, n := range diffSizes {
+			for _, workers := range []int{1, 2, 7} {
+				got := make([]float64, n)
+				check := func(entry string, err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("%s %s n=%d workers=%d: %v", m.name, entry, n, workers, err)
 					}
-					check("PredictBatchInto", PredictBatchInto(m.r, Xq[:n], got, workers))
-					check("PredictBatchIntoCtx", PredictBatchIntoCtx(ctx, m.r, Xq[:n], got, workers))
+					for i := range got {
+						if !sameBits(got[i], want[i]) {
+							t.Fatalf("%s %s n=%d workers=%d row %d (%v): block path %x != per-row %x",
+								m.name, entry, n, workers, i, Xq[i], got[i], want[i])
+						}
+						got[i] = -1
+					}
 				}
+				check("PredictBatchInto", PredictBatchInto(m.r, Xq[:n], got, workers))
+				check("PredictBatchIntoCtx", PredictBatchIntoCtx(ctx, m.r, Xq[:n], got, workers))
 			}
 		}
 	}

@@ -21,7 +21,7 @@ import (
 // (zero-copy), and on big-endian or misaligned inputs a bulk
 // element-wise conversion keeps the format portable.
 //
-// Layout discipline, relied on for the casts:
+// The layout discipline, relied on for the casts:
 //
 //   - Every scalar is a fixed 8-byte little-endian word (u64/i64/f64),
 //     so sections never perturb alignment.
@@ -50,18 +50,18 @@ const (
 	binKindPipeline uint64 = 6
 	binKindBagging  uint64 = 7
 	binKindStacking uint64 = 8
-	// binKindQuant is a quantized node table (QuantizedModel) —
-	// payload version 2 only; version-1 decoders reject it as an
-	// unknown kind, which is the intended forward-compat behaviour.
-	binKindQuant uint64 = 9
+	// binKindRetiredQuant was the quantised node table (payload
+	// version 2 only), retired in PR 26. The tag stays reserved: it is
+	// refused on decode and never reused.
+	binKindRetiredQuant uint64 = 9
 )
 
 // Payload versions (the artifact layer's lamb1 header carries the
 // version and passes it down here). Version 1 tree bodies store an
 // explicit left-child array; version 2 drops it — the runtime layout
 // is canonical implicit-left preorder (left == i+1), so the column is
-// pure redundancy — and adds the quantized model kind. Encoding always
-// writes the current version; decoding accepts both.
+// pure redundancy. Encoding always writes the current version;
+// decoding accepts both.
 const (
 	BinaryVersion1      = 1
 	BinaryVersionLatest = 2
@@ -127,50 +127,6 @@ func appendPad8(buf []byte, elems, size int) []byte {
 	return append(buf, zeroPad[:pad8(elems, size)]...)
 }
 
-func appendU16s(buf []byte, v []uint16) []byte {
-	if len(v) > 0 {
-		if nativeLittleEndian {
-			buf = append(buf, unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*2)...)
-		} else {
-			for _, x := range v {
-				buf = binary.LittleEndian.AppendUint16(buf, x)
-			}
-		}
-	}
-	return appendPad8(buf, len(v), 2)
-}
-
-func appendI16s(buf []byte, v []int16) []byte {
-	if len(v) > 0 {
-		if nativeLittleEndian {
-			buf = append(buf, unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*2)...)
-		} else {
-			for _, x := range v {
-				buf = binary.LittleEndian.AppendUint16(buf, uint16(x))
-			}
-		}
-	}
-	return appendPad8(buf, len(v), 2)
-}
-
-func appendU8s(buf []byte, v []uint8) []byte {
-	buf = append(buf, v...)
-	return appendPad8(buf, len(v), 1)
-}
-
-func appendF32s(buf []byte, v []float32) []byte {
-	if len(v) > 0 {
-		if nativeLittleEndian {
-			buf = append(buf, unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*4)...)
-		} else {
-			for _, x := range v {
-				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
-			}
-		}
-	}
-	return appendPad8(buf, len(v), 4)
-}
-
 func boolI64(b bool) int64 {
 	if b {
 		return 1
@@ -187,29 +143,14 @@ func appendTreeConfig(buf []byte, cfg TreeConfig) []byte {
 	return appendI64(buf, cfg.Seed)
 }
 
-// materializeLeft rebuilds the explicit left-child array the canonical
-// layout keeps implicit: i+1 for internal nodes, -1 for leaves.
-func materializeLeft(c *CompiledTree) []int32 {
-	left := make([]int32, c.Len())
-	for i, f := range c.feature {
-		if f < 0 {
-			left[i] = -1
-		} else {
-			left[i] = int32(i) + 1
-		}
-	}
-	return left
-}
-
 // appendTreeBody writes one fitted tree (config, importances and the
 // compiled node table) without a kind tag — forests and boosters embed
 // member trees directly since their members are trees by construction.
-// Version-2 bodies carry three int32 arrays per tree (feature, right,
-// nSamples — the left column is implicit in the canonical layout), so
-// an odd node count needs 4 bytes of padding to keep the following
-// float64 arrays 8-byte aligned; version-1 bodies carry four arrays
-// (an explicit left-child column) and never needed it.
-func appendTreeBody(buf []byte, t *DecisionTree, v1 bool) []byte {
+// Bodies carry three int32 arrays per tree (feature, right, nSamples —
+// the left column is implicit in the canonical layout), so an odd node
+// count needs 4 bytes of padding to keep the following float64 arrays
+// 8-byte aligned.
+func appendTreeBody(buf []byte, t *DecisionTree) []byte {
 	c := &t.nodes
 	buf = appendU64(buf, uint64(c.Len()))
 	buf = appendU64(buf, uint64(t.nFeatures))
@@ -217,14 +158,9 @@ func appendTreeBody(buf []byte, t *DecisionTree, v1 bool) []byte {
 	buf = appendTreeConfig(buf, t.Config)
 	buf = appendF64s(buf, t.importances)
 	buf = appendI32s(buf, c.feature)
-	if v1 {
-		buf = appendI32s(buf, materializeLeft(c))
-	}
 	buf = appendI32s(buf, c.right)
 	buf = appendI32s(buf, c.nSamples)
-	if !v1 {
-		buf = appendPad8(buf, 3*c.Len(), 4)
-	}
+	buf = appendPad8(buf, 3*c.Len(), 4)
 	buf = appendF64s(buf, c.threshold)
 	return appendF64s(buf, c.value)
 }
@@ -234,30 +170,12 @@ func appendTreeBody(buf []byte, t *DecisionTree, v1 bool) []byte {
 // requirements match SaveModel exactly; the two encodings are
 // interconvertible without loss.
 func AppendBinary(buf []byte, m Regressor) ([]byte, error) {
-	return AppendBinaryVersion(buf, m, BinaryVersionLatest)
-}
-
-// AppendBinaryVersion is AppendBinary at an explicit payload version —
-// the legacy writer behind downgrade tooling and the version-1
-// compatibility tests. Version-1 payloads cannot represent quantized
-// models (the kind tag does not exist there).
-func AppendBinaryVersion(buf []byte, m Regressor, version int) ([]byte, error) {
-	switch version {
-	case BinaryVersion1, BinaryVersionLatest:
-	default:
-		return nil, fmt.Errorf("ml: unsupported binary payload version %d (have %d and %d)",
-			version, BinaryVersion1, BinaryVersionLatest)
-	}
-	return appendBinaryVersion(buf, m, version == BinaryVersion1)
-}
-
-func appendBinaryVersion(buf []byte, m Regressor, v1 bool) ([]byte, error) {
 	switch v := m.(type) {
 	case *DecisionTree:
 		if !v.IsFitted() {
 			return nil, fmt.Errorf("ml: cannot save unfitted DecisionTree")
 		}
-		return appendTreeBody(appendU64(buf, binKindTree), v, v1), nil
+		return appendTreeBody(appendU64(buf, binKindTree), v), nil
 	case *Forest:
 		if len(v.trees) == 0 {
 			return nil, fmt.Errorf("ml: cannot save unfitted Forest")
@@ -270,7 +188,7 @@ func appendBinaryVersion(buf []byte, m Regressor, v1 bool) ([]byte, error) {
 		buf = appendTreeConfig(buf, v.Tree)
 		buf = appendU64(buf, uint64(len(v.trees)))
 		for _, t := range v.trees {
-			buf = appendTreeBody(buf, t, v1)
+			buf = appendTreeBody(buf, t)
 		}
 		return buf, nil
 	case *LinearRegression:
@@ -305,7 +223,7 @@ func appendBinaryVersion(buf []byte, m Regressor, v1 bool) ([]byte, error) {
 		buf = appendF64(buf, v.rate)
 		buf = appendU64(buf, uint64(len(v.stages)))
 		for _, t := range v.stages {
-			buf = appendTreeBody(buf, t, v1)
+			buf = appendTreeBody(buf, t)
 		}
 		return buf, nil
 	case *Pipeline:
@@ -316,7 +234,7 @@ func appendBinaryVersion(buf []byte, m Regressor, v1 bool) ([]byte, error) {
 		buf = appendU64(buf, uint64(len(v.scaler.mean)))
 		buf = appendF64s(buf, v.scaler.mean)
 		buf = appendF64s(buf, v.scaler.std)
-		return appendBinaryVersion(buf, v.Model, v1)
+		return AppendBinary(buf, v.Model)
 	case *Bagging:
 		if len(v.models) == 0 {
 			return nil, fmt.Errorf("ml: cannot save unfitted Bagging")
@@ -328,7 +246,7 @@ func appendBinaryVersion(buf []byte, m Regressor, v1 bool) ([]byte, error) {
 		buf = appendU64(buf, uint64(len(v.models)))
 		var err error
 		for _, m := range v.models {
-			if buf, err = appendBinaryVersion(buf, m, v1); err != nil {
+			if buf, err = AppendBinary(buf, m); err != nil {
 				return nil, err
 			}
 		}
@@ -344,39 +262,11 @@ func appendBinaryVersion(buf []byte, m Regressor, v1 bool) ([]byte, error) {
 		buf = appendU64(buf, uint64(len(v.bases)))
 		var err error
 		for _, b := range v.bases {
-			if buf, err = appendBinaryVersion(buf, b, v1); err != nil {
+			if buf, err = AppendBinary(buf, b); err != nil {
 				return nil, err
 			}
 		}
-		return appendBinaryVersion(buf, v.meta, v1)
-	case *QuantizedModel:
-		if v1 {
-			return nil, fmt.Errorf("ml: version-1 binary payloads cannot represent a quantized model")
-		}
-		q := v.q
-		buf = appendU64(buf, binKindQuant)
-		buf = appendU64(buf, uint64(q.bits))
-		buf = appendU64(buf, uint64(q.combine))
-		buf = appendF64(buf, q.init)
-		buf = appendF64(buf, q.rate)
-		buf = appendU64(buf, uint64(q.nFeatures))
-		buf = appendU64(buf, uint64(len(q.roots)))
-		buf = appendU64(buf, uint64(len(q.feature)))
-		buf = appendU64(buf, uint64(len(q.leafVal)))
-		// roots and leafBase are one int32 each per tree; written
-		// back-to-back they total 8 bytes per tree, keeping alignment.
-		buf = appendI32s(buf, q.roots)
-		buf = appendI32s(buf, q.leafBase)
-		buf = appendF64s(buf, q.lo)
-		buf = appendF64s(buf, q.scale)
-		buf = appendI16s(buf, q.feature)
-		buf = appendU16s(buf, q.next)
-		if q.bits == 8 {
-			buf = appendU8s(buf, q.qthr8)
-		} else {
-			buf = appendU16s(buf, q.qthr16)
-		}
-		return appendF32s(buf, q.leafVal), nil
+		return AppendBinary(buf, v.meta)
 	default:
 		return nil, fmt.Errorf("ml: binary encoding does not support %T", m)
 	}
@@ -393,8 +283,7 @@ type binReader struct {
 	data []byte
 	off  int
 	// v1 selects the legacy payload layout: tree bodies carry an
-	// explicit left-child array (and no odd-count padding), and the
-	// quantized kind does not exist.
+	// explicit left-child array (and no odd-count padding).
 	v1 bool
 }
 
@@ -480,70 +369,6 @@ func (r *binReader) i32s(n int) ([]int32, error) {
 func (r *binReader) skipPad(elems, size int) error {
 	_, err := r.bytes(pad8(elems, size))
 	return err
-}
-
-func (r *binReader) u16s(n int) ([]uint16, error) {
-	if n == 0 {
-		return nil, r.skipPad(n, 2)
-	}
-	b, err := r.bytes(n * 2)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.skipPad(n, 2); err != nil {
-		return nil, err
-	}
-	if nativeLittleEndian && uintptr(unsafe.Pointer(&b[0]))%2 == 0 {
-		return unsafe.Slice((*uint16)(unsafe.Pointer(&b[0])), n), nil
-	}
-	out := make([]uint16, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint16(b[i*2:])
-	}
-	return out, nil
-}
-
-func (r *binReader) i16s(n int) ([]int16, error) {
-	u, err := r.u16s(n)
-	if err != nil || u == nil {
-		return nil, err
-	}
-	return unsafe.Slice((*int16)(unsafe.Pointer(&u[0])), n), nil
-}
-
-func (r *binReader) u8s(n int) ([]uint8, error) {
-	if n == 0 {
-		return nil, r.skipPad(n, 1)
-	}
-	b, err := r.bytes(n)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.skipPad(n, 1); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-func (r *binReader) f32s(n int) ([]float32, error) {
-	if n == 0 {
-		return nil, r.skipPad(n, 4)
-	}
-	b, err := r.bytes(n * 4)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.skipPad(n, 4); err != nil {
-		return nil, err
-	}
-	if nativeLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n), nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out, nil
 }
 
 func (r *binReader) treeConfig() (TreeConfig, error) {
@@ -914,84 +739,8 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 		}
 		s.meta = meta
 		return s, nil
-	case binKindQuant:
-		if r.v1 {
-			return nil, corruptf("quantized model kind in a version-1 payload")
-		}
-		bits, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		if bits != 8 && bits != 16 {
-			return nil, corruptf("quantized model with %d-bit thresholds", bits)
-		}
-		combine, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		if combine != uint64(combineMean) && combine != uint64(combineBoosted) {
-			return nil, corruptf("quantized model with unknown combine mode %d", combine)
-		}
-		init, err := r.f64()
-		if err != nil {
-			return nil, err
-		}
-		rate, err := r.f64()
-		if err != nil {
-			return nil, err
-		}
-		nFeat, err := r.count(16)
-		if err != nil {
-			return nil, err
-		}
-		nTrees, err := r.count(8)
-		if err != nil {
-			return nil, err
-		}
-		nNodes, err := r.count(4)
-		if err != nil {
-			return nil, err
-		}
-		nLeaf, err := r.count(4)
-		if err != nil {
-			return nil, err
-		}
-		q := &quantEnsemble{bits: int(bits), combine: ensembleCombine(combine),
-			init: init, rate: rate, nFeatures: nFeat}
-		if q.roots, err = r.i32s(nTrees); err != nil {
-			return nil, err
-		}
-		if q.leafBase, err = r.i32s(nTrees); err != nil {
-			return nil, err
-		}
-		if q.lo, err = r.f64s(nFeat); err != nil {
-			return nil, err
-		}
-		if q.scale, err = r.f64s(nFeat); err != nil {
-			return nil, err
-		}
-		if q.feature, err = r.i16s(nNodes); err != nil {
-			return nil, err
-		}
-		if q.next, err = r.u16s(nNodes); err != nil {
-			return nil, err
-		}
-		if bits == 8 {
-			if q.qthr8, err = r.u8s(nNodes); err != nil {
-				return nil, err
-			}
-		} else {
-			if q.qthr16, err = r.u16s(nNodes); err != nil {
-				return nil, err
-			}
-		}
-		if q.leafVal, err = r.f32s(nLeaf); err != nil {
-			return nil, err
-		}
-		if err := q.validate(); err != nil {
-			return nil, corruptf("%v", err)
-		}
-		return &QuantizedModel{q: q}, nil
+	case binKindRetiredQuant:
+		return nil, corruptf("quantized model (binary kind %d): quantised node tables are retired and refused; delete this version or re-publish from the exact source version", kind)
 	default:
 		return nil, corruptf("unknown binary model kind %d", kind)
 	}
@@ -1000,13 +749,11 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 // ModelStats summarises a fitted model's structure for artifact
 // introspection (lam-model info): a human-readable kind, the member
 // tree count and the total flat-table node count (both zero for
-// non-tree estimators), and the quantization mode ("quant16"/"quant8",
-// empty for exact models) of any quantized table in the model.
+// non-tree estimators).
 type ModelStats struct {
 	Kind  string
 	Trees int
 	Nodes int
-	Quant string
 }
 
 // StatsOf computes ModelStats by structural walk; composite estimators
@@ -1033,16 +780,13 @@ func StatsOf(m Regressor) ModelStats {
 		return ModelStats{Kind: "knn"}
 	case *Pipeline:
 		inner := StatsOf(v.Model)
-		return ModelStats{Kind: "pipeline(" + inner.Kind + ")", Trees: inner.Trees, Nodes: inner.Nodes, Quant: inner.Quant}
+		return ModelStats{Kind: "pipeline(" + inner.Kind + ")", Trees: inner.Trees, Nodes: inner.Nodes}
 	case *Bagging:
 		s := ModelStats{Kind: "bagging"}
 		for _, m := range v.models {
 			ms := StatsOf(m)
 			s.Trees += ms.Trees
 			s.Nodes += ms.Nodes
-			if s.Quant == "" {
-				s.Quant = ms.Quant
-			}
 		}
 		return s
 	case *Stacking:
@@ -1051,25 +795,13 @@ func StatsOf(m Regressor) ModelStats {
 			bs := StatsOf(b)
 			s.Trees += bs.Trees
 			s.Nodes += bs.Nodes
-			if s.Quant == "" {
-				s.Quant = bs.Quant
-			}
 		}
 		if v.meta != nil {
 			ms := StatsOf(v.meta)
 			s.Trees += ms.Trees
 			s.Nodes += ms.Nodes
-			if s.Quant == "" {
-				s.Quant = ms.Quant
-			}
 		}
 		return s
-	case *QuantizedModel:
-		quant := "quant16"
-		if v.q.bits == 8 {
-			quant = "quant8"
-		}
-		return ModelStats{Kind: quant, Trees: v.q.NumTrees(), Nodes: v.q.NumNodes(), Quant: quant}
 	default:
 		return ModelStats{Kind: fmt.Sprintf("%T", m)}
 	}

@@ -28,15 +28,10 @@ func b2i32(b bool) int32 {
 // over tree bases, GradientBoosting) compiles at Fit/load time; there
 // is no pointer-tree runtime representation left.
 //
-// Alternative traversal layouts (the PR 3 explicit-child walk kept as a
-// benchmark baseline, a depth-bucketed level-order batch layout, and
-// quantized node tables) are derived from this canonical form — see
-// layout.go, levelorder.go and quant.go.
-//
-// Exact layouts are bit-identical to the recursive form: the node
-// ordering, thresholds and comparison directions are unchanged, only
-// the storage differs (asserted exhaustively by TestCompiledEquivalence
-// in compiled_test.go). Quantized layouts are approximate and opt-in.
+// The walk is bit-identical to the recursive form: the node ordering,
+// thresholds and comparison directions are unchanged, only the storage
+// differs (asserted exhaustively by TestCompiledEquivalence in
+// compiled_test.go).
 
 // CompiledTree is one regression tree flattened onto parallel arrays in
 // canonical preorder. Leaves have feature[i] < 0; internal nodes keep
@@ -216,14 +211,10 @@ const (
 // allocation-free memory region instead of hopping between per-tree
 // heaps. The packed table is the only fused form: the member trees keep
 // their own structure-of-arrays tables (at load those alias the
-// artifact's file buffer), and nothing else holds a per-node copy.
-//
-// The packed table is the implicit-left branchless layout; SetLayout
-// derives the alternative traversal forms (explicit-child baseline,
-// level-order batch striding, quantized tables) from it. SetLayout is
-// not safe to call concurrently with prediction — apply it right after
-// Fit/load, before the ensemble is shared (the registry/serve layers
-// do exactly that).
+// artifact's file buffer), and nothing else holds a per-node copy. It
+// is walked two ways — one row across four trees
+// (predictHotInterleaved) and one tree across four rows
+// (predictHotTreeRows) — and both fold leaf values in tree order.
 type CompiledEnsemble struct {
 	// hot is the fused packed table, hot[roots[t]] the root of tree t.
 	hot     []hotNode
@@ -231,17 +222,6 @@ type CompiledEnsemble struct {
 	combine ensembleCombine
 	// init and rate are the boosting constants (combineBoosted only).
 	init, rate float64
-
-	// layout is the active traversal layout (always resolved, never
-	// LayoutDefault). The derived tables below are non-nil only for
-	// their layout.
-	layout Layout
-	// explicit is the explicit-child table: in preorder for
-	// LayoutStandard (the PR 3 baseline walk), breadth-first for
-	// LayoutLevelOrder.
-	explicit *explicitTable
-	// qt is the quantized node table for LayoutQuant16/LayoutQuant8.
-	qt *quantEnsemble
 }
 
 // NumTrees returns the number of member trees.
@@ -277,15 +257,14 @@ func fusedRoots(n int, treeLen func(t int) int) ([]int32, int, error) {
 }
 
 // compileEnsemble is the one place member trees are fused: it sizes the
-// packed table exactly, allocates it once, fills each tree's disjoint
-// range straight from the tree's own arrays and applies the
-// process-default traversal layout. The fill runs on the calling
-// goroutine: it is a millisecond of streaming work per half million
-// nodes, and fanning it out made a cold load's time depend on whether a
-// second core happened to be free (a helper descheduled mid-tree stalls
-// the join). init and rate are the boosting constants, ignored by
-// combineMean. It fails only when the ensemble is too large for int32
-// node indices.
+// packed table exactly, allocates it once and fills each tree's
+// disjoint range straight from the tree's own arrays. The fill runs on
+// the calling goroutine: it is a millisecond of streaming work per half
+// million nodes, and fanning it out made a cold load's time depend on
+// whether a second core happened to be free (a helper descheduled
+// mid-tree stalls the join). init and rate are the boosting constants,
+// ignored by combineMean. It fails only when the ensemble is too large
+// for int32 node indices.
 func compileEnsemble(trees []*DecisionTree, combine ensembleCombine, init, rate float64) (*CompiledEnsemble, error) {
 	roots, total, err := fusedRoots(len(trees), func(t int) int { return trees[t].nodes.Len() })
 	if err != nil {
@@ -295,26 +274,14 @@ func compileEnsemble(trees []*DecisionTree, combine ensembleCombine, init, rate 
 	for t, tree := range trees {
 		packTree(e.hot[roots[t]:e.treeEnd(t)], &tree.nodes, int(roots[t]))
 	}
-	e.applyDefaultLayout()
 	return e, nil
 }
 
 // Predict scores one feature vector, folding the member trees in
-// order. Exact layouts are bit-identical to summing the members'
-// individual predictions the way the estimators' recursive
-// implementations did: mean = (t₀+t₁+…)/n, boosted = init + rate·t₀ +
-// rate·t₁ + …. Quantized layouts approximate within the documented
-// threshold-perturbation bound. Allocation-free.
+// order: bit-identical to summing the members' individual predictions
+// the way the estimators' recursive implementations did — mean =
+// (t₀+t₁+…)/n, boosted = init + rate·t₀ + rate·t₁ + …. Allocation-free.
 func (e *CompiledEnsemble) Predict(x []float64) float64 {
-	switch e.layout {
-	case LayoutQuant16, LayoutQuant8:
-		return e.qt.predict(x)
-	case LayoutStandard:
-		return e.predictStd(x)
-	}
-	// Implicit-left branchless — also serves LayoutLevelOrder: the
-	// level table is a batch-striding layout, single rows walk the
-	// packed preorder table (bit-identical either way).
 	return e.predictHotInterleaved(x)
 }
 
@@ -395,31 +362,11 @@ func (e *CompiledEnsemble) predictHotInterleaved(x []float64) float64 {
 	return out
 }
 
-// predictStd is Predict through the LayoutStandard explicit-child walk
-// (the PR 3 baseline kept for benchmarking and regression guarding).
-func (e *CompiledEnsemble) predictStd(x []float64) float64 {
-	std := e.explicit
-	switch e.combine {
-	case combineBoosted:
-		out := e.init
-		for _, r := range e.roots {
-			out += e.rate * std.predictFrom(r, x)
-		}
-		return out
-	default:
-		s := 0.0
-		for _, r := range e.roots {
-			s += std.predictFrom(r, x)
-		}
-		return s / float64(len(e.roots))
-	}
-}
-
 // PredictInto scores one feature vector per member prefix: out[i] is
 // the prediction using trees [0, i] — the staged-prediction primitive.
 // out must have NumTrees elements. Staged prediction is an analysis
-// path, not a serving path, so it always walks the exact packed table
-// regardless of the active layout. Allocation-free.
+// path, not a serving path, so it walks the trees one at a time.
+// Allocation-free.
 func (e *CompiledEnsemble) PredictInto(x []float64, out []float64) {
 	switch e.combine {
 	case combineBoosted:
@@ -448,23 +395,16 @@ const batchTreeMajorMinNodes = 4096
 // trees, the inner loop rows — so one tree's nodes stay cache-hot
 // across the whole block instead of the entire ensemble being
 // re-streamed per row. Each out[i] still accumulates its tree
-// contributions in tree order, so exact layouts are bit-identical to
+// contributions in tree order, so the result is bit-identical to
 // per-row Predict calls. Parallel batch scoring lives in the
 // estimators (Forest.PredictBatchInto and friends), which block-split
 // over this walk.
 func (e *CompiledEnsemble) PredictBatchInto(X [][]float64, out []float64) {
 	out = out[:len(X)]
-	switch e.layout {
-	case LayoutQuant16, LayoutQuant8:
-		e.qt.predictBatchInto(X, out)
-	case LayoutLevelOrder:
-		e.explicit.predictBatchLevels(e, X, out)
-	default:
-		if len(e.hot) < batchTreeMajorMinNodes {
-			e.predictBatchRowMajor(X, out)
-		} else {
-			e.predictBatchTreeMajor(X, out)
-		}
+	if len(e.hot) < batchTreeMajorMinNodes {
+		e.predictBatchRowMajor(X, out)
+	} else {
+		e.predictBatchTreeMajor(X, out)
 	}
 }
 
@@ -476,18 +416,13 @@ func (e *CompiledEnsemble) predictBatchRowMajor(X [][]float64, out []float64) {
 	}
 }
 
-// predictBatchTreeMajor is the batch walk of large tables through the
-// packed (or, for LayoutStandard, the explicit-child) descent: every
-// tree is walked for all rows before the next tree starts. The packed
+// predictBatchTreeMajor is the batch walk of large tables: every tree
+// is walked for all rows before the next tree starts. The packed
 // kernel takes rows four at a time, so the one to three rows past the
 // last full group are folded row-major instead — rows are independent,
 // and the single-row walk keeps four trees in flight for them where a
 // lone row in the tree-major order would keep nothing in flight.
 func (e *CompiledEnsemble) predictBatchTreeMajor(X [][]float64, out []float64) {
-	if e.layout == LayoutStandard {
-		e.predictBatchTreeMajorStd(X, out)
-		return
-	}
 	full := len(X) &^ 3
 	e.predictBatchRowMajor(X[full:], out[full:])
 	X, out = X[:full], out[:full]
@@ -549,35 +484,5 @@ func predictHotTreeRows(hot []hotNode, r int32, X [][]float64, out []float64, sc
 		o[1] += scale * n1.threshold
 		o[2] += scale * n2.threshold
 		o[3] += scale * n3.threshold
-	}
-}
-
-// predictBatchTreeMajorStd is the tree-major batch walk through the
-// LayoutStandard explicit-child descent.
-func (e *CompiledEnsemble) predictBatchTreeMajorStd(X [][]float64, out []float64) {
-	std := e.explicit
-	switch e.combine {
-	case combineBoosted:
-		for i := range out {
-			out[i] = e.init
-		}
-		for _, r := range e.roots {
-			for i, x := range X {
-				out[i] += e.rate * std.predictFrom(r, x)
-			}
-		}
-	default:
-		for i := range out {
-			out[i] = 0
-		}
-		for _, r := range e.roots {
-			for i, x := range X {
-				out[i] += std.predictFrom(r, x)
-			}
-		}
-		n := float64(len(e.roots))
-		for i := range out {
-			out[i] /= n
-		}
 	}
 }

@@ -104,7 +104,7 @@ func BenchmarkTreePredictSingle(b *testing.B) {
 	})
 }
 
-// benchForest fits the layout benchmarks' shared 100-tree ensemble.
+// benchForest fits the traversal benchmarks' shared 100-tree ensemble.
 func benchForest(b *testing.B) (*Forest, [][]float64) {
 	b.Helper()
 	X, y, Xq := benchSetup(b, 4000)
@@ -115,64 +115,42 @@ func benchForest(b *testing.B) (*Forest, [][]float64) {
 	return f, Xq
 }
 
-// benchLayouts is the traversal-layout sweep the PR 8 numbers
-// (BENCH_PR8.json) and the CI regression guard are measured on:
-// "standard" is the explicit-child branchy walk (the PR 3 baseline),
-// "implicit-left" the branchless canonical walk, then the batch-only
-// and quantized variants.
-var benchLayouts = []Layout{LayoutStandard, LayoutImplicitLeft, LayoutLevelOrder, LayoutQuant16, LayoutQuant8}
-
-// BenchmarkForestPredictSingleLayout pairs single-row latency across
-// traversal layouts on a 100-tree ensemble.
+// BenchmarkForestPredictSingleLayout is single-row latency of the
+// packed implicit-left walk on a 100-tree ensemble. The sub-benchmark
+// name is the trajectory key EXPERIMENTS.md tracks since PR 8; the
+// layouts it once raced against are in that file's decision table.
 func BenchmarkForestPredictSingleLayout(b *testing.B) {
 	f, Xq := benchForest(b)
-	for _, layout := range benchLayouts {
-		if layout == LayoutLevelOrder {
-			continue // batch-only: single rows take the canonical walk
+	b.Run("implicit-left", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = f.Predict(Xq[i%len(Xq)])
 		}
-		if err := SetLayoutOf(f, layout); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(layout.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = f.Predict(Xq[i%len(Xq)])
-			}
-		})
-	}
-	if err := SetLayoutOf(f, LayoutImplicitLeft); err != nil {
-		b.Fatal(err)
-	}
+	})
 }
 
-// BenchmarkForestPredictBatchLayout pairs 512-row batch scoring across
-// traversal layouts (sequential, workers 1, tree-major engaged — the
-// 100-tree table is far past the threshold).
+// BenchmarkForestPredictBatchLayout is 512-row batch scoring over the
+// same table (sequential, workers 1, tree-major engaged — the 100-tree
+// table is far past the threshold).
 func BenchmarkForestPredictBatchLayout(b *testing.B) {
 	f, Xq := benchForest(b)
 	out := make([]float64, len(Xq))
-	for _, layout := range benchLayouts {
-		if err := SetLayoutOf(f, layout); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(layout.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := f.PredictBatchInto(Xq, out); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("implicit-left", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := f.PredictBatchInto(Xq, out); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-	if err := SetLayoutOf(f, LayoutImplicitLeft); err != nil {
-		b.Fatal(err)
-	}
+		}
+	})
 }
 
 // TestTraversalBenchGuard is the CI bench-regression smoke gate
 // (satellite of the PR 8 raw-speed push): with LAM_BENCH_GUARD=1 it
-// times the branchless implicit-left walk against the explicit-child
-// baseline and fails when branchless is more than 1.3x slower — a
-// generous guard that only trips on a real regression (the whole point
-// of the layout is to be faster), not on scheduler noise.
+// times the fused four-tree walk over the packed table against the
+// un-fused baseline — each member tree's own SoA walk
+// (DecisionTree.Predict), averaged — and fails when the fused walk is
+// more than 1.3x slower: a generous guard that only trips on a real
+// regression (the whole point of fusing is to be faster), not on
+// scheduler noise.
 func TestTraversalBenchGuard(t *testing.T) {
 	if os.Getenv("LAM_BENCH_GUARD") != "1" {
 		t.Skip("set LAM_BENCH_GUARD=1 to run the traversal regression guard")
@@ -184,23 +162,32 @@ func TestTraversalBenchGuard(t *testing.T) {
 	if err := f.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	time := func(layout Layout) float64 {
-		if err := SetLayoutOf(f, layout); err != nil {
-			t.Fatal(err)
+	perTree := func(x []float64) float64 {
+		s := 0.0
+		for _, tr := range f.trees {
+			s += tr.Predict(x)
 		}
+		return s / float64(len(f.trees))
+	}
+	for _, x := range Xq {
+		if got, want := f.Predict(x), perTree(x); !sameBits(got, want) {
+			t.Fatalf("fused walk %x != per-tree baseline %x", got, want)
+		}
+	}
+	time := func(predict func(x []float64) float64) float64 {
 		res := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = f.Predict(Xq[i%len(Xq)])
+				_ = predict(Xq[i%len(Xq)])
 			}
 		})
 		return float64(res.NsPerOp())
 	}
-	standard := time(LayoutStandard)
-	branchless := time(LayoutImplicitLeft)
-	t.Logf("single-row: standard %.0f ns/op, branchless %.0f ns/op (%.2fx)",
-		standard, branchless, standard/branchless)
-	if branchless > 1.3*standard {
-		t.Errorf("branchless single-row walk is %.2fx the baseline (%.0f vs %.0f ns/op), beyond the 1.3x guard",
-			branchless/standard, branchless, standard)
+	unfused := time(perTree)
+	fused := time(f.Predict)
+	t.Logf("single-row: per-tree %.0f ns/op, fused %.0f ns/op (%.2fx)",
+		unfused, fused, unfused/fused)
+	if fused > 1.3*unfused {
+		t.Errorf("fused single-row walk is %.2fx the per-tree baseline (%.0f vs %.0f ns/op), beyond the 1.3x guard",
+			fused/unfused, fused, unfused)
 	}
 }

@@ -506,38 +506,21 @@ func assertFusedEqualsReference(t *testing.T, name string, e *CompiledEnsemble, 
 	}
 }
 
-// assertLayoutsFromPacked derives every layout from e's packed table
-// and checks single and batch predictions against want (the recursive
-// reference): exact layouts bit for bit, quantised ones within the
-// stated bound on rows clear of every quantisation band.
-func assertLayoutsFromPacked(t *testing.T, name string, e *CompiledEnsemble, Xq [][]float64, want []float64) {
+// assertWalksFromPacked checks e's single-row walk and every batch walk
+// over its packed table against want (the recursive reference), bit
+// for bit.
+func assertWalksFromPacked(t *testing.T, name string, e *CompiledEnsemble, Xq [][]float64, want []float64) {
 	t.Helper()
-	defer func() {
-		if err := e.SetLayout(LayoutImplicitLeft); err != nil {
-			t.Fatal(err)
-		}
-	}()
 	out := make([]float64, len(Xq))
-	for _, layout := range []Layout{LayoutImplicitLeft, LayoutStandard, LayoutLevelOrder, LayoutQuant16, LayoutQuant8} {
-		if err := e.SetLayout(layout); err != nil {
-			t.Fatalf("%s: SetLayout(%v): %v", name, layout, err)
-		}
-		for _, bw := range batchWalks(e) {
-			bw.walk(Xq, out)
-			for i, x := range Xq {
-				single := e.Predict(x)
-				if !sameBits(single, out[i]) {
-					t.Fatalf("%s %v %s row %d: single %x != batch %x", name, layout, bw.name, i, single, out[i])
-				}
-				if layout.Exact() {
-					if !sameBits(single, want[i]) {
-						t.Fatalf("%s %v %s row %d: %x != recursive %x", name, layout, bw.name, i, single, want[i])
-					}
-				} else if safeRow(e, e.qt, x) {
-					if rel := math.Abs(single-want[i]) / math.Max(1, math.Abs(want[i])); rel > 1e-5 {
-						t.Fatalf("%s %v row %d: relative error %.3g on a safe row", name, layout, i, rel)
-					}
-				}
+	for _, bw := range batchWalks(e) {
+		bw.walk(Xq, out)
+		for i, x := range Xq {
+			single := e.Predict(x)
+			if !sameBits(single, out[i]) {
+				t.Fatalf("%s %s row %d: single %x != batch %x", name, bw.name, i, single, out[i])
+			}
+			if !sameBits(single, want[i]) {
+				t.Fatalf("%s %s row %d: %x != recursive %x", name, bw.name, i, single, want[i])
 			}
 		}
 	}
@@ -547,8 +530,8 @@ func assertLayoutsFromPacked(t *testing.T, name string, e *CompiledEnsemble, Xq 
 // single-pass compile: for mean and boosted ensembles over random tree
 // configurations and datasets, one-tree ensembles and lone-leaf trees,
 // with 1 and 4 default workers, the packed table equals the old
-// append-then-copy pair's element for element, and every layout derived
-// from it predicts what the recursive walk does.
+// append-then-copy pair's element for element, and every walk over it
+// predicts what the recursive walk does.
 func TestCompileEnsembleMatchesReference(t *testing.T) {
 	defer parallel.SetDefaultWorkers(0)
 	rng := rand.New(rand.NewSource(0x14))
@@ -600,8 +583,8 @@ func TestCompileEnsembleMatchesReference(t *testing.T) {
 			fwant[i] = refForestPredict(refs, x)
 			gwant[i] = refBoostedPredict(grefs, g.init, g.rate, x)
 		}
-		assertLayoutsFromPacked(t, "forest", f.compiled, Xq, fwant)
-		assertLayoutsFromPacked(t, "gbr", g.compiled, Xq, gwant)
+		assertWalksFromPacked(t, "forest", f.compiled, Xq, fwant)
+		assertWalksFromPacked(t, "gbr", g.compiled, Xq, gwant)
 
 		// The decode paths compile through the same function.
 		assertFusedEqualsReference(t, "forest json", roundTrip(t, f).(*Forest).compiled, f.trees)

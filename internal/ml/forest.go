@@ -27,11 +27,6 @@ type Forest struct {
 	// the process default (parallel.DefaultWorkers). Results are
 	// bit-identical for every worker count.
 	Workers int
-	// Layout selects the compiled ensemble's traversal layout;
-	// LayoutDefault means the process default (SetDefaultLayout).
-	// Quantized layouts that exceed the table's addressing limits fail
-	// the fit with the quantizer's error.
-	Layout Layout
 
 	trees     []*DecisionTree
 	compiled  *CompiledEnsemble
@@ -109,11 +104,6 @@ func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
 	compiled, err := compileEnsemble(trees, combineMean, 0, 0)
 	if err != nil {
 		return err
-	}
-	if f.Layout != LayoutDefault {
-		if err := compiled.SetLayout(f.Layout); err != nil {
-			return err
-		}
 	}
 	f.trees = trees
 	f.compiled = compiled

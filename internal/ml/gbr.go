@@ -37,11 +37,6 @@ type GradientBoosting struct {
 	// scoring every training sample with the freshly grown stage tree
 	// is an independent-iteration loop and dominates on wide datasets.
 	Workers int
-	// Layout selects the compiled ensemble's traversal layout;
-	// LayoutDefault means the process default (SetDefaultLayout).
-	// Quantized layouts that exceed the table's addressing limits fail
-	// the fit with the quantizer's error.
-	Layout Layout
 
 	init     float64
 	stages   []*DecisionTree
@@ -135,11 +130,6 @@ func (g *GradientBoosting) FitCtx(ctx context.Context, X [][]float64, y []float6
 	compiled, err := compileEnsemble(stages, combineBoosted, mean, rate)
 	if err != nil {
 		return err
-	}
-	if g.Layout != LayoutDefault {
-		if err := compiled.SetLayout(g.Layout); err != nil {
-			return err
-		}
 	}
 	g.init = mean
 	g.rate = rate

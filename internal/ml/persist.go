@@ -330,11 +330,6 @@ func encodeModel(m Regressor) (*modelEnvelope, error) {
 		}
 		d.Meta = *meta
 		kind, payload = "stacking", d
-	case *QuantizedModel:
-		// jsonv1 stores exact float64 split thresholds per node; a
-		// quantized table dropped those. Quantized models persist only
-		// through the lamb1 binary codec (version 2).
-		return nil, fmt.Errorf("ml: SaveModel cannot represent a quantized model; use the binary codec (EncodeBinary)")
 	default:
 		return nil, fmt.Errorf("ml: SaveModel does not support %T", m)
 	}

@@ -58,34 +58,3 @@ func getRowBlock(n, p int) *rowBlock {
 }
 
 func putRowBlock(b *rowBlock) { rowBlockPool.Put(b) }
-
-// i32Pool and u16Pool recycle the integer scratch the alternative
-// traversal layouts need per batch/row: the level-order walk's per-row
-// cursor ([]int32) and the quantized walk's quantized feature row
-// ([]uint16). Same pointer-boxing discipline as f64Pool.
-var (
-	i32Pool = sync.Pool{New: func() any { return new([]int32) }}
-	u16Pool = sync.Pool{New: func() any { return new([]uint16) }}
-)
-
-func getScratchI32(n int) *[]int32 {
-	p := i32Pool.Get().(*[]int32)
-	if cap(*p) < n {
-		*p = make([]int32, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putScratchI32(p *[]int32) { i32Pool.Put(p) }
-
-func getScratchU16(n int) *[]uint16 {
-	p := u16Pool.Get().(*[]uint16)
-	if cap(*p) < n {
-		*p = make([]uint16, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putScratchU16(p *[]uint16) { u16Pool.Put(p) }

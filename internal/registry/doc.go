@@ -4,7 +4,7 @@
 // storage backend of the lam-serve prediction service and of the
 // -registry flag on lam-predict.
 //
-// Layout (one directory per model name, one per version):
+// On-disk layout (one directory per model name, one per version):
 //
 //	<root>/<name>/v0001/meta.json   — Meta: kind, format, workload, …
 //	<root>/<name>/v0001/model.lamb  — the artifact (lamb1 flat binary,

@@ -34,33 +34,6 @@ func (m *Model) Hybrid() *hybrid.Model { return m.hybrid }
 // artifacts.
 func (m *Model) Regressor() ml.Regressor { return m.regressor }
 
-// ApplyLayout switches the loaded model's compiled tree plane to the
-// given traversal layout (see ml.Layout). Call right after Load, before
-// the model is shared with request goroutines — relayout is not
-// concurrency-safe. LayoutDefault resolves to the process default;
-// non-tree models accept exact layouts as a no-op.
-func (m *Model) ApplyLayout(l ml.Layout) error {
-	if m.hybrid != nil {
-		return m.hybrid.SetLayout(l)
-	}
-	if m.regressor == nil {
-		return fmt.Errorf("registry: %w", lamerr.ErrNotFitted)
-	}
-	return ml.SetLayoutOf(m.regressor, l)
-}
-
-// Layout reports the traversal layout of the model's compiled tree
-// plane, and whether it has one.
-func (m *Model) Layout() (ml.Layout, bool) {
-	if m.hybrid != nil {
-		return ml.LayoutOf(m.hybrid.ML())
-	}
-	if m.regressor == nil {
-		return ml.LayoutDefault, false
-	}
-	return ml.LayoutOf(m.regressor)
-}
-
 // Predict scores one feature vector.
 func (m *Model) Predict(ctx context.Context, x []float64) (float64, error) {
 	if m.hybrid != nil {

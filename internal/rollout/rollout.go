@@ -142,7 +142,7 @@ type Controller struct {
 	store Store
 
 	// Load fetches a candidate's artifact; wired by the serving layer
-	// so rollout candidates share its model cache and layout settings
+	// so rollout candidates share its model cache and Workers setting
 	// (shadow predictions must be bit-identical to serving the
 	// candidate directly).
 	Load func(ctx context.Context, name string, version int) (*registry.Model, error)

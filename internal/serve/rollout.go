@@ -29,7 +29,7 @@ func (s *Server) AttachRollout(c *rollout.Controller) {
 		c.Log = s.Log
 	}
 	// Candidates load through the pinned-version cache so they share
-	// the server's Workers and Layout settings — shadow predictions are
+	// the server's Workers setting — shadow predictions are
 	// bit-identical to serving the candidate directly.
 	c.Load = func(ctx context.Context, name string, version int) (*registry.Model, error) {
 		return s.loadPinned(ctx, name, version)

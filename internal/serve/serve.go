@@ -29,13 +29,6 @@ type Server struct {
 	// Workers bounds per-request batch parallelism for regressor
 	// models; <= 0 means the process default.
 	Workers int
-	// Layout is the traversal layout applied to every model the server
-	// loads or swaps in (lam-serve -layout). LayoutDefault keeps the
-	// process default (branchless implicit-left). A model that cannot
-	// take the layout — e.g. a quantized layout over a non-tree or
-	// already-quantized model — fails its load loudly rather than
-	// serving with a silently different speed/accuracy profile.
-	Layout ml.Layout
 	// Metrics is the server's counter set (GET /metrics), handles into
 	// Telemetry resolved by New; exported so tests and embedders can
 	// read it.
@@ -306,9 +299,6 @@ func (s *Server) swapIn(ctx context.Context, name string, version int) (*registr
 		return nil, err
 	}
 	m.Workers = s.Workers
-	if err := s.applyLayout(m); err != nil {
-		return nil, err
-	}
 	sp.Detail(m.Meta.Name + "@v" + strconv.Itoa(m.Meta.Version))
 	p := s.latestPtr(name)
 	for {
@@ -329,19 +319,6 @@ func (s *Server) swapIn(ctx context.Context, name string, version int) (*registr
 			return m, nil
 		}
 	}
-}
-
-// applyLayout relayouts a freshly loaded model per the server's Layout
-// config, before the model is published to any request goroutine (both
-// load paths call it while the model is still private to the loader).
-func (s *Server) applyLayout(m *registry.Model) error {
-	if s.Layout == ml.LayoutDefault {
-		return nil // decode already applied the process default
-	}
-	if err := m.ApplyLayout(s.Layout); err != nil {
-		return fmt.Errorf("serve: applying layout %v to %s@%d: %w", s.Layout, m.Meta.Name, m.Meta.Version, err)
-	}
-	return nil
 }
 
 // Reload force-resolves name's latest registry version into the hot
@@ -384,9 +361,6 @@ func (s *Server) loadPinned(ctx context.Context, name string, version int) (*reg
 		return nil, err
 	}
 	m.Workers = s.Workers
-	if err := s.applyLayout(m); err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
 	if cached, ok := s.cache[key]; ok {
 		m = cached // another request won the load race; keep one instance

@@ -55,8 +55,8 @@ func (c StencilConfig) normalized() (StencilConfig, error) {
 // over two arrays (read grid and write grid), invoking visit for every
 // reference in program order. Returns the number of accesses generated.
 //
-// Layout matches internal/stencil: row-major with I fastest, ghost
-// layer of width Order on each side, arrays placed back to back.
+// The memory layout matches internal/stencil: row-major with I fastest,
+// ghost layer of width Order on each side, arrays placed back to back.
 func Stencil(cfg StencilConfig, visit func(Access)) (uint64, error) {
 	c, err := cfg.normalized()
 	if err != nil {

@@ -43,7 +43,7 @@ func benchFigure(b *testing.B, id string) {
 	b.Helper()
 	var rep *Report
 	for i := 0; i < b.N; i++ {
-		r, err := Figure(id, benchOpts())
+		r, err := FigureCtx(context.Background(), id, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func BenchmarkAblationHybridModes(b *testing.B) {
 	results := map[hybrid.Mode]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, mode := range modes {
-			hm, err := TrainHybrid(train, am, HybridConfig{Mode: mode, Seed: 3})
+			hm, err := TrainHybridCtx(context.Background(), train, am, HybridConfig{Mode: mode, Seed: 3})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 	}
 	var plain, agg float64
 	for i := 0; i < b.N; i++ {
-		hm, err := TrainHybrid(train, am, HybridConfig{Seed: 3})
+		hm, err := TrainHybridCtx(context.Background(), train, am, HybridConfig{Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ha, err := TrainHybrid(train, am, HybridConfig{Seed: 3, Aggregate: true})
+		ha, err := TrainHybridCtx(context.Background(), train, am, HybridConfig{Seed: 3, Aggregate: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,18 +194,18 @@ func BenchmarkAblationAMCalibration(b *testing.B) {
 
 	var untuned, tuned, amU, amT float64
 	for i := 0; i < b.N; i++ {
-		h1, err := TrainHybrid(train, amUntuned, HybridConfig{Seed: 3})
+		h1, err := TrainHybridCtx(context.Background(), train, amUntuned, HybridConfig{Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
 		untuned, _ = h1.MAPE(test)
-		h2, err := TrainHybrid(train, amTuned, HybridConfig{Seed: 3})
+		h2, err := TrainHybridCtx(context.Background(), train, amTuned, HybridConfig{Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
 		tuned, _ = h2.MAPE(test)
-		amU, _ = AnalyticalMAPE(test, amUntuned)
-		amT, _ = AnalyticalMAPE(test, amTuned)
+		amU, _ = AnalyticalMAPECtx(context.Background(), test, amUntuned)
+		amT, _ = AnalyticalMAPECtx(context.Background(), test, amTuned)
 	}
 	b.ReportMetric(amU, "mape_am_untuned")
 	b.ReportMetric(amT, "mape_am_tuned")
@@ -345,7 +345,7 @@ func BenchmarkHybridTrain(b *testing.B) {
 	train, _, am := ablationSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TrainHybrid(train, am, HybridConfig{Seed: int64(i)}); err != nil {
+		if _, err := TrainHybridCtx(context.Background(), train, am, HybridConfig{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -407,13 +407,15 @@ func BenchmarkBaggingFitParallel(b *testing.B) { benchBaggingFit(b, 0) }
 func benchForestPredictBatch(b *testing.B, workers int) {
 	ds := benchTrainingSet(b, 400)
 	et := ml.NewExtraTrees(100, 7)
-	et.Workers = workers
 	if err := et.Fit(ds.X, ds.Y); err != nil {
 		b.Fatal(err)
 	}
+	out := make([]float64, len(ds.X))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = et.PredictBatch(ds.X)
+		if err := ml.PredictBatchIntoCtx(context.Background(), et, ds.X, out, workers); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -427,7 +429,7 @@ func benchCrossVal(b *testing.B, workers int) {
 	ds := benchTrainingSet(b, 300)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := ml.CrossValScoreWorkers(func() ml.Regressor {
+		_, err := ml.CrossValScoreCtx(context.Background(), func() ml.Regressor {
 			et := ml.NewExtraTrees(20, 5)
 			et.Workers = 1 // isolate the fold-level fan-out
 			return et
@@ -447,11 +449,9 @@ func BenchmarkCrossValParallel(b *testing.B) { benchCrossVal(b, 0) }
 // --- v2 Predictor interface overhead ---
 //
 // The pair below documents that routing batch prediction through the
-// context-first Predictor interface (the path lam-serve and the
-// registry use) adds no measurable overhead over calling
-// ml.PredictBatch directly: both funnel into the same block loop, and
-// the extra work is one fitted/arity check per row plus a context poll
-// per block.
+// context-first Predictor interface adds no measurable overhead over
+// calling ml.PredictBatchIntoCtx directly: both funnel into the same
+// block loop, and the extra work is one output allocation per call.
 
 // benchPredictorSetup fits a 100-tree extra-trees pipeline on 400 rows
 // and returns it with its training matrix.
@@ -465,12 +465,17 @@ func benchPredictorSetup(b *testing.B) (*ml.Pipeline, [][]float64) {
 	return p, ds.X
 }
 
-// BenchmarkPredictBatchDirect scores 400 rows via the v1 free function.
+// BenchmarkPredictBatchDirect scores 400 rows via the package entry
+// point into a reused slice.
 func BenchmarkPredictBatchDirect(b *testing.B) {
 	p, X := benchPredictorSetup(b)
+	out := make([]float64, len(X))
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ml.PredictBatch(p, X)
+		if err := ml.PredictBatchIntoCtx(ctx, p, X, out, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -6,18 +6,13 @@
 //
 //	lam-bench [-fig all|fig3a|fig3b|fig5|fig6|fig7|fig8]
 //	          [-machine bluewaters|xeon|edge] [-seed N] [-reps N] [-trees N]
-//	          [-workers N] [-json]
+//	          [-workers N] [-csv DIR]
 //
 // -workers bounds the worker pool used for ensemble fitting and the
-// per-figure sweeps (0 = GOMAXPROCS, 1 = fully sequential); results
-// are bit-identical for every value.
-//
-// -json replaces the text tables with one machine-readable JSON
-// document on stdout: run parameters plus, per benchmark, the
-// wall-clock ns/op of the regeneration (figures run sequentially in
-// this mode so the timings are attributable) and every series' MAPE
-// values. BENCH_PR3.json in the repository root is a committed
-// snapshot of this output tracking the performance trajectory.
+// per-figure sweeps (0 = GOMAXPROCS, 1 = fully sequential): a positive
+// value sets GOMAXPROCS, so it caps CPU as well as goroutines. Results
+// are bit-identical for every value. Figure timing lives in the
+// benchmark's paper_figures workload (BENCHMARK.json).
 //
 // SIGINT/SIGTERM cancel the sweep context: the run stops promptly at
 // the next trial boundary instead of dying mid-write, and exits with
@@ -26,7 +21,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -34,54 +28,9 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
-	"time"
 
 	"lam"
 )
-
-// jsonReport is the machine-readable -json output: run parameters and
-// one benchmark entry per regenerated figure.
-type jsonReport struct {
-	Schema     string          `json:"schema"`
-	Machine    string          `json:"machine"`
-	Seed       int64           `json:"seed"`
-	Reps       int             `json:"reps"`
-	Trees      int             `json:"trees"`
-	Workers    int             `json:"workers"`
-	GoMaxProcs int             `json:"gomaxprocs"`
-	Benchmarks []jsonBenchmark `json:"benchmarks"`
-}
-
-type jsonBenchmark struct {
-	ID    string `json:"id"`
-	Title string `json:"title"`
-	// NsPerOp is the wall-clock nanoseconds of one full regeneration
-	// of this figure (its sweep still uses the worker pool).
-	NsPerOp     int64        `json:"ns_per_op"`
-	DatasetSize int          `json:"dataset_size"`
-	Series      []jsonSeries `json:"series"`
-}
-
-type jsonSeries struct {
-	Label      string    `json:"label"`
-	Fractions  []float64 `json:"fractions"`
-	MeanMAPE   []float64 `json:"mean_mape"`
-	StdMAPE    []float64 `json:"std_mape"`
-	MedianMAPE []float64 `json:"median_mape"`
-	Reps       int       `json:"reps"`
-}
-
-func toJSONBenchmark(id string, r *lam.Report, elapsed time.Duration) jsonBenchmark {
-	b := jsonBenchmark{ID: id, Title: r.Title, NsPerOp: elapsed.Nanoseconds(), DatasetSize: r.DatasetSize}
-	for _, s := range r.Series {
-		b.Series = append(b.Series, jsonSeries{
-			Label: s.Label, Fractions: s.Fractions,
-			MeanMAPE: s.MeanMAPE, StdMAPE: s.StdMAPE, MedianMAPE: s.MedianMAPE,
-			Reps: s.Reps,
-		})
-	}
-	return b
-}
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate (all, fig3a, fig3b, fig5, fig6, fig7, fig8, ext-noise, ext-transfer)")
@@ -91,7 +40,6 @@ func main() {
 	reps := flag.Int("reps", 7, "training-set redraws per fraction")
 	trees := flag.Int("trees", 100, "ensemble size for tree models")
 	workers := flag.Int("workers", 0, "worker pool size for parallel fitting and sweeps (0 = GOMAXPROCS, 1 = sequential)")
-	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON document (per-benchmark ns/op + MAPE series) instead of text tables")
 	flag.Parse()
 
 	// ^C / SIGTERM cancel the context; the sweeps notice at the next
@@ -99,7 +47,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	lam.SetWorkers(*workers)
+	if *workers > 0 {
+		runtime.GOMAXPROCS(*workers)
+	}
 	m, err := lam.MachineByName(*machineName)
 	if err != nil {
 		fatal(err)
@@ -111,34 +61,8 @@ func main() {
 		ids = lam.FigureIDs()
 	}
 
-	if *jsonOut {
-		// Figures run one after another so each benchmark's wall time
-		// is attributable to it; the sweep inside each figure still
-		// fans out on the worker pool.
-		rep := jsonReport{
-			Schema: "lam-bench/v1", Machine: *machineName, Seed: *seed,
-			Reps: *reps, Trees: *trees, Workers: lam.Workers(),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-		}
-		for _, id := range ids {
-			start := time.Now()
-			r, err := runOne(ctx, id, opts)
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", id, err))
-			}
-			rep.Benchmarks = append(rep.Benchmarks, toJSONBenchmark(id, r, time.Since(start)))
-			writeCSV(*csvDir, id, r)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	fmt.Printf("machine: %s  seed: %d  reps: %d  trees: %d  workers: %d\n\n",
-		m.Name, *seed, *reps, *trees, lam.Workers())
+		m.Name, *seed, *reps, *trees, runtime.GOMAXPROCS(0))
 
 	// Regenerate every requested figure (concurrently when more than
 	// one), then render in input order.
@@ -164,7 +88,7 @@ func main() {
 }
 
 // writeCSV writes one figure's series into dir (no-op when dir is
-// empty); used by both the text and -json output modes.
+// empty).
 func writeCSV(dir, id string, r *lam.Report) {
 	if dir == "" {
 		return

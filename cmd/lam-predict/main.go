@@ -20,8 +20,9 @@
 // start) or jsonv1 (legacy JSON, readable by every build).
 //
 // -workers bounds the worker pool used for ensemble fitting and batch
-// prediction (0 = GOMAXPROCS, 1 = fully sequential); predictions are
-// bit-identical for every value.
+// prediction (0 = GOMAXPROCS, 1 = fully sequential): a positive value
+// sets GOMAXPROCS, so it caps CPU as well as goroutines. Predictions
+// are bit-identical for every value.
 //
 // SIGINT/SIGTERM cancel the training context: long fits stop promptly
 // and the process exits 130 without writing a partial registry version.
@@ -35,6 +36,7 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 
 	"lam"
@@ -62,7 +64,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	lam.SetWorkers(*workers)
+	if *workers > 0 {
+		runtime.GOMAXPROCS(*workers)
+	}
 	if *dataPath == "" {
 		fatal(fmt.Errorf("-data is required"))
 	}

@@ -171,7 +171,6 @@ func main() {
 	}
 	lg = logger.With("component", "lam-serve")
 
-	lam.SetWorkers(*workers)
 	if *regDir == "" {
 		fatal(fmt.Errorf("-registry is required"))
 	}

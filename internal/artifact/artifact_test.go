@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -97,7 +98,7 @@ func fitHybrid(t testing.TB, cfg hybrid.Config) (*hybrid.Model, [][]float64) {
 	for i := range X {
 		ds.MustAdd(X[i], y[i])
 	}
-	m, err := hybrid.Train(ds, testAM, cfg)
+	m, err := hybrid.TrainCtx(context.Background(), ds, testAM, cfg)
 	if err != nil {
 		t.Fatalf("hybrid train: %v", err)
 	}

@@ -3,9 +3,11 @@ package experiments
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"lam/internal/dataset"
 	"lam/internal/lamerr"
 )
 
@@ -102,27 +104,46 @@ func TestNoiseSensitivityCtxCancel(t *testing.T) {
 	assertCancelled(t, err)
 }
 
-// TestRunCtxUncancelledMatchesRun checks the ctx plumbing did not
-// change the deterministic output of an untouched run.
-func TestRunCtxUncancelledMatchesRun(t *testing.T) {
-	opts := Options{Seed: 7, Reps: 2, Trees: 10}
-	a, err := RunCtx(context.Background(), "fig5", opts)
-	if err != nil {
-		t.Fatal(err)
+// sweepKey tags the context TestMAPECurveCtxFitsOnSweepContext hands
+// the sweep.
+type sweepKey struct{}
+
+// ctxTrainable is a fake Trainable that records the context its Fit
+// receives.
+type ctxTrainable struct{ fit func(context.Context) error }
+
+func (c ctxTrainable) Fit(ctx context.Context, _ *dataset.Dataset) error { return c.fit(ctx) }
+
+func (ctxTrainable) PredictBatchInto(_ [][]float64, out []float64) error {
+	for i := range out {
+		out[i] = 1
 	}
-	b, err := Run("fig5", opts)
-	if err != nil {
-		t.Fatal(err)
+	return nil
+}
+
+// TestMAPECurveCtxFitsOnSweepContext: every trial's Fit receives the
+// sweep's own context, so a cancel reaches fits already in flight
+// instead of waiting them out.
+func TestMAPECurveCtxFitsOnSweepContext(t *testing.T) {
+	ds := dataset.New("x")
+	for i := 0; i < 40; i++ {
+		ds.MustAdd([]float64{float64(i)}, float64(i+1))
 	}
-	if len(a.Series) != len(b.Series) {
-		t.Fatalf("series count %d != %d", len(a.Series), len(b.Series))
-	}
-	for si := range a.Series {
-		for i := range a.Series[si].MeanMAPE {
-			if a.Series[si].MeanMAPE[i] != b.Series[si].MeanMAPE[i] {
-				t.Fatalf("series %d point %d: %v != %v",
-					si, i, a.Series[si].MeanMAPE[i], b.Series[si].MeanMAPE[i])
+	ctx := context.WithValue(context.Background(), sweepKey{}, "sweep")
+	var fits atomic.Int32
+	newModel := func(int64) Trainable {
+		return ctxTrainable{fit: func(c context.Context) error {
+			if c.Value(sweepKey{}) != "sweep" {
+				return errors.New("Fit did not receive the sweep's context")
 			}
-		}
+			fits.Add(1)
+			return nil
+		}}
+	}
+	if _, err := MAPECurveCtx(ctx, ds, newModel, []float64{0.25, 0.5}, 3, 1, "fake", 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := fits.Load(); got != 6 {
+		t.Fatalf("%d fits saw the sweep's context, want all 6 trials", got)
 	}
 }

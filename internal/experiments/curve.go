@@ -12,12 +12,14 @@ import (
 	"lam/internal/xmath"
 )
 
-// Trainable is anything the sweep can fit on a dataset and query —
-// pure-ML pipelines and hybrid models both satisfy it through the
-// wrappers below.
+// Trainable is anything the sweep can fit on a dataset and batch-score
+// — pure-ML pipelines and hybrid models both satisfy it through the
+// wrappers below. Fit receives the sweep's context, so a cancelled
+// sweep stops in-flight fits instead of waiting them out;
+// PredictBatchInto writes len(X) predictions into out.
 type Trainable interface {
-	Fit(train *dataset.Dataset) error
-	Predict(x []float64) (float64, error)
+	Fit(ctx context.Context, train *dataset.Dataset) error
+	PredictBatchInto(X [][]float64, out []float64) error
 }
 
 // mlTrainable wraps an ml.Regressor factory.
@@ -35,23 +37,18 @@ func MLTrainable(factory func(seed int64) ml.Regressor) func(seed int64) Trainab
 	}
 }
 
-func (m *mlTrainable) Fit(train *dataset.Dataset) error {
+func (m *mlTrainable) Fit(ctx context.Context, train *dataset.Dataset) error {
 	m.model = m.factory(m.seed)
-	return m.model.Fit(train.X, train.Y)
+	return ml.FitCtx(ctx, m.model, train.X, train.Y)
 }
 
-func (m *mlTrainable) Predict(x []float64) (float64, error) {
-	return m.model.Predict(x), nil
-}
-
-// PredictBatchInto implements the sweep's allocation-free fast path;
-// rows are scored sequentially (the trials themselves fan out on the
-// worker pool).
+// PredictBatchInto scores rows sequentially (the trials themselves fan
+// out on the worker pool).
 func (m *mlTrainable) PredictBatchInto(X [][]float64, out []float64) error {
 	return ml.PredictBatchInto(m.model, X, out, 1)
 }
 
-// hybridTrainable wraps hybrid.Train.
+// hybridTrainable wraps hybrid.TrainCtx.
 type hybridTrainable struct {
 	am    hybrid.AnalyticalModel
 	cfg   hybrid.Config
@@ -67,8 +64,8 @@ func HybridTrainable(am hybrid.AnalyticalModel, cfg hybrid.Config) func(seed int
 	}
 }
 
-func (h *hybridTrainable) Fit(train *dataset.Dataset) error {
-	m, err := hybrid.Train(train, h.am, h.cfg)
+func (h *hybridTrainable) Fit(ctx context.Context, train *dataset.Dataset) error {
+	m, err := hybrid.TrainCtx(ctx, train, h.am, h.cfg)
 	if err != nil {
 		return err
 	}
@@ -76,13 +73,9 @@ func (h *hybridTrainable) Fit(train *dataset.Dataset) error {
 	return nil
 }
 
-func (h *hybridTrainable) Predict(x []float64) (float64, error) {
-	return h.model.Predict(x)
-}
-
-// PredictBatchInto implements the sweep's allocation-free fast path.
+// PredictBatchInto scores rows on the configuration's worker count.
 func (h *hybridTrainable) PredictBatchInto(X [][]float64, out []float64) error {
-	return h.model.PredictBatchIntoCtx(context.Background(), X, out)
+	return h.model.PredictBatchIntoCtx(context.Background(), X, out, h.cfg.Workers)
 }
 
 // Series is one MAPE-vs-training-fraction curve: the content of one
@@ -99,28 +92,17 @@ type Series struct {
 	Reps int
 }
 
-// MAPECurve sweeps training-set fractions: at each fraction it redraws
-// a uniform random training set reps times (fresh model seed per draw),
-// trains, and scores MAPE on the complement. Trials run on the process
-// default worker pool; see MAPECurveWorkers.
-func MAPECurve(ds *dataset.Dataset, newModel func(seed int64) Trainable, fractions []float64, reps int, seed int64, label string) (Series, error) {
-	return MAPECurveWorkers(ds, newModel, fractions, reps, seed, label, 0)
-}
-
-// MAPECurveWorkers is MAPECurve with an explicit worker count (<= 0
-// means the process default, 1 forces sequential evaluation). The
-// (fraction, repetition) trials are independent: each derives its draw
-// seed from (seed, fraction index, repetition index) before fan-out
-// and writes its score by trial index, so the series is bit-identical
-// for every worker count.
-func MAPECurveWorkers(ds *dataset.Dataset, newModel func(seed int64) Trainable, fractions []float64, reps int, seed int64, label string, workers int) (Series, error) {
-	return MAPECurveCtx(context.Background(), ds, newModel, fractions, reps, seed, label, workers)
-}
-
-// MAPECurveCtx is MAPECurveWorkers with prompt cancellation between
-// (fraction, repetition) trials: once ctx is done no further trial
-// starts and the sweep returns a typed cancellation error (wrapping
-// lamerr.ErrCancelled and ctx.Err()) within one trial's duration.
+// MAPECurveCtx sweeps training-set fractions: at each fraction it
+// redraws a uniform random training set reps times (fresh model seed
+// per draw), trains, and scores MAPE on the complement. workers bounds
+// the trial fan-out (<= 0 means GOMAXPROCS, 1 forces sequential
+// evaluation). The (fraction, repetition) trials are independent: each
+// derives its draw seed from (seed, fraction index, repetition index)
+// before fan-out and writes its score by trial index, so the series is
+// bit-identical for every worker count. Cancellation is prompt: once
+// ctx is done no further trial starts, in-flight fits stop between
+// their own units, and the sweep returns a typed cancellation error
+// (wrapping lamerr.ErrCancelled and ctx.Err()).
 func MAPECurveCtx(ctx context.Context, ds *dataset.Dataset, newModel func(seed int64) Trainable, fractions []float64, reps int, seed int64, label string, workers int) (Series, error) {
 	if reps < 1 {
 		reps = 1
@@ -140,31 +122,17 @@ func MAPECurveCtx(ctx context.Context, ds *dataset.Dataset, newModel func(seed i
 			return fmt.Errorf("experiments: degenerate split at fraction %v", frac)
 		}
 		m := newModel(drawSeed)
-		if err := m.Fit(train); err != nil {
+		if err := m.Fit(ctx, train); err != nil {
 			return fmt.Errorf("experiments: fit at fraction %v rep %d: %w", frac, r, err)
 		}
-		// Score the held-out rows through the compiled Into path when
-		// the model exposes it (both wrappers above do), with a pooled
-		// buffer — the sweep's eval loop allocates nothing per trial.
+		// A pooled buffer: the sweep's eval loop allocates nothing per
+		// trial.
 		buf := ml.GetScratch(test.Len())
 		defer ml.PutScratch(buf)
-		pred := *buf
-		if bp, ok := m.(interface {
-			PredictBatchInto(X [][]float64, out []float64) error
-		}); ok {
-			if err := bp.PredictBatchInto(test.X, pred); err != nil {
-				return err
-			}
-		} else {
-			for i, x := range test.X {
-				p, err := m.Predict(x)
-				if err != nil {
-					return err
-				}
-				pred[i] = p
-			}
+		if err := m.PredictBatchInto(test.X, *buf); err != nil {
+			return err
 		}
-		scores[u] = ml.MAPE(test.Y, pred)
+		scores[u] = ml.MAPE(test.Y, *buf)
 		return nil
 	})
 	if err != nil {

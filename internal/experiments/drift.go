@@ -45,19 +45,15 @@ type DriftScenario struct {
 	AM hybrid.AnalyticalModel
 }
 
-// DriftScenario builds the drift-injection data: the source machine's
-// dataset split into a training sample (trainFrac, the paper's small-
-// budget regime; 0 means 2%) and held-out baseline, plus the target
-// machine's full dataset shuffled into an observation stream. Source
-// and target are machine preset keys; the same workload and seed are
-// used on both machines, so the feature grid is identical and only the
-// response distribution shifts — a pure concept drift.
-func NewDriftScenario(workload, source, target string, trainFrac float64, seed int64) (*DriftScenario, error) {
-	return DriftScenarioCtx(context.Background(), workload, source, target, trainFrac, seed)
-}
-
-// DriftScenarioCtx is NewDriftScenario with cancellation checks between
-// the two dataset builds (each is a full simulator sweep).
+// DriftScenarioCtx builds the drift-injection data: the source
+// machine's dataset split into a training sample (trainFrac, the
+// paper's small-budget regime; 0 means 2%) and held-out baseline, plus
+// the target machine's full dataset shuffled into an observation
+// stream. Source and target are machine preset keys; the same workload
+// and seed are used on both machines, so the feature grid is identical
+// and only the response distribution shifts — a pure concept drift.
+// The context is checked between the two dataset builds (each is a
+// full simulator sweep).
 func DriftScenarioCtx(ctx context.Context, workload, source, target string, trainFrac float64, seed int64) (*DriftScenario, error) {
 	presets := machine.Presets()
 	src, ok := presets[source]

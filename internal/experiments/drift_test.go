@@ -14,7 +14,7 @@ import (
 // training sample with its complement, a full-length shuffled target
 // stream, and a genuinely shifted response distribution.
 func TestDriftScenarioShapes(t *testing.T) {
-	sc, err := NewDriftScenario("stencil-grid", "bluewaters", "xeon", 0.05, 42)
+	sc, err := DriftScenarioCtx(context.Background(), "stencil-grid", "bluewaters", "xeon", 0.05, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,16 +68,16 @@ func TestDriftScenarioShapes(t *testing.T) {
 }
 
 func TestDriftScenarioErrors(t *testing.T) {
-	if _, err := NewDriftScenario("stencil-grid", "nope", "xeon", 0.05, 1); !errors.Is(err, lamerr.ErrUnknownMachine) {
+	if _, err := DriftScenarioCtx(context.Background(), "stencil-grid", "nope", "xeon", 0.05, 1); !errors.Is(err, lamerr.ErrUnknownMachine) {
 		t.Fatalf("unknown source: %v", err)
 	}
-	if _, err := NewDriftScenario("stencil-grid", "bluewaters", "nope", 0.05, 1); !errors.Is(err, lamerr.ErrUnknownMachine) {
+	if _, err := DriftScenarioCtx(context.Background(), "stencil-grid", "bluewaters", "nope", 0.05, 1); !errors.Is(err, lamerr.ErrUnknownMachine) {
 		t.Fatalf("unknown target: %v", err)
 	}
-	if _, err := NewDriftScenario("nope", "bluewaters", "xeon", 0.05, 1); !errors.Is(err, lamerr.ErrUnknownWorkload) {
+	if _, err := DriftScenarioCtx(context.Background(), "nope", "bluewaters", "xeon", 0.05, 1); !errors.Is(err, lamerr.ErrUnknownWorkload) {
 		t.Fatalf("unknown workload: %v", err)
 	}
-	if _, err := NewDriftScenario("stencil-grid", "bluewaters", "xeon", 1.5, 1); err == nil {
+	if _, err := DriftScenarioCtx(context.Background(), "stencil-grid", "bluewaters", "xeon", 1.5, 1); err == nil {
 		t.Fatal("fraction > 1 accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())

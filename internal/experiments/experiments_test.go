@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -177,14 +178,14 @@ func TestMAPECurveShapesAndDeterminism(t *testing.T) {
 	}
 	newModel := MLTrainable(DefaultPipeline("et", 20))
 	fractions := []float64{0.05, 0.10}
-	a, err := MAPECurve(ds, newModel, fractions, 2, 9, "et")
+	a, err := MAPECurveCtx(context.Background(), ds, newModel, fractions, 2, 9, "et", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a.MeanMAPE) != 2 || len(a.StdMAPE) != 2 || len(a.MedianMAPE) != 2 {
 		t.Fatalf("curve shape wrong: %+v", a)
 	}
-	b, err := MAPECurve(ds, newModel, fractions, 2, 9, "et")
+	b, err := MAPECurveCtx(context.Background(), ds, newModel, fractions, 2, 9, "et", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestHybridTrainableWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	newModel := HybridTrainable(StencilGridAM(bw()), hybrid.Config{})
-	s, err := MAPECurve(ds, newModel, []float64{0.02}, 2, 5, "hybrid")
+	s, err := MAPECurveCtx(context.Background(), ds, newModel, []float64{0.02}, 2, 5, "hybrid", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestReportRender(t *testing.T) {
 }
 
 func TestRunUnknownFigure(t *testing.T) {
-	if _, err := Run("fig99", Options{}); err == nil {
+	if _, err := RunCtx(context.Background(), "fig99", Options{}); err == nil {
 		t.Error("expected unknown-figure error")
 	}
 }
@@ -251,7 +252,7 @@ func TestAllFigureIDsRunnable(t *testing.T) {
 	// completes and produces non-empty series.
 	opts := Options{Seed: 1, Reps: 1, Trees: 10}
 	for _, id := range AllFigureIDs() {
-		r, err := Run(id, opts)
+		r, err := RunCtx(context.Background(), id, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

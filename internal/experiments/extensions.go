@@ -18,16 +18,11 @@ import (
 // to-run variance?) and the hardware-transfer experiment the paper's
 // conclusion motivates but does not plot.
 
-// NoiseSensitivity re-runs the Fig. 6 comparison (blocking dataset, 2%
-// training) at several simulator noise levels and reports one series
+// NoiseSensitivityCtx re-runs the Fig. 6 comparison (blocking dataset,
+// 2% training) at several simulator noise levels and reports one series
 // per model across noise levels (the Fractions field carries the noise
-// level instead of a training fraction).
-func NoiseSensitivity(opts Options, noiseLevels []float64) (*Report, error) {
-	return NoiseSensitivityCtx(context.Background(), opts, noiseLevels)
-}
-
-// NoiseSensitivityCtx is NoiseSensitivity with prompt cancellation
-// between noise levels and between the trials inside each level.
+// level instead of a training fraction). Cancellation is prompt between
+// noise levels and between the trials inside each level.
 func NoiseSensitivityCtx(ctx context.Context, opts Options, noiseLevels []float64) (*Report, error) {
 	o := opts.normalized()
 	if len(noiseLevels) == 0 {
@@ -97,16 +92,10 @@ func NoiseSensitivityCtx(ctx context.Context, opts Options, noiseLevels []float6
 	return r, nil
 }
 
-// HardwareTransfer runs the paper's concluding scenario: a model must
-// become accurate on a new machine from a small re-measurement budget.
-// It reports hybrid vs pure ML on the target machine's blocking
-// dataset across budgets.
-func HardwareTransfer(opts Options, target *machine.Machine, budgets []float64) (*Report, error) {
-	return HardwareTransferCtx(context.Background(), opts, target, budgets)
-}
-
-// HardwareTransferCtx is HardwareTransfer with prompt cancellation
-// between trials.
+// HardwareTransferCtx runs the paper's concluding scenario: a model
+// must become accurate on a new machine from a small re-measurement
+// budget. It reports hybrid vs pure ML on the target machine's blocking
+// dataset across budgets, with prompt cancellation between trials.
 func HardwareTransferCtx(ctx context.Context, opts Options, target *machine.Machine, budgets []float64) (*Report, error) {
 	o := opts.normalized()
 	if target == nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 func TestNoiseSensitivity(t *testing.T) {
-	r, err := NoiseSensitivity(Options{Seed: 5, Reps: 2, Trees: 20}, []float64{0.01, 0.10})
+	r, err := NoiseSensitivityCtx(context.Background(), Options{Seed: 5, Reps: 2, Trees: 20}, []float64{0.01, 0.10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestNoiseSensitivity(t *testing.T) {
 }
 
 func TestHardwareTransfer(t *testing.T) {
-	r, err := HardwareTransfer(Options{Seed: 5, Reps: 2, Trees: 20},
+	r, err := HardwareTransferCtx(context.Background(), Options{Seed: 5, Reps: 2, Trees: 20},
 		machine.GenericXeon(), []float64{0.02})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func TestHardwareTransfer(t *testing.T) {
 }
 
 func TestHardwareTransferDefaults(t *testing.T) {
-	r, err := HardwareTransfer(Options{Seed: 5, Reps: 1, Trees: 10}, nil, nil)
+	r, err := HardwareTransferCtx(context.Background(), Options{Seed: 5, Reps: 1, Trees: 10}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

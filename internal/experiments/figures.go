@@ -24,9 +24,9 @@ type Options struct {
 	// Trees is the forest size; 0 means 100.
 	Trees int
 	// Workers bounds the sweep-level trial parallelism (and is passed
-	// to hybrid training); values <= 0 mean the process default
-	// (parallel.SetDefaultWorkers / GOMAXPROCS), 1 forces sequential
-	// sweeps. Every figure is bit-identical for every worker count.
+	// to hybrid training); values <= 0 mean GOMAXPROCS, 1 forces
+	// sequential sweeps. Every figure is bit-identical for every worker
+	// count.
 	Workers int
 }
 
@@ -75,13 +75,9 @@ func (r *Report) Render(w io.Writer) error {
 	return err
 }
 
-// Fig3Stencil regenerates Fig. 3(A): MAPE of decision trees, extra
+// fig3Stencil regenerates Fig. 3(A): MAPE of decision trees, extra
 // trees and random forests on the stencil blocking dataset at training
 // fractions {1, 2, 4, 6, 10}%.
-func Fig3Stencil(opts Options) (*Report, error) {
-	return fig3Stencil(context.Background(), opts)
-}
-
 func fig3Stencil(ctx context.Context, opts Options) (*Report, error) {
 	o := opts.normalized()
 	ds, err := StencilBlockingDataset(NewStencilSim(o.Machine, uint64(o.Seed)))
@@ -107,12 +103,8 @@ func fig3Stencil(ctx context.Context, opts Options) (*Report, error) {
 	return r, nil
 }
 
-// Fig3FMM regenerates Fig. 3(B): the same three models on the FMM
+// fig3FMM regenerates Fig. 3(B): the same three models on the FMM
 // dataset at training fractions {10, 20, 40, 60, 80}%.
-func Fig3FMM(opts Options) (*Report, error) {
-	return fig3FMM(context.Background(), opts)
-}
-
 func fig3FMM(ctx context.Context, opts Options) (*Report, error) {
 	o := opts.normalized()
 	ds, err := FMMDataset(NewFMMSim(o.Machine, uint64(o.Seed)))
@@ -169,13 +161,9 @@ func hybridVsET(ctx context.Context, id, title string, ds *dataset.Dataset, am h
 	return r, nil
 }
 
-// Fig5 regenerates Fig. 5: grid-size-only stencil dataset, where the
+// fig5 regenerates Fig. 5: grid-size-only stencil dataset, where the
 // analytical model is accurate. Extra trees at {10, 15, 20}%, hybrid at
 // {1, 2, 4}%; aggregation enabled (the AM is representative).
-func Fig5(opts Options) (*Report, error) {
-	return fig5(context.Background(), opts)
-}
-
 func fig5(ctx context.Context, opts Options) (*Report, error) {
 	o := opts.normalized()
 	ds, err := StencilGridDataset(NewStencilSim(o.Machine, uint64(o.Seed)))
@@ -189,12 +177,8 @@ func fig5(ctx context.Context, opts Options) (*Report, error) {
 		hybrid.Config{Aggregate: false}, o)
 }
 
-// Fig6 regenerates Fig. 6: grid sizes + loop blocking with the untuned
+// fig6 regenerates Fig. 6: grid sizes + loop blocking with the untuned
 // blocking AM (paper: AM MAPE = 42%); both models at {1, 2, 4}%.
-func Fig6(opts Options) (*Report, error) {
-	return fig6(context.Background(), opts)
-}
-
 func fig6(ctx context.Context, opts Options) (*Report, error) {
 	o := opts.normalized()
 	ds, err := StencilBlockingDataset(NewStencilSim(o.Machine, uint64(o.Seed)))
@@ -208,13 +192,9 @@ func fig6(ctx context.Context, opts Options) (*Report, error) {
 		hybrid.Config{Aggregate: false}, o)
 }
 
-// Fig7 regenerates Fig. 7: multithreaded stencil with the serial AM.
+// fig7 regenerates Fig. 7: multithreaded stencil with the serial AM.
 // Aggregation is disabled, as in the paper ("we do not aggregate ...
 // as the analytical models do not capture the parallelism").
-func Fig7(opts Options) (*Report, error) {
-	return fig7(context.Background(), opts)
-}
-
 func fig7(ctx context.Context, opts Options) (*Report, error) {
 	o := opts.normalized()
 	ds, err := StencilThreadsDataset(NewStencilSim(o.Machine, uint64(o.Seed)))
@@ -228,13 +208,9 @@ func fig7(ctx context.Context, opts Options) (*Report, error) {
 		hybrid.Config{Aggregate: false}, o)
 }
 
-// Fig8 regenerates Fig. 8: the FMM workload with the untuned
+// fig8 regenerates Fig. 8: the FMM workload with the untuned
 // single-core AM (paper: AM MAPE = 84.5%); extra trees and hybrid at
 // {15, 20, 25}%.
-func Fig8(opts Options) (*Report, error) {
-	return fig8(context.Background(), opts)
-}
-
 func fig8(ctx context.Context, opts Options) (*Report, error) {
 	o := opts.normalized()
 	ds, err := FMMDataset(NewFMMSim(o.Machine, uint64(o.Seed)))
@@ -248,15 +224,9 @@ func fig8(ctx context.Context, opts Options) (*Report, error) {
 		hybrid.Config{Aggregate: false}, o)
 }
 
-// Run regenerates one figure by id: fig3a, fig3b, fig5, fig6, fig7 or
-// fig8.
-func Run(id string, opts Options) (*Report, error) {
-	return RunCtx(context.Background(), id, opts)
-}
-
-// RunCtx is Run with prompt cancellation between the figure's
-// (fraction, repetition) trials; an unknown id wraps
-// lamerr.ErrUnknownFigure.
+// RunCtx regenerates one figure by id — fig3a, fig3b, fig5, fig6, fig7
+// or fig8 — with prompt cancellation between the figure's (fraction,
+// repetition) trials; an unknown id wraps lamerr.ErrUnknownFigure.
 func RunCtx(ctx context.Context, id string, opts Options) (*Report, error) {
 	switch id {
 	case "fig3a", "3a":
@@ -282,16 +252,11 @@ func AllFigureIDs() []string {
 	return []string{"fig3a", "fig3b", "fig5", "fig6", "fig7", "fig8"}
 }
 
-// RunMany regenerates several figures concurrently on the worker pool
-// and returns the reports in input order. Each figure is itself
-// deterministic, so the batch matches len(ids) sequential Run calls.
-func RunMany(ids []string, opts Options) ([]*Report, error) {
-	return RunManyCtx(context.Background(), ids, opts)
-}
-
-// RunManyCtx is RunMany with prompt cancellation: the context is
-// threaded into every figure's trial sweep, so one cancel stops the
-// whole batch within a trial's duration.
+// RunManyCtx regenerates several figures concurrently on the worker
+// pool and returns the reports in input order. Each figure is itself
+// deterministic, so the batch matches len(ids) sequential RunCtx calls.
+// The context is threaded into every figure's trial sweep, so one
+// cancel stops the whole batch within a trial's duration.
 func RunManyCtx(ctx context.Context, ids []string, opts Options) ([]*Report, error) {
 	return parallel.MapCtx(ctx, len(ids), opts.Workers, func(i int) (*Report, error) {
 		r, err := RunCtx(ctx, ids[i], opts)

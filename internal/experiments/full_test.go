@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestStencilFullHybridBeatsPureML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := hybrid.Train(train, am, hybrid.Config{Seed: 1})
+	hy, err := hybrid.TrainCtx(context.Background(), train, am, hybrid.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,11 @@ func TestStencilFullHybridBeatsPureML(t *testing.T) {
 	if err := et.Fit(train.X, train.Y); err != nil {
 		t.Fatal(err)
 	}
-	etMAPE := ml.MAPE(test.Y, ml.PredictBatch(et, test.X))
+	pred := make([]float64, test.Len())
+	if err := ml.PredictBatchIntoCtx(context.Background(), et, test.X, pred, 0); err != nil {
+		t.Fatal(err)
+	}
+	etMAPE := ml.MAPE(test.Y, pred)
 	t.Logf("full 8-D space @3%%: hybrid %.1f%%, pure ET %.1f%%", hyMAPE, etMAPE)
 	if hyMAPE >= etMAPE {
 		t.Errorf("hybrid (%.1f%%) should beat pure ML (%.1f%%)", hyMAPE, etMAPE)

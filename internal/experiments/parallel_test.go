@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -30,12 +31,12 @@ func TestMAPECurveParallelBitIdentical(t *testing.T) {
 	newModel := MLTrainable(DefaultPipeline("et", o.Trees))
 	fractions := []float64{0.05, 0.10}
 
-	seq, err := MAPECurveWorkers(ds, newModel, fractions, 3, o.Seed, "et", 1)
+	seq, err := MAPECurveCtx(context.Background(), ds, newModel, fractions, 3, o.Seed, "et", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := MAPECurveWorkers(ds, newModel, fractions, 3, o.Seed, "et", workers)
+		par, err := MAPECurveCtx(context.Background(), ds, newModel, fractions, 3, o.Seed, "et", workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,11 +49,11 @@ func TestMAPECurveParallelBitIdentical(t *testing.T) {
 // TestFigureParallelBitIdentical runs one full figure sequentially and
 // in parallel and requires identical reports.
 func TestFigureParallelBitIdentical(t *testing.T) {
-	seq, err := Fig5(smallOpts(1))
+	seq, err := RunCtx(context.Background(), "fig5", smallOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Fig5(smallOpts(8))
+	par, err := RunCtx(context.Background(), "fig5", smallOpts(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,20 +67,20 @@ func TestFigureParallelBitIdentical(t *testing.T) {
 func TestRunManyMatchesRun(t *testing.T) {
 	ids := []string{"fig5", "fig6"}
 	opts := smallOpts(4)
-	batch, err := RunMany(ids, opts)
+	batch, err := RunManyCtx(context.Background(), ids, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(batch) != len(ids) {
-		t.Fatalf("RunMany returned %d reports, want %d", len(batch), len(ids))
+		t.Fatalf("RunManyCtx returned %d reports, want %d", len(batch), len(ids))
 	}
 	for i, id := range ids {
-		single, err := Run(id, opts)
+		single, err := RunCtx(context.Background(), id, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(single, batch[i]) {
-			t.Fatalf("RunMany[%d] (%s) differs from Run", i, id)
+			t.Fatalf("RunManyCtx[%d] (%s) differs from RunCtx", i, id)
 		}
 	}
 }
@@ -88,11 +89,11 @@ func TestRunManyMatchesRun(t *testing.T) {
 // per-level fan-out.
 func TestNoiseSensitivityParallelBitIdentical(t *testing.T) {
 	levels := []float64{0.02, 0.08}
-	seq, err := NoiseSensitivity(smallOpts(1), levels)
+	seq, err := NoiseSensitivityCtx(context.Background(), smallOpts(1), levels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NoiseSensitivity(smallOpts(8), levels)
+	par, err := NoiseSensitivityCtx(context.Background(), smallOpts(8), levels)
 	if err != nil {
 		t.Fatal(err)
 	}

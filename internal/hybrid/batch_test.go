@@ -58,7 +58,7 @@ func TestBatchPathMatchesPerRow(t *testing.T) {
 	want := make([]float64, len(Xq))
 	for _, mode := range []Mode{StackMode, ResidualMode, RatioMode} {
 		for _, agg := range []bool{false, true} {
-			m, err := Train(train, am, Config{Mode: mode, Aggregate: agg, AggregateWeight: 0.3, NewML: smallML, Workers: 1})
+			m, err := TrainCtx(context.Background(), train, am, Config{Mode: mode, Aggregate: agg, AggregateWeight: 0.3, NewML: smallML, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,10 +69,9 @@ func TestBatchPathMatchesPerRow(t *testing.T) {
 			}
 			for _, n := range batchSizes {
 				for _, workers := range []int{1, 2, 7} {
-					m.cfg.Workers = workers
 					for _, c := range []context.Context{nil, ctx} {
 						got := make([]float64, n)
-						if err := m.PredictBatchIntoCtx(c, Xq[:n], got); err != nil {
+						if err := m.PredictBatchIntoCtx(c, Xq[:n], got, workers); err != nil {
 							t.Fatalf("%v agg=%v n=%d workers=%d: %v", mode, agg, n, workers, err)
 						}
 						for i := range got {
@@ -103,7 +102,7 @@ func TestBatchFailingRowSemantics(t *testing.T) {
 		return base.Predict(x)
 	})
 	for _, mode := range []Mode{StackMode, ResidualMode} {
-		m, err := Train(train, am, Config{Mode: mode, NewML: smallML, Workers: 1})
+		m, err := TrainCtx(context.Background(), train, am, Config{Mode: mode, NewML: smallML, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,12 +131,11 @@ func TestBatchFailingRowSemantics(t *testing.T) {
 				t.Fatalf("%s: planted row %d scores", tc.name, first)
 			}
 			for _, workers := range []int{1, 2, 7} {
-				m.cfg.Workers = workers
 				got := make([]float64, n)
 				for i := range got {
 					got[i] = -12345
 				}
-				err := m.PredictBatchIntoCtx(context.Background(), X, got)
+				err := m.PredictBatchIntoCtx(context.Background(), X, got, workers)
 				if err == nil || err.Error() != wantErr.Error() {
 					t.Fatalf("%v %s workers=%d: error %q, want row %d's %q", mode, tc.name, workers, err, first, wantErr)
 				}
@@ -173,7 +171,7 @@ func TestBatchCancelledBetweenBlocks(t *testing.T) {
 		}
 		return base.Predict(x)
 	})
-	m, err := Train(train, am, Config{NewML: smallML, Workers: 1})
+	m, err := TrainCtx(context.Background(), train, am, Config{NewML: smallML, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +180,11 @@ func TestBatchCancelledBetweenBlocks(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		var ctx context.Context
 		ctx, cancel = context.WithCancel(context.Background())
-		m.cfg.Workers = workers
 		got := make([]float64, len(X))
 		for i := range got {
 			got[i] = -12345
 		}
-		err := m.PredictBatchIntoCtx(ctx, X, got)
+		err := m.PredictBatchIntoCtx(ctx, X, got, workers)
 		cancel()
 		if !errors.Is(err, lamerr.ErrCancelled) || !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: error %v, want a cancellation wrapping lamerr.ErrCancelled and context.Canceled", workers, err)
@@ -216,12 +213,12 @@ func TestBatchAllocationFree(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, mode := range []Mode{StackMode, ResidualMode, RatioMode} {
-		m, err := Train(train, am, Config{Mode: mode, Aggregate: true, NewML: smallML, Workers: 1})
+		m, err := TrainCtx(context.Background(), train, am, Config{Mode: mode, Aggregate: true, NewML: smallML, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if allocs := testing.AllocsPerRun(20, func() {
-			if err := m.PredictBatchIntoCtx(ctx, X, out); err != nil {
+			if err := m.PredictBatchIntoCtx(ctx, X, out, 1); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
@@ -236,7 +233,7 @@ func TestBatchAllocationFree(t *testing.T) {
 // once its caller drops it.
 func TestAugBlockHoldsNoCallerRows(t *testing.T) {
 	train, am := syntheticWorkload(200, 51)
-	m, err := Train(train, am, Config{NewML: smallML, Workers: 1})
+	m, err := TrainCtx(context.Background(), train, am, Config{NewML: smallML, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +242,7 @@ func TestAugBlockHoldsNoCallerRows(t *testing.T) {
 		X := awkwardRows(rand.New(rand.NewSource(52)), 2*batchBlock+1)
 		runtime.SetFinalizer(&X[0], func(*[]float64) { collected <- "row headers" })
 		runtime.SetFinalizer(&X[batchBlock][0], func(*float64) { collected <- "a row" })
-		if err := m.PredictBatchIntoCtx(context.Background(), X, make([]float64, len(X))); err != nil {
+		if err := m.PredictBatchIntoCtx(context.Background(), X, make([]float64, len(X)), 1); err != nil {
 			t.Fatal(err)
 		}
 	}()

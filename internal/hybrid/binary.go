@@ -43,21 +43,16 @@ func AppendBinary(buf []byte, m *Model) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeBinary restores a hybrid model encoded by AppendBinary,
+// DecodeBinaryVersion restores a hybrid model encoded by AppendBinary,
 // reattaching the analytical model, and consumes the whole input.
-// Corruption (short header, trailing bytes, a mangled ML section) wraps
+// version is the ML payload version — the artifact layer passes the
+// lamb1 header version down so version-1 artifacts (whose tree bodies
+// still carry explicit left arrays) keep decoding forever. Corruption
+// (short header, trailing bytes, a mangled ML section) wraps
 // lamerr.ErrCorruptArtifact.
-func DecodeBinary(data []byte, am AnalyticalModel) (*Model, error) {
-	return DecodeBinaryVersion(data, am, ml.BinaryVersionLatest)
-}
-
-// DecodeBinaryVersion is DecodeBinary for an explicit ML payload
-// version — the artifact layer passes the lamb1 header version down so
-// version-1 artifacts (whose tree bodies still carry explicit left
-// arrays) keep decoding forever.
 func DecodeBinaryVersion(data []byte, am AnalyticalModel, version int) (*Model, error) {
 	if am == nil {
-		return nil, fmt.Errorf("hybrid: DecodeBinary requires the analytical model")
+		return nil, fmt.Errorf("hybrid: DecodeBinaryVersion requires the analytical model")
 	}
 	if len(data) < 32 {
 		return nil, fmt.Errorf("hybrid: %w: short payload: %d bytes for a 32-byte header",

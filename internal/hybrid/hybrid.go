@@ -91,9 +91,10 @@ type Config struct {
 	AggregateWeight float64
 	// Seed drives the ML component's randomness.
 	Seed int64
-	// Workers bounds training and batch-prediction parallelism; values
-	// <= 0 mean the process default. Predictions are bit-identical for
-	// every worker count.
+	// Workers bounds training parallelism and MAPE scoring; values <= 0
+	// mean GOMAXPROCS. It is not persisted: batch prediction takes its
+	// worker count per call (PredictBatchIntoCtx). Predictions are
+	// bit-identical for every worker count.
 	Workers int
 }
 
@@ -114,18 +115,14 @@ type Model struct {
 	nFeatures int
 }
 
-// Train builds a hybrid model from a training dataset and an analytical
-// model, following the paper's training algorithm: score every training
-// sample with the AM, augment (or transform) the features, fit the ML
-// component.
-func Train(train *dataset.Dataset, am AnalyticalModel, cfg Config) (*Model, error) {
-	return TrainCtx(context.Background(), train, am, cfg)
-}
-
-// TrainCtx is Train with prompt cancellation: the context is checked
-// between analytical-model scores and threaded into the ML component's
-// fit, so a cancelled training run returns a typed error (wrapping
-// lamerr.ErrCancelled and ctx.Err()) within one unit's duration.
+// TrainCtx builds a hybrid model from a training dataset and an
+// analytical model, following the paper's training algorithm: score
+// every training sample with the AM, augment (or transform) the
+// features, fit the ML component. Cancellation is prompt: the context
+// is checked between analytical-model scores and threaded into the ML
+// component's fit, so a cancelled training run returns a typed error
+// (wrapping lamerr.ErrCancelled and ctx.Err()) within one unit's
+// duration.
 func TrainCtx(ctx context.Context, train *dataset.Dataset, am AnalyticalModel, cfg Config) (*Model, error) {
 	if am == nil {
 		return nil, errors.New("hybrid: analytical model required")
@@ -251,26 +248,6 @@ func (m *Model) PredictCtx(ctx context.Context, x []float64) (float64, error) {
 	return m.Predict(x)
 }
 
-// PredictBatch scores every row of a dataset on the worker pool; rows
-// are written by index, so the output is bit-identical for every
-// worker count.
-func (m *Model) PredictBatch(ds *dataset.Dataset) ([]float64, error) {
-	return m.PredictBatchCtx(context.Background(), ds.X)
-}
-
-// PredictBatchCtx scores every row of X on the worker pool with prompt
-// cancellation between rows. Rows are written by index, so the output
-// is bit-identical for every worker count — and identical to len(X)
-// sequential Predict calls, which is what lets the serving layer in
-// internal/serve answer requests bit-identical to library calls.
-func (m *Model) PredictBatchCtx(ctx context.Context, X [][]float64) ([]float64, error) {
-	out := make([]float64, len(X))
-	if err := m.PredictBatchIntoCtx(ctx, X, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // batchBlock is the row count PredictBatchIntoCtx scores at a time: the
 // same kernel-sized block internal/ml's batch path uses (its batchBlock;
 // see there for the measurement), so one block here is one sequential
@@ -279,22 +256,24 @@ func (m *Model) PredictBatchCtx(ctx context.Context, X [][]float64) ([]float64, 
 const batchBlock = 256
 
 // PredictBatchIntoCtx scores every row of X into out (which must have
-// len(X) elements) with prompt cancellation between row blocks: the
-// allocation-free serving path behind registry batch prediction and
-// lam-serve. Each block of up to batchBlock rows is scored as a block —
-// the analytical column once, one batch call into the ML component,
-// then the mode's coupling per row in Predict's operation order — so
-// the result is bit-identical to len(X) sequential Predict calls for
-// every worker count, and the ML component's tree-major kernel is
-// reached from every caller. Workers are resolved over the number of
-// blocks: up to one block (an /observe batch, a coalescer drain) runs
-// inline on the caller's goroutine and — given an allocation-free
-// analytical model — performs zero steady-state allocations.
+// len(X) elements) with prompt cancellation between row blocks: the one
+// batch path, behind registry batch prediction, lam-serve and the
+// experiment sweeps. Each block of up to batchBlock rows is scored as a
+// block — the analytical column once, one batch call into the ML
+// component, then the mode's coupling per row in Predict's operation
+// order — so the result is bit-identical to len(X) sequential Predict
+// calls for every worker count, and the ML component's tree-major
+// kernel is reached from every caller. workers bounds the block
+// fan-out (<= 0 means GOMAXPROCS), as in ml.PredictBatchIntoCtx; it is
+// resolved over the number of blocks, so up to one block (an /observe
+// batch, a coalescer drain) — or any batch at workers == 1 — runs
+// inline on the caller's goroutine and, given an allocation-free
+// analytical model, performs zero steady-state allocations.
 //
 // On a failing row (wrong arity, analytical-model error) the error is
 // the one Predict returns for the lowest such row, and every row
 // before it has been written.
-func (m *Model) PredictBatchIntoCtx(ctx context.Context, X [][]float64, out []float64) error {
+func (m *Model) PredictBatchIntoCtx(ctx context.Context, X [][]float64, out []float64, workers int) error {
 	if !m.IsFitted() {
 		return fmt.Errorf("hybrid: %w", lamerr.ErrNotFitted)
 	}
@@ -303,8 +282,8 @@ func (m *Model) PredictBatchIntoCtx(ctx context.Context, X [][]float64, out []fl
 			lamerr.ErrDimension, len(out), len(X))
 	}
 	blocks := (len(X) + batchBlock - 1) / batchBlock
-	if parallel.Resolve(m.cfg.Workers, blocks) > 1 {
-		return parallel.ForCtx(ctx, blocks, m.cfg.Workers, func(b int) error {
+	if parallel.Resolve(workers, blocks) > 1 {
+		return parallel.ForCtx(ctx, blocks, workers, func(b int) error {
 			lo := b * batchBlock
 			hi := min(lo+batchBlock, len(X))
 			return m.predictBlock(X[lo:hi], out[lo:hi])
@@ -433,13 +412,13 @@ func (m *Model) MAPE(test *dataset.Dataset) (float64, error) {
 	return m.MAPECtx(context.Background(), test)
 }
 
-// MAPECtx is MAPE with prompt cancellation between test rows. The
-// prediction buffer is pooled, so repeated sweep evaluations do not
-// allocate per call.
+// MAPECtx is MAPE with prompt cancellation between row blocks, scored
+// on the model's Config.Workers. The prediction buffer is pooled, so
+// repeated sweep evaluations do not allocate per call.
 func (m *Model) MAPECtx(ctx context.Context, test *dataset.Dataset) (float64, error) {
 	buf := ml.GetScratch(test.Len())
 	defer ml.PutScratch(buf)
-	if err := m.PredictBatchIntoCtx(ctx, test.X, *buf); err != nil {
+	if err := m.PredictBatchIntoCtx(ctx, test.X, *buf, m.cfg.Workers); err != nil {
 		return 0, err
 	}
 	return ml.MAPE(test.Y, *buf), nil

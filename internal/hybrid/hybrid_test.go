@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -39,7 +40,7 @@ func TestHybridBeatsPureMLOnSmallTrainingSets(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hy, err := Train(train, am, Config{Seed: 3})
+	hy, err := TrainCtx(context.Background(), train, am, Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,11 @@ func TestHybridBeatsPureMLOnSmallTrainingSets(t *testing.T) {
 	if err := pure.Fit(train.X, train.Y); err != nil {
 		t.Fatal(err)
 	}
-	pureMAPE := ml.MAPE(test.Y, ml.PredictBatch(pure, test.X))
+	pred := make([]float64, test.Len())
+	if err := ml.PredictBatchIntoCtx(context.Background(), pure, test.X, pred, 0); err != nil {
+		t.Fatal(err)
+	}
+	pureMAPE := ml.MAPE(test.Y, pred)
 
 	t.Logf("hybrid MAPE = %.2f%%, pure ML MAPE = %.2f%%", hyMAPE, pureMAPE)
 	if hyMAPE >= pureMAPE {
@@ -70,7 +75,7 @@ func TestHybridLearnsCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := Train(train, am, Config{Seed: 3})
+	hy, err := TrainCtx(context.Background(), train, am, Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +94,7 @@ func TestHybridModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	train, test, _ := full.SampleFraction(0.1, rng)
 	for _, mode := range []Mode{StackMode, ResidualMode, RatioMode} {
-		hy, err := Train(train, am, Config{Mode: mode, Seed: 3})
+		hy, err := TrainCtx(context.Background(), train, am, Config{Mode: mode, Seed: 3})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -111,11 +116,11 @@ func TestHybridAggregation(t *testing.T) {
 		ds.MustAdd([]float64{float64(i)}, float64(2*i)) // truth 2x
 	}
 	am := AnalyticalFunc(func(x []float64) (float64, error) { return x[0], nil }) // AM = x
-	plain, err := Train(ds, am, Config{Seed: 1})
+	plain, err := TrainCtx(context.Background(), ds, am, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := Train(ds, am, Config{Seed: 1, Aggregate: true})
+	agg, err := TrainCtx(context.Background(), ds, am, Config{Seed: 1, Aggregate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +132,7 @@ func TestHybridAggregation(t *testing.T) {
 	if math.Abs(pa-want) > 1e-9 {
 		t.Errorf("aggregate prediction %v, want %v", pa, want)
 	}
-	wagg, err := Train(ds, am, Config{Seed: 1, Aggregate: true, AggregateWeight: 0.9})
+	wagg, err := TrainCtx(context.Background(), ds, am, Config{Seed: 1, Aggregate: true, AggregateWeight: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,16 +154,16 @@ func TestHybridModeStrings(t *testing.T) {
 
 func TestTrainValidation(t *testing.T) {
 	ds, am := syntheticWorkload(10, 4)
-	if _, err := Train(nil, am, Config{}); err == nil {
+	if _, err := TrainCtx(context.Background(), nil, am, Config{}); err == nil {
 		t.Error("expected error for nil dataset")
 	}
-	if _, err := Train(dataset.New("x"), am, Config{}); err == nil {
+	if _, err := TrainCtx(context.Background(), dataset.New("x"), am, Config{}); err == nil {
 		t.Error("expected error for empty dataset")
 	}
-	if _, err := Train(ds, nil, Config{}); err == nil {
+	if _, err := TrainCtx(context.Background(), ds, nil, Config{}); err == nil {
 		t.Error("expected error for nil analytical model")
 	}
-	if _, err := Train(ds, am, Config{Mode: Mode(42)}); err == nil {
+	if _, err := TrainCtx(context.Background(), ds, am, Config{Mode: Mode(42)}); err == nil {
 		t.Error("expected error for unknown mode")
 	}
 }
@@ -166,7 +171,7 @@ func TestTrainValidation(t *testing.T) {
 func TestTrainPropagatesAMErrors(t *testing.T) {
 	ds, _ := syntheticWorkload(10, 5)
 	bad := AnalyticalFunc(func(x []float64) (float64, error) { return 0, errors.New("boom") })
-	if _, err := Train(ds, bad, Config{}); err == nil {
+	if _, err := TrainCtx(context.Background(), ds, bad, Config{}); err == nil {
 		t.Error("expected AM error to propagate from Train")
 	}
 }
@@ -175,14 +180,14 @@ func TestRatioModeRejectsZeroAM(t *testing.T) {
 	ds := dataset.New("x")
 	ds.MustAdd([]float64{1}, 2)
 	zero := AnalyticalFunc(func(x []float64) (float64, error) { return 0, nil })
-	if _, err := Train(ds, zero, Config{Mode: RatioMode}); err == nil {
+	if _, err := TrainCtx(context.Background(), ds, zero, Config{Mode: RatioMode}); err == nil {
 		t.Error("expected zero-AM error in ratio mode")
 	}
 }
 
 func TestPredictArityChecked(t *testing.T) {
 	ds, am := syntheticWorkload(50, 6)
-	hy, err := Train(ds, am, Config{Seed: 1})
+	hy, err := TrainCtx(context.Background(), ds, am, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +213,7 @@ func TestAnalyticalMAPEPerfectModel(t *testing.T) {
 
 func TestCustomMLComponent(t *testing.T) {
 	ds, am := syntheticWorkload(300, 7)
-	hy, err := Train(ds, am, Config{
+	hy, err := TrainCtx(context.Background(), ds, am, Config{
 		NewML: func() ml.Regressor { return &ml.LinearRegression{} },
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ func TestHybridSaveLoadRoundTrip(t *testing.T) {
 		{Seed: 3, Mode: RatioMode},
 		{Seed: 3, Aggregate: true, AggregateWeight: 0.7},
 	} {
-		orig, err := Train(train, am, cfg)
+		orig, err := TrainCtx(context.Background(), train, am, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

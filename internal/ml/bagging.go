@@ -25,11 +25,11 @@ type Bagging struct {
 	SampleFrac float64
 	// Seed drives the bootstrap resampling.
 	Seed int64
-	// Workers bounds fitting/prediction parallelism; values <= 0 mean
-	// the process default. NewBase must be safe to call concurrently
-	// (factories capturing only immutable state, as all estimators in
-	// this package are, qualify). Results are bit-identical for every
-	// worker count: each member's bootstrap RNG is derived from
+	// Workers bounds fitting parallelism; values <= 0 mean GOMAXPROCS.
+	// NewBase must be safe to call concurrently (factories capturing
+	// only immutable state, as all estimators in this package are,
+	// qualify). Results are bit-identical for every worker count: each
+	// member's bootstrap RNG is derived from
 	// (Seed, member index) before fan-out.
 	Workers int
 
@@ -137,42 +137,6 @@ func (b *Bagging) Predict(x []float64) float64 {
 		s += m.Predict(x)
 	}
 	return s / float64(len(b.models))
-}
-
-// PredictBatch scores every row of X on the worker pool; each row's
-// member contributions are summed in member order, so the output
-// matches sequential Predict calls exactly.
-func (b *Bagging) PredictBatch(X [][]float64) []float64 {
-	if len(b.models) == 0 {
-		panic("ml: Bagging.PredictBatch called before Fit")
-	}
-	if want := b.NumFeatures(); want > 0 {
-		for _, x := range X {
-			if len(x) != want {
-				panic(fmt.Sprintf("ml: Bagging.PredictBatch got %d features, want %d", len(x), want))
-			}
-		}
-	}
-	out := make([]float64, len(X))
-	b.predictBatchInto(X, out)
-	return out
-}
-
-// PredictBatchInto scores every row of X into out (which must have
-// len(X) elements) with no allocations beyond the pool's block
-// dispatch — none at all with Workers == 1 and tree bases.
-func (b *Bagging) PredictBatchInto(X [][]float64, out []float64) error {
-	if err := checkInto(b, X, out); err != nil {
-		return err
-	}
-	b.predictBatchInto(X, out)
-	return nil
-}
-
-// predictBatchInto routes through the shared dispatching core, which
-// lands on predictBatchIntoSeq block by block.
-func (b *Bagging) predictBatchInto(X [][]float64, out []float64) {
-	predictBatchInto(b, X, out, b.Workers)
 }
 
 // predictBatchIntoSeq implements the compiled plane's sequential block

@@ -109,7 +109,7 @@ func TestLayoutPredictAllocationFree(t *testing.T) {
 		t.Errorf("Predict allocates %.1f per call, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		if err := f.PredictBatchInto(Xq, out); err != nil {
+		if err := PredictBatchInto(f, Xq, out, 1); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

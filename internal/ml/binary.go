@@ -455,18 +455,12 @@ func (r *binReader) treeBody() (*DecisionTree, error) {
 	return &DecisionTree{Config: cfg, nodes: c, nFeatures: int(nFeat), importances: imp}, nil
 }
 
-// DecodeBinary restores a current-version regressor payload encoded by
-// AppendBinary, consuming the whole input. Trailing bytes are treated
-// as corruption — the artifact layer frames payloads with an exact
-// length.
-func DecodeBinary(data []byte) (Regressor, error) {
-	return DecodeBinaryVersion(data, BinaryVersionLatest)
-}
-
-// DecodeBinaryVersion is DecodeBinary for an explicit payload version
-// (the artifact layer reads the version from the lamb1 header and
-// passes it down, so files written before the implicit-left layout
-// keep decoding forever).
+// DecodeBinaryVersion restores a regressor payload encoded by
+// AppendBinary (BinaryVersionLatest) or by an older writer, consuming
+// the whole input. Trailing bytes are treated as corruption — the
+// artifact layer frames payloads with an exact length. The artifact
+// layer reads the version from the lamb1 header and passes it down, so
+// files written before the implicit-left layout keep decoding forever.
 func DecodeBinaryVersion(data []byte, version int) (Regressor, error) {
 	r, err := newBinReader(data, version)
 	if err != nil {
@@ -482,15 +476,10 @@ func DecodeBinaryVersion(data []byte, version int) (Regressor, error) {
 	return m, nil
 }
 
-// DecodeBinaryPrefix restores a current-version regressor from the
-// front of data and reports how many bytes it consumed — the hook
-// nested encodings (the hybrid model's ML component) decode through.
-func DecodeBinaryPrefix(data []byte) (Regressor, int, error) {
-	return DecodeBinaryPrefixVersion(data, BinaryVersionLatest)
-}
-
-// DecodeBinaryPrefixVersion is DecodeBinaryPrefix for an explicit
-// payload version.
+// DecodeBinaryPrefixVersion restores a regressor of the given payload
+// version from the front of data and reports how many bytes it
+// consumed — the hook nested encodings (the hybrid model's ML
+// component) decode through.
 func DecodeBinaryPrefixVersion(data []byte, version int) (Regressor, int, error) {
 	r, err := newBinReader(data, version)
 	if err != nil {

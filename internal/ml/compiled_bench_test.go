@@ -45,7 +45,7 @@ func BenchmarkForestPredictBatch(b *testing.B) {
 	})
 	b.Run("compiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := f.PredictBatchInto(Xq, out); err != nil {
+			if err := PredictBatchInto(f, Xq, out, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -74,7 +74,7 @@ func BenchmarkGBRPredictBatch(b *testing.B) {
 	})
 	b.Run("compiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := g.PredictBatchInto(Xq, out); err != nil {
+			if err := PredictBatchInto(g, Xq, out, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -136,7 +136,7 @@ func BenchmarkForestPredictBatchLayout(b *testing.B) {
 	out := make([]float64, len(Xq))
 	b.Run("implicit-left", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := f.PredictBatchInto(Xq, out); err != nil {
+			if err := PredictBatchInto(f, Xq, out, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"lam/internal/parallel"
 )
 
 // The legacy pointer-tree representation, retained here as the
@@ -144,9 +142,9 @@ func TestCompiledEquivalence(t *testing.T) {
 			for i, tr := range f.trees {
 				refs[i] = refTree(&tr.nodes)
 			}
-			batch := f.PredictBatch(Xq)
+			batch := predictAll(t, f, Xq)
 			into := make([]float64, len(Xq))
-			if err := f.PredictBatchInto(Xq, into); err != nil {
+			if err := PredictBatchInto(f, Xq, into, 1); err != nil {
 				t.Fatal(err)
 			}
 			for i, x := range Xq {
@@ -169,9 +167,12 @@ func TestCompiledEquivalence(t *testing.T) {
 			for i, tr := range g.stages {
 				grefs[i] = refTree(&tr.nodes)
 			}
+			gotStaged := make([]float64, g.NumStages())
 			for _, x := range Xq {
 				wantStaged := refStagedPredict(grefs, g.init, g.rate, x)
-				gotStaged := g.StagedPredict(x)
+				if err := g.StagedPredictInto(x, gotStaged); err != nil {
+					t.Fatal(err)
+				}
 				for i := range wantStaged {
 					if !sameBits(gotStaged[i], wantStaged[i]) {
 						t.Fatalf("gbr stage %d: compiled %x != recursive %x", i, gotStaged[i], wantStaged[i])
@@ -227,7 +228,7 @@ func TestCompiledEquivalenceTreeMajor(t *testing.T) {
 		refs[i] = refTree(&tr.nodes)
 	}
 	out := make([]float64, len(Xq))
-	if err := f.PredictBatchInto(Xq, out); err != nil {
+	if err := PredictBatchInto(f, Xq, out, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range Xq {
@@ -254,7 +255,7 @@ func TestCompiledEquivalenceConcurrent(t *testing.T) {
 	if err := f.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	want := f.PredictBatch(Xq)
+	want := predictAll(t, f, Xq)
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 8)
@@ -264,7 +265,7 @@ func TestCompiledEquivalenceConcurrent(t *testing.T) {
 			defer wg.Done()
 			out := make([]float64, len(Xq))
 			for rep := 0; rep < 50; rep++ {
-				if err := f.PredictBatchInto(Xq, out); err != nil {
+				if err := PredictBatchInto(f, Xq, out, 0); err != nil {
 					errc <- err
 					return
 				}
@@ -344,21 +345,18 @@ func TestCompiledPredictArityPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectPanic("Forest.Predict", func() { f.Predict(bad) })
-	expectPanic("Forest.PredictBatch", func() { f.PredictBatch([][]float64{bad}) })
 
 	g := &GradientBoosting{NStages: 3, Seed: 1}
 	if err := g.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
 	expectPanic("GradientBoosting.Predict", func() { g.Predict(bad) })
-	expectPanic("GradientBoosting.StagedPredict", func() { g.StagedPredict(bad) })
 
 	bag := &Bagging{NewBase: func() Regressor { return NewDecisionTree(TreeConfig{Seed: 1, MaxDepth: 3}) }, N: 3, Seed: 1}
 	if err := bag.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
 	expectPanic("Bagging.Predict", func() { bag.Predict(bad) })
-	expectPanic("Bagging.PredictBatch", func() { bag.PredictBatch([][]float64{bad}) })
 }
 
 // TestCompiledValidateRejectsCorruptTables exercises the structural
@@ -529,11 +527,10 @@ func assertWalksFromPacked(t *testing.T, name string, e *CompiledEnsemble, Xq []
 // TestCompileEnsembleMatchesReference is the differential test of the
 // single-pass compile: for mean and boosted ensembles over random tree
 // configurations and datasets, one-tree ensembles and lone-leaf trees,
-// with 1 and 4 default workers, the packed table equals the old
+// fitted with 1 and 4 workers, the packed table equals the old
 // append-then-copy pair's element for element, and every walk over it
 // predicts what the recursive walk does.
 func TestCompileEnsembleMatchesReference(t *testing.T) {
-	defer parallel.SetDefaultWorkers(0)
 	rng := rand.New(rand.NewSource(0x14))
 	for trial := 0; trial < 12; trial++ {
 		n := 30 + rng.Intn(170)
@@ -555,7 +552,7 @@ func TestCompileEnsembleMatchesReference(t *testing.T) {
 		f := &Forest{NTrees: nTrees, Tree: cfg, Bootstrap: rng.Intn(2) == 0, Seed: rng.Int63()}
 		g := &GradientBoosting{NStages: nTrees, MaxDepth: 1 + rng.Intn(4), Seed: rng.Int63()}
 		for _, workers := range []int{1, 4} {
-			parallel.SetDefaultWorkers(workers)
+			f.Workers, g.Workers = workers, workers
 			if err := f.Fit(X, y); err != nil {
 				t.Fatal(err)
 			}
@@ -592,7 +589,7 @@ func TestCompileEnsembleMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := DecodeBinary(bin)
+		loaded, err := DecodeBinaryVersion(bin, BinaryVersionLatest)
 		if err != nil {
 			t.Fatal(err)
 		}

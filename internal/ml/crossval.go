@@ -26,27 +26,15 @@ func KFoldIndices(n, k int, rng *rand.Rand) [][]int {
 	return folds
 }
 
-// CrossValScore runs k-fold cross-validation of the model produced by
-// newModel, scoring each held-out fold with score (e.g. MAPE), and
-// returns the per-fold scores. Folds are evaluated on the process
-// default worker pool; see CrossValScoreWorkers.
-func CrossValScore(newModel func() Regressor, X [][]float64, y []float64, k int, seed int64, score func(yTrue, yPred []float64) float64) ([]float64, error) {
-	return CrossValScoreWorkers(newModel, X, y, k, seed, score, 0)
-}
-
-// CrossValScoreWorkers is CrossValScore with an explicit worker count
-// (<= 0 means the process default, 1 forces sequential evaluation).
-// The fold partition is drawn from the master seed before fan-out and
-// scores are stored by fold index, so the result is bit-identical for
-// every worker count. newModel must be safe to call concurrently.
-func CrossValScoreWorkers(newModel func() Regressor, X [][]float64, y []float64, k int, seed int64, score func(yTrue, yPred []float64) float64, workers int) ([]float64, error) {
-	return crossValScore(context.Background(), newModel, X, y, k, seed, score, workers)
-}
-
-// crossValScore is the shared implementation behind CrossValScoreWorkers
-// and CrossValScoreCtx: fold evaluation on the worker pool with prompt
-// cancellation between folds.
-func crossValScore(ctx context.Context, newModel func() Regressor, X [][]float64, y []float64, k int, seed int64, score func(yTrue, yPred []float64) float64, workers int) ([]float64, error) {
+// CrossValScoreCtx runs k-fold cross-validation of the model produced
+// by newModel, scoring each held-out fold with score (e.g. MAPE), and
+// returns the per-fold scores. workers bounds the fold fan-out (<= 0
+// means GOMAXPROCS, 1 forces sequential evaluation); the fold partition
+// is drawn from the master seed before fan-out and scores are stored by
+// fold index, so the result is bit-identical for every worker count.
+// newModel must be safe to call concurrently. The context is checked
+// between folds and threaded into each fold's fit.
+func CrossValScoreCtx(ctx context.Context, newModel func() Regressor, X [][]float64, y []float64, k int, seed int64, score func(yTrue, yPred []float64) float64, workers int) ([]float64, error) {
 	if _, err := checkXY(X, y); err != nil {
 		return nil, err
 	}
@@ -68,7 +56,7 @@ func crossValScore(ctx context.Context, newModel func() Regressor, X [][]float64
 			}
 		}
 		m := newModel()
-		if err := m.Fit(trX, trY); err != nil {
+		if err := FitCtx(ctx, m, trX, trY); err != nil {
 			return fmt.Errorf("ml: cross-validation fold %d: %w", f, err)
 		}
 		yt := make([]float64, len(fold))

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -52,9 +53,9 @@ func TestKFoldIndicesClamping(t *testing.T) {
 
 func TestCrossValScoreOnLearnableData(t *testing.T) {
 	X, y := friedman1(300, 0.2, 41)
-	scores, err := CrossValScore(
+	scores, err := CrossValScoreCtx(context.Background(),
 		func() Regressor { return NewExtraTrees(30, 1) },
-		X, y, 5, 7, MAPE)
+		X, y, 5, 7, MAPE, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestCrossValScoreOnLearnableData(t *testing.T) {
 }
 
 func TestCrossValScoreErrors(t *testing.T) {
-	if _, err := CrossValScore(func() Regressor { return &KNN{} }, nil, nil, 3, 1, MAPE); err == nil {
+	if _, err := CrossValScoreCtx(context.Background(), func() Regressor { return &KNN{} }, nil, nil, 3, 1, MAPE, 0); err == nil {
 		t.Error("expected error on empty data")
 	}
 }

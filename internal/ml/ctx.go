@@ -3,20 +3,18 @@ package ml
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"lam/internal/lamerr"
 	"lam/internal/parallel"
 )
 
-// Context-aware entry points for the estimator suite. The v1 functions
-// (PredictBatch, CrossValScore, GridSearch, each estimator's Fit)
-// remain as thin wrappers over these with context.Background(); new
-// code — and everything reachable from the serving layer — should call
-// the Ctx variants so long fits and sweeps are cancellable and
-// deadline-aware. Cancellation is prompt: it is checked between
-// independent units (trees, folds, candidates, prediction blocks), so
-// latency is bounded by a single unit's duration.
+// Context-first entry points for the estimator suite: one per
+// operation — FitCtx, PredictCtx, PredictBatchIntoCtx, and
+// CrossValScoreCtx / GridSearchCtx beside them. Cancellation is prompt:
+// it is checked between independent units (trees, folds, candidates,
+// prediction blocks), so latency is bounded by a single unit's
+// duration. Regressor.Fit and PredictBatchInto remain as conveniences
+// without a context.
 
 // ContextFitter is implemented by estimators whose training can be
 // cancelled mid-fit (forests, bagging, stacking, boosting, pipelines).
@@ -91,24 +89,18 @@ func PredictCtx(ctx context.Context, r Regressor, x []float64) (float64, error) 
 	return r.Predict(x), nil
 }
 
-// PredictBatchCtx applies r.Predict to every row of X like
-// PredictBatchWorkers, re-checking the context between blocks; on
-// cancellation it returns a typed error and no predictions. Fitted and
-// per-row arity checks guard the panics in the estimators' Predict
-// methods.
-func PredictBatchCtx(ctx context.Context, r Regressor, X [][]float64, workers int) ([]float64, error) {
-	out := make([]float64, len(X))
-	if err := PredictBatchIntoCtx(ctx, r, X, out, workers); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PredictBatchIntoCtx is PredictBatchInto with prompt cancellation
-// between row blocks — the allocation-free serving path behind
-// registry batch prediction and lam-serve's /predict endpoint. With
+// PredictBatchIntoCtx scores every row of X into out (which must have
+// len(X) elements) instead of allocating, with prompt cancellation
+// between row blocks — the one batch path, behind registry batch
+// prediction, lam-serve's /predict endpoint, the hybrid model and the
+// experiment sweeps. Fitted and per-row arity checks return typed
+// errors (ErrNotFitted, ErrDimension) in place of the estimators'
+// Predict panics. workers bounds the block fan-out (<= 0 means
+// GOMAXPROCS); the output is bit-identical for every value. With
 // workers == 1 (or at most one block of rows) the loop runs inline
-// with zero allocations: a plain loop, no closure, no pool dispatch.
+// with zero allocations: a plain loop, no closure, no pool dispatch —
+// compiled tree walks are allocation-free and the scaler/stacking
+// layers draw their blocks from sync.Pools.
 func PredictBatchIntoCtx(ctx context.Context, r Regressor, X [][]float64, out []float64, workers int) error {
 	if err := checkInto(r, X, out); err != nil {
 		return err
@@ -136,55 +128,4 @@ func PredictBatchIntoCtx(ctx context.Context, r Regressor, X [][]float64, out []
 	return parallel.ForBlocksCtx(ctx, len(X), workers, batchBlock, func(lo, hi int) {
 		predictSeq(r, X[lo:hi], out[lo:hi])
 	})
-}
-
-// CrossValScoreCtx is CrossValScoreWorkers with prompt cancellation
-// between folds.
-func CrossValScoreCtx(ctx context.Context, newModel func() Regressor, X [][]float64, y []float64, k int, seed int64, score func(yTrue, yPred []float64) float64, workers int) ([]float64, error) {
-	return crossValScore(ctx, newModel, X, y, k, seed, score, workers)
-}
-
-// GridSearchCtx is GridSearchWorkers with prompt cancellation between
-// hyperparameter candidates (and between the folds inside each
-// candidate).
-func GridSearchCtx(
-	ctx context.Context,
-	grids []ParamGrid,
-	newModel func(params map[string]float64) Regressor,
-	X [][]float64, y []float64,
-	k int, seed int64,
-	score func(yTrue, yPred []float64) float64,
-	workers int,
-) (best GridSearchResult, all []GridSearchResult, err error) {
-	candidates, err := enumerateGrid(grids)
-	if err != nil {
-		return best, nil, err
-	}
-	if _, err := checkXY(X, y); err != nil {
-		return best, nil, err
-	}
-	all, err = parallel.MapCtx(ctx, len(candidates), workers, func(c int) (GridSearchResult, error) {
-		params := candidates[c]
-		scores, err := crossValScore(ctx, func() Regressor { return newModel(params) },
-			X, y, k, seed, score, 1)
-		if err != nil {
-			return GridSearchResult{}, err
-		}
-		mean := 0.0
-		for _, s := range scores {
-			mean += s
-		}
-		mean /= float64(len(scores))
-		return GridSearchResult{Params: params, Score: mean}, nil
-	})
-	if err != nil {
-		return best, nil, err
-	}
-	best.Score = math.Inf(1)
-	for _, res := range all {
-		if res.Score < best.Score {
-			best = res
-		}
-	}
-	return best, all, nil
 }

@@ -22,6 +22,23 @@ func ctxTrainingSet(n int) ([][]float64, []float64) {
 	return X, y
 }
 
+// predictWorkers scores X through the one batch entry point with the
+// given worker count, failing the test on a typed error.
+func predictWorkers(t testing.TB, r Regressor, X [][]float64, workers int) []float64 {
+	t.Helper()
+	out := make([]float64, len(X))
+	if err := PredictBatchIntoCtx(context.Background(), r, X, out, workers); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// predictAll is predictWorkers on the default pool.
+func predictAll(t testing.TB, r Regressor, X [][]float64) []float64 {
+	t.Helper()
+	return predictWorkers(t, r, X, 0)
+}
+
 // TestFitCtxPreCancelledLeavesModelUntrained checks that a cancelled
 // fit reports the typed error and does not mutate the estimator.
 func TestFitCtxPreCancelledLeavesModelUntrained(t *testing.T) {
@@ -88,15 +105,15 @@ func TestPredictBatchCtxMatchesSequential(t *testing.T) {
 	X, y := ctxTrainingSet(200)
 	et := NewExtraTrees(20, 7)
 
-	if _, err := PredictBatchCtx(context.Background(), et, X, 0); !errors.Is(err, lamerr.ErrNotFitted) {
+	got := make([]float64, len(X))
+	if err := PredictBatchIntoCtx(context.Background(), et, X, got, 0); !errors.Is(err, lamerr.ErrNotFitted) {
 		t.Fatalf("unfitted batch predict: got %v, want ErrNotFitted", err)
 	}
 
 	if err := et.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	got, err := PredictBatchCtx(context.Background(), et, X, 0)
-	if err != nil {
+	if err := PredictBatchIntoCtx(context.Background(), et, X, got, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range X {
@@ -126,7 +143,7 @@ func TestEnsembleNumFeatures(t *testing.T) {
 		if n, ok := NumFeaturesOf(r); !ok || n != 3 {
 			t.Fatalf("%T: NumFeaturesOf = (%d, %v), want (3, true)", r, n, ok)
 		}
-		if _, err := PredictBatchCtx(context.Background(), r, [][]float64{{1}}, 0); !errors.Is(err, lamerr.ErrDimension) {
+		if err := PredictBatchIntoCtx(context.Background(), r, [][]float64{{1}}, make([]float64, 1), 0); !errors.Is(err, lamerr.ErrDimension) {
 			t.Fatalf("%T: wrong-arity batch: got %v, want ErrDimension", r, err)
 		}
 	}
@@ -156,29 +173,5 @@ func TestGridSearchCtxCancelPromptly(t *testing.T) {
 	}
 	if !errors.Is(err, lamerr.ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("grid search error %v missing cancellation sentinels", err)
-	}
-}
-
-// TestGridSearchCtxMatchesWorkers checks the ctx path returns the same
-// winner as the v1 entry point.
-func TestGridSearchCtxMatchesWorkers(t *testing.T) {
-	X, y := ctxTrainingSet(120)
-	grids := []ParamGrid{{Name: "trees", Values: []float64{5, 15}}}
-	newModel := func(p map[string]float64) Regressor { return NewExtraTrees(int(p["trees"]), 3) }
-	bestCtx, allCtx, err := GridSearchCtx(context.Background(), grids, newModel, X, y, 3, 11, MAPE, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bestV1, allV1, err := GridSearchWorkers(grids, newModel, X, y, 3, 11, MAPE, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bestCtx.Score != bestV1.Score || len(allCtx) != len(allV1) {
-		t.Fatalf("ctx path diverged: best %v vs %v", bestCtx, bestV1)
-	}
-	for i := range allCtx {
-		if allCtx[i].Score != allV1[i].Score {
-			t.Fatalf("candidate %d: %v vs %v", i, allCtx[i], allV1[i])
-		}
 	}
 }

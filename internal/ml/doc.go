@@ -14,18 +14,21 @@
 //   - Determinism: fitting and prediction are bit-identical for every
 //     worker count — parallel loops write results by index and derive
 //     per-unit seeds before fan-out (see internal/parallel).
-//   - Batch/single equivalence: PredictBatch(X) equals len(X)
+//   - One entry point per operation: FitCtx, PredictCtx,
+//     PredictBatchIntoCtx, CrossValScoreCtx and GridSearchCtx take a
+//     context first; Regressor.Fit, Regressor.Predict and
+//     PredictBatchInto are the only conveniences without one.
+//   - Batch/single equivalence: PredictBatchIntoCtx equals len(X)
 //     sequential Predict calls bit for bit, even where the compiled
 //     plane scores batches tree-major for cache locality. The serving
 //     layer's micro-batch coalescer is built on this guarantee.
-//   - The *Into contract: PredictBatchInto-style variants
-//     (PredictBatchInto/PredictBatchIntoCtx, estimator
-//     PredictBatchInto methods, GradientBoosting.StagedPredictInto)
-//     write into a caller-owned output slice of exactly len(X)
-//     elements and perform zero allocations per call in steady state
-//     with Workers == 1 — single-row scratch (pipeline scaling rows,
-//     stacking meta-features; GetScratch / PutScratch) and the
-//     wrappers' batch blocks come from sync.Pools. This is the
+//   - The *Into contract: PredictBatchIntoCtx (and its PredictBatchInto
+//     convenience) and GradientBoosting.StagedPredictInto write into a
+//     caller-owned output slice of exactly len(X) elements and perform
+//     zero allocations per call in steady state with workers == 1 —
+//     single-row scratch (pipeline scaling rows, stacking meta-features;
+//     GetScratch / PutScratch) and the wrappers' batch blocks come from
+//     sync.Pools. This is the
 //     allocation-free path lam-serve feeds its pooled response buffers
 //     through; TestPredictAllocationFree and the serve-side
 //     AllocsPerRun guards enforce it in CI.
@@ -36,6 +39,6 @@
 //     seqBatchIntoPredictor); TestBatchPathMatchesPerRow pins the
 //     result to a per-row Predict loop bit for bit.
 //   - Fitted estimators are immutable: after a successful Fit, Predict
-//     and PredictBatch are safe for unbounded concurrent use, which is
+//     and the batch path are safe for unbounded concurrent use, which is
 //     what lets the server hot-swap model versions under live traffic.
 package ml

@@ -26,8 +26,8 @@ func TestBaggingReducesVariance(t *testing.T) {
 	if bag.NumModels() != 30 {
 		t.Fatalf("bagging fitted %d models, want 30", bag.NumModels())
 	}
-	se := RMSE(testY, PredictBatch(single, testX))
-	be := RMSE(testY, PredictBatch(bag, testX))
+	se := RMSE(testY, predictAll(t, single, testX))
+	be := RMSE(testY, predictAll(t, bag, testX))
 	if be >= se {
 		t.Errorf("bagging RMSE %v should beat single tree %v", be, se)
 	}
@@ -98,8 +98,8 @@ func TestStackingImprovesOverWeakBase(t *testing.T) {
 	if err := base.Fit(trainX, trainY); err != nil {
 		t.Fatal(err)
 	}
-	stErr := RMSE(testY, PredictBatch(st, testX))
-	baseErr := RMSE(testY, PredictBatch(base, testX))
+	stErr := RMSE(testY, predictAll(t, st, testX))
+	baseErr := RMSE(testY, predictAll(t, base, testX))
 	if stErr >= baseErr {
 		t.Errorf("stacking RMSE %v should beat shallow tree %v", stErr, baseErr)
 	}
@@ -115,7 +115,7 @@ func TestStackingWithoutPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Meta over a good base without pass-through is roughly the base.
-	if r2 := R2(y, PredictBatch(st, X)); r2 < 0.8 {
+	if r2 := R2(y, predictAll(t, st, X)); r2 < 0.8 {
 		t.Errorf("stack R2 = %v, want >= 0.8", r2)
 	}
 }

@@ -23,9 +23,10 @@ type Forest struct {
 	Bootstrap bool
 	// Seed drives bootstrap sampling and per-tree randomness.
 	Seed int64
-	// Workers bounds fitting/prediction parallelism; values <= 0 mean
-	// the process default (parallel.DefaultWorkers). Results are
-	// bit-identical for every worker count.
+	// Workers bounds fitting parallelism; values <= 0 mean GOMAXPROCS.
+	// The fitted ensemble is bit-identical for every worker count.
+	// Batch prediction takes its worker count per call
+	// (PredictBatchIntoCtx).
 	Workers int
 
 	trees     []*DecisionTree
@@ -126,39 +127,6 @@ func (f *Forest) Predict(x []float64) float64 {
 		panic(fmt.Sprintf("ml: Forest.Predict got %d features, want %d", len(x), f.nFeatures))
 	}
 	return f.compiled.Predict(x)
-}
-
-// PredictBatch scores every row of X on the worker pool. Tree
-// traversal is read-only, and each row's tree contributions are summed
-// in tree order, so the output matches len(X) sequential Predict calls
-// exactly.
-func (f *Forest) PredictBatch(X [][]float64) []float64 {
-	if f.compiled == nil {
-		panic("ml: Forest.PredictBatch called before Fit")
-	}
-	for _, x := range X {
-		if len(x) != f.nFeatures {
-			panic(fmt.Sprintf("ml: Forest.PredictBatch got %d features, want %d", len(x), f.nFeatures))
-		}
-	}
-	out := make([]float64, len(X))
-	f.predictBatchInto(X, out)
-	return out
-}
-
-// PredictBatchInto scores every row of X into out on the worker pool
-// with no allocations beyond the pool's block dispatch (none at all
-// with Workers == 1); out must have len(X) elements.
-func (f *Forest) PredictBatchInto(X [][]float64, out []float64) error {
-	if err := checkInto(f, X, out); err != nil {
-		return err
-	}
-	f.predictBatchInto(X, out)
-	return nil
-}
-
-func (f *Forest) predictBatchInto(X [][]float64, out []float64) {
-	predictBatchInto(f, X, out, f.Workers)
 }
 
 // predictBatchIntoSeq implements the compiled plane's sequential

@@ -36,8 +36,8 @@ func TestForestBeatsSingleTreeOnNoisyData(t *testing.T) {
 	if err := forest.Fit(trainX, trainY); err != nil {
 		t.Fatal(err)
 	}
-	treeErr := RMSE(testY, PredictBatch(tree, testX))
-	forestErr := RMSE(testY, PredictBatch(forest, testX))
+	treeErr := RMSE(testY, predictAll(t, tree, testX))
+	forestErr := RMSE(testY, predictAll(t, forest, testX))
 	if forestErr >= treeErr {
 		t.Errorf("forest RMSE %v should beat single tree %v", forestErr, treeErr)
 	}
@@ -50,7 +50,7 @@ func TestExtraTreesFitsReasonably(t *testing.T) {
 	if err := et.Fit(trainX, trainY); err != nil {
 		t.Fatal(err)
 	}
-	if r2 := R2(testY, PredictBatch(et, testX)); r2 < 0.85 {
+	if r2 := R2(testY, predictAll(t, et, testX)); r2 < 0.85 {
 		t.Errorf("extra trees R2 = %v, want >= 0.85", r2)
 	}
 }

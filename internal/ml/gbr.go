@@ -32,8 +32,8 @@ type GradientBoosting struct {
 	// Seed drives subsampling and stage-tree randomness.
 	Seed int64
 	// Workers bounds the per-stage training-set scoring parallelism;
-	// values <= 0 mean the process default. Boosting stages themselves
-	// are inherently sequential (each fits the previous residual), but
+	// values <= 0 mean GOMAXPROCS. Boosting stages themselves are
+	// inherently sequential (each fits the previous residual), but
 	// scoring every training sample with the freshly grown stage tree
 	// is an independent-iteration loop and dominates on wide datasets.
 	Workers int
@@ -167,16 +167,6 @@ func (g *GradientBoosting) Predict(x []float64) float64 {
 	return g.compiled.Predict(x)
 }
 
-// PredictBatchInto scores every row of X into out on the worker pool
-// (none at all with Workers == 1); out must have len(X) elements.
-func (g *GradientBoosting) PredictBatchInto(X [][]float64, out []float64) error {
-	if err := checkInto(g, X, out); err != nil {
-		return err
-	}
-	predictBatchInto(g, X, out, g.Workers)
-	return nil
-}
-
 // predictBatchIntoSeq implements the compiled plane's sequential
 // block contract: one walk over the fused stage table.
 func (g *GradientBoosting) predictBatchIntoSeq(X [][]float64, out []float64) {
@@ -186,23 +176,10 @@ func (g *GradientBoosting) predictBatchIntoSeq(X [][]float64, out []float64) {
 // NumStages returns the number of fitted boosting stages.
 func (g *GradientBoosting) NumStages() int { return len(g.stages) }
 
-// StagedPredict returns the prediction after every boosting stage,
-// useful for picking an early-stopping point on a validation set.
-// Misuse (unfitted model, wrong arity) panics, matching Predict.
-func (g *GradientBoosting) StagedPredict(x []float64) []float64 {
-	if g.compiled == nil {
-		panic("ml: GradientBoosting.StagedPredict called before Fit")
-	}
-	out := make([]float64, len(g.stages))
-	if err := g.StagedPredictInto(x, out); err != nil {
-		panic("ml: GradientBoosting.StagedPredict: " + err.Error())
-	}
-	return out
-}
-
 // StagedPredictInto writes the prediction after every boosting stage
-// into out (which must have NumStages elements) with zero allocations,
-// returning the *Into contract's typed errors (ErrNotFitted,
+// into out (which must have NumStages elements) with zero allocations —
+// useful for picking an early-stopping point on a validation set — and
+// returns the *Into contract's typed errors (ErrNotFitted,
 // ErrDimension) instead of panicking.
 func (g *GradientBoosting) StagedPredictInto(x []float64, out []float64) error {
 	if g.compiled == nil {

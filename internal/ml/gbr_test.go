@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -12,7 +13,7 @@ func TestGradientBoostingLearnsFriedman(t *testing.T) {
 	if err := g.Fit(trainX, trainY); err != nil {
 		t.Fatal(err)
 	}
-	if r2 := R2(testY, PredictBatch(g, testX)); r2 < 0.9 {
+	if r2 := R2(testY, predictAll(t, g, testX)); r2 < 0.9 {
 		t.Errorf("boosting R2 = %v, want >= 0.9", r2)
 	}
 }
@@ -28,8 +29,8 @@ func TestGradientBoostingBeatsSingleShallowTree(t *testing.T) {
 	if err := shallow.Fit(trainX, trainY); err != nil {
 		t.Fatal(err)
 	}
-	ge := RMSE(testY, PredictBatch(g, testX))
-	se := RMSE(testY, PredictBatch(shallow, testX))
+	ge := RMSE(testY, predictAll(t, g, testX))
+	se := RMSE(testY, predictAll(t, shallow, testX))
 	if ge >= se {
 		t.Errorf("boosting RMSE %v should beat a single depth-3 tree %v", ge, se)
 	}
@@ -44,10 +45,13 @@ func TestGradientBoostingStagedPredictMonotoneTrainingError(t *testing.T) {
 	// Training error after the final stage must not exceed the error of
 	// the first stage (boosting fits residuals).
 	firstErr, lastErr := 0.0, 0.0
+	if g.NumStages() != 50 {
+		t.Fatalf("fitted %d stages, want 50", g.NumStages())
+	}
+	staged := make([]float64, g.NumStages())
 	for i, x := range X {
-		staged := g.StagedPredict(x)
-		if len(staged) != 50 {
-			t.Fatalf("StagedPredict returned %d stages, want 50", len(staged))
+		if err := g.StagedPredictInto(x, staged); err != nil {
+			t.Fatal(err)
 		}
 		d0 := staged[0] - y[i]
 		dN := staged[len(staged)-1] - y[i]
@@ -71,7 +75,7 @@ func TestGradientBoostingSubsample(t *testing.T) {
 	if g.NumStages() != 60 {
 		t.Errorf("stages = %d, want 60", g.NumStages())
 	}
-	if r2 := R2(y, PredictBatch(g, X)); r2 < 0.7 {
+	if r2 := R2(y, predictAll(t, g, X)); r2 < 0.7 {
 		t.Errorf("stochastic boosting training R2 = %v, want >= 0.7", r2)
 	}
 }
@@ -125,14 +129,14 @@ func TestGridSearchFindsBetterDepth(t *testing.T) {
 		{Name: "depth", Values: []float64{1, 6}},
 		{Name: "leaf", Values: []float64{1, 5}},
 	}
-	best, all, err := GridSearch(grids,
+	best, all, err := GridSearchCtx(context.Background(), grids,
 		func(p map[string]float64) Regressor {
 			return NewDecisionTree(TreeConfig{
 				MaxDepth:       int(p["depth"]),
 				MinSamplesLeaf: int(p["leaf"]),
 			})
 		},
-		X, y, 4, 7, MAPE)
+		X, y, 4, 7, MAPE, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,16 +155,16 @@ func TestGridSearchFindsBetterDepth(t *testing.T) {
 
 func TestGridSearchValidation(t *testing.T) {
 	X, y := friedman1(20, 0, 62)
-	if _, _, err := GridSearch(nil, nil, X, y, 3, 1, MAPE); err == nil {
+	if _, _, err := GridSearchCtx(context.Background(), nil, nil, X, y, 3, 1, MAPE, 0); err == nil {
 		t.Error("expected error with no grids")
 	}
 	grids := []ParamGrid{{Name: "a", Values: nil}}
-	if _, _, err := GridSearch(grids, nil, X, y, 3, 1, MAPE); err == nil {
+	if _, _, err := GridSearchCtx(context.Background(), grids, nil, X, y, 3, 1, MAPE, 0); err == nil {
 		t.Error("expected error with empty value list")
 	}
 	grids = []ParamGrid{{Name: "a", Values: []float64{1}}}
-	if _, _, err := GridSearch(grids, func(map[string]float64) Regressor { return &KNN{} },
-		nil, nil, 3, 1, MAPE); err == nil {
+	if _, _, err := GridSearchCtx(context.Background(), grids, func(map[string]float64) Regressor { return &KNN{} },
+		nil, nil, 3, 1, MAPE, 0); err == nil {
 		t.Error("expected error with empty data")
 	}
 }

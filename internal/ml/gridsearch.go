@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+
+	"lam/internal/parallel"
 )
 
 // ParamGrid names one hyperparameter axis and its candidate values.
@@ -20,30 +23,21 @@ type GridSearchResult struct {
 	Score float64
 }
 
-// GridSearch exhaustively evaluates the cartesian product of the
+// GridSearchCtx exhaustively evaluates the cartesian product of the
 // parameter grids with k-fold cross-validation and returns every
 // combination's mean score plus the best one. newModel receives the
 // parameter assignment and must build the corresponding estimator;
-// score is the loss to minimise (e.g. MAPE). Candidates are evaluated
-// on the process default worker pool; see GridSearchWorkers.
-func GridSearch(
-	grids []ParamGrid,
-	newModel func(params map[string]float64) Regressor,
-	X [][]float64, y []float64,
-	k int, seed int64,
-	score func(yTrue, yPred []float64) float64,
-) (best GridSearchResult, all []GridSearchResult, err error) {
-	return GridSearchWorkers(grids, newModel, X, y, k, seed, score, 0)
-}
-
-// GridSearchWorkers is GridSearch with an explicit worker count (<= 0
-// means the process default, 1 forces sequential evaluation). The
-// candidate list is enumerated before fan-out and results are stored
-// in enumeration order — ties therefore resolve to the same candidate
-// as a sequential scan, making the result bit-identical for every
-// worker count. Cross-validation inside each candidate runs
-// sequentially to keep the pool busy with whole candidates.
-func GridSearchWorkers(
+// score is the loss to minimise (e.g. MAPE). workers bounds the
+// candidate fan-out (<= 0 means GOMAXPROCS, 1 forces sequential
+// evaluation). The candidate list is enumerated before fan-out and
+// results are stored in enumeration order — ties therefore resolve to
+// the same candidate as a sequential scan, making the result
+// bit-identical for every worker count. Cross-validation inside each
+// candidate runs sequentially to keep the pool busy with whole
+// candidates. The context is checked between candidates and between
+// the folds inside each candidate.
+func GridSearchCtx(
+	ctx context.Context,
 	grids []ParamGrid,
 	newModel func(params map[string]float64) Regressor,
 	X [][]float64, y []float64,
@@ -51,7 +45,37 @@ func GridSearchWorkers(
 	score func(yTrue, yPred []float64) float64,
 	workers int,
 ) (best GridSearchResult, all []GridSearchResult, err error) {
-	return GridSearchCtx(context.Background(), grids, newModel, X, y, k, seed, score, workers)
+	candidates, err := enumerateGrid(grids)
+	if err != nil {
+		return best, nil, err
+	}
+	if _, err := checkXY(X, y); err != nil {
+		return best, nil, err
+	}
+	all, err = parallel.MapCtx(ctx, len(candidates), workers, func(c int) (GridSearchResult, error) {
+		params := candidates[c]
+		scores, err := CrossValScoreCtx(ctx, func() Regressor { return newModel(params) },
+			X, y, k, seed, score, 1)
+		if err != nil {
+			return GridSearchResult{}, err
+		}
+		mean := 0.0
+		for _, s := range scores {
+			mean += s
+		}
+		mean /= float64(len(scores))
+		return GridSearchResult{Params: params, Score: mean}, nil
+	})
+	if err != nil {
+		return best, nil, err
+	}
+	best.Score = math.Inf(1)
+	for _, res := range all {
+		if res.Score < best.Score {
+			best = res
+		}
+	}
+	return best, all, nil
 }
 
 // enumerateGrid validates the parameter grids and expands their
@@ -59,7 +83,7 @@ func GridSearchWorkers(
 // enumeration order.
 func enumerateGrid(grids []ParamGrid) ([]map[string]float64, error) {
 	if len(grids) == 0 {
-		return nil, errors.New("ml: GridSearch needs at least one parameter grid")
+		return nil, errors.New("ml: grid search needs at least one parameter grid")
 	}
 	for _, g := range grids {
 		if len(g.Values) == 0 {

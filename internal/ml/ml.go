@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -20,26 +21,6 @@ type Regressor interface {
 	// immutable fitted state, which is what lets batch prediction and
 	// the experiment sweeps fan out over a fitted model.
 	Predict(x []float64) float64
-}
-
-// PredictBatch applies r.Predict to every row of X on the process
-// default worker pool; see PredictBatchWorkers.
-func PredictBatch(r Regressor, X [][]float64) []float64 {
-	return PredictBatchWorkers(r, X, 0)
-}
-
-// PredictBatchWorkers applies r.Predict to every row of X using up to
-// workers goroutines (<= 0 means the process default, 1 forces the
-// plain sequential loop). Each result is written at its row index, so
-// the output is bit-identical for every worker count.
-func PredictBatchWorkers(r Regressor, X [][]float64, workers int) []float64 {
-	out := make([]float64, len(X))
-	parallel.ForBlocks(len(X), workers, 8, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = r.Predict(X[i])
-		}
-	})
-	return out
 }
 
 // checkInto validates an allocation-free batch-prediction call: fitted
@@ -93,25 +74,16 @@ const batchBlock = 256
 // batchBlocks returns how many batchBlock-row blocks cover n rows.
 func batchBlocks(n int) int { return (n + batchBlock - 1) / batchBlock }
 
-// PredictBatchInto applies r to every row of X, writing the results
-// into out (which must have len(X) elements) instead of allocating:
-// the serve-grade batch path. With workers == 1 and an estimator from
-// this package the call performs zero allocations in steady state —
-// compiled tree walks are allocation-free and the scaler/stacking
-// layers draw their blocks from sync.Pools.
+// PredictBatchInto is PredictBatchIntoCtx without cancellation.
 func PredictBatchInto(r Regressor, X [][]float64, out []float64, workers int) error {
-	if err := checkInto(r, X, out); err != nil {
-		return err
-	}
-	predictBatchInto(r, X, out, workers)
-	return nil
+	return PredictBatchIntoCtx(context.Background(), r, X, out, workers)
 }
 
-// predictBatchInto is the shared validated core of the Into batch
-// paths. Workers are resolved over the number of blocks, so anything
-// up to one block is scored inline on the caller's goroutine; that
-// case has no closure and no pool dispatch, so it is provably
-// allocation-free.
+// predictBatchInto is PredictBatchIntoCtx's validated core for a
+// context that cannot be cancelled. Workers are resolved over the
+// number of blocks, so anything up to one block is scored inline on the
+// caller's goroutine; that case has no closure and no pool dispatch, so
+// it is provably allocation-free.
 func predictBatchInto(r Regressor, X [][]float64, out []float64, workers int) {
 	if parallel.Resolve(workers, batchBlocks(len(X))) == 1 {
 		predictSeq(r, X, out)

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,7 +47,7 @@ func TestForestParallelFitBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		identical(t, "forest predictions",
-			PredictBatchWorkers(seq, X, 1), par.PredictBatch(X))
+			predictWorkers(t, seq, X, 1), predictWorkers(t, par, X, 8))
 	}
 }
 
@@ -70,7 +71,7 @@ func TestBaggingParallelFitBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	identical(t, "bagging predictions",
-		PredictBatchWorkers(seq, X, 1), par.PredictBatch(X))
+		predictWorkers(t, seq, X, 1), predictWorkers(t, par, X, 8))
 }
 
 func TestGradientBoostingParallelBitIdentical(t *testing.T) {
@@ -84,7 +85,7 @@ func TestGradientBoostingParallelBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	identical(t, "gbr predictions",
-		PredictBatchWorkers(seq, X, 1), PredictBatchWorkers(par, X, 8))
+		predictWorkers(t, seq, X, 1), predictWorkers(t, par, X, 8))
 }
 
 func TestStackingParallelBitIdentical(t *testing.T) {
@@ -110,17 +111,17 @@ func TestStackingParallelBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	identical(t, "stacking predictions",
-		PredictBatchWorkers(seq, X, 1), PredictBatchWorkers(par, X, 8))
+		predictWorkers(t, seq, X, 1), predictWorkers(t, par, X, 8))
 }
 
 func TestCrossValParallelBitIdentical(t *testing.T) {
 	X, y := parallelTestData(120)
 	newModel := func() Regressor { return &DecisionTree{Config: TreeConfig{MaxDepth: 5}} }
-	seq, err := CrossValScoreWorkers(newModel, X, y, 5, 13, MAPE, 1)
+	seq, err := CrossValScoreCtx(context.Background(), newModel, X, y, 5, 13, MAPE, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CrossValScoreWorkers(newModel, X, y, 5, 13, MAPE, 8)
+	par, err := CrossValScoreCtx(context.Background(), newModel, X, y, 5, 13, MAPE, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +140,11 @@ func TestGridSearchParallelBitIdentical(t *testing.T) {
 			MinSamplesLeaf: int(p["leaf"]),
 		}}
 	}
-	bestSeq, allSeq, err := GridSearchWorkers(grids, newModel, X, y, 3, 17, MAPE, 1)
+	bestSeq, allSeq, err := GridSearchCtx(context.Background(), grids, newModel, X, y, 3, 17, MAPE, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bestPar, allPar, err := GridSearchWorkers(grids, newModel, X, y, 3, 17, MAPE, 8)
+	bestPar, allPar, err := GridSearchCtx(context.Background(), grids, newModel, X, y, 3, 17, MAPE, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestParallelDegenerateInputs(t *testing.T) {
 		if err := f.Fit(X, y); err != nil {
 			t.Fatalf("forest on single sample (workers=%d): %v", workers, err)
 		}
-		if got := f.PredictBatch(X); len(got) != 1 || got[0] != 3 {
+		if got := predictWorkers(t, f, X, workers); len(got) != 1 || got[0] != 3 {
 			t.Fatalf("forest predict on single sample (workers=%d): %v", workers, got)
 		}
 
@@ -200,8 +201,8 @@ func TestParallelDegenerateInputs(t *testing.T) {
 		}
 	}
 
-	if got := PredictBatchWorkers(&constModel{v: 2}, nil, -1); len(got) != 0 {
-		t.Fatalf("PredictBatch on empty input: %v", got)
+	if got := predictWorkers(t, &constModel{v: 2}, nil, -1); len(got) != 0 {
+		t.Fatalf("batch predict on empty input: %v", got)
 	}
 }
 

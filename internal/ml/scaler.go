@@ -178,17 +178,6 @@ func (s *StandardScaler) transformInto(x, dst []float64) {
 	}
 }
 
-// PredictBatchInto scores every row of X into out (len(X) elements)
-// sequentially through the block path below — zero allocations in
-// steady state.
-func (p *Pipeline) PredictBatchInto(X [][]float64, out []float64) error {
-	if err := checkInto(p, X, out); err != nil {
-		return err
-	}
-	p.predictBatchIntoSeq(X, out)
-	return nil
-}
-
 // predictBatchIntoSeq implements the compiled plane's sequential block
 // contract as a block → block transform: up to batchBlock rows at a
 // time are standardised into a pooled rowBlock and handed to the inner

@@ -34,8 +34,8 @@ type Stacking struct {
 	// Seed drives fold shuffling.
 	Seed int64
 	// Workers bounds fitting parallelism across the independent
-	// (fold, base) training units; values <= 0 mean the process
-	// default. The factories in NewBases must be safe to call
+	// (fold, base) training units; values <= 0 mean GOMAXPROCS. The
+	// factories in NewBases must be safe to call
 	// concurrently. Results are bit-identical for every worker count.
 	Workers int
 
@@ -194,16 +194,6 @@ func (s *Stacking) Predict(x []float64) float64 {
 		meta[skip+i] = b.Predict(x)
 	}
 	return s.meta.Predict(meta)
-}
-
-// PredictBatchInto scores every row of X into out (len(X) elements)
-// sequentially with zero steady-state allocations.
-func (s *Stacking) PredictBatchInto(X [][]float64, out []float64) error {
-	if err := checkInto(s, X, out); err != nil {
-		return err
-	}
-	s.predictBatchIntoSeq(X, out)
-	return nil
 }
 
 // predictBatchIntoSeq implements the compiled plane's sequential block

@@ -118,16 +118,6 @@ func (t *DecisionTree) Predict(x []float64) float64 {
 	return t.nodes.Predict(x)
 }
 
-// PredictBatchInto scores every row of X into out sequentially with
-// zero allocations; out must have len(X) elements.
-func (t *DecisionTree) PredictBatchInto(X [][]float64, out []float64) error {
-	if err := checkInto(t, X, out); err != nil {
-		return err
-	}
-	t.predictBatchIntoSeq(X, out)
-	return nil
-}
-
 // predictBatchIntoSeq implements the compiled plane's sequential block
 // contract: a bare iterative walk per row (rows are pre-validated).
 func (t *DecisionTree) predictBatchIntoSeq(X [][]float64, out []float64) {

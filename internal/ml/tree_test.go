@@ -296,8 +296,8 @@ func TestRandomSplitterReducesErrorVsStump(t *testing.T) {
 	if err := stump.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	fullErr := RMSE(y, PredictBatch(full, X))
-	stumpErr := RMSE(y, PredictBatch(stump, X))
+	fullErr := RMSE(y, predictAll(t, full, X))
+	stumpErr := RMSE(y, predictAll(t, stump, X))
 	if fullErr >= stumpErr {
 		t.Errorf("full tree RMSE %v should beat stump %v", fullErr, stumpErr)
 	}

@@ -127,11 +127,11 @@ func TestDetectorHysteresisAndMinSamples(t *testing.T) {
 // observation stream.
 func driftFixture(t *testing.T) (*registry.Registry, *registry.Model, *experiments.DriftScenario) {
 	t.Helper()
-	sc, err := experiments.NewDriftScenario("stencil-grid", "bluewaters", "xeon", 0.05, 42)
+	sc, err := experiments.DriftScenarioCtx(context.Background(), "stencil-grid", "bluewaters", "xeon", 0.05, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := hybrid.Train(sc.Train, sc.AM, hybrid.Config{Seed: 7, Workers: 1})
+	hy, err := hybrid.TrainCtx(context.Background(), sc.Train, sc.AM, hybrid.Config{Seed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestRetrainRetriesAfterDiscard(t *testing.T) {
 // regressor artifact retrains from the window alone (no workload
 // provenance) and publishes when it improves.
 func TestRetrainRegressorKind(t *testing.T) {
-	sc, err := experiments.NewDriftScenario("stencil-grid", "bluewaters", "xeon", 0.05, 42)
+	sc, err := experiments.DriftScenarioCtx(context.Background(), "stencil-grid", "bluewaters", "xeon", 0.05, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,8 +51,7 @@ type Config struct {
 	// Seed drives holdout splits, base resampling and retrain model
 	// seeds (derived per model version, so reruns are deterministic).
 	Seed int64
-	// Workers bounds retraining parallelism; <= 0 means the process
-	// default.
+	// Workers bounds retraining parallelism; <= 0 means GOMAXPROCS.
 	Workers int
 }
 
@@ -601,7 +600,7 @@ func modelMAPE(ctx context.Context, m *registry.Model, X [][]float64, y []float6
 func hybridMAPE(ctx context.Context, m *hybrid.Model, X [][]float64, y []float64) (float64, error) {
 	buf := ml.GetScratch(len(X))
 	defer ml.PutScratch(buf)
-	if err := m.PredictBatchIntoCtx(ctx, X, *buf); err != nil {
+	if err := m.PredictBatchIntoCtx(ctx, X, *buf, m.Config().Workers); err != nil {
 		return 0, err
 	}
 	return ml.MAPE(y, *buf), nil

@@ -82,9 +82,10 @@ func ForCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// MapCtx runs fn over [0, n) like MapErr, with ForCtx's prompt
-// cancellation between units; on failure it returns the partial
-// results alongside the error.
+// MapCtx runs fn over [0, n) and collects the results by index, with
+// ForCtx's prompt cancellation between units; on failure it returns
+// the partial results alongside the error. A nil ctx means
+// context.Background().
 func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForCtx(ctx, n, workers, func(i int) error {

@@ -15,7 +15,7 @@
 // request would have received alone.
 //
 // A non-positive workers argument means "use the process default"
-// (SetDefaultWorkers, falling back to GOMAXPROCS), and an effective
+// (GOMAXPROCS; there is no other process-wide knob), and an effective
 // worker count of one runs the loop inline on the calling goroutine,
 // so degenerate inputs (empty or single-element ranges, Workers <= 0)
 // degrade to plain sequential execution instead of deadlocking.

@@ -6,10 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// defaultWorkers is the process-wide default worker count; values <= 0
-// mean GOMAXPROCS.
-var defaultWorkers atomic.Int64
-
 // The helper budget bounds total pool concurrency across *nested*
 // calls: a loop whose caller inherited the process default (workers
 // <= 0) may only spawn helper goroutines while the process-wide
@@ -44,21 +40,14 @@ func releaseHelpers(n int) {
 	helperMu.Unlock()
 }
 
-// SetDefaultWorkers sets the process-wide default used when a caller
-// passes workers <= 0. Passing n <= 0 restores the GOMAXPROCS default.
-func SetDefaultWorkers(n int) { defaultWorkers.Store(int64(n)) }
-
-// DefaultWorkers returns the process-wide default worker count.
-func DefaultWorkers() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// DefaultWorkers returns the worker count a non-positive workers
+// argument means: GOMAXPROCS. A binary that wants a smaller pool sets
+// the runtime's own knob (runtime.GOMAXPROCS), which also caps CPU.
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Resolve maps a caller-supplied Workers knob to an effective worker
-// count for n independent units: non-positive workers means the
-// process default, and the result is clamped to [1, n] so a degenerate
+// count for n independent units: non-positive workers means
+// GOMAXPROCS, and the result is clamped to [1, n] so a degenerate
 // workload runs sequentially.
 func Resolve(workers, n int) int {
 	if workers <= 0 {
@@ -163,24 +152,4 @@ func ForBlocks(n, workers, minBlock int, fn func(lo, hi int)) {
 		}
 		fn(lo, hi)
 	})
-}
-
-// Map runs fn over [0, n) and collects the results by index.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, workers, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapErr runs fn over [0, n), collecting results by index; on failure
-// it returns the error of the lowest failing index alongside the
-// partial results.
-func MapErr[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForErr(n, workers, func(i int) error {
-		v, e := fn(i)
-		out[i] = v
-		return e
-	})
-	return out, err
 }

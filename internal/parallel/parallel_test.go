@@ -1,9 +1,9 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -38,18 +38,6 @@ func TestResolveClamps(t *testing.T) {
 		if got := Resolve(c.workers, c.n); got != c.want {
 			t.Errorf("Resolve(%d, %d) = %d, want %d", c.workers, c.n, got, c.want)
 		}
-	}
-}
-
-func TestSetDefaultWorkers(t *testing.T) {
-	defer SetDefaultWorkers(0)
-	SetDefaultWorkers(3)
-	if got := DefaultWorkers(); got != 3 {
-		t.Fatalf("DefaultWorkers() = %d after SetDefaultWorkers(3)", got)
-	}
-	SetDefaultWorkers(0)
-	if got := DefaultWorkers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("DefaultWorkers() = %d, want GOMAXPROCS default", got)
 	}
 }
 
@@ -92,7 +80,10 @@ func TestForBlocksCoversRange(t *testing.T) {
 }
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
-	got := Map(5, 4, func(i int) int { return i * i })
+	got, err := MapCtx(context.Background(), 5, 4, func(i int) (int, error) { return i * i, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("Map result[%d] = %d, want %d", i, v, i*i)
@@ -102,7 +93,7 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 
 func TestMapErr(t *testing.T) {
 	sentinel := errors.New("boom")
-	got, err := MapErr(4, 2, func(i int) (int, error) {
+	got, err := MapCtx(context.Background(), 4, 2, func(i int) (int, error) {
 		if i == 2 {
 			return 0, sentinel
 		}
@@ -119,9 +110,10 @@ func TestMapErr(t *testing.T) {
 // TestDeterministicUnderContention checks the package's core promise:
 // index-addressed writes make output independent of worker count.
 func TestDeterministicUnderContention(t *testing.T) {
-	ref := Map(1000, 1, func(i int) float64 { return float64(i) * 1.5 })
+	unit := func(i int) (float64, error) { return float64(i) * 1.5, nil }
+	ref, _ := MapCtx(context.Background(), 1000, 1, unit)
 	for _, workers := range []int{2, 5, 16} {
-		got := Map(1000, workers, func(i int) float64 { return float64(i) * 1.5 })
+		got, _ := MapCtx(context.Background(), 1000, workers, unit)
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Fatalf("workers=%d: result[%d] differs", workers, i)

@@ -50,8 +50,8 @@ func TestFormatDefaultsAndEscapeHatch(t *testing.T) {
 		t.Fatal("unknown format accepted")
 	}
 
-	want, err := hy.PredictBatchCtx(context.Background(), X)
-	if err != nil {
+	want := make([]float64, len(X))
+	if err := hy.PredictBatchIntoCtx(context.Background(), X, want, 0); err != nil {
 		t.Fatal(err)
 	}
 	for v := 1; v <= 2; v++ {
@@ -112,8 +112,8 @@ func TestLegacyRegistrySniffAndCache(t *testing.T) {
 	if lm.Meta.Format != artifact.FormatJSONV1 {
 		t.Fatalf("sniffed format = %q, want jsonv1", lm.Meta.Format)
 	}
-	want, err := hy.PredictBatchCtx(context.Background(), X)
-	if err != nil {
+	want := make([]float64, len(X))
+	if err := hy.PredictBatchIntoCtx(context.Background(), X, want, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := lm.PredictBatch(context.Background(), X)
@@ -149,8 +149,8 @@ func TestConvertInPlace(t *testing.T) {
 		SaveOptions{Format: artifact.FormatJSONV1}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := hy.PredictBatchCtx(context.Background(), X)
-	if err != nil {
+	want := make([]float64, len(X))
+	if err := hy.PredictBatchIntoCtx(context.Background(), X, want, 0); err != nil {
 		t.Fatal(err)
 	}
 	check := func(stage string) {

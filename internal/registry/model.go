@@ -20,9 +20,9 @@ type Model struct {
 
 	hybrid    *hybrid.Model
 	regressor ml.Regressor
-	// Workers bounds batch-prediction parallelism for regressor models
-	// (hybrid models carry their own Workers in their config); <= 0
-	// means the process default.
+	// Workers bounds batch-prediction parallelism for both model
+	// kinds; <= 0 means GOMAXPROCS. A loaded artifact carries no worker
+	// count of its own, so this field is the only knob.
 	Workers int
 }
 
@@ -59,11 +59,12 @@ func (m *Model) PredictBatch(ctx context.Context, X [][]float64) ([]float64, err
 // PredictBatchInto scores every row of X into out (which must have
 // len(X) elements): the allocation-free path lam-serve feeds its
 // pooled response buffers through. Loaded artifacts decode straight
-// into compiled flat node tables, so with Workers == 1 the regressor
-// path performs zero allocations per call in steady state.
+// into compiled flat node tables, so with Workers == 1 a regressor —
+// and a hybrid whose analytical model is allocation-free — performs
+// zero allocations per call in steady state.
 func (m *Model) PredictBatchInto(ctx context.Context, X [][]float64, out []float64) error {
 	if m.hybrid != nil {
-		return m.hybrid.PredictBatchIntoCtx(ctx, X, out)
+		return m.hybrid.PredictBatchIntoCtx(ctx, X, out, m.Workers)
 	}
 	if m.regressor == nil {
 		return fmt.Errorf("registry: %w", lamerr.ErrNotFitted)

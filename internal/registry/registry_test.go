@@ -3,9 +3,11 @@ package registry
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -34,7 +36,7 @@ func trainFixture(t *testing.T) (*hybrid.Model, [][]float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := hybrid.Train(train, am, hybrid.Config{Seed: 3})
+	hy, err := hybrid.TrainCtx(context.Background(), train, am, hybrid.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +67,8 @@ func TestHybridRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := hy.PredictBatchCtx(context.Background(), X)
-	if err != nil {
+	want := make([]float64, len(X))
+	if err := hy.PredictBatchIntoCtx(context.Background(), X, want, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := lm.PredictBatch(context.Background(), X)
@@ -76,6 +78,92 @@ func TestHybridRoundTrip(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("row %d: registry %v != library %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestLoadedHybridHonoursWorkers pins Model.Workers as the batch knob
+// for both model kinds. A hybrid artifact carries no worker count, so
+// a loaded hybrid with Workers == 1 must score a four-block batch
+// inline — zero allocations, bit-identical to per-row Predict — even
+// where GOMAXPROCS would fan it out. The FMM workload's analytical
+// model is allocation-free, so any allocation is the fan-out's.
+func TestLoadedHybridHonoursWorkers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	bw := machine.BlueWatersXE6()
+	ds, err := experiments.DatasetByName("fmm", bw, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	am, err := experiments.AMByDataset("fmm", bw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test, err := ds.SampleFraction(0.05, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hy, err := hybrid.TrainCtx(context.Background(), train, am, hybrid.Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := reg.SaveHybrid(hy, Meta{Name: "fmm-hybrid", Workload: "fmm", Machine: "bluewaters"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm, err := reg.Load(meta.Name, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm.Workers = 1
+
+	X := test.X[:1024] // four 256-row blocks
+	out := make([]float64, len(X))
+	ctx := context.Background()
+	// Count by hand: testing.AllocsPerRun pins GOMAXPROCS to 1, which
+	// would hide a fan-out that follows GOMAXPROCS. Warm every P's
+	// scratch pools first, so a migrating goroutine finds a pooled block
+	// wherever it lands.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]float64, len(X))
+			for i := 0; i < 3; i++ {
+				if err := lm.PredictBatchInto(ctx, X, buf); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := lm.PredictBatchInto(ctx, X, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := (after.Mallocs - before.Mallocs) / runs; allocs != 0 {
+		t.Fatalf("Workers = 1 hybrid batch allocates %d per call, want 0 (did it fan out?)", allocs)
+	}
+	for i, x := range X {
+		want, err := hy.Predict(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(out[i]) != math.Float64bits(want) {
+			t.Fatalf("row %d: batch %v != Predict %v", i, out[i], want)
 		}
 	}
 }
@@ -272,8 +360,8 @@ func TestConcurrentSaveStress(t *testing.T) {
 		}
 	}
 	// And the artifacts serve: spot-check first, middle, last.
-	want, err := hy.PredictBatchCtx(context.Background(), X[:4])
-	if err != nil {
+	want := make([]float64, len(X[:4]))
+	if err := hy.PredictBatchIntoCtx(context.Background(), X[:4], want, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []int{1, total / 2, total} {

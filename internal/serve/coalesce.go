@@ -26,10 +26,9 @@ type CoalesceConfig struct {
 	// MaxBatch caps the rows scored per batch. <= 1 disables coalescing
 	// entirely.
 	MaxBatch int
-	// MaxDelay is ignored.
-	//
-	// Deprecated: the coalescer no longer has a batch window. The field
-	// remains only so existing struct literals keep compiling.
+	// MaxDelay is ignored: the coalescer has no batch window. The field
+	// remains only because the frozen benchmark fixture still sets it;
+	// it goes once that fixture drops it (ROADMAP item 7).
 	MaxDelay time.Duration
 }
 

@@ -48,7 +48,7 @@ func stencilGridSplit(t *testing.T) (train, test *dataset.Dataset, am hybrid.Ana
 func newThroughputServer(t *testing.T, co CoalesceConfig, ad AdmitConfig) (*httptest.Server, *Server, *hybrid.Model, [][]float64) {
 	t.Helper()
 	train, test, am := stencilGridSplit(t)
-	hy, err := hybrid.Train(train, am, hybrid.Config{Seed: 7})
+	hy, err := hybrid.TrainCtx(context.Background(), train, am, hybrid.Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +541,7 @@ func TestCoalesceHotSwapStress(t *testing.T) {
 	var hys [versions]*hybrid.Model
 	var want [versions][]float64
 	for v := range hys {
-		hy, err := hybrid.Train(train, am, hybrid.Config{Seed: int64(v + 1)})
+		hy, err := hybrid.TrainCtx(context.Background(), train, am, hybrid.Config{Seed: int64(v + 1)})
 		if err != nil {
 			t.Fatal(err)
 		}

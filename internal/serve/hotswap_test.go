@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,11 +41,11 @@ func TestHotSwapMidPredictStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy1, err := hybrid.Train(train, am, hybrid.Config{Seed: 1})
+	hy1, err := hybrid.TrainCtx(context.Background(), train, am, hybrid.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy2, err := hybrid.Train(train, am, hybrid.Config{Seed: 2})
+	hy2, err := hybrid.TrainCtx(context.Background(), train, am, hybrid.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +155,11 @@ func TestHotSwapMidPredictStream(t *testing.T) {
 // mid-stream with zero failed requests; and the post-swap windowed
 // MAPE is measurably below the pre-swap window.
 func TestObserveEndToEndDrift(t *testing.T) {
-	sc, err := experiments.NewDriftScenario("stencil-blocking", "bluewaters", "xeon", 0.02, 42)
+	sc, err := experiments.DriftScenarioCtx(context.Background(), "stencil-blocking", "bluewaters", "xeon", 0.02, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := hybrid.Train(sc.Train, sc.AM, hybrid.Config{Seed: 7, Workers: 1})
+	hy, err := hybrid.TrainCtx(context.Background(), sc.Train, sc.AM, hybrid.Config{Seed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +402,7 @@ func newOnlineTestServer(t *testing.T) (*httptest.Server, *Server, *online.Plane
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := hybrid.Train(train, am, hybrid.Config{Seed: 7})
+	hy, err := hybrid.TrainCtx(context.Background(), train, am, hybrid.Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

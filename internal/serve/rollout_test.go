@@ -144,11 +144,11 @@ func predictVersion(t *testing.T, base string, model string, x []float64) int {
 // merit; and the post-promotion windowed MAPE is well below the
 // pre-swap window (same bar as the direct hot-swap acceptance test).
 func TestCanaryPromotesBetterModel(t *testing.T) {
-	sc, err := experiments.NewDriftScenario("stencil-blocking", "bluewaters", "xeon", 0.02, 42)
+	sc, err := experiments.DriftScenarioCtx(context.Background(), "stencil-blocking", "bluewaters", "xeon", 0.02, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := hybrid.Train(sc.Train, sc.AM, hybrid.Config{Seed: 7, Workers: 1})
+	hy, err := hybrid.TrainCtx(context.Background(), sc.Train, sc.AM, hybrid.Config{Seed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

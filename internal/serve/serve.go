@@ -26,8 +26,8 @@ import (
 // Server serves predictions from one registry.
 type Server struct {
 	reg *registry.Registry
-	// Workers bounds per-request batch parallelism for regressor
-	// models; <= 0 means the process default.
+	// Workers bounds per-request batch parallelism for every loaded
+	// model, regressor or hybrid; <= 0 means GOMAXPROCS.
 	Workers int
 	// Metrics is the server's counter set (GET /metrics), handles into
 	// Telemetry resolved by New; exported so tests and embedders can

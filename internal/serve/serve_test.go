@@ -35,7 +35,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *hybrid.Model, ml.Regressor,
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := hybrid.Train(train, am, hybrid.Config{Seed: 7})
+	hy, err := hybrid.TrainCtx(context.Background(), train, am, hybrid.Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ type predictOut struct {
 func TestBatchPredictBitIdentical(t *testing.T) {
 	ts, hy, et, X := newTestServer(t)
 
-	want, err := hy.PredictBatchCtx(context.Background(), X)
-	if err != nil {
+	want := make([]float64, len(X))
+	if err := hy.PredictBatchIntoCtx(context.Background(), X, want, 0); err != nil {
 		t.Fatal(err)
 	}
 	resp, body := postPredict(t, ts.URL, map[string]any{"model": "grid-hybrid", "batch": X})
@@ -119,8 +119,8 @@ func TestBatchPredictBitIdentical(t *testing.T) {
 	}
 
 	// Regressor path too.
-	wantET, err := ml.PredictBatchCtx(context.Background(), et, X, 0)
-	if err != nil {
+	wantET := make([]float64, len(X))
+	if err := ml.PredictBatchIntoCtx(context.Background(), et, X, wantET, 0); err != nil {
 		t.Fatal(err)
 	}
 	resp, body = postPredict(t, ts.URL, map[string]any{"model": "grid-et", "batch": X})
@@ -314,7 +314,7 @@ func TestCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := hybrid.Train(train, am, hybrid.Config{Seed: 1})
+	hy, err := hybrid.TrainCtx(context.Background(), train, am, hybrid.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestLatestResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy1, err := hybrid.Train(train, am, hybrid.Config{Seed: 1})
+	hy1, err := hybrid.TrainCtx(context.Background(), train, am, hybrid.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestLatestResolution(t *testing.T) {
 		t.Fatalf("first predict served v%d", out.Version)
 	}
 
-	hy2, err := hybrid.Train(train, am, hybrid.Config{Seed: 2})
+	hy2, err := hybrid.TrainCtx(context.Background(), train, am, hybrid.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,12 +19,13 @@
 // See examples/ for runnable walk-throughs and cmd/lam-bench for the
 // figure regeneration tool.
 //
-// The context-first v2 surface lives in v2.go: the unified Predictor
-// interface, typed sentinel errors (ErrCancelled, ErrNotFitted, …),
-// cancellable …Ctx variants of every long-running call, and the
-// versioned model Registry behind the cmd/lam-serve HTTP service. The
-// free functions below without a context are kept for compatibility;
-// new code should prefer the Ctx variants.
+// Every long-running operation has one context-first entry point, in
+// v2.go — TrainHybridCtx, FitCtx, PredictBatchIntoCtx (and the
+// Predictor interface's PredictBatch), AnalyticalMAPECtx, FigureCtx,
+// FiguresCtx, NoiseSensitivityCtx, HardwareTransferCtx — beside the
+// typed sentinel errors (ErrCancelled, ErrNotFitted, …) and the
+// versioned model Registry behind the cmd/lam-serve HTTP service. This
+// file holds the types and the cheap constructors.
 package lam
 
 import (
@@ -37,7 +38,6 @@ import (
 	"lam/internal/hybrid"
 	"lam/internal/machine"
 	"lam/internal/ml"
-	"lam/internal/parallel"
 )
 
 // Dataset is the tabular sample container: named features + response
@@ -73,18 +73,6 @@ type FigureOptions = experiments.Options
 func NewDataset(featureNames ...string) *Dataset {
 	return dataset.New(featureNames...)
 }
-
-// SetWorkers sets the process-wide default worker count used by every
-// parallel hot path — ensemble fitting, batch prediction,
-// cross-validation, grid search and the figure sweeps — wherever a
-// per-call Workers knob is zero. Passing n <= 0 restores the
-// GOMAXPROCS default. All results are bit-identical for every worker
-// count: each parallel unit derives its randomness from (seed, unit
-// index) before fan-out and writes its output by index.
-func SetWorkers(n int) { parallel.SetDefaultWorkers(n) }
-
-// Workers reports the current process-wide default worker count.
-func Workers() int { return parallel.DefaultWorkers() }
 
 // Machines lists the built-in machine presets by name. "bluewaters" is
 // the paper's platform.
@@ -130,14 +118,6 @@ func AnalyticalModelFor(workload string, m *Machine) (AnalyticalModel, error) {
 	return experiments.AMByDataset(workload, m)
 }
 
-// TrainHybrid trains the paper's hybrid model on a training dataset.
-//
-// Deprecated: use TrainHybridCtx, which supports cancellation; this
-// wrapper is equivalent to TrainHybridCtx(context.Background(), …).
-func TrainHybrid(train *Dataset, am AnalyticalModel, cfg HybridConfig) (*HybridModel, error) {
-	return hybrid.Train(train, am, cfg)
-}
-
 // NewExtraTrees returns the paper's best pure-ML estimator: a
 // standardising pipeline feeding an extra-trees ensemble.
 func NewExtraTrees(nTrees int, seed int64) Regressor {
@@ -158,38 +138,8 @@ func NewDecisionTree(seed int64) Regressor {
 // paper's headline metric.
 func MAPE(yTrue, yPred []float64) float64 { return ml.MAPE(yTrue, yPred) }
 
-// PredictBatch applies a fitted regressor to every row of X.
-//
-// Deprecated: use PredictBatchCtx, which supports cancellation and
-// returns typed errors instead of panicking on unfitted models.
-func PredictBatch(r Regressor, X [][]float64) []float64 { return ml.PredictBatch(r, X) }
-
-// Figure regenerates one of the paper's figures: "fig3a", "fig3b",
-// "fig5", "fig6", "fig7", "fig8" (see EXPERIMENTS.md §Figures).
-//
-// Deprecated: use FigureCtx, which supports cancellation; this wrapper
-// is equivalent to FigureCtx(context.Background(), …).
-func Figure(id string, opts FigureOptions) (*Report, error) {
-	return experiments.Run(id, opts)
-}
-
 // FigureIDs lists the reproducible figures in paper order.
 func FigureIDs() []string { return experiments.AllFigureIDs() }
-
-// Figures regenerates several figures concurrently on the worker pool
-// and returns the reports in input order; the output matches len(ids)
-// sequential Figure calls exactly.
-//
-// Deprecated: use FiguresCtx, which supports cancellation; this
-// wrapper is equivalent to FiguresCtx(context.Background(), …).
-func Figures(ids []string, opts FigureOptions) ([]*Report, error) {
-	return experiments.RunMany(ids, opts)
-}
-
-// AnalyticalMAPE scores an analytical model alone against a dataset.
-func AnalyticalMAPE(ds *Dataset, am AnalyticalModel) (float64, error) {
-	return hybrid.AnalyticalMAPE(ds, am)
-}
 
 // LoadHybrid restores a hybrid model saved with (*HybridModel).Save,
 // reattaching the analytical model (rebuilt from the machine
@@ -204,20 +154,3 @@ func SaveRegressor(w io.Writer, m Regressor) error { return ml.SaveModel(w, m) }
 
 // LoadRegressor restores a regressor saved with SaveRegressor.
 func LoadRegressor(r io.Reader) (Regressor, error) { return ml.LoadModel(r) }
-
-// NoiseSensitivity runs the extension experiment sweeping simulator
-// noise levels (see EXPERIMENTS.md §Extensions).
-//
-// Deprecated: use NoiseSensitivityCtx, which supports cancellation.
-func NoiseSensitivity(opts FigureOptions, noiseLevels []float64) (*Report, error) {
-	return experiments.NoiseSensitivity(opts, noiseLevels)
-}
-
-// HardwareTransfer runs the extension experiment measuring accuracy per
-// re-measurement budget after a machine change (see EXPERIMENTS.md
-// §Extensions).
-//
-// Deprecated: use HardwareTransferCtx, which supports cancellation.
-func HardwareTransfer(opts FigureOptions, target *Machine, budgets []float64) (*Report, error) {
-	return experiments.HardwareTransfer(opts, target, budgets)
-}

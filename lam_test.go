@@ -1,6 +1,7 @@
 package lam
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -75,7 +76,7 @@ func TestEndToEndHybridBeatsPureMLOnFig6Workload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hy, err := TrainHybrid(train, am, HybridConfig{Seed: 1})
+	hy, err := TrainHybridCtx(context.Background(), train, am, HybridConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +89,17 @@ func TestEndToEndHybridBeatsPureMLOnFig6Workload(t *testing.T) {
 	if err := et.Fit(train.X, train.Y); err != nil {
 		t.Fatal(err)
 	}
-	etMAPE := MAPE(test.Y, PredictBatch(et, test.X))
+	etPred, err := MLPredictor(et).PredictBatch(context.Background(), test.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	etMAPE := MAPE(test.Y, etPred)
 
 	t.Logf("fig6 @2%%: hybrid %.1f%%, extra trees %.1f%%", hyMAPE, etMAPE)
 	if hyMAPE >= etMAPE/2 {
 		t.Errorf("hybrid (%.1f%%) should at least halve pure-ML error (%.1f%%)", hyMAPE, etMAPE)
 	}
-	amMAPE, err := AnalyticalMAPE(test, am)
+	amMAPE, err := AnalyticalMAPECtx(context.Background(), test, am)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +112,14 @@ func TestFigureRunnerSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure regeneration is slow")
 	}
-	r, err := Figure("fig5", FigureOptions{Seed: 1, Reps: 2, Trees: 20})
+	r, err := FigureCtx(context.Background(), "fig5", FigureOptions{Seed: 1, Reps: 2, Trees: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.ID != "fig5" || len(r.Series) != 2 {
 		t.Errorf("unexpected report shape: %+v", r)
 	}
-	if _, err := Figure("nope", FigureOptions{}); err == nil {
+	if _, err := FigureCtx(context.Background(), "nope", FigureOptions{}); err == nil {
 		t.Error("expected error for unknown figure")
 	}
 	if len(FigureIDs()) != 6 {

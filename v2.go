@@ -1,9 +1,8 @@
 package lam
 
-// The context-first v2 API. Everything here takes a context.Context,
-// returns typed sentinel errors, and is what new code should call; the
-// original free functions in lam.go remain as thin wrappers (marked
-// Deprecated) so existing programs keep compiling. Three pieces:
+// The context-first API: one entry point per operation. Everything
+// here takes a context.Context and returns typed sentinel errors.
+// Three pieces:
 //
 //   - Predictor, the unified prediction interface implemented by
 //     hybrid models (HybridPredictor), ML pipelines and every other
@@ -79,7 +78,11 @@ func (p hybridPredictor) Predict(ctx context.Context, x []float64) (float64, err
 }
 
 func (p hybridPredictor) PredictBatch(ctx context.Context, X [][]float64) ([]float64, error) {
-	return p.m.PredictBatchCtx(ctx, X)
+	out := make([]float64, len(X))
+	if err := p.m.PredictBatchIntoCtx(ctx, X, out, 0); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // MLPredictor adapts a fitted ML regressor (pipelines, forests, any
@@ -95,7 +98,11 @@ func (p regressorPredictor) Predict(ctx context.Context, x []float64) (float64, 
 }
 
 func (p regressorPredictor) PredictBatch(ctx context.Context, X [][]float64) ([]float64, error) {
-	return ml.PredictBatchCtx(ctx, p.r, X, 0)
+	out := make([]float64, len(X))
+	if err := ml.PredictBatchIntoCtx(ctx, p.r, X, out, 0); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Registry is versioned on-disk model storage: each save allocates a
@@ -132,9 +139,10 @@ func OpenRegistry(dir string) (*Registry, error) { return registry.Open(dir) }
 // check it before a long training run that ends in a registry save.
 func ValidModelName(name string) bool { return registry.ValidName(name) }
 
-// TrainHybridCtx is TrainHybrid with prompt cancellation: the context
-// is checked between analytical-model scores and threaded through the
-// ML component's tree fits.
+// TrainHybridCtx trains the paper's hybrid model on a training dataset,
+// with prompt cancellation: the context is checked between
+// analytical-model scores and threaded through the ML component's tree
+// fits.
 func TrainHybridCtx(ctx context.Context, train *Dataset, am AnalyticalModel, cfg HybridConfig) (*HybridModel, error) {
 	return hybrid.TrainCtx(ctx, train, am, cfg)
 }
@@ -146,47 +154,49 @@ func FitCtx(ctx context.Context, r Regressor, X [][]float64, y []float64) error 
 	return ml.FitCtx(ctx, r, X, y)
 }
 
-// PredictBatchCtx applies a fitted regressor to every row of X with
-// prompt cancellation between row blocks; the output is bit-identical
-// to PredictBatch.
-func PredictBatchCtx(ctx context.Context, r Regressor, X [][]float64) ([]float64, error) {
-	return ml.PredictBatchCtx(ctx, r, X, 0)
-}
-
-// PredictBatchIntoCtx is PredictBatchCtx writing into a caller-owned
-// slice (len(out) == len(X)) instead of allocating — the serve-grade
-// hot path: tree-based estimators run compiled, allocation-free flat
-// node-table walks (see README §Inference internals).
+// PredictBatchIntoCtx applies a fitted regressor to every row of X,
+// writing into a caller-owned slice (len(out) == len(X)) with prompt
+// cancellation between row blocks — the serve-grade hot path:
+// tree-based estimators run compiled, allocation-free flat node-table
+// walks (see README §Inference internals). MLPredictor(r).PredictBatch
+// is the allocating form.
 func PredictBatchIntoCtx(ctx context.Context, r Regressor, X [][]float64, out []float64) error {
 	return ml.PredictBatchIntoCtx(ctx, r, X, out, 0)
 }
 
-// AnalyticalMAPECtx is AnalyticalMAPE with prompt cancellation between
-// rows.
+// AnalyticalMAPECtx scores an analytical model alone against a dataset,
+// with prompt cancellation between rows.
 func AnalyticalMAPECtx(ctx context.Context, ds *Dataset, am AnalyticalModel) (float64, error) {
 	return hybrid.AnalyticalMAPECtx(ctx, ds, am)
 }
 
-// FigureCtx is Figure with prompt cancellation between the sweep's
-// (fraction, repetition) trials: a cancelled figure returns a typed
-// error (wrapping ErrCancelled and ctx.Err()) within one trial's
-// duration.
+// FigureCtx regenerates one of the paper's figures: "fig3a", "fig3b",
+// "fig5", "fig6", "fig7", "fig8" (see EXPERIMENTS.md §Figures), with
+// prompt cancellation between the sweep's (fraction, repetition)
+// trials: a cancelled figure returns a typed error (wrapping
+// ErrCancelled and ctx.Err()) within one trial's duration.
 func FigureCtx(ctx context.Context, id string, opts FigureOptions) (*Report, error) {
 	return experiments.RunCtx(ctx, id, opts)
 }
 
-// FiguresCtx is Figures with prompt cancellation threaded through
-// every figure's sweep.
+// FiguresCtx regenerates several figures concurrently on the worker
+// pool and returns the reports in input order; the output matches
+// len(ids) sequential FigureCtx calls exactly. Cancellation is threaded
+// through every figure's sweep.
 func FiguresCtx(ctx context.Context, ids []string, opts FigureOptions) ([]*Report, error) {
 	return experiments.RunManyCtx(ctx, ids, opts)
 }
 
-// NoiseSensitivityCtx is NoiseSensitivity with prompt cancellation.
+// NoiseSensitivityCtx runs the extension experiment sweeping simulator
+// noise levels (see EXPERIMENTS.md §Extensions), with prompt
+// cancellation.
 func NoiseSensitivityCtx(ctx context.Context, opts FigureOptions, noiseLevels []float64) (*Report, error) {
 	return experiments.NoiseSensitivityCtx(ctx, opts, noiseLevels)
 }
 
-// HardwareTransferCtx is HardwareTransfer with prompt cancellation.
+// HardwareTransferCtx runs the extension experiment measuring accuracy
+// per re-measurement budget after a machine change (see EXPERIMENTS.md
+// §Extensions), with prompt cancellation.
 func HardwareTransferCtx(ctx context.Context, opts FigureOptions, target *Machine, budgets []float64) (*Report, error) {
 	return experiments.HardwareTransferCtx(ctx, opts, target, budgets)
 }

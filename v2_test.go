@@ -37,7 +37,7 @@ func v2Fixture(t *testing.T) (*HybridModel, Regressor, [][]float64) {
 }
 
 // TestPredictorAdaptersBitIdentical checks both adapters agree exactly
-// with the v1 call paths.
+// with per-row Predict calls.
 func TestPredictorAdaptersBitIdentical(t *testing.T) {
 	hy, et, X := v2Fixture(t)
 	ctx := context.Background()
@@ -62,10 +62,9 @@ func TestPredictorAdaptersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := PredictBatch(et, X)
-	for i := range X {
-		if got[i] != seq[i] {
-			t.Fatalf("ml row %d: %v != %v", i, got[i], seq[i])
+	for i, x := range X {
+		if want := et.Predict(x); got[i] != want {
+			t.Fatalf("ml row %d: %v != %v", i, got[i], want)
 		}
 	}
 }
@@ -88,8 +87,8 @@ func TestPredictorTypedErrors(t *testing.T) {
 
 	// Wrong arity through the free function must be a typed error, not
 	// the estimator's index-out-of-range panic in a worker goroutine.
-	if _, err := PredictBatchCtx(ctx, et, [][]float64{{1}}); !errors.Is(err, ErrDimension) {
-		t.Fatalf("bad arity (PredictBatchCtx): got %v, want ErrDimension", err)
+	if err := PredictBatchIntoCtx(ctx, et, [][]float64{{1}}, make([]float64, 1)); !errors.Is(err, ErrDimension) {
+		t.Fatalf("bad arity (PredictBatchIntoCtx): got %v, want ErrDimension", err)
 	}
 	if _, err := MLPredictor(et).PredictBatch(ctx, [][]float64{X[0], {1}}); !errors.Is(err, ErrDimension) {
 		t.Fatalf("bad arity (adapter batch): got %v, want ErrDimension", err)
@@ -144,8 +143,8 @@ func TestRegistryThroughFacade(t *testing.T) {
 	}
 }
 
-// TestUnknownSentinelsOnFacade checks MachineByName/BuildDataset/Figure
-// wrap their sentinels.
+// TestUnknownSentinelsOnFacade checks MachineByName/BuildDataset/
+// FigureCtx wrap their sentinels.
 func TestUnknownSentinelsOnFacade(t *testing.T) {
 	if _, err := MachineByName("nope"); !errors.Is(err, ErrUnknownMachine) {
 		t.Fatalf("machine: got %v, want ErrUnknownMachine", err)
@@ -153,7 +152,7 @@ func TestUnknownSentinelsOnFacade(t *testing.T) {
 	if _, err := BuildDataset("nope", BlueWaters(), 1); !errors.Is(err, ErrUnknownWorkload) {
 		t.Fatalf("workload: got %v, want ErrUnknownWorkload", err)
 	}
-	if _, err := Figure("nope", FigureOptions{}); !errors.Is(err, ErrUnknownFigure) {
+	if _, err := FigureCtx(context.Background(), "nope", FigureOptions{}); !errors.Is(err, ErrUnknownFigure) {
 		t.Fatalf("figure: got %v, want ErrUnknownFigure", err)
 	}
 }

@@ -156,7 +156,9 @@ type Controller struct {
 	// OnRollback fires after a candidate is quarantined.
 	OnRollback func(name string, version int)
 	// ShadowSink observes every shadow-scored batch (test hook for the
-	// bit-identity contract).
+	// bit-identity contract). x and preds are valid only during the
+	// call: both may be pooled request memory, so a sink that keeps
+	// them must copy.
 	ShadowSink func(name string, version int, x [][]float64, preds []float64)
 	Log        *slog.Logger
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"lam/internal/experiments"
@@ -134,6 +135,86 @@ func TestServeBatchZeroPerRowAllocationsOnlineEnabled(t *testing.T) {
 	if large > small {
 		t.Fatalf("online-enabled serve path allocates per row: %.1f allocs at 64 rows vs %.1f at %d rows",
 			small, large, len(X))
+	}
+}
+
+// memWriter is an in-memory http.ResponseWriter that reuses its header
+// map and body buffer, so it allocates nothing once warm: what an
+// allocation test counts through it is the handler's own.
+type memWriter struct {
+	header http.Header
+	status int
+	body   []byte
+}
+
+func (w *memWriter) Header() http.Header { return w.header }
+func (w *memWriter) WriteHeader(s int)   { w.status = s }
+func (w *memWriter) Write(p []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	w.body = append(w.body, p...)
+	return len(p), nil
+}
+
+// inProcess returns a call that pushes body through h as POST path with
+// no socket underneath, reusing one request and one writer, and fails t
+// on any answer but 200.
+func inProcess(t testing.TB, h http.Handler, path string, body []byte) func() {
+	rd := bytes.NewReader(body)
+	rc := io.NopCloser(rd)
+	req := httptest.NewRequest(http.MethodPost, path, nil)
+	w := &memWriter{header: make(http.Header)}
+	return func() {
+		rd.Reset(body)
+		req.Body, req.ContentLength = rc, int64(len(body))
+		w.status, w.body = 0, w.body[:0]
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, w.status, w.body)
+		}
+	}
+}
+
+// TestPredictHandlerAllocations extends the zero-per-row contract to
+// the whole /predict handler, codec included: the body is scanned into
+// pooled rows and the answer encoded into pooled memory, so a request
+// allocates a per-request constant however many rows it carries.
+func TestPredictHandlerAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	_, X, reg := loadedRegressorModel(t)
+	srv := New(reg)
+	srv.Workers = 1
+	h := srv.Handler()
+	measure := func(rows [][]float64) (objects, kB float64) {
+		body, err := json.Marshal(map[string]any{"model": "grid-et", "batch": rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		call := inProcess(t, h, "/predict", body)
+		for i := 0; i < 5; i++ {
+			call() // warm the pools at this size
+		}
+		objects = testing.AllocsPerRun(50, call)
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&after)
+		return objects, float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e3
+	}
+	small, _ := measure(X[:64])
+	large, largeKB := measure(append(append([][]float64(nil), X...), X...))
+	t.Logf("64 rows: %.0f allocs; 512 rows: %.0f allocs, %.1f kB", small, large, largeKB)
+	if large > small {
+		t.Fatalf("/predict allocates per row: %.0f allocs at 64 rows vs %.0f at 512", small, large)
+	}
+	if largeKB > 16 {
+		t.Fatalf("a 512-row /predict allocates %.1f kB, want <= 16", largeKB)
 	}
 }
 

@@ -379,6 +379,9 @@ func TestOverloadBoundedQueue(t *testing.T) {
 	ts, srv, hy, X := newThroughputServer(t,
 		CoalesceConfig{MaxBatch: 64},
 		AdmitConfig{MaxInflight: inflight, Queue: queue})
+	// Every admitted request holds its slot for at least 2 ms, so the
+	// clients overrun the budget however fast the handler itself is.
+	srv.InjectLatency = 2 * time.Millisecond
 
 	want := make([]float64, len(X))
 	for i, x := range X {

@@ -24,6 +24,16 @@
 //	GET  /models/{name}/drift  — the model's sliding-window accuracy,
 //	                             detector and retrain state
 //
+// The /predict and /observe bodies and the /predict answer go through
+// the wire codec (internal/wire): request rows are scanned straight
+// into one flat block, pooled for /predict and released once the
+// answer is written and shadow-scored, and the answer is encoded into
+// the same pooled memory and written with an exact Content-Length, so a
+// /predict allocates nothing per row. Every body gets the status and
+// error text encoding/json would give it, and the answer carries
+// encoding/json's float bytes; a prediction that is not finite is a 400
+// naming its row.
+//
 // # Throughput plane
 //
 // Two optional layers sit in front of the prediction path; both are

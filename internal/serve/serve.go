@@ -21,6 +21,7 @@ import (
 	"lam/internal/registry"
 	"lam/internal/rollout"
 	"lam/internal/telemetry"
+	"lam/internal/wire"
 )
 
 // Server serves predictions from one registry.
@@ -524,39 +525,10 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, modelsResponse{Models: metas})
 }
 
-// predictRequest carries one single-vector or batched prediction
-// request. Exactly one of X and Batch must be set.
-type predictRequest struct {
-	// Model is the registry name. Required.
-	Model string `json:"model"`
-	// Version selects a stored version; 0 or absent means latest.
-	Version int `json:"version,omitempty"`
-	// X is a single feature vector.
-	X []float64 `json:"x,omitempty"`
-	// Batch is a list of feature vectors.
-	Batch [][]float64 `json:"batch,omitempty"`
-}
-
-// predictResponse mirrors the request shape: Y for single, YBatch for
-// batched. Values are encoded by encoding/json's shortest-round-trip
-// float formatting, so decoding yields the library's float64 bits
-// exactly.
-type predictResponse struct {
-	Model   string    `json:"model"`
-	Version int       `json:"version"`
-	Y       *float64  `json:"y,omitempty"`
-	YBatch  []float64 `json:"y_batch,omitempty"`
-}
-
-// Batch output buffers come from the shared ml scratch pool: each
-// /predict batch request checks one out, scores into it via the
-// registry model's allocation-free PredictBatchInto, encodes the
-// response, and returns it — so scoring a batch allocates nothing per
-// row in steady state. What still scales with the rows of a request is
-// the JSON codec: decoding the body allocates every row, and decode
-// plus encode are about a fifth of a 512-row request's time
-// (serve.codec_ref_batch512_us in the benchmark).
-
+// handlePredict answers /predict. Nothing in it allocates per row: the
+// body is scanned into pooled rows (internal/wire), scored into a pooled
+// output buffer, and the answer encoded back into the request's pooled
+// memory.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.Metrics.PredictRequests.Add(1)
@@ -599,13 +571,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var req predictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := wire.DecodePredict(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength)
+	if err != nil {
 		fail(fmt.Errorf("serve: %w: %w", lamerr.ErrBadRequest, err))
 		return
 	}
+	// The rows are pooled: they go back once the answer is written and
+	// shadow-scored — unless a coalesced wait was cancelled, when the
+	// drain may still read the row and req is dropped instead.
+	defer func() {
+		if req != nil {
+			req.Release()
+		}
+	}()
 	if req.Model == "" {
 		fail(fmt.Errorf("serve: %w: missing \"model\"", lamerr.ErrBadRequest))
 		return
@@ -642,15 +620,37 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.SetModel(m.Meta.Name, m.Meta.Version)
 	mt := s.modelTeleFor(m)
-	resp := predictResponse{Model: m.Meta.Name, Version: m.Meta.Version}
+	// respond encodes the answer before anything is counted or written
+	// — a non-finite prediction is the request's 400, not a 200 cut off
+	// mid-body — then writes it with its exact length in one Write.
+	respond := func(ys []float64) bool {
+		body, err := req.Response(m.Meta.Name, m.Meta.Version, ys)
+		if err != nil {
+			mt.err.Inc()
+			fail(fmt.Errorf("serve: %w: %w", lamerr.ErrBadRequest, err))
+			return false
+		}
+		s.Metrics.PredictRows.Add(uint64(len(ys)))
+		mt.ok.Inc()
+		mt.rows.Add(uint64(len(ys)))
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body)
+		return true
+	}
 	if single {
-		var y float64
+		var y [1]float64
 		psp := tr.StartSpan("predict")
 		if s.co != nil {
 			s.Metrics.CoalescedRequests.Add(1)
-			y, err = s.co.predict(ctx, m, req.X)
+			y[0], err = s.co.predict(ctx, m, req.X)
+			if errors.Is(err, lamerr.ErrCancelled) {
+				req = nil
+			}
 		} else {
-			y, err = m.Predict(ctx, req.X)
+			y[0], err = m.Predict(ctx, req.X)
 		}
 		psp.End()
 		if err != nil {
@@ -658,13 +658,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			fail(predictError(err))
 			return
 		}
-		s.Metrics.PredictRows.Add(1)
-		mt.ok.Inc()
-		mt.rows.Add(1)
-		resp.Y = &y
-		writeJSON(w, http.StatusOK, resp)
-		if rv != nil {
-			s.shadowScoreRow(ctx, rv, req.X, y)
+		if respond(y[:]) && rv != nil {
+			s.shadowScoreRow(ctx, rv, req.X, y[0])
 		}
 		return
 	}
@@ -673,7 +668,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer ml.PutScratch(buf)
 	psp := tr.StartSpan("predict")
 	if tr != nil {
-		psp.Detail("rows=" + strconv.Itoa(len(req.Batch)))
+		// One allocation whatever the row count (Itoa allocates from 100).
+		var detail [24]byte
+		psp.Detail(string(strconv.AppendInt(append(detail[:0], "rows="...), int64(len(req.Batch)), 10)))
 	}
 	err = m.PredictBatchInto(ctx, req.Batch, *buf)
 	psp.End()
@@ -682,29 +679,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		fail(predictError(err))
 		return
 	}
-	s.Metrics.PredictRows.Add(uint64(len(req.Batch)))
-	mt.ok.Inc()
-	mt.rows.Add(uint64(len(req.Batch)))
-	resp.YBatch = *buf
-	writeJSON(w, http.StatusOK, resp)
-	if rv != nil {
+	if respond(*buf) && rv != nil {
 		s.shadowScoreBatch(ctx, rv, req.Batch, *buf)
 	}
-}
-
-// observeRequest carries ground-truth observations: each feature
-// vector paired with the runtime actually measured for it. Exactly one
-// of (X, Y) and (Batch, YBatch) must be set.
-type observeRequest struct {
-	// Model is the registry name. Required. Observations are always
-	// scored against the latest served version.
-	Model string `json:"model"`
-	// X, Y is a single observation.
-	X []float64 `json:"x,omitempty"`
-	Y *float64  `json:"y,omitempty"`
-	// Batch, YBatch is a batched observation stream.
-	Batch  [][]float64 `json:"batch,omitempty"`
-	YBatch []float64   `json:"y_batch,omitempty"`
 }
 
 // observeResponse reports what was ingested and the model's resulting
@@ -740,10 +717,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		s.Metrics.ObserveErrors.Add(1)
 		writeError(w, err)
 	}
-	var req observeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := wire.DecodeObserve(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength)
+	if err != nil {
 		fail(fmt.Errorf("serve: %w: %w", lamerr.ErrBadRequest, err))
 		return
 	}

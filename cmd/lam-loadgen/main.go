@@ -71,6 +71,7 @@ import (
 
 	"lam/internal/dataset"
 	"lam/internal/telemetry"
+	"lam/internal/xmath"
 )
 
 // slowestN is the -slowest flag: how many of the slowest successful
@@ -513,14 +514,6 @@ func mergeInto(total *result, r result) {
 	total.errors += r.errors
 }
 
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}
-
 func report(jsonOut bool, id, url, model, mode string, concurrency int, qps float64, batch int, fraction float64, elapsed time.Duration, r result, perTarget []result, targetURLs []string, localDrops uint64) {
 	sort.Slice(r.latencies, func(i, j int) bool { return r.latencies[i] < r.latencies[j] })
 	var mean, max time.Duration
@@ -532,9 +525,9 @@ func report(jsonOut bool, id, url, model, mode string, concurrency int, qps floa
 		mean = sum / time.Duration(n)
 		max = r.latencies[n-1]
 	}
-	p50 := percentile(r.latencies, 0.50)
-	p95 := percentile(r.latencies, 0.95)
-	p99 := percentile(r.latencies, 0.99)
+	p50 := xmath.NearestRank(r.latencies, 0.50)
+	p95 := xmath.NearestRank(r.latencies, 0.95)
+	p99 := xmath.NearestRank(r.latencies, 0.99)
 	achievedQPS := float64(len(r.latencies)) / elapsed.Seconds()
 	achievedRows := float64(r.rows) / elapsed.Seconds()
 	shedRate := 0.0

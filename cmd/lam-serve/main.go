@@ -51,6 +51,10 @@
 // hot-swaps to the new version without interrupting in-flight
 // requests. See cmd/lam-replay for an end-to-end demonstration.
 //
+// -window sizes both the drift window and every per-version APE ring
+// of the plane's accuracy ledger, which the rollout gates and
+// lam_served_ape read.
+//
 // With -rollout (requires -online), retrained or out-of-band published
 // versions go through progressive delivery instead of swapping in
 // directly: the candidate shadow-scores live traffic, then serves a
@@ -58,8 +62,9 @@
 // steps, and is promoted only when its windowed served-APE p50/p90
 // beat the incumbent's by the -rollout-margin ratio at every gate; a
 // candidate that fails a gate is rolled back and quarantined for
-// -rollout-holddown. The state machine is driven and inspected over
-// HTTP:
+// -rollout-holddown. A gate's window is at most -window samples, so
+// -rollout-shadow-samples and -rollout-stage-samples may not exceed
+// it. The state machine is driven and inspected over HTTP:
 //
 //	GET  /models/{name}/rollout — phase, stage, windows, hold-downs
 //	POST /models/{name}/rollout — {"action":"pause"|"resume"|
@@ -150,7 +155,7 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	injectLatency := flag.Duration("inject-latency", 0, "fault injection: sleep this long inside every /predict while holding its admission slot (fleet/capacity testing only; 0 = off)")
 	onlineOn := flag.Bool("online", false, "enable the online adaptation plane (/observe ingest, drift detection, background retrain, hot swap)")
-	window := flag.Int("window", 512, "online: per-model observation window size")
+	window := flag.Int("window", 512, "online: size of the per-model drift window and of every per-version APE window the rollout gates read")
 	driftThreshold := flag.Float64("drift-threshold", 1.5, "online: trip when windowed MAPE exceeds this factor × the model's recorded test MAPE")
 	minSamples := flag.Int("min-samples", 64, "online: windowed samples required before the drift detector may trip")
 	holdout := flag.Float64("holdout", 0.25, "online: fraction of the window held out to judge a retrained model")
@@ -227,8 +232,9 @@ func main() {
 			lg.Info("warmed, ready", "models", len(s.WarmNames))
 		}()
 	}
+	var plane *online.Plane
 	if *onlineOn {
-		plane := online.New(reg, online.Config{
+		plane = online.New(reg, online.Config{
 			WindowSize: *window,
 			Detector: online.DetectorConfig{
 				DegradeFactor: *driftThreshold,
@@ -251,14 +257,19 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		ctrl := rollout.New(reg, rollout.Config{
+		ctrl := rollout.New(reg, plane.Ledger(), rollout.Config{
 			Stages:        stages,
 			ShadowSamples: *rolloutShadow,
 			StageSamples:  *rolloutStage,
 			PromoteRatio:  *rolloutMargin,
-			WindowSize:    *window,
 			Holddown:      *rolloutHolddown,
 		})
+		// A gate that needs more samples than the APE window holds could
+		// never decide: the rollout would shadow forever.
+		if cfg := ctrl.Config(); max(cfg.ShadowSamples, cfg.StageSamples) > *window {
+			fatal(fmt.Errorf("-rollout-shadow-samples (%d) and -rollout-stage-samples (%d) may not exceed -window (%d)",
+				cfg.ShadowSamples, cfg.StageSamples, *window))
+		}
 		s.AttachRollout(ctrl)
 		lg.Info("progressive delivery enabled", "stages", ctrl.Config().Stages,
 			"shadow_samples", *rolloutShadow, "stage_samples", *rolloutStage,

@@ -30,4 +30,8 @@
 //   - The detector has hysteresis (DegradeFactor to trip,
 //     RecoverFactor to re-arm) plus MinSamples and MinMAPE guards, so
 //     a handful of noisy observations cannot flap it.
+//   - Served accuracy has one record, the Ledger: a bounded APE ring
+//     per (model, version) read through sequence cursors. The rollout
+//     gate, its status and lam_served_ape all read it, so they can
+//     never disagree about a version's numbers.
 package online

@@ -30,7 +30,8 @@ var ErrRetrainInFlight = errors.New("retrain already in flight")
 // window per model, default detector thresholds, automatic retraining
 // enabled.
 type Config struct {
-	// WindowSize is the per-model observation ring capacity. 0 means 512.
+	// WindowSize is the per-model observation ring capacity and the
+	// per-version APE ring capacity of the Ledger. 0 means 512.
 	WindowSize int
 	// Detector tunes drift detection.
 	Detector DetectorConfig
@@ -124,9 +125,6 @@ type modelState struct {
 	// evaluating a candidate: publishing a second new version mid-canary
 	// would invalidate the comparison window. Set via SetRetrainPaused.
 	paused bool
-	// ape holds one APE ring per served version (at most
-	// keepAPEVersions), the backing data of lam_served_ape.
-	ape map[int]*apeWindow
 
 	trips, started, published, discarded, errs uint64
 	lastTripMAPE                               float64
@@ -144,11 +142,12 @@ type modelState struct {
 }
 
 // Plane is the online adaptation coordinator: one ingest window and
-// drift detector per model name, plus the background retrainer. All
-// methods are safe for concurrent use.
+// drift detector per model name, the per-version accuracy ledger, plus
+// the background retrainer. All methods are safe for concurrent use.
 type Plane struct {
-	cfg Config
-	reg *registry.Registry
+	cfg    Config
+	reg    *registry.Registry
+	ledger *Ledger
 
 	// OnPublish, if set, is called (outside any plane lock) after a
 	// retrained version is published — internal/serve hooks its hot
@@ -177,14 +176,20 @@ type Plane struct {
 // New returns a plane that retrains into (and republishes through) reg.
 func New(reg *registry.Registry, cfg Config) *Plane {
 	ctx, cancel := context.WithCancel(context.Background())
+	cfg = cfg.normalized()
 	return &Plane{
-		cfg:    cfg.normalized(),
+		cfg:    cfg,
 		reg:    reg,
+		ledger: NewLedger(cfg.WindowSize),
 		models: make(map[string]*modelState),
 		ctx:    ctx,
 		cancel: cancel,
 	}
 }
+
+// Ledger returns the accuracy ledger Observe records every row's APE
+// into, under the version that served it (WindowSize samples a ring).
+func (p *Plane) Ledger() *Ledger { return p.ledger }
 
 // Close cancels in-flight retrains and waits for them to exit.
 // Concurrent Observe/RetrainNow calls remain safe: once Close has
@@ -233,12 +238,12 @@ func (p *Plane) Observe(m *registry.Model, X [][]float64, predicted, observed []
 				lamerr.ErrBadRequest, i, predicted[i], observed[i])
 		}
 	}
+	p.ledger.Record(m.Meta.Name, m.Meta.Version, observed, predicted)
 	st := p.state(m.Meta.Name)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for i := range X {
 		st.window.add(Sample{X: X[i], Predicted: predicted[i], Observed: observed[i]})
-		st.recordAPELocked(m.Meta.Version, p.cfg.WindowSize, observed[i], predicted[i])
 	}
 	p.observations.Add(uint64(len(X)))
 	ws := st.window.stats()

@@ -9,6 +9,13 @@
 // for a hold-down period. All state transitions persist crash-safely
 // through the registry, so a restarted server resumes the rollout
 // where it left off instead of blindly serving the newest artifact.
+//
+// The controller keeps no accuracy data of its own: both sides' APE
+// lives in the online plane's Ledger, and a gate window is a ledger
+// cursor — the incumbent's taken when the rollout begins or resumes,
+// the candidate's then and at every stage advance. The gate, its
+// status and lam_served_ape therefore read the same samples, in
+// windows of the ledger's capacity (lam-serve's -window).
 package rollout
 
 import (
@@ -20,7 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lam/internal/ml"
+	"lam/internal/online"
 	"lam/internal/registry"
 	"lam/internal/telemetry"
 )
@@ -78,8 +85,6 @@ type Config struct {
 	// its windowed p50 and p90 APE are both <= PromoteRatio x the
 	// incumbent's. Default 0.95 (a 5% margin).
 	PromoteRatio float64
-	// WindowSize caps the per-side APE rings. Default 512.
-	WindowSize int
 	// Holddown quarantines a rolled-back version from re-canarying.
 	// Default 1h.
 	Holddown time.Duration
@@ -113,12 +118,6 @@ func (c Config) normalized() Config {
 	if c.PromoteRatio <= 0 || c.PromoteRatio > 1 {
 		c.PromoteRatio = 0.95
 	}
-	if c.WindowSize <= 0 {
-		c.WindowSize = 512
-	}
-	if min := max(c.ShadowSamples, c.StageSamples); c.WindowSize < min {
-		c.WindowSize = min
-	}
 	if c.Holddown <= 0 {
 		c.Holddown = time.Hour
 	}
@@ -138,8 +137,9 @@ type Store interface {
 // and ActiveView per request for the canary routing decision. Both are
 // lock-free and allocation-free once a model's state is warm.
 type Controller struct {
-	cfg   Config
-	store Store
+	cfg    Config
+	store  Store
+	ledger *online.Ledger
 
 	// Load fetches a candidate's artifact; wired by the serving layer
 	// so rollout candidates share its model cache and Workers setting
@@ -168,9 +168,12 @@ type Controller struct {
 	models sync.Map // name -> *modelRollout
 }
 
-// New builds a controller persisting through store.
-func New(store Store, cfg Config) *Controller {
-	return &Controller{cfg: cfg.normalized(), store: store}
+// New builds a controller persisting through store and gating on
+// ledger, which must be the one the serving plane records the
+// incumbent's observations into (online.Plane.Ledger). A gate needing
+// more samples than the ledger's capacity can never decide.
+func New(store Store, ledger *online.Ledger, cfg Config) *Controller {
+	return &Controller{cfg: cfg.normalized(), store: store, ledger: ledger}
 }
 
 // Config returns the normalized policy.
@@ -186,12 +189,13 @@ type modelRollout struct {
 	known atomic.Int64         // highest registry version already processed
 	view  atomic.Pointer[View] // request-path snapshot; never nil once pinned once
 
-	mu                    sync.Mutex
-	loaded                bool // persisted state consulted
-	st                    registry.RolloutState
-	cand                  *registry.Model
-	candWin               *apeRing
-	incWin                *apeRing
+	mu     sync.Mutex
+	loaded bool // persisted state consulted
+	st     registry.RolloutState
+	cand   *registry.Model
+	// incSince and candSince are the ledger cursors the gate reads the
+	// incumbent's and the candidate's windows from.
+	incSince, candSince   uint64
 	promotions, rollbacks uint64
 }
 
@@ -332,8 +336,9 @@ func (c *Controller) loadStateLocked(m *modelRollout) {
 
 // resumeLocked re-arms an active persisted rollout after a restart:
 // the candidate artifact is reloaded and evaluation windows start
-// empty (APE windows are in-memory by design — stale pre-crash samples
-// would judge the candidate on traffic it no longer sees).
+// empty at fresh cursors (the ledger is in-memory by design — stale
+// pre-crash samples would judge the candidate on traffic it no longer
+// sees).
 func (c *Controller) resumeLocked(ctx context.Context, m *modelRollout, after *[]func()) {
 	if m.st.Candidate == 0 || m.cand != nil {
 		return
@@ -344,8 +349,7 @@ func (c *Controller) resumeLocked(ctx context.Context, m *modelRollout, after *[
 		return
 	}
 	m.cand = cm
-	m.candWin = newAPERing(c.cfg.WindowSize)
-	m.incWin = newAPERing(c.cfg.WindowSize)
+	c.armLocked(m)
 	if cb := c.OnBegin; cb != nil {
 		name, ver := m.name, m.st.Candidate
 		*after = append(*after, func() { cb(name, ver) })
@@ -405,13 +409,12 @@ func (c *Controller) beginLocked(ctx context.Context, m *modelRollout, candidate
 		return
 	}
 	m.cand = cm
-	m.candWin = newAPERing(c.cfg.WindowSize)
-	m.incWin = newAPERing(c.cfg.WindowSize)
 	m.st.Pinned = incumbent
 	m.st.Candidate = candidate
 	m.st.Phase = phaseShadowStr
 	m.st.Stage = 0
 	m.st.Paused = false
+	c.armLocked(m)
 	m.st.LastTransition = fmt.Sprintf("shadowing v%d against incumbent v%d", candidate, incumbent)
 	c.persistLocked(m)
 	c.logf("rollout began", "model", m.name, "candidate", candidate, "incumbent", incumbent)
@@ -421,12 +424,27 @@ func (c *Controller) beginLocked(ctx context.Context, m *modelRollout, candidate
 	}
 }
 
+// armLocked starts both evaluation windows at the ledger's current
+// sequences, holding the two rings against eviction.
+func (c *Controller) armLocked(m *modelRollout) {
+	m.incSince = c.ledger.Cursor(m.name, m.st.Pinned)
+	m.candSince = c.ledger.Cursor(m.name, m.st.Candidate)
+}
+
+// disarmLocked ends the in-flight candidate's evaluation: the artifact
+// is dropped and both rings' holds released.
+func (c *Controller) disarmLocked(m *modelRollout) {
+	c.ledger.Release(m.name, m.st.Pinned)
+	c.ledger.Release(m.name, m.st.Candidate)
+	m.cand = nil
+}
+
 // cancelLocked drops the in-flight candidate without quarantine (used
 // when a newer publish supersedes it). The pin is kept: the canceled
 // candidate may still be the newest artifact on disk for a moment.
 func (c *Controller) cancelLocked(m *modelRollout, reason string, after *[]func()) {
 	ver := m.st.Candidate
-	m.cand, m.candWin, m.incWin = nil, nil, nil
+	c.disarmLocked(m)
 	m.st.Candidate = 0
 	m.st.Phase = ""
 	m.st.Stage = 0
@@ -439,13 +457,13 @@ func (c *Controller) cancelLocked(m *modelRollout, reason string, after *[]func(
 	}
 }
 
-// Ingest feeds one scored observation batch into the active rollout's
-// evaluation windows and runs the current gate. The serving layer
-// partitions rows: cand* are rows the candidate scored (all rows in
-// shadow, its hash share in canary), inc* the incumbent's. At most one
-// state transition happens per call, so a replayed stream observes
-// every stage. Returns the post-ingest status.
-func (c *Controller) Ingest(ctx context.Context, name string, candObs, candPred, incObs, incPred []float64) Status {
+// Ingest records the rows the in-flight candidate scored — every row
+// in shadow, its hash share in canary — into the ledger under the
+// candidate's version, then runs the current gate. The incumbent's
+// rows reach the ledger through online.Plane.Observe. At most one state
+// transition happens per call, so a replayed stream observes every
+// stage. Returns the post-ingest status.
+func (c *Controller) Ingest(ctx context.Context, name string, observed, predicted []float64) Status {
 	m := c.modelFor(name)
 	sp := telemetry.StartSpan(ctx, "rollout")
 	var after []func()
@@ -456,16 +474,7 @@ func (c *Controller) Ingest(ctx context.Context, name string, candObs, candPred,
 		sp.Detail("idle").End()
 		return st
 	}
-	for i := range candObs {
-		if ape, ok := ml.APE(candObs[i], candPred[i]); ok {
-			m.candWin.add(ape)
-		}
-	}
-	for i := range incObs {
-		if ape, ok := ml.APE(incObs[i], incPred[i]); ok {
-			m.incWin.add(ape)
-		}
-	}
+	c.ledger.Record(name, m.st.Candidate, observed, predicted)
 	if !m.st.Paused {
 		c.gateLocked(m, &after)
 	}
@@ -488,12 +497,11 @@ func (c *Controller) gateLocked(m *modelRollout, after *[]func()) {
 	if m.st.Phase == phaseCanaryStr {
 		need = c.cfg.StageSamples
 	}
-	if m.candWin.count < need || m.incWin.count < need {
+	cq, iq := c.windowsLocked(m)
+	if cq.Count < need || iq.Count < need {
 		return
 	}
-	cq := m.candWin.quantiles(0.5, 0.9)
-	iq := m.incWin.quantiles(0.5, 0.9)
-	beats := cq[0] <= c.cfg.PromoteRatio*iq[0] && cq[1] <= c.cfg.PromoteRatio*iq[1]
+	beats := cq.P50 <= c.cfg.PromoteRatio*iq.P50 && cq.P90 <= c.cfg.PromoteRatio*iq.P90
 	gate := m.st.Phase
 	if gate == phaseCanaryStr {
 		gate = fmt.Sprintf("canary stage %d (%.0f%%)", m.st.Stage, 100*c.stageFraction(m.st.Stage))
@@ -501,7 +509,7 @@ func (c *Controller) gateLocked(m *modelRollout, after *[]func()) {
 	if !beats {
 		c.rollbackLocked(m, fmt.Sprintf(
 			"%s gate: candidate p50/p90 APE %.2f/%.2f vs incumbent %.2f/%.2f (need <= %.2fx)",
-			gate, cq[0], cq[1], iq[0], iq[1], c.cfg.PromoteRatio), after)
+			gate, cq.P50, cq.P90, iq.P50, iq.P90, c.cfg.PromoteRatio), after)
 		return
 	}
 	switch m.st.Phase {
@@ -510,7 +518,7 @@ func (c *Controller) gateLocked(m *modelRollout, after *[]func()) {
 		m.st.Stage = 0
 		// The candidate's shadow window judged it on traffic it was not
 		// serving; each canary gate re-proves it on the traffic it is.
-		m.candWin.reset()
+		m.candSince = c.ledger.Cursor(m.name, m.st.Candidate)
 		m.st.LastTransition = fmt.Sprintf("v%d passed shadow, canary stage 0 (%.0f%%)",
 			m.st.Candidate, 100*c.stageFraction(0))
 		c.persistLocked(m)
@@ -521,7 +529,7 @@ func (c *Controller) gateLocked(m *modelRollout, after *[]func()) {
 			return
 		}
 		m.st.Stage++
-		m.candWin.reset()
+		m.candSince = c.ledger.Cursor(m.name, m.st.Candidate)
 		m.st.LastTransition = fmt.Sprintf("v%d advanced to canary stage %d (%.0f%%)",
 			m.st.Candidate, m.st.Stage, 100*c.stageFraction(m.st.Stage))
 		c.persistLocked(m)
@@ -531,7 +539,7 @@ func (c *Controller) gateLocked(m *modelRollout, after *[]func()) {
 
 func (c *Controller) promoteLocked(m *modelRollout, reason string, after *[]func()) {
 	ver := m.st.Candidate
-	m.cand, m.candWin, m.incWin = nil, nil, nil
+	c.disarmLocked(m)
 	m.st = registry.RolloutState{
 		Model:          m.name,
 		Holddown:       c.pruneHolddown(m.st.Holddown),
@@ -549,7 +557,7 @@ func (c *Controller) promoteLocked(m *modelRollout, reason string, after *[]func
 
 func (c *Controller) rollbackLocked(m *modelRollout, reason string, after *[]func()) {
 	ver := m.st.Candidate
-	m.cand, m.candWin, m.incWin = nil, nil, nil
+	c.disarmLocked(m)
 	m.st.Candidate = 0
 	m.st.Phase = ""
 	m.st.Stage = 0
@@ -619,14 +627,6 @@ func (c *Controller) action(name string, fn func(m *modelRollout, after *[]func(
 	return nil
 }
 
-// WindowStats summarizes one side's APE evaluation window.
-type WindowStats struct {
-	Count int     `json:"count"`
-	P50   float64 `json:"p50,omitempty"`
-	P90   float64 `json:"p90,omitempty"`
-	P99   float64 `json:"p99,omitempty"`
-}
-
 // Status is the externally visible rollout state of one model,
 // returned by GET /models/{name}/rollout and embedded in /observe
 // responses while a rollout is active.
@@ -641,8 +641,8 @@ type Status struct {
 	Candidate       int                      `json:"candidate,omitempty"`
 	NeedSamples     int                      `json:"need_samples,omitempty"`
 	PromoteRatio    float64                  `json:"promote_ratio,omitempty"`
-	CandidateWindow WindowStats              `json:"candidate_window"`
-	IncumbentWindow WindowStats              `json:"incumbent_window"`
+	CandidateWindow online.APEQuantiles      `json:"candidate_window"`
+	IncumbentWindow online.APEQuantiles      `json:"incumbent_window"`
 	Promotions      uint64                   `json:"promotions"`
 	Rollbacks       uint64                   `json:"rollbacks"`
 	Holddown        []registry.HolddownEntry `json:"holddown,omitempty"`
@@ -701,18 +701,16 @@ func (c *Controller) statusLocked(m *modelRollout) Status {
 			st.Phase = PhaseShadow.String()
 			st.NeedSamples = c.cfg.ShadowSamples
 		}
-		st.CandidateWindow = windowStats(m.candWin)
-		st.IncumbentWindow = windowStats(m.incWin)
+		st.CandidateWindow, st.IncumbentWindow = c.windowsLocked(m)
 	}
 	return st
 }
 
-func windowStats(w *apeRing) WindowStats {
-	if w == nil || w.count == 0 {
-		return WindowStats{}
-	}
-	q := w.quantiles(0.5, 0.9, 0.99)
-	return WindowStats{Count: w.count, P50: q[0], P90: q[1], P99: q[2]}
+// windowsLocked reads the candidate's and the incumbent's gate windows:
+// each version's ledger samples from its cursor on.
+func (c *Controller) windowsLocked(m *modelRollout) (cand, inc online.APEQuantiles) {
+	return c.ledger.Quantiles(m.name, m.st.Candidate, m.candSince),
+		c.ledger.Quantiles(m.name, m.st.Pinned, m.incSince)
 }
 
 // viewLocked builds the immutable request-path snapshot.

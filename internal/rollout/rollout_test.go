@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"lam/internal/online"
 	"lam/internal/registry"
 )
 
@@ -55,14 +55,15 @@ func testConfig(now func() time.Time) Config {
 		ShadowSamples: 4,
 		StageSamples:  4,
 		PromoteRatio:  0.9,
-		WindowSize:    16,
 		Holddown:      time.Hour,
 		Now:           now,
 	}
 }
 
 // ingestAPE feeds n observation rows where the candidate's APE is
-// candPct and the incumbent's incPct (obs fixed at 100).
+// candPct and the incumbent's incPct (obs fixed at 100). The incumbent
+// side is recorded straight into the ledger, as the online plane does
+// for every row the incumbent serves.
 func ingestAPE(c *Controller, name string, n int, candPct, incPct float64) Status {
 	obs := make([]float64, n)
 	cp := make([]float64, n)
@@ -72,7 +73,8 @@ func ingestAPE(c *Controller, name string, n int, candPct, incPct float64) Statu
 		cp[i] = 100 - candPct
 		ip[i] = 100 - incPct
 	}
-	return c.Ingest(context.Background(), name, obs, cp, obs, ip)
+	c.ledger.Record(name, c.Status(name).Incumbent, obs, ip)
+	return c.Ingest(context.Background(), name, obs, cp)
 }
 
 // TestControllerPromotionWalk drives the full happy path: bootstrap,
@@ -81,7 +83,7 @@ func ingestAPE(c *Controller, name string, n int, candPct, incPct float64) Statu
 func TestControllerPromotionWalk(t *testing.T) {
 	ctx := context.Background()
 	store := newMemStore()
-	c := New(store, testConfig(nil))
+	c := New(store, online.NewLedger(16), testConfig(nil))
 	c.Load = stubLoader(nil)
 	var began, promoted []int
 	c.OnBegin = func(_ string, v int) { began = append(began, v) }
@@ -155,7 +157,7 @@ func TestControllerRollbackAndHolddown(t *testing.T) {
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
 	store := newMemStore()
-	c := New(store, testConfig(clock))
+	c := New(store, online.NewLedger(16), testConfig(clock))
 	c.Load = stubLoader(nil)
 	var rolledBack []int
 	c.OnRollback = func(_ string, v int) { rolledBack = append(rolledBack, v) }
@@ -218,7 +220,7 @@ func TestControllerRollbackAndHolddown(t *testing.T) {
 // incumbent.
 func TestControllerSupersede(t *testing.T) {
 	ctx := context.Background()
-	c := New(newMemStore(), testConfig(nil))
+	c := New(newMemStore(), online.NewLedger(16), testConfig(nil))
 	c.Load = stubLoader(nil)
 	c.Pin(ctx, "m", 1)
 	c.Pin(ctx, "m", 2)
@@ -244,13 +246,13 @@ func TestControllerSupersede(t *testing.T) {
 func TestControllerResume(t *testing.T) {
 	ctx := context.Background()
 	store := newMemStore()
-	c1 := New(store, testConfig(nil))
+	c1 := New(store, online.NewLedger(16), testConfig(nil))
 	c1.Load = stubLoader(nil)
 	c1.Pin(ctx, "m", 1)
 	c1.Pin(ctx, "m", 2)
 	ingestAPE(c1, "m", 4, 5, 40) // advance to canary stage 0
 
-	c2 := New(store, testConfig(nil))
+	c2 := New(store, online.NewLedger(16), testConfig(nil))
 	c2.Load = stubLoader(nil)
 	began := 0
 	c2.OnBegin = func(string, int) { began++ }
@@ -290,7 +292,7 @@ func TestControllerResume(t *testing.T) {
 func TestControllerCandidateLoadFailure(t *testing.T) {
 	ctx := context.Background()
 	store := newMemStore()
-	c := New(store, testConfig(nil))
+	c := New(store, online.NewLedger(16), testConfig(nil))
 	c.Load = stubLoader(map[int]bool{2: true})
 	c.Pin(ctx, "m", 1)
 	if pin := c.Pin(ctx, "m", 2); pin != 1 {
@@ -310,7 +312,7 @@ func TestControllerCandidateLoadFailure(t *testing.T) {
 // idle.
 func TestControllerOperatorActions(t *testing.T) {
 	ctx := context.Background()
-	c := New(newMemStore(), testConfig(nil))
+	c := New(newMemStore(), online.NewLedger(16), testConfig(nil))
 	c.Load = stubLoader(nil)
 
 	if err := c.Pause("m", true); !errors.Is(err, ErrNoRollout) {
@@ -354,35 +356,5 @@ func TestControllerOperatorActions(t *testing.T) {
 	}
 	if pin := c.Pin(ctx, "m", 3); pin != 0 {
 		t.Fatalf("pin after force-promote = %d, want 0", pin)
-	}
-}
-
-// TestAPERingQuantiles pins the nearest-rank quantile math the gates
-// ride on, including wrap-around once the ring is full.
-func TestAPERingQuantiles(t *testing.T) {
-	r := newAPERing(4)
-	if q := r.quantiles(0.5); !math.IsNaN(q[0]) {
-		t.Fatal("empty ring must report NaN")
-	}
-	for _, v := range []float64{40, 10, 30, 20} {
-		r.add(v)
-	}
-	q := r.quantiles(0.5, 0.9)
-	if q[0] != 20 || q[1] != 40 {
-		t.Fatalf("quantiles of {10,20,30,40}: p50=%v p90=%v, want 20,40", q[0], q[1])
-	}
-	// Overwrite the oldest two: window is now {30,20,100,100}.
-	r.add(100)
-	r.add(100)
-	if r.count != 4 {
-		t.Fatalf("ring count = %d, want 4", r.count)
-	}
-	q = r.quantiles(0.5)
-	if q[0] != 30 {
-		t.Fatalf("p50 after wrap = %v, want 30", q[0])
-	}
-	r.reset()
-	if r.count != 0 {
-		t.Fatal("reset must empty the ring")
 	}
 }

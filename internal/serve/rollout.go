@@ -181,57 +181,27 @@ func (s *Server) shadowScoreBatch(ctx context.Context, rv *rollout.View, X [][]f
 // active: in shadow, the incumbent serves every row and the candidate
 // scores them all on the side; in canary, rows are partitioned by the
 // same deterministic hash /predict routes with, each side scored by
-// its own version. Both sides' APEs feed the controller's gate.
+// its own version. The incumbent's rows go through the online plane,
+// the candidate's through the controller; both land in the plane's
+// ledger, where the gate reads them.
 func (s *Server) rolloutObserve(ctx context.Context, m *registry.Model, rv *rollout.View, X [][]float64, obs []float64) (online.Status, *rollout.Status, error) {
-	name := m.Meta.Name
-	if rv.Phase == rollout.PhaseShadow {
-		inc := ml.GetScratch(len(X))
-		defer ml.PutScratch(inc)
-		psp := telemetry.StartSpan(ctx, "predict")
-		err := m.PredictBatchInto(ctx, X, *inc)
-		psp.End()
-		if err != nil {
-			return online.Status{}, nil, predictError(err)
-		}
-		isp := telemetry.StartSpan(ctx, "observe_ingest")
-		status, err := s.online.Observe(m, X, *inc, obs)
-		isp.End()
-		if err != nil {
-			return online.Status{}, nil, err
-		}
-		cand := ml.GetScratch(len(X))
-		defer ml.PutScratch(cand)
-		ssp := telemetry.StartSpan(ctx, "shadow")
-		cerr := rv.Candidate.PredictBatchInto(ctx, X, *cand)
-		ssp.End()
-		var rst rollout.Status
-		if cerr != nil {
-			rst = s.rollout.Status(name)
-		} else {
-			s.recordShadow(rv, X, *inc, *cand)
-			rst = s.rollout.Ingest(ctx, name, obs, *cand, obs, *inc)
-		}
-		return status, &rst, nil
-	}
-	// Canary: partition by the per-row routing hash.
-	candX := make([][]float64, 0, len(X))
-	incX := make([][]float64, 0, len(X))
-	candObs := make([]float64, 0, len(obs))
-	incObs := make([]float64, 0, len(obs))
-	for i := range X {
-		if rv.RouteRow(X[i]) {
-			candX = append(candX, X[i])
-			candObs = append(candObs, obs[i])
-		} else {
-			incX = append(incX, X[i])
-			incObs = append(incObs, obs[i])
+	incX, incObs, candX, candObs, candSpan := X, obs, X, obs, "shadow"
+	if rv.Phase == rollout.PhaseCanary {
+		incX, candX = make([][]float64, 0, len(X)), make([][]float64, 0, len(X))
+		incObs, candObs = make([]float64, 0, len(obs)), make([]float64, 0, len(obs))
+		candSpan = "predict"
+		for i := range X {
+			if rv.RouteRow(X[i]) {
+				candX, candObs = append(candX, X[i]), append(candObs, obs[i])
+			} else {
+				incX, incObs = append(incX, X[i]), append(incObs, obs[i])
+			}
 		}
 	}
 	var status online.Status
-	var incPred []float64
+	inc := ml.GetScratch(len(incX))
+	defer ml.PutScratch(inc)
 	if len(incX) > 0 {
-		inc := ml.GetScratch(len(incX))
-		defer ml.PutScratch(inc)
 		psp := telemetry.StartSpan(ctx, "predict")
 		err := m.PredictBatchInto(ctx, incX, *inc)
 		psp.End()
@@ -244,27 +214,26 @@ func (s *Server) rolloutObserve(ctx context.Context, m *registry.Model, rv *roll
 		if err != nil {
 			return online.Status{}, nil, err
 		}
-		incPred = *inc
 	} else {
 		status = s.online.Status(m)
 	}
-	var candPred []float64
+	cand := ml.GetScratch(len(candX))
+	defer ml.PutScratch(cand)
 	if len(candX) > 0 {
-		cand := ml.GetScratch(len(candX))
-		defer ml.PutScratch(cand)
-		csp := telemetry.StartSpan(ctx, "predict")
-		cerr := rv.Candidate.PredictBatchInto(ctx, candX, *cand)
+		csp := telemetry.StartSpan(ctx, candSpan)
+		err := rv.Candidate.PredictBatchInto(ctx, candX, *cand)
 		csp.End()
-		if cerr != nil {
-			// The candidate failing to score its own canary share is a
-			// gate signal in itself, but never a client error: drop the
-			// rows and let the incumbent side keep the gate honest.
-			candX, candObs = nil, nil
-		} else {
-			candPred = *cand
+		switch {
+		case err != nil:
+			// A candidate failing to score its rows is a gate signal in
+			// itself, but never a client error: drop the rows and let the
+			// incumbent side keep the gate honest.
+			candObs = nil
+		case rv.Phase == rollout.PhaseShadow:
+			s.recordShadow(rv, X, *inc, *cand)
 		}
 	}
-	rst := s.rollout.Ingest(ctx, name, candObs, candPred, incObs, incPred)
+	rst := s.rollout.Ingest(ctx, m.Meta.Name, candObs, (*cand)[:len(candObs)])
 	return status, &rst, nil
 }
 

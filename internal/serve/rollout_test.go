@@ -61,15 +61,16 @@ func newRolloutFixture(t *testing.T) (*registry.Registry, *ml.Pipeline, *dataset
 }
 
 // newRolloutServer wires a serve stack (online plane with retraining
-// off, rollout controller with the given policy) over reg.
+// off and a 64-sample window, rollout controller with the given policy
+// gating on the plane's ledger) over reg.
 func newRolloutServer(t *testing.T, reg *registry.Registry, cfg rollout.Config) (*httptest.Server, *Server, *rollout.Controller) {
 	t.Helper()
 	srv := New(reg)
 	srv.Workers = 1
-	plane := online.New(reg, online.Config{DisableRetrain: true, Workers: 1})
+	plane := online.New(reg, online.Config{DisableRetrain: true, WindowSize: 64, Workers: 1})
 	t.Cleanup(plane.Close)
 	srv.AttachOnline(plane)
-	ctrl := rollout.New(reg, cfg)
+	ctrl := rollout.New(reg, plane.Ledger(), cfg)
 	srv.AttachRollout(ctrl)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -177,12 +178,11 @@ func TestCanaryPromotesBetterModel(t *testing.T) {
 	defer plane.Close()
 	srv.AttachOnline(plane)
 	stages := []float64{0.25, 0.5, 1.0}
-	ctrl := rollout.New(reg, rollout.Config{
+	ctrl := rollout.New(reg, plane.Ledger(), rollout.Config{
 		Stages:        stages,
 		ShadowSamples: 48,
 		StageSamples:  24,
 		PromoteRatio:  0.95,
-		WindowSize:    256,
 	})
 	srv.AttachRollout(ctrl)
 	ts := httptest.NewServer(srv.Handler())
@@ -284,7 +284,6 @@ func TestCanaryRollsBackWorseModel(t *testing.T) {
 		ShadowSamples: 32,
 		StageSamples:  16,
 		PromoteRatio:  0.95,
-		WindowSize:    64,
 		Holddown:      time.Hour,
 	})
 
@@ -406,7 +405,6 @@ func TestRolloutStateSurvivesRestart(t *testing.T) {
 		Stages:        []float64{0.5, 1.0},
 		ShadowSamples: 32,
 		StageSamples:  16,
-		WindowSize:    64,
 		Holddown:      time.Hour,
 	}
 	ts1, _, _ := newRolloutServer(t, reg, cfg)
@@ -469,7 +467,7 @@ func TestRolloutStateSurvivesRestart(t *testing.T) {
 func TestRolloutEndpointActions(t *testing.T) {
 	reg, bad, _, test := newRolloutFixture(t)
 	ts, _, _ := newRolloutServer(t, reg, rollout.Config{
-		Stages: []float64{0.5, 1.0}, ShadowSamples: 32, StageSamples: 16, WindowSize: 64,
+		Stages: []float64{0.5, 1.0}, ShadowSamples: 32, StageSamples: 16,
 	})
 	if v := predictVersion(t, ts.URL, "grid-et", test.X[0]); v != 1 {
 		t.Fatalf("bootstrap serves v%d", v)
@@ -527,13 +525,85 @@ func TestRolloutEndpointActions(t *testing.T) {
 	}
 }
 
+// TestServedAPEIsTheGateRing: lam_served_ape exposes the ledger the
+// rollout gate reads. The candidate's cursor is taken at an empty ring
+// when shadow begins, so after more shadow-scored rows than the ring
+// holds, the status's candidate_window and the candidate version's
+// lam_served_ape series summarise the same samples — equal bit for bit.
+// The incumbent keeps its own series beside it.
+func TestServedAPEIsTheGateRing(t *testing.T) {
+	reg, bad, _, test := newRolloutFixture(t)
+	ts, _, _ := newRolloutServer(t, reg, rollout.Config{
+		Stages: []float64{1.0}, ShadowSamples: 1 << 20,
+	})
+	if v := predictVersion(t, ts.URL, "grid-et", test.X[0]); v != 1 {
+		t.Fatalf("bootstrap serves v%d", v)
+	}
+	const batch = 16
+	// Incumbent history from before the rollout: in its series, not in
+	// any gate window.
+	postObserveBatch(t, ts.URL, "grid-et", test.X[:batch], test.Y[:batch])
+	if _, err := reg.SaveRegressor(bad, registry.Meta{Name: "grid-et"}); err != nil {
+		t.Fatal(err)
+	}
+	// 80 shadow rows wrap the 64-sample ring.
+	for i := 1; i <= 5; i++ {
+		lo := i * batch
+		out := postObserveBatch(t, ts.URL, "grid-et", test.X[lo:lo+batch], test.Y[lo:lo+batch])
+		if out.Rollout == nil || out.Rollout.Phase != "shadow" {
+			t.Fatalf("batch %d: rollout not in shadow: %+v", i, out.Rollout)
+		}
+	}
+	st := getRolloutStatus(t, ts.URL, "grid-et")
+	if st.Phase != "shadow" || st.Candidate != 2 || st.CandidateWindow.Count != 64 {
+		t.Fatalf("want a full 64-sample candidate window in shadow: %+v", st)
+	}
+
+	exp, err := scrapeStrict(t, ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := exp.Family("lam_served_ape")
+	if fam == nil {
+		t.Fatal("lam_served_ape missing during shadow")
+	}
+	series := map[string]map[string]float64{} // version -> quantile -> value
+	for _, s := range fam.Samples {
+		if model, _ := s.Label("model"); model != "grid-et" {
+			continue
+		}
+		version, _ := s.Label("version")
+		q, _ := s.Label("quantile")
+		if series[version] == nil {
+			series[version] = map[string]float64{}
+		}
+		series[version][q] = s.Value
+	}
+	if len(series["1"]) == 0 {
+		t.Errorf("incumbent v1 has no lam_served_ape series: %+v", fam.Samples)
+	}
+	cand := series["2"]
+	for _, c := range []struct {
+		q    string
+		gate float64
+	}{{"0.5", st.CandidateWindow.P50}, {"0.9", st.CandidateWindow.P90}} {
+		got, ok := cand[c.q]
+		if !ok {
+			t.Fatalf("no lam_served_ape{version=\"2\",quantile=%q} sample: %+v", c.q, fam.Samples)
+		}
+		if math.Float64bits(got) != math.Float64bits(c.gate) {
+			t.Errorf("quantile %s: lam_served_ape %v, gate window %v", c.q, got, c.gate)
+		}
+	}
+}
+
 // TestShadowPredictionsBitIdentical: what the shadow scorer records
 // for the candidate equals scoring the same rows through an
 // independently loaded copy of the candidate artifact, bit for bit.
 func TestShadowPredictionsBitIdentical(t *testing.T) {
 	reg, bad, _, test := newRolloutFixture(t)
 	ts, _, ctrl := newRolloutServer(t, reg, rollout.Config{
-		Stages: []float64{1.0}, ShadowSamples: 1 << 20, WindowSize: 64,
+		Stages: []float64{1.0}, ShadowSamples: 1 << 20,
 	})
 	if v := predictVersion(t, ts.URL, "grid-et", test.X[0]); v != 1 {
 		t.Fatalf("bootstrap serves v%d", v)
@@ -615,7 +685,7 @@ func TestServeZeroPerRowAllocationsWithShadow(t *testing.T) {
 	}
 	reg, bad, _, test := newRolloutFixture(t)
 	ts, srv, _ := newRolloutServer(t, reg, rollout.Config{
-		Stages: []float64{1.0}, ShadowSamples: 1 << 20, WindowSize: 64,
+		Stages: []float64{1.0}, ShadowSamples: 1 << 20,
 	})
 	if v := predictVersion(t, ts.URL, "grid-et", test.X[0]); v != 1 {
 		t.Fatalf("bootstrap serves v%d", v)

@@ -191,11 +191,12 @@ func (s *Server) AttachOnline(p *online.Plane) {
 		telemetry.TypeCounter, counter(func(c online.Counters) uint64 { return c.RetrainsDiscarded }))
 	s.Telemetry.CollectFunc("lam_online_retrain_errors_total", "Retrain attempts that failed",
 		telemetry.TypeCounter, counter(func(c online.Counters) uint64 { return c.RetrainErrors }))
-	// Per-version served accuracy: the signal a progressive-delivery
-	// controller compares across versions.
-	s.Telemetry.CollectFunc("lam_served_ape", "Served absolute-percentage-error quantiles per model version",
+	// Per-version served accuracy: the plane's ledger, whole rings. The
+	// rollout gate reads the same rings from its cursors on.
+	s.Telemetry.CollectFunc("lam_served_ape",
+		"Served absolute-percentage-error quantiles per model version; a rollout candidate's series includes its shadow-scored rows",
 		telemetry.TypeGauge, func(emit func([]telemetry.Label, float64)) {
-			for _, a := range p.ServedAPE() {
+			for _, a := range p.Ledger().Snapshot() {
 				model := telemetry.L("model", a.Model)
 				version := telemetry.L("version", strconv.Itoa(a.Version))
 				emit([]telemetry.Label{model, version, telemetry.L("quantile", "0.5")}, a.P50)

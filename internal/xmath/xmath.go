@@ -8,6 +8,7 @@
 package xmath
 
 import (
+	"cmp"
 	"math"
 	"sort"
 )
@@ -103,6 +104,20 @@ func Percentile(xs []float64, p float64) float64 {
 		return s[lo]
 	}
 	return Lerp(s[lo], s[hi], rank-float64(lo))
+}
+
+// NearestRank returns the nearest-rank q-quantile (q in [0, 1]) of an
+// ascending slice: the smallest value with at least q of the sample at
+// or below it. q <= 0 yields the minimum, q >= 1 the maximum, and an
+// empty slice the zero value. Unlike Percentile it never interpolates,
+// so the answer is always one of the samples.
+func NearestRank[T cmp.Ordered](asc []T, q float64) T {
+	if len(asc) == 0 {
+		var zero T
+		return zero
+	}
+	i := int(math.Ceil(q*float64(len(asc)))) - 1
+	return asc[min(max(i, 0), len(asc)-1)]
 }
 
 // Median returns the 50th percentile of xs.

@@ -118,6 +118,45 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+func TestNearestRank(t *testing.T) {
+	ten := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	ties := []float64{1, 2, 2, 2, 9}
+	for _, c := range []struct {
+		name string
+		asc  []float64
+		q    float64
+		want float64
+	}{
+		{"empty", nil, 0.5, 0},
+		{"single q=0", []float64{7}, 0, 7},
+		{"single q=1", []float64{7}, 1, 7},
+		{"q=0 is the minimum", ten, 0, 1},
+		{"q=0.5", ten, 0.5, 5},
+		{"q=0.9", ten, 0.9, 9},
+		{"q=1 is the maximum", ten, 1, 10},
+		{"q between ranks rounds up", ten, 0.51, 6},
+		{"odd count median", []float64{10, 20, 30}, 0.5, 20},
+		{"even count takes the lower middle", []float64{10, 20, 30, 40}, 0.5, 20},
+		{"ties q=0.2", ties, 0.2, 1},
+		{"ties q=0.5", ties, 0.5, 2},
+		{"ties q=0.8", ties, 0.8, 2},
+		{"ties q=0.9", ties, 0.9, 9},
+		{"q below 0 clamps", ten, -1, 1},
+		{"q above 1 clamps", ten, 2, 10},
+	} {
+		if got := NearestRank(c.asc, c.q); got != c.want {
+			t.Errorf("%s: NearestRank(%v, %v) = %v, want %v", c.name, c.asc, c.q, got, c.want)
+		}
+	}
+	// The constraint is cmp.Ordered, so durations and ints work too.
+	if got := NearestRank([]int{3, 5, 8}, 0.9); got != 8 {
+		t.Errorf("NearestRank(ints, 0.9) = %d, want 8", got)
+	}
+	if got := NearestRank([]int(nil), 0.5); got != 0 {
+		t.Errorf("NearestRank(nil ints) = %d, want 0", got)
+	}
+}
+
 func TestPercentileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	Percentile(xs, 50)

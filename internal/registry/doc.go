@@ -28,6 +28,11 @@
 //     place, so a crashed or concurrent save can never produce a
 //     half-readable version. Multiple Registry handles on one
 //     directory may save concurrently.
+//   - LatestVersion reads no directory while nothing changed: it checks
+//     a cached scan with one fstat each of the root and the name
+//     directory, held open, so a version another process publishes is
+//     still seen on the next call. This needs a local filesystem's
+//     mtimes (see LatestVersion).
 //   - Legacy jsonv1 registries load forever, unchanged; a damaged
 //     artifact in either format fails Load with an error wrapping
 //     lamerr.ErrCorruptArtifact rather than panicking or serving a

@@ -116,6 +116,8 @@ type Registry struct {
 	// saveMu serialises in-process version allocation; cross-process
 	// races are resolved by the rename-retry loop in save.
 	saveMu sync.Mutex
+	// latest caches LatestVersion's answers (latest.go).
+	latest latestCache
 }
 
 // Open opens (creating if necessary) a registry rooted at dir.
@@ -237,6 +239,8 @@ func (r *Registry) save(meta Meta, p *artifact.Payload, opts SaveOptions) (Meta,
 		}
 		err = os.Rename(tmp, r.versionDir(meta.Name, next))
 		if err == nil {
+			// Still under saveMu: the next LatestVersion rescans.
+			r.latest.entries.Delete(meta.Name)
 			return meta, nil
 		}
 		// Another process published this version between our scan and
@@ -284,20 +288,6 @@ func (r *Registry) versionNumbers(name string) ([]int, error) {
 	}
 	sort.Ints(out)
 	return out, nil
-}
-
-// LatestVersion resolves the newest published version number of a
-// name with a single directory scan (no artifact read). A missing name
-// wraps lamerr.ErrUnknownModel.
-func (r *Registry) LatestVersion(name string) (int, error) {
-	versions, err := r.versionNumbers(name)
-	if err != nil {
-		return 0, err
-	}
-	if len(versions) == 0 {
-		return 0, fmt.Errorf("registry: %w: %q", lamerr.ErrUnknownModel, name)
-	}
-	return versions[len(versions)-1], nil
 }
 
 // Names lists the model names in the registry, sorted.

@@ -8,10 +8,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"lam/internal/experiments"
+	"lam/internal/hybrid"
 	"lam/internal/machine"
 	"lam/internal/ml"
 	"lam/internal/online"
@@ -84,16 +88,16 @@ func TestServeBatchZeroPerRowAllocations(t *testing.T) {
 // TestServeBatchZeroPerRowAllocationsOnlineEnabled re-runs the
 // zero-allocation contract with the online adaptation plane attached
 // and actively ingesting, and — unlike the base test — it drives the
-// handler's actual serving sequence: hot-swap pointer resolution
-// (srv.load), pooled output checkout, batch scoring. Resolution costs
-// a small per-request constant (the latest-version directory scan),
-// so the assertion is the per-row contract: allocations must not grow
-// with the batch size.
+// handler's actual serving sequence: latest-version resolution
+// (srv.load), pooled output checkout, batch scoring. With the registry
+// out of the racy window, resolution is two fstats and a slot load, so
+// the whole sequence allocates nothing.
 func TestServeBatchZeroPerRowAllocationsOnlineEnabled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	_, X, reg := loadedRegressorModel(t)
+	backdateRegistry(t, reg)
 	srv := New(reg)
 	srv.Workers = 1
 	plane := online.New(reg, online.Config{DisableRetrain: true, Workers: 1})
@@ -131,10 +135,30 @@ func TestServeBatchZeroPerRowAllocationsOnlineEnabled(t *testing.T) {
 			ml.PutScratch(buf)
 		})
 	}
-	small, large := servePath(X[:64]), servePath(X)
-	if large > small {
-		t.Fatalf("online-enabled serve path allocates per row: %.1f allocs at 64 rows vs %.1f at %d rows",
-			small, large, len(X))
+	for _, rows := range [][][]float64{X[:64], X} {
+		if allocs := servePath(rows); allocs != 0 {
+			t.Fatalf("online-enabled serve path allocates %.1f per %d-row request, want 0", allocs, len(rows))
+		}
+	}
+}
+
+// backdateRegistry moves the mtimes of reg's root and every name
+// directory an hour into the past, out of LatestVersion's racy window,
+// so resolution answers from its cache without the test sleeping.
+func backdateRegistry(t testing.TB, reg *registry.Registry) {
+	t.Helper()
+	names, err := reg.Names()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-time.Hour)
+	for _, dir := range append([]string{reg.Root()}, names...) {
+		if dir != reg.Root() {
+			dir = filepath.Join(reg.Root(), dir)
+		}
+		if err := os.Chtimes(dir, old, old); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -216,6 +240,70 @@ func TestPredictHandlerAllocations(t *testing.T) {
 	if largeKB > 16 {
 		t.Fatalf("a 512-row /predict allocates %.1f kB, want <= 16", largeKB)
 	}
+
+	// A single row of the paper's stencil-blocking hybrid, through the
+	// coalescer as lam-serve's defaults and the benchmark's replica wire
+	// it, with the registry out of the racy window: the allocation
+	// ceiling of a latest-version request.
+	hsrv, body := stencilHybridServer(t)
+	call := inProcess(t, hsrv.Handler(), "/predict", body)
+	for i := 0; i < 5; i++ {
+		call()
+	}
+	single := testing.AllocsPerRun(200, call)
+	t.Logf("single-row hybrid: %.0f allocs", single)
+	if single > maxSingleRowAllocs {
+		t.Fatalf("a single-row /predict allocates %.0f, want <= %d", single, maxSingleRowAllocs)
+	}
+}
+
+// maxSingleRowAllocs is the measured allocation count of a single-row
+// /predict, pinned as a ceiling. One of them is the stencil model's
+// miss count (analytical.StencilModel.Misses makes a slice per call).
+const maxSingleRowAllocs = 15
+
+// stencilHybridServer publishes a hybrid trained on a 4% sample of the
+// stencil-blocking dataset and returns a server over it, wired with
+// coalescing at 32 rows and admission unbounded, plus a single-row
+// /predict body for it.
+func stencilHybridServer(t testing.TB) (*Server, []byte) {
+	t.Helper()
+	bw := machine.BlueWatersXE6()
+	ds, err := experiments.DatasetByName("stencil-blocking", bw, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	am, err := experiments.AMByDataset("stencil-blocking", bw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test, err := ds.SampleFraction(0.04, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hy, err := hybrid.TrainCtx(context.Background(), train, am, hybrid.Config{
+		Seed:  1,
+		NewML: func() ml.Regressor { return &ml.Pipeline{Model: ml.NewExtraTrees(20, 1)} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := registry.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.SaveHybrid(hy, registry.Meta{Name: "hybrid-0", Workload: "stencil-blocking", Machine: "bluewaters"}); err != nil {
+		t.Fatal(err)
+	}
+	backdateRegistry(t, reg)
+	srv := New(reg)
+	srv.Coalesce = CoalesceConfig{MaxBatch: 32}
+	srv.Admit = AdmitConfig{MaxInflight: 0, Queue: 64}
+	body, err := json.Marshal(map[string]any{"model": "hybrid-0", "x": test.X[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, body
 }
 
 // BenchmarkServePredictBatch is the serve-side half of the compiled

@@ -68,11 +68,16 @@
 // dropped client connection cancels the in-flight prediction between
 // rows (a row queued in the coalescer is the exception: its flush
 // completes on a background context so batch-mates are unaffected, and
-// only the wait is abandoned). "Latest" requests are served through a per-name
-// atomic model pointer: a newly published version — whether written by
-// an external process or republished by the online plane's retrainer —
-// is swapped in without any lock on the predict path, so in-flight
-// requests finish on the old compiled ensemble while new requests get
-// the new one, and the served version never moves backwards.
-// Version-pinned requests go through a small bounded cache.
+// only the wait is abandoned). One resolver (resolve.go) decides which
+// loaded model answers a request. "Latest" requests are served through
+// a per-name atomic model pointer: a newly published version — whether
+// written by an external process or republished by the online plane's
+// retrainer — is swapped in without any lock on the predict path, so
+// in-flight requests finish on the old compiled ensemble while new
+// requests get the new one, and the served version never moves
+// backwards. Each request re-resolves the newest version through
+// registry.LatestVersion, which costs one fstat of two held directory
+// handles unless something changed, so another process's publish is
+// served from the next request on (local filesystems; see that
+// method). Version-pinned requests go through a small bounded cache.
 package serve

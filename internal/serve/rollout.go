@@ -25,6 +25,7 @@ import (
 // candidate is under evaluation) and before Handler.
 func (s *Server) AttachRollout(c *rollout.Controller) {
 	s.rollout = c
+	s.models.rollout = c
 	if c.Log == nil {
 		c.Log = s.Log
 	}
@@ -32,7 +33,7 @@ func (s *Server) AttachRollout(c *rollout.Controller) {
 	// the server's Workers setting — shadow predictions are
 	// bit-identical to serving the candidate directly.
 	c.Load = func(ctx context.Context, name string, version int) (*registry.Model, error) {
-		return s.loadPinned(ctx, name, version)
+		return s.models.pinned(ctx, name, version)
 	}
 	c.OnBegin = func(name string, _ int) {
 		// One candidate at a time: a second publish mid-rollout would
@@ -94,19 +95,6 @@ func (s *Server) AttachRollout(c *rollout.Controller) {
 // Rollout returns the attached controller (nil without AttachRollout);
 // embedders and tests use it to inspect or force transitions.
 func (s *Server) Rollout() *rollout.Controller { return s.rollout }
-
-// pinLatest clamps a freshly scanned registry version to the rollout
-// pin. Routing every latest-resolution through the controller is also
-// what begins a rollout the moment a new version appears.
-func (s *Server) pinLatest(ctx context.Context, name string, latest int) int {
-	if s.rollout == nil {
-		return latest
-	}
-	if pin := s.rollout.Pin(ctx, name, latest); pin > 0 && pin < latest {
-		return pin
-	}
-	return latest
-}
 
 // rolloutView returns the model's active rollout view for a latest
 // (version 0) request; explicit version pins bypass the rollout.

@@ -8,11 +8,8 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lam/internal/lamerr"
@@ -74,19 +71,9 @@ type Server struct {
 	co    *coalescer
 	admit *admission
 
-	// latest holds one *atomic.Pointer[registry.Model] per name: the
-	// hot-swap slot "latest" requests read lock-free.
-	latest sync.Map
-	// loading holds one *sync.Mutex per name, taken only while a stale
-	// latest pointer is refreshed from disk: it single-flights the
-	// artifact deserialization so a burst of cold requests costs one
-	// decode, not one per request.
-	loading sync.Map
-
-	// mu guards the version-pinned cache only; the latest path never
-	// takes it.
-	mu    sync.RWMutex
-	cache map[string]*registry.Model // key: name@version
+	// models decides which loaded model answers each request
+	// (resolve.go).
+	models resolver
 
 	// teleMu guards modelTele, the per-(model, version) labeled series
 	// cache. The predict fast path is one RLock + struct-keyed map
@@ -112,13 +99,36 @@ const traceRingSize = 256
 func New(reg *registry.Registry) *Server {
 	s := &Server{
 		reg:       reg,
-		cache:     make(map[string]*registry.Model),
 		modelTele: make(map[modelKey]*modelTelemetry),
 	}
 	s.Telemetry = telemetry.NewRegistry()
 	s.Metrics = newMetrics(s.Telemetry)
 	s.Tracer = telemetry.NewRecorder(traceRingSize)
+	s.models = resolver{
+		reg:     reg,
+		load:    s.loadModel,
+		swapped: s.logSwap,
+		metrics: &s.Metrics,
+		pins:    make(map[modelKey]*registry.Model),
+	}
 	return s
+}
+
+// loadModel reads one version from the registry with the server's
+// Workers setting, recording the read on ctx's trace.
+func (s *Server) loadModel(ctx context.Context, name string, version int) (*registry.Model, error) {
+	m, err := s.reg.LoadCtx(ctx, name, version)
+	if err != nil {
+		return nil, err
+	}
+	m.Workers = s.Workers
+	return m, nil
+}
+
+func (s *Server) logSwap(m *registry.Model, replaced int) {
+	if s.Log != nil {
+		s.Log.Info("hot swap", "model", m.Meta.Name, "version", m.Meta.Version, "replaced", replaced)
+	}
 }
 
 // modelTeleFor resolves the per-(model, version) labeled counters,
@@ -167,8 +177,8 @@ func (s *Server) AttachOnline(p *online.Plane) {
 	}
 	p.OnPublish = func(meta registry.Meta) {
 		// Warm and swap eagerly so the first post-publish request does
-		// not pay the deserialization; the per-request version check
-		// would pick the new version up regardless.
+		// not pay the deserialization; the per-request resolution would
+		// pick the new version up regardless.
 		_, _ = s.Reload(meta.Name)
 	}
 	// Online activity is exposed as scrape-time collectors: the plane's
@@ -235,169 +245,21 @@ func (s *Server) Handler() http.Handler {
 
 // load returns the model for (name, version). version <= 0 means the
 // latest published version, served through the lock-free hot-swap
-// pointer; pinned versions go through the bounded cache. ctx carries
-// the request trace so cold loads record artifact_load/hot_swap spans.
+// slot; pinned versions go through the bounded cache. ctx carries the
+// request trace so cold loads record artifact_load/hot_swap spans.
 func (s *Server) load(ctx context.Context, name string, version int) (*registry.Model, error) {
 	if version <= 0 {
-		return s.loadLatest(ctx, name)
+		return s.models.latest(ctx, name)
 	}
-	return s.loadPinned(ctx, name, version)
+	return s.models.pinned(ctx, name, version)
 }
 
-// loadLatest resolves name's newest published version (one cheap
-// directory scan — no artifact read, no lock) and returns the model
-// behind the name's atomic pointer, swapping a fresh load in when the
-// pointer is stale. In-flight requests holding the previous *Model
-// keep using it untouched: a swap is publication, not mutation.
-func (s *Server) loadLatest(ctx context.Context, name string) (*registry.Model, error) {
-	latest, err := s.reg.LatestVersion(name)
-	if err != nil {
-		return nil, err
-	}
-	// While a rollout is in flight (or a rolled-back version is still
-	// the newest on disk), "latest" means the pinned incumbent; the
-	// candidate only ever reaches clients through the canary split.
-	latest = s.pinLatest(ctx, name, latest)
-	p := s.latestPtr(name)
-	if m := p.Load(); m != nil && m.Meta.Version >= latest {
-		s.Metrics.ModelCacheHits.Add(1)
-		return m, nil
-	}
-	return s.swapIn(ctx, name, latest)
-}
-
-func (s *Server) latestPtr(name string) *atomic.Pointer[registry.Model] {
-	if v, ok := s.latest.Load(name); ok {
-		return v.(*atomic.Pointer[registry.Model])
-	}
-	v, _ := s.latest.LoadOrStore(name, &atomic.Pointer[registry.Model]{})
-	return v.(*atomic.Pointer[registry.Model])
-}
-
-// swapIn loads (name, version) from disk and publishes it to the
-// name's latest pointer — unless a concurrent loader or publish got a
-// newer version there first, in which case that one wins and is
-// returned. Monotonicity means a client can never observe the served
-// version move backwards. Loading is single-flighted per name: a cold
-// or just-published model hit by a burst of requests is deserialized
-// exactly once, with the rest of the burst waiting on the loader
-// instead of each decoding its own copy.
-func (s *Server) swapIn(ctx context.Context, name string, version int) (*registry.Model, error) {
-	muAny, _ := s.loading.LoadOrStore(name, &sync.Mutex{})
-	mu := muAny.(*sync.Mutex)
-	mu.Lock()
-	defer mu.Unlock()
-	if cur := s.latestPtr(name).Load(); cur != nil && cur.Meta.Version >= version {
-		// The loader we waited on already brought this version (or a
-		// newer one) in.
-		s.Metrics.ModelCacheHits.Add(1)
-		return cur, nil
-	}
-	sp := telemetry.StartSpan(ctx, "hot_swap")
-	defer sp.End()
-	s.Metrics.ModelCacheMisses.Add(1)
-	m, err := s.reg.LoadCtx(ctx, name, version)
-	if err != nil {
-		return nil, err
-	}
-	m.Workers = s.Workers
-	sp.Detail(m.Meta.Name + "@v" + strconv.Itoa(m.Meta.Version))
-	p := s.latestPtr(name)
-	for {
-		cur := p.Load()
-		if cur != nil && cur.Meta.Version >= m.Meta.Version {
-			return cur, nil
-		}
-		if p.CompareAndSwap(cur, m) {
-			if cur != nil {
-				s.Metrics.ModelSwaps.Add(1)
-				if s.Log != nil {
-					s.Log.Info("hot swap",
-						"model", m.Meta.Name,
-						"version", m.Meta.Version,
-						"replaced", cur.Meta.Version)
-				}
-			}
-			return m, nil
-		}
-	}
-}
-
-// Reload force-resolves name's latest registry version into the hot
-// pointer: the publish notification path of the online plane, also
-// usable by embedders after an out-of-band registry write.
+// Reload resolves name's latest version into the hot-swap slot now: the
+// publish notification path of the online plane, so the first request
+// after a retrain does not pay the decode. A version published by
+// another process needs no call: the next request resolves it.
 func (s *Server) Reload(name string) (*registry.Model, error) {
-	latest, err := s.reg.LatestVersion(name)
-	if err != nil {
-		return nil, err
-	}
-	// A freshly retrained publish lands here first (online.OnPublish):
-	// the pin keeps it out of the hot pointer and starts its rollout
-	// instead of swapping it straight in.
-	latest = s.pinLatest(context.Background(), name, latest)
-	return s.swapIn(context.Background(), name, latest)
-}
-
-// loadPinned returns the cached model for an explicit (name, version),
-// loading it on first use. A pin of the version the hot-swap pointer
-// already serves as "latest" reuses that instance instead of holding a
-// second deserialized copy of the same ensemble.
-func (s *Server) loadPinned(ctx context.Context, name string, version int) (*registry.Model, error) {
-	if v, ok := s.latest.Load(name); ok {
-		if m := v.(*atomic.Pointer[registry.Model]).Load(); m != nil && m.Meta.Version == version {
-			s.Metrics.ModelCacheHits.Add(1)
-			return m, nil
-		}
-	}
-	key := fmt.Sprintf("%s@%d", name, version)
-	s.mu.RLock()
-	m := s.cache[key]
-	s.mu.RUnlock()
-	if m != nil {
-		s.Metrics.ModelCacheHits.Add(1)
-		return m, nil
-	}
-	s.Metrics.ModelCacheMisses.Add(1)
-	m, err := s.reg.LoadCtx(ctx, name, version)
-	if err != nil {
-		return nil, err
-	}
-	m.Workers = s.Workers
-	s.mu.Lock()
-	if cached, ok := s.cache[key]; ok {
-		m = cached // another request won the load race; keep one instance
-	} else {
-		s.cache[key] = m
-		s.evictOldLocked(name)
-	}
-	s.mu.Unlock()
-	return m, nil
-}
-
-// keepVersionsPerName bounds the pinned cache per model name: clients
-// pinning historic versions would otherwise keep every superseded
-// deserialized ensemble resident forever. Older pins are served
-// correctly but reload on each cache miss.
-const keepVersionsPerName = 2
-
-// evictOldLocked drops all but the newest keepVersionsPerName cached
-// versions of name. Caller holds s.mu.
-func (s *Server) evictOldLocked(name string) {
-	var versions []int
-	prefix := name + "@"
-	for key, m := range s.cache {
-		if strings.HasPrefix(key, prefix) {
-			versions = append(versions, m.Meta.Version)
-		}
-	}
-	if len(versions) <= keepVersionsPerName {
-		return
-	}
-	sort.Ints(versions)
-	for _, v := range versions[:len(versions)-keepVersionsPerName] {
-		delete(s.cache, fmt.Sprintf("%s@%d", name, v))
-		s.Metrics.ModelCacheEvictions.Add(1)
-	}
+	return s.models.latest(context.Background(), name)
 }
 
 type errorResponse struct {
@@ -467,7 +329,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, healthzResponse{Status: "ok", Models: len(names)})
 }
 
-// Warm force-loads every WarmNames model into its hot-swap pointer,
+// Warm force-loads every WarmNames model into its hot-swap slot,
 // returning the first load error. Call after construction (typically
 // concurrently with serving — /readyz reports warming until every
 // named model is resident, which is the point: a fleet gateway must
@@ -500,7 +362,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	var warming []string
 	for _, name := range s.WarmNames {
-		if m := s.latestPtr(name).Load(); m == nil {
+		if s.models.serving(name) == nil {
 			warming = append(warming, name)
 		}
 	}

@@ -354,9 +354,9 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv.mu.RLock()
-	cached := len(srv.cache)
-	srv.mu.RUnlock()
+	srv.models.mu.RLock()
+	cached := len(srv.models.pins)
+	srv.models.mu.RUnlock()
 	if cached > keepVersionsPerName {
 		t.Fatalf("cache holds %d versions, want <= %d", cached, keepVersionsPerName)
 	}

@@ -96,8 +96,8 @@ import (
 	"syscall"
 	"time"
 
-	"lam"
 	"lam/internal/online"
+	"lam/internal/registry"
 	"lam/internal/rollout"
 	"lam/internal/serve"
 	"lam/internal/telemetry"
@@ -179,7 +179,7 @@ func main() {
 	if *regDir == "" {
 		fatal(fmt.Errorf("-registry is required"))
 	}
-	reg, err := lam.OpenRegistry(*regDir)
+	reg, err := registry.Open(*regDir)
 	if err != nil {
 		fatal(err)
 	}

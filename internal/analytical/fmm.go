@@ -56,8 +56,8 @@ const m2lOpsPerCell = 189
 // max(Tflop, Tmem) per phase, summed over P2P and M2L (Eq. 2 applied
 // per phase).
 func (m *FMMModel) Predict(p FMMParams) (float64, error) {
-	if m.Machine == nil {
-		return 0, fmt.Errorf("analytical: FMMModel requires a Machine")
+	if err := checkMachine(m.Machine, "FMMModel"); err != nil {
+		return 0, err
 	}
 	if err := p.Validate(); err != nil {
 		return 0, err

@@ -72,19 +72,38 @@ func (m *StencilModel) refsPerPoint(l int) float64 { return float64(2*l + 5 + 1)
 // cache level (inner to outer) for one sweep — Eqs. 6–7 with the
 // blocked Eq. 15 and interpolated nplanes. Exposed so the ablation
 // bench can compare the closed-form model against the trace-driven
-// cache simulator.
+// cache simulator; Predict computes the same numbers without the slice.
 func (m *StencilModel) Misses(p StencilParams) ([]float64, error) {
-	if m.Machine == nil {
-		return nil, fmt.Errorf("analytical: StencilModel requires a Machine")
-	}
-	pp, err := p.normalized()
+	pp, err := m.check(p)
 	if err != nil {
 		return nil, err
 	}
-	l := m.Order
-	if l <= 0 {
-		l = 1
+	misses := m.misses(pp)
+	return append([]float64(nil), misses[:len(m.Machine.Levels)]...), nil
+}
+
+// check refuses a model whose machine the model cannot score on and
+// normalises p: the one validation both Misses and Predict run.
+func (m *StencilModel) check(p StencilParams) (StencilParams, error) {
+	if err := checkMachine(m.Machine, "StencilModel"); err != nil {
+		return p, err
 	}
+	return p.normalized()
+}
+
+// order returns the stencil radius l.
+func (m *StencilModel) order() int {
+	if m.Order <= 0 {
+		return 1
+	}
+	return m.Order
+}
+
+// misses computes the per-level miss counts for normalised params into
+// a fixed-size array, so scoring a row allocates nothing; entries past
+// the machine's level count stay zero.
+func (m *StencilModel) misses(pp StencilParams) (misses [machine.MaxLevels]float64) {
+	l := m.order()
 	mach := m.Machine
 	w := mach.Levels[0].LineElems()
 	bii := xmath.CeilDiv(pp.TI+2*l, w) * w
@@ -102,33 +121,27 @@ func (m *StencilModel) Misses(p StencilParams) ([]float64, error) {
 	}
 	basePlanes := float64(xmath.CeilDiv(bii, w)) * float64(bjj) * float64(bkk) * nb
 	rcol := pread / (2*pread - 1)
-	misses := make([]float64, len(mach.Levels))
 	for i, lvl := range mach.Levels {
 		np := nplanes(float64(lvl.SizeElems()), pread, stotal, sread, float64(bii), rcol)
 		misses[i] = basePlanes * np
 	}
-	for i := 1; i < len(misses); i++ {
+	for i := 1; i < len(mach.Levels); i++ {
 		if misses[i] > misses[i-1] {
 			misses[i] = misses[i-1]
 		}
 	}
-	return misses, nil
+	return misses
 }
 
 // Predict returns the modelled execution time in seconds for one core.
+// It allocates nothing.
 func (m *StencilModel) Predict(p StencilParams) (float64, error) {
-	misses, err := m.Misses(p)
+	pp, err := m.check(p)
 	if err != nil {
 		return 0, err
 	}
-	pp, err := p.normalized()
-	if err != nil {
-		return 0, err
-	}
-	l := m.Order
-	if l <= 0 {
-		l = 1
-	}
+	misses := m.misses(pp)
+	l := m.order()
 	cal := m.Calibration
 	if cal == 0 {
 		cal = 1
@@ -136,6 +149,7 @@ func (m *StencilModel) Predict(p StencilParams) (float64, error) {
 
 	mach := m.Machine
 	w := mach.Levels[0].LineElems() // W, elements per cache line
+	last := len(mach.Levels) - 1
 
 	bi := xmath.CeilDiv(pp.TI, w) * w
 	bj := pp.TJ
@@ -154,14 +168,14 @@ func (m *StencilModel) Predict(p StencilParams) (float64, error) {
 	if t < 0 {
 		t = 0
 	}
-	for i := 1; i < len(mach.Levels); i++ {
+	for i := 1; i <= last; i++ {
 		hits := misses[i-1] - misses[i]
 		if hits < 0 {
 			hits = 0
 		}
 		t += hits * float64(w) * mach.Levels[i].BetaSecPerElem()
 	}
-	t += misses[len(misses)-1] * float64(w) * mach.MemBetaSecPerElem()
+	t += misses[last] * float64(w) * mach.MemBetaSecPerElem()
 	if m.WriteAllocate {
 		// Store stream: one written plane per k iteration per tile.
 		t += float64(xmath.CeilDiv(bi, w)) * float64(bj) * float64(bkk) * nb *
@@ -180,6 +194,18 @@ func (m *StencilModel) Predict(p StencilParams) (float64, error) {
 // stencilFlopsPerPoint matches internal/stencil.FlopsPerPoint without
 // importing it (the model must stand alone).
 const stencilFlopsPerPoint = 9
+
+// checkMachine refuses a missing machine and a cache hierarchy the
+// models cannot index: no level, or more than machine.MaxLevels.
+func checkMachine(m *machine.Machine, model string) error {
+	if m == nil {
+		return fmt.Errorf("analytical: %s requires a Machine", model)
+	}
+	if n := len(m.Levels); n == 0 || n > machine.MaxLevels {
+		return fmt.Errorf("analytical: %s needs 1 to %d cache levels, machine %q has %d", model, machine.MaxLevels, m.Name, n)
+	}
+	return nil
+}
 
 // nplanes evaluates the paper's conditional equations for the number of
 // II×JJ planes fetched from the next level per k iteration, with linear

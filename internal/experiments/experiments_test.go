@@ -3,39 +3,55 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"lam/internal/dataset"
 	"lam/internal/hybrid"
 	"lam/internal/machine"
+	"lam/internal/workload"
 )
 
 func bw() *machine.Machine { return machine.BlueWatersXE6() }
 
+// TestBlockSizes reads the block-size ladder back out of the blocking
+// dataset: for a J extent the bj candidates are the powers of two below
+// it, then the extent itself.
 func TestBlockSizes(t *testing.T) {
-	got := blockSizes(16)
-	want := []int{1, 2, 4, 8, 16}
-	if len(got) != len(want) {
-		t.Fatalf("blockSizes(16) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("blockSizes(16)[%d] = %d, want %d", i, got[i], want[i])
+	ds := canonicalDataset(t, "stencil-blocking")
+	ladder := func(j float64) []float64 {
+		seen := map[float64]bool{}
+		var out []float64
+		for _, x := range ds.X {
+			if x[1] == j && !seen[x[4]] {
+				seen[x[4]] = true
+				out = append(out, x[4])
+			}
 		}
+		return out
 	}
-	got = blockSizes(48)
+	if got, want := ladder(16), []float64{1, 2, 4, 8, 16}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("bj ladder for J=16 = %v, want %v", got, want)
+	}
 	// powers of two below 48, then 48 itself
-	want = []int{1, 2, 4, 8, 16, 32, 48}
-	if len(got) != len(want) || got[len(got)-1] != 48 {
-		t.Errorf("blockSizes(48) = %v, want %v", got, want)
+	if got, want := ladder(48), []float64{1, 2, 4, 8, 16, 32, 48}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("bj ladder for J=48 = %v, want %v", got, want)
 	}
 }
 
-func TestStencilGridDatasetShape(t *testing.T) {
-	ds, err := StencilGridDataset(NewStencilSim(bw(), 1))
+// canonicalDataset builds a catalogue dataset on Blue Waters, seed 1.
+func canonicalDataset(t *testing.T, name string) *dataset.Dataset {
+	t.Helper()
+	ds, err := DatasetByName(name, bw(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ds
+}
+
+func TestStencilGridDatasetShape(t *testing.T) {
+	ds := canonicalDataset(t, "stencil-grid")
 	if ds.Len() != 9*9*9 {
 		t.Errorf("grid dataset has %d rows, want 729", ds.Len())
 	}
@@ -50,10 +66,7 @@ func TestStencilGridDatasetShape(t *testing.T) {
 }
 
 func TestStencilBlockingDatasetShape(t *testing.T) {
-	ds, err := StencilBlockingDataset(NewStencilSim(bw(), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := canonicalDataset(t, "stencil-blocking")
 	if ds.NumFeatures() != 6 {
 		t.Errorf("blocking dataset arity %d, want 6", ds.NumFeatures())
 	}
@@ -73,10 +86,7 @@ func TestStencilBlockingDatasetShape(t *testing.T) {
 }
 
 func TestStencilThreadsDatasetShape(t *testing.T) {
-	ds, err := StencilThreadsDataset(NewStencilSim(bw(), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := canonicalDataset(t, "stencil-threads")
 	if ds.NumFeatures() != 4 {
 		t.Errorf("threads dataset arity %d, want 4", ds.NumFeatures())
 	}
@@ -99,12 +109,9 @@ func TestStencilThreadsDatasetShape(t *testing.T) {
 }
 
 func TestFMMDatasetShape(t *testing.T) {
-	ds, err := FMMDataset(NewFMMSim(bw(), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Len() != 16*3*len(FMMQValues)*11 {
-		t.Errorf("fmm dataset has %d rows, want %d", ds.Len(), 16*3*len(FMMQValues)*11)
+	ds := canonicalDataset(t, "fmm")
+	if ds.Len() != 16*3*len(workload.FMMQValues)*11 {
+		t.Errorf("fmm dataset has %d rows, want %d", ds.Len(), 16*3*len(workload.FMMQValues)*11)
 	}
 	if ds.NumFeatures() != 4 {
 		t.Errorf("fmm dataset arity %d, want 4", ds.NumFeatures())
@@ -137,45 +144,8 @@ func TestDatasetByNameAndAMByDataset(t *testing.T) {
 	}
 }
 
-func TestAMAdaptersCheckArity(t *testing.T) {
-	for _, am := range []hybrid.AnalyticalModel{
-		StencilGridAM(bw()), StencilBlockingAM(bw()), StencilThreadsAM(bw()), FMMAM(bw()),
-	} {
-		if _, err := am.Predict([]float64{1}); err == nil {
-			t.Error("expected arity error from adapter")
-		}
-	}
-}
-
-func TestThreadsAMIgnoresThreadCount(t *testing.T) {
-	am := StencilThreadsAM(bw())
-	a, err := am.Predict([]float64{128, 128, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := am.Predict([]float64{128, 128, 1, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("serial AM must ignore t: got %v vs %v", a, b)
-	}
-}
-
-func TestFMMAMIgnoresThreadCount(t *testing.T) {
-	am := FMMAM(bw())
-	a, _ := am.Predict([]float64{1, 8192, 64, 6})
-	b, _ := am.Predict([]float64{16, 8192, 64, 6})
-	if a != b {
-		t.Errorf("single-core FMM AM must ignore t: %v vs %v", a, b)
-	}
-}
-
 func TestMAPECurveShapesAndDeterminism(t *testing.T) {
-	ds, err := StencilGridDataset(NewStencilSim(bw(), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := canonicalDataset(t, "stencil-grid")
 	newModel := MLTrainable(DefaultPipeline("et", 20))
 	fractions := []float64{0.05, 0.10}
 	a, err := MAPECurveCtx(context.Background(), ds, newModel, fractions, 2, 9, "et", 0)
@@ -202,11 +172,12 @@ func TestMAPECurveShapesAndDeterminism(t *testing.T) {
 }
 
 func TestHybridTrainableWiring(t *testing.T) {
-	ds, err := StencilGridDataset(NewStencilSim(bw(), 1))
+	ds := canonicalDataset(t, "stencil-grid")
+	am, err := AMByDataset("stencil-grid", bw())
 	if err != nil {
 		t.Fatal(err)
 	}
-	newModel := HybridTrainable(StencilGridAM(bw()), hybrid.Config{})
+	newModel := HybridTrainable(am, hybrid.Config{})
 	s, err := MAPECurveCtx(context.Background(), ds, newModel, []float64{0.02}, 2, 5, "hybrid", 0)
 	if err != nil {
 		t.Fatal(err)

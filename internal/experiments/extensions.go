@@ -11,6 +11,7 @@ import (
 	"lam/internal/machine"
 	"lam/internal/parallel"
 	"lam/internal/perfsim"
+	"lam/internal/workload"
 )
 
 // Extension experiments beyond the paper's figure set: a measurement-
@@ -27,6 +28,10 @@ func NoiseSensitivityCtx(ctx context.Context, opts Options, noiseLevels []float6
 	o := opts.normalized()
 	if len(noiseLevels) == 0 {
 		noiseLevels = []float64{0.01, 0.035, 0.08, 0.15}
+	}
+	blocking, err := workload.Lookup("stencil-blocking")
+	if err != nil {
+		return nil, err
 	}
 	r := &Report{
 		ID:    "ext-noise",
@@ -46,11 +51,11 @@ func NoiseSensitivityCtx(ctx context.Context, opts Options, noiseLevels []float6
 	results, err := parallel.MapCtx(ctx, len(noiseLevels), o.Workers, func(li int) (levelResult, error) {
 		nl := noiseLevels[li]
 		sim := &perfsim.StencilSim{Machine: o.Machine, Seed: uint64(o.Seed), NoiseLevel: nl}
-		ds, err := StencilBlockingDataset(sim)
+		ds, err := workload.StencilBlockingDataset(sim)
 		if err != nil {
 			return levelResult{}, err
 		}
-		amModel := StencilBlockingAM(o.Machine)
+		amModel := blocking.AM(o.Machine)
 
 		etc, err := MAPECurveCtx(ctx, ds, MLTrainable(DefaultPipeline("et", o.Trees)),
 			[]float64{0.02}, o.Reps, o.Seed, "et", o.Workers)
@@ -104,11 +109,15 @@ func HardwareTransferCtx(ctx context.Context, opts Options, target *machine.Mach
 	if len(budgets) == 0 {
 		budgets = []float64{0.01, 0.02, 0.04}
 	}
-	ds, err := StencilBlockingDataset(NewStencilSim(target, uint64(o.Seed)))
+	blocking, err := workload.Lookup("stencil-blocking")
 	if err != nil {
 		return nil, err
 	}
-	am := StencilBlockingAM(target)
+	ds, err := blocking.Dataset(target, uint64(o.Seed))
+	if err != nil {
+		return nil, err
+	}
+	am := blocking.AM(target)
 	r := &Report{
 		ID:          "ext-transfer",
 		Title:       fmt.Sprintf("hardware change %s -> %s: accuracy per re-measurement budget", o.Machine.Name, target.Name),

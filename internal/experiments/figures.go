@@ -80,7 +80,7 @@ func (r *Report) Render(w io.Writer) error {
 // fractions {1, 2, 4, 6, 10}%.
 func fig3Stencil(ctx context.Context, opts Options) (*Report, error) {
 	o := opts.normalized()
-	ds, err := StencilBlockingDataset(NewStencilSim(o.Machine, uint64(o.Seed)))
+	ds, _, err := canonical("stencil-blocking", o)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func fig3Stencil(ctx context.Context, opts Options) (*Report, error) {
 // dataset at training fractions {10, 20, 40, 60, 80}%.
 func fig3FMM(ctx context.Context, opts Options) (*Report, error) {
 	o := opts.normalized()
-	ds, err := FMMDataset(NewFMMSim(o.Machine, uint64(o.Seed)))
+	ds, _, err := canonical("fmm", o)
 	if err != nil {
 		return nil, err
 	}
@@ -166,13 +166,13 @@ func hybridVsET(ctx context.Context, id, title string, ds *dataset.Dataset, am h
 // {1, 2, 4}%; aggregation enabled (the AM is representative).
 func fig5(ctx context.Context, opts Options) (*Report, error) {
 	o := opts.normalized()
-	ds, err := StencilGridDataset(NewStencilSim(o.Machine, uint64(o.Seed)))
+	ds, am, err := canonical("stencil-grid", o)
 	if err != nil {
 		return nil, err
 	}
 	return hybridVsET(ctx, "fig5",
 		"stencil, grid sizes only (accurate AM); hybrid needs 5-10x less data",
-		ds, StencilGridAM(o.Machine),
+		ds, am,
 		[]float64{0.10, 0.15, 0.20}, []float64{0.01, 0.02, 0.04},
 		hybrid.Config{Aggregate: false}, o)
 }
@@ -181,13 +181,13 @@ func fig5(ctx context.Context, opts Options) (*Report, error) {
 // blocking AM (paper: AM MAPE = 42%); both models at {1, 2, 4}%.
 func fig6(ctx context.Context, opts Options) (*Report, error) {
 	o := opts.normalized()
-	ds, err := StencilBlockingDataset(NewStencilSim(o.Machine, uint64(o.Seed)))
+	ds, am, err := canonical("stencil-blocking", o)
 	if err != nil {
 		return nil, err
 	}
 	return hybridVsET(ctx, "fig6",
 		"stencil, grid sizes + loop blocking (inaccurate AM)",
-		ds, StencilBlockingAM(o.Machine),
+		ds, am,
 		[]float64{0.01, 0.02, 0.04}, []float64{0.01, 0.02, 0.04},
 		hybrid.Config{Aggregate: false}, o)
 }
@@ -197,13 +197,13 @@ func fig6(ctx context.Context, opts Options) (*Report, error) {
 // as the analytical models do not capture the parallelism").
 func fig7(ctx context.Context, opts Options) (*Report, error) {
 	o := opts.normalized()
-	ds, err := StencilThreadsDataset(NewStencilSim(o.Machine, uint64(o.Seed)))
+	ds, am, err := canonical("stencil-threads", o)
 	if err != nil {
 		return nil, err
 	}
 	return hybridVsET(ctx, "fig7",
 		"stencil, multithreaded (serial AM, stacking only)",
-		ds, StencilThreadsAM(o.Machine),
+		ds, am,
 		[]float64{0.01, 0.02, 0.04}, []float64{0.01, 0.02, 0.04},
 		hybrid.Config{Aggregate: false}, o)
 }
@@ -213,13 +213,13 @@ func fig7(ctx context.Context, opts Options) (*Report, error) {
 // {15, 20, 25}%.
 func fig8(ctx context.Context, opts Options) (*Report, error) {
 	o := opts.normalized()
-	ds, err := FMMDataset(NewFMMSim(o.Machine, uint64(o.Seed)))
+	ds, am, err := canonical("fmm", o)
 	if err != nil {
 		return nil, err
 	}
 	return hybridVsET(ctx, "fig8",
 		"FMM, X = (t,N,q,k) (highly inaccurate AM, stacking only)",
-		ds, FMMAM(o.Machine),
+		ds, am,
 		[]float64{0.15, 0.20, 0.25}, []float64{0.15, 0.20, 0.25},
 		hybrid.Config{Aggregate: false}, o)
 }

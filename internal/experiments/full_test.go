@@ -10,10 +10,7 @@ import (
 )
 
 func TestStencilFullDatasetShape(t *testing.T) {
-	ds, err := StencilFullDataset(NewStencilSim(bw(), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := canonicalDataset(t, "stencil-full")
 	if ds.NumFeatures() != 8 {
 		t.Fatalf("full dataset arity %d, want 8", ds.NumFeatures())
 	}
@@ -26,24 +23,6 @@ func TestStencilFullDatasetShape(t *testing.T) {
 		if y <= 0 {
 			t.Fatal("non-positive response")
 		}
-	}
-}
-
-func TestStencilFullAMIgnoresUncoveredFeatures(t *testing.T) {
-	am := StencilFullAM(bw())
-	a, err := am.Predict([]float64{64, 64, 64, 8, 16, 16, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := am.Predict([]float64{64, 64, 64, 8, 16, 16, 8, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("AM must ignore (u, t): %v vs %v", a, b)
-	}
-	if _, err := am.Predict([]float64{1, 2}); err == nil {
-		t.Error("expected arity error")
 	}
 }
 

@@ -24,7 +24,7 @@ func smallOpts(workers int) Options {
 // worker or many.
 func TestMAPECurveParallelBitIdentical(t *testing.T) {
 	o := smallOpts(1)
-	ds, err := StencilGridDataset(NewStencilSim(o.Machine, uint64(o.Seed)))
+	ds, _, err := canonical("stencil-grid", o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"lam/internal/dataset"
 	"lam/internal/lamerr"
+	"lam/internal/machine"
 	"lam/internal/ml"
+	"lam/internal/workload"
 )
 
 // batchSizes are the batch sizes the block path is swept over: the
@@ -202,27 +205,57 @@ func TestBatchCancelledBetweenBlocks(t *testing.T) {
 
 // TestBatchAllocationFree: a warmed 512-row PredictBatchIntoCtx on one
 // worker allocates nothing in any coupling mode — the augmented block
-// and the ML component's column are pooled.
+// and the ML component's column are pooled, and the analytical models
+// of the catalogue allocate nothing per row either. It runs over the
+// synthetic workload and over the paper's stencil-blocking and FMM
+// workloads with their real analytical models.
 func TestBatchAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	type load struct {
+		name  string
+		train *dataset.Dataset
+		am    AnalyticalModel
+		X     [][]float64
+	}
+	// The real workloads are wider than the synthetic one: empty the
+	// pools afterwards (two GCs drop a sync.Pool's contents), so a later
+	// test bounding a pooled block by its own arity sees its own blocks.
+	t.Cleanup(func() { runtime.GC(); runtime.GC() })
 	train, am := syntheticWorkload(200, 41)
-	X := awkwardRows(rand.New(rand.NewSource(42)), 2*batchBlock)
-	out := make([]float64, len(X))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for _, mode := range []Mode{StackMode, ResidualMode, RatioMode} {
-		m, err := TrainCtx(context.Background(), train, am, Config{Mode: mode, Aggregate: true, NewML: smallML, Workers: 1})
+	loads := []load{{"synthetic", train, am, awkwardRows(rand.New(rand.NewSource(42)), 2*batchBlock)}}
+	for _, name := range []string{"stencil-blocking", "fmm"} {
+		w, err := workload.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(20, func() {
-			if err := m.PredictBatchIntoCtx(ctx, X, out, 1); err != nil {
+		ds, err := w.Dataset(machine.BlueWatersXE6(), 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		train, rest, err := ds.SampleN(200, rand.New(rand.NewSource(43)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loads = append(loads, load{name, train, w.AM(machine.BlueWatersXE6()), rest.X[:2*batchBlock]})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, l := range loads {
+		out := make([]float64, len(l.X))
+		for _, mode := range []Mode{StackMode, ResidualMode, RatioMode} {
+			m, err := TrainCtx(context.Background(), l.train, l.am, Config{Mode: mode, Aggregate: true, NewML: smallML, Workers: 1})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}); allocs != 0 {
-			t.Errorf("%v: PredictBatchIntoCtx allocates %.1f per 512-row batch, want 0", mode, allocs)
+			if allocs := testing.AllocsPerRun(20, func() {
+				if err := m.PredictBatchIntoCtx(ctx, l.X, out, 1); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s %v: PredictBatchIntoCtx allocates %.1f per 512-row batch, want 0", l.name, mode, allocs)
+			}
 		}
 	}
 }

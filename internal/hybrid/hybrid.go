@@ -29,11 +29,15 @@ import (
 )
 
 // AnalyticalModel scores a raw (unscaled) feature vector with a
-// closed-form performance model. Implementations adapt the typed models
-// in internal/analytical to each dataset's feature layout. Predict must
-// be safe for concurrent use (the models in internal/analytical are
-// pure functions of their machine description): batch scoring and the
-// experiment sweeps call it from the worker pool.
+// closed-form performance model. The canonical implementations are the
+// workload catalogue's (internal/workload), which read the typed models
+// in internal/analytical through each dataset's feature layout and
+// allocate nothing per row, so a hybrid's block path stays
+// allocation-free end to end. Predict must be safe for concurrent use
+// (the models in internal/analytical are pure functions of their
+// machine description): batch scoring and the experiment sweeps call it
+// from the worker pool. It stays one row per call: what a row costs is
+// the model's arithmetic, not the interface dispatch.
 type AnalyticalModel interface {
 	Predict(x []float64) (float64, error)
 }

@@ -44,6 +44,12 @@ func (c CacheLevel) BetaSecPerElem() float64 {
 	return 8 / c.BandwidthBytesPerSec
 }
 
+// MaxLevels bounds the cache levels a Machine may describe. The
+// analytical models keep their per-level miss counts in an array of
+// this length, so scoring a row allocates nothing; real hierarchies
+// have three or four levels.
+const MaxLevels = 8
+
 // Machine is a complete single-node hardware description.
 type Machine struct {
 	// Name identifies the preset.
@@ -75,8 +81,11 @@ func (m *Machine) Validate() error {
 	if len(m.Levels) == 0 {
 		return errors.New("machine: at least one cache level required")
 	}
+	if len(m.Levels) > MaxLevels {
+		return fmt.Errorf("machine: %d cache levels, at most %d supported", len(m.Levels), MaxLevels)
+	}
 	prev := 0
-	for i, l := range m.Levels {
+	for _, l := range m.Levels {
 		if l.SizeBytes <= 0 || l.LineBytes <= 0 || l.Assoc <= 0 {
 			return fmt.Errorf("machine: level %s has non-positive geometry", l.Name)
 		}
@@ -93,7 +102,6 @@ func (m *Machine) Validate() error {
 			return fmt.Errorf("machine: level %s has non-positive bandwidth", l.Name)
 		}
 		prev = l.SizeBytes
-		_ = i
 	}
 	if m.MemBandwidthBytesPerSec <= 0 {
 		return errors.New("machine: non-positive memory bandwidth")

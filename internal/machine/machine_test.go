@@ -29,6 +29,11 @@ func TestValidateCatchesBadMachines(t *testing.T) {
 		{"zero flops", func(m *Machine) { m.FlopsPerCorePerSec = 0 }},
 		{"zero cores", func(m *Machine) { m.Cores = 0 }},
 		{"zero saturation", func(m *Machine) { m.BWSaturationThreads = 0 }},
+		{"more levels than MaxLevels", func(m *Machine) {
+			for len(m.Levels) <= MaxLevels {
+				m.Levels = append(m.Levels, m.Levels[len(m.Levels)-1])
+			}
+		}},
 	}
 	for _, c := range cases {
 		m := *good

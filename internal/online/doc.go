@@ -15,9 +15,16 @@
 //
 // Contracts callers rely on:
 //
-//   - Ingest is bounded: each model's window is a fixed-size ring, so
+//   - Ingest is bounded: each model's window is a fixed-size flat ring
+//     (capacity×arity features plus predicted and observed columns), so
 //     memory does not grow with stream length, and Observe never
 //     blocks on retraining.
+//   - Ingest allocates nothing per row: Observe copies each row once,
+//     into the ring, so callers may hand in pooled request memory; and
+//     the canonical hybrids' analytical models (internal/workload)
+//     score a row without allocating, so neither half of the adaptation
+//     loop — serving the prediction, ingesting the truth — allocates
+//     per row.
 //   - Retraining is bounded to one run in flight per model
 //     (ErrRetrainInFlight reports a second on-demand request) and is
 //     cancellable via Plane.Close.

@@ -3,6 +3,7 @@ package online
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -19,7 +20,7 @@ func TestWindowRingAndRollingMAPE(t *testing.T) {
 	w := newWindow(4)
 	// Six samples through a capacity-4 ring: the first two fall out.
 	for i := 1; i <= 6; i++ {
-		w.add(Sample{X: []float64{float64(i)}, Predicted: float64(i) * 1.1, Observed: float64(i)})
+		w.add([]float64{float64(i)}, float64(i)*1.1, float64(i))
 	}
 	st := w.stats()
 	if st.Count != 4 || st.Capacity != 4 || st.Total != 6 {
@@ -41,7 +42,7 @@ func TestWindowRingAndRollingMAPE(t *testing.T) {
 	// add must copy the caller's vector: mutating it afterwards must
 	// not reach the stored sample.
 	x := []float64{42}
-	w.add(Sample{X: x, Predicted: 1, Observed: 1})
+	w.add(x, 1, 1)
 	x[0] = -1
 	snap = w.snapshot()
 	if got := snap[len(snap)-1].X[0]; got != 42 {
@@ -57,10 +58,32 @@ func TestWindowRingAndRollingMAPE(t *testing.T) {
 	}
 	// Zero-observation samples are skipped by the rolling MAPE, as in
 	// ml.MAPE.
-	w.add(Sample{X: []float64{1}, Predicted: 5, Observed: 0})
-	w.add(Sample{X: []float64{1}, Predicted: 2, Observed: 1})
+	w.add([]float64{1}, 5, 0)
+	w.add([]float64{1}, 2, 1)
 	if got := w.stats().MAPE; got != 100 {
 		t.Fatalf("MAPE with one undefined sample = %v, want 100", got)
+	}
+}
+
+// TestWindowArityChangeResizes: a row of another arity clears the flat
+// ring and resizes it; the lifetime total keeps counting.
+func TestWindowArityChangeResizes(t *testing.T) {
+	w := newWindow(3)
+	for i := 0; i < 5; i++ {
+		w.add([]float64{float64(i), 1}, 1, 1)
+	}
+	w.add([]float64{7, 8, 9}, 2, 1)
+	st := w.stats()
+	if st.Count != 1 || st.Total != 6 || st.MAPE != 100 {
+		t.Fatalf("after an arity change: %+v, want count 1 / total 6 / MAPE 100", st)
+	}
+	snap := w.snapshot()
+	if len(snap) != 1 || fmt.Sprint(snap[0].X) != "[7 8 9]" {
+		t.Fatalf("snapshot after an arity change = %+v", snap)
+	}
+	snap[0].X[0] = -1
+	if got := w.snapshot()[0].X[0]; got != 7 {
+		t.Fatalf("snapshot rows alias the ring: %v", got)
 	}
 }
 

@@ -11,13 +11,13 @@ import (
 	"sync/atomic"
 
 	"lam/internal/dataset"
-	"lam/internal/experiments"
 	"lam/internal/hybrid"
 	"lam/internal/lamerr"
 	"lam/internal/machine"
 	"lam/internal/ml"
 	"lam/internal/registry"
 	"lam/internal/telemetry"
+	"lam/internal/workload"
 	"lam/internal/xmath"
 )
 
@@ -243,7 +243,7 @@ func (p *Plane) Observe(m *registry.Model, X [][]float64, predicted, observed []
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for i := range X {
-		st.window.add(Sample{X: X[i], Predicted: predicted[i], Observed: observed[i]})
+		st.window.add(X[i], predicted[i], observed[i])
 	}
 	p.observations.Add(uint64(len(X)))
 	ws := st.window.stats()
@@ -570,7 +570,11 @@ func (p *Plane) baseFor(meta registry.Meta, baseSize int, rng *rand.Rand, arity 
 		if !ok {
 			return nil, fmt.Errorf("online: %w: %q", lamerr.ErrUnknownMachine, meta.Machine)
 		}
-		ds, err := experiments.DatasetByName(meta.Workload, m, uint64(p.cfg.Seed))
+		w, err := workload.Lookup(meta.Workload)
+		if err != nil {
+			return nil, err
+		}
+		ds, err := w.Dataset(m, uint64(p.cfg.Seed))
 		if err != nil {
 			return nil, err
 		}

@@ -28,29 +28,42 @@ type WindowStats struct {
 	Total uint64 `json:"total"`
 }
 
-// window is a bounded ring of the most recent samples for one model.
-// It is not internally synchronised: the Plane guards each model's
+// window is a bounded ring of the most recent samples for one model,
+// stored flat: capacity×arity floats of features plus a predicted and
+// an observed column, so ingesting a row copies it once and allocates
+// nothing. The ring is sized on the first add; a row of another arity
+// (a republished model with a new feature layout) clears and resizes
+// it. It is not internally synchronised: the Plane guards each model's
 // window with that model's state lock.
 type window struct {
-	buf   []Sample
-	next  int // ring write cursor
-	count int // samples held, ≤ len(buf)
-	total uint64
+	capacity int
+	arity    int
+	x        []float64 // capacity×arity features, row-major
+	pred     []float64
+	obs      []float64
+	next     int // ring write cursor
+	count    int // samples held, ≤ capacity
+	total    uint64
 }
 
 func newWindow(capacity int) *window {
-	return &window{buf: make([]Sample, capacity)}
+	return &window{capacity: capacity}
 }
 
-// add appends one sample, overwriting the oldest once full. The
-// feature vector is copied: callers hand in request-scoped slices.
-func (w *window) add(s Sample) {
-	x := make([]float64, len(s.X))
-	copy(x, s.X)
-	s.X = x
-	w.buf[w.next] = s
-	w.next = (w.next + 1) % len(w.buf)
-	if w.count < len(w.buf) {
+// add appends one sample, overwriting the oldest once full. The feature
+// vector is copied into the ring: callers hand in request-scoped rows.
+func (w *window) add(x []float64, predicted, observed float64) {
+	if w.pred == nil || len(x) != w.arity {
+		w.arity = len(x)
+		w.x = make([]float64, w.capacity*w.arity)
+		w.pred = make([]float64, w.capacity)
+		w.obs = make([]float64, w.capacity)
+		w.next, w.count = 0, 0
+	}
+	copy(w.x[w.next*w.arity:], x)
+	w.pred[w.next], w.obs[w.next] = predicted, observed
+	w.next = (w.next + 1) % w.capacity
+	if w.count < w.capacity {
 		w.count++
 	}
 	w.total++
@@ -61,10 +74,10 @@ func (w *window) add(s Sample) {
 // drift over unbounded streams); the mean is order-independent, so the
 // ring is read in place — no per-call allocation on the ingest path.
 func (w *window) stats() WindowStats {
-	st := WindowStats{Count: w.count, Capacity: len(w.buf), Total: w.total}
+	st := WindowStats{Count: w.count, Capacity: w.capacity, Total: w.total}
 	sum, n := 0.0, 0
-	for _, s := range w.buf[:w.count] {
-		ape, ok := ml.APE(s.Observed, s.Predicted)
+	for i := range w.count {
+		ape, ok := ml.APE(w.obs[i], w.pred[i])
 		if !ok {
 			continue
 		}
@@ -77,18 +90,24 @@ func (w *window) stats() WindowStats {
 	return st
 }
 
-// snapshot returns an owned copy of the held samples, oldest first —
-// what the retrainer trains on after the state lock is released. The
-// feature vectors are shared (they were copied at add and never
-// mutated afterwards). A full ring's oldest sample sits at the write
+// snapshot copies the held samples out, oldest first, into one
+// allocation the caller owns — what the retrainer trains on after the
+// state lock is released. A full ring's oldest sample sits at the write
 // cursor.
 func (w *window) snapshot() []Sample {
-	out := make([]Sample, 0, w.count)
-	if w.count < len(w.buf) {
-		return append(out, w.buf[:w.count]...)
+	out := make([]Sample, w.count)
+	flat := make([]float64, w.count*w.arity)
+	start := 0
+	if w.count == w.capacity {
+		start = w.next
 	}
-	out = append(out, w.buf[w.next:]...)
-	return append(out, w.buf[:w.next]...)
+	for i := range out {
+		r := (start + i) % w.capacity
+		row := flat[i*w.arity : (i+1)*w.arity : (i+1)*w.arity]
+		copy(row, w.x[r*w.arity:])
+		out[i] = Sample{X: row, Predicted: w.pred[r], Observed: w.obs[r]}
+	}
+	return out
 }
 
 // reset discards the held samples (lifetime total is kept): called
@@ -96,7 +115,4 @@ func (w *window) snapshot() []Sample {
 // model from scratch instead of blending two models' errors.
 func (w *window) reset() {
 	w.next, w.count = 0, 0
-	for i := range w.buf {
-		w.buf[i] = Sample{}
-	}
 }

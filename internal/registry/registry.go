@@ -16,12 +16,12 @@ import (
 	"time"
 
 	"lam/internal/artifact"
-	"lam/internal/experiments"
 	"lam/internal/hybrid"
 	"lam/internal/lamerr"
 	"lam/internal/machine"
 	"lam/internal/ml"
 	"lam/internal/telemetry"
+	"lam/internal/workload"
 )
 
 // Model kinds stored in Meta.Kind.
@@ -40,7 +40,7 @@ type Meta struct {
 	// Kind is KindHybrid or KindRegressor.
 	Kind string `json:"kind"`
 	// Workload is the canonical dataset name the model was trained for
-	// (see experiments.DatasetByName). Required for hybrid models — the
+	// (see workload.Names). Required for hybrid models — the
 	// analytical component is rebuilt from it at load time.
 	Workload string `json:"workload,omitempty"`
 	// Machine is the machine-preset name the model was trained on.
@@ -353,12 +353,16 @@ func AnalyticalFor(meta Meta) (hybrid.AnalyticalModel, error) {
 }
 
 // amFor rebuilds the analytical model for a (workload, machine) pair.
-func amFor(workload, machineName string) (hybrid.AnalyticalModel, error) {
+func amFor(workloadName, machineName string) (hybrid.AnalyticalModel, error) {
 	m, ok := machine.Presets()[machineName]
 	if !ok {
 		return nil, fmt.Errorf("registry: %w: %q", lamerr.ErrUnknownMachine, machineName)
 	}
-	return experiments.AMByDataset(workload, m)
+	w, err := workload.Lookup(workloadName)
+	if err != nil {
+		return nil, err
+	}
+	return w.AM(m), nil
 }
 
 // resolveVersion maps version <= 0 to the latest published version and

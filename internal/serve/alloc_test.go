@@ -14,12 +14,14 @@ import (
 	"testing"
 	"time"
 
+	"lam/internal/dataset"
 	"lam/internal/experiments"
 	"lam/internal/hybrid"
 	"lam/internal/machine"
 	"lam/internal/ml"
 	"lam/internal/online"
 	"lam/internal/registry"
+	"lam/internal/workload"
 )
 
 // loadedRegressorModel publishes a trained extra-trees pipeline and
@@ -245,7 +247,11 @@ func TestPredictHandlerAllocations(t *testing.T) {
 	// coalescer as lam-serve's defaults and the benchmark's replica wire
 	// it, with the registry out of the racy window: the allocation
 	// ceiling of a latest-version request.
-	hsrv, body := stencilHybridServer(t)
+	hsrv, test := stencilHybridServer(t)
+	body, err := json.Marshal(map[string]any{"model": "hybrid-0", "x": test.X[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
 	call := inProcess(t, hsrv.Handler(), "/predict", body)
 	for i := 0; i < 5; i++ {
 		call()
@@ -258,22 +264,78 @@ func TestPredictHandlerAllocations(t *testing.T) {
 }
 
 // maxSingleRowAllocs is the measured allocation count of a single-row
-// /predict, pinned as a ceiling. One of them is the stencil model's
-// miss count (analytical.StencilModel.Misses makes a slice per call).
-const maxSingleRowAllocs = 15
+// /predict, pinned as a ceiling. None of them is the analytical model's:
+// the stencil model scores a row without allocating.
+const maxSingleRowAllocs = 14
+
+// TestObserveHandlerAllocations extends the zero-per-row contract to
+// /observe on the stencil-blocking hybrid with the online plane
+// attached: the rows are scanned into pooled memory, scored without a
+// per-row allocation and copied once into the plane's flat window, so a
+// request allocates a per-request constant however many rows it
+// carries, and the single-row form no more than a batch.
+func TestObserveHandlerAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	srv, test := stencilHybridServer(t)
+	plane := online.New(srv.reg, online.Config{DisableRetrain: true, Workers: 1})
+	defer plane.Close()
+	srv.AttachOnline(plane)
+	h := srv.Handler()
+	measure := func(req map[string]any) (objects, kB float64) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		call := inProcess(t, h, "/observe", body)
+		for i := 0; i < 5; i++ {
+			call() // warm the pools and size the window
+		}
+		objects = testing.AllocsPerRun(50, call)
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&after)
+		return objects, float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e3
+	}
+	batch := func(n int) (float64, float64) {
+		return measure(map[string]any{"model": "hybrid-0", "batch": test.X[:n], "y_batch": test.Y[:n]})
+	}
+	small, smallKB := batch(32)
+	large, largeKB := batch(256)
+	single, singleKB := measure(map[string]any{"model": "hybrid-0", "x": test.X[0], "y": test.Y[0]})
+	t.Logf("/observe: 32 rows %.0f allocs %.2f kB, 256 rows %.0f allocs %.2f kB, single row %.0f allocs %.2f kB",
+		small, smallKB, large, largeKB, single, singleKB)
+	if large != small {
+		t.Fatalf("/observe allocates per row: %.0f allocs at 32 rows vs %.0f at 256", small, large)
+	}
+	if single > small {
+		t.Fatalf("a single-row /observe allocates %.0f, more than a 32-row batch's %.0f", single, small)
+	}
+	if small > maxObserveAllocs {
+		t.Fatalf("an /observe allocates %.0f, want <= %d", small, maxObserveAllocs)
+	}
+}
+
+// maxObserveAllocs is the measured allocation count of a batched
+// /observe on the stencil hybrid, pinned as a ceiling.
+const maxObserveAllocs = 13
 
 // stencilHybridServer publishes a hybrid trained on a 4% sample of the
 // stencil-blocking dataset and returns a server over it, wired with
-// coalescing at 32 rows and admission unbounded, plus a single-row
-// /predict body for it.
-func stencilHybridServer(t testing.TB) (*Server, []byte) {
+// coalescing at 32 rows and admission unbounded, plus the held-out rows.
+func stencilHybridServer(t testing.TB) (*Server, *dataset.Dataset) {
 	t.Helper()
 	bw := machine.BlueWatersXE6()
-	ds, err := experiments.DatasetByName("stencil-blocking", bw, 42)
+	w, err := workload.Lookup("stencil-blocking")
 	if err != nil {
 		t.Fatal(err)
 	}
-	am, err := experiments.AMByDataset("stencil-blocking", bw)
+	ds, err := w.Dataset(bw, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +343,7 @@ func stencilHybridServer(t testing.TB) (*Server, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := hybrid.TrainCtx(context.Background(), train, am, hybrid.Config{
+	hy, err := hybrid.TrainCtx(context.Background(), train, w.AM(bw), hybrid.Config{
 		Seed:  1,
 		NewML: func() ml.Regressor { return &ml.Pipeline{Model: ml.NewExtraTrees(20, 1)} },
 	})
@@ -299,11 +361,7 @@ func stencilHybridServer(t testing.TB) (*Server, []byte) {
 	srv := New(reg)
 	srv.Coalesce = CoalesceConfig{MaxBatch: 32}
 	srv.Admit = AdmitConfig{MaxInflight: 0, Queue: 64}
-	body, err := json.Marshal(map[string]any{"model": "hybrid-0", "x": test.X[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv, body
+	return srv, test
 }
 
 // BenchmarkServePredictBatch is the serve-side half of the compiled

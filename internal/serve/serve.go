@@ -585,6 +585,9 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		fail(fmt.Errorf("serve: %w: %w", lamerr.ErrBadRequest, err))
 		return
 	}
+	// The rows view pooled memory; the plane's window copies what it
+	// keeps, so they go back once the response is written.
+	defer req.Release()
 	if req.Model == "" {
 		fail(fmt.Errorf("serve: %w: missing \"model\"", lamerr.ErrBadRequest))
 		return
@@ -595,22 +598,16 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		fail(fmt.Errorf("serve: %w: exactly one of (\"x\",\"y\") and (\"batch\",\"y_batch\") must be set", lamerr.ErrBadRequest))
 		return
 	}
-	var X [][]float64
-	var obs []float64
-	if single {
-		if req.X == nil || req.Y == nil {
-			fail(fmt.Errorf("serve: %w: a single observation needs both \"x\" and \"y\"", lamerr.ErrBadRequest))
-			return
-		}
-		X, obs = [][]float64{req.X}, []float64{*req.Y}
-	} else {
-		if len(req.Batch) != len(req.YBatch) {
-			fail(fmt.Errorf("serve: %w: %d feature rows but %d observed runtimes",
-				lamerr.ErrBadRequest, len(req.Batch), len(req.YBatch)))
-			return
-		}
-		X, obs = req.Batch, req.YBatch
+	if single && (req.X == nil || req.Y == nil) {
+		fail(fmt.Errorf("serve: %w: a single observation needs both \"x\" and \"y\"", lamerr.ErrBadRequest))
+		return
 	}
+	if !single && len(req.Batch) != len(req.YBatch) {
+		fail(fmt.Errorf("serve: %w: %d feature rows but %d observed runtimes",
+			lamerr.ErrBadRequest, len(req.Batch), len(req.YBatch)))
+		return
+	}
+	X, obs := req.Rows()
 	for i, y := range obs {
 		if math.IsNaN(y) || math.IsInf(y, 0) {
 			fail(fmt.Errorf("serve: %w: observation %d is not finite", lamerr.ErrBadRequest, i))

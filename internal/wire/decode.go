@@ -49,11 +49,13 @@ const maxPrealloc = 1 << 20
 const maxPooledBytes = 4 << 20
 
 // block is the working memory of one decode: the body bytes, the
-// floats scanned out of them, and each batch row's end offset in flat.
+// floats scanned out of them, each batch row's end offset in flat, and
+// the batch's row views over flat.
 type block struct {
 	body []byte
 	flat []float64
 	ends []int
+	rows [][]float64
 }
 
 // read reads r into b.body, preallocating from the declared size, and
@@ -104,6 +106,9 @@ func (b *block) trim() {
 	if 8*cap(b.flat) > maxPooledBytes || 8*cap(b.ends) > maxPooledBytes {
 		b.flat, b.ends = nil, nil
 	}
+	if 24*cap(b.rows) > maxPooledBytes {
+		b.rows = nil
+	}
 }
 
 // fallback decodes the body the way the handlers always have:
@@ -129,7 +134,6 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 type Predict struct {
 	predictRequest
 	block
-	rows [][]float64
 }
 
 var predictPool = sync.Pool{New: func() any { return new(Predict) }}
@@ -190,9 +194,6 @@ func (p *Predict) scan() bool {
 func (p *Predict) Release() {
 	p.Version, p.X, p.Batch = 0, nil, nil
 	p.trim()
-	if 24*cap(p.rows) > maxPooledBytes {
-		p.rows = nil
-	}
 	predictPool.Put(p)
 }
 
@@ -208,61 +209,82 @@ func (p *Predict) Response(model string, version int, ys []float64) ([]byte, err
 	return out, nil
 }
 
-// Observe is one decoded /observe request. Its rows are one exact-size
-// allocation of their own, never pooled: they may be kept.
+// Observe is one decoded /observe request. Like Predict's, its X, Y and
+// the rows of Batch and YBatch may view pooled memory: they are valid
+// until Release, so whatever keeps them must copy them first.
 type Observe struct {
 	observeRequest
+	block
+	one [1]float64 // the single form's runtime as a batch of one
 }
 
-var blockPool = sync.Pool{New: func() any { return new(block) }}
+var observePool = sync.Pool{New: func() any { return new(Observe) }}
 
 // DecodeObserve reads an /observe body from r, whose declared length is
 // size (negative when unknown), and decodes it, as DecodePredict does.
-func DecodeObserve(r io.Reader, size int64) (Observe, error) {
-	b := blockPool.Get().(*block)
-	defer func() {
-		b.trim()
-		blockPool.Put(b)
-	}()
-	var o Observe
-	ok, rest := b.read(r, size, func() (ok bool) {
-		o, ok = b.scanObserve()
-		return ok
-	})
+// Release the result when its rows are no longer read.
+func DecodeObserve(r io.Reader, size int64) (*Observe, error) {
+	o := observePool.Get().(*Observe)
+	ok, rest := o.read(r, size, o.scan)
 	if ok {
 		return o, nil
 	}
 	var req observeRequest
-	if err := fallback(b.body, rest, &req); err != nil {
-		return Observe{}, err
+	if err := fallback(o.body, rest, &req); err != nil {
+		o.Release()
+		return nil, err
 	}
-	return Observe{req}, nil
+	o.observeRequest = req
+	return o, nil
 }
 
-// scanObserve decodes a canonical /observe body, copying what it
-// scanned into b's pooled memory out to exact-size allocations.
-func (b *block) scanObserve() (Observe, bool) {
+// scan decodes a canonical body into o, reporting false (with o's
+// request fields undefined) for any body outside the canonical subset.
+func (o *Observe) scan() bool {
 	var v [5]value
-	if !b.scan(observeSchema, v[:]) {
-		return Observe{}, false
+	if !o.block.scan(observeSchema, v[:]) {
+		return false
 	}
 	model, x, y, batch, yBatch := v[0], v[1], v[2], v[3], v[4]
-	own := append(make([]float64, 0, len(b.flat)), b.flat...)
-	var o Observe
-	o.Model = string(model.str)
+	if string(model.str) != o.Model {
+		o.Model = string(model.str)
+	}
+	o.X, o.Y, o.Batch, o.YBatch = nil, nil, nil, nil
 	if x.set {
-		o.X = x.of(own)
+		o.X = x.of(o.flat)
 	}
 	if y.set {
-		o.Y = &own[y.lo]
+		o.Y = &o.flat[y.lo]
 	}
 	if batch.set {
-		o.Batch = views(nil, own, batch.lo, b.ends[batch.elo:batch.ehi])
+		o.rows = views(o.rows[:0], o.flat, batch.lo, o.ends[batch.elo:batch.ehi])
+		o.Batch = o.rows
 	}
 	if yBatch.set {
-		o.YBatch = yBatch.of(own)
+		o.YBatch = yBatch.of(o.flat)
 	}
-	return o, true
+	return true
+}
+
+// Rows returns the observations as feature rows and measured runtimes:
+// the single form (Y set) as a batch of one, else the batch form as
+// decoded, both in o's memory and valid until Release. Check the
+// request's shape first: Rows does not.
+func (o *Observe) Rows() ([][]float64, []float64) {
+	if o.Y == nil {
+		return o.Batch, o.YBatch
+	}
+	o.rows = append(o.rows[:0], o.X)
+	o.one[0] = *o.Y
+	return o.rows, o.one[:]
+}
+
+// Release returns o's memory to the pool. o and its rows must not be
+// used afterwards.
+func (o *Observe) Release() {
+	o.X, o.Y, o.Batch, o.YBatch = nil, nil, nil, nil
+	o.trim()
+	observePool.Put(o)
 }
 
 // kind is the shape of one schema key's value.

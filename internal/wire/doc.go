@@ -36,8 +36,8 @@
 // limit, before it is decided. Only when its answer goes out changes,
 // never what the answer is.
 //
-// Decoded /predict rows live in pooled memory until Predict.Release;
-// decoded /observe rows live in one exact-size allocation per request
-// that is never pooled, so whatever the online plane keeps of them stays
-// valid.
+// Decoded /predict and /observe rows live in pooled memory and are
+// valid until Predict.Release and Observe.Release: whatever keeps a row
+// past the request — the online plane's window, a shadow sink — copies
+// it first.
 package wire

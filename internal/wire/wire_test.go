@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -149,6 +150,7 @@ func FuzzObserveBody(f *testing.F) {
 			sameFloats(t, "x", got.X, want.X)
 			sameRows(t, got.Batch, want.Batch)
 			sameFloats(t, "y_batch", got.YBatch, want.YBatch)
+			got.Release()
 		}
 	})
 }
@@ -192,5 +194,27 @@ func TestAppendPredictResponseRefusesNonFinite(t *testing.T) {
 		if string(out) != "keep" {
 			t.Fatalf("%v: appended %q before refusing", bad, out[4:])
 		}
+	}
+}
+
+// TestObserveRows: the single form is a batch of one, the batch form is
+// its rows, on the scanner's path and on encoding/json's alike.
+func TestObserveRows(t *testing.T) {
+	for _, tc := range []struct{ body, rows string }{
+		{`{"model":"m","x":[1,2],"y":3}`, "[[1 2]] [3]"},
+		{`{"model":"m","x":[1,2],"y":3,"batch":[]}`, "[[1 2]] [3]"},
+		{`{"model":"m","batch":[[1,2],[4,5]],"y_batch":[3,6]}`, "[[1 2] [4 5]] [3 6]"},
+		{`{"model":"m","x":[1,2],"y":3,"batch":null}`, "[[1 2]] [3]"}, // encoding/json's path
+		{`{"y":3,"x":[1,2],"model":"m"}`, "[[1 2]] [3]"},
+	} {
+		o, err := DecodeObserve(strings.NewReader(tc.body), -1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		X, y := o.Rows()
+		if got := fmt.Sprint(X, y); got != tc.rows {
+			t.Errorf("%s: Rows() = %s, want %s", tc.body, got, tc.rows)
+		}
+		o.Release()
 	}
 }

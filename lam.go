@@ -38,6 +38,7 @@ import (
 	"lam/internal/hybrid"
 	"lam/internal/machine"
 	"lam/internal/ml"
+	"lam/internal/workload"
 )
 
 // Dataset is the tabular sample container: named features + response
@@ -102,9 +103,7 @@ func BlueWaters() *Machine { return machine.BlueWatersXE6() }
 // "stencil-blocking" (Figs. 3A/6), "stencil-threads" (Fig. 7), "fmm"
 // (Figs. 3B/8) and "stencil-full" (the complete 8-feature PATUS vector
 // of Section III.B, an extension workload).
-func Workloads() []string {
-	return []string{"stencil-grid", "stencil-blocking", "stencil-threads", "stencil-full", "fmm"}
-}
+func Workloads() []string { return workload.Names() }
 
 // BuildDataset generates one of the canonical datasets on a machine,
 // with a deterministic measurement-noise seed.

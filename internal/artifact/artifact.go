@@ -70,6 +70,11 @@ type DecodeOptions struct {
 	// payloads (rebuilt from the (workload, machine) metadata by the
 	// registry). Required when the payload is hybrid.
 	Analytical hybrid.AnalyticalModel
+	// Owner keeps the artifact bytes valid when they are not Go heap
+	// memory: the registry passes the owner of a file mapping, which
+	// every decoded tree whose node columns alias the bytes then holds.
+	// Nil for heap bytes, which those aliases keep alive themselves.
+	Owner any
 }
 
 // Codec encodes and decodes model payloads in one on-disk format.

@@ -18,12 +18,13 @@
 //     the compiled plane's runtime layout: magic, format version,
 //     model-kind header and CRC32-C trailer around the
 //     CompiledTree/CompiledEnsemble SoA arrays written verbatim,
-//     little-endian and 8-byte aligned. Loading is one ReadFile (the
-//     layout is equally mmap-able) plus slice-casting the arrays out of
-//     the buffer — no per-node decode, no per-node allocation — which
-//     turns cold starts from a function of model size into an
-//     effectively constant file read (see BenchmarkColdLoad* in
-//     internal/registry and BENCH_PR6.json).
+//     little-endian and 8-byte aligned. Loading is one read-only file
+//     mapping (the registry's; DecodeOptions.Owner keeps it alive) plus
+//     slice-casting the arrays out of it — no per-node decode, no
+//     per-node allocation, no heap copy of the file — which turns cold
+//     starts from a function of model size into an effectively
+//     constant mapping (see BenchmarkColdLoad* in internal/registry and
+//     BENCH_PR6.json).
 //
 // Contracts callers rely on:
 //

@@ -132,7 +132,7 @@ func (lamb1Codec) Decode(data []byte, opts DecodeOptions) (*Payload, error) {
 	}
 	switch kind {
 	case lamb1KindRegressor:
-		reg, err := ml.DecodeBinaryVersion(payload, int(version))
+		reg, err := ml.DecodeBinaryVersion(payload, int(version), opts.Owner)
 		if err != nil {
 			return nil, fmt.Errorf("artifact: lamb1: %w", err)
 		}
@@ -141,7 +141,7 @@ func (lamb1Codec) Decode(data []byte, opts DecodeOptions) (*Payload, error) {
 		if opts.Analytical == nil {
 			return nil, fmt.Errorf("artifact: decoding a hybrid payload requires the analytical model")
 		}
-		hy, err := hybrid.DecodeBinaryVersion(payload, opts.Analytical, int(version))
+		hy, err := hybrid.DecodeBinaryVersion(payload, opts.Analytical, int(version), opts.Owner)
 		if err != nil {
 			return nil, fmt.Errorf("artifact: lamb1: %w", err)
 		}
@@ -167,11 +167,11 @@ func lamb1FormatVersion(data []byte) uint32 {
 
 // alignedPayload returns the payload bytes at 8-byte base alignment so
 // the decoder's slice-casts land on natural boundaries. The header is
-// 24 bytes, so when the file buffer itself is 8-byte aligned — which
-// every Go heap allocation of this size is — the payload alias is
-// returned as-is, zero-copy. A misaligned buffer (a caller slicing
-// into the middle of something) falls back to one bulk copy into
-// uint64-backed storage.
+// 24 bytes, so when the file buffer itself is 8-byte aligned — which a
+// file mapping (page-aligned) and every Go heap allocation of this size
+// are — the payload alias is returned as-is, zero-copy. A misaligned
+// buffer (a caller slicing into the middle of something) falls back to
+// one bulk copy into uint64-backed storage.
 func alignedPayload(payload []byte) []byte {
 	if len(payload) == 0 || uintptr(unsafe.Pointer(&payload[0]))%8 == 0 {
 		return payload

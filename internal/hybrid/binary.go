@@ -47,10 +47,11 @@ func AppendBinary(buf []byte, m *Model) ([]byte, error) {
 // reattaching the analytical model, and consumes the whole input.
 // version is the ML payload version — the artifact layer passes the
 // lamb1 header version down so version-1 artifacts (whose tree bodies
-// still carry explicit left arrays) keep decoding forever. Corruption
-// (short header, trailing bytes, a mangled ML section) wraps
-// lamerr.ErrCorruptArtifact.
-func DecodeBinaryVersion(data []byte, am AnalyticalModel, version int) (*Model, error) {
+// still carry explicit left arrays) keep decoding forever. owner keeps
+// data valid while the ML component's trees alias it, as in
+// ml.DecodeBinaryVersion. Corruption (short header, trailing bytes, a
+// mangled ML section) wraps lamerr.ErrCorruptArtifact.
+func DecodeBinaryVersion(data []byte, am AnalyticalModel, version int, owner any) (*Model, error) {
 	if am == nil {
 		return nil, fmt.Errorf("hybrid: DecodeBinaryVersion requires the analytical model")
 	}
@@ -65,7 +66,7 @@ func DecodeBinaryVersion(data []byte, am AnalyticalModel, version int) (*Model, 
 	if nFeatures <= 0 {
 		return nil, fmt.Errorf("hybrid: %w: %d features", lamerr.ErrCorruptArtifact, nFeatures)
 	}
-	mlModel, consumed, err := ml.DecodeBinaryPrefixVersion(data[32:], version)
+	mlModel, consumed, err := ml.DecodeBinaryPrefixVersion(data[32:], version, owner)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: loading ML component: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"lam/internal/lamerr"
@@ -17,9 +18,13 @@ import (
 // decoding a tree ensemble is a handful of bounds checks plus
 // slice-casting the arrays straight out of the file buffer. No per-node
 // structure is ever allocated or parsed on load; on a little-endian
-// machine the decoded tables alias the input buffer outright
+// machine the decoded node tables alias the input buffer outright
 // (zero-copy), and on big-endian or misaligned inputs a bulk
-// element-wise conversion keeps the format portable.
+// element-wise conversion keeps the format portable. Only a tree's five
+// node columns alias the input; every other vector (importances, scaler
+// state, linear and KNN parameters) is O(features) and copied, so the
+// input stays pinned by the trees alone (see DecodeBinaryVersion's
+// owner).
 //
 // The layout discipline, relied on for the casts:
 //
@@ -275,16 +280,19 @@ func AppendBinary(buf []byte, m Regressor) ([]byte, error) {
 // --- decoding -------------------------------------------------------
 
 // binReader walks a binary payload with bounds-checked, typed reads.
-// Array reads slice-cast in place when the host is little-endian and
-// the underlying bytes are naturally aligned (always, given an aligned
-// buffer — see the layout discipline above); otherwise they fall back
-// to a bulk element-wise conversion.
+// Node-column reads slice-cast in place when the host is little-endian
+// and the underlying bytes are naturally aligned (always, given an
+// aligned buffer — see the layout discipline above); otherwise they
+// fall back to a bulk element-wise conversion.
 type binReader struct {
 	data []byte
 	off  int
 	// v1 selects the legacy payload layout: tree bodies carry an
 	// explicit left-child array (and no odd-count padding).
 	v1 bool
+	// keep is the owner of data, stored in every decoded tree whose
+	// node columns alias it (see DecodeBinaryVersion).
+	keep any
 }
 
 func (r *binReader) remaining() int { return len(r.data) - r.off }
@@ -330,7 +338,9 @@ func (r *binReader) count(elemSize int) (int, error) {
 	return int(v), nil
 }
 
-func (r *binReader) f64s(n int) ([]float64, error) {
+// f64Column reads a tree's n-node float64 column, aliasing the input
+// when it can.
+func (r *binReader) f64Column(n int) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
 	}
@@ -348,7 +358,9 @@ func (r *binReader) f64s(n int) ([]float64, error) {
 	return out, nil
 }
 
-func (r *binReader) i32s(n int) ([]int32, error) {
+// i32Column reads a tree's n-node int32 column, aliasing the input
+// when it can.
+func (r *binReader) i32Column(n int) ([]int32, error) {
 	if n == 0 {
 		return nil, nil
 	}
@@ -364,6 +376,13 @@ func (r *binReader) i32s(n int) ([]int32, error) {
 		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
 	}
 	return out, nil
+}
+
+// f64s reads n float64s outside a node table into a fresh slice, so
+// they never pin the input.
+func (r *binReader) f64s(n int) ([]float64, error) {
+	v, err := r.f64Column(n)
+	return slices.Clone(v), err
 }
 
 func (r *binReader) skipPad(elems, size int) error {
@@ -413,20 +432,20 @@ func (r *binReader) treeBody() (*DecisionTree, error) {
 	}
 	var c CompiledTree
 	var left []int32
-	if c.feature, err = r.i32s(nNodes); err != nil {
+	if c.feature, err = r.i32Column(nNodes); err != nil {
 		return nil, err
 	}
 	if r.v1 {
 		// Legacy layout: explicit left column, four int32 arrays (a
 		// multiple of 8 bytes for any node count, so no padding).
-		if left, err = r.i32s(nNodes); err != nil {
+		if left, err = r.i32Column(nNodes); err != nil {
 			return nil, err
 		}
 	}
-	if c.right, err = r.i32s(nNodes); err != nil {
+	if c.right, err = r.i32Column(nNodes); err != nil {
 		return nil, err
 	}
-	if c.nSamples, err = r.i32s(nNodes); err != nil {
+	if c.nSamples, err = r.i32Column(nNodes); err != nil {
 		return nil, err
 	}
 	if !r.v1 {
@@ -434,10 +453,10 @@ func (r *binReader) treeBody() (*DecisionTree, error) {
 			return nil, err
 		}
 	}
-	if c.threshold, err = r.f64s(nNodes); err != nil {
+	if c.threshold, err = r.f64Column(nNodes); err != nil {
 		return nil, err
 	}
-	if c.value, err = r.f64s(nNodes); err != nil {
+	if c.value, err = r.f64Column(nNodes); err != nil {
 		return nil, err
 	}
 	if r.v1 {
@@ -452,6 +471,7 @@ func (r *binReader) treeBody() (*DecisionTree, error) {
 	} else if err := c.validate(); err != nil {
 		return nil, corruptf("%v", err)
 	}
+	c.keep = r.keep
 	return &DecisionTree{Config: cfg, nodes: c, nFeatures: int(nFeat), importances: imp}, nil
 }
 
@@ -461,8 +481,15 @@ func (r *binReader) treeBody() (*DecisionTree, error) {
 // artifact layer frames payloads with an exact length. The artifact
 // layer reads the version from the lamb1 header and passes it down, so
 // files written before the implicit-left layout keep decoding forever.
-func DecodeBinaryVersion(data []byte, version int) (Regressor, error) {
-	r, err := newBinReader(data, version)
+//
+// The decoded trees' node columns alias data, which the decoder never
+// writes. owner is what keeps data valid: every such tree holds it, so
+// data lives exactly as long as some tree reads it. Pass nil when data
+// is Go heap memory, which the aliases keep alive on their own; pass
+// the mapping's owner when data is a file mapping released once its
+// owner is unreachable.
+func DecodeBinaryVersion(data []byte, version int, owner any) (Regressor, error) {
+	r, err := newBinReader(data, version, owner)
 	if err != nil {
 		return nil, err
 	}
@@ -479,9 +506,9 @@ func DecodeBinaryVersion(data []byte, version int) (Regressor, error) {
 // DecodeBinaryPrefixVersion restores a regressor of the given payload
 // version from the front of data and reports how many bytes it
 // consumed — the hook nested encodings (the hybrid model's ML
-// component) decode through.
-func DecodeBinaryPrefixVersion(data []byte, version int) (Regressor, int, error) {
-	r, err := newBinReader(data, version)
+// component) decode through. owner is DecodeBinaryVersion's.
+func DecodeBinaryPrefixVersion(data []byte, version int, owner any) (Regressor, int, error) {
+	r, err := newBinReader(data, version, owner)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -492,12 +519,12 @@ func DecodeBinaryPrefixVersion(data []byte, version int) (Regressor, int, error)
 	return m, r.off, nil
 }
 
-func newBinReader(data []byte, version int) (*binReader, error) {
+func newBinReader(data []byte, version int, owner any) (*binReader, error) {
 	switch version {
 	case BinaryVersion1:
-		return &binReader{data: data, v1: true}, nil
+		return &binReader{data: data, v1: true, keep: owner}, nil
 	case BinaryVersionLatest:
-		return &binReader{data: data}, nil
+		return &binReader{data: data, keep: owner}, nil
 	default:
 		return nil, corruptf("unsupported binary payload version %d", version)
 	}

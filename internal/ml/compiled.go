@@ -48,6 +48,10 @@ type CompiledTree struct {
 	// state carried for the persistence round trip, never read on the
 	// prediction hot path.
 	nSamples []int32
+	// keep is the owner of the memory the five columns alias when they
+	// were decoded in place from a file mapping: holding it keeps the
+	// mapping alive. Nil for fitted trees and heap-decoded ones.
+	keep any
 }
 
 // Len returns the number of nodes.
@@ -211,8 +215,9 @@ const (
 // allocation-free memory region instead of hopping between per-tree
 // heaps. The packed table is the only fused form: the member trees keep
 // their own structure-of-arrays tables (at load those alias the
-// artifact's file buffer), and nothing else holds a per-node copy. It
-// is walked two ways — one row across four trees
+// artifact's file mapping), and nothing else holds a per-node copy.
+// The table itself is always heap memory, so the walk never touches a
+// mapped page. It is walked two ways — one row across four trees
 // (predictHotInterleaved) and one tree across four rows
 // (predictHotTreeRows) — and both fold leaf values in tree order.
 type CompiledEnsemble struct {

@@ -589,7 +589,7 @@ func TestCompileEnsembleMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := DecodeBinaryVersion(bin, BinaryVersionLatest)
+		loaded, err := DecodeBinaryVersion(bin, BinaryVersionLatest, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,6 +33,15 @@
 //     directory, held open, so a version another process publishes is
 //     still seen on the next call. This needs a local filesystem's
 //     mtimes (see LatestVersion).
+//   - Published artifacts are immutable. Save and Convert write a
+//     temporary file and rename it into place; nothing truncates or
+//     rewrites an artifact in place, and nothing else may. Load,
+//     ArtifactInfo and Convert map the artifact read-only on Linux
+//     (mmap_linux.go) and decode it in place: a loaded model's member
+//     trees alias the mapping, which is released once none of them is
+//     reachable. Truncating a mapped artifact under a running process
+//     therefore faults that process (SIGBUS), and rewriting it in
+//     place changes a loaded model's tables under it.
 //   - Legacy jsonv1 registries load forever, unchanged; a damaged
 //     artifact in either format fails Load with an error wrapping
 //     lamerr.ErrCorruptArtifact rather than panicking or serving a
@@ -43,7 +52,8 @@
 //     to hand-wire.
 //   - A loaded Model satisfies the facade's context-first Predictor
 //     interface, decodes tree ensembles straight into the compiled
-//     plane's flat node tables, and its PredictBatchInto is the
+//     plane's flat node tables (the packed table the walks read is the
+//     only per-node heap allocation), and its PredictBatchInto is the
 //     allocation-free serving path: batch output is bit-identical to
 //     sequential Predict calls for every worker count.
 package registry

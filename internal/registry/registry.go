@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -385,42 +386,44 @@ func (r *Registry) resolveVersion(name string, version int) (int, error) {
 	return version, nil
 }
 
-// readArtifact locates and reads a version's model artifact. When the
-// metadata records a format, that codec's file is read directly — one
-// ReadFile, no probing. Otherwise (legacy registries, or a format this
+// readArtifact locates and maps a version's model artifact (mapFile).
+// When the metadata records a format, that codec's file is mapped
+// directly — no probing. Otherwise (legacy registries, or a format this
 // build doesn't know) the candidate file names are probed and the codec
 // detected from the artifact's leading bytes; cached=false then tells
 // the caller to write the resolved format back into meta.json so the
-// next load skips the probe.
-func (r *Registry) readArtifact(dir, format string) (data []byte, codec artifact.Codec, cached bool, err error) {
+// next load skips the probe. data stays valid only while owner is
+// reachable: callers pass owner to the decoder and keep it alive until
+// they are done with data.
+func (r *Registry) readArtifact(dir, format string) (data []byte, owner any, codec artifact.Codec, cached bool, err error) {
 	if format != "" {
 		if codec, err := artifact.ByName(format); err == nil {
-			data, err := os.ReadFile(filepath.Join(dir, artifactFileName(format)))
+			data, owner, err := mapFile(filepath.Join(dir, artifactFileName(format)))
 			if err == nil {
-				return data, codec, true, nil
+				return data, owner, codec, true, nil
 			}
 			if !os.IsNotExist(err) {
-				return nil, nil, false, fmt.Errorf("registry: %w", err)
+				return nil, nil, nil, false, fmt.Errorf("registry: %w", err)
 			}
 			// Recorded file is gone (e.g. a hand-edited directory);
 			// fall through to probing.
 		}
 	}
 	for _, fn := range artifactCandidates {
-		data, err := os.ReadFile(filepath.Join(dir, fn))
+		data, owner, err := mapFile(filepath.Join(dir, fn))
 		if os.IsNotExist(err) {
 			continue
 		}
 		if err != nil {
-			return nil, nil, false, fmt.Errorf("registry: %w", err)
+			return nil, nil, nil, false, fmt.Errorf("registry: %w", err)
 		}
 		codec, err := artifact.Detect(data)
 		if err != nil {
-			return nil, nil, false, fmt.Errorf("registry: %s: %w", fn, err)
+			return nil, nil, nil, false, fmt.Errorf("registry: %s: %w", fn, err)
 		}
-		return data, codec, false, nil
+		return data, owner, codec, false, nil
 	}
-	return nil, nil, false, fmt.Errorf("registry: no model artifact in %s (tried %v)", dir, artifactCandidates)
+	return nil, nil, nil, false, fmt.Errorf("registry: no model artifact in %s (tried %v)", dir, artifactCandidates)
 }
 
 // cacheFormat rewrites a version's meta.json with the resolved artifact
@@ -447,10 +450,11 @@ func (r *Registry) cacheFormat(dir string, meta Meta) {
 }
 
 // decodeOptions builds the codec decode options for a version: the
-// expected payload kind plus, for hybrids, the analytical component
-// rebuilt from the (workload, machine) metadata.
-func decodeOptions(meta Meta) (artifact.DecodeOptions, error) {
-	opts := artifact.DecodeOptions{Kind: meta.Kind}
+// expected payload kind, the owner of the mapped artifact bytes and,
+// for hybrids, the analytical component rebuilt from the (workload,
+// machine) metadata.
+func decodeOptions(meta Meta, owner any) (artifact.DecodeOptions, error) {
+	opts := artifact.DecodeOptions{Kind: meta.Kind, Owner: owner}
 	if meta.Kind == KindHybrid {
 		am, err := amFor(meta.Workload, meta.Machine)
 		if err != nil {
@@ -478,15 +482,16 @@ func (r *Registry) Load(name string, version int) (*Model, error) {
 		return nil, err
 	}
 	dir := r.versionDir(name, version)
-	data, codec, cached, err := r.readArtifact(dir, meta.Format)
+	data, owner, codec, cached, err := r.readArtifact(dir, meta.Format)
 	if err != nil {
 		return nil, err
 	}
+	defer runtime.KeepAlive(owner)
 	if !cached {
 		meta.Format = codec.Name()
 		r.cacheFormat(dir, meta)
 	}
-	opts, err := decodeOptions(meta)
+	opts, err := decodeOptions(meta, owner)
 	if err != nil {
 		return nil, err
 	}
@@ -523,11 +528,12 @@ func (r *Registry) ArtifactInfo(name string, version int) (artifact.Info, Meta, 
 	if err != nil {
 		return artifact.Info{}, Meta{}, err
 	}
-	data, _, _, err := r.readArtifact(r.versionDir(name, version), meta.Format)
+	data, owner, _, _, err := r.readArtifact(r.versionDir(name, version), meta.Format)
 	if err != nil {
 		return artifact.Info{}, Meta{}, err
 	}
-	opts, err := decodeOptions(meta)
+	defer runtime.KeepAlive(owner)
+	opts, err := decodeOptions(meta, owner)
 	if err != nil {
 		return artifact.Info{}, Meta{}, err
 	}
@@ -560,10 +566,11 @@ func (r *Registry) Convert(name string, version int, format string) (Meta, error
 		return Meta{}, err
 	}
 	dir := r.versionDir(name, version)
-	data, codec, cached, err := r.readArtifact(dir, meta.Format)
+	data, owner, codec, cached, err := r.readArtifact(dir, meta.Format)
 	if err != nil {
 		return Meta{}, err
 	}
+	defer runtime.KeepAlive(owner)
 	if codec.Name() == target.Name() {
 		if !cached || meta.Format != target.Name() {
 			meta.Format = target.Name()
@@ -571,7 +578,7 @@ func (r *Registry) Convert(name string, version int, format string) (Meta, error
 		}
 		return meta, nil
 	}
-	opts, err := decodeOptions(meta)
+	opts, err := decodeOptions(meta, owner)
 	if err != nil {
 		return Meta{}, err
 	}

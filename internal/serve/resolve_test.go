@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 	"weak"
 
 	"lam/internal/ml"
@@ -194,5 +198,43 @@ func TestResolverReleasesSwappedOutModel(t *testing.T) {
 	runtime.GC()
 	if old.Value() != nil {
 		t.Fatal("the swapped-out v1 is still reachable")
+	}
+}
+
+// TestResolverReleasesSwappedOutMapping: once the resolver lets go of a
+// swapped-out version, collection unmaps its artifact, so a daemon that
+// hot-swaps on every publish holds one mapping per served version, not
+// one per version ever served.
+func TestResolverReleasesSwappedOutMapping(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("artifact mappings are Linux-only")
+	}
+	srv, reg := newResolverServer(t)
+	r := &srv.models
+	ctx := context.Background()
+	publishScaled(t, reg, "m", 1)
+	v1 := filepath.Join(reg.Root(), "m", "v0001", "model.lamb")
+	mapped := func() bool {
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Contains(maps, []byte(v1))
+	}
+	if m, err := r.latest(ctx, "m"); err != nil || m.Meta.Version != 1 {
+		t.Fatalf("latest = %v, %v; want v1", m, err)
+	}
+	if !mapped() {
+		t.Fatal("the served v1 artifact is not mapped")
+	}
+	publishScaled(t, reg, "m", 2)
+	if m, err := r.latest(ctx, "m"); err != nil || m.Meta.Version != 2 {
+		t.Fatalf("latest = %v, %v; want v2", m, err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); mapped(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the swapped-out v1 artifact is still mapped")
+		}
+		runtime.GC()
 	}
 }

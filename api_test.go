@@ -16,18 +16,15 @@ import (
 // twin is a second entry point for one operation: fold it into the
 // ctx-first survivor instead of adding it here.
 var twinAllowlist = map[string]string{
-	"lam/internal/ml.PredictBatchInto":     "called by frozen benchmark/",
-	"lam/internal/hybrid.Model.Predict":    "called by frozen benchmark/",
-	"lam/internal/hybrid.Model.MAPE":       "called by frozen benchmark/",
-	"lam/internal/hybrid.AnalyticalMAPE":   "called by frozen benchmark/",
-	"lam/internal/registry.Registry.Load":  "called by frozen benchmark/",
-	"lam/internal/ml.Pipeline.Fit":         "called by frozen benchmark/; ml.Regressor requires Fit",
-	"lam/internal/ml.Forest.Fit":           "ml.Regressor requires Fit; FitCtx is the ml.ContextFitter half",
-	"lam/internal/ml.Bagging.Fit":          "ml.Regressor requires Fit; FitCtx is the ml.ContextFitter half",
-	"lam/internal/ml.GradientBoosting.Fit": "ml.Regressor requires Fit; FitCtx is the ml.ContextFitter half",
-	"lam/internal/ml.Stacking.Fit":         "ml.Regressor requires Fit; FitCtx is the ml.ContextFitter half",
-	"lam/internal/parallel.For":            "the uncancellable loop ForCtx is built on",
-	"lam/internal/parallel.ForBlocks":      "the uncancellable block loop of the context-free batch branch and the boosting stage update",
+	"lam/internal/ml.PredictBatchInto":    "called by frozen benchmark/",
+	"lam/internal/hybrid.Model.Predict":   "called by frozen benchmark/",
+	"lam/internal/hybrid.Model.MAPE":      "called by frozen benchmark/",
+	"lam/internal/hybrid.AnalyticalMAPE":  "called by frozen benchmark/",
+	"lam/internal/registry.Registry.Load": "called by frozen benchmark/",
+	"lam/internal/ml.Pipeline.Fit":        "called by frozen benchmark/; ml.Regressor requires Fit",
+	"lam/internal/ml.Forest.Fit":          "ml.Regressor requires Fit; FitCtx is the ml.ContextFitter half",
+	"lam/internal/parallel.For":           "the uncancellable loop ForCtx is built on",
+	"lam/internal/parallel.ForBlocks":     "the uncancellable block loop of the context-free batch branch",
 }
 
 // TestOneEntryPointPerOperation keeps the API from regrowing the

@@ -379,31 +379,6 @@ func BenchmarkForestFitSequential(b *testing.B) { benchForestFit(b, 1) }
 // pool (GOMAXPROCS workers).
 func BenchmarkForestFitParallel(b *testing.B) { benchForestFit(b, 0) }
 
-func benchBaggingFit(b *testing.B, workers int) {
-	ds := benchTrainingSet(b, 400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bag := &ml.Bagging{
-			NewBase: func() ml.Regressor {
-				return ml.NewDecisionTree(ml.TreeConfig{Seed: 3})
-			},
-			N:       50,
-			Seed:    7,
-			Workers: workers,
-		}
-		if err := bag.Fit(ds.X, ds.Y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBaggingFitSequential fits a 50-member bagging ensemble on
-// one worker.
-func BenchmarkBaggingFitSequential(b *testing.B) { benchBaggingFit(b, 1) }
-
-// BenchmarkBaggingFitParallel fits the same ensemble on the full pool.
-func BenchmarkBaggingFitParallel(b *testing.B) { benchBaggingFit(b, 0) }
-
 func benchForestPredictBatch(b *testing.B, workers int) {
 	ds := benchTrainingSet(b, 400)
 	et := ml.NewExtraTrees(100, 7)
@@ -424,27 +399,6 @@ func BenchmarkForestPredictBatchSequential(b *testing.B) { benchForestPredictBat
 
 // BenchmarkForestPredictBatchParallel scores the same rows on the pool.
 func BenchmarkForestPredictBatchParallel(b *testing.B) { benchForestPredictBatch(b, 0) }
-
-func benchCrossVal(b *testing.B, workers int) {
-	ds := benchTrainingSet(b, 300)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := ml.CrossValScoreCtx(context.Background(), func() ml.Regressor {
-			et := ml.NewExtraTrees(20, 5)
-			et.Workers = 1 // isolate the fold-level fan-out
-			return et
-		}, ds.X, ds.Y, 5, 9, ml.MAPE, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCrossValSequential evaluates 5 folds one after another.
-func BenchmarkCrossValSequential(b *testing.B) { benchCrossVal(b, 1) }
-
-// BenchmarkCrossValParallel evaluates the folds on the worker pool.
-func BenchmarkCrossValParallel(b *testing.B) { benchCrossVal(b, 0) }
 
 // --- v2 Predictor interface overhead ---
 //

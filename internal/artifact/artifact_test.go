@@ -46,10 +46,6 @@ var testAM = hybrid.AnalyticalFunc(func(x []float64) (float64, error) {
 	return 1 + 0.5*x[0]*x[0] + 0.25*x[len(x)-1], nil
 })
 
-func treeFactory(cfg ml.TreeConfig) func() ml.Regressor {
-	return func() ml.Regressor { return ml.NewDecisionTree(cfg) }
-}
-
 // fixtures are the deterministic estimator configurations pinned by the
 // goldens: one per artifact-visible kind.
 var fixtures = []struct {
@@ -58,23 +54,6 @@ var fixtures = []struct {
 }{
 	{"tree", func() ml.Regressor { return ml.NewDecisionTree(ml.TreeConfig{MaxDepth: 6, Seed: 1}) }},
 	{"forest", func() ml.Regressor { return ml.NewExtraTrees(12, 1) }},
-	{"linreg", func() ml.Regressor { return &ml.LinearRegression{} }},
-	{"knn", func() ml.Regressor { return &ml.KNN{K: 3, Weighting: ml.DistanceWeights} }},
-	{"gbr", func() ml.Regressor {
-		return &ml.GradientBoosting{NStages: 25, MaxDepth: 3, LearningRate: 0.1, Subsample: 0.8, Seed: 1}
-	}},
-	{"bagging", func() ml.Regressor {
-		return &ml.Bagging{NewBase: treeFactory(ml.TreeConfig{MaxDepth: 5, Seed: 2}), N: 8, SampleFrac: 0.9, Seed: 1}
-	}},
-	{"stacking", func() ml.Regressor {
-		return &ml.Stacking{
-			NewBases:    []func() ml.Regressor{treeFactory(ml.TreeConfig{MaxDepth: 4, Seed: 3}), func() ml.Regressor { return &ml.LinearRegression{} }},
-			NewMeta:     func() ml.Regressor { return &ml.LinearRegression{} },
-			PassThrough: true,
-			KFold:       3,
-			Seed:        1,
-		}
-	}},
 	{"pipeline", func() ml.Regressor { return &ml.Pipeline{Model: ml.NewExtraTrees(8, 1)} }},
 }
 
@@ -241,7 +220,7 @@ func randomBuild(rng *rand.Rand) func() ml.Regressor {
 	}
 	seed := rng.Int63()
 	nTrees := 2 + rng.Intn(10)
-	switch rng.Intn(8) {
+	switch rng.Intn(3) {
 	case 0:
 		cfg := randTree()
 		return func() ml.Regressor { return ml.NewDecisionTree(cfg) }
@@ -250,41 +229,6 @@ func randomBuild(rng *rand.Rand) func() ml.Regressor {
 			return func() ml.Regressor { return ml.NewRandomForest(nTrees, seed) }
 		}
 		return func() ml.Regressor { return ml.NewExtraTrees(nTrees, seed) }
-	case 2:
-		return func() ml.Regressor { return &ml.LinearRegression{} }
-	case 3:
-		k := 1 + rng.Intn(6)
-		w := ml.KNNWeighting(rng.Intn(2))
-		return func() ml.Regressor { return &ml.KNN{K: k, Weighting: w} }
-	case 4:
-		g := ml.GradientBoosting{
-			NStages:      1 + rng.Intn(30),
-			LearningRate: 0.05 + rng.Float64()*0.4,
-			MaxDepth:     1 + rng.Intn(4),
-			Subsample:    0.5 + rng.Float64()*0.5,
-			Seed:         seed,
-		}
-		return func() ml.Regressor { g2 := g; return &g2 }
-	case 5:
-		cfg := randTree()
-		frac := 0.5 + rng.Float64()*0.5
-		n := 2 + rng.Intn(6)
-		return func() ml.Regressor {
-			return &ml.Bagging{NewBase: treeFactory(cfg), N: n, SampleFrac: frac, Seed: seed}
-		}
-	case 6:
-		cfg := randTree()
-		kfold := rng.Intn(4)
-		pass := rng.Intn(2) == 0
-		return func() ml.Regressor {
-			return &ml.Stacking{
-				NewBases:    []func() ml.Regressor{treeFactory(cfg), func() ml.Regressor { return &ml.LinearRegression{} }},
-				NewMeta:     func() ml.Regressor { return &ml.LinearRegression{} },
-				PassThrough: pass,
-				KFold:       kfold,
-				Seed:        seed,
-			}
-		}
 	default:
 		inner := ml.NewExtraTrees(nTrees, seed)
 		return func() ml.Regressor { return &ml.Pipeline{Model: inner} }

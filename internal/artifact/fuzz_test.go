@@ -4,11 +4,10 @@ package artifact
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -37,79 +36,139 @@ func readOnlyCopy(t *testing.T, data []byte) []byte {
 	return m
 }
 
-// reframe rewrites a lamb1 header's payload length and the CRC trailer
-// to match the bytes, so a mutated payload gets past the framing checks
-// and into the structural decoder.
-func reframe(data []byte) []byte {
-	if len(data) < lamb1HeaderLen+lamb1TrailerLen {
-		return data
+// maxFuzzArity bounds the row a decoded fuzz input is scored on. A
+// decoded arity can reach MaxInt32 features; past this one (32 KiB a
+// row, far past anything a fit writes) no row is allocated and only
+// the decode and re-encode contract is checked.
+const maxFuzzArity = 4096
+
+// requireDecodeContract is both codecs' fuzz contract for one input:
+// the bytes fail with ErrCorruptArtifact, or they decode to a payload
+// that scores one row of its own arity without panicking and whose
+// re-encoding decodes and re-encodes to itself. The decoder reads a
+// read-only mapping, so a write into its input faults.
+func requireDecodeContract(t *testing.T, c Codec, data []byte) {
+	t.Helper()
+	opts := DecodeOptions{Analytical: testAM}
+	p, err := c.Decode(readOnlyCopy(t, data), opts)
+	if err != nil {
+		if !errors.Is(err, lamerr.ErrCorruptArtifact) {
+			t.Fatalf("decode failed untyped: %v", err)
+		}
+		return
 	}
-	out := bytes.Clone(data)
-	body := out[:len(out)-lamb1TrailerLen]
-	binary.LittleEndian.PutUint64(body[16:24], uint64(len(body)-lamb1HeaderLen))
-	binary.LittleEndian.PutUint32(out[len(body):], crc32.Checksum(body, crcTable))
-	return out
+	scoreOneRow(t, p)
+	var once bytes.Buffer
+	if err := c.Encode(&once, p); err != nil {
+		t.Fatalf("decoded payload does not re-encode: %v", err)
+	}
+	again, err := c.Decode(readOnlyCopy(t, once.Bytes()), opts)
+	if err != nil {
+		t.Fatalf("re-encoded payload does not decode: %v", err)
+	}
+	var twice bytes.Buffer
+	if err := c.Encode(&twice, again); err != nil {
+		t.Fatalf("second re-encode: %v", err)
+	}
+	if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+		t.Fatal("re-encoding is not a fixed point")
+	}
 }
 
-// FuzzLAMB1Decode: any bytes either decode to a payload that re-encodes
-// — and whose re-encoding decodes and re-encodes to itself — or fail
-// with ErrCorruptArtifact. The decoder never panics and never writes
-// into its input. With fix set, the input's length field and CRC are
-// made consistent first, so mutations reach the payload decoder.
-func FuzzLAMB1Decode(f *testing.F) {
-	add := func(data []byte) {
-		f.Add(data, false)
-		f.Add(data, true)
+// scoreOneRow predicts one row of p's decoded arity — what a server
+// does with a loaded version on its first request. The answer may be a
+// value or an error; a panic fails the input.
+func scoreOneRow(t *testing.T, p *Payload) {
+	var n int
+	if p.Hybrid != nil {
+		n = p.Hybrid.NumFeatures()
+	} else {
+		n, _ = ml.NumFeaturesOf(p.Regressor)
 	}
-	files, err := filepath.Glob(filepath.Join("testdata", "*.lamb"))
-	if err != nil {
-		f.Fatal(err)
+	if n > maxFuzzArity {
+		return
 	}
-	for _, name := range files {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		add(data)
+	row := make([]float64, n)
+	for i := range row {
+		row[i] = float64(i) - 0.5
 	}
+	if p.Hybrid != nil {
+		_, _ = p.Hybrid.Predict(row)
+	} else {
+		_, _ = ml.PredictCtx(t.Context(), p.Regressor, row)
+	}
+}
+
+// fuzzSeedModels are small fresh fits of every live kind, the seeds
+// both decoders' fuzz targets add beside the committed files.
+func fuzzSeedModels(f *testing.F) []*Payload {
 	small := func() ml.Regressor { return ml.NewExtraTrees(3, 1) }
+	var out []*Payload
 	for _, build := range []func() ml.Regressor{
 		func() ml.Regressor { return ml.NewDecisionTree(ml.TreeConfig{MaxDepth: 4, Seed: 1}) },
 		small,
 		func() ml.Regressor { return &ml.Pipeline{Model: small()} },
 	} {
 		reg, _ := fitFixture(f, build)
-		add(encode(f, lamb1Codec{}, &Payload{Regressor: reg}))
+		out = append(out, &Payload{Regressor: reg})
 	}
 	hy, _ := fitHybrid(f, hybrid.Config{Seed: 1, NewML: small})
-	add(encode(f, lamb1Codec{}, &Payload{Hybrid: hy}))
+	return append(out, &Payload{Hybrid: hy})
+}
 
+// addFileSeeds adds every committed testdata file matching pattern,
+// but for the goldens' prediction sidecars.
+func addFileSeeds(f *testing.F, pattern string, add func([]byte)) {
+	files, err := filepath.Glob(filepath.Join("testdata", pattern))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, ".pred.json") {
+			continue
+		}
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		add(data)
+	}
+}
+
+// FuzzLAMB1Decode holds the lamb1 decoder to requireDecodeContract.
+// With fix set, the input's length field and CRC are made consistent
+// first, so mutations reach the payload decoder. Seeds: the committed
+// version-1, retired-quantised and retired-estimator artifacts, and
+// fresh version-2 ones.
+func FuzzLAMB1Decode(f *testing.F) {
+	add := func(data []byte) {
+		f.Add(data, false)
+		f.Add(data, true)
+	}
+	addFileSeeds(f, "*.lamb", add)
+	for _, p := range fuzzSeedModels(f) {
+		add(encode(f, lamb1Codec{}, p))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, fix bool) {
 		if fix {
 			data = reframe(data)
 		}
-		opts := DecodeOptions{Analytical: testAM}
-		p, err := lamb1Codec{}.Decode(readOnlyCopy(t, data), opts)
-		if err != nil {
-			if !errors.Is(err, lamerr.ErrCorruptArtifact) {
-				t.Fatalf("decode failed untyped: %v", err)
-			}
-			return
-		}
-		var once bytes.Buffer
-		if err := (lamb1Codec{}).Encode(&once, p); err != nil {
-			t.Fatalf("decoded payload does not re-encode: %v", err)
-		}
-		again, err := lamb1Codec{}.Decode(readOnlyCopy(t, once.Bytes()), opts)
-		if err != nil {
-			t.Fatalf("re-encoded payload does not decode: %v", err)
-		}
-		var twice bytes.Buffer
-		if err := (lamb1Codec{}).Encode(&twice, again); err != nil {
-			t.Fatalf("second re-encode: %v", err)
-		}
-		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
-			t.Fatal("re-encoding is not a fixed point")
-		}
+		requireDecodeContract(t, lamb1Codec{}, data)
+	})
+}
+
+// FuzzJSONV1Decode holds the jsonv1 decoder, which has no checksum to
+// stop a damaged document before the structural checks, to
+// requireDecodeContract. Seeds: the committed goldens — the four live
+// kinds, and the five retired estimators as refusal inputs — and fresh
+// documents of every live kind.
+func FuzzJSONV1Decode(f *testing.F) {
+	add := func(data []byte) { f.Add(data) }
+	addFileSeeds(f, "golden_*.json", add)
+	for _, p := range fuzzSeedModels(f) {
+		add(encode(f, jsonv1Codec{}, p))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		requireDecodeContract(t, jsonv1Codec{}, data)
 	})
 }

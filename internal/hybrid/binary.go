@@ -50,7 +50,8 @@ func AppendBinary(buf []byte, m *Model) ([]byte, error) {
 // still carry explicit left arrays) keep decoding forever. owner keeps
 // data valid while the ML component's trees alias it, as in
 // ml.DecodeBinaryVersion. Corruption (short header, trailing bytes, a
-// mangled ML section) wraps lamerr.ErrCorruptArtifact.
+// mangled ML section, parts that disagree — see checkDecoded) wraps
+// lamerr.ErrCorruptArtifact.
 func DecodeBinaryVersion(data []byte, am AnalyticalModel, version int, owner any) (*Model, error) {
 	if am == nil {
 		return nil, fmt.Errorf("hybrid: DecodeBinaryVersion requires the analytical model")
@@ -74,6 +75,9 @@ func DecodeBinaryVersion(data []byte, am AnalyticalModel, version int, owner any
 		return nil, fmt.Errorf("hybrid: %w: %d trailing bytes after ML component",
 			lamerr.ErrCorruptArtifact, rest)
 	}
+	if err := checkDecoded(mode, nFeatures, mlModel); err != nil {
+		return nil, err
+	}
 	return &Model{
 		cfg: Config{
 			Mode:            mode,
@@ -84,4 +88,25 @@ func DecodeBinaryVersion(data []byte, am AnalyticalModel, version int, owner any
 		mlModel:   mlModel,
 		nFeatures: nFeatures,
 	}, nil
+}
+
+// checkDecoded refuses a decoded hybrid whose parts disagree: a mode
+// Predict has no branch for, or an ML component whose arity is not
+// what the mode feeds it — the features plus the analytical prediction
+// under StackMode, the features alone otherwise. Either would
+// otherwise serve a wrong answer or panic on the first predict.
+func checkDecoded(mode Mode, nFeatures int, mlModel ml.Regressor) error {
+	want := nFeatures
+	switch mode {
+	case StackMode:
+		want++
+	case ResidualMode, RatioMode:
+	default:
+		return fmt.Errorf("hybrid: %w: unknown coupling %v", lamerr.ErrCorruptArtifact, mode)
+	}
+	if got, _ := ml.NumFeaturesOf(mlModel); got != want {
+		return fmt.Errorf("hybrid: %w: %v coupling over %d features needs an ML component over %d, artifact has %d",
+			lamerr.ErrCorruptArtifact, mode, nFeatures, want, got)
+	}
+	return nil
 }

@@ -214,18 +214,25 @@ func TestAnalyticalMAPEPerfectModel(t *testing.T) {
 func TestCustomMLComponent(t *testing.T) {
 	ds, am := syntheticWorkload(300, 7)
 	hy, err := TrainCtx(context.Background(), ds, am, Config{
-		NewML: func() ml.Regressor { return &ml.LinearRegression{} },
+		NewML: func() ml.Regressor { return ml.NewDecisionTree(ml.TreeConfig{MaxDepth: 4, Seed: 3}) },
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	tree, ok := hy.ML().(*ml.DecisionTree)
+	if !ok {
+		t.Fatalf("ML component is %T, want the *ml.DecisionTree NewML built", hy.ML())
+	}
+	if d := tree.Depth(); d > 4 {
+		t.Errorf("ML component depth %d, want at most NewML's MaxDepth 4", d)
 	}
 	mape, err := hy.MAPE(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Linear meta over (x, am) on this near-multiplicative surface is
-	// rough but must be sane.
+	// A depth-4 tree over (x, am) on this near-multiplicative surface
+	// is rough but must be sane.
 	if mape > 60 {
-		t.Errorf("linear-ML hybrid MAPE = %.1f%%, want < 60%%", mape)
+		t.Errorf("shallow-tree hybrid MAPE = %.1f%%, want < 60%%", mape)
 	}
 }

@@ -61,6 +61,9 @@ func Load(r io.Reader, am AnalyticalModel) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: loading ML component: %w", err)
 	}
+	if err := checkDecoded(dto.Mode, dto.NFeatures, mlModel); err != nil {
+		return nil, err
+	}
 	return &Model{
 		cfg: Config{
 			Mode:            dto.Mode,

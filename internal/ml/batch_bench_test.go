@@ -9,7 +9,7 @@ import (
 // et-large (100 fully grown extra trees on a few thousand rows, about
 // half a million nodes — far past L2), the paper's hybrid (the same
 // forest on a 4 % sample, ~25 k nodes — L2-resident) and a shallow
-// boosted model (100 stages of depth 3, ~1.5 k nodes — L1-resident).
+// random forest (100 trees of depth 3, ~1.5 k nodes — L1-resident).
 var batchShapes = []struct {
 	name  string
 	train int
@@ -21,7 +21,9 @@ var batchShapes = []struct {
 	{"hybrid-sized", 130, func() Regressor {
 		return &Forest{NTrees: 100, Tree: TreeConfig{Splitter: RandomSplitter}, Seed: 7, Workers: 1}
 	}},
-	{"gbr100x3", 400, func() Regressor { return &GradientBoosting{NStages: 100, MaxDepth: 3, Seed: 7, Workers: 1} }},
+	{"rf100x3", 400, func() Regressor {
+		return &Forest{NTrees: 100, Tree: TreeConfig{MaxDepth: 3}, Bootstrap: true, Seed: 7, Workers: 1}
+	}},
 }
 
 // fitBatchShape fits shape s inside a scaling pipeline (what the
@@ -38,16 +40,8 @@ func fitBatchShape(b *testing.B, s int) (*Pipeline, [][]float64) {
 	return p, Xq
 }
 
-// ensembleOf returns the fused table under a pipeline's tree model.
-func ensembleOf(p *Pipeline) *CompiledEnsemble {
-	switch m := p.Model.(type) {
-	case *Forest:
-		return m.compiled
-	case *GradientBoosting:
-		return m.compiled
-	}
-	return nil
-}
+// ensembleOf returns the fused table under a pipeline's forest.
+func ensembleOf(p *Pipeline) *CompiledEnsemble { return p.Model.(*Forest).compiled }
 
 func reportPerRow(b *testing.B, rows int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
@@ -86,7 +80,7 @@ func BenchmarkBatchPath(b *testing.B) {
 // hotTreeRows8 is predictHotTreeRows with eight register lanes instead
 // of four — the alternative BenchmarkLanes weighs the committed lane
 // count against.
-func hotTreeRows8(hot []hotNode, r int32, X [][]float64, out []float64, scale float64) {
+func hotTreeRows8(hot []hotNode, r int32, X [][]float64, out []float64) {
 	out = out[:len(X)]
 	root := hot[r]
 	g := 0
@@ -129,17 +123,17 @@ func hotTreeRows8(hot []hotNode, r int32, X [][]float64, out []float64, scale fl
 			}
 		}
 		o := out[g : g+8 : g+8]
-		o[0] += scale * n0.threshold
-		o[1] += scale * n1.threshold
-		o[2] += scale * n2.threshold
-		o[3] += scale * n3.threshold
-		o[4] += scale * n4.threshold
-		o[5] += scale * n5.threshold
-		o[6] += scale * n6.threshold
-		o[7] += scale * n7.threshold
+		o[0] += n0.threshold
+		o[1] += n1.threshold
+		o[2] += n2.threshold
+		o[3] += n3.threshold
+		o[4] += n4.threshold
+		o[5] += n5.threshold
+		o[6] += n6.threshold
+		o[7] += n7.threshold
 	}
 	for ; g < len(X); g++ {
-		out[g] += scale * predictHot(hot, r, X[g])
+		out[g] += predictHot(hot, r, X[g])
 	}
 }
 
@@ -152,21 +146,17 @@ func BenchmarkLanes(b *testing.B) {
 	for s, shape := range batchShapes {
 		p, Xq := fitBatchShape(b, s)
 		e := ensembleOf(p)
-		scale := 1.0
-		if e.combine == combineBoosted {
-			scale = e.rate
-		}
 		scaled, err := p.scaler.Transform(Xq)
 		if err != nil {
 			b.Fatal(err)
 		}
 		out := make([]float64, len(scaled))
-		batch := func(name string, walk func(hot []hotNode, r int32, X [][]float64, out []float64, scale float64)) {
+		batch := func(name string, walk func(hot []hotNode, r int32, X [][]float64, out []float64)) {
 			b.Run(name+"/"+shape.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					for _, r := range e.roots {
-						walk(e.hot, r, scaled, out, scale)
+						walk(e.hot, r, scaled, out)
 					}
 				}
 				reportPerRow(b, len(scaled))

@@ -22,11 +22,7 @@ func refHotInterleaved(e *CompiledEnsemble, x []float64) float64 {
 	hot, roots := e.hot, e.roots
 	var idx [refLanes]int32
 	var val [refLanes]float64
-	boosted := e.combine == combineBoosted
 	out := 0.0
-	if boosted {
-		out = e.init
-	}
 	for g := 0; g < len(roots); g += refLanes {
 		m := len(roots) - g
 		if m > refLanes {
@@ -49,23 +45,14 @@ func refHotInterleaved(e *CompiledEnsemble, x []float64) float64 {
 				idx[l] = n.right + ((i + 1 - n.right) & goLeft)
 			}
 		}
-		if boosted {
-			for l := 0; l < m; l++ {
-				out += e.rate * val[l]
-			}
-		} else {
-			for l := 0; l < m; l++ {
-				out += val[l]
-			}
+		for l := 0; l < m; l++ {
+			out += val[l]
 		}
 	}
-	if !boosted {
-		out /= float64(len(roots))
-	}
-	return out
+	return out / float64(len(roots))
 }
 
-func refHotTreeRows(hot []hotNode, r int32, X [][]float64, out []float64, scale float64) {
+func refHotTreeRows(hot []hotNode, r int32, X [][]float64, out []float64) {
 	var idx [refLanes]int32
 	var val [refLanes]float64
 	for g := 0; g < len(X); g += refLanes {
@@ -92,7 +79,7 @@ func refHotTreeRows(hot []hotNode, r int32, X [][]float64, out []float64, scale 
 			}
 		}
 		for l := 0; l < m; l++ {
-			out[g+l] += scale * val[l]
+			out[g+l] += val[l]
 		}
 	}
 }
@@ -149,8 +136,7 @@ func shallowSplits(e *CompiledEnsemble) []splitPoint {
 }
 
 // TestLaneKernelsMatchArraySpec pins the register-lane walks to the
-// array-lane spec above, bit for bit, on mean and boosted ensembles of
-// 1–9 trees (every trees-mod-4 tail of the single-row walk) over every
+// array-lane spec above, bit for bit, on forests of 1–9 trees (every trees-mod-4 tail of the single-row walk) over every
 // row count in diffSizes rounded down to the kernel's multiple of four
 // — on rows that sit exactly on thresholds and carry NaN, ±Inf, −0 and
 // denormals.
@@ -163,35 +149,26 @@ func TestLaneKernelsMatchArraySpec(t *testing.T) {
 		if err := f.Fit(X, y); err != nil {
 			t.Fatal(err)
 		}
-		g := &GradientBoosting{NStages: trees, MaxDepth: 1 + rng.Intn(5), Seed: rng.Int63(), Workers: 1}
-		if err := g.Fit(X, y); err != nil {
-			t.Fatal(err)
+		e := f.compiled
+		Xq := awkwardRows(rng, diffSizes[len(diffSizes)-1], p, shallowSplits(e))
+		for _, x := range Xq {
+			if got, want := e.predictHotInterleaved(x), refHotInterleaved(e, x); !sameBits(got, want) {
+				t.Fatalf("%d trees, row %v: single-row walk %x != array-lane spec %x", trees, x, got, want)
+			}
 		}
-		for name, e := range map[string]*CompiledEnsemble{"forest": f.compiled, "gbr": g.compiled} {
-			scale := 1.0
-			if e.combine == combineBoosted {
-				scale = e.rate
+		for _, n := range diffSizes {
+			n &^= 3
+			got, want := make([]float64, n), make([]float64, n)
+			for i := range got {
+				got[i], want[i] = float64(i), float64(i) // the kernel accumulates into out
 			}
-			Xq := awkwardRows(rng, diffSizes[len(diffSizes)-1], p, shallowSplits(e))
-			for _, x := range Xq {
-				if got, want := e.predictHotInterleaved(x), refHotInterleaved(e, x); !sameBits(got, want) {
-					t.Fatalf("%s, %d trees, row %v: single-row walk %x != array-lane spec %x", name, trees, x, got, want)
-				}
+			for _, r := range e.roots {
+				predictHotTreeRows(e.hot, r, Xq[:n], got)
+				refHotTreeRows(e.hot, r, Xq[:n], want)
 			}
-			for _, n := range diffSizes {
-				n &^= 3
-				got, want := make([]float64, n), make([]float64, n)
-				for i := range got {
-					got[i], want[i] = float64(i), float64(i) // the kernel accumulates into out
-				}
-				for _, r := range e.roots {
-					predictHotTreeRows(e.hot, r, Xq[:n], got, scale)
-					refHotTreeRows(e.hot, r, Xq[:n], want, scale)
-				}
-				for i := range got {
-					if !sameBits(got[i], want[i]) {
-						t.Fatalf("%s, %d trees, %d rows, row %d: batch walk %x != array-lane spec %x", name, trees, n, i, got[i], want[i])
-					}
+			for i := range got {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("%d trees, %d rows, row %d: batch walk %x != array-lane spec %x", trees, n, i, got[i], want[i])
 				}
 			}
 		}
@@ -204,40 +181,33 @@ type diffModel struct {
 	r    Regressor
 }
 
+// rowOnly hides its inner model's batch walk: a pipeline over it
+// meets a regressor it can only score row by row, as the batch entry
+// points do any Regressor implemented outside this package.
+type rowOnly struct{ Regressor }
+
 // diffModels fits every wrapper nesting the block path serves — a
 // pipeline over each inner estimator (with and without a batch walk of
-// its own), a stack of pipelines, and the bare ensembles — on (X, y).
-// The forest is past batchTreeMajorMinNodes, the booster under it.
+// its own), a pipeline over a pipeline, and the bare ensembles — on
+// (X, y). The large forest is past batchTreeMajorMinNodes, the small
+// one under it.
 func diffModels(t *testing.T, X [][]float64, y []float64) []diffModel {
 	t.Helper()
 	tree := func() Regressor { return NewDecisionTree(TreeConfig{Seed: 2, MaxDepth: 6}) }
 	forest := func() Regressor {
 		return &Forest{NTrees: 21, Tree: TreeConfig{Splitter: RandomSplitter}, Seed: 5, Workers: 1}
 	}
-	gbr := func() Regressor { return &GradientBoosting{NStages: 13, MaxDepth: 3, Seed: 6, Workers: 1} }
+	small := func() Regressor {
+		return &Forest{NTrees: 13, Tree: TreeConfig{MaxDepth: 3}, Bootstrap: true, Seed: 6, Workers: 1}
+	}
 	models := []diffModel{
 		{"forest", forest()},
-		{"gbr", gbr()},
+		{"forest/small", small()},
 		{"pipeline/tree", &Pipeline{Model: tree()}},
 		{"pipeline/forest", &Pipeline{Model: forest()}},
-		{"pipeline/gbr", &Pipeline{Model: gbr()}},
-		{"pipeline/bagging", &Pipeline{Model: &Bagging{NewBase: tree, N: 6, Seed: 3, Workers: 1}}},
-		{"pipeline/knn", &Pipeline{Model: &KNN{K: 3}}},
-		{"pipeline/linreg", &Pipeline{Model: &LinearRegression{}}},
-		{"stacking", &Stacking{
-			NewBases: []func() Regressor{
-				func() Regressor { return &Pipeline{Model: forest()} },
-				func() Regressor { return &LinearRegression{} },
-				gbr,
-			},
-			NewMeta:     func() Regressor { return &Pipeline{Model: forest()} },
-			PassThrough: true, Workers: 1,
-		}},
-		{"stacking/no-passthrough", &Stacking{
-			NewBases: []func() Regressor{tree, gbr},
-			NewMeta:  tree,
-			Workers:  1,
-		}},
+		{"pipeline/small", &Pipeline{Model: small()}},
+		{"pipeline/row-only", &Pipeline{Model: rowOnly{tree()}}},
+		{"pipeline/pipeline", &Pipeline{Model: &Pipeline{Model: forest()}}},
 	}
 	for _, m := range models {
 		if err := m.r.Fit(X, y); err != nil {
@@ -247,8 +217,8 @@ func diffModels(t *testing.T, X [][]float64, y []float64) []diffModel {
 	if n := models[0].r.(*Forest).compiled.NumNodes(); n < batchTreeMajorMinNodes {
 		t.Fatalf("forest has %d nodes, under the tree-major cutoff %d", n, batchTreeMajorMinNodes)
 	}
-	if n := models[1].r.(*GradientBoosting).compiled.NumNodes(); n >= batchTreeMajorMinNodes {
-		t.Fatalf("booster has %d nodes, not under the tree-major cutoff %d", n, batchTreeMajorMinNodes)
+	if n := models[1].r.(*Forest).compiled.NumNodes(); n >= batchTreeMajorMinNodes {
+		t.Fatalf("small forest has %d nodes, not under the tree-major cutoff %d", n, batchTreeMajorMinNodes)
 	}
 	return models
 }
@@ -266,7 +236,7 @@ func TestBatchPathMatchesPerRow(t *testing.T) {
 	// The bare ensembles split on raw features, so their thresholds can
 	// be planted exactly; behind a scaler exact hits are left to the
 	// quarter-step grid the rows and the training set share.
-	splits := append(shallowSplits(models[0].r.(*Forest).compiled), shallowSplits(models[1].r.(*GradientBoosting).compiled)...)
+	splits := append(shallowSplits(models[0].r.(*Forest).compiled), shallowSplits(models[1].r.(*Forest).compiled)...)
 	Xq := awkwardRows(rng, diffSizes[len(diffSizes)-1], p, splits)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -324,14 +294,13 @@ func TestPooledBlocksHoldNoCallerRows(t *testing.T) {
 	}()
 
 	// White box: whatever blocks the pool hands back are within the
-	// bound and self-contained. The widest block above is the
-	// pass-through stack's: p features plus three base columns.
+	// bound and self-contained. A pipeline's block is p features wide.
 	held := make([]*rowBlock, 4)
 	for i := range held {
 		b := rowBlockPool.Get().(*rowBlock)
 		held[i] = b
-		if cap(b.flat) > batchBlock*(p+3) || cap(b.rows) > batchBlock {
-			t.Errorf("pooled block holds %d floats and %d rows, bound is %d and %d", cap(b.flat), cap(b.rows), batchBlock*(p+3), batchBlock)
+		if cap(b.flat) > batchBlock*p || cap(b.rows) > batchBlock {
+			t.Errorf("pooled block holds %d floats and %d rows, bound is %d and %d", cap(b.flat), cap(b.rows), batchBlock*p, batchBlock)
 		}
 		flat := b.flat[:cap(b.flat)]
 		for j, row := range b.rows[:cap(b.rows)] {

@@ -48,15 +48,6 @@ func TestCompiledEquivalenceLayouts(t *testing.T) {
 			refs[i] = refTree(&tr.nodes)
 		}
 
-		g := &GradientBoosting{NStages: 2 + rng.Intn(8), MaxDepth: 1 + rng.Intn(4), Seed: rng.Int63(), Workers: 1}
-		if err := g.Fit(X, y); err != nil {
-			t.Fatal(err)
-		}
-		grefs := make([]*refNode, len(g.stages))
-		for i, tr := range g.stages {
-			grefs[i] = refTree(&tr.nodes)
-		}
-
 		out := make([]float64, len(Xq))
 		for _, bw := range batchWalks(f.compiled) {
 			bw.walk(Xq, out)
@@ -67,21 +58,9 @@ func TestCompiledEquivalenceLayouts(t *testing.T) {
 				}
 			}
 		}
-		for _, bw := range batchWalks(g.compiled) {
-			bw.walk(Xq, out)
-			for i, x := range Xq {
-				want := refBoostedPredict(grefs, g.init, g.rate, x)
-				if !sameBits(out[i], want) {
-					t.Fatalf("gbr %s row %d: %x != recursive %x", bw.name, i, out[i], want)
-				}
-			}
-		}
 		for _, x := range Xq {
 			if got, want := f.Predict(x), refForestPredict(refs, x); !sameBits(got, want) {
 				t.Fatalf("forest single: %x != recursive %x (cfg %+v)", got, want, cfg)
-			}
-			if got, want := g.Predict(x), refBoostedPredict(grefs, g.init, g.rate, x); !sameBits(got, want) {
-				t.Fatalf("gbr single: %x != recursive %x", got, want)
 			}
 		}
 	}

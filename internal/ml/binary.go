@@ -22,7 +22,7 @@ import (
 // (zero-copy), and on big-endian or misaligned inputs a bulk
 // element-wise conversion keeps the format portable. Only a tree's five
 // node columns alias the input; every other vector (importances, scaler
-// state, linear and KNN parameters) is O(features) and copied, so the
+// state) is O(features) and copied, so the
 // input stays pinned by the trees alone (see DecodeBinaryVersion's
 // owner).
 //
@@ -49,17 +49,25 @@ import (
 const (
 	binKindTree     uint64 = 1
 	binKindForest   uint64 = 2
-	binKindLinreg   uint64 = 3
-	binKindKNN      uint64 = 4
-	binKindGBR      uint64 = 5
 	binKindPipeline uint64 = 6
-	binKindBagging  uint64 = 7
-	binKindStacking uint64 = 8
 	// binKindRetiredQuant was the quantised node table (payload
 	// version 2 only), retired in PR 26. The tag stays reserved: it is
 	// refused on decode and never reused.
 	binKindRetiredQuant uint64 = 9
 )
+
+// retiredBinKinds are the estimator kinds retired with their
+// estimators (linear regression, k-nearest neighbours, gradient
+// boosting, bagging, stacking). No binary or public constructor ever
+// built one, so no published artifact holds them; the tags stay
+// reserved, are refused on decode by name and are never reused.
+var retiredBinKinds = map[uint64]string{
+	3: "linreg",
+	4: "knn",
+	5: "gbr",
+	7: "bagging",
+	8: "stacking",
+}
 
 // Payload versions (the artifact layer's lamb1 header carries the
 // version and passes it down here). Version 1 tree bodies store an
@@ -149,8 +157,8 @@ func appendTreeConfig(buf []byte, cfg TreeConfig) []byte {
 }
 
 // appendTreeBody writes one fitted tree (config, importances and the
-// compiled node table) without a kind tag — forests and boosters embed
-// member trees directly since their members are trees by construction.
+// compiled node table) without a kind tag — forests embed member trees
+// directly since their members are trees by construction.
 // Bodies carry three int32 arrays per tree (feature, right, nSamples —
 // the left column is implicit in the canonical layout), so an odd node
 // count needs 4 bytes of padding to keep the following float64 arrays
@@ -196,41 +204,6 @@ func AppendBinary(buf []byte, m Regressor) ([]byte, error) {
 			buf = appendTreeBody(buf, t)
 		}
 		return buf, nil
-	case *LinearRegression:
-		if !v.fitted {
-			return nil, fmt.Errorf("ml: cannot save unfitted LinearRegression")
-		}
-		buf = appendU64(buf, binKindLinreg)
-		buf = appendF64(buf, v.Lambda)
-		buf = appendF64(buf, v.intercept)
-		buf = appendU64(buf, uint64(len(v.weights)))
-		return appendF64s(buf, v.weights), nil
-	case *KNN:
-		if len(v.x) == 0 {
-			return nil, fmt.Errorf("ml: cannot save unfitted KNN")
-		}
-		buf = appendU64(buf, binKindKNN)
-		buf = appendI64(buf, int64(v.K))
-		buf = appendI64(buf, int64(v.Weighting))
-		buf = appendU64(buf, uint64(len(v.x)))
-		buf = appendU64(buf, uint64(len(v.x[0])))
-		buf = appendF64s(buf, v.y)
-		for _, row := range v.x {
-			buf = appendF64s(buf, row)
-		}
-		return buf, nil
-	case *GradientBoosting:
-		if len(v.stages) == 0 {
-			return nil, fmt.Errorf("ml: cannot save unfitted GradientBoosting")
-		}
-		buf = appendU64(buf, binKindGBR)
-		buf = appendF64(buf, v.init)
-		buf = appendF64(buf, v.rate)
-		buf = appendU64(buf, uint64(len(v.stages)))
-		for _, t := range v.stages {
-			buf = appendTreeBody(buf, t)
-		}
-		return buf, nil
 	case *Pipeline:
 		if !v.fitted {
 			return nil, fmt.Errorf("ml: cannot save unfitted Pipeline")
@@ -240,38 +213,6 @@ func AppendBinary(buf []byte, m Regressor) ([]byte, error) {
 		buf = appendF64s(buf, v.scaler.mean)
 		buf = appendF64s(buf, v.scaler.std)
 		return AppendBinary(buf, v.Model)
-	case *Bagging:
-		if len(v.models) == 0 {
-			return nil, fmt.Errorf("ml: cannot save unfitted Bagging")
-		}
-		buf = appendU64(buf, binKindBagging)
-		buf = appendI64(buf, int64(v.N))
-		buf = appendF64(buf, v.SampleFrac)
-		buf = appendI64(buf, v.Seed)
-		buf = appendU64(buf, uint64(len(v.models)))
-		var err error
-		for _, m := range v.models {
-			if buf, err = AppendBinary(buf, m); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	case *Stacking:
-		if v.meta == nil {
-			return nil, fmt.Errorf("ml: cannot save unfitted Stacking")
-		}
-		buf = appendU64(buf, binKindStacking)
-		buf = appendI64(buf, boolI64(v.PassThrough))
-		buf = appendI64(buf, int64(v.KFold))
-		buf = appendI64(buf, v.Seed)
-		buf = appendU64(buf, uint64(len(v.bases)))
-		var err error
-		for _, b := range v.bases {
-			if buf, err = AppendBinary(buf, b); err != nil {
-				return nil, err
-			}
-		}
-		return AppendBinary(buf, v.meta)
 	default:
 		return nil, fmt.Errorf("ml: binary encoding does not support %T", m)
 	}
@@ -317,11 +258,6 @@ func (r *binReader) u64() (uint64, error) {
 func (r *binReader) i64() (int64, error) {
 	v, err := r.u64()
 	return int64(v), err
-}
-
-func (r *binReader) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
 }
 
 // count reads an element count and bounds it by the bytes actually left
@@ -418,6 +354,9 @@ func (r *binReader) treeBody() (*DecisionTree, error) {
 	if err != nil {
 		return nil, err
 	}
+	if nFeat < 1 || nFeat > math.MaxInt32 {
+		return nil, corruptf("tree over %d features", nFeat)
+	}
 	nImp, err := r.count(8)
 	if err != nil {
 		return nil, err
@@ -465,10 +404,10 @@ func (r *binReader) treeBody() (*DecisionTree, error) {
 		// canonical, so this validates and adopts the zero-copy arrays
 		// without moving a node; foreign-but-valid orders are permuted
 		// (prediction-bit-identical).
-		if c, err = canonicalTree(c.feature, c.threshold, c.value, left, c.right, c.nSamples); err != nil {
+		if c, err = canonicalTree(c.feature, c.threshold, c.value, left, c.right, c.nSamples, int(nFeat)); err != nil {
 			return nil, corruptf("%v", err)
 		}
-	} else if err := c.validate(); err != nil {
+	} else if err := c.validate(int(nFeat)); err != nil {
 		return nil, corruptf("%v", err)
 	}
 	c.keep = r.keep
@@ -574,97 +513,15 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 			if err != nil {
 				return nil, fmt.Errorf("forest tree %d: %w", i, err)
 			}
+			if uint64(t.nFeatures) != nFeat {
+				return nil, corruptf("forest over %d features holds tree %d over %d", nFeat, i, t.nFeatures)
+			}
 			f.trees = append(f.trees, t)
 		}
-		if f.compiled, err = compileEnsemble(f.trees, combineMean, 0, 0); err != nil {
+		if f.compiled, err = compileEnsemble(f.trees); err != nil {
 			return nil, corruptf("%v", err)
 		}
 		return f, nil
-	case binKindLinreg:
-		lambda, err := r.f64()
-		if err != nil {
-			return nil, err
-		}
-		intercept, err := r.f64()
-		if err != nil {
-			return nil, err
-		}
-		nW, err := r.count(8)
-		if err != nil {
-			return nil, err
-		}
-		if nW == 0 {
-			return nil, corruptf("linreg with no weights")
-		}
-		w, err := r.f64s(nW)
-		if err != nil {
-			return nil, err
-		}
-		return &LinearRegression{Lambda: lambda, weights: w, intercept: intercept, fitted: true}, nil
-	case binKindKNN:
-		k, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		weighting, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		n, err := r.count(8)
-		if err != nil {
-			return nil, err
-		}
-		p, err := r.count(8)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 || p == 0 {
-			return nil, corruptf("knn with %d samples × %d features", n, p)
-		}
-		y, err := r.f64s(n)
-		if err != nil {
-			return nil, err
-		}
-		if n > r.remaining()/(8*p) {
-			return nil, corruptf("knn design matrix %d×%d exceeds remaining payload", n, p)
-		}
-		flat, err := r.f64s(n * p)
-		if err != nil {
-			return nil, err
-		}
-		X := make([][]float64, n)
-		for i := range X {
-			X[i] = flat[i*p : (i+1)*p]
-		}
-		return &KNN{K: int(k), Weighting: KNNWeighting(weighting), x: X, y: y}, nil
-	case binKindGBR:
-		init, err := r.f64()
-		if err != nil {
-			return nil, err
-		}
-		rate, err := r.f64()
-		if err != nil {
-			return nil, err
-		}
-		n, err := r.count(72)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, corruptf("gbr with no stages")
-		}
-		g := &GradientBoosting{init: init, rate: rate}
-		for i := 0; i < n; i++ {
-			t, err := r.treeBody()
-			if err != nil {
-				return nil, fmt.Errorf("boosting stage %d: %w", i, err)
-			}
-			g.stages = append(g.stages, t)
-		}
-		if g.compiled, err = compileEnsemble(g.stages, combineBoosted, init, rate); err != nil {
-			return nil, corruptf("%v", err)
-		}
-		return g, nil
 	case binKindPipeline:
 		p, err := r.count(16)
 		if err != nil {
@@ -685,95 +542,40 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 		if err != nil {
 			return nil, err
 		}
+		if n, _ := NumFeaturesOf(inner); n != p {
+			return nil, corruptf("pipeline scales %d features for a model over %d", p, n)
+		}
 		pl := &Pipeline{Model: inner, fitted: true}
 		pl.scaler.mean = mean
 		pl.scaler.std = std
 		return pl, nil
-	case binKindBagging:
-		nCfg, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		frac, err := r.f64()
-		if err != nil {
-			return nil, err
-		}
-		seed, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		n, err := r.count(8)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, corruptf("bagging with no members")
-		}
-		b := &Bagging{N: int(nCfg), SampleFrac: frac, Seed: seed}
-		for i := 0; i < n; i++ {
-			m, err := decodeModelBinary(r)
-			if err != nil {
-				return nil, fmt.Errorf("bagging member %d: %w", i, err)
-			}
-			b.models = append(b.models, m)
-		}
-		if b.compiled, err = compileBaggedTrees(b.models); err != nil {
-			return nil, corruptf("%v", err)
-		}
-		return b, nil
-	case binKindStacking:
-		passThrough, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		kfold, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		seed, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		n, err := r.count(8)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, corruptf("stacking with no base models")
-		}
-		s := &Stacking{PassThrough: passThrough != 0, KFold: int(kfold), Seed: seed}
-		for i := 0; i < n; i++ {
-			m, err := decodeModelBinary(r)
-			if err != nil {
-				return nil, fmt.Errorf("stacking base %d: %w", i, err)
-			}
-			s.bases = append(s.bases, m)
-		}
-		meta, err := decodeModelBinary(r)
-		if err != nil {
-			return nil, fmt.Errorf("stacking meta model: %w", err)
-		}
-		s.meta = meta
-		return s, nil
 	case binKindRetiredQuant:
 		return nil, corruptf("quantized model (binary kind %d): quantised node tables are retired and refused; delete this version or re-publish from the exact source version", kind)
 	default:
+		if name, ok := retiredBinKinds[kind]; ok {
+			return nil, retiredKindErr(name)
+		}
 		return nil, corruptf("unknown binary model kind %d", kind)
 	}
 }
 
+// retiredKindErr refuses an artifact of a retired estimator kind by
+// name, in either codec.
+func retiredKindErr(name string) error {
+	return corruptf("retired estimator kind %q is refused: only trees, forests and pipelines over them load; re-fit with dt, rf or et and publish again", name)
+}
+
 // ModelStats summarises a fitted model's structure for artifact
 // introspection (lam-model info): a human-readable kind, the member
-// tree count and the total flat-table node count (both zero for
-// non-tree estimators).
+// tree count and the total flat-table node count.
 type ModelStats struct {
 	Kind  string
 	Trees int
 	Nodes int
 }
 
-// StatsOf computes ModelStats by structural walk; composite estimators
-// (pipeline, bagging, stacking) aggregate their members.
+// StatsOf computes ModelStats by structural walk; a pipeline reports
+// its inner model's counts.
 func StatsOf(m Regressor) ModelStats {
 	switch v := m.(type) {
 	case *DecisionTree:
@@ -784,40 +586,9 @@ func StatsOf(m Regressor) ModelStats {
 			s.Nodes = v.compiled.NumNodes()
 		}
 		return s
-	case *GradientBoosting:
-		s := ModelStats{Kind: "gbr", Trees: len(v.stages)}
-		if v.compiled != nil {
-			s.Nodes = v.compiled.NumNodes()
-		}
-		return s
-	case *LinearRegression:
-		return ModelStats{Kind: "linreg"}
-	case *KNN:
-		return ModelStats{Kind: "knn"}
 	case *Pipeline:
 		inner := StatsOf(v.Model)
 		return ModelStats{Kind: "pipeline(" + inner.Kind + ")", Trees: inner.Trees, Nodes: inner.Nodes}
-	case *Bagging:
-		s := ModelStats{Kind: "bagging"}
-		for _, m := range v.models {
-			ms := StatsOf(m)
-			s.Trees += ms.Trees
-			s.Nodes += ms.Nodes
-		}
-		return s
-	case *Stacking:
-		s := ModelStats{Kind: "stacking"}
-		for _, b := range v.bases {
-			bs := StatsOf(b)
-			s.Trees += bs.Trees
-			s.Nodes += bs.Nodes
-		}
-		if v.meta != nil {
-			ms := StatsOf(v.meta)
-			s.Trees += ms.Trees
-			s.Nodes += ms.Nodes
-		}
-		return s
 	default:
 		return ModelStats{Kind: fmt.Sprintf("%T", m)}
 	}

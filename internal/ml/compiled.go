@@ -24,9 +24,8 @@ func b2i32(b bool) int32 {
 // cache line per level than the explicit two-child form, and the
 // descent itself compiles to a conditional move instead of a branch
 // (see predictHot), so the CPU never mispredicts data-dependent
-// splits. Every tree-based estimator (DecisionTree, Forest, Bagging
-// over tree bases, GradientBoosting) compiles at Fit/load time; there
-// is no pointer-tree runtime representation left.
+// splits. Both tree-based estimators (DecisionTree, Forest) compile at
+// Fit/load time; there is no pointer-tree runtime representation left.
 //
 // The walk is bit-identical to the recursive form: the node ordering,
 // thresholds and comparison directions are unchanged, only the storage
@@ -169,13 +168,14 @@ func (c *CompiledTree) numLeaves() int {
 	return n
 }
 
-// validate checks the structural invariants a deserialised node table
-// must satisfy: every internal node's implicit left child (i+1) exists
-// and its right child strictly follows the left subtree's first node
-// (which rules out cycles). It accepts exactly the canonical tables
-// the builder produces; explicit-child inputs from the persistence
-// layer are canonicalised first (see canonicalTree in persist.go).
-func (c *CompiledTree) validate() error {
+// validate checks the invariants a deserialised node table over
+// nFeatures features must satisfy: every internal node splits on a
+// feature the row has, its implicit left child (i+1) exists and its
+// right child strictly follows the left subtree's first node (which
+// rules out cycles). It accepts exactly the canonical tables the
+// builder produces; explicit-child inputs from the persistence layer
+// are canonicalised first (see canonicalTree in persist.go).
+func (c *CompiledTree) validate(nFeatures int) error {
 	n := len(c.feature)
 	if n == 0 {
 		return fmt.Errorf("ml: corrupt tree: empty node list")
@@ -184,8 +184,12 @@ func (c *CompiledTree) validate() error {
 		return fmt.Errorf("ml: corrupt tree: ragged node arrays")
 	}
 	for i := 0; i < n; i++ {
-		if c.feature[i] < 0 {
+		f := c.feature[i]
+		if f < 0 {
 			continue // leaf; the right slot is ignored
+		}
+		if int(f) >= nFeatures {
+			return fmt.Errorf("ml: corrupt tree: internal node %d splits on feature %d of %d", i, f, nFeatures)
 		}
 		r := c.right[i]
 		if r <= int32(i)+1 || int(r) >= n {
@@ -194,19 +198,6 @@ func (c *CompiledTree) validate() error {
 	}
 	return nil
 }
-
-// ensembleCombine selects how a compiled ensemble folds its member
-// trees' outputs into one prediction.
-type ensembleCombine int
-
-const (
-	// combineMean averages the member predictions in tree order —
-	// forests and bagged trees.
-	combineMean ensembleCombine = iota
-	// combineBoosted sums init + rate·treeᵢ(x) in stage order —
-	// gradient boosting.
-	combineBoosted
-)
 
 // CompiledEnsemble is a whole tree ensemble fused onto one contiguous
 // table of packed 16-byte records: every member tree's nodes are
@@ -219,14 +210,12 @@ const (
 // The table itself is always heap memory, so the walk never touches a
 // mapped page. It is walked two ways — one row across four trees
 // (predictHotInterleaved) and one tree across four rows
-// (predictHotTreeRows) — and both fold leaf values in tree order.
+// (predictHotTreeRows) — and both take the mean of the leaf values,
+// summed in tree order.
 type CompiledEnsemble struct {
 	// hot is the fused packed table, hot[roots[t]] the root of tree t.
-	hot     []hotNode
-	roots   []int32
-	combine ensembleCombine
-	// init and rate are the boosting constants (combineBoosted only).
-	init, rate float64
+	hot   []hotNode
+	roots []int32
 }
 
 // NumTrees returns the number of member trees.
@@ -267,15 +256,14 @@ func fusedRoots(n int, treeLen func(t int) int) ([]int32, int, error) {
 // the calling goroutine: it is a millisecond of streaming work per half
 // million nodes, and fanning it out made a cold load's time depend on
 // whether a second core happened to be free (a helper descheduled
-// mid-tree stalls the join). init and rate are the boosting constants,
-// ignored by combineMean. It fails only when the ensemble is too large
-// for int32 node indices.
-func compileEnsemble(trees []*DecisionTree, combine ensembleCombine, init, rate float64) (*CompiledEnsemble, error) {
+// mid-tree stalls the join). It fails only when the ensemble is too
+// large for int32 node indices.
+func compileEnsemble(trees []*DecisionTree) (*CompiledEnsemble, error) {
 	roots, total, err := fusedRoots(len(trees), func(t int) int { return trees[t].nodes.Len() })
 	if err != nil {
 		return nil, err
 	}
-	e := &CompiledEnsemble{hot: make([]hotNode, total), roots: roots, combine: combine, init: init, rate: rate}
+	e := &CompiledEnsemble{hot: make([]hotNode, total), roots: roots}
 	for t, tree := range trees {
 		packTree(e.hot[roots[t]:e.treeEnd(t)], &tree.nodes, int(roots[t]))
 	}
@@ -283,9 +271,9 @@ func compileEnsemble(trees []*DecisionTree, combine ensembleCombine, init, rate 
 }
 
 // Predict scores one feature vector, folding the member trees in
-// order: bit-identical to summing the members' individual predictions
-// the way the estimators' recursive implementations did — mean =
-// (t₀+t₁+…)/n, boosted = init + rate·t₀ + rate·t₁ + …. Allocation-free.
+// order: bit-identical to averaging the members' individual
+// predictions the way the recursive implementation did, (t₀+t₁+…)/n.
+// Allocation-free.
 func (e *CompiledEnsemble) Predict(x []float64) float64 {
 	return e.predictHotInterleaved(x)
 }
@@ -313,11 +301,7 @@ func hotStep(i int32, n hotNode, x []float64) int32 {
 // last full group of four go through predictHot.
 func (e *CompiledEnsemble) predictHotInterleaved(x []float64) float64 {
 	hot, roots := e.hot, e.roots
-	boosted, rate := e.combine == combineBoosted, e.rate
 	out := 0.0
-	if boosted {
-		out = e.init
-	}
 	g := 0
 	for ; g+4 <= len(roots); g += 4 {
 		i0, i1, i2, i3 := roots[g], roots[g+1], roots[g+2], roots[g+3]
@@ -342,51 +326,15 @@ func (e *CompiledEnsemble) predictHotInterleaved(x []float64) float64 {
 				n3 = hot[i3]
 			}
 		}
-		if boosted {
-			out += rate * n0.threshold
-			out += rate * n1.threshold
-			out += rate * n2.threshold
-			out += rate * n3.threshold
-		} else {
-			out += n0.threshold
-			out += n1.threshold
-			out += n2.threshold
-			out += n3.threshold
-		}
+		out += n0.threshold
+		out += n1.threshold
+		out += n2.threshold
+		out += n3.threshold
 	}
 	for _, r := range roots[g:] {
-		if boosted {
-			out += rate * predictHot(hot, r, x)
-		} else {
-			out += predictHot(hot, r, x)
-		}
+		out += predictHot(hot, r, x)
 	}
-	if !boosted {
-		out /= float64(len(roots))
-	}
-	return out
-}
-
-// PredictInto scores one feature vector per member prefix: out[i] is
-// the prediction using trees [0, i] — the staged-prediction primitive.
-// out must have NumTrees elements. Staged prediction is an analysis
-// path, not a serving path, so it walks the trees one at a time.
-// Allocation-free.
-func (e *CompiledEnsemble) PredictInto(x []float64, out []float64) {
-	switch e.combine {
-	case combineBoosted:
-		acc := e.init
-		for i, r := range e.roots {
-			acc += e.rate * predictHot(e.hot, r, x)
-			out[i] = acc
-		}
-	default:
-		s := 0.0
-		for i, r := range e.roots {
-			s += predictHot(e.hot, r, x)
-			out[i] = s / float64(i+1)
-		}
-	}
+	return out / float64(len(roots))
 }
 
 // batchTreeMajorMinNodes is the node-table size from which batch
@@ -401,9 +349,8 @@ const batchTreeMajorMinNodes = 4096
 // across the whole block instead of the entire ensemble being
 // re-streamed per row. Each out[i] still accumulates its tree
 // contributions in tree order, so the result is bit-identical to
-// per-row Predict calls. Parallel batch scoring lives in the
-// estimators (Forest.PredictBatchInto and friends), which block-split
-// over this walk.
+// per-row Predict calls. Parallel batch scoring lives in
+// PredictBatchIntoCtx, which block-splits over this walk.
 func (e *CompiledEnsemble) PredictBatchInto(X [][]float64, out []float64) {
 	out = out[:len(X)]
 	if len(e.hot) < batchTreeMajorMinNodes {
@@ -431,35 +378,25 @@ func (e *CompiledEnsemble) predictBatchTreeMajor(X [][]float64, out []float64) {
 	full := len(X) &^ 3
 	e.predictBatchRowMajor(X[full:], out[full:])
 	X, out = X[:full], out[:full]
-	switch e.combine {
-	case combineBoosted:
-		for i := range out {
-			out[i] = e.init
-		}
-		for _, r := range e.roots {
-			predictHotTreeRows(e.hot, r, X, out, e.rate)
-		}
-	default:
-		for i := range out {
-			out[i] = 0
-		}
-		for _, r := range e.roots {
-			predictHotTreeRows(e.hot, r, X, out, 1)
-		}
-		n := float64(len(e.roots))
-		for i := range out {
-			out[i] /= n
-		}
+	for i := range out {
+		out[i] = 0
+	}
+	for _, r := range e.roots {
+		predictHotTreeRows(e.hot, r, X, out)
+	}
+	n := float64(len(e.roots))
+	for i := range out {
+		out[i] /= n
 	}
 }
 
-// predictHotTreeRows accumulates one tree's scaled leaf values into out
+// predictHotTreeRows accumulates one tree's leaf values into out
 // for every row of X (a multiple of four), four rows in lockstep — the
 // batch twin of predictHotInterleaved, with the same register-resident
 // lanes: within a tree the rows are independent walks. The caller's
 // outer loop still visits trees in order, so each out[i] accumulates
 // tree contributions exactly as the row-major walk would.
-func predictHotTreeRows(hot []hotNode, r int32, X [][]float64, out []float64, scale float64) {
+func predictHotTreeRows(hot []hotNode, r int32, X [][]float64, out []float64) {
 	out = out[:len(X)]
 	root := hot[r]
 	for g := 0; g+4 <= len(X); g += 4 {
@@ -485,9 +422,9 @@ func predictHotTreeRows(hot []hotNode, r int32, X [][]float64, out []float64, sc
 			}
 		}
 		o := out[g : g+4 : g+4]
-		o[0] += scale * n0.threshold
-		o[1] += scale * n1.threshold
-		o[2] += scale * n2.threshold
-		o[3] += scale * n3.threshold
+		o[0] += n0.threshold
+		o[1] += n1.threshold
+		o[2] += n2.threshold
+		o[3] += n3.threshold
 	}
 }

@@ -52,35 +52,6 @@ func BenchmarkForestPredictBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkGBRPredictBatch is the same pair for a 100-stage booster.
-func BenchmarkGBRPredictBatch(b *testing.B) {
-	X, y, Xq := benchSetup(b, 400)
-	g := &GradientBoosting{NStages: 100, Seed: 7, Workers: 1}
-	if err := g.Fit(X, y); err != nil {
-		b.Fatal(err)
-	}
-	refs := make([]*refNode, len(g.stages))
-	for i, t := range g.stages {
-		refs[i] = refTree(&t.nodes)
-	}
-	out := make([]float64, len(Xq))
-
-	b.Run("recursive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r, x := range Xq {
-				out[r] = refBoostedPredict(refs, g.init, g.rate, x)
-			}
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := PredictBatchInto(g, Xq, out, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkTreePredictSingle pairs one deep tree's single-vector
 // latency: pointer chase vs index walk.
 func BenchmarkTreePredictSingle(b *testing.B) {

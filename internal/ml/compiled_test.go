@@ -55,26 +55,6 @@ func refForestPredict(trees []*refNode, x []float64) float64 {
 	return s / float64(len(trees))
 }
 
-// refBoostedPredict is the pre-refactor GradientBoosting.Predict.
-func refBoostedPredict(stages []*refNode, init, rate float64, x []float64) float64 {
-	out := init
-	for _, t := range stages {
-		out += rate * t.predict(x)
-	}
-	return out
-}
-
-// refStagedPredict is the pre-refactor GradientBoosting.StagedPredict.
-func refStagedPredict(stages []*refNode, init, rate float64, x []float64) []float64 {
-	out := make([]float64, len(stages))
-	acc := init
-	for i, t := range stages {
-		acc += rate * t.predict(x)
-		out[i] = acc
-	}
-	return out
-}
-
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
@@ -110,7 +90,7 @@ func randomTreeConfig(rng *rand.Rand) TreeConfig {
 // inference plane: across random tree configurations and random
 // datasets, the compiled iterative traversal must produce bit-identical
 // predictions to the legacy recursive pointer walk — single vector,
-// batch, Into-batch, and staged — for every tree-based estimator.
+// batch and Into-batch — for both tree-based estimators.
 func TestCompiledEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x1ab))
 	for trial := 0; trial < 20; trial++ {
@@ -157,52 +137,6 @@ func TestCompiledEquivalence(t *testing.T) {
 				}
 			}
 
-			// Gradient boosting (staged too).
-			g := &GradientBoosting{NStages: 2 + rng.Intn(10), MaxDepth: 1 + rng.Intn(4),
-				Subsample: 0.5 + rng.Float64()/2, Seed: rng.Int63()}
-			if err := g.Fit(X, y); err != nil {
-				t.Fatal(err)
-			}
-			grefs := make([]*refNode, len(g.stages))
-			for i, tr := range g.stages {
-				grefs[i] = refTree(&tr.nodes)
-			}
-			gotStaged := make([]float64, g.NumStages())
-			for _, x := range Xq {
-				wantStaged := refStagedPredict(grefs, g.init, g.rate, x)
-				if err := g.StagedPredictInto(x, gotStaged); err != nil {
-					t.Fatal(err)
-				}
-				for i := range wantStaged {
-					if !sameBits(gotStaged[i], wantStaged[i]) {
-						t.Fatalf("gbr stage %d: compiled %x != recursive %x", i, gotStaged[i], wantStaged[i])
-					}
-				}
-				if got, want := g.Predict(x), wantStaged[len(wantStaged)-1]; !sameBits(got, want) {
-					t.Fatalf("gbr: compiled %x != recursive %x", got, want)
-				}
-			}
-
-			// Bagging over tree bases uses the fused table.
-			bag := &Bagging{
-				NewBase: func() Regressor { return NewDecisionTree(cfg) },
-				N:       2 + rng.Intn(6), Seed: rng.Int63(),
-			}
-			if err := bag.Fit(X, y); err != nil {
-				t.Fatal(err)
-			}
-			if bag.compiled == nil {
-				t.Fatal("bagging over DecisionTree bases should compile a fused ensemble")
-			}
-			brefs := make([]*refNode, len(bag.models))
-			for i, m := range bag.models {
-				brefs[i] = refTree(&m.(*DecisionTree).nodes)
-			}
-			for _, x := range Xq {
-				if got, want := bag.Predict(x), refForestPredict(brefs, x); !sameBits(got, want) {
-					t.Fatalf("bagging: compiled %x != recursive %x", got, want)
-				}
-			}
 		})
 	}
 }
@@ -305,20 +239,6 @@ func TestCompiledLoadedEquivalence(t *testing.T) {
 			t.Fatalf("loaded forest: %x != %x", got, want)
 		}
 	}
-
-	g := &GradientBoosting{NStages: 12, Seed: 4}
-	if err := g.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	gl := roundTrip(t, g).(*GradientBoosting)
-	if gl.compiled == nil {
-		t.Fatal("loaded booster not compiled")
-	}
-	for _, x := range Xq {
-		if got, want := gl.Predict(x), g.Predict(x); !sameBits(got, want) {
-			t.Fatalf("loaded gbr: %x != %x", got, want)
-		}
-	}
 }
 
 // TestCompiledPredictArityPanics pins the misuse contract the compiled
@@ -346,23 +266,18 @@ func TestCompiledPredictArityPanics(t *testing.T) {
 	}
 	expectPanic("Forest.Predict", func() { f.Predict(bad) })
 
-	g := &GradientBoosting{NStages: 3, Seed: 1}
-	if err := g.Fit(X, y); err != nil {
+	p := &Pipeline{Model: NewExtraTrees(3, 1)}
+	if err := p.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	expectPanic("GradientBoosting.Predict", func() { g.Predict(bad) })
-
-	bag := &Bagging{NewBase: func() Regressor { return NewDecisionTree(TreeConfig{Seed: 1, MaxDepth: 3}) }, N: 3, Seed: 1}
-	if err := bag.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	expectPanic("Bagging.Predict", func() { bag.Predict(bad) })
+	expectPanic("Pipeline.Predict", func() { p.Predict(bad) })
 }
 
 // TestCompiledValidateRejectsCorruptTables exercises the structural
 // validation deserialised node tables pass through: child indices must
 // exist and strictly follow their parent (ruling out cycles that would
-// hang the iterative walk).
+// hang the iterative walk), and every split must name a feature of the
+// tree's arity (one past it would index past the row).
 func TestCompiledValidateRejectsCorruptTables(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -372,11 +287,15 @@ func TestCompiledValidateRejectsCorruptTables(t *testing.T) {
 		{"child out of range", []nodeDTO{{Feature: 0, Left: 1, Right: 5}, {Feature: -1}}},
 		{"self cycle", []nodeDTO{{Feature: 0, Left: 0, Right: 1}, {Feature: -1}}},
 		{"backward edge", []nodeDTO{{Feature: -1}, {Feature: 0, Left: 0, Right: 2}, {Feature: -1}}},
+		{"feature past arity", []nodeDTO{{Feature: 2, Left: 1, Right: 2}, {Feature: -1}, {Feature: -1}}},
 	}
 	for _, tc := range cases {
-		if _, err := compileNodes(tc.nodes); err == nil {
+		if _, err := compileNodes(tc.nodes, 2); err == nil {
 			t.Errorf("%s: corrupt table accepted", tc.name)
 		}
+	}
+	if _, err := compileNodes([]nodeDTO{{Feature: 1, Left: 1, Right: 2}, {Feature: -1}, {Feature: -1}}, 2); err != nil {
+		t.Errorf("split on the last feature refused: %v", err)
 	}
 }
 
@@ -406,14 +325,7 @@ func TestPredictAllocationFree(t *testing.T) {
 	}{
 		{"tree", fit(NewDecisionTree(TreeConfig{Seed: 1}))},
 		{"forest", fit(&Forest{NTrees: 10, Seed: 1, Workers: 1})},
-		{"gbr", fit(&GradientBoosting{NStages: 10, Seed: 1, Workers: 1})},
-		{"bagging", fit(&Bagging{NewBase: func() Regressor { return NewDecisionTree(TreeConfig{Seed: 2, MaxDepth: 5}) }, N: 8, Seed: 1, Workers: 1})},
 		{"pipeline", fit(&Pipeline{Model: NewExtraTrees(10, 1)})},
-		{"stacking", fit(&Stacking{
-			NewBases:    []func() Regressor{func() Regressor { return NewDecisionTree(TreeConfig{Seed: 1, MaxDepth: 4}) }},
-			NewMeta:     func() Regressor { return NewDecisionTree(TreeConfig{Seed: 2, MaxDepth: 3}) },
-			PassThrough: true, Workers: 1,
-		})},
 	}
 	for _, m := range models {
 		x := Xq[0]
@@ -427,14 +339,6 @@ func TestPredictAllocationFree(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%s: PredictBatchInto allocates %.1f per batch, want 0", m.name, allocs)
 		}
-	}
-
-	// Staged prediction through the Into variant.
-	g := models[2].r.(*GradientBoosting)
-	staged := make([]float64, g.NumStages())
-	x := Xq[0]
-	if allocs := testing.AllocsPerRun(100, func() { g.StagedPredictInto(x, staged) }); allocs != 0 {
-		t.Errorf("gbr: StagedPredictInto allocates %.1f per call, want 0", allocs)
 	}
 }
 
@@ -525,8 +429,8 @@ func assertWalksFromPacked(t *testing.T, name string, e *CompiledEnsemble, Xq []
 }
 
 // TestCompileEnsembleMatchesReference is the differential test of the
-// single-pass compile: for mean and boosted ensembles over random tree
-// configurations and datasets, one-tree ensembles and lone-leaf trees,
+// single-pass compile: for forests over random tree configurations and
+// datasets, one-tree ensembles and lone-leaf trees,
 // fitted with 1 and 4 workers, the packed table equals the old
 // append-then-copy pair's element for element, and every walk over it
 // predicts what the recursive walk does.
@@ -550,17 +454,12 @@ func TestCompileEnsembleMatchesReference(t *testing.T) {
 		}
 
 		f := &Forest{NTrees: nTrees, Tree: cfg, Bootstrap: rng.Intn(2) == 0, Seed: rng.Int63()}
-		g := &GradientBoosting{NStages: nTrees, MaxDepth: 1 + rng.Intn(4), Seed: rng.Int63()}
 		for _, workers := range []int{1, 4} {
-			f.Workers, g.Workers = workers, workers
+			f.Workers = workers
 			if err := f.Fit(X, y); err != nil {
 				t.Fatal(err)
 			}
-			if err := g.Fit(X, y); err != nil {
-				t.Fatal(err)
-			}
 			assertFusedEqualsReference(t, "forest", f.compiled, f.trees)
-			assertFusedEqualsReference(t, "gbr", g.compiled, g.stages)
 			if trial == 1 && f.compiled.NumNodes() != nTrees {
 				t.Fatalf("lone-leaf fixture grew %d nodes for %d trees", f.compiled.NumNodes(), nTrees)
 			}
@@ -570,22 +469,15 @@ func TestCompileEnsembleMatchesReference(t *testing.T) {
 		for i, tr := range f.trees {
 			refs[i] = refTree(&tr.nodes)
 		}
-		grefs := make([]*refNode, len(g.stages))
-		for i, tr := range g.stages {
-			grefs[i] = refTree(&tr.nodes)
-		}
 		fwant := make([]float64, len(Xq))
-		gwant := make([]float64, len(Xq))
 		for i, x := range Xq {
 			fwant[i] = refForestPredict(refs, x)
-			gwant[i] = refBoostedPredict(grefs, g.init, g.rate, x)
 		}
 		assertWalksFromPacked(t, "forest", f.compiled, Xq, fwant)
-		assertWalksFromPacked(t, "gbr", g.compiled, Xq, gwant)
 
 		// The decode paths compile through the same function.
 		assertFusedEqualsReference(t, "forest json", roundTrip(t, f).(*Forest).compiled, f.trees)
-		bin, err := AppendBinary(nil, g)
+		bin, err := AppendBinary(nil, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -593,7 +485,7 @@ func TestCompileEnsembleMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertFusedEqualsReference(t, "gbr lamb1", loaded.(*GradientBoosting).compiled, g.stages)
+		assertFusedEqualsReference(t, "forest lamb1", loaded.(*Forest).compiled, f.trees)
 	}
 }
 
@@ -659,7 +551,7 @@ func TestCompileAllocationsConstant(t *testing.T) {
 			t.Fatal(err)
 		}
 		counts = append(counts, testing.AllocsPerRun(10, func() {
-			if _, err := compileEnsemble(f.trees, combineMean, 0, 0); err != nil {
+			if _, err := compileEnsemble(f.trees); err != nil {
 				t.Fatal(err)
 			}
 		}))

@@ -9,15 +9,14 @@ import (
 )
 
 // Context-first entry points for the estimator suite: one per
-// operation — FitCtx, PredictCtx, PredictBatchIntoCtx, and
-// CrossValScoreCtx / GridSearchCtx beside them. Cancellation is prompt:
-// it is checked between independent units (trees, folds, candidates,
+// operation — FitCtx, PredictCtx and PredictBatchIntoCtx. Cancellation
+// is prompt: it is checked between independent units (trees,
 // prediction blocks), so latency is bounded by a single unit's
 // duration. Regressor.Fit and PredictBatchInto remain as conveniences
 // without a context.
 
 // ContextFitter is implemented by estimators whose training can be
-// cancelled mid-fit (forests, bagging, stacking, boosting, pipelines).
+// cancelled mid-fit (forests and pipelines).
 type ContextFitter interface {
 	FitCtx(ctx context.Context, X [][]float64, y []float64) error
 }
@@ -99,8 +98,8 @@ func PredictCtx(ctx context.Context, r Regressor, x []float64) (float64, error) 
 // GOMAXPROCS); the output is bit-identical for every value. With
 // workers == 1 (or at most one block of rows) the loop runs inline
 // with zero allocations: a plain loop, no closure, no pool dispatch —
-// compiled tree walks are allocation-free and the scaler/stacking
-// layers draw their blocks from sync.Pools.
+// compiled tree walks are allocation-free and the pipeline's scaler
+// draws its blocks from a sync.Pool.
 func PredictBatchIntoCtx(ctx context.Context, r Regressor, X [][]float64, out []float64, workers int) error {
 	if err := checkInto(r, X, out); err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"lam/internal/lamerr"
 )
@@ -47,13 +46,8 @@ func TestFitCtxPreCancelledLeavesModelUntrained(t *testing.T) {
 	cancel()
 	for _, r := range []Regressor{
 		NewExtraTrees(10, 1),
-		&Bagging{NewBase: func() Regressor { return NewDecisionTree(TreeConfig{Seed: 1}) }, N: 4},
-		&GradientBoosting{NStages: 5},
+		NewRandomForest(4, 1),
 		&Pipeline{Model: NewExtraTrees(5, 2)},
-		&Stacking{
-			NewBases: []func() Regressor{func() Regressor { return NewDecisionTree(TreeConfig{Seed: 1}) }},
-			NewMeta:  func() Regressor { return &LinearRegression{} },
-		},
 	} {
 		err := FitCtx(ctx, r, X, y)
 		if err == nil {
@@ -123,55 +117,25 @@ func TestPredictBatchCtxMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEnsembleNumFeatures checks the meta-estimators report the
-// original feature arity, so the serving guards catch wrong-arity
+// TestEnsembleNumFeatures checks the ensemble and its wrapper report
+// the original feature arity, so the serving guards catch wrong-arity
 // input instead of panicking.
 func TestEnsembleNumFeatures(t *testing.T) {
 	X, y := ctxTrainingSet(60)
-	bag := &Bagging{NewBase: func() Regressor { return NewDecisionTree(TreeConfig{Seed: 1}) }, N: 3}
-	if err := bag.Fit(X, y); err != nil {
+	forest := NewRandomForest(3, 1)
+	if err := forest.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	stack := &Stacking{
-		NewBases: []func() Regressor{func() Regressor { return NewDecisionTree(TreeConfig{Seed: 1}) }},
-		NewMeta:  func() Regressor { return &LinearRegression{} },
-	}
-	if err := stack.Fit(X, y); err != nil {
+	pipe := &Pipeline{Model: NewExtraTrees(3, 1)}
+	if err := pipe.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []Regressor{bag, stack} {
+	for _, r := range []Regressor{forest, pipe} {
 		if n, ok := NumFeaturesOf(r); !ok || n != 3 {
 			t.Fatalf("%T: NumFeaturesOf = (%d, %v), want (3, true)", r, n, ok)
 		}
 		if err := PredictBatchIntoCtx(context.Background(), r, [][]float64{{1}}, make([]float64, 1), 0); !errors.Is(err, lamerr.ErrDimension) {
 			t.Fatalf("%T: wrong-arity batch: got %v, want ErrDimension", r, err)
 		}
-	}
-}
-
-// TestGridSearchCtxCancelPromptly cancels a grid search mid-sweep and
-// checks it stops quickly with the typed error.
-func TestGridSearchCtxCancelPromptly(t *testing.T) {
-	X, y := ctxTrainingSet(150)
-	grids := []ParamGrid{{Name: "trees", Values: []float64{5, 10, 15, 20, 25, 30, 35, 40}}}
-	ctx, cancel := context.WithCancel(context.Background())
-	evaluated := make(chan struct{}, 1)
-	start := time.Now()
-	go func() {
-		<-evaluated
-		cancel()
-	}()
-	_, _, err := GridSearchCtx(ctx, grids, func(p map[string]float64) Regressor {
-		select {
-		case evaluated <- struct{}{}:
-		default:
-		}
-		return NewExtraTrees(int(p["trees"]), 3)
-	}, X, y, 4, 11, MAPE, 2)
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("cancelled grid search took %v", elapsed)
-	}
-	if !errors.Is(err, lamerr.ErrCancelled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("grid search error %v missing cancellation sentinels", err)
 	}
 }

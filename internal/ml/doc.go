@@ -1,10 +1,8 @@
 // Package ml is a from-scratch, dependency-free implementation of the
-// supervised regression estimators the paper takes from scikit-learn
-// (Section V): CART decision trees, random forests, extremely randomized
-// trees (extra trees), bagging and stacking ensembles, plus the
-// supporting cast — ordinary/ridge linear regression, k-nearest
-// neighbours, feature standardization, regression metrics (MAPE first
-// and foremost) and k-fold cross-validation.
+// supervised regression estimators the paper's figures use from
+// scikit-learn (Section V): CART decision trees, random forests and
+// extremely randomized trees (extra trees), behind a standardising
+// scaler (Pipeline), plus regression metrics (MAPE first and foremost).
 //
 // All estimators are deterministic given their Seed, and fit in memory
 // on the dataset sizes the paper uses (10^3–10^5 samples).
@@ -14,30 +12,29 @@
 //   - Determinism: fitting and prediction are bit-identical for every
 //     worker count — parallel loops write results by index and derive
 //     per-unit seeds before fan-out (see internal/parallel).
-//   - One entry point per operation: FitCtx, PredictCtx,
-//     PredictBatchIntoCtx, CrossValScoreCtx and GridSearchCtx take a
-//     context first; Regressor.Fit, Regressor.Predict and
-//     PredictBatchInto are the only conveniences without one.
+//   - One entry point per operation: FitCtx, PredictCtx and
+//     PredictBatchIntoCtx take a context first; Regressor.Fit,
+//     Regressor.Predict and PredictBatchInto are the only conveniences
+//     without one.
 //   - Batch/single equivalence: PredictBatchIntoCtx equals len(X)
 //     sequential Predict calls bit for bit, even where the compiled
 //     plane scores batches tree-major for cache locality. The serving
 //     layer's micro-batch coalescer is built on this guarantee.
 //   - The *Into contract: PredictBatchIntoCtx (and its PredictBatchInto
-//     convenience) and GradientBoosting.StagedPredictInto write into a
-//     caller-owned output slice of exactly len(X) elements and perform
-//     zero allocations per call in steady state with workers == 1 —
-//     single-row scratch (pipeline scaling rows, stacking meta-features;
-//     GetScratch / PutScratch) and the wrappers' batch blocks come from
-//     sync.Pools. This is the
-//     allocation-free path lam-serve feeds its pooled response buffers
-//     through; TestPredictAllocationFree and the serve-side
-//     AllocsPerRun guards enforce it in CI.
+//     convenience) writes into a caller-owned output slice of exactly
+//     len(X) elements and performs zero allocations per call in steady
+//     state with workers == 1 — single-row scratch (pipeline scaling
+//     rows; GetScratch / PutScratch) and the pipeline's batch blocks
+//     come from sync.Pools. This is the allocation-free path lam-serve
+//     feeds its pooled response buffers through;
+//     TestPredictAllocationFree and the serve-side AllocsPerRun guards
+//     enforce it in CI.
 //   - Batch means batch: a row block reaches the tree-major kernel as
-//     a block through every wrapper nesting. Pipeline and Stacking
-//     transform up to batchBlock rows at a time into a pooled block
-//     and hand it to the inner model's batch walk (see
-//     seqBatchIntoPredictor); TestBatchPathMatchesPerRow pins the
-//     result to a per-row Predict loop bit for bit.
+//     a block through every wrapper nesting. Pipeline transforms up
+//     to batchBlock rows at a time into a pooled block and hands it to
+//     the inner model's batch walk (see seqBatchIntoPredictor);
+//     TestBatchPathMatchesPerRow pins the result to a per-row Predict
+//     loop bit for bit.
 //   - Fitted estimators are immutable: after a successful Fit, Predict
 //     and the batch path are safe for unbounded concurrent use, which is
 //     what lets the server hot-swap model versions under live traffic.

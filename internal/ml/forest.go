@@ -91,7 +91,7 @@ func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
 		b := getTreeBuilder()
 		defer b.release()
 		if f.Bootstrap {
-			b.sampleBootstrap(int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x626f6f74)), n, n)
+			b.sampleBootstrap(int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x626f6f74)), n)
 		} else {
 			b.sampleAll(n)
 		}
@@ -102,7 +102,7 @@ func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
 	if err != nil {
 		return err
 	}
-	compiled, err := compileEnsemble(trees, combineMean, 0, 0)
+	compiled, err := compileEnsemble(trees)
 	if err != nil {
 		return err
 	}

@@ -47,8 +47,8 @@ func checkInto(r Regressor, X [][]float64, out []float64) error {
 // inference plane: score a validated row block into out sequentially
 // (no pool dispatch, no allocation), using the estimator's best batch
 // walk — the fused node table's tree-major kernel for tree ensembles;
-// for the wrappers (Pipeline, Stacking) a block → block transform into
-// a pooled rowBlock that is handed to the inner model's own
+// for the Pipeline wrapper a block → block transform into a pooled
+// rowBlock that is handed to the inner model's own
 // predictBatchIntoSeq, so every nesting reaches the kernel. The generic
 // batch cores below dispatch through it per block, so every layer that
 // funnels into them (registry, serve, hybrid, the experiment sweeps)
@@ -95,18 +95,13 @@ func predictBatchInto(r Regressor, X [][]float64, out []float64, workers int) {
 }
 
 // predictSeq scores a validated row block sequentially through r's
-// batch walk, or row by row for regressors without one (KNN, linear
-// regression, foreign implementations).
+// batch walk, or row by row for regressors without one (implementations
+// outside this package, which the public batch entry points accept).
 func predictSeq(r Regressor, X [][]float64, out []float64) {
 	if seq, ok := r.(seqBatchIntoPredictor); ok {
 		seq.predictBatchIntoSeq(X, out)
 		return
 	}
-	predictRows(r, X, out)
-}
-
-// predictRows is the plain per-row loop.
-func predictRows(r Regressor, X [][]float64, out []float64) {
 	for i, x := range X {
 		out[i] = r.Predict(x)
 	}
@@ -131,17 +126,6 @@ func checkXY(X [][]float64, y []float64) (int, error) {
 		}
 	}
 	return p, nil
-}
-
-// copyMatrix deep-copies a design matrix.
-func copyMatrix(X [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
-	flat := make([]float64, 0, len(X)*len(X[0]))
-	for i, row := range X {
-		flat = append(flat, row...)
-		out[i] = flat[len(flat)-len(row):]
-	}
-	return out
 }
 
 // copyVector copies a response vector.

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,126 +50,6 @@ func TestForestParallelFitBitIdentical(t *testing.T) {
 	}
 }
 
-func TestBaggingParallelFitBitIdentical(t *testing.T) {
-	X, y := parallelTestData(150)
-	newBag := func(workers int) *Bagging {
-		return &Bagging{
-			NewBase: func() Regressor {
-				return &DecisionTree{Config: TreeConfig{MaxDepth: 6}}
-			},
-			N:       20,
-			Seed:    9,
-			Workers: workers,
-		}
-	}
-	seq, par := newBag(1), newBag(8)
-	if err := seq.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	identical(t, "bagging predictions",
-		predictWorkers(t, seq, X, 1), predictWorkers(t, par, X, 8))
-}
-
-func TestGradientBoostingParallelBitIdentical(t *testing.T) {
-	X, y := parallelTestData(150)
-	seq := &GradientBoosting{NStages: 25, Subsample: 0.7, Seed: 3, Workers: 1}
-	par := &GradientBoosting{NStages: 25, Subsample: 0.7, Seed: 3, Workers: 8}
-	if err := seq.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	identical(t, "gbr predictions",
-		predictWorkers(t, seq, X, 1), predictWorkers(t, par, X, 8))
-}
-
-func TestStackingParallelBitIdentical(t *testing.T) {
-	X, y := parallelTestData(120)
-	newStack := func(workers int) *Stacking {
-		return &Stacking{
-			NewBases: []func() Regressor{
-				func() Regressor { return &DecisionTree{Config: TreeConfig{MaxDepth: 4}} },
-				func() Regressor { return &LinearRegression{} },
-			},
-			NewMeta:     func() Regressor { return &LinearRegression{} },
-			PassThrough: true,
-			KFold:       4,
-			Seed:        7,
-			Workers:     workers,
-		}
-	}
-	seq, par := newStack(1), newStack(8)
-	if err := seq.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	identical(t, "stacking predictions",
-		predictWorkers(t, seq, X, 1), predictWorkers(t, par, X, 8))
-}
-
-func TestCrossValParallelBitIdentical(t *testing.T) {
-	X, y := parallelTestData(120)
-	newModel := func() Regressor { return &DecisionTree{Config: TreeConfig{MaxDepth: 5}} }
-	seq, err := CrossValScoreCtx(context.Background(), newModel, X, y, 5, 13, MAPE, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := CrossValScoreCtx(context.Background(), newModel, X, y, 5, 13, MAPE, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	identical(t, "cross-validation fold scores", seq, par)
-}
-
-func TestGridSearchParallelBitIdentical(t *testing.T) {
-	X, y := parallelTestData(100)
-	grids := []ParamGrid{
-		{Name: "depth", Values: []float64{2, 4, 6}},
-		{Name: "leaf", Values: []float64{1, 5}},
-	}
-	newModel := func(p map[string]float64) Regressor {
-		return &DecisionTree{Config: TreeConfig{
-			MaxDepth:       int(p["depth"]),
-			MinSamplesLeaf: int(p["leaf"]),
-		}}
-	}
-	bestSeq, allSeq, err := GridSearchCtx(context.Background(), grids, newModel, X, y, 3, 17, MAPE, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bestPar, allPar, err := GridSearchCtx(context.Background(), grids, newModel, X, y, 3, 17, MAPE, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(allSeq) != len(allPar) {
-		t.Fatalf("candidate count differs: %d vs %d", len(allSeq), len(allPar))
-	}
-	for i := range allSeq {
-		if allSeq[i].Score != allPar[i].Score {
-			t.Fatalf("candidate %d score differs: %v vs %v", i, allSeq[i].Score, allPar[i].Score)
-		}
-		for k, v := range allSeq[i].Params {
-			if allPar[i].Params[k] != v {
-				t.Fatalf("candidate %d enumerated out of order", i)
-			}
-		}
-	}
-	if bestSeq.Score != bestPar.Score {
-		t.Fatalf("best score differs: %v vs %v", bestSeq.Score, bestPar.Score)
-	}
-	for k, v := range bestSeq.Params {
-		if bestPar.Params[k] != v {
-			t.Fatalf("best params differ at %q: %v vs %v", k, v, bestPar.Params[k])
-		}
-	}
-}
-
 // TestParallelDegenerateInputs checks the Workers <= 0 / tiny-dataset
 // guard rails: everything degrades to sequential instead of panicking
 // or deadlocking.
@@ -187,17 +66,9 @@ func TestParallelDegenerateInputs(t *testing.T) {
 			t.Fatalf("forest predict on single sample (workers=%d): %v", workers, got)
 		}
 
-		b := &Bagging{
-			NewBase: func() Regressor { return &DecisionTree{} },
-			N:       3, Seed: 1, Workers: workers,
-		}
-		if err := b.Fit(X, y); err != nil {
-			t.Fatalf("bagging on single sample (workers=%d): %v", workers, err)
-		}
-
-		g := &GradientBoosting{NStages: 3, Workers: workers}
-		if err := g.Fit(X, y); err != nil {
-			t.Fatalf("gbr on single sample (workers=%d): %v", workers, err)
+		rf := &Forest{NTrees: 3, Bootstrap: true, Seed: 1, Workers: workers}
+		if err := rf.Fit(X, y); err != nil {
+			t.Fatalf("bootstrap forest on single sample (workers=%d): %v", workers, err)
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Model persistence. The paper stresses that the model "is constructed
@@ -12,9 +13,9 @@ import (
 // shipped with an application and queried without retraining.
 //
 // SaveModel writes any supported fitted Regressor; LoadModel restores
-// it. Supported: DecisionTree, Forest, LinearRegression, KNN,
-// GradientBoosting, Bagging, Stacking, Pipeline (wrapping any of the
-// former).
+// it. Supported: DecisionTree, Forest and Pipeline (wrapping either).
+// The kinds of the retired estimators (linreg, knn, gbr, bagging,
+// stacking) are refused by name.
 //
 // This file is the jsonv1 side of the artifact codec layer
 // (internal/artifact): SaveModel/LoadModel define the legacy JSON
@@ -76,7 +77,7 @@ func flattenTree(c *CompiledTree) []nodeDTO {
 	return nodes
 }
 
-func compileNodes(nodes []nodeDTO) (CompiledTree, error) {
+func compileNodes(nodes []nodeDTO, nFeatures int) (CompiledTree, error) {
 	n := len(nodes)
 	feature := make([]int32, n)
 	threshold := make([]float64, n)
@@ -92,18 +93,19 @@ func compileNodes(nodes []nodeDTO) (CompiledTree, error) {
 		right[i] = int32(d.Right)
 		nSamples[i] = int32(d.N)
 	}
-	return canonicalTree(feature, threshold, value, left, right, nSamples)
+	return canonicalTree(feature, threshold, value, left, right, nSamples, nFeatures)
 }
 
-// canonicalTree builds a canonical implicit-left CompiledTree from
-// explicit child arrays, validating the structural invariants the
-// legacy format promised (children exist and strictly follow their
-// parent, ruling out cycles; every node reachable from the root).
+// canonicalTree builds a canonical implicit-left CompiledTree over
+// nFeatures features from explicit child arrays, validating the
+// structural invariants the legacy format promised (children exist and
+// strictly follow their parent, ruling out cycles; every node reachable
+// from the root) and every split's feature index (see validate).
 // Tables already in canonical order — everything this codebase has
 // ever written — are adopted without copying, preserving the binary
 // codec's zero-copy decode; anything else is permuted into preorder,
 // which leaves predictions bit-identical.
-func canonicalTree(feature []int32, threshold, value []float64, left, right, nSamples []int32) (CompiledTree, error) {
+func canonicalTree(feature []int32, threshold, value []float64, left, right, nSamples []int32, nFeatures int) (CompiledTree, error) {
 	n := len(feature)
 	if n == 0 {
 		return CompiledTree{}, fmt.Errorf("ml: corrupt tree: empty node list")
@@ -167,7 +169,7 @@ func canonicalTree(feature []int32, threshold, value []float64, left, right, nSa
 		}
 		c = out
 	}
-	if err := c.validate(); err != nil {
+	if err := c.validate(nFeatures); err != nil {
 		return CompiledTree{}, err
 	}
 	return c, nil
@@ -183,7 +185,10 @@ func (t *DecisionTree) toDTO() treeDTO {
 }
 
 func (t *DecisionTree) fromDTO(d treeDTO) error {
-	nodes, err := compileNodes(d.Nodes)
+	if d.NFeatures < 1 || d.NFeatures > math.MaxInt32 {
+		return corruptf("tree over %d features", d.NFeatures)
+	}
+	nodes, err := compileNodes(d.Nodes, d.NFeatures)
 	if err != nil {
 		return err
 	}
@@ -203,44 +208,10 @@ type forestDTO struct {
 	Trees     []treeDTO  `json:"trees"`
 }
 
-type linregDTO struct {
-	Lambda    float64   `json:"lambda"`
-	Weights   []float64 `json:"weights"`
-	Intercept float64   `json:"intercept"`
-}
-
-type knnDTO struct {
-	K         int          `json:"k"`
-	Weighting KNNWeighting `json:"weighting"`
-	X         [][]float64  `json:"x"`
-	Y         []float64    `json:"y"`
-}
-
-type gbrDTO struct {
-	Init   float64   `json:"init"`
-	Rate   float64   `json:"rate"`
-	Stages []treeDTO `json:"stages"`
-}
-
 type pipelineDTO struct {
 	Mean  []float64     `json:"mean"`
 	Std   []float64     `json:"std"`
 	Model modelEnvelope `json:"model"`
-}
-
-type baggingDTO struct {
-	N          int             `json:"n"`
-	SampleFrac float64         `json:"sample_frac"`
-	Seed       int64           `json:"seed"`
-	Models     []modelEnvelope `json:"models"`
-}
-
-type stackingDTO struct {
-	PassThrough bool            `json:"pass_through"`
-	KFold       int             `json:"kfold"`
-	Seed        int64           `json:"seed"`
-	Bases       []modelEnvelope `json:"bases"`
-	Meta        modelEnvelope   `json:"meta"`
 }
 
 // SaveModel serialises a fitted regressor to w.
@@ -271,25 +242,6 @@ func encodeModel(m Regressor) (*modelEnvelope, error) {
 			d.Trees = append(d.Trees, t.toDTO())
 		}
 		kind, payload = "forest", d
-	case *LinearRegression:
-		if !v.fitted {
-			return nil, fmt.Errorf("ml: cannot save unfitted LinearRegression")
-		}
-		kind, payload = "linreg", linregDTO{Lambda: v.Lambda, Weights: v.weights, Intercept: v.intercept}
-	case *KNN:
-		if len(v.x) == 0 {
-			return nil, fmt.Errorf("ml: cannot save unfitted KNN")
-		}
-		kind, payload = "knn", knnDTO{K: v.K, Weighting: v.Weighting, X: v.x, Y: v.y}
-	case *GradientBoosting:
-		if len(v.stages) == 0 {
-			return nil, fmt.Errorf("ml: cannot save unfitted GradientBoosting")
-		}
-		d := gbrDTO{Init: v.init, Rate: v.rate}
-		for _, t := range v.stages {
-			d.Stages = append(d.Stages, t.toDTO())
-		}
-		kind, payload = "gbr", d
 	case *Pipeline:
 		if !v.fitted {
 			return nil, fmt.Errorf("ml: cannot save unfitted Pipeline")
@@ -299,37 +251,6 @@ func encodeModel(m Regressor) (*modelEnvelope, error) {
 			return nil, err
 		}
 		kind, payload = "pipeline", pipelineDTO{Mean: v.scaler.mean, Std: v.scaler.std, Model: *inner}
-	case *Bagging:
-		if len(v.models) == 0 {
-			return nil, fmt.Errorf("ml: cannot save unfitted Bagging")
-		}
-		d := baggingDTO{N: v.N, SampleFrac: v.SampleFrac, Seed: v.Seed}
-		for i, m := range v.models {
-			inner, err := encodeModel(m)
-			if err != nil {
-				return nil, fmt.Errorf("ml: bagging member %d: %w", i, err)
-			}
-			d.Models = append(d.Models, *inner)
-		}
-		kind, payload = "bagging", d
-	case *Stacking:
-		if v.meta == nil {
-			return nil, fmt.Errorf("ml: cannot save unfitted Stacking")
-		}
-		d := stackingDTO{PassThrough: v.PassThrough, KFold: v.KFold, Seed: v.Seed}
-		for i, b := range v.bases {
-			inner, err := encodeModel(b)
-			if err != nil {
-				return nil, fmt.Errorf("ml: stacking base %d: %w", i, err)
-			}
-			d.Bases = append(d.Bases, *inner)
-		}
-		meta, err := encodeModel(v.meta)
-		if err != nil {
-			return nil, fmt.Errorf("ml: stacking meta model: %w", err)
-		}
-		d.Meta = *meta
-		kind, payload = "stacking", d
 	default:
 		return nil, fmt.Errorf("ml: SaveModel does not support %T", m)
 	}
@@ -373,56 +294,19 @@ func decodeModel(env modelEnvelope) (Regressor, error) {
 			if err := t.fromDTO(td); err != nil {
 				return nil, fmt.Errorf("ml: forest tree %d: %w", i, err)
 			}
+			if t.nFeatures != f.nFeatures {
+				return nil, corruptf("forest over %d features holds tree %d over %d", f.nFeatures, i, t.nFeatures)
+			}
 			f.trees = append(f.trees, t)
 		}
 		if len(f.trees) == 0 {
 			return nil, fmt.Errorf("ml: corrupt forest: no trees")
 		}
 		var err error
-		if f.compiled, err = compileEnsemble(f.trees, combineMean, 0, 0); err != nil {
+		if f.compiled, err = compileEnsemble(f.trees); err != nil {
 			return nil, corruptf("%v", err)
 		}
 		return f, nil
-	case "linreg":
-		var d linregDTO
-		if err := json.Unmarshal(env.Data, &d); err != nil {
-			return nil, err
-		}
-		if d.Weights == nil {
-			return nil, fmt.Errorf("ml: corrupt linreg: no weights")
-		}
-		return &LinearRegression{Lambda: d.Lambda, weights: d.Weights,
-			intercept: d.Intercept, fitted: true}, nil
-	case "knn":
-		var d knnDTO
-		if err := json.Unmarshal(env.Data, &d); err != nil {
-			return nil, err
-		}
-		if len(d.X) == 0 || len(d.X) != len(d.Y) {
-			return nil, fmt.Errorf("ml: corrupt knn payload")
-		}
-		return &KNN{K: d.K, Weighting: d.Weighting, x: d.X, y: d.Y}, nil
-	case "gbr":
-		var d gbrDTO
-		if err := json.Unmarshal(env.Data, &d); err != nil {
-			return nil, err
-		}
-		g := &GradientBoosting{init: d.Init, rate: d.Rate}
-		for i, td := range d.Stages {
-			t := &DecisionTree{}
-			if err := t.fromDTO(td); err != nil {
-				return nil, fmt.Errorf("ml: boosting stage %d: %w", i, err)
-			}
-			g.stages = append(g.stages, t)
-		}
-		if len(g.stages) == 0 {
-			return nil, fmt.Errorf("ml: corrupt gbr: no stages")
-		}
-		var err error
-		if g.compiled, err = compileEnsemble(g.stages, combineBoosted, g.init, g.rate); err != nil {
-			return nil, corruptf("%v", err)
-		}
-		return g, nil
 	case "pipeline":
 		var d pipelineDTO
 		if err := json.Unmarshal(env.Data, &d); err != nil {
@@ -438,54 +322,15 @@ func decodeModel(env modelEnvelope) (Regressor, error) {
 		if p.scaler.mean == nil || p.scaler.std == nil {
 			return nil, fmt.Errorf("ml: corrupt pipeline: missing scaler state")
 		}
+		if len(d.Std) != len(d.Mean) {
+			return nil, corruptf("pipeline scaler has %d means and %d deviations", len(d.Mean), len(d.Std))
+		}
+		if n, _ := NumFeaturesOf(inner); n != len(d.Mean) {
+			return nil, corruptf("pipeline scales %d features for a model over %d", len(d.Mean), n)
+		}
 		return p, nil
-	case "bagging":
-		var d baggingDTO
-		if err := json.Unmarshal(env.Data, &d); err != nil {
-			return nil, err
-		}
-		if len(d.Models) == 0 {
-			return nil, fmt.Errorf("ml: corrupt bagging: no members")
-		}
-		// NewBase is a factory and is not serialised: a loaded ensemble
-		// predicts with its fitted members but cannot be refitted.
-		b := &Bagging{N: d.N, SampleFrac: d.SampleFrac, Seed: d.Seed}
-		for i, env := range d.Models {
-			m, err := decodeModel(env)
-			if err != nil {
-				return nil, fmt.Errorf("ml: bagging member %d: %w", i, err)
-			}
-			b.models = append(b.models, m)
-		}
-		var err error
-		if b.compiled, err = compileBaggedTrees(b.models); err != nil {
-			return nil, corruptf("%v", err)
-		}
-		return b, nil
-	case "stacking":
-		var d stackingDTO
-		if err := json.Unmarshal(env.Data, &d); err != nil {
-			return nil, err
-		}
-		if len(d.Bases) == 0 {
-			return nil, fmt.Errorf("ml: corrupt stacking: no base models")
-		}
-		// Like Bagging, the factories (NewBases/NewMeta) are not
-		// serialised; the fitted bases and meta model are.
-		s := &Stacking{PassThrough: d.PassThrough, KFold: d.KFold, Seed: d.Seed}
-		for i, env := range d.Bases {
-			m, err := decodeModel(env)
-			if err != nil {
-				return nil, fmt.Errorf("ml: stacking base %d: %w", i, err)
-			}
-			s.bases = append(s.bases, m)
-		}
-		meta, err := decodeModel(d.Meta)
-		if err != nil {
-			return nil, fmt.Errorf("ml: stacking meta model: %w", err)
-		}
-		s.meta = meta
-		return s, nil
+	case "linreg", "knn", "gbr", "bagging", "stacking":
+		return nil, retiredKindErr(env.Kind)
 	default:
 		return nil, fmt.Errorf("ml: unknown model kind %q", env.Kind)
 	}

@@ -68,36 +68,6 @@ func TestPersistForest(t *testing.T) {
 	}
 }
 
-func TestPersistLinearRegression(t *testing.T) {
-	X, y := friedman1(100, 0, 75)
-	probes, _ := friedman1(20, 0, 76)
-	lr := &LinearRegression{Lambda: 0.5}
-	if err := lr.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	assertSamePredictions(t, lr, roundTrip(t, lr), probes)
-}
-
-func TestPersistKNN(t *testing.T) {
-	X, y := friedman1(80, 0, 77)
-	probes, _ := friedman1(20, 0, 78)
-	k := &KNN{K: 3, Weighting: DistanceWeights}
-	if err := k.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	assertSamePredictions(t, k, roundTrip(t, k), probes)
-}
-
-func TestPersistGradientBoosting(t *testing.T) {
-	X, y := friedman1(150, 0.3, 79)
-	probes, _ := friedman1(20, 0, 80)
-	g := &GradientBoosting{NStages: 25, Seed: 4}
-	if err := g.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	assertSamePredictions(t, g, roundTrip(t, g), probes)
-}
-
 func TestPersistPipeline(t *testing.T) {
 	X, y := friedman1(150, 0.3, 81)
 	probes, _ := friedman1(20, 0, 82)
@@ -113,10 +83,7 @@ func TestPersistRejectsUnfitted(t *testing.T) {
 	for _, m := range []Regressor{
 		NewDecisionTree(TreeConfig{}),
 		NewRandomForest(5, 1),
-		&LinearRegression{},
-		&KNN{},
-		&GradientBoosting{},
-		&Pipeline{Model: &KNN{}},
+		&Pipeline{Model: NewExtraTrees(3, 1)},
 	} {
 		if err := SaveModel(&buf, m); err == nil {
 			t.Errorf("saving unfitted %T should fail", m)
@@ -126,8 +93,7 @@ func TestPersistRejectsUnfitted(t *testing.T) {
 
 func TestPersistRejectsUnsupported(t *testing.T) {
 	var buf bytes.Buffer
-	st := &Stacking{}
-	if err := SaveModel(&buf, st); err == nil {
+	if err := SaveModel(&buf, &constModel{}); err == nil {
 		t.Error("expected unsupported-type error")
 	}
 }

@@ -4,9 +4,8 @@ import "sync"
 
 // f64Pool recycles scratch vectors for the single-row work the compound
 // estimators do at prediction time (a scaled feature row in Pipeline,
-// the augmented meta vector in Stacking, the stacked analytical
-// feature in internal/hybrid) and for the per-block columns of their
-// batch paths. Predict must stay safe for concurrent use, so the
+// the stacked analytical feature in internal/hybrid) and for the
+// per-block columns of their batch paths. Predict must stay safe for concurrent use, so the
 // scratch cannot live on the estimator; pooling keeps the serve hot
 // path allocation-free in steady state. The pool stores *[]float64
 // (not []float64) so Get/Put never box a slice header.

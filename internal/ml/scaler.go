@@ -181,29 +181,18 @@ func (s *StandardScaler) transformInto(x, dst []float64) {
 // predictBatchIntoSeq implements the compiled plane's sequential block
 // contract as a block → block transform: up to batchBlock rows at a
 // time are standardised into a pooled rowBlock and handed to the inner
-// model's own batch walk, so a wrapped ensemble is scored by the
-// tree-major kernel exactly as a bare one is. The scaling arithmetic
-// and the inner walk's fold order are those of Predict, so the result
-// is bit-identical to a per-row loop. Inner models without a batch
-// walk (KNN, linear regression) keep that loop, over one scratch row.
+// model's own batch walk (predictSeq), so a wrapped ensemble is scored
+// by the tree-major kernel exactly as a bare one is. The scaling
+// arithmetic and the inner walk's fold order are those of Predict, so
+// the result is bit-identical to a per-row loop.
 func (p *Pipeline) predictBatchIntoSeq(X [][]float64, out []float64) {
-	seq, ok := p.Model.(seqBatchIntoPredictor)
-	if !ok {
-		buf := GetScratch(len(p.scaler.mean))
-		defer PutScratch(buf)
-		for i, x := range X {
-			p.scaler.transformInto(x, *buf)
-			out[i] = p.Model.Predict(*buf)
-		}
-		return
-	}
 	for lo := 0; lo < len(X); lo += batchBlock {
 		hi := min(lo+batchBlock, len(X))
 		blk := getRowBlock(hi-lo, len(p.scaler.mean))
 		for i, x := range X[lo:hi] {
 			p.scaler.transformInto(x, blk.rows[i])
 		}
-		seq.predictBatchIntoSeq(blk.rows, out[lo:hi])
+		predictSeq(p.Model, blk.rows, out[lo:hi])
 		putRowBlock(blk)
 	}
 }

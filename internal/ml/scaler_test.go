@@ -144,93 +144,5 @@ func TestPipelineValidation(t *testing.T) {
 			t.Error("expected panic predicting before fit")
 		}
 	}()
-	(&Pipeline{Model: &KNN{}}).Predict([]float64{1})
-}
-
-func TestKNNExactNeighbour(t *testing.T) {
-	X := [][]float64{{0}, {1}, {2}}
-	y := []float64{10, 20, 30}
-	k := &KNN{K: 1}
-	if err := k.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.Predict([]float64{1.1}); got != 20 {
-		t.Errorf("1-NN predict = %v, want 20", got)
-	}
-}
-
-func TestKNNUniformAverage(t *testing.T) {
-	X := [][]float64{{0}, {1}, {10}}
-	y := []float64{10, 20, 90}
-	k := &KNN{K: 2}
-	if err := k.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.Predict([]float64{0.5}); got != 15 {
-		t.Errorf("2-NN predict = %v, want 15", got)
-	}
-}
-
-func TestKNNDistanceWeighted(t *testing.T) {
-	X := [][]float64{{0}, {3}}
-	y := []float64{0, 30}
-	k := &KNN{K: 2, Weighting: DistanceWeights}
-	if err := k.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	// At x=1: weights 1/1 and 1/2 -> (0*1 + 30*0.5) / 1.5 = 10.
-	if got := k.Predict([]float64{1}); math.Abs(got-10) > 1e-12 {
-		t.Errorf("weighted predict = %v, want 10", got)
-	}
-	// Exact match dominates.
-	if got := k.Predict([]float64{0}); got != 0 {
-		t.Errorf("exact-match predict = %v, want 0", got)
-	}
-}
-
-func TestKNNKLargerThanN(t *testing.T) {
-	X := [][]float64{{0}, {1}}
-	y := []float64{10, 20}
-	k := &KNN{K: 50}
-	if err := k.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.Predict([]float64{0}); got != 15 {
-		t.Errorf("K>n predict = %v, want mean 15", got)
-	}
-}
-
-func TestKNNDefaultK(t *testing.T) {
-	X := [][]float64{{0}, {1}, {2}, {3}, {4}, {50}}
-	y := []float64{1, 1, 1, 1, 1, 100}
-	k := &KNN{} // default K=5
-	if err := k.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.Predict([]float64{2}); got != 1 {
-		t.Errorf("default-K predict = %v, want 1", got)
-	}
-}
-
-func TestKNNFitCopiesData(t *testing.T) {
-	X := [][]float64{{0}, {1}}
-	y := []float64{10, 20}
-	k := &KNN{K: 1}
-	if err := k.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	X[0][0] = 100
-	y[0] = -1
-	if got := k.Predict([]float64{0}); got != 10 {
-		t.Errorf("KNN must copy training data; predict = %v, want 10", got)
-	}
-}
-
-func TestKNNPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	(&KNN{}).Predict([]float64{1})
+	(&Pipeline{Model: NewExtraTrees(3, 1)}).Predict([]float64{1})
 }

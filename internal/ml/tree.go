@@ -241,28 +241,14 @@ func (b *treeBuilder) sampleAll(n int) {
 	}
 }
 
-// sampleBootstrap draws size samples of n with replacement: one
+// sampleBootstrap draws n samples of n with replacement: one
 // rng.Intn(n) per sample from the stream rand.NewSource(seed) starts.
-func (b *treeBuilder) sampleBootstrap(seed int64, n, size int) {
-	b.rng.Seed(seed)
-	idx := b.samples(size)
-	for i := range idx {
-		idx[i] = b.rng.Intn(n)
-	}
-}
-
-// sampleSubset draws k of n samples without replacement: the first k
-// entries of rand.New(rand.NewSource(seed)).Perm(n), built with Perm's
-// own draw sequence directly in the index array.
-func (b *treeBuilder) sampleSubset(seed int64, n, k int) {
+func (b *treeBuilder) sampleBootstrap(seed int64, n int) {
 	b.rng.Seed(seed)
 	idx := b.samples(n)
 	for i := range idx {
-		j := b.rng.Intn(i + 1)
-		idx[i] = idx[j]
-		idx[j] = i
+		idx[i] = b.rng.Intn(n)
 	}
-	b.idx = idx[:k]
 }
 
 // fit grows t over the selected samples of the column view and

@@ -133,30 +133,6 @@ func TestTreeBuilderMatchesReference(t *testing.T) {
 		assertSameTrees(t, fmt.Sprintf("%s forest %+v bootstrap=%v", what, forest.Tree, forest.Bootstrap), forest.trees, refTrees)
 		assertSameArtifacts(t, what+" forest", forest, &Forest{NTrees: forest.NTrees, Tree: forest.Tree, Bootstrap: forest.Bootstrap, Seed: forest.Seed, trees: refTrees, nFeatures: p})
 
-		bagCfg := randomTreeConfig(rng)
-		bag := &Bagging{NewBase: func() Regressor { return NewDecisionTree(bagCfg) }, N: 1 + rng.Intn(4), SampleFrac: 0.3 + 0.7*rng.Float64(), Seed: rng.Int63()}
-		if err := bag.Fit(X, y); err != nil {
-			t.Fatal(err)
-		}
-		bagTrees := make([]*DecisionTree, len(bag.models))
-		for i, m := range bag.models {
-			bagTrees[i] = m.(*DecisionTree)
-		}
-		assertSameTrees(t, fmt.Sprintf("%s bagging %+v frac=%v", what, bagCfg, bag.SampleFrac), bagTrees, refFitBaggedTrees(bag, bagCfg, X, y))
-
-		gbr := &GradientBoosting{NStages: 1 + rng.Intn(6), MaxDepth: rng.Intn(5), MinSamplesLeaf: rng.Intn(4), Seed: rng.Int63(), Workers: 1 + trial%2}
-		if trial%3 != 0 {
-			gbr.Subsample = 0.2 + 0.8*rng.Float64()
-		}
-		if err := gbr.Fit(X, y); err != nil {
-			t.Fatal(err)
-		}
-		refStages := refFitBoosting(gbr, X, y)
-		assertSameTrees(t, fmt.Sprintf("%s boosting subsample=%v", what, gbr.Subsample), gbr.stages, refStages)
-		assertSameArtifacts(t, what+" boosting", gbr, &GradientBoosting{
-			NStages: gbr.NStages, LearningRate: gbr.LearningRate, MaxDepth: gbr.MaxDepth, MinSamplesLeaf: gbr.MinSamplesLeaf,
-			Subsample: gbr.Subsample, Seed: gbr.Seed, init: gbr.init, rate: gbr.rate, stages: refStages,
-		})
 	}
 	// The generated cases hold no NaN, and on them both splitters enforce
 	// MinSamplesLeaf themselves: the builder's post-partition re-check is

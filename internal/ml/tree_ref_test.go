@@ -12,8 +12,8 @@ import (
 // fitted with before the pooled one in tree.go replaced it, kept as the
 // executable spec (like refFused in compiled_test.go). It partitions
 // into two fresh index slices per node, sorts with sort.Slice, seeds a
-// fresh RNG per tree, reads the row-major matrix, and gives ensembles
-// their bootstrap/subsample as copied row headers. The pooled builder
+// fresh RNG per tree, reads the row-major matrix, and gives forests
+// their bootstrap as copied row headers. The pooled builder
 // must reproduce its trees node for node, bit for bit
 // (TestTreeBuilderMatchesReference).
 
@@ -262,12 +262,12 @@ func (b *refTreeBuilder) randomSplit(idx []int, f int) (thr, sse float64, ok boo
 	return thr, sse, true
 }
 
-// refBootstrapRows is the row-header copy ensembles resampled with: one
+// refBootstrapRows is the row-header copy forests resampled with: one
 // rng.Intn(len(X)) per drawn sample from a fresh source.
-func refBootstrapRows(X [][]float64, y []float64, seed int64, size int) ([][]float64, []float64) {
+func refBootstrapRows(X [][]float64, y []float64, seed int64) ([][]float64, []float64) {
 	rng := rand.New(rand.NewSource(seed))
-	bx := make([][]float64, size)
-	by := make([]float64, size)
+	bx := make([][]float64, len(X))
+	by := make([]float64, len(X))
 	for i := range bx {
 		j := rng.Intn(len(X))
 		bx[i] = X[j]
@@ -288,96 +288,9 @@ func refFitForest(f *Forest, X [][]float64, y []float64) []*DecisionTree {
 		cfg.Seed = int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x7265657301))
 		tx, ty := X, y
 		if f.Bootstrap {
-			tx, ty = refBootstrapRows(X, y, int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x626f6f74)), len(X))
+			tx, ty = refBootstrapRows(X, y, int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x626f6f74)))
 		}
 		trees[t] = refFitTree(cfg, tx, ty)
 	}
 	return trees
-}
-
-// refFitBaggedTrees grows a tree-based Bagging's members the way
-// Bagging.FitCtx did.
-func refFitBaggedTrees(b *Bagging, cfg TreeConfig, X [][]float64, y []float64) []*DecisionTree {
-	n := b.N
-	if n < 1 {
-		n = 10
-	}
-	frac := b.SampleFrac
-	if frac <= 0 || frac > 1 {
-		frac = 1
-	}
-	size := int(frac * float64(len(X)))
-	if size < 1 {
-		size = 1
-	}
-	trees := make([]*DecisionTree, n)
-	for t := range trees {
-		bx, by := refBootstrapRows(X, y, int64(xmath.Hash64(uint64(b.Seed), uint64(t), 0x62616767)), size)
-		trees[t] = refFitTree(cfg, bx, by)
-	}
-	return trees
-}
-
-// refFitBoosting grows g's stage trees the way GradientBoosting.FitCtx
-// did: rng.Perm(n)[:subN] per stage from a fresh source, copied into
-// tx/ty.
-func refFitBoosting(g *GradientBoosting, X [][]float64, y []float64) []*DecisionTree {
-	n := len(X)
-	stagesN := g.NStages
-	if stagesN < 1 {
-		stagesN = 100
-	}
-	rate := g.LearningRate
-	if rate <= 0 || rate > 1 {
-		rate = 0.1
-	}
-	depth := g.MaxDepth
-	if depth < 1 {
-		depth = 3
-	}
-	sub := g.Subsample
-	if sub <= 0 || sub > 1 {
-		sub = 1
-	}
-	mean := 0.0
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(n)
-	current := make([]float64, n)
-	for i := range current {
-		current[i] = mean
-	}
-	residual := make([]float64, n)
-	subN := int(sub * float64(n))
-	if subN < 1 {
-		subN = 1
-	}
-	stages := make([]*DecisionTree, 0, stagesN)
-	for s := 0; s < stagesN; s++ {
-		for i := range residual {
-			residual[i] = y[i] - current[i]
-		}
-		tx, ty := X, residual
-		if subN < n {
-			rng := rand.New(rand.NewSource(int64(xmath.Hash64(uint64(g.Seed), uint64(s), 0x676272))))
-			perm := rng.Perm(n)[:subN]
-			tx = make([][]float64, subN)
-			ty = make([]float64, subN)
-			for k, i := range perm {
-				tx[k] = X[i]
-				ty[k] = residual[i]
-			}
-		}
-		tree := refFitTree(TreeConfig{
-			MaxDepth:       depth,
-			MinSamplesLeaf: g.MinSamplesLeaf,
-			Seed:           g.Seed + int64(s)*7919,
-		}, tx, ty)
-		stages = append(stages, tree)
-		for i := range current {
-			current[i] += rate * tree.Predict(X[i])
-		}
-	}
-	return stages
 }

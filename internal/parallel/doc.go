@@ -1,7 +1,6 @@
 // Package parallel is the shared worker-pool substrate behind every
 // embarrassingly parallel loop in the repository: per-tree ensemble
-// fitting, batch prediction, cross-validation folds, grid-search
-// candidates and the experiment sweeps.
+// fitting, batch prediction and the experiment sweeps.
 //
 // The contract every caller relies on is that For(n, workers, fn)
 // calls fn(i) exactly once for every i in [0, n) and that callers

@@ -13,8 +13,7 @@ import (
 // the +1). Acquisition never blocks — a nested loop that finds the
 // budget exhausted simply runs inline on its caller — so the scheme
 // cannot deadlock, and concurrency stays additive rather than
-// multiplicative when sweeps, cross-validation and ensemble fits
-// nest. Loops with an explicit positive workers count bypass the
+// multiplicative when sweeps and ensemble fits nest. Loops with an explicit positive workers count bypass the
 // budget: the caller asked for that parallelism by name.
 var helperMu sync.Mutex
 var helpersInUse int

@@ -35,9 +35,10 @@ func plantVersion(t *testing.T, reg *registry.Registry, name string, version int
 }
 
 // TestRetiredQuantVersionServedAsCorrupt: a /predict that resolves to a
-// retired quantised version gets the status any undecodable artifact
-// gets, with an error that names quantisation, and the exact versions
-// of the same model keep serving bit-identically.
+// retired quantised version, or to a retired estimator kind, gets the
+// status any undecodable artifact gets, with an error that names what
+// was retired, and the exact versions of the same model keep serving
+// bit-identically.
 func TestRetiredQuantVersionServedAsCorrupt(t *testing.T) {
 	X := make([][]float64, 120)
 	y := make([]float64, 120)
@@ -61,6 +62,11 @@ func TestRetiredQuantVersionServedAsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	plantVersion(t, reg, "m", 2, quant)
+	knn, err := os.ReadFile(filepath.Join("..", "artifact", "testdata", "lamb1_v1_knn.lamb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plantVersion(t, reg, "m", 3, knn)
 	plantVersion(t, reg, "garbage", 1, quant[:len(quant)/2])
 
 	ts := httptest.NewServer(New(reg).Handler())
@@ -71,13 +77,16 @@ func TestRetiredQuantVersionServedAsCorrupt(t *testing.T) {
 		t.Fatal("a truncated artifact was served")
 	}
 	for range 2 { // a refused load must not poison the caches
-		for _, version := range []int{0, 2} {
-			resp, body := postPredict(t, ts.URL, map[string]any{"model": "m", "version": version, "x": X[0]})
+		for _, c := range []struct {
+			version int
+			want    string
+		}{{0, "knn"}, {2, "quantized"}, {3, "knn"}} { // latest is the knn copy
+			resp, body := postPredict(t, ts.URL, map[string]any{"model": "m", "version": c.version, "x": X[0]})
 			if resp.StatusCode != garbage.StatusCode {
-				t.Fatalf("version %d: status %d, want %d (any undecodable artifact): %s", version, resp.StatusCode, garbage.StatusCode, body)
+				t.Fatalf("version %d: status %d, want %d (any undecodable artifact): %s", c.version, resp.StatusCode, garbage.StatusCode, body)
 			}
-			if !strings.Contains(string(body), "quantized") {
-				t.Fatalf("version %d: error body %s does not name quantisation", version, body)
+			if !strings.Contains(string(body), c.want) {
+				t.Fatalf("version %d: error body %s does not name %s", c.version, body, c.want)
 			}
 		}
 		resp, body := postPredict(t, ts.URL, map[string]any{"model": "m", "version": 1, "batch": X})

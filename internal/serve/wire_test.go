@@ -107,19 +107,55 @@ func TestBodyAnsweredAtClosingBrace(t *testing.T) {
 	}
 }
 
+// overflowForest decodes a two-tree forest over two features whose
+// trees both answer 1 for x[0] <= 10 and 0.9·MaxFloat64 above. Each
+// tree is finite; the forest's mean fold sums the two leaves before it
+// divides, so every row past the split predicts +Inf. No fit yields it
+// (the builder's sum of squares overflows first and the root stays one
+// +Inf leaf), so it is written as a jsonv1 document.
+func overflowForest(t *testing.T) ml.Regressor {
+	t.Helper()
+	type node struct {
+		F int     `json:"f"`
+		T float64 `json:"t"`
+		V float64 `json:"v"`
+		L int     `json:"l"`
+		R int     `json:"r"`
+	}
+	stump := map[string]any{"n_features": 2, "nodes": []node{
+		{F: 0, T: 10, L: 1, R: 2},
+		{F: -1, V: 1, L: -1, R: -1},
+		{F: -1, V: 0.9 * math.MaxFloat64, L: -1, R: -1},
+	}}
+	doc, err := json.Marshal(map[string]any{"kind": "forest", "data": map[string]any{
+		"n_trees": 2, "n_features": 2, "trees": []any{stump, stump},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ml.LoadModel(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestNonFinitePredictionIsBadRequest: a model whose prediction
 // overflows must answer 400 naming the row, on both request shapes, and
 // count the failure — not 200 with a body the encoder gave up on.
 func TestNonFinitePredictionIsBadRequest(t *testing.T) {
-	lin := &ml.LinearRegression{}
-	if err := lin.Fit([][]float64{{1, 0}, {0, 1}, {1, 1}, {2, 1}}, []float64{1, 1, 2, 3}); err != nil {
-		t.Fatal(err)
+	big := overflowForest(t)
+	if p := big.Predict([]float64{1, 1}); p != 1 {
+		t.Fatalf("finite row predicts %v, want 1", p)
+	}
+	if p := big.Predict([]float64{1e308, 1e308}); !math.IsInf(p, 1) {
+		t.Fatalf("overflowing row predicts %v, want +Inf", p)
 	}
 	reg, err := registry.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.SaveRegressor(lin, registry.Meta{Name: "lin"}); err != nil {
+	if _, err := reg.SaveRegressor(big, registry.Meta{Name: "big"}); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(reg)
@@ -130,8 +166,8 @@ func TestNonFinitePredictionIsBadRequest(t *testing.T) {
 		req  map[string]any
 		row  string
 	}{
-		{"single", map[string]any{"model": "lin", "x": []float64{1e308, 1e308}}, "row 0"},
-		{"batch", map[string]any{"model": "lin", "batch": [][]float64{{1, 1}, {1e308, 1e308}}}, "row 1"},
+		{"single", map[string]any{"model": "big", "x": []float64{1e308, 1e308}}, "row 0"},
+		{"batch", map[string]any{"model": "big", "batch": [][]float64{{1, 1}, {1e308, 1e308}}}, "row 1"},
 	}
 	for _, c := range cases {
 		resp, body := postPredict(t, ts.URL, c.req)
@@ -144,7 +180,7 @@ func TestNonFinitePredictionIsBadRequest(t *testing.T) {
 	if got := srv.Metrics.PredictErrors.Load(); got != 2 {
 		t.Fatalf("PredictErrors = %d, want 2", got)
 	}
-	mt := srv.modelTele[modelKey{name: "lin", version: 1}]
+	mt := srv.modelTele[modelKey{name: "big", version: 1}]
 	if mt == nil || mt.err.Load() != 2 || mt.ok.Load() != 0 || mt.rows.Load() != 0 {
 		t.Fatalf("per-model counters %+v, want 2 errors and nothing served", mt)
 	}

@@ -11,8 +11,8 @@
 //   - ground-truth performance simulators for the paper's two
 //     applications (7-point 3-D stencil, FMM),
 //   - the paper's analytical models,
-//   - a from-scratch ML suite (trees, forests, extra trees, bagging,
-//     stacking),
+//   - a from-scratch ML suite (trees, random forests, extra trees and
+//     the standardising pipeline the paper's figures use),
 //   - the hybrid model itself, and
 //   - the experiment harness that regenerates every figure.
 //
@@ -147,8 +147,8 @@ func LoadHybrid(r io.Reader, am AnalyticalModel) (*HybridModel, error) {
 	return hybrid.Load(r, am)
 }
 
-// SaveRegressor serialises a fitted ML regressor (trees, forests,
-// linear regression, k-NN, gradient boosting, pipelines) to JSON.
+// SaveRegressor serialises a fitted ML regressor (trees, forests and
+// pipelines over them) to JSON.
 func SaveRegressor(w io.Writer, m Regressor) error { return ml.SaveModel(w, m) }
 
 // LoadRegressor restores a regressor saved with SaveRegressor.

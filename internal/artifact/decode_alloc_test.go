@@ -1,0 +1,100 @@
+package artifact
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// jsonv1AllocFactor bounds what a jsonv1 decode allocates per input
+// byte, beyond jsonv1AllocBase for any input. encoding/json buffers the
+// stream, each nested envelope (hybrid, pipeline, forest) holds its
+// payload as a copied RawMessage, and every node passes through a
+// 48-byte document struct before the tree is packed, so a document
+// costs up to 15 times its size (the committed hybrid golden); the
+// bound is that this stays a constant multiple.
+const (
+	jsonv1AllocFactor = 20
+	jsonv1AllocBase   = 16 << 10
+)
+
+// decodeAllocs returns the bytes one Decode of data allocates,
+// averaged over a few runs; the verdict does not matter.
+func decodeAllocs(c Codec, data []byte) uint64 {
+	const runs = 4
+	opts := DecodeOptions{Analytical: testAM}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_, _ = c.Decode(data, opts)
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestDecodeAllocationBounded holds both decoders to input-bounded
+// allocation over the committed artifacts — the fuzz targets' file
+// seeds: the lamb1 files, the jsonv1 goldens (live kinds and retired
+// refusal inputs) and the goldens re-encoded as lamb1. A lamb1 decode
+// of L bytes maps its node columns in place, so it allocates at most
+// L + 64 KB (the packed table is 16 of a node's 28 bytes); a jsonv1
+// decode stays under jsonv1AllocFactor·L + jsonv1AllocBase.
+func TestDecodeAllocationBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	type input struct {
+		name  string
+		codec Codec
+		data  []byte
+	}
+	var inputs []input
+	for _, pattern := range []string{"*.lamb", "golden_*.json"} {
+		files, err := filepath.Glob(filepath.Join("testdata", pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, ".pred.json") {
+				continue
+			}
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := Detect(data)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			inputs = append(inputs, input{filepath.Base(name), c, data})
+			if c.Name() != FormatJSONV1 {
+				continue
+			}
+			if p, err := c.Decode(data, DecodeOptions{Analytical: testAM}); err == nil {
+				var buf bytes.Buffer
+				if err := (lamb1Codec{}).Encode(&buf, p); err != nil {
+					t.Fatal(err)
+				}
+				inputs = append(inputs, input{filepath.Base(name) + " as lamb1", lamb1Codec{}, buf.Bytes()})
+			}
+		}
+	}
+	if len(inputs) < 20 {
+		t.Fatalf("only %d committed inputs found", len(inputs))
+	}
+	for _, in := range inputs {
+		l := uint64(len(in.data))
+		bound := jsonv1AllocFactor*l + jsonv1AllocBase
+		if in.codec.Name() == FormatLAMB1 {
+			bound = l + 64<<10
+		}
+		got := decodeAllocs(in.codec, in.data)
+		t.Logf("%-32s %s %8d B input, %8d B allocated (%.2f per byte, bound %d)", in.name, in.codec.Name(), l, got, float64(got)/float64(l), bound)
+		if got > bound {
+			t.Errorf("%s: %s decode of %d bytes allocates %d, bound %d", in.name, in.codec.Name(), l, got, bound)
+		}
+	}
+}

@@ -14,17 +14,20 @@
 //     Every registry written before the binary format keeps loading
 //     forever; this codec is the forward-compat contract (pinned by the
 //     goldens under testdata/).
-//   - lamb1 — a versioned flat binary format whose on-disk layout IS
-//     the compiled plane's runtime layout: magic, format version,
-//     model-kind header and CRC32-C trailer around the
-//     CompiledTree/CompiledEnsemble SoA arrays written verbatim,
+//   - lamb1 — a versioned flat binary format: magic, format version,
+//     model-kind header and CRC32-C trailer around each tree's node
+//     table as columns (feature, right, nSamples, threshold, value),
 //     little-endian and 8-byte aligned. Loading is one read-only file
-//     mapping (the registry's; DecodeOptions.Owner keeps it alive) plus
-//     slice-casting the arrays out of it — no per-node decode, no
-//     per-node allocation, no heap copy of the file — which turns cold
-//     starts from a function of model size into an effectively
-//     constant mapping (see BenchmarkColdLoad* in internal/registry and
-//     BENCH_PR6.json).
+//     mapping (the registry's; DecodeOptions.Owner keeps it alive),
+//     slice-casting the columns out of it and one pack into the walk
+//     table, the only per-node allocation — no per-node decode, no heap
+//     copy of the file — which turns cold starts from a function of
+//     model size into an effectively constant mapping (see
+//     BenchmarkColdLoad* in internal/registry and BENCH_PR6.json). A
+//     leaf's split fields (feature, threshold, right) are not part of
+//     the model: the walk table keeps only a leaf's value, so any leaf
+//     decodes to the same predictions and re-encodes, in either codec,
+//     as feature -1, threshold 0, right -1.
 //
 // Contracts callers rely on:
 //

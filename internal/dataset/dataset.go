@@ -62,15 +62,28 @@ func (d *Dataset) MustAdd(x []float64, y float64) {
 // Clone returns a deep copy of the dataset.
 func (d *Dataset) Clone() *Dataset {
 	out := New(d.FeatureNames...)
-	out.X = make([][]float64, len(d.X))
+	out.X = newRows(len(d.X), d.NumFeatures())
 	for i, row := range d.X {
-		r := make([]float64, len(row))
-		copy(r, row)
-		out.X[i] = r
+		copy(out.X[i], row)
 	}
-	out.Y = make([]float64, len(d.Y))
-	copy(out.Y, d.Y)
+	out.Y = append([]float64(nil), d.Y...)
 	return out
+}
+
+// newRows returns n exact-size rows of p values over one flat block,
+// so a copied row set is two allocations however many rows it holds.
+// Each row's capacity ends where the next row starts: appending to one
+// reallocates it rather than overwriting its neighbour.
+func newRows(n, p int) [][]float64 {
+	if n == 0 {
+		return nil
+	}
+	flat := make([]float64, n*p)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = flat[i*p : (i+1)*p : (i+1)*p]
+	}
+	return rows
 }
 
 // Validate checks internal consistency: matching X/Y lengths and uniform
@@ -88,11 +101,20 @@ func (d *Dataset) Validate() error {
 }
 
 // Subset returns a new dataset holding the rows selected by idx
-// (feature vectors are copied).
+// (feature vectors are copied, into one block). It panics on a row of
+// the wrong arity, like MustAdd.
 func (d *Dataset) Subset(idx []int) *Dataset {
 	out := New(d.FeatureNames...)
-	for _, i := range idx {
-		out.MustAdd(d.X[i], d.Y[i])
+	out.X = newRows(len(idx), d.NumFeatures())
+	if len(idx) > 0 {
+		out.Y = make([]float64, len(idx))
+	}
+	for k, i := range idx {
+		if len(d.X[i]) != d.NumFeatures() {
+			panic(fmt.Errorf("dataset: sample has %d features, want %d", len(d.X[i]), d.NumFeatures()))
+		}
+		copy(out.X[k], d.X[i])
+		out.Y[k] = d.Y[i]
 	}
 	return out
 }
@@ -149,13 +171,13 @@ func (d *Dataset) WithFeature(name string, values []float64) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: feature %q has %d values for %d samples", name, len(values), d.Len())
 	}
 	out := New(append(append([]string{}, d.FeatureNames...), name)...)
+	p := d.NumFeatures()
+	out.X = newRows(d.Len(), p+1)
 	for i, row := range d.X {
-		aug := make([]float64, len(row)+1)
-		copy(aug, row)
-		aug[len(row)] = values[i]
-		out.X = append(out.X, aug)
-		out.Y = append(out.Y, d.Y[i])
+		copy(out.X[i], row)
+		out.X[i][p] = values[i]
 	}
+	out.Y = append([]float64(nil), d.Y...)
 	return out, nil
 }
 

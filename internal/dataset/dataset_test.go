@@ -77,6 +77,56 @@ func TestSubset(t *testing.T) {
 	}
 }
 
+// TestSubsetCopiesRows: a subset's rows share one block with each
+// other, never with the parent, and appending to one does not spill
+// into its neighbour.
+func TestSubsetCopiesRows(t *testing.T) {
+	d := sample()
+	s := d.Subset([]int{2, 0, 1})
+	s.X[0][0], s.X[1][1], s.Y[2] = -1, -2, -3
+	want := sample()
+	for i := range d.X {
+		if d.X[i][0] != want.X[i][0] || d.X[i][1] != want.X[i][1] || d.Y[i] != want.Y[i] {
+			t.Fatalf("writing to a subset changed parent row %d: %v, %v", i, d.X[i], d.Y[i])
+		}
+	}
+	grown := append(s.X[0], 99)
+	if s.X[1][0] != 1 || len(grown) != 3 {
+		t.Errorf("appending to subset row 0 overwrote row 1: %v", s.X[1])
+	}
+	c := d.Clone()
+	c.X[3][1] = -4
+	w, err := d.WithFeature("am", []float64{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.X[2][0] = -5
+	if d.X[3][1] != 8 || d.X[2][0] != 5 {
+		t.Errorf("writing to a clone or an augmented copy changed the parent: %v", d.X)
+	}
+}
+
+// TestSubsetAllocationsConstant: a subset is the dataset, its names,
+// the row headers, one block of values and the responses, whatever the
+// row count.
+func TestSubsetAllocationsConstant(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	d := New("a", "b", "c", "d", "e", "f")
+	for i := 0; i < 8000; i++ {
+		d.MustAdd([]float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}, rng.Float64())
+	}
+	perm := rng.Perm(d.Len())
+	var counts []float64
+	for _, k := range []int{1, 320, 8000} {
+		counts = append(counts, testing.AllocsPerRun(20, func() { d.Subset(perm[:k]) }))
+	}
+	for _, c := range counts {
+		if c != counts[0] || c > 5 {
+			t.Fatalf("Subset of 1, 320 and 8000 rows allocates %v times, want one small constant", counts)
+		}
+	}
+}
+
 func TestSampleFractionPartition(t *testing.T) {
 	d := sample()
 	rng := rand.New(rand.NewSource(1))

@@ -12,19 +12,19 @@ import (
 
 // Binary model encoding: the payload layer of the lamb1 artifact format
 // (see internal/artifact). Where the JSON encoding spells every node
-// out as a document, this encoding writes the compiled plane's SoA node
-// tables — feature/left/right/nSamples ([]int32) and threshold/value
-// ([]float64) — verbatim in their runtime layout, little-endian, so
-// decoding a tree ensemble is a handful of bounds checks plus
-// slice-casting the arrays straight out of the file buffer. No per-node
-// structure is ever allocated or parsed on load; on a little-endian
-// machine the decoded node tables alias the input buffer outright
-// (zero-copy), and on big-endian or misaligned inputs a bulk
-// element-wise conversion keeps the format portable. Only a tree's five
-// node columns alias the input; every other vector (importances, scaler
-// state) is O(features) and copied, so the
-// input stays pinned by the trees alone (see DecodeBinaryVersion's
-// owner).
+// out as a document, this encoding writes each tree's node table as
+// columns — feature/right/nSamples ([]int32) and threshold/value
+// ([]float64; version 1 also a left column) — little-endian, so
+// decoding a tree ensemble is a handful of bounds checks, slice-casts
+// of the columns straight out of the file buffer (zero-copy on a
+// little-endian machine; big-endian or misaligned inputs take a bulk
+// conversion) and one pack into the walk table, the only per-node
+// allocation. Once packed, only a tree's value and nSamples columns
+// alias the input; every other vector (importances, scaler state) is
+// O(features) and copied, so the input stays pinned by the trees alone
+// (see DecodeBinaryVersion's owner). A leaf's split fields are not part
+// of the model: every leaf is written as feature -1, threshold 0 and
+// right -1.
 //
 // The layout discipline, relied on for the casts:
 //
@@ -140,13 +140,6 @@ func appendPad8(buf []byte, elems, size int) []byte {
 	return append(buf, zeroPad[:pad8(elems, size)]...)
 }
 
-func boolI64(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 func appendTreeConfig(buf []byte, cfg TreeConfig) []byte {
 	buf = appendI64(buf, int64(cfg.MaxDepth))
 	buf = appendI64(buf, int64(cfg.MinSamplesSplit))
@@ -156,25 +149,43 @@ func appendTreeConfig(buf []byte, cfg TreeConfig) []byte {
 	return appendI64(buf, cfg.Seed)
 }
 
-// appendTreeBody writes one fitted tree (config, importances and the
-// compiled node table) without a kind tag — forests embed member trees
-// directly since their members are trees by construction.
+// appendTreeBody writes one fitted tree (config, importances and its
+// node table as columns) without a kind tag — forests embed member
+// trees directly since their members are trees by construction.
 // Bodies carry three int32 arrays per tree (feature, right, nSamples —
 // the left column is implicit in the canonical layout), so an odd node
 // count needs 4 bytes of padding to keep the following float64 arrays
-// 8-byte aligned.
+// 8-byte aligned. The split columns are read back from the packed
+// records (CompiledTree.split), stored typed where the host and the
+// layout discipline allow.
 func appendTreeBody(buf []byte, t *DecisionTree) []byte {
 	c := &t.nodes
-	buf = appendU64(buf, uint64(c.Len()))
+	n := c.Len()
+	buf = appendU64(buf, uint64(n))
 	buf = appendU64(buf, uint64(t.nFeatures))
 	buf = appendU64(buf, uint64(len(t.importances)))
 	buf = appendTreeConfig(buf, t.Config)
 	buf = appendF64s(buf, t.importances)
-	buf = appendI32s(buf, c.feature)
-	buf = appendI32s(buf, c.right)
-	buf = appendI32s(buf, c.nSamples)
-	buf = appendPad8(buf, 3*c.Len(), 4)
-	buf = appendF64s(buf, c.threshold)
+	buf = slices.Grow(buf, 28*n+pad8(3*n, 4)) // every column below is written in full
+	feature, right := len(buf), len(buf)+4*n
+	buf = appendPad8(appendI32s(buf[:right+4*n], c.nSamples), 3*n, 4)
+	threshold := len(buf)
+	buf = buf[:threshold+8*n]
+	if nativeLittleEndian && uintptr(unsafe.Pointer(&buf[feature]))%8 == 0 {
+		fs := unsafe.Slice((*int32)(unsafe.Pointer(&buf[feature])), n)
+		rs := unsafe.Slice((*int32)(unsafe.Pointer(&buf[right])), n)
+		ts := unsafe.Slice((*float64)(unsafe.Pointer(&buf[threshold])), n)
+		for i := range n {
+			fs[i], ts[i], rs[i] = c.split(i)
+		}
+		return appendF64s(buf, c.value)
+	}
+	for i := range n {
+		f, thr, r := c.split(i)
+		binary.LittleEndian.PutUint32(buf[feature+4*i:], uint32(f))
+		binary.LittleEndian.PutUint32(buf[right+4*i:], uint32(r))
+		binary.LittleEndian.PutUint64(buf[threshold+8*i:], math.Float64bits(thr))
+	}
 	return appendF64s(buf, c.value)
 }
 
@@ -195,7 +206,7 @@ func AppendBinary(buf []byte, m Regressor) ([]byte, error) {
 		}
 		buf = appendU64(buf, binKindForest)
 		buf = appendI64(buf, int64(v.NTrees))
-		buf = appendI64(buf, boolI64(v.Bootstrap))
+		buf = appendI64(buf, int64(b2i32(v.Bootstrap)))
 		buf = appendI64(buf, v.Seed)
 		buf = appendU64(buf, uint64(v.nFeatures))
 		buf = appendTreeConfig(buf, v.Tree)
@@ -232,7 +243,7 @@ type binReader struct {
 	// explicit left-child array (and no odd-count padding).
 	v1 bool
 	// keep is the owner of data, stored in every decoded tree whose
-	// node columns alias it (see DecodeBinaryVersion).
+	// value and nSamples columns alias it (see DecodeBinaryVersion).
 	keep any
 }
 
@@ -255,9 +266,16 @@ func (r *binReader) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-func (r *binReader) i64() (int64, error) {
-	v, err := r.u64()
-	return int64(v), err
+// words reads len(dst) consecutive u64 words.
+func (r *binReader) words(dst []uint64) error {
+	b, err := r.bytes(8 * len(dst))
+	if err != nil {
+		return err
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return nil
 }
 
 // count reads an element count and bounds it by the bytes actually left
@@ -321,31 +339,15 @@ func (r *binReader) f64s(n int) ([]float64, error) {
 	return slices.Clone(v), err
 }
 
-func (r *binReader) skipPad(elems, size int) error {
-	_, err := r.bytes(pad8(elems, size))
-	return err
-}
-
 func (r *binReader) treeConfig() (TreeConfig, error) {
-	var cfg TreeConfig
-	vals := make([]int64, 6)
-	for i := range vals {
-		v, err := r.i64()
-		if err != nil {
-			return cfg, err
-		}
-		vals[i] = v
-	}
-	cfg.MaxDepth = int(vals[0])
-	cfg.MinSamplesSplit = int(vals[1])
-	cfg.MinSamplesLeaf = int(vals[2])
-	cfg.MaxFeatures = int(vals[3])
-	cfg.Splitter = Splitter(vals[4])
-	cfg.Seed = vals[5]
-	return cfg, nil
+	var v [6]uint64
+	err := r.words(v[:])
+	return TreeConfig{MaxDepth: int(v[0]), MinSamplesSplit: int(v[1]), MinSamplesLeaf: int(v[2]),
+		MaxFeatures: int(v[3]), Splitter: Splitter(v[4]), Seed: int64(v[5])}, err
 }
 
-func (r *binReader) treeBody() (*DecisionTree, error) {
+// treeBody reads one tree body; tables is adopt's.
+func (r *binReader) treeBody(tables *[]nodeTable) (*DecisionTree, error) {
 	nNodes, err := r.count(4)
 	if err != nil {
 		return nil, err
@@ -369,7 +371,7 @@ func (r *binReader) treeBody() (*DecisionTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	var c CompiledTree
+	var c nodeTable
 	var left []int32
 	if c.feature, err = r.i32Column(nNodes); err != nil {
 		return nil, err
@@ -388,7 +390,7 @@ func (r *binReader) treeBody() (*DecisionTree, error) {
 		return nil, err
 	}
 	if !r.v1 {
-		if err := r.skipPad(3*nNodes, 4); err != nil {
+		if _, err := r.bytes(pad8(3*nNodes, 4)); err != nil {
 			return nil, err
 		}
 	}
@@ -410,8 +412,9 @@ func (r *binReader) treeBody() (*DecisionTree, error) {
 	} else if err := c.validate(int(nFeat)); err != nil {
 		return nil, corruptf("%v", err)
 	}
-	c.keep = r.keep
-	return &DecisionTree{Config: cfg, nodes: c, nFeatures: int(nFeat), importances: imp}, nil
+	t := &DecisionTree{Config: cfg, nFeatures: int(nFeat), importances: imp}
+	t.nodes.keep = r.keep
+	return t, t.adopt(c, tables)
 }
 
 // DecodeBinaryVersion restores a regressor payload encoded by
@@ -421,25 +424,18 @@ func (r *binReader) treeBody() (*DecisionTree, error) {
 // layer reads the version from the lamb1 header and passes it down, so
 // files written before the implicit-left layout keep decoding forever.
 //
-// The decoded trees' node columns alias data, which the decoder never
-// writes. owner is what keeps data valid: every such tree holds it, so
+// The decoded trees' value and nSamples columns alias data, which the
+// decoder never writes. owner is what keeps data valid: every such tree holds it, so
 // data lives exactly as long as some tree reads it. Pass nil when data
 // is Go heap memory, which the aliases keep alive on their own; pass
 // the mapping's owner when data is a file mapping released once its
 // owner is unreachable.
 func DecodeBinaryVersion(data []byte, version int, owner any) (Regressor, error) {
-	r, err := newBinReader(data, version, owner)
-	if err != nil {
-		return nil, err
+	m, n, err := DecodeBinaryPrefixVersion(data, version, owner)
+	if err == nil && n != len(data) {
+		return nil, corruptf("%d trailing bytes after model payload", len(data)-n)
 	}
-	m, err := decodeModelBinary(r)
-	if err != nil {
-		return nil, err
-	}
-	if r.remaining() != 0 {
-		return nil, corruptf("%d trailing bytes after model payload", r.remaining())
-	}
-	return m, nil
+	return m, err
 }
 
 // DecodeBinaryPrefixVersion restores a regressor of the given payload
@@ -476,22 +472,10 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 	}
 	switch kind {
 	case binKindTree:
-		return r.treeBody()
+		return r.treeBody(nil)
 	case binKindForest:
-		nTreesCfg, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		bootstrap, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		seed, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		nFeat, err := r.u64()
-		if err != nil {
+		var h [4]uint64 // NTrees, Bootstrap, Seed, feature count
+		if err := r.words(h[:]); err != nil {
 			return nil, err
 		}
 		cfg, err := r.treeConfig()
@@ -506,19 +490,22 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 		if n == 0 {
 			return nil, corruptf("forest with no trees")
 		}
-		f := &Forest{NTrees: int(nTreesCfg), Tree: cfg, Bootstrap: bootstrap != 0,
-			Seed: seed, nFeatures: int(nFeat)}
+		// n is bounded by the payload, so the exact-size lists cost at
+		// most a small multiple of the input.
+		f := &Forest{NTrees: int(h[0]), Tree: cfg, Bootstrap: h[1] != 0,
+			Seed: int64(h[2]), nFeatures: int(h[3]), trees: make([]*DecisionTree, 0, n)}
+		tables := make([]nodeTable, 0, n)
 		for i := 0; i < n; i++ {
-			t, err := r.treeBody()
+			t, err := r.treeBody(&tables)
 			if err != nil {
 				return nil, fmt.Errorf("forest tree %d: %w", i, err)
 			}
-			if uint64(t.nFeatures) != nFeat {
-				return nil, corruptf("forest over %d features holds tree %d over %d", nFeat, i, t.nFeatures)
+			if uint64(t.nFeatures) != h[3] {
+				return nil, corruptf("forest over %d features holds tree %d over %d", h[3], i, t.nFeatures)
 			}
 			f.trees = append(f.trees, t)
 		}
-		if f.compiled, err = compileEnsemble(f.trees); err != nil {
+		if f.compiled, err = compileEnsemble(f.trees, tables, true); err != nil {
 			return nil, corruptf("%v", err)
 		}
 		return f, nil

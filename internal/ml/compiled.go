@@ -12,92 +12,100 @@ func b2i32(b bool) int32 {
 	return int32(*(*byte)(unsafe.Pointer(&b)))
 }
 
-// The compiled inference plane. Fitted trees are stored as contiguous
-// structure-of-arrays node tables — the same flat form the persistence
-// layer has always serialised — instead of per-node heap objects, and
-// traversal is an iterative index walk instead of pointer chasing.
+// The compiled inference plane. A fitted tree is a view of one table
+// of packed 16-byte records (hotNode), and traversal is an iterative
+// index walk over it instead of pointer chasing.
 //
 // The node order is *canonical preorder*: a node's left child is always
-// the next node (left == i+1), so the left-child array does not exist
-// at runtime — only the right-child indices are stored. A root-to-leaf
-// walk touches a mostly ascending address sequence, needs one fewer
-// cache line per level than the explicit two-child form, and the
-// descent itself compiles to a conditional move instead of a branch
-// (see predictHot), so the CPU never mispredicts data-dependent
-// splits. Both tree-based estimators (DecisionTree, Forest) compile at
-// Fit/load time; there is no pointer-tree runtime representation left.
+// the next node (left == i+1), so no left-child index is stored — only
+// the right child's. A root-to-leaf walk touches a mostly ascending
+// address sequence, needs one fewer cache line per level than the
+// explicit two-child form, and the descent itself compiles to a
+// conditional move instead of a branch (see predictHot), so the CPU
+// never mispredicts data-dependent splits.
 //
-// The walk is bit-identical to the recursive form: the node ordering,
-// thresholds and comparison directions are unchanged, only the storage
-// differs (asserted exhaustively by TestCompiledEquivalence in
-// compiled_test.go).
+// A fit grows a tree, and a decoder reads one, as a nodeTable;
+// compileEnsemble packs it into the walk table, and the tree keeps only
+// what the records lack (CompiledTree). The walk is bit-identical to
+// the recursive form: the node ordering, thresholds and comparison
+// directions are unchanged, only the storage differs (asserted
+// exhaustively by TestCompiledEquivalence in compiled_test.go).
 
-// CompiledTree is one regression tree flattened onto parallel arrays in
-// canonical preorder. Leaves have feature[i] < 0; internal nodes keep
-// their left child at i+1 (implicit, not stored) and their right child
-// at right[i] > i+1. This both guarantees traversal terminates and
-// keeps walks cache-friendly. The zero value is an empty (unfitted)
-// tree.
-type CompiledTree struct {
+// nodeTable is one tree's nodes in canonical preorder, one column per
+// field — the on-disk layout, which no model keeps. Leaves have
+// feature[i] < 0; internal nodes keep their left child at i+1 and their
+// right child at right[i] > i+1, so a walk always terminates.
+type nodeTable struct {
 	feature   []int32
 	threshold []float64
 	value     []float64
 	right     []int32
-	// nSamples is the training-sample count per node — diagnostic
-	// state carried for the persistence round trip, never read on the
-	// prediction hot path.
+	nSamples  []int32
+}
+
+// CompiledTree is one fitted regression tree: a range of a packed walk
+// table — its ensemble's fused table for a forest member, its own for a
+// standalone tree — plus the two columns the records lack. The zero
+// value is an empty (unfitted) tree.
+type CompiledTree struct {
+	// hot ends at the tree's last record; hot[root] is its root.
+	hot  []hotNode
+	root int32
+	// value is the per-node mean response and nSamples the per-node
+	// sample count: persistence state the walk never reads.
+	value    []float64
 	nSamples []int32
-	// keep is the owner of the memory the five columns alias when they
-	// were decoded in place from a file mapping: holding it keeps the
-	// mapping alive. Nil for fitted trees and heap-decoded ones.
+	// keep owns the file mapping value and nSamples alias when they
+	// were decoded in place; holding it keeps the mapping alive.
 	keep any
 }
 
 // Len returns the number of nodes.
-func (c *CompiledTree) Len() int { return len(c.feature) }
+func (c *CompiledTree) Len() int { return len(c.value) }
 
-// Predict walks the tree iteratively from the root. The caller
-// guarantees x has the arity the tree was fitted on (the estimator
-// wrappers check). The slice headers are hoisted into locals so the
-// loop reloads nothing through the receiver. The comparison direction
-// (x <= threshold goes left, everything else — including NaN — goes
-// right) is exactly the legacy recursive walk's. Allocation-free.
-func (c *CompiledTree) Predict(x []float64) float64 {
-	feature, threshold, right := c.feature, c.threshold, c.right
-	i := int32(0)
-	for {
-		f := feature[i]
-		if f < 0 {
-			return c.value[i]
-		}
-		next := right[i]
-		if x[f] <= threshold[i] {
-			next = i + 1
-		}
-		i = next
+// split returns node i's split fields as the tree builder writes them.
+// A packed leaf keeps none of them, so every leaf reads feature -1,
+// threshold 0 and right -1 whatever the table it was packed from held:
+// a leaf's split fields are not part of the model. It selects with the
+// sign mask, as packTree does: a branch would mispredict on encodes.
+func (c *CompiledTree) split(i int) (feature int32, threshold float64, right int32) {
+	n := c.hot[int(c.root)+i]
+	leaf := n.feature >> 31 // all ones for a leaf, else zero
+	thr := math.Float64bits(n.threshold) &^ uint64(int64(leaf))
+	return n.feature | leaf, math.Float64frombits(thr), (n.right - c.root) | leaf
+}
+
+// adopt makes c the decoded tree t's node table: packed into t's own
+// walk table at once, or, for a forest member, appended to the
+// forest's tables to be fused once every member is read.
+func (t *DecisionTree) adopt(c nodeTable, tables *[]nodeTable) (err error) {
+	if tables != nil {
+		*tables = append(*tables, c)
+	} else if _, err = compileEnsemble([]*DecisionTree{t}, []nodeTable{c}, true); err != nil {
+		err = corruptf("%v", err)
 	}
+	return err
 }
 
 // hotNode packs the three fields the branchless descent reads into one
-// 16-byte record, so each visited node costs a single cache line where
-// the SoA walk touches three (feature, threshold and right live in
-// separate arrays). Leaves reuse the threshold slot for the leaf value
-// — the walk never touches the value column at all. The values are
-// verbatim copies of the member tree's, so the walk stays bit-identical.
+// 16-byte record, so each visited node costs a single cache line.
+// Leaves reuse the threshold slot for the leaf value — the walk never
+// touches the value column at all. The values are verbatim copies of
+// the grown or decoded table's, so the walk stays bit-identical.
 type hotNode struct {
 	threshold float64 // leaf value when feature < 0
 	feature   int32
 	right     int32
 }
 
-// packTree writes one member tree's packed records into dst (exactly
-// c.Len() long), rebasing its tree-local right-child indices by base,
+// packTree writes one node table's packed records into dst (exactly
+// as long), rebasing its tree-local right-child indices by base,
 // the tree's first index in the fused table. Leaves and splits
 // alternate unpredictably in preorder, so the leaf/split choice is made
 // with a sign mask instead of a branch: the loop runs at half the cost
 // of the branching form, which is what lets the fuse stay on the
 // calling goroutine (see compileEnsemble).
-func packTree(dst []hotNode, c *CompiledTree, base int) {
+func packTree(dst []hotNode, c *nodeTable, base int) {
 	n := len(dst)
 	feature, threshold, value, right := c.feature[:n], c.threshold[:n], c.value[:n], c.right[:n]
 	b := int32(base)
@@ -112,15 +120,15 @@ func packTree(dst []hotNode, c *CompiledTree, base int) {
 	}
 }
 
-// predictHot is CompiledTree.Predict over the packed record array,
-// starting at any tree's root: one cache line per visited node and a
-// fully branchless step. Go's compiler lowers `if cond { next = i+1 }`
-// to a conditional jump (not CMOV) for float-controlled conditions, so
-// the select is done arithmetically: the comparison materialises as a
-// SETcc byte (b2i32), negating it gives an all-ones/all-zero mask, and
-// the mask picks between right and i+1 with no data-dependent control
-// flow for the predictor to miss. NaN features compare false and take
-// the right child, exactly like the recursive walk.
+// predictHot walks one tree of a packed record array from its root:
+// one cache line per visited node and a fully branchless step. Go's
+// compiler lowers `if cond { next = i+1 }` to a conditional jump (not
+// CMOV) for float-controlled conditions, so the select is done
+// arithmetically: the comparison materialises as a SETcc byte
+// (b2i32), negating it gives an all-ones/all-zero mask, and the mask
+// picks between right and i+1 with no data-dependent control flow for
+// the predictor to miss. NaN features compare false and take the
+// right child, exactly like the recursive walk. Allocation-free.
 func predictHot(hot []hotNode, root int32, x []float64) float64 {
 	i := root
 	for {
@@ -136,7 +144,7 @@ func predictHot(hot []hotNode, root int32, x []float64) float64 {
 // pass: preorder guarantees parents precede children, so each node's
 // depth is known when its children are visited.
 func (c *CompiledTree) depth() int {
-	n := len(c.feature)
+	n := c.Len()
 	if n == 0 {
 		return 0
 	}
@@ -144,12 +152,13 @@ func (c *CompiledTree) depth() int {
 	depths[0] = 1
 	max := int32(1)
 	for i := 0; i < n; i++ {
-		if c.feature[i] < 0 {
+		f, _, r := c.split(i)
+		if f < 0 {
 			continue
 		}
 		d := depths[i] + 1
 		depths[i+1] = d
-		depths[c.right[i]] = d
+		depths[r] = d
 		if d > max {
 			max = d
 		}
@@ -160,8 +169,8 @@ func (c *CompiledTree) depth() int {
 // numLeaves counts the leaf nodes.
 func (c *CompiledTree) numLeaves() int {
 	n := 0
-	for _, f := range c.feature {
-		if f < 0 {
+	for i := range c.Len() {
+		if f, _, _ := c.split(i); f < 0 {
 			n++
 		}
 	}
@@ -175,12 +184,12 @@ func (c *CompiledTree) numLeaves() int {
 // rules out cycles). It accepts exactly the canonical tables the
 // builder produces; explicit-child inputs from the persistence layer
 // are canonicalised first (see canonicalTree in persist.go).
-func (c *CompiledTree) validate(nFeatures int) error {
+func (c *nodeTable) validate(nFeatures int) error {
 	n := len(c.feature)
 	if n == 0 {
 		return fmt.Errorf("ml: corrupt tree: empty node list")
 	}
-	if len(c.threshold) != n || len(c.value) != n || len(c.right) != n {
+	if len(c.threshold) != n || len(c.value) != n || len(c.right) != n || len(c.nSamples) != n {
 		return fmt.Errorf("ml: corrupt tree: ragged node arrays")
 	}
 	for i := 0; i < n; i++ {
@@ -204,22 +213,17 @@ func (c *CompiledTree) validate(nFeatures int) error {
 // concatenated (each tree preorder-contiguous, right-child indices
 // rebased) with per-tree root offsets, so scoring streams through one
 // allocation-free memory region instead of hopping between per-tree
-// heaps. The packed table is the only fused form: the member trees keep
-// their own structure-of-arrays tables (at load those alias the
-// artifact's file mapping), and nothing else holds a per-node copy.
-// The table itself is always heap memory, so the walk never touches a
-// mapped page. It is walked two ways — one row across four trees
-// (predictHotInterleaved) and one tree across four rows
-// (predictHotTreeRows) — and both take the mean of the leaf values,
-// summed in tree order.
+// heaps. The member trees are views of this table, so it is the only
+// per-node copy of the splits. The table itself is always heap memory,
+// so the walk never touches a mapped page. It is walked two ways — one
+// row across four trees (predictHotInterleaved) and one tree across
+// four rows (predictHotTreeRows) — and both take the mean of the leaf
+// values, summed in tree order.
 type CompiledEnsemble struct {
 	// hot is the fused packed table, hot[roots[t]] the root of tree t.
 	hot   []hotNode
 	roots []int32
 }
-
-// NumTrees returns the number of member trees.
-func (e *CompiledEnsemble) NumTrees() int { return len(e.roots) }
 
 // NumNodes returns the total node count across all members.
 func (e *CompiledEnsemble) NumNodes() int { return len(e.hot) }
@@ -250,22 +254,33 @@ func fusedRoots(n int, treeLen func(t int) int) ([]int32, int, error) {
 	return roots, total, nil
 }
 
-// compileEnsemble is the one place member trees are fused: it sizes the
-// packed table exactly, allocates it once and fills each tree's
-// disjoint range straight from the tree's own arrays. The fill runs on
-// the calling goroutine: it is a millisecond of streaming work per half
-// million nodes, and fanning it out made a cold load's time depend on
-// whether a second core happened to be free (a helper descheduled
-// mid-tree stalls the join). It fails only when the ensemble is too
-// large for int32 node indices.
-func compileEnsemble(trees []*DecisionTree) (*CompiledEnsemble, error) {
-	roots, total, err := fusedRoots(len(trees), func(t int) int { return trees[t].nodes.Len() })
+// compileEnsemble is the one place trees become models: it packs
+// tables[t] into one exact-size fused table and makes trees[t] a view
+// of its range. With adopt (a decode) the trees keep the tables' value
+// and nSamples columns; without (a fit's pooled staging) those are
+// copied into one exact-size allocation each. The fill stays on the
+// calling goroutine, so a load's time does not depend on a second core
+// being free. It fails, touching no tree, only past int32 node indices.
+func compileEnsemble(trees []*DecisionTree, tables []nodeTable, adopt bool) (*CompiledEnsemble, error) {
+	roots, total, err := fusedRoots(len(tables), func(t int) int { return len(tables[t].feature) })
 	if err != nil {
 		return nil, err
 	}
 	e := &CompiledEnsemble{hot: make([]hotNode, total), roots: roots}
-	for t, tree := range trees {
-		packTree(e.hot[roots[t]:e.treeEnd(t)], &tree.nodes, int(roots[t]))
+	value, nSamples := []float64(nil), []int32(nil)
+	if !adopt {
+		value, nSamples = make([]float64, total), make([]int32, total)
+	}
+	for t := range tables {
+		tab, lo, hi := &tables[t], roots[t], e.treeEnd(t)
+		packTree(e.hot[lo:hi], tab, int(lo))
+		c := &trees[t].nodes
+		c.hot, c.root, c.value, c.nSamples = e.hot[:hi:hi], lo, tab.value, tab.nSamples
+		if !adopt {
+			c.value, c.nSamples, c.keep = value[lo:hi:hi], nSamples[lo:hi:hi], nil
+			copy(c.value, tab.value)
+			copy(c.nSamples, tab.nSamples)
+		}
 	}
 	return e, nil
 }

@@ -9,7 +9,7 @@ import (
 // Before/after pairs for the compiled inference plane: the "recursive"
 // variants rebuild the pre-refactor pointer-tree representation (see
 // refNode in compiled_test.go) and walk it the way the estimators used
-// to; the "compiled" variants run the flat node-table plane the
+// to; the "compiled" variants run the packed walk table the
 // estimators now use. Run with:
 //
 //	go test ./internal/ml -bench 'PredictBatch|PredictSingle' -benchmem
@@ -117,8 +117,8 @@ func BenchmarkForestPredictBatchLayout(b *testing.B) {
 // TestTraversalBenchGuard is the CI bench-regression smoke gate
 // (satellite of the PR 8 raw-speed push): with LAM_BENCH_GUARD=1 it
 // times the fused four-tree walk over the packed table against the
-// un-fused baseline — each member tree's own SoA walk
-// (DecisionTree.Predict), averaged — and fails when the fused walk is
+// un-fused baseline — each member tree walked on its own, one after
+// another (DecisionTree.Predict), averaged — and fails when the fused walk is
 // more than 1.3x slower: a generous guard that only trips on a real
 // regression (the whole point of fusing is to be faster), not on
 // scheduler noise.

@@ -33,10 +33,25 @@ func (n *refNode) predict(x []float64) float64 {
 	return n.right.predict(x)
 }
 
-// refTree rebuilds the pointer form of a compiled node table.
-func refTree(c *CompiledTree) *refNode { return buildRef(c, 0) }
+// treeTable reads a compiled tree back into node columns: the split
+// fields from its packed records, value and nSamples from its own.
+func treeTable(c *CompiledTree) nodeTable {
+	n := c.Len()
+	tab := nodeTable{feature: make([]int32, n), threshold: make([]float64, n), right: make([]int32, n),
+		value: c.value, nSamples: c.nSamples}
+	for i := range n {
+		tab.feature[i], tab.threshold[i], tab.right[i] = c.split(i)
+	}
+	return tab
+}
 
-func buildRef(c *CompiledTree, i int32) *refNode {
+// refTree rebuilds the pointer form of a compiled tree.
+func refTree(c *CompiledTree) *refNode {
+	tab := treeTable(c)
+	return buildRef(&tab, 0)
+}
+
+func buildRef(c *nodeTable, i int32) *refNode {
 	n := &refNode{feature: int(c.feature[i]), threshold: c.threshold[i], value: c.value[i]}
 	if c.feature[i] >= 0 {
 		n.left = buildRef(c, i+1) // canonical preorder: left child is implicit
@@ -357,7 +372,7 @@ type refFused struct {
 	roots     []int32
 }
 
-func (e *refFused) appendTree(t *CompiledTree) {
+func (e *refFused) appendTree(t *nodeTable) {
 	base := int32(len(e.feature))
 	e.roots = append(e.roots, base)
 	e.feature = append(e.feature, t.feature...)
@@ -385,11 +400,13 @@ func refBuildHotNodes(e *refFused) []hotNode {
 
 // assertFusedEqualsReference compiles trees the reference way and
 // compares the ensemble's packed table and roots element for element.
+// The trees must not be e's own members, which are views of its table.
 func assertFusedEqualsReference(t *testing.T, name string, e *CompiledEnsemble, trees []*DecisionTree) {
 	t.Helper()
 	var ref refFused
 	for _, tr := range trees {
-		ref.appendTree(&tr.nodes)
+		tab := treeTable(&tr.nodes)
+		ref.appendTree(&tab)
 	}
 	want := refBuildHotNodes(&ref)
 	if len(e.hot) != len(want) || len(e.roots) != len(ref.roots) {
@@ -432,7 +449,8 @@ func assertWalksFromPacked(t *testing.T, name string, e *CompiledEnsemble, Xq []
 // single-pass compile: for forests over random tree configurations and
 // datasets, one-tree ensembles and lone-leaf trees,
 // fitted with 1 and 4 workers, the packed table equals the old
-// append-then-copy pair's element for element, and every walk over it
+// append-then-copy pair's over the reference builder's trees
+// (tree_ref_test.go) element for element, and every walk over it
 // predicts what the recursive walk does.
 func TestCompileEnsembleMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x14))
@@ -454,19 +472,20 @@ func TestCompileEnsembleMatchesReference(t *testing.T) {
 		}
 
 		f := &Forest{NTrees: nTrees, Tree: cfg, Bootstrap: rng.Intn(2) == 0, Seed: rng.Int63()}
+		refTrees := refFitForest(f, X, y)
 		for _, workers := range []int{1, 4} {
 			f.Workers = workers
 			if err := f.Fit(X, y); err != nil {
 				t.Fatal(err)
 			}
-			assertFusedEqualsReference(t, "forest", f.compiled, f.trees)
+			assertFusedEqualsReference(t, "forest", f.compiled, refTrees)
 			if trial == 1 && f.compiled.NumNodes() != nTrees {
 				t.Fatalf("lone-leaf fixture grew %d nodes for %d trees", f.compiled.NumNodes(), nTrees)
 			}
 		}
 
-		refs := make([]*refNode, len(f.trees))
-		for i, tr := range f.trees {
+		refs := make([]*refNode, len(refTrees))
+		for i, tr := range refTrees {
 			refs[i] = refTree(&tr.nodes)
 		}
 		fwant := make([]float64, len(Xq))
@@ -476,7 +495,7 @@ func TestCompileEnsembleMatchesReference(t *testing.T) {
 		assertWalksFromPacked(t, "forest", f.compiled, Xq, fwant)
 
 		// The decode paths compile through the same function.
-		assertFusedEqualsReference(t, "forest json", roundTrip(t, f).(*Forest).compiled, f.trees)
+		assertFusedEqualsReference(t, "forest json", roundTrip(t, f).(*Forest).compiled, refTrees)
 		bin, err := AppendBinary(nil, f)
 		if err != nil {
 			t.Fatal(err)
@@ -485,7 +504,7 @@ func TestCompileEnsembleMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertFusedEqualsReference(t, "forest lamb1", loaded.(*Forest).compiled, f.trees)
+		assertFusedEqualsReference(t, "forest lamb1", loaded.(*Forest).compiled, refTrees)
 	}
 }
 
@@ -496,7 +515,7 @@ func TestCompileEnsembleMatchesReference(t *testing.T) {
 // slots; a split keeps its threshold bits and gets its right rebased.
 func TestPackTreeMasksLeaves(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
-	c := CompiledTree{
+	c := nodeTable{
 		feature:   []int32{2, -1, 0, -7, math.MinInt32},
 		threshold: []float64{nan, 9, math.Copysign(0, -1), nan, 1},
 		value:     []float64{5, 1.5, 6, nan, math.Inf(-1)},
@@ -535,9 +554,9 @@ func TestFusedRootsRefusesOverflow(t *testing.T) {
 }
 
 // TestCompileAllocationsConstant pins the exact-size pass: compiling a
-// fitted forest allocates the ensemble, its roots and its packed table
-// — a count that depends on neither the number of trees nor their
-// size.
+// fitted forest allocates the ensemble, its roots, its packed table
+// and, when it copies them, the value and nSamples columns — a count
+// that depends on neither the number of trees nor their size.
 func TestCompileAllocationsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -550,14 +569,20 @@ func TestCompileAllocationsConstant(t *testing.T) {
 		if err := f.Fit(X, y); err != nil {
 			t.Fatal(err)
 		}
-		counts = append(counts, testing.AllocsPerRun(10, func() {
-			if _, err := compileEnsemble(f.trees); err != nil {
-				t.Fatal(err)
-			}
-		}))
+		tables := make([]nodeTable, len(f.trees))
+		for i, tr := range f.trees {
+			tables[i] = treeTable(&tr.nodes)
+		}
+		for _, adopt := range []bool{false, true} {
+			counts = append(counts, testing.AllocsPerRun(10, func() {
+				if _, err := compileEnsemble(f.trees, tables, adopt); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
 	}
-	for _, c := range counts {
-		if c != counts[0] || c > 5 {
+	for i, c := range counts {
+		if c != counts[i%2] || c > float64(5-2*(i%2)) {
 			t.Fatalf("compile allocations per shape = %v, want one small constant", counts)
 		}
 	}

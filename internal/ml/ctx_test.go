@@ -3,7 +3,9 @@ package ml
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
+	"time"
 
 	"lam/internal/lamerr"
 )
@@ -91,6 +93,44 @@ func TestPipelineRefitCancelKeepsOldState(t *testing.T) {
 	if got := p.Predict(X[0]); got != before {
 		t.Fatalf("prediction changed after cancelled refit: %v != %v", got, before)
 	}
+}
+
+// TestForestRefitCancelledMidFit cancels a refit while its trees are
+// growing in held builders: the fit reports the cancellation, the
+// forest keeps its previous model, and the next fit — growing in the
+// builders the cancelled one handed back — is bit-identical to a fresh
+// forest's.
+func TestForestRefitCancelledMidFit(t *testing.T) {
+	X, y := ctxTrainingSet(64)
+	f := NewExtraTrees(10, 4)
+	f.Workers = 2
+	if err := f.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	compiled, want := f.compiled, predictAll(t, f, X)
+
+	f.NTrees = 50000 // far more than grow before the cancellation lands
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(2*time.Millisecond, cancel)
+	if err := f.FitCtx(ctx, X, y); !errors.Is(err, lamerr.ErrCancelled) {
+		t.Fatalf("cancelled refit: got %v, want ErrCancelled", err)
+	}
+	if f.compiled != compiled || len(f.trees) != 10 {
+		t.Fatalf("cancelled refit replaced the model: %d trees", len(f.trees))
+	}
+	if got := predictAll(t, f, X); !slices.Equal(got, want) {
+		t.Fatal("cancelled refit changed the predictions")
+	}
+
+	f.NTrees = 10
+	if err := f.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewExtraTrees(10, 4)
+	if err := fresh.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	assertSameTrees(t, "refit after a cancelled fit", f.trees, fresh.trees)
 }
 
 // TestPredictBatchCtxMatchesSequential checks bit-identical output and

@@ -69,7 +69,8 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 // FitCtx is Fit with prompt cancellation between trees: once ctx is
 // done no further tree starts growing and the fit returns a typed
 // cancellation error (wrapping lamerr.ErrCancelled and ctx.Err())
-// without mutating the receiver.
+// without mutating the receiver. Each tree grows in its own pooled
+// builder, held until all are grown and compileEnsemble has packed them.
 func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
 	p, err := checkXY(X, y)
 	if err != nil {
@@ -80,8 +81,19 @@ func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
 	if nTrees < 1 {
 		nTrees = 100
 	}
-	trees := make([]*DecisionTree, nTrees)
 	cols := columnView(X)
+	slab := make([]DecisionTree, nTrees)
+	trees := make([]*DecisionTree, nTrees)
+	imps := make([]float64, nTrees*p)
+	tables := make([]nodeTable, nTrees)
+	builders := make([]*treeBuilder, nTrees)
+	defer func() {
+		for _, b := range builders {
+			if b != nil {
+				b.release()
+			}
+		}
+	}()
 	err = parallel.ForCtx(ctx, nTrees, f.Workers, func(t int) error {
 		// Every tree's randomness derives only from (Seed, t), so the
 		// worker pool cannot perturb the fitted ensemble.
@@ -89,20 +101,23 @@ func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
 		cfg.Seed = int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x7265657301))
 
 		b := getTreeBuilder()
-		defer b.release()
+		builders[t] = b
 		if f.Bootstrap {
 			b.sampleBootstrap(int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x626f6f74)), n)
 		} else {
 			b.sampleAll(n)
 		}
-		trees[t] = NewDecisionTree(cfg)
-		b.fit(trees[t], cols, y)
+		imp := imps[t*p : (t+1)*p : (t+1)*p]
+		b.fit(cfg, cols, y, imp)
+		tables[t] = b.nodes
+		slab[t] = DecisionTree{Config: cfg, nFeatures: p, importances: imp}
+		trees[t] = &slab[t]
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	compiled, err := compileEnsemble(trees)
+	compiled, err := compileEnsemble(trees, tables, false)
 	if err != nil {
 		return err
 	}
@@ -111,10 +126,6 @@ func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
 	f.nFeatures = p
 	return nil
 }
-
-// Compiled exposes the ensemble's shared flat node table (built at
-// Fit/load time). Treat it as read-only; nil before Fit.
-func (f *Forest) Compiled() *CompiledEnsemble { return f.compiled }
 
 // Predict returns the mean prediction of all member trees: one
 // allocation-free walk over the compiled ensemble, summed in tree

@@ -127,10 +127,3 @@ func checkXY(X [][]float64, y []float64) (int, error) {
 	}
 	return p, nil
 }
-
-// copyVector copies a response vector.
-func copyVector(y []float64) []float64 {
-	out := make([]float64, len(y))
-	copy(out, y)
-	return out
-}

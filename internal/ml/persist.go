@@ -56,28 +56,30 @@ type treeDTO struct {
 // back out on load. Loading canonicalises: any structurally valid
 // explicit-child table — canonical or not — is re-emitted in preorder
 // with the left child adjacent, a node permutation that leaves every
-// prediction bit-identical.
+// prediction bit-identical. The split fields are read back from the
+// packed records, so every leaf is saved as f -1, t 0, l -1, r -1.
 
 func flattenTree(c *CompiledTree) []nodeDTO {
 	nodes := make([]nodeDTO, c.Len())
 	for i := range nodes {
+		f, thr, r := c.split(i)
 		left := -1
-		if c.feature[i] >= 0 {
+		if f >= 0 {
 			left = i + 1
 		}
 		nodes[i] = nodeDTO{
-			Feature:   int(c.feature[i]),
-			Threshold: c.threshold[i],
+			Feature:   int(f),
+			Threshold: thr,
 			Value:     c.value[i],
 			N:         int(c.nSamples[i]),
 			Left:      left,
-			Right:     int(c.right[i]),
+			Right:     int(r),
 		}
 	}
 	return nodes
 }
 
-func compileNodes(nodes []nodeDTO, nFeatures int) (CompiledTree, error) {
+func compileNodes(nodes []nodeDTO, nFeatures int) (nodeTable, error) {
 	n := len(nodes)
 	feature := make([]int32, n)
 	threshold := make([]float64, n)
@@ -96,7 +98,7 @@ func compileNodes(nodes []nodeDTO, nFeatures int) (CompiledTree, error) {
 	return canonicalTree(feature, threshold, value, left, right, nSamples, nFeatures)
 }
 
-// canonicalTree builds a canonical implicit-left CompiledTree over
+// canonicalTree builds a canonical implicit-left node table over
 // nFeatures features from explicit child arrays, validating the
 // structural invariants the legacy format promised (children exist and
 // strictly follow their parent, ruling out cycles; every node reachable
@@ -105,13 +107,13 @@ func compileNodes(nodes []nodeDTO, nFeatures int) (CompiledTree, error) {
 // ever written — are adopted without copying, preserving the binary
 // codec's zero-copy decode; anything else is permuted into preorder,
 // which leaves predictions bit-identical.
-func canonicalTree(feature []int32, threshold, value []float64, left, right, nSamples []int32, nFeatures int) (CompiledTree, error) {
+func canonicalTree(feature []int32, threshold, value []float64, left, right, nSamples []int32, nFeatures int) (nodeTable, error) {
 	n := len(feature)
 	if n == 0 {
-		return CompiledTree{}, fmt.Errorf("ml: corrupt tree: empty node list")
+		return nodeTable{}, fmt.Errorf("ml: corrupt tree: empty node list")
 	}
 	if len(threshold) != n || len(value) != n || len(left) != n || len(right) != n || len(nSamples) != n {
-		return CompiledTree{}, fmt.Errorf("ml: corrupt tree: ragged node arrays")
+		return nodeTable{}, fmt.Errorf("ml: corrupt tree: ragged node arrays")
 	}
 	canonical := true
 	for i := 0; i < n; i++ {
@@ -120,7 +122,7 @@ func canonicalTree(feature []int32, threshold, value []float64, left, right, nSa
 		}
 		l, r := left[i], right[i]
 		if l <= int32(i) || r <= int32(i) || int(l) >= n || int(r) >= n {
-			return CompiledTree{}, fmt.Errorf("ml: corrupt tree: internal node %d has children (%d, %d) outside (%d, %d)", i, l, r, i, n)
+			return nodeTable{}, fmt.Errorf("ml: corrupt tree: internal node %d has children (%d, %d) outside (%d, %d)", i, l, r, i, n)
 		}
 		if l != int32(i)+1 {
 			canonical = false
@@ -137,11 +139,11 @@ func canonicalTree(feature []int32, threshold, value []float64, left, right, nSa
 		}
 	}
 	if size[0] != int32(n) {
-		return CompiledTree{}, fmt.Errorf("ml: corrupt tree: node graph is not a single tree (root subtree covers %d of %d nodes)", size[0], n)
+		return nodeTable{}, fmt.Errorf("ml: corrupt tree: node graph is not a single tree (root subtree covers %d of %d nodes)", size[0], n)
 	}
-	c := CompiledTree{feature: feature, threshold: threshold, value: value, right: right, nSamples: nSamples}
+	c := nodeTable{feature: feature, threshold: threshold, value: value, right: right, nSamples: nSamples}
 	if !canonical {
-		out := CompiledTree{
+		out := nodeTable{
 			feature:   make([]int32, n),
 			threshold: make([]float64, n),
 			value:     make([]float64, n),
@@ -170,7 +172,7 @@ func canonicalTree(feature []int32, threshold, value []float64, left, right, nSa
 		c = out
 	}
 	if err := c.validate(nFeatures); err != nil {
-		return CompiledTree{}, err
+		return nodeTable{}, err
 	}
 	return c, nil
 }
@@ -184,7 +186,8 @@ func (t *DecisionTree) toDTO() treeDTO {
 	}
 }
 
-func (t *DecisionTree) fromDTO(d treeDTO) error {
+// fromDTO restores t from its document; tables is adopt's.
+func (t *DecisionTree) fromDTO(d treeDTO, tables *[]nodeTable) error {
 	if d.NFeatures < 1 || d.NFeatures > math.MaxInt32 {
 		return corruptf("tree over %d features", d.NFeatures)
 	}
@@ -195,8 +198,7 @@ func (t *DecisionTree) fromDTO(d treeDTO) error {
 	t.Config = d.Config
 	t.nFeatures = d.NFeatures
 	t.importances = d.Importances
-	t.nodes = nodes
-	return nil
+	return t.adopt(nodes, tables)
 }
 
 type forestDTO struct {
@@ -278,7 +280,7 @@ func decodeModel(env modelEnvelope) (Regressor, error) {
 			return nil, err
 		}
 		t := &DecisionTree{}
-		if err := t.fromDTO(d); err != nil {
+		if err := t.fromDTO(d, nil); err != nil {
 			return nil, err
 		}
 		return t, nil
@@ -289,9 +291,10 @@ func decodeModel(env modelEnvelope) (Regressor, error) {
 		}
 		f := &Forest{NTrees: d.NTrees, Tree: d.Tree, Bootstrap: d.Bootstrap,
 			Seed: d.Seed, nFeatures: d.NFeatures}
+		tables := make([]nodeTable, 0, len(d.Trees))
 		for i, td := range d.Trees {
 			t := &DecisionTree{}
-			if err := t.fromDTO(td); err != nil {
+			if err := t.fromDTO(td, &tables); err != nil {
 				return nil, fmt.Errorf("ml: forest tree %d: %w", i, err)
 			}
 			if t.nFeatures != f.nFeatures {
@@ -303,7 +306,7 @@ func decodeModel(env modelEnvelope) (Regressor, error) {
 			return nil, fmt.Errorf("ml: corrupt forest: no trees")
 		}
 		var err error
-		if f.compiled, err = compileEnsemble(f.trees); err != nil {
+		if f.compiled, err = compileEnsemble(f.trees, tables, true); err != nil {
 			return nil, corruptf("%v", err)
 		}
 		return f, nil

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -127,5 +128,58 @@ func TestLoadModelRejectsCorruptTreeLinks(t *testing.T) {
 	payload = `{"kind":"decision_tree","data":{"n_features":1,"nodes":[{"f":0,"t":1,"v":0,"n":2,"l":-1,"r":-1}]}}`
 	if _, err := LoadModel(strings.NewReader(payload)); err == nil {
 		t.Error("expected missing-child error")
+	}
+}
+
+// TestAppendBinaryAnyAlignment: a tree's split columns are stored typed
+// when they land aligned and byte by byte when not; both write the same
+// bytes.
+func TestAppendBinaryAnyAlignment(t *testing.T) {
+	X, y := randomRegression(rand.New(rand.NewSource(12)), 150, 3)
+	f := &Forest{NTrees: 4, Tree: TreeConfig{Splitter: RandomSplitter}, Seed: 3}
+	if err := f.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	want, err := AppendBinary(nil, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 1; off < 8; off++ {
+		got, err := AppendBinary(make([]byte, off, off+len(want)), f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[off:], want) {
+			t.Fatalf("encoding %d bytes into the buffer differs from the aligned one", off)
+		}
+	}
+}
+
+// TestRefitDropsMappingOwner: a tree decoded in place holds the owner
+// of the bytes its columns alias; refitting it replaces those columns,
+// so it must let the owner go.
+func TestRefitDropsMappingOwner(t *testing.T) {
+	X, y := randomRegression(rand.New(rand.NewSource(13)), 80, 2)
+	tree := NewDecisionTree(TreeConfig{Seed: 1})
+	if err := tree.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	bin, err := AppendBinary(nil, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := DecodeBinaryVersion(bin, BinaryVersionLatest, "mapping owner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := m.(*DecisionTree)
+	if loaded.nodes.keep == nil {
+		t.Fatal("decoded tree does not hold its owner")
+	}
+	if err := loaded.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.nodes.keep != nil {
+		t.Fatal("refitted tree still holds the owner of the bytes it was decoded from")
 	}
 }

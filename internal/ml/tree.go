@@ -66,9 +66,9 @@ func (c TreeConfig) normalized() TreeConfig {
 
 // DecisionTree is a CART regression tree (variance-reduction splitting)
 // with an optional extra-trees random splitter. The fitted tree is
-// stored directly in compiled form — a flat preorder node table
-// (CompiledTree) — so prediction is an iterative, allocation-free
-// index walk with no pointer chasing.
+// stored directly in compiled form — a range of a packed preorder walk
+// table (CompiledTree) — so prediction is an iterative,
+// allocation-free index walk with no pointer chasing.
 type DecisionTree struct {
 	Config TreeConfig
 
@@ -85,29 +85,32 @@ func NewDecisionTree(cfg TreeConfig) *DecisionTree {
 // IsFitted reports whether the tree has been grown.
 func (t *DecisionTree) IsFitted() bool { return t.nodes.Len() > 0 }
 
-// Compiled exposes the tree's flat node table (the runtime
-// representation itself, not a copy). Treat it as read-only.
-func (t *DecisionTree) Compiled() *CompiledTree { return &t.nodes }
-
 // NumFeatures returns the feature arity the tree was fitted on (0
 // before Fit).
 func (t *DecisionTree) NumFeatures() int { return t.nFeatures }
 
-// Fit grows the tree on (X, y). A failed fit leaves the receiver
-// untouched: fitted state is assigned only once the tree is grown.
+// Fit grows the tree on (X, y) and packs it into its own walk table.
+// A failed fit leaves the receiver untouched: fitted state is assigned
+// only once the tree is packed.
 func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
-	if _, err := checkXY(X, y); err != nil {
+	p, err := checkXY(X, y)
+	if err != nil {
 		return err
 	}
 	b := getTreeBuilder()
 	defer b.release()
 	b.sampleAll(len(X))
-	b.fit(t, columnView(X), y)
+	imp := make([]float64, p)
+	b.fit(t.Config, columnView(X), y, imp)
+	if _, err := compileEnsemble([]*DecisionTree{t}, []nodeTable{b.nodes}, false); err != nil {
+		return err
+	}
+	t.nFeatures, t.importances = p, imp
 	return nil
 }
 
 // Predict returns the fitted response for x: an iterative walk over
-// the compiled node table. Allocation-free.
+// the packed walk table. Allocation-free.
 func (t *DecisionTree) Predict(x []float64) float64 {
 	if t.nodes.Len() == 0 {
 		panic("ml: DecisionTree.Predict called before Fit")
@@ -115,14 +118,14 @@ func (t *DecisionTree) Predict(x []float64) float64 {
 	if len(x) != t.nFeatures {
 		panic(fmt.Sprintf("ml: DecisionTree.Predict got %d features, want %d", len(x), t.nFeatures))
 	}
-	return t.nodes.Predict(x)
+	return predictHot(t.nodes.hot, t.nodes.root, x)
 }
 
 // predictBatchIntoSeq implements the compiled plane's sequential block
 // contract: a bare iterative walk per row (rows are pre-validated).
 func (t *DecisionTree) predictBatchIntoSeq(X [][]float64, out []float64) {
 	for i, x := range X {
-		out[i] = t.nodes.Predict(x)
+		out[i] = predictHot(t.nodes.hot, t.nodes.root, x)
 	}
 }
 
@@ -136,7 +139,7 @@ func (t *DecisionTree) NumLeaves() int { return t.nodes.numLeaves() }
 // feature, normalised to sum to one (all zeros when the tree is a single
 // leaf). The returned slice is a copy.
 func (t *DecisionTree) FeatureImportances() []float64 {
-	return copyVector(t.importances)
+	return slices.Clone(t.importances)
 }
 
 // columnView transposes a validated design matrix into one column-major
@@ -165,14 +168,6 @@ type splitSample struct {
 	v, y float64
 }
 
-// buildNode is one node of the table a tree is grown into, in preorder
-// (parent, left subtree, right subtree) — the order CompiledTree's
-// traversal and the persistence format rely on. Leaves keep feature -1.
-type buildNode struct {
-	threshold, value         float64
-	feature, right, nSamples int32
-}
-
 // splitFunc is the split-search strategy: it scores one candidate
 // feature, given as its column of the training view, over a node's
 // samples and returns the threshold and the children's summed squared
@@ -181,7 +176,8 @@ type splitFunc func(b *treeBuilder, col []float64, idx []int) (thr, sse float64,
 
 // treeBuilder owns all the working memory of growing one tree and is
 // recycled through treeBuilderPool, so a warmed fit allocates only what
-// the fitted tree keeps (its exact-size node arrays and importances).
+// the fitted tree keeps (its share of the packed table and of the value
+// and nSamples columns, and its importances).
 //
 // idx is the tree's one sample-index array — positions into the column
 // view, with repeats for a bootstrap. Each split partitions the node's
@@ -193,6 +189,10 @@ type splitFunc func(b *treeBuilder, col []float64, idx []int) (thr, sse float64,
 // the same permutation: the grown tree is bit-identical to that
 // builder's (tree_ref_test.go keeps it as the spec).
 //
+// The tree is grown in preorder (parent, left subtree, right subtree)
+// into nodes, leaves with feature -1, threshold 0 and right -1: staging
+// the fit packs into the model, overwritten by the builder's next fit.
+//
 // cols, y and importances belong to the fit in progress, not to the
 // builder; release drops them so a pooled builder never pins a caller's
 // training set.
@@ -202,13 +202,14 @@ type treeBuilder struct {
 	importances []float64
 	cfg         TreeConfig
 	split       splitFunc // chosen once per tree from cfg.Splitter
+	maxNodes    int       // bounds the tree in progress (see fit)
 
 	rng     *rand.Rand
 	idx     []int
 	tmp     []int
 	featBuf []int
 	scratch []splitSample
-	nodes   []buildNode
+	nodes   nodeTable
 }
 
 var treeBuilderPool = sync.Pool{New: func() any {
@@ -251,12 +252,13 @@ func (b *treeBuilder) sampleBootstrap(seed int64, n int) {
 	}
 }
 
-// fit grows t over the selected samples of the column view and
-// response, and assigns t's fitted state.
-func (b *treeBuilder) fit(t *DecisionTree, cols [][]float64, y []float64) {
+// fit grows a tree of config cfg over the selected samples of the
+// column view and response into b.nodes, and its normalised feature
+// importances into importances (len(cols) zeros on entry).
+func (b *treeBuilder) fit(cfg TreeConfig, cols [][]float64, y, importances []float64) {
 	p, n := len(cols), len(b.idx)
-	b.cols, b.y = cols, y
-	b.cfg = t.Config.normalized()
+	b.cols, b.y, b.importances = cols, y, importances
+	b.cfg = cfg.normalized()
 	b.split = (*treeBuilder).randomSplit
 	if b.cfg.Splitter != RandomSplitter {
 		b.split = (*treeBuilder).bestSplit
@@ -264,7 +266,6 @@ func (b *treeBuilder) fit(t *DecisionTree, cols [][]float64, y []float64) {
 			b.scratch = make([]splitSample, n)
 		}
 	}
-	b.importances = make([]float64, p)
 	// Same stream as rand.New(rand.NewSource(Seed)) without the 4.9 kB
 	// source per tree.
 	b.rng.Seed(b.cfg.Seed)
@@ -275,7 +276,14 @@ func (b *treeBuilder) fit(t *DecisionTree, cols [][]float64, y []float64) {
 		b.featBuf = make([]int, p)
 	}
 	b.featBuf = b.featBuf[:p]
-	b.nodes = b.nodes[:0]
+	// Every leaf holds a sample: at most 2n-1 nodes, 2^depth-1 under a
+	// depth limit. A full table grows straight to that bound, once.
+	b.maxNodes = 2*n - 1
+	if d := b.cfg.MaxDepth; d > 0 && d < 31 {
+		b.maxNodes = min(b.maxNodes, 1<<d-1)
+	}
+	c := &b.nodes
+	*c = nodeTable{c.feature[:0], c.threshold[:0], c.value[:0], c.right[:0], c.nSamples[:0]}
 
 	b.build(b.idx, 1)
 
@@ -289,29 +297,6 @@ func (b *treeBuilder) fit(t *DecisionTree, cols [][]float64, y []float64) {
 			b.importances[i] /= total
 		}
 	}
-	t.nFeatures = p
-	t.importances = b.importances
-	t.nodes = b.compiled()
-}
-
-// compiled copies the grown node table into an exact-size CompiledTree.
-func (b *treeBuilder) compiled() CompiledTree {
-	n := len(b.nodes)
-	c := CompiledTree{
-		feature:   make([]int32, n),
-		threshold: make([]float64, n),
-		value:     make([]float64, n),
-		right:     make([]int32, n),
-		nSamples:  make([]int32, n),
-	}
-	for i, nd := range b.nodes {
-		c.feature[i] = nd.feature
-		c.threshold[i] = nd.threshold
-		c.value[i] = nd.value
-		c.right[i] = nd.right
-		c.nSamples[i] = nd.nSamples
-	}
-	return c
 }
 
 // build grows the subtree over the sample indices idx (a range of
@@ -326,8 +311,15 @@ func (b *treeBuilder) build(idx []int, depth int) int32 {
 	}
 	mean := sum / float64(n)
 	sse := sum2 - sum*sum/float64(n)
-	node := int32(len(b.nodes))
-	b.nodes = append(b.nodes, buildNode{value: mean, feature: -1, right: -1, nSamples: int32(n)})
+	out := &b.nodes
+	if m := b.maxNodes - len(out.feature); len(out.feature) == cap(out.feature) {
+		out.feature, out.threshold, out.value = slices.Grow(out.feature, m), slices.Grow(out.threshold, m), slices.Grow(out.value, m)
+		out.right, out.nSamples = slices.Grow(out.right, m), slices.Grow(out.nSamples, m)
+	}
+	node := int32(len(out.feature))
+	out.feature, out.threshold = append(out.feature, -1), append(out.threshold, 0)
+	out.value, out.right = append(out.value, mean), append(out.right, -1)
+	out.nSamples = append(out.nSamples, int32(n))
 
 	if n < b.cfg.MinSamplesSplit ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) ||
@@ -369,8 +361,7 @@ func (b *treeBuilder) build(idx []int, depth int) int32 {
 		panic(fmt.Sprintf("ml: tree builder broke the preorder invariant: node %d has left child %d, want %d", node, l, node+1))
 	}
 	r := b.build(idx[k:], depth+1)
-	nd := &b.nodes[node]
-	nd.feature, nd.threshold, nd.right = int32(feat), thr, r
+	out.feature[node], out.threshold[node], out.right[node] = int32(feat), thr, r
 	return node
 }
 

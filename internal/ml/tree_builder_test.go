@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -59,14 +60,15 @@ func tiedData(rng *rand.Rand, n, p int) ([][]float64, []float64) {
 // for importance, floats by bit pattern.
 func assertSameTree(t *testing.T, what string, got, want *DecisionTree) {
 	t.Helper()
-	g, w := &got.nodes, &want.nodes
-	if g.Len() != w.Len() {
-		t.Fatalf("%s: %d nodes, reference has %d", what, g.Len(), w.Len())
+	g, w := treeTable(&got.nodes), treeTable(&want.nodes)
+	n := len(w.feature)
+	if len(g.feature) != n {
+		t.Fatalf("%s: %d nodes, reference has %d", what, len(g.feature), n)
 	}
-	if len(g.threshold) != g.Len() || len(g.value) != g.Len() || len(g.right) != g.Len() || len(g.nSamples) != g.Len() {
+	if len(g.threshold) != n || len(g.value) != n || len(g.right) != n || len(g.nSamples) != n {
 		t.Fatalf("%s: ragged node arrays", what)
 	}
-	for i := 0; i < w.Len(); i++ {
+	for i := 0; i < n; i++ {
 		if g.feature[i] != w.feature[i] || g.right[i] != w.right[i] || g.nSamples[i] != w.nSamples[i] ||
 			math.Float64bits(g.threshold[i]) != math.Float64bits(w.threshold[i]) ||
 			math.Float64bits(g.value[i]) != math.Float64bits(w.value[i]) {
@@ -259,7 +261,7 @@ func TestFailedRefitLeavesTreeUntouched(t *testing.T) {
 		t.Fatal("mismatched refit succeeded")
 	}
 	assertSameTree(t, "after failed refits", tree, &before)
-	if &tree.nodes.feature[0] != &before.nodes.feature[0] {
+	if &tree.nodes.hot[0] != &before.nodes.hot[0] {
 		t.Error("failed refit replaced the node table")
 	}
 	// And a good refit after the failures still works.
@@ -269,42 +271,88 @@ func TestFailedRefitLeavesTreeUntouched(t *testing.T) {
 	assertSameTree(t, "refit after failures", tree, &before)
 }
 
-// TestForestFitAllocBudget: a warmed extra-trees fit allocates what the
-// model keeps — the members' exact-size 28 B/node arrays and the
-// 16 B/node packed table — plus slack, in a number of mallocs that
-// grows with the tree count, not the node count.
+// fitAllocs measures one warmed fit: fit runs twice first, so every
+// pooled builder has served once, and the garbage collector is off
+// while the third runs, so a collection cannot empty the pool mid-fit.
+// It returns the bytes and mallocs of that fit and the node count fit
+// reports.
+func fitAllocs(t *testing.T, fit func() int) (bytes, mallocs uint64, nodes int) {
+	t.Helper()
+	fit()
+	fit()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nodes = fit()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, nodes
+}
+
+// fitBudget is what a warmed fit over an n×p training set may allocate
+// for a model of the given node count: the 28 B/node it keeps (the
+// 16 B packed record and the value and nSamples columns) plus 10 %,
+// the column view (8 B per training value) and 64 KB for the rest
+// (member headers, importances, roots).
+func fitBudget(nodes, n, p int) uint64 {
+	return uint64(1.1*28*float64(nodes)) + uint64(8*n*p) + 64<<10
+}
+
+// TestForestFitAllocBudget: a warmed extra-trees fit allocates the
+// node data its model keeps, once, in a number of mallocs that depends
+// on neither the node count nor the tree count — the staging the trees
+// grow in is pooled, and the packed table, the value and nSamples
+// columns and the members are one allocation each.
 func TestForestFitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	X, y := friedman1(1500, 0.5, 7)
 	const nTrees = 100
-	fit := func() *Forest {
+	bytes, mallocs, nodes := fitAllocs(t, func() int {
 		et := NewExtraTrees(nTrees, 11)
 		et.Workers = 1
 		if err := et.Fit(X, y); err != nil {
 			t.Fatal(err)
 		}
-		return et
-	}
-	fit() // warm the builder pool
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	et := fit()
-	runtime.ReadMemStats(&after)
-
-	nodes := et.compiled.NumNodes()
-	bytes := after.TotalAlloc - before.TotalAlloc
-	mallocs := after.Mallocs - before.Mallocs
-	budget := uint64(1.5 * float64(28*nodes+16*nodes))
-	t.Logf("%d trees, %d nodes: %d bytes (budget %d), %d mallocs", nTrees, nodes, bytes, budget, mallocs)
+		return et.compiled.NumNodes()
+	})
+	budget := fitBudget(nodes, len(X), len(X[0]))
+	t.Logf("%d trees, %d nodes: %d bytes (%.1f B/node, budget %d), %d mallocs", nTrees, nodes, bytes, float64(bytes)/float64(nodes), budget, mallocs)
 	if bytes > budget {
 		t.Errorf("fit allocated %d bytes for %d nodes, budget %d", bytes, nodes, budget)
 	}
 	if nodes < 100*nTrees {
 		t.Fatalf("only %d nodes: trees too small to tell per-node from per-tree mallocs", nodes)
 	}
-	if limit := uint64(16*nTrees + 64); mallocs > limit {
-		t.Errorf("fit made %d mallocs for %d trees (%d nodes), want <= %d", mallocs, nTrees, nodes, limit)
+	if mallocs > 64 {
+		t.Errorf("fit made %d mallocs for %d trees (%d nodes), want <= 64", mallocs, nTrees, nodes)
+	}
+}
+
+// TestTreeFitAllocBudget is TestForestFitAllocBudget for a standalone
+// tree, which grows in its builder's table and packs it into a
+// one-tree walk table.
+func TestTreeFitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	X, y := friedman1(4000, 0.5, 3)
+	bytes, mallocs, nodes := fitAllocs(t, func() int {
+		tree := NewDecisionTree(TreeConfig{Splitter: RandomSplitter, Seed: 5})
+		if err := tree.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		return tree.nodes.Len()
+	})
+	budget := fitBudget(nodes, len(X), len(X[0]))
+	t.Logf("%d nodes: %d bytes (budget %d), %d mallocs", nodes, bytes, budget, mallocs)
+	if bytes > budget {
+		t.Errorf("fit allocated %d bytes for %d nodes, budget %d", bytes, nodes, budget)
+	}
+	if nodes < 4000 {
+		t.Fatalf("only %d nodes: tree too small to tell per-node from constant mallocs", nodes)
+	}
+	if mallocs > 16 {
+		t.Errorf("fit made %d mallocs for %d nodes, want <= 16", mallocs, nodes)
 	}
 }

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -18,7 +19,7 @@ import (
 // (TestTreeBuilderMatchesReference).
 
 // refGrow appends a leaf node and returns its index.
-func refGrow(c *CompiledTree, value float64, n int) int32 {
+func refGrow(c *nodeTable, value float64, n int) int32 {
 	idx := int32(len(c.feature))
 	c.feature = append(c.feature, -1)
 	c.threshold = append(c.threshold, 0)
@@ -37,7 +38,7 @@ type refTreeBuilder struct {
 	importances []float64
 	featBuf     []int
 	scratch     []splitSample
-	out         CompiledTree
+	out         nodeTable
 	// leafRechecks counts the nodes the post-partition MinSamplesLeaf
 	// re-check turned back into leaves.
 	leafRechecks int
@@ -76,7 +77,19 @@ func refFitTreeCounting(cfg TreeConfig, X [][]float64, y []float64) (*DecisionTr
 	}
 	t.nFeatures = p
 	t.importances = importances
-	t.nodes = b.out
+	if _, err := compileEnsemble([]*DecisionTree{t}, []nodeTable{b.out}, true); err != nil {
+		panic(err)
+	}
+	// The packed records must read back exactly what was grown: the
+	// differential tests compare trees through them.
+	got := treeTable(&t.nodes)
+	for i := range b.out.feature {
+		if got.feature[i] != b.out.feature[i] || got.right[i] != b.out.right[i] ||
+			math.Float64bits(got.threshold[i]) != math.Float64bits(b.out.threshold[i]) {
+			panic(fmt.Sprintf("reference node %d reads back as (%d, %v, %d), grown as (%d, %v, %d)", i,
+				got.feature[i], got.threshold[i], got.right[i], b.out.feature[i], b.out.threshold[i], b.out.right[i]))
+		}
+	}
 	return t, b.leafRechecks
 }
 

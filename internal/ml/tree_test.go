@@ -97,7 +97,7 @@ func TestTreeMinSamplesLeaf(t *testing.T) {
 func assertLeafSizes(t *testing.T, c *CompiledTree, min int) {
 	t.Helper()
 	for i := 0; i < c.Len(); i++ {
-		if c.feature[i] < 0 && int(c.nSamples[i]) < min {
+		if f, _, _ := c.split(i); f < 0 && int(c.nSamples[i]) < min {
 			t.Errorf("leaf %d holds %d samples, want >= %d", i, c.nSamples[i], min)
 		}
 	}

@@ -37,9 +37,10 @@
 //     temporary file and rename it into place; nothing truncates or
 //     rewrites an artifact in place, and nothing else may. Load,
 //     ArtifactInfo and Convert map the artifact read-only on Linux
-//     (mmap_linux.go) and decode it in place: a loaded model's member
-//     trees alias the mapping, which is released once none of them is
-//     reachable. Truncating a mapped artifact under a running process
+//     (mmap_linux.go) and decode it in place: the walk table is packed
+//     onto the heap, and each loaded tree's value and nSamples columns
+//     alias the mapping, which is released once no tree is reachable.
+//     Truncating a mapped artifact under a running process
 //     therefore faults that process (SIGBUS), and rewriting it in
 //     place changes a loaded model's tables under it.
 //   - Legacy jsonv1 registries load forever, unchanged; a damaged

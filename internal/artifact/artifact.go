@@ -72,7 +72,8 @@ type DecodeOptions struct {
 	Analytical hybrid.AnalyticalModel
 	// Owner keeps the artifact bytes valid when they are not Go heap
 	// memory: the registry passes the owner of a file mapping, which
-	// every decoded tree whose node columns alias the bytes then holds.
+	// every decoded tree whose value and nSamples columns alias the
+	// bytes then holds.
 	// Nil for heap bytes, which those aliases keep alive themselves.
 	Owner any
 }

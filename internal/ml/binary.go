@@ -140,6 +140,13 @@ func appendPad8(buf []byte, elems, size int) []byte {
 	return append(buf, zeroPad[:pad8(elems, size)]...)
 }
 
+func boolI64(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 func appendTreeConfig(buf []byte, cfg TreeConfig) []byte {
 	buf = appendI64(buf, int64(cfg.MaxDepth))
 	buf = appendI64(buf, int64(cfg.MinSamplesSplit))
@@ -156,8 +163,7 @@ func appendTreeConfig(buf []byte, cfg TreeConfig) []byte {
 // the left column is implicit in the canonical layout), so an odd node
 // count needs 4 bytes of padding to keep the following float64 arrays
 // 8-byte aligned. The split columns are read back from the packed
-// records (CompiledTree.split), stored typed where the host and the
-// layout discipline allow.
+// records (CompiledTree.split) and stored node by node.
 func appendTreeBody(buf []byte, t *DecisionTree) []byte {
 	c := &t.nodes
 	n := c.Len()
@@ -171,15 +177,6 @@ func appendTreeBody(buf []byte, t *DecisionTree) []byte {
 	buf = appendPad8(appendI32s(buf[:right+4*n], c.nSamples), 3*n, 4)
 	threshold := len(buf)
 	buf = buf[:threshold+8*n]
-	if nativeLittleEndian && uintptr(unsafe.Pointer(&buf[feature]))%8 == 0 {
-		fs := unsafe.Slice((*int32)(unsafe.Pointer(&buf[feature])), n)
-		rs := unsafe.Slice((*int32)(unsafe.Pointer(&buf[right])), n)
-		ts := unsafe.Slice((*float64)(unsafe.Pointer(&buf[threshold])), n)
-		for i := range n {
-			fs[i], ts[i], rs[i] = c.split(i)
-		}
-		return appendF64s(buf, c.value)
-	}
 	for i := range n {
 		f, thr, r := c.split(i)
 		binary.LittleEndian.PutUint32(buf[feature+4*i:], uint32(f))
@@ -206,7 +203,7 @@ func AppendBinary(buf []byte, m Regressor) ([]byte, error) {
 		}
 		buf = appendU64(buf, binKindForest)
 		buf = appendI64(buf, int64(v.NTrees))
-		buf = appendI64(buf, int64(b2i32(v.Bootstrap)))
+		buf = appendI64(buf, boolI64(v.Bootstrap))
 		buf = appendI64(buf, v.Seed)
 		buf = appendU64(buf, uint64(v.nFeatures))
 		buf = appendTreeConfig(buf, v.Tree)
@@ -266,16 +263,9 @@ func (r *binReader) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-// words reads len(dst) consecutive u64 words.
-func (r *binReader) words(dst []uint64) error {
-	b, err := r.bytes(8 * len(dst))
-	if err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return nil
+func (r *binReader) i64() (int64, error) {
+	v, err := r.u64()
+	return int64(v), err
 }
 
 // count reads an element count and bounds it by the bytes actually left
@@ -339,66 +329,84 @@ func (r *binReader) f64s(n int) ([]float64, error) {
 	return slices.Clone(v), err
 }
 
-func (r *binReader) treeConfig() (TreeConfig, error) {
-	var v [6]uint64
-	err := r.words(v[:])
-	return TreeConfig{MaxDepth: int(v[0]), MinSamplesSplit: int(v[1]), MinSamplesLeaf: int(v[2]),
-		MaxFeatures: int(v[3]), Splitter: Splitter(v[4]), Seed: int64(v[5])}, err
+func (r *binReader) skipPad(elems, size int) error {
+	_, err := r.bytes(pad8(elems, size))
+	return err
 }
 
-// treeBody reads one tree body; tables is adopt's.
-func (r *binReader) treeBody(tables *[]nodeTable) (*DecisionTree, error) {
+func (r *binReader) treeConfig() (TreeConfig, error) {
+	var cfg TreeConfig
+	vals := make([]int64, 6)
+	for i := range vals {
+		v, err := r.i64()
+		if err != nil {
+			return cfg, err
+		}
+		vals[i] = v
+	}
+	cfg.MaxDepth = int(vals[0])
+	cfg.MinSamplesSplit = int(vals[1])
+	cfg.MinSamplesLeaf = int(vals[2])
+	cfg.MaxFeatures = int(vals[3])
+	cfg.Splitter = Splitter(vals[4])
+	cfg.Seed = vals[5]
+	return cfg, nil
+}
+
+// treeBody reads one tree body: the tree, still unpacked, and its node
+// table for compileEnsemble.
+func (r *binReader) treeBody() (*DecisionTree, nodeTable, error) {
+	var c nodeTable
 	nNodes, err := r.count(4)
 	if err != nil {
-		return nil, err
+		return nil, c, err
 	}
 	nFeat, err := r.u64()
 	if err != nil {
-		return nil, err
+		return nil, c, err
 	}
 	if nFeat < 1 || nFeat > math.MaxInt32 {
-		return nil, corruptf("tree over %d features", nFeat)
+		return nil, c, corruptf("tree over %d features", nFeat)
 	}
 	nImp, err := r.count(8)
 	if err != nil {
-		return nil, err
+		return nil, c, err
 	}
 	cfg, err := r.treeConfig()
 	if err != nil {
-		return nil, err
+		return nil, c, err
 	}
 	imp, err := r.f64s(nImp)
 	if err != nil {
-		return nil, err
+		return nil, c, err
 	}
-	var c nodeTable
 	var left []int32
 	if c.feature, err = r.i32Column(nNodes); err != nil {
-		return nil, err
+		return nil, c, err
 	}
 	if r.v1 {
 		// Legacy layout: explicit left column, four int32 arrays (a
 		// multiple of 8 bytes for any node count, so no padding).
 		if left, err = r.i32Column(nNodes); err != nil {
-			return nil, err
+			return nil, c, err
 		}
 	}
 	if c.right, err = r.i32Column(nNodes); err != nil {
-		return nil, err
+		return nil, c, err
 	}
 	if c.nSamples, err = r.i32Column(nNodes); err != nil {
-		return nil, err
+		return nil, c, err
 	}
 	if !r.v1 {
-		if _, err := r.bytes(pad8(3*nNodes, 4)); err != nil {
-			return nil, err
+		if err := r.skipPad(3*nNodes, 4); err != nil {
+			return nil, c, err
 		}
 	}
 	if c.threshold, err = r.f64Column(nNodes); err != nil {
-		return nil, err
+		return nil, c, err
 	}
 	if c.value, err = r.f64Column(nNodes); err != nil {
-		return nil, err
+		return nil, c, err
 	}
 	if r.v1 {
 		// Fold the explicit children back into canonical implicit-left
@@ -407,14 +415,14 @@ func (r *binReader) treeBody(tables *[]nodeTable) (*DecisionTree, error) {
 		// without moving a node; foreign-but-valid orders are permuted
 		// (prediction-bit-identical).
 		if c, err = canonicalTree(c.feature, c.threshold, c.value, left, c.right, c.nSamples, int(nFeat)); err != nil {
-			return nil, corruptf("%v", err)
+			return nil, c, corruptf("%v", err)
 		}
 	} else if err := c.validate(int(nFeat)); err != nil {
-		return nil, corruptf("%v", err)
+		return nil, c, corruptf("%v", err)
 	}
 	t := &DecisionTree{Config: cfg, nFeatures: int(nFeat), importances: imp}
 	t.nodes.keep = r.keep
-	return t, t.adopt(c, tables)
+	return t, c, nil
 }
 
 // DecodeBinaryVersion restores a regressor payload encoded by
@@ -425,17 +433,24 @@ func (r *binReader) treeBody(tables *[]nodeTable) (*DecisionTree, error) {
 // files written before the implicit-left layout keep decoding forever.
 //
 // The decoded trees' value and nSamples columns alias data, which the
-// decoder never writes. owner is what keeps data valid: every such tree holds it, so
-// data lives exactly as long as some tree reads it. Pass nil when data
-// is Go heap memory, which the aliases keep alive on their own; pass
-// the mapping's owner when data is a file mapping released once its
-// owner is unreachable.
+// decoder never writes. owner is what keeps data valid: every such
+// tree holds it, so data lives exactly as long as some tree reads it.
+// Pass nil when data is Go heap memory, which the aliases keep alive
+// on their own; pass the mapping's owner when data is a file mapping
+// released once its owner is unreachable.
 func DecodeBinaryVersion(data []byte, version int, owner any) (Regressor, error) {
-	m, n, err := DecodeBinaryPrefixVersion(data, version, owner)
-	if err == nil && n != len(data) {
-		return nil, corruptf("%d trailing bytes after model payload", len(data)-n)
+	r, err := newBinReader(data, version, owner)
+	if err != nil {
+		return nil, err
 	}
-	return m, err
+	m, err := decodeModelBinary(r)
+	if err != nil {
+		return nil, err
+	}
+	if r.remaining() != 0 {
+		return nil, corruptf("%d trailing bytes after model payload", r.remaining())
+	}
+	return m, nil
 }
 
 // DecodeBinaryPrefixVersion restores a regressor of the given payload
@@ -472,10 +487,29 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 	}
 	switch kind {
 	case binKindTree:
-		return r.treeBody(nil)
+		t, c, err := r.treeBody()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := compileEnsemble([]*DecisionTree{t}, []nodeTable{c}); err != nil {
+			return nil, corruptf("%v", err)
+		}
+		return t, nil
 	case binKindForest:
-		var h [4]uint64 // NTrees, Bootstrap, Seed, feature count
-		if err := r.words(h[:]); err != nil {
+		nTreesCfg, err := r.i64()
+		if err != nil {
+			return nil, err
+		}
+		bootstrap, err := r.i64()
+		if err != nil {
+			return nil, err
+		}
+		seed, err := r.i64()
+		if err != nil {
+			return nil, err
+		}
+		nFeat, err := r.u64()
+		if err != nil {
 			return nil, err
 		}
 		cfg, err := r.treeConfig()
@@ -492,20 +526,20 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 		}
 		// n is bounded by the payload, so the exact-size lists cost at
 		// most a small multiple of the input.
-		f := &Forest{NTrees: int(h[0]), Tree: cfg, Bootstrap: h[1] != 0,
-			Seed: int64(h[2]), nFeatures: int(h[3]), trees: make([]*DecisionTree, 0, n)}
+		f := &Forest{NTrees: int(nTreesCfg), Tree: cfg, Bootstrap: bootstrap != 0,
+			Seed: seed, nFeatures: int(nFeat), trees: make([]*DecisionTree, 0, n)}
 		tables := make([]nodeTable, 0, n)
 		for i := 0; i < n; i++ {
-			t, err := r.treeBody(&tables)
+			t, c, err := r.treeBody()
 			if err != nil {
 				return nil, fmt.Errorf("forest tree %d: %w", i, err)
 			}
-			if uint64(t.nFeatures) != h[3] {
-				return nil, corruptf("forest over %d features holds tree %d over %d", h[3], i, t.nFeatures)
+			if uint64(t.nFeatures) != nFeat {
+				return nil, corruptf("forest over %d features holds tree %d over %d", nFeat, i, t.nFeatures)
 			}
-			f.trees = append(f.trees, t)
+			f.trees, tables = append(f.trees, t), append(tables, c)
 		}
-		if f.compiled, err = compileEnsemble(f.trees, tables, true); err != nil {
+		if f.compiled, err = compileEnsemble(f.trees, tables); err != nil {
 			return nil, corruptf("%v", err)
 		}
 		return f, nil

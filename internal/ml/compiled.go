@@ -3,6 +3,7 @@ package ml
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -24,12 +25,13 @@ func b2i32(b bool) int32 {
 // conditional move instead of a branch (see predictHot), so the CPU
 // never mispredicts data-dependent splits.
 //
-// A fit grows a tree, and a decoder reads one, as a nodeTable;
-// compileEnsemble packs it into the walk table, and the tree keeps only
-// what the records lack (CompiledTree). The walk is bit-identical to
-// the recursive form: the node ordering, thresholds and comparison
-// directions are unchanged, only the storage differs (asserted
-// exhaustively by TestCompiledEquivalence in compiled_test.go).
+// A fit grows each tree straight into the walk table (growth); a
+// decoder reads a tree as a nodeTable, which compileEnsemble packs. A
+// tree keeps only what the records lack (CompiledTree). The walk is
+// bit-identical to the recursive form: the node ordering, thresholds
+// and comparison directions are unchanged, only the storage differs
+// (asserted exhaustively by TestCompiledEquivalence in
+// compiled_test.go).
 
 // nodeTable is one tree's nodes in canonical preorder, one column per
 // field — the on-disk layout, which no model keeps. Leaves have
@@ -73,18 +75,6 @@ func (c *CompiledTree) split(i int) (feature int32, threshold float64, right int
 	leaf := n.feature >> 31 // all ones for a leaf, else zero
 	thr := math.Float64bits(n.threshold) &^ uint64(int64(leaf))
 	return n.feature | leaf, math.Float64frombits(thr), (n.right - c.root) | leaf
-}
-
-// adopt makes c the decoded tree t's node table: packed into t's own
-// walk table at once, or, for a forest member, appended to the
-// forest's tables to be fused once every member is read.
-func (t *DecisionTree) adopt(c nodeTable, tables *[]nodeTable) (err error) {
-	if tables != nil {
-		*tables = append(*tables, c)
-	} else if _, err = compileEnsemble([]*DecisionTree{t}, []nodeTable{c}, true); err != nil {
-		err = corruptf("%v", err)
-	}
-	return err
 }
 
 // hotNode packs the three fields the branchless descent reads into one
@@ -254,35 +244,98 @@ func fusedRoots(n int, treeLen func(t int) int) ([]int32, int, error) {
 	return roots, total, nil
 }
 
-// compileEnsemble is the one place trees become models: it packs
+// compileEnsemble is where decoded trees become models: it packs
 // tables[t] into one exact-size fused table and makes trees[t] a view
-// of its range. With adopt (a decode) the trees keep the tables' value
-// and nSamples columns; without (a fit's pooled staging) those are
-// copied into one exact-size allocation each. The fill stays on the
-// calling goroutine, so a load's time does not depend on a second core
-// being free. It fails, touching no tree, only past int32 node indices.
-func compileEnsemble(trees []*DecisionTree, tables []nodeTable, adopt bool) (*CompiledEnsemble, error) {
+// of its range that keeps the table's value and nSamples columns. The
+// fill stays on the calling goroutine, so a load's time does not depend
+// on a second core being free. It fails, touching no tree, only past
+// int32 node indices.
+func compileEnsemble(trees []*DecisionTree, tables []nodeTable) (*CompiledEnsemble, error) {
 	roots, total, err := fusedRoots(len(tables), func(t int) int { return len(tables[t].feature) })
 	if err != nil {
 		return nil, err
 	}
 	e := &CompiledEnsemble{hot: make([]hotNode, total), roots: roots}
-	value, nSamples := []float64(nil), []int32(nil)
-	if !adopt {
-		value, nSamples = make([]float64, total), make([]int32, total)
-	}
 	for t := range tables {
 		tab, lo, hi := &tables[t], roots[t], e.treeEnd(t)
 		packTree(e.hot[lo:hi], tab, int(lo))
 		c := &trees[t].nodes
 		c.hot, c.root, c.value, c.nSamples = e.hot[:hi:hi], lo, tab.value, tab.nSamples
-		if !adopt {
-			c.value, c.nSamples, c.keep = value[lo:hi:hi], nSamples[lo:hi:hi], nil
-			copy(c.value, tab.value)
-			copy(c.nSamples, tab.nSamples)
-		}
 	}
 	return e, nil
+}
+
+// treeSlot is the range of a fit's tables one tree grows into.
+type treeSlot struct {
+	hot      []hotNode
+	value    []float64
+	nSamples []int32
+}
+
+// growth is a fit's walk table in the making. Each tree grows straight
+// into its own slot, sized by the tree's node bound (TreeConfig.maxNodes)
+// and laid end to end in tree order, so trees grow concurrently with no
+// staging to copy out of, and a fit's bytes depend only on its data and
+// seed. pack then closes the gaps the bounds leave.
+type growth struct {
+	hot      []hotNode
+	value    []float64
+	nSamples []int32
+	slots    []int32 // slots[t] is tree t's first index
+	sizes    []int32 // sizes[t] is the node count tree t grew
+}
+
+// newGrowth lays out slots of bounds[t] nodes, refusing a layout int32
+// node indices cannot address.
+func newGrowth(bounds []int) (*growth, error) {
+	slots, total, err := fusedRoots(len(bounds), func(t int) int { return bounds[t] })
+	if err != nil {
+		return nil, err
+	}
+	return &growth{hot: make([]hotNode, total), value: make([]float64, total),
+		nSamples: make([]int32, total), slots: slots, sizes: make([]int32, len(bounds))}, nil
+}
+
+// slot returns tree t's slot.
+func (g *growth) slot(t int) treeSlot {
+	lo, hi := int(g.slots[t]), len(g.hot)
+	if t+1 < len(g.slots) {
+		hi = int(g.slots[t+1])
+	}
+	return treeSlot{g.hot[lo:hi:hi], g.value[lo:hi:hi], g.nSamples[lo:hi:hi]}
+}
+
+// pack moves every grown tree down against its predecessor, rebasing
+// its right children from tree-local to fused indices, and makes
+// trees[t] a view of its range. The bounds are within 3 % of the grown
+// trees on the paper's workloads, but nodes that stop early (pure
+// responses, MinSamplesSplit, a depth limit short of full) can leave a
+// table mostly empty: one that is more than a quarter empty is copied
+// to exact size, so a model never keeps much more than its nodes.
+func (g *growth) pack(trees []*DecisionTree) *CompiledEnsemble {
+	roots, end := g.slots, int32(0)
+	for t, size := range g.sizes {
+		lo := roots[t]
+		for i := range size {
+			h := g.hot[lo+i]
+			h.right += end &^ (h.feature >> 31) // leaves keep right 0
+			g.hot[end+i] = h
+		}
+		copy(g.value[end:end+size], g.value[lo:lo+size])
+		copy(g.nSamples[end:end+size], g.nSamples[lo:lo+size])
+		roots[t] = end
+		end += size
+	}
+	hot, value, nSamples := g.hot[:end:end], g.value[:end:end], g.nSamples[:end:end]
+	if 4*len(hot) < 3*len(g.hot) {
+		hot, value, nSamples = slices.Clone(hot), slices.Clone(value), slices.Clone(nSamples)
+	}
+	e := &CompiledEnsemble{hot: hot, roots: roots}
+	for t, tree := range trees {
+		lo, hi := roots[t], e.treeEnd(t)
+		tree.nodes = CompiledTree{hot: hot[:hi:hi], root: lo, value: value[lo:hi:hi], nSamples: nSamples[lo:hi:hi]}
+	}
+	return e
 }
 
 // Predict scores one feature vector, folding the member trees in

@@ -553,10 +553,10 @@ func TestFusedRootsRefusesOverflow(t *testing.T) {
 	}
 }
 
-// TestCompileAllocationsConstant pins the exact-size pass: compiling a
-// fitted forest allocates the ensemble, its roots, its packed table
-// and, when it copies them, the value and nSamples columns — a count
-// that depends on neither the number of trees nor their size.
+// TestCompileAllocationsConstant pins the exact-size pass: compiling
+// decoded tables allocates the ensemble, its roots and its packed
+// table — a count that depends on neither the number of trees nor
+// their size.
 func TestCompileAllocationsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -573,16 +573,14 @@ func TestCompileAllocationsConstant(t *testing.T) {
 		for i, tr := range f.trees {
 			tables[i] = treeTable(&tr.nodes)
 		}
-		for _, adopt := range []bool{false, true} {
-			counts = append(counts, testing.AllocsPerRun(10, func() {
-				if _, err := compileEnsemble(f.trees, tables, adopt); err != nil {
-					t.Fatal(err)
-				}
-			}))
-		}
+		counts = append(counts, testing.AllocsPerRun(10, func() {
+			if _, err := compileEnsemble(f.trees, tables); err != nil {
+				t.Fatal(err)
+			}
+		}))
 	}
-	for i, c := range counts {
-		if c != counts[i%2] || c > float64(5-2*(i%2)) {
+	for _, c := range counts {
+		if c != counts[0] || c > 3 {
 			t.Fatalf("compile allocations per shape = %v, want one small constant", counts)
 		}
 	}

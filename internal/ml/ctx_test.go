@@ -96,10 +96,9 @@ func TestPipelineRefitCancelKeepsOldState(t *testing.T) {
 }
 
 // TestForestRefitCancelledMidFit cancels a refit while its trees are
-// growing in held builders: the fit reports the cancellation, the
-// forest keeps its previous model, and the next fit — growing in the
-// builders the cancelled one handed back — is bit-identical to a fresh
-// forest's.
+// growing: the fit reports the cancellation, the forest keeps its
+// previous model, and the next fit — drawing the builders the cancelled
+// one handed back — is bit-identical to a fresh forest's.
 func TestForestRefitCancelledMidFit(t *testing.T) {
 	X, y := ctxTrainingSet(64)
 	f := NewExtraTrees(10, 4)

@@ -69,8 +69,8 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 // FitCtx is Fit with prompt cancellation between trees: once ctx is
 // done no further tree starts growing and the fit returns a typed
 // cancellation error (wrapping lamerr.ErrCancelled and ctx.Err())
-// without mutating the receiver. Each tree grows in its own pooled
-// builder, held until all are grown and compileEnsemble has packed them.
+// without mutating the receiver. Every tree grows straight into its
+// slot of the ensemble's walk table (see growth).
 func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
 	p, err := checkXY(X, y)
 	if err != nil {
@@ -81,35 +81,49 @@ func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
 	if nTrees < 1 {
 		nTrees = 100
 	}
+	// Every tree's randomness derives only from (Seed, t), so the
+	// worker pool cannot perturb the fitted ensemble.
+	bootSeed := func(t int) int64 { return int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x626f6f74)) }
 	cols := columnView(X)
+	class, distinct := rowClasses(cols)
+	bounds := make([]int, nTrees)
+	for t := range bounds {
+		bounds[t] = f.Tree.maxNodes(n, distinct)
+	}
+	if f.Bootstrap {
+		// A bootstrap draws about 63% of the rows, which bounds its tree
+		// far tighter than all of them do; the draw is repeated to grow.
+		err = parallel.ForCtx(ctx, nTrees, f.Workers, func(t int) error {
+			b := getTreeBuilder()
+			defer b.release()
+			b.sampleBootstrap(bootSeed(t), n)
+			bounds[t] = f.Tree.maxNodes(n, b.distinct(class))
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	g, err := newGrowth(bounds)
+	if err != nil {
+		return err
+	}
 	slab := make([]DecisionTree, nTrees)
 	trees := make([]*DecisionTree, nTrees)
 	imps := make([]float64, nTrees*p)
-	tables := make([]nodeTable, nTrees)
-	builders := make([]*treeBuilder, nTrees)
-	defer func() {
-		for _, b := range builders {
-			if b != nil {
-				b.release()
-			}
-		}
-	}()
 	err = parallel.ForCtx(ctx, nTrees, f.Workers, func(t int) error {
-		// Every tree's randomness derives only from (Seed, t), so the
-		// worker pool cannot perturb the fitted ensemble.
 		cfg := f.Tree
 		cfg.Seed = int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x7265657301))
 
 		b := getTreeBuilder()
-		builders[t] = b
+		defer b.release()
 		if f.Bootstrap {
-			b.sampleBootstrap(int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x626f6f74)), n)
+			b.sampleBootstrap(bootSeed(t), n)
 		} else {
 			b.sampleAll(n)
 		}
 		imp := imps[t*p : (t+1)*p : (t+1)*p]
-		b.fit(cfg, cols, y, imp)
-		tables[t] = b.nodes
+		g.sizes[t] = b.fit(cfg, cols, y, imp, g.slot(t))
 		slab[t] = DecisionTree{Config: cfg, nFeatures: p, importances: imp}
 		trees[t] = &slab[t]
 		return nil
@@ -117,12 +131,8 @@ func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
 	if err != nil {
 		return err
 	}
-	compiled, err := compileEnsemble(trees, tables, false)
-	if err != nil {
-		return err
-	}
+	f.compiled = g.pack(trees)
 	f.trees = trees
-	f.compiled = compiled
 	f.nFeatures = p
 	return nil
 }

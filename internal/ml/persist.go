@@ -186,19 +186,20 @@ func (t *DecisionTree) toDTO() treeDTO {
 	}
 }
 
-// fromDTO restores t from its document; tables is adopt's.
-func (t *DecisionTree) fromDTO(d treeDTO, tables *[]nodeTable) error {
+// fromDTO restores t from its document but its nodes, which it returns
+// as the node table for compileEnsemble.
+func (t *DecisionTree) fromDTO(d treeDTO) (nodeTable, error) {
 	if d.NFeatures < 1 || d.NFeatures > math.MaxInt32 {
-		return corruptf("tree over %d features", d.NFeatures)
+		return nodeTable{}, corruptf("tree over %d features", d.NFeatures)
 	}
 	nodes, err := compileNodes(d.Nodes, d.NFeatures)
 	if err != nil {
-		return err
+		return nodeTable{}, err
 	}
 	t.Config = d.Config
 	t.nFeatures = d.NFeatures
 	t.importances = d.Importances
-	return t.adopt(nodes, tables)
+	return nodes, nil
 }
 
 type forestDTO struct {
@@ -280,8 +281,12 @@ func decodeModel(env modelEnvelope) (Regressor, error) {
 			return nil, err
 		}
 		t := &DecisionTree{}
-		if err := t.fromDTO(d, nil); err != nil {
+		c, err := t.fromDTO(d)
+		if err != nil {
 			return nil, err
+		}
+		if _, err := compileEnsemble([]*DecisionTree{t}, []nodeTable{c}); err != nil {
+			return nil, corruptf("%v", err)
 		}
 		return t, nil
 	case "forest":
@@ -294,19 +299,20 @@ func decodeModel(env modelEnvelope) (Regressor, error) {
 		tables := make([]nodeTable, 0, len(d.Trees))
 		for i, td := range d.Trees {
 			t := &DecisionTree{}
-			if err := t.fromDTO(td, &tables); err != nil {
+			c, err := t.fromDTO(td)
+			if err != nil {
 				return nil, fmt.Errorf("ml: forest tree %d: %w", i, err)
 			}
 			if t.nFeatures != f.nFeatures {
 				return nil, corruptf("forest over %d features holds tree %d over %d", f.nFeatures, i, t.nFeatures)
 			}
-			f.trees = append(f.trees, t)
+			f.trees, tables = append(f.trees, t), append(tables, c)
 		}
 		if len(f.trees) == 0 {
 			return nil, fmt.Errorf("ml: corrupt forest: no trees")
 		}
 		var err error
-		if f.compiled, err = compileEnsemble(f.trees, tables, true); err != nil {
+		if f.compiled, err = compileEnsemble(f.trees, tables); err != nil {
 			return nil, corruptf("%v", err)
 		}
 		return f, nil

@@ -131,30 +131,6 @@ func TestLoadModelRejectsCorruptTreeLinks(t *testing.T) {
 	}
 }
 
-// TestAppendBinaryAnyAlignment: a tree's split columns are stored typed
-// when they land aligned and byte by byte when not; both write the same
-// bytes.
-func TestAppendBinaryAnyAlignment(t *testing.T) {
-	X, y := randomRegression(rand.New(rand.NewSource(12)), 150, 3)
-	f := &Forest{NTrees: 4, Tree: TreeConfig{Splitter: RandomSplitter}, Seed: 3}
-	if err := f.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	want, err := AppendBinary(nil, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := 1; off < 8; off++ {
-		got, err := AppendBinary(make([]byte, off, off+len(want)), f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got[off:], want) {
-			t.Fatalf("encoding %d bytes into the buffer differs from the aligned one", off)
-		}
-	}
-}
-
 // TestRefitDropsMappingOwner: a tree decoded in place holds the owner
 // of the bytes its columns alias; refitting it replaces those columns,
 // so it must let the owner go.

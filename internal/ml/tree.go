@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -64,6 +65,20 @@ func (c TreeConfig) normalized() TreeConfig {
 	return c
 }
 
+// maxNodes bounds the nodes of a tree grown over n samples that carry
+// distinct row classes (see rowClasses). Samples of one class never
+// part, and every leaf holds at least MinSamplesLeaf samples, so a tree
+// has at most min(distinct, n/MinSamplesLeaf) leaves and one fewer
+// splits; a depth limit caps it at 2^MaxDepth-1 nodes.
+func (c TreeConfig) maxNodes(n, distinct int) int {
+	c = c.normalized()
+	nodes := 2*max(1, min(distinct, n/c.MinSamplesLeaf)) - 1
+	if d := c.MaxDepth; d > 0 && d < 31 {
+		nodes = min(nodes, 1<<d-1)
+	}
+	return nodes
+}
+
 // DecisionTree is a CART regression tree (variance-reduction splitting)
 // with an optional extra-trees random splitter. The fitted tree is
 // stored directly in compiled form — a range of a packed preorder walk
@@ -89,22 +104,26 @@ func (t *DecisionTree) IsFitted() bool { return t.nodes.Len() > 0 }
 // before Fit).
 func (t *DecisionTree) NumFeatures() int { return t.nFeatures }
 
-// Fit grows the tree on (X, y) and packs it into its own walk table.
-// A failed fit leaves the receiver untouched: fitted state is assigned
-// only once the tree is packed.
+// Fit grows the tree on (X, y) straight into its own walk table. A
+// failed fit leaves the receiver untouched: fitted state is assigned
+// only once the tree is grown.
 func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 	p, err := checkXY(X, y)
 	if err != nil {
 		return err
 	}
-	b := getTreeBuilder()
-	defer b.release()
-	b.sampleAll(len(X))
-	imp := make([]float64, p)
-	b.fit(t.Config, columnView(X), y, imp)
-	if _, err := compileEnsemble([]*DecisionTree{t}, []nodeTable{b.nodes}, false); err != nil {
+	n, cols := len(X), columnView(X)
+	_, distinct := rowClasses(cols)
+	g, err := newGrowth([]int{t.Config.maxNodes(n, distinct)})
+	if err != nil {
 		return err
 	}
+	b := getTreeBuilder()
+	defer b.release()
+	b.sampleAll(n)
+	imp := make([]float64, p)
+	g.sizes[0] = b.fit(t.Config, cols, y, imp, g.slot(0))
+	g.pack([]*DecisionTree{t})
 	t.nFeatures, t.importances = p, imp
 	return nil
 }
@@ -163,6 +182,36 @@ func columnView(X [][]float64) [][]float64 {
 	return cols
 }
 
+// rowClasses labels every row of a column view with a class shared by
+// exactly the rows whose features are bitwise equal to its own, and
+// returns the labels (in [0, n)) and their number. Rows of one class
+// compare alike against every threshold, so no split parts them.
+func rowClasses(cols [][]float64) (class []int, distinct int) {
+	n := len(cols[0])
+	cmpRows := func(a, b int) int {
+		for _, col := range cols {
+			if c := cmp.Compare(math.Float64bits(col[a]), math.Float64bits(col[b])); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, cmpRows)
+	class = make([]int, n)
+	for k, i := range order {
+		if k > 0 && cmpRows(order[k-1], i) == 0 {
+			class[i] = class[order[k-1]]
+		} else {
+			class[i], distinct = i, distinct+1
+		}
+	}
+	return class, distinct
+}
+
 // splitSample pairs one feature value with its response for sorting.
 type splitSample struct {
 	v, y float64
@@ -176,7 +225,7 @@ type splitFunc func(b *treeBuilder, col []float64, idx []int) (thr, sse float64,
 
 // treeBuilder owns all the working memory of growing one tree and is
 // recycled through treeBuilderPool, so a warmed fit allocates only what
-// the fitted tree keeps (its share of the packed table and of the value
+// the fitted tree keeps (its slot of the walk table and of the value
 // and nSamples columns, and its importances).
 //
 // idx is the tree's one sample-index array — positions into the column
@@ -190,26 +239,27 @@ type splitFunc func(b *treeBuilder, col []float64, idx []int) (thr, sse float64,
 // builder's (tree_ref_test.go keeps it as the spec).
 //
 // The tree is grown in preorder (parent, left subtree, right subtree)
-// into nodes, leaves with feature -1, threshold 0 and right -1: staging
-// the fit packs into the model, overwritten by the builder's next fit.
+// straight into out, its slot of the fit's walk table (see growth), as
+// packed records with tree-local right children; size counts the nodes
+// grown so far.
 //
-// cols, y and importances belong to the fit in progress, not to the
-// builder; release drops them so a pooled builder never pins a caller's
-// training set.
+// cols, y, importances and out belong to the fit in progress, not to
+// the builder; release drops them so a pooled builder never pins a
+// caller's training set or model.
 type treeBuilder struct {
 	cols        [][]float64
 	y           []float64
 	importances []float64
+	out         treeSlot
+	size        int32
 	cfg         TreeConfig
 	split       splitFunc // chosen once per tree from cfg.Splitter
-	maxNodes    int       // bounds the tree in progress (see fit)
 
 	rng     *rand.Rand
 	idx     []int
 	tmp     []int
 	featBuf []int
 	scratch []splitSample
-	nodes   nodeTable
 }
 
 var treeBuilderPool = sync.Pool{New: func() any {
@@ -221,7 +271,7 @@ func getTreeBuilder() *treeBuilder { return treeBuilderPool.Get().(*treeBuilder)
 // release returns the builder to the pool holding nothing of the fit it
 // served but its own scratch.
 func (b *treeBuilder) release() {
-	b.cols, b.y, b.importances = nil, nil, nil
+	b.cols, b.y, b.importances, b.out = nil, nil, nil, treeSlot{}
 	treeBuilderPool.Put(b)
 }
 
@@ -252,12 +302,31 @@ func (b *treeBuilder) sampleBootstrap(seed int64, n int) {
 	}
 }
 
+// distinct counts the row classes (see rowClasses) of the samples a
+// bootstrap selected, marking them in tmp.
+func (b *treeBuilder) distinct(class []int) int {
+	n := len(class)
+	if cap(b.tmp) < n {
+		b.tmp = make([]int, n)
+	}
+	seen := b.tmp[:n]
+	clear(seen)
+	d := 0
+	for _, i := range b.idx {
+		d += 1 - seen[class[i]]
+		seen[class[i]] = 1
+	}
+	return d
+}
+
 // fit grows a tree of config cfg over the selected samples of the
-// column view and response into b.nodes, and its normalised feature
-// importances into importances (len(cols) zeros on entry).
-func (b *treeBuilder) fit(cfg TreeConfig, cols [][]float64, y, importances []float64) {
+// column view and response into out, which must hold cfg.maxNodes of
+// the samples and their row classes nodes, and its normalised
+// feature importances into importances (len(cols) zeros on entry). It
+// returns the number of nodes grown.
+func (b *treeBuilder) fit(cfg TreeConfig, cols [][]float64, y, importances []float64, out treeSlot) int32 {
 	p, n := len(cols), len(b.idx)
-	b.cols, b.y, b.importances = cols, y, importances
+	b.cols, b.y, b.importances, b.out, b.size = cols, y, importances, out, 0
 	b.cfg = cfg.normalized()
 	b.split = (*treeBuilder).randomSplit
 	if b.cfg.Splitter != RandomSplitter {
@@ -276,14 +345,6 @@ func (b *treeBuilder) fit(cfg TreeConfig, cols [][]float64, y, importances []flo
 		b.featBuf = make([]int, p)
 	}
 	b.featBuf = b.featBuf[:p]
-	// Every leaf holds a sample: at most 2n-1 nodes, 2^depth-1 under a
-	// depth limit. A full table grows straight to that bound, once.
-	b.maxNodes = 2*n - 1
-	if d := b.cfg.MaxDepth; d > 0 && d < 31 {
-		b.maxNodes = min(b.maxNodes, 1<<d-1)
-	}
-	c := &b.nodes
-	*c = nodeTable{c.feature[:0], c.threshold[:0], c.value[:0], c.right[:0], c.nSamples[:0]}
 
 	b.build(b.idx, 1)
 
@@ -297,6 +358,7 @@ func (b *treeBuilder) fit(cfg TreeConfig, cols [][]float64, y, importances []flo
 			b.importances[i] /= total
 		}
 	}
+	return b.size
 }
 
 // build grows the subtree over the sample indices idx (a range of
@@ -311,15 +373,11 @@ func (b *treeBuilder) build(idx []int, depth int) int32 {
 	}
 	mean := sum / float64(n)
 	sse := sum2 - sum*sum/float64(n)
-	out := &b.nodes
-	if m := b.maxNodes - len(out.feature); len(out.feature) == cap(out.feature) {
-		out.feature, out.threshold, out.value = slices.Grow(out.feature, m), slices.Grow(out.threshold, m), slices.Grow(out.value, m)
-		out.right, out.nSamples = slices.Grow(out.right, m), slices.Grow(out.nSamples, m)
-	}
-	node := int32(len(out.feature))
-	out.feature, out.threshold = append(out.feature, -1), append(out.threshold, 0)
-	out.value, out.right = append(out.value, mean), append(out.right, -1)
-	out.nSamples = append(out.nSamples, int32(n))
+	// A node starts as a leaf, packed as packTree packs one.
+	node, out := b.size, &b.out
+	b.size++
+	out.hot[node] = hotNode{threshold: mean, feature: -1}
+	out.value[node], out.nSamples[node] = mean, int32(n)
 
 	if n < b.cfg.MinSamplesSplit ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) ||
@@ -361,7 +419,7 @@ func (b *treeBuilder) build(idx []int, depth int) int32 {
 		panic(fmt.Sprintf("ml: tree builder broke the preorder invariant: node %d has left child %d, want %d", node, l, node+1))
 	}
 	r := b.build(idx[k:], depth+1)
-	out.feature[node], out.threshold[node], out.right[node] = int32(feat), thr, r
+	out.hot[node] = hotNode{threshold: thr, feature: int32(feat), right: r}
 	return node
 }
 

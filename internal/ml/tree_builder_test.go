@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -134,6 +133,9 @@ func TestTreeBuilderMatchesReference(t *testing.T) {
 		refTrees := refFitForest(forest, X, y)
 		assertSameTrees(t, fmt.Sprintf("%s forest %+v bootstrap=%v", what, forest.Tree, forest.Bootstrap), forest.trees, refTrees)
 		assertSameArtifacts(t, what+" forest", forest, &Forest{NTrees: forest.NTrees, Tree: forest.Tree, Bootstrap: forest.Bootstrap, Seed: forest.Seed, trees: refTrees, nFeatures: p})
+		if h := forest.compiled.hot; 4*len(h) < 3*cap(h) {
+			t.Errorf("%s: the forest keeps a %d-record table for %d nodes", what, cap(h), len(h))
+		}
 
 	}
 	// The generated cases hold no NaN, and on them both splitters enforce
@@ -271,88 +273,138 @@ func TestFailedRefitLeavesTreeUntouched(t *testing.T) {
 	assertSameTree(t, "refit after failures", tree, &before)
 }
 
-// fitAllocs measures one warmed fit: fit runs twice first, so every
-// pooled builder has served once, and the garbage collector is off
-// while the third runs, so a collection cannot empty the pool mid-fit.
-// It returns the bytes and mallocs of that fit and the node count fit
-// reports.
-func fitAllocs(t *testing.T, fit func() int) (bytes, mallocs uint64, nodes int) {
+// fitAllocs measures a fit twice: warm, right after a fit returned
+// its builders to the pool, and cold, after two collections have
+// emptied the pool. It returns the bytes and mallocs of each and the
+// node count fit reports. The collector stays on throughout: a fit's
+// node tables are sized by the data, so a collection can only change
+// the per-row working memory of the builders a fit draws.
+func fitAllocs(fit func() int) (warm, cold [2]uint64, nodes int) {
+	measure := func() (out [2]uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		nodes = fit()
+		runtime.ReadMemStats(&after)
+		return [2]uint64{after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs}
+	}
+	fit()
+	warm = measure()
+	runtime.GC()
+	runtime.GC()
+	return warm, measure(), nodes
+}
+
+// fitBudget is what a fit over an n×p training set may allocate for a
+// model of the given node count: the 28 B/node it keeps (the 16 B
+// packed record and the value and nSamples columns) plus 10 %, the
+// column view (8 B per training value), and per builder a 4.9 kB
+// random source plus 32 B per row of working memory, plus 16 KB for
+// the rest (member headers, importances, roots).
+func fitBudget(nodes, n, p, builders int) uint64 {
+	return uint64(1.1*28*float64(nodes)) + uint64(8*n*p) + uint64(builders*(5<<10+32*n)) + 16<<10
+}
+
+// checkFitAllocs holds both measurements of fitAllocs to fitBudget and
+// to maxMallocs.
+func checkFitAllocs(t *testing.T, name string, fit func() int, n, p, builders, minNodes int, maxMallocs uint64) {
 	t.Helper()
-	fit()
-	fit()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	nodes = fit()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, nodes
+	warm, cold, nodes := fitAllocs(fit)
+	budget := fitBudget(nodes, n, p, builders)
+	t.Logf("%s: %d nodes, budget %d: warm %d bytes (%.1f B/node) in %d mallocs, cold %d bytes in %d mallocs",
+		name, nodes, budget, warm[0], float64(warm[0])/float64(nodes), warm[1], cold[0], cold[1])
+	if nodes < minNodes {
+		t.Fatalf("%s: only %d nodes: too few to tell per-node from constant mallocs", name, nodes)
+	}
+	for _, m := range []struct {
+		pool  string
+		stats [2]uint64
+	}{{"warm", warm}, {"cold", cold}} {
+		if m.stats[0] > budget {
+			t.Errorf("%s: %s fit allocated %d bytes for %d nodes, budget %d", name, m.pool, m.stats[0], nodes, budget)
+		}
+		if m.stats[1] > maxMallocs {
+			t.Errorf("%s: %s fit made %d mallocs for %d nodes, want <= %d", name, m.pool, m.stats[1], nodes, maxMallocs)
+		}
+	}
 }
 
-// fitBudget is what a warmed fit over an n×p training set may allocate
-// for a model of the given node count: the 28 B/node it keeps (the
-// 16 B packed record and the value and nSamples columns) plus 10 %,
-// the column view (8 B per training value) and 64 KB for the rest
-// (member headers, importances, roots).
-func fitBudget(nodes, n, p int) uint64 {
-	return uint64(1.1*28*float64(nodes)) + uint64(8*n*p) + 64<<10
-}
-
-// TestForestFitAllocBudget: a warmed extra-trees fit allocates the
-// node data its model keeps, once, in a number of mallocs that depends
-// on neither the node count nor the tree count — the staging the trees
-// grow in is pooled, and the packed table, the value and nSamples
-// columns and the members are one allocation each.
+// TestForestFitAllocBudget: an extra-trees fit and a bootstrap random
+// forest fit allocate the node data their model keeps, once, in a
+// number of mallocs that depends on neither the node count nor the tree
+// count — the trees grow straight into the packed table, the value and
+// nSamples columns, and the members are one allocation each. A tree's
+// slot is sized by the distinct rows it drew, so a random forest, and a
+// forest over rows that each appear three times with their own
+// responses, keep the same 28 B/node.
 func TestForestFitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	X, y := friedman1(1500, 0.5, 7)
+	X3, y3 := friedman1(1500, 0.5, 8)
+	for i := range X3 {
+		X3[i] = X[i/3]
+	}
 	const nTrees = 100
-	bytes, mallocs, nodes := fitAllocs(t, func() int {
-		et := NewExtraTrees(nTrees, 11)
-		et.Workers = 1
-		if err := et.Fit(X, y); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		f    *Forest
+		X    [][]float64
+		y    []float64
+	}{
+		{"extra trees", NewExtraTrees(nTrees, 11), X, y},
+		{"random forest", NewRandomForest(nTrees, 12), X, y},
+		{"extra trees, rows thrice", NewExtraTrees(nTrees, 13), X3, y3},
+	} {
+		c.f.Workers = 1
+		checkFitAllocs(t, c.name, func() int {
+			if err := c.f.Fit(c.X, c.y); err != nil {
+				t.Fatal(err)
+			}
+			return c.f.compiled.NumNodes()
+		}, len(c.X), len(c.X[0]), 1, 30*nTrees, 48)
+	}
+}
+
+// TestRowClasses: rows share a class exactly when their features are
+// bitwise equal — NaNs of one payload alike, zeros of opposite sign
+// apart.
+func TestRowClasses(t *testing.T) {
+	nan := math.NaN()
+	X := [][]float64{{1, 2}, {nan, 0}, {1, 2}, {nan, math.Copysign(0, -1)}, {nan, 0}, {2, 1}, {1, 2}}
+	class, distinct := rowClasses(columnView(X))
+	want := [][]int{{0, 2, 6}, {1, 4}, {3}, {5}}
+	if distinct != len(want) {
+		t.Fatalf("%d classes, want %d: %v", distinct, len(want), class)
+	}
+	for _, rows := range want {
+		for _, r := range rows {
+			if class[r] != class[rows[0]] {
+				t.Errorf("rows %d and %d are equal but in classes %d and %d", rows[0], r, class[rows[0]], class[r])
+			}
 		}
-		return et.compiled.NumNodes()
-	})
-	budget := fitBudget(nodes, len(X), len(X[0]))
-	t.Logf("%d trees, %d nodes: %d bytes (%.1f B/node, budget %d), %d mallocs", nTrees, nodes, bytes, float64(bytes)/float64(nodes), budget, mallocs)
-	if bytes > budget {
-		t.Errorf("fit allocated %d bytes for %d nodes, budget %d", bytes, nodes, budget)
 	}
-	if nodes < 100*nTrees {
-		t.Fatalf("only %d nodes: trees too small to tell per-node from per-tree mallocs", nodes)
-	}
-	if mallocs > 64 {
-		t.Errorf("fit made %d mallocs for %d trees (%d nodes), want <= 64", mallocs, nTrees, nodes)
+	for a := range want {
+		for b := range a {
+			if class[want[a][0]] == class[want[b][0]] {
+				t.Errorf("rows %d and %d differ but share class %d", want[a][0], want[b][0], class[want[a][0]])
+			}
+		}
 	}
 }
 
 // TestTreeFitAllocBudget is TestForestFitAllocBudget for a standalone
-// tree, which grows in its builder's table and packs it into a
-// one-tree walk table.
+// tree, which grows straight into a one-tree walk table.
 func TestTreeFitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	X, y := friedman1(4000, 0.5, 3)
-	bytes, mallocs, nodes := fitAllocs(t, func() int {
+	checkFitAllocs(t, "tree", func() int {
 		tree := NewDecisionTree(TreeConfig{Splitter: RandomSplitter, Seed: 5})
 		if err := tree.Fit(X, y); err != nil {
 			t.Fatal(err)
 		}
 		return tree.nodes.Len()
-	})
-	budget := fitBudget(nodes, len(X), len(X[0]))
-	t.Logf("%d nodes: %d bytes (budget %d), %d mallocs", nodes, bytes, budget, mallocs)
-	if bytes > budget {
-		t.Errorf("fit allocated %d bytes for %d nodes, budget %d", bytes, nodes, budget)
-	}
-	if nodes < 4000 {
-		t.Fatalf("only %d nodes: tree too small to tell per-node from constant mallocs", nodes)
-	}
-	if mallocs > 16 {
-		t.Errorf("fit made %d mallocs for %d nodes, want <= 16", mallocs, nodes)
-	}
+	}, len(X), len(X[0]), 1, 4000, 24)
 }

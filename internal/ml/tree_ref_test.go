@@ -77,7 +77,7 @@ func refFitTreeCounting(cfg TreeConfig, X [][]float64, y []float64) (*DecisionTr
 	}
 	t.nFeatures = p
 	t.importances = importances
-	if _, err := compileEnsemble([]*DecisionTree{t}, []nodeTable{b.out}, true); err != nil {
+	if _, err := compileEnsemble([]*DecisionTree{t}, []nodeTable{b.out}); err != nil {
 		panic(err)
 	}
 	// The packed records must read back exactly what was grown: the

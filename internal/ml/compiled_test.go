@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -582,6 +583,56 @@ func TestCompileAllocationsConstant(t *testing.T) {
 	for _, c := range counts {
 		if c != counts[0] || c > 3 {
 			t.Fatalf("compile allocations per shape = %v, want one small constant", counts)
+		}
+	}
+}
+
+// TestGrowthPack: pack moves each grown tree down against its
+// predecessor, rebasing split right children (leaves keep right 0),
+// points every tree at its range, and copies a table more than a
+// quarter empty to exact size.
+func TestGrowthPack(t *testing.T) {
+	// Tree-local records as the builder writes them.
+	split3 := []hotNode{{threshold: 0.5, feature: 1, right: 2}, {threshold: 1, feature: -1}, {threshold: 2, feature: -1}}
+	leaf := []hotNode{{threshold: 3, feature: -1}}
+	grown := [][]hotNode{split3, leaf, split3}
+	want := []hotNode{split3[0], split3[1], split3[2], leaf[0], {threshold: 0.5, feature: 1, right: 6}, split3[1], split3[2]}
+	for _, c := range []struct {
+		bounds []int
+		copied bool
+	}{{[]int{3, 1, 3}, false}, {[]int{4, 2, 3}, false}, {[]int{5, 4, 5}, true}} {
+		g, err := newGrowth(c.bounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tr, recs := range grown {
+			s := g.slot(tr)
+			copy(s.hot, recs)
+			for i := range recs {
+				s.value[i], s.nSamples[i] = float64(10*tr+i), int32(100*tr+i)
+			}
+			g.sizes[tr] = int32(len(recs))
+		}
+		backing := &g.hot[0]
+		trees := []*DecisionTree{{}, {}, {}}
+		e := g.pack(trees)
+		if !slices.Equal(e.hot, want) || !slices.Equal(e.roots, []int32{0, 3, 4}) {
+			t.Fatalf("bounds %v: packed %v roots %v, want %v roots [0 3 4]", c.bounds, e.hot, e.roots, want)
+		}
+		if copied := &e.hot[0] != backing; copied != c.copied {
+			t.Errorf("bounds %v: copied to exact size = %v, want %v", c.bounds, copied, c.copied)
+		}
+		for tr, tree := range trees {
+			n := &tree.nodes
+			if n.root != e.roots[tr] || n.Len() != len(grown[tr]) || &n.hot[0] != &e.hot[0] {
+				t.Fatalf("bounds %v: tree %d is root %d of %d nodes, want root %d of %d in the packed table",
+					c.bounds, tr, n.root, n.Len(), e.roots[tr], len(grown[tr]))
+			}
+			for i := range n.Len() {
+				if n.value[i] != float64(10*tr+i) || n.nSamples[i] != int32(100*tr+i) {
+					t.Errorf("bounds %v: tree %d node %d carries value %v, nSamples %d", c.bounds, tr, i, n.value[i], n.nSamples[i])
+				}
+			}
 		}
 	}
 }

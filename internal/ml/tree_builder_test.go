@@ -133,9 +133,6 @@ func TestTreeBuilderMatchesReference(t *testing.T) {
 		refTrees := refFitForest(forest, X, y)
 		assertSameTrees(t, fmt.Sprintf("%s forest %+v bootstrap=%v", what, forest.Tree, forest.Bootstrap), forest.trees, refTrees)
 		assertSameArtifacts(t, what+" forest", forest, &Forest{NTrees: forest.NTrees, Tree: forest.Tree, Bootstrap: forest.Bootstrap, Seed: forest.Seed, trees: refTrees, nFeatures: p})
-		if h := forest.compiled.hot; 4*len(h) < 3*cap(h) {
-			t.Errorf("%s: the forest keeps a %d-record table for %d nodes", what, cap(h), len(h))
-		}
 
 	}
 	// The generated cases hold no NaN, and on them both splitters enforce

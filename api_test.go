@@ -11,8 +11,8 @@ import (
 	"testing"
 )
 
-// twinAllowlist names the exported X that may live beside an XCtx or
-// XWorkers, each with the reason it survives. Anything else with such a
+// twinAllowlist names the exported X that may live beside an XCtx,
+// XWorkers or XOpts, each with the reason it survives. Anything else with such a
 // twin is a second entry point for one operation: fold it into the
 // ctx-first survivor instead of adding it here.
 var twinAllowlist = map[string]string{
@@ -29,8 +29,8 @@ var twinAllowlist = map[string]string{
 
 // TestOneEntryPointPerOperation keeps the API from regrowing the
 // families this module folded away: it parses every non-test Go file
-// and fails on an exported function or method X that has an XCtx or
-// XWorkers twin (unless twinAllowlist says why it stays), on an
+// and fails on an exported function or method X that has an XCtx,
+// XWorkers or XOpts twin (unless twinAllowlist says why it stays), on an
 // allowlist entry that no longer has a twin, and on any deprecation
 // marker — a wrapper worth deprecating is a wrapper worth deleting.
 func TestOneEntryPointPerOperation(t *testing.T) {
@@ -85,7 +85,7 @@ func TestOneEntryPointPerOperation(t *testing.T) {
 	sort.Strings(keys)
 	used := map[string]bool{}
 	for _, k := range keys {
-		for _, suffix := range []string{"Ctx", "Workers"} {
+		for _, suffix := range []string{"Ctx", "Workers", "Opts"} {
 			if !funcs[k+suffix] {
 				continue
 			}

@@ -4,8 +4,8 @@
 // Usage:
 //
 //	lam-model info     -registry ./models -name grid-hybrid [-version 3] [-json]
-//	lam-model convert  -registry ./models -name grid-hybrid [-version 3] -to lamb1
-//	lam-model convert  -registry ./models -name grid-hybrid -all -to jsonv1
+//	lam-model convert  -registry ./models -name grid-hybrid [-version 3]
+//	lam-model convert  -registry ./models -name grid-hybrid -all
 //
 // info decodes one stored version and prints its artifact format,
 // payload kind, estimator structure, tree/node counts, node layout,
@@ -13,12 +13,12 @@
 // the registry metadata. -json emits the same as one JSON object for
 // scripting.
 //
-// convert re-encodes a version in place in the named format (lamb1 or
-// jsonv1) — predictions are bit-identical across formats, so this is
-// safe on live registries: the new artifact is renamed into place
-// before the old one is removed, and a reader mid-convert still loads a
-// consistent version. Converting to the format a version already uses
-// is a no-op. -all converts every version of the name.
+// convert migrates a legacy (jsonv1) version to lamb1 in place —
+// predictions are bit-identical across formats, so this is safe on live
+// registries: the new artifact is renamed into place before the old one
+// is removed, and a reader mid-convert still loads a consistent
+// version. Converting a version already in lamb1 is a no-op. -all
+// converts every version of the name.
 package main
 
 import (
@@ -49,13 +49,14 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
+	fmt.Fprint(os.Stderr, `usage:
   lam-model info     -registry DIR -name NAME [-version N] [-json]
-  lam-model convert  -registry DIR -name NAME [-version N | -all] -to FORMAT
+  lam-model convert  -registry DIR -name NAME [-version N | -all]
 
-Formats: %s (default for new saves), %s (legacy JSON).
+convert migrates legacy jsonv1 versions to lamb1, the format every
+save writes.
 -version 0 (the default) means the latest version.
-`, lam.FormatLAMB1, lam.FormatJSONV1)
+`)
 	os.Exit(2)
 }
 
@@ -134,13 +135,9 @@ func runInfo(args []string) {
 func runConvert(args []string) {
 	fs := flag.NewFlagSet("lam-model convert", flag.ExitOnError)
 	regDir, name, version := openArgs(fs)
-	to := fs.String("to", "", fmt.Sprintf("target format: %s or %s (required)", lam.FormatLAMB1, lam.FormatJSONV1))
 	all := fs.Bool("all", false, "convert every version of the name")
 	fs.Parse(args)
 
-	if *to == "" {
-		fatal(fmt.Errorf("-to is required"))
-	}
 	reg := openRegistry(*regDir, *name)
 	versions := []int{*version}
 	if *all {
@@ -162,7 +159,7 @@ func runConvert(args []string) {
 		}
 	}
 	for _, v := range versions {
-		meta, err := reg.Convert(*name, v, *to)
+		meta, err := reg.Convert(*name, v)
 		if err != nil {
 			fatal(err)
 		}

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -96,5 +98,80 @@ func TestInfoRefusesRetiredQuant(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "implicit-left") {
 		t.Fatalf("exact version's info lacks its node layout:\n%s", stdout)
+	}
+}
+
+// TestConvertAllMigratesLegacy runs `lam-model convert -all` on a copy
+// of the committed pre-codec registry (internal/registry's legacy
+// fixture: jsonv1 model.json, meta.json without a format) and checks
+// each version is now lamb1 on disk and in its metadata, with the old
+// file gone, and still predicts the pinned values bit for bit.
+func TestConvertAllMigratesLegacy(t *testing.T) {
+	src := filepath.Join("..", "..", "internal", "registry", "testdata", "legacy")
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(src, "pred.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct {
+		X    [][]float64          `json:"x"`
+		Pred map[string][]float64 `json:"pred"`
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"grid-hybrid", "grid-et"} {
+		stdout, stderr, exit := runCLI(t, "convert", "-registry", dir, "-name", name, "-all")
+		if exit != 0 {
+			t.Fatalf("convert -all %s exited %d: %s", name, exit, stderr)
+		}
+		if want := name + " v1: lamb1\n"; stdout != want {
+			t.Fatalf("convert -all %s printed %q, want %q", name, stdout, want)
+		}
+		vdir := filepath.Join(dir, name, "v0001")
+		if _, err := os.Stat(filepath.Join(vdir, "model.lamb")); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := os.Stat(filepath.Join(vdir, "model.json")); !os.IsNotExist(err) {
+			t.Fatalf("%s: model.json still present after convert: %v", name, err)
+		}
+		rawMeta, err := os.ReadFile(filepath.Join(vdir, "meta.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var meta struct {
+			Format string `json:"format"`
+		}
+		if err := json.Unmarshal(rawMeta, &meta); err != nil {
+			t.Fatal(err)
+		}
+		if meta.Format != "lamb1" {
+			t.Fatalf("%s: meta.json format %q, want lamb1", name, meta.Format)
+		}
+
+		reg, err := registry.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := reg.Load(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.PredictBatch(context.Background(), want.X)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned := want.Pred[name]
+		if len(got) != len(pinned) || len(got) == 0 {
+			t.Fatalf("%s: %d predictions, %d pinned", name, len(got), len(pinned))
+		}
+		for i := range pinned {
+			if math.Float64bits(got[i]) != math.Float64bits(pinned[i]) {
+				t.Fatalf("%s row %d: %v after convert, pinned %v", name, i, got[i], pinned[i])
+			}
+		}
 	}
 }

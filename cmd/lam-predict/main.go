@@ -15,9 +15,8 @@
 //
 // With -registry and -name, the trained model is published as a new
 // version in the model registry — metadata (workload, machine, train
-// size, held-out MAPE) included — ready for lam-serve. -format picks
-// the artifact encoding: lamb1 (the flat binary default, instant cold
-// start) or jsonv1 (legacy JSON, readable by every build).
+// size, held-out MAPE) included — ready for lam-serve. The artifact is
+// written in lamb1, the flat binary format.
 //
 // -workers bounds the worker pool used for ensemble fitting and batch
 // prediction (0 = GOMAXPROCS, 1 = fully sequential): a positive value
@@ -40,7 +39,6 @@ import (
 	"syscall"
 
 	"lam"
-	"lam/internal/artifact"
 	"lam/internal/dataset"
 	"lam/internal/hybrid"
 	"lam/internal/ml"
@@ -58,7 +56,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size for training and batch prediction (0 = GOMAXPROCS, 1 = sequential)")
 	regDir := flag.String("registry", "", "publish the trained model into this registry directory (needs -name)")
 	name := flag.String("name", "", "registry model name")
-	format := flag.String("format", "", "artifact format for the published model: lamb1 (default) or jsonv1")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -76,13 +73,9 @@ func main() {
 	// Fail publish preconditions before the (potentially long) training
 	// run, not after it.
 	var modelRegistry *lam.Registry
-	saveOpts := lam.SaveOptions{Format: *format}
 	if *regDir != "" {
 		if !lam.ValidModelName(*name) {
 			fatal(fmt.Errorf("invalid registry model name %q (want lowercase [a-z0-9._-])", *name))
-		}
-		if _, err := artifact.ByName(*format); err != nil {
-			fatal(err)
 		}
 		var err error
 		if modelRegistry, err = lam.OpenRegistry(*regDir); err != nil {
@@ -135,7 +128,7 @@ func main() {
 		}
 		predictor = lam.HybridPredictor(hy)
 		publish = func(reg *lam.Registry, meta lam.ModelMeta) (lam.ModelMeta, error) {
-			return reg.SaveHybridOpts(hy, meta, saveOpts)
+			return reg.SaveHybrid(hy, meta)
 		}
 	case "et", "rf", "dt":
 		var reg ml.Regressor
@@ -152,7 +145,7 @@ func main() {
 		}
 		predictor = lam.MLPredictor(reg)
 		publish = func(r *lam.Registry, meta lam.ModelMeta) (lam.ModelMeta, error) {
-			return r.SaveRegressorOpts(reg, meta, saveOpts)
+			return r.SaveRegressor(reg, meta)
 		}
 	default:
 		fatal(fmt.Errorf("unknown model %q", *model))

@@ -1,11 +1,13 @@
 // Offline model lifecycle: Section VI stresses that "the model is
 // constructed once offline but used many times. It is not necessary to
 // gather a training dataset or rebuild the model for every prediction."
-// This example trains a hybrid model, serialises it to disk, reloads it
-// in a fresh "deployment" step, and verifies the predictions survive the
-// round trip bit-for-bit — the reloaded artifact decodes straight into
-// the compiled flat node tables the serving layer runs on. Uses the
-// context-first v2 API with SIGINT cancellation, like the cmds.
+// This example trains a hybrid model, publishes it to a model registry,
+// loads it back in a fresh "deployment" step, and verifies the
+// predictions survive the round trip bit-for-bit — the loaded artifact
+// decodes straight into the compiled flat node tables the serving layer
+// runs on, and its analytical component is rebuilt from the registry
+// metadata. Uses the context-first v2 API with SIGINT cancellation,
+// like the cmds.
 //
 // Run with: go run ./examples/offline-model
 package main
@@ -17,7 +19,6 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 
 	"lam"
@@ -47,33 +48,32 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	path := filepath.Join(os.TempDir(), "lam-fmm-model.json")
-	f, err := os.Create(path)
+	dir, err := os.MkdirTemp("", "lam-offline-model-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := hy.Save(f); err != nil {
+	defer os.RemoveAll(dir)
+	reg, err := lam.OpenRegistry(dir)
+	if err != nil {
 		log.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
+	meta, err := reg.SaveHybrid(hy, lam.ModelMeta{
+		Name: "fmm-hybrid", Workload: "fmm", Machine: "bluewaters", TrainSize: train.Len(),
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
-	info, _ := os.Stat(path)
-	fmt.Printf("offline: trained on %d samples, saved model to %s (%d KB)\n",
-		train.Len(), path, info.Size()/1024)
+	fmt.Printf("offline: trained on %d samples, published %s v%d (%s) to %s\n",
+		train.Len(), meta.Name, meta.Version, meta.Format, dir)
 
 	// --- Deployment phase: load and predict, no training data needed.
-	// Only the analytical model (a function of the machine spec) is
-	// reattached. ---
-	g, err := os.Open(path)
+	// The analytical model (a function of the machine spec) is rebuilt
+	// from the version's workload and machine metadata. ---
+	rm, err := reg.Load(meta.Name, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	loaded, err := lam.LoadHybrid(g, am)
-	g.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
+	loaded := rm.Hybrid()
 
 	mape, err := loaded.MAPECtx(ctx, test)
 	if err != nil {
@@ -95,8 +95,5 @@ func main() {
 		}
 		fmt.Printf("  x=%v  original=%.6gs  reloaded=%.6gs  (equal: %v)\n",
 			test.X[i], a, b, a == b)
-	}
-	if err := os.Remove(path); err != nil {
-		log.Fatal(err)
 	}
 }

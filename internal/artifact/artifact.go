@@ -16,16 +16,13 @@ const (
 	KindRegressor = "regressor"
 )
 
-// Codec names. FormatLAMB1 is the default for new saves; FormatJSONV1
-// is the legacy encoding that keeps loading forever.
+// Codec names. FormatLAMB1 is the format every artifact is written
+// in; FormatJSONV1 is the legacy encoding, which keeps loading forever
+// and is never written.
 const (
 	FormatJSONV1 = "jsonv1"
 	FormatLAMB1  = "lamb1"
 )
-
-// DefaultFormat is the codec new artifacts are written with unless a
-// SaveOptions escape hatch says otherwise.
-const DefaultFormat = FormatLAMB1
 
 // Payload is one trained model on its way to or from disk: exactly one
 // of Hybrid or Regressor is set.
@@ -82,7 +79,7 @@ type DecodeOptions struct {
 type Codec interface {
 	// Name returns the format name recorded in registry metadata.
 	Name() string
-	// Encode writes p to w.
+	// Encode writes p to w. Read-only legacy codecs refuse.
 	Encode(w io.Writer, p *Payload) error
 	// Decode restores a payload from a complete artifact. Corrupt
 	// input fails with an error wrapping lamerr.ErrCorruptArtifact and
@@ -107,11 +104,8 @@ func Formats() []string {
 	return out
 }
 
-// ByName resolves a codec by format name ("" means the default).
+// ByName resolves a codec by format name.
 func ByName(name string) (Codec, error) {
-	if name == "" {
-		name = DefaultFormat
-	}
 	for _, c := range codecs {
 		if c.Name() == name {
 			return c, nil

@@ -6,13 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lam/internal/dataset"
@@ -20,8 +20,6 @@ import (
 	"lam/internal/lamerr"
 	"lam/internal/ml"
 )
-
-var update = flag.Bool("update", false, "regenerate the golden artifacts under testdata/")
 
 // synth builds a deterministic synthetic regression set: a smooth
 // nonlinear response over d features, the shape every estimator in the
@@ -46,8 +44,8 @@ var testAM = hybrid.AnalyticalFunc(func(x []float64) (float64, error) {
 	return 1 + 0.5*x[0]*x[0] + 0.25*x[len(x)-1], nil
 })
 
-// fixtures are the deterministic estimator configurations pinned by the
-// goldens: one per artifact-visible kind.
+// fixtures are the deterministic estimator configurations the goldens
+// were written from: one per artifact-visible kind.
 var fixtures = []struct {
 	name  string
 	build func() ml.Regressor
@@ -124,8 +122,8 @@ func requireBitIdentical(t *testing.T, label string, want, got []float64) {
 	}
 }
 
-// roundTrip encodes p with every codec, decodes each artifact back, and
-// requires bit-identical predictions from every copy.
+// roundTrip encodes p in lamb1, the one format written, decodes the
+// artifact back, and requires bit-identical predictions.
 func roundTrip(t *testing.T, p *Payload, probe [][]float64) {
 	t.Helper()
 	want := predict(t, p, probe)
@@ -133,36 +131,45 @@ func roundTrip(t *testing.T, p *Payload, probe [][]float64) {
 	if p.Hybrid != nil {
 		opts.Analytical = testAM
 	}
-	for _, c := range codecs {
-		data := encode(t, c, p)
-		if again := encode(t, c, p); !bytes.Equal(data, again) {
-			t.Fatalf("%s: encoding is not deterministic", c.Name())
-		}
-		detected, err := Detect(data)
-		if err != nil {
-			t.Fatalf("%s: Detect: %v", c.Name(), err)
-		}
-		if detected.Name() != c.Name() {
-			t.Fatalf("Detect picked %s for a %s artifact", detected.Name(), c.Name())
-		}
-		decoded, err := c.Decode(data, opts)
-		if err != nil {
-			t.Fatalf("%s decode: %v", c.Name(), err)
-		}
-		requireBitIdentical(t, c.Name(), want, predict(t, decoded, probe))
+	data := encode(t, lamb1Codec{}, p)
+	if again := encode(t, lamb1Codec{}, p); !bytes.Equal(data, again) {
+		t.Fatal("lamb1 encoding is not deterministic")
+	}
+	detected, err := Detect(data)
+	if err != nil {
+		t.Fatalf("Detect: %v", err)
+	}
+	if detected.Name() != FormatLAMB1 {
+		t.Fatalf("Detect picked %s for a lamb1 artifact", detected.Name())
+	}
+	decoded, err := detected.Decode(data, opts)
+	if err != nil {
+		t.Fatalf("lamb1 decode: %v", err)
+	}
+	requireBitIdentical(t, "lamb1", want, predict(t, decoded, probe))
+}
 
-		// Cross-convert: re-encode the decoded payload with the other
-		// codec and check the predictions survive the full cycle.
-		for _, other := range codecs {
-			if other.Name() == c.Name() {
-				continue
-			}
-			converted, err := other.Decode(encode(t, other, decoded), opts)
-			if err != nil {
-				t.Fatalf("%s->%s decode: %v", c.Name(), other.Name(), err)
-			}
-			requireBitIdentical(t, c.Name()+"->"+other.Name(), want, predict(t, converted, probe))
+// TestJSONV1EncodeRefuses: jsonv1 is read-only. Its Encode refuses
+// every payload and writes nothing.
+func TestJSONV1EncodeRefuses(t *testing.T) {
+	reg, _ := fitFixture(t, fixtures[0].build)
+	hy, _ := fitHybrid(t, hybrid.Config{Seed: 1, NewML: func() ml.Regressor { return ml.NewExtraTrees(2, 1) }})
+	c, err := ByName(FormatJSONV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Payload{{Regressor: reg}, {Hybrid: hy}} {
+		var buf bytes.Buffer
+		err := c.Encode(&buf, p)
+		if err == nil || !strings.Contains(err.Error(), "read-only") {
+			t.Fatalf("jsonv1 Encode of a %s payload: got %v, want a read-only refusal", p.Kind(), err)
 		}
+		if buf.Len() != 0 {
+			t.Fatalf("refused jsonv1 Encode wrote %d bytes", buf.Len())
+		}
+	}
+	if _, err := ByName(""); err == nil {
+		t.Fatal(`ByName("") resolved a codec; there is no default format name`)
 	}
 }
 
@@ -193,8 +200,8 @@ func TestRoundTripHybrid(t *testing.T) {
 }
 
 // TestRoundTripRandomConfigs is the property test: random estimator
-// kinds with random hyperparameters, all of which must survive both
-// codecs bit-identically.
+// kinds with random hyperparameters, all of which must survive lamb1
+// bit-identically.
 func TestRoundTripRandomConfigs(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -276,8 +283,7 @@ func TestLamb1CorruptionFailsTyped(t *testing.T) {
 // TestJSONV1CorruptionFailsTyped checks the legacy codec fails typed on
 // damaged documents too.
 func TestJSONV1CorruptionFailsTyped(t *testing.T) {
-	reg, _ := fitFixture(t, fixtures[0].build)
-	data := encode(t, jsonv1Codec{}, &Payload{Regressor: reg})
+	data, _ := readGolden(t, "tree")
 	for _, mangled := range [][]byte{
 		data[:len(data)/2],
 		[]byte("{}"),
@@ -292,8 +298,6 @@ func TestJSONV1CorruptionFailsTyped(t *testing.T) {
 	}
 }
 
-// goldenPredictions is the sidecar document pinning each golden's
-// expected behaviour: the probe inputs and the exact predictions.
 // assembleLamb1 builds the lamb1 artifact of p the plain way — header,
 // payload appended to a buffer with no spare capacity, CRC trailer — as
 // the reference the capacity-hinted encoder must match byte for byte.
@@ -318,75 +322,47 @@ func assembleLamb1(t testing.TB, p *Payload) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
 }
 
+// goldenPredictions is the sidecar document pinning each golden's
+// expected behaviour: the probe inputs and the exact predictions.
 type goldenPredictions struct {
 	X    [][]float64 `json:"x"`
 	Pred []float64   `json:"pred"`
 }
 
-// TestGoldenArtifacts decodes the committed jsonv1 artifacts — one per
-// estimator kind — and requires bit-identical predictions to the
-// committed values, directly and after converting to lamb1 and back.
-// This is the cross-build forward-compat contract: a change that breaks
-// these goldens breaks every registry in the field. Regenerate with
-// -update only when intentionally revving the format.
-func TestGoldenArtifacts(t *testing.T) {
-	type golden struct {
-		name string
-		make func(t *testing.T) (*Payload, [][]float64)
-		hyb  bool
+// readGolden returns the committed jsonv1 golden of one live kind
+// (tree, forest, pipeline, hybrid) and its pinned predictions. The
+// goldens were written by the jsonv1 writer, which is gone: they are
+// the legacy contract and are never regenerated.
+func readGolden(t testing.TB, name string) ([]byte, goldenPredictions) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "golden_"+name+".json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var cases []golden
-	for _, fx := range fixtures {
-		build := fx.build
-		cases = append(cases, golden{name: fx.name, make: func(t *testing.T) (*Payload, [][]float64) {
-			reg, probe := fitFixture(t, build)
-			return &Payload{Regressor: reg}, probe
-		}})
+	rawPred, err := os.ReadFile(filepath.Join("testdata", "golden_"+name+".pred.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	cases = append(cases, golden{name: "hybrid", hyb: true, make: func(t *testing.T) (*Payload, [][]float64) {
-		m, probe := fitHybrid(t, hybrid.Config{Seed: 1})
-		return &Payload{Hybrid: m}, probe
-	}})
+	var want goldenPredictions
+	if err := json.Unmarshal(rawPred, &want); err != nil {
+		t.Fatal(err)
+	}
+	return data, want
+}
 
-	for _, g := range cases {
-		t.Run(g.name, func(t *testing.T) {
-			artPath := filepath.Join("testdata", "golden_"+g.name+".json")
-			predPath := filepath.Join("testdata", "golden_"+g.name+".pred.json")
+// TestGoldenArtifacts decodes the committed jsonv1 artifacts — one per
+// live estimator kind — and requires bit-identical predictions to the
+// committed values, directly and after converting to lamb1. This is
+// the cross-build forward-compat contract: a change that breaks these
+// goldens breaks every legacy registry in the field.
+func TestGoldenArtifacts(t *testing.T) {
+	for _, name := range []string{"tree", "forest", "pipeline", "hybrid"} {
+		t.Run(name, func(t *testing.T) {
+			data, want := readGolden(t, name)
 			opts := DecodeOptions{}
-			if g.hyb {
+			if name == "hybrid" {
 				opts.Analytical = testAM
 			}
-
-			if *update {
-				p, probe := g.make(t)
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(artPath, encode(t, jsonv1Codec{}, p), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				raw, err := json.MarshalIndent(goldenPredictions{X: probe, Pred: predict(t, p, probe)}, "", " ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(predPath, append(raw, '\n'), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			data, err := os.ReadFile(artPath)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update to generate): %v", err)
-			}
-			rawPred, err := os.ReadFile(predPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want goldenPredictions
-			if err := json.Unmarshal(rawPred, &want); err != nil {
-				t.Fatal(err)
-			}
-
 			info, p, err := Inspect(data, opts)
 			if err != nil {
 				t.Fatalf("decoding golden: %v", err)
@@ -410,13 +386,6 @@ func TestGoldenArtifacts(t *testing.T) {
 				t.Fatalf("converted golden detected as %s, want lamb1", binInfo.Format)
 			}
 			requireBitIdentical(t, "golden lamb1", want.Pred, predict(t, fromBin, want.X))
-
-			// And back: lamb1 → jsonv1, the downgrade escape hatch.
-			back, err := jsonv1Codec{}.Decode(encode(t, jsonv1Codec{}, fromBin), opts)
-			if err != nil {
-				t.Fatalf("round-trip back to jsonv1: %v", err)
-			}
-			requireBitIdentical(t, "golden jsonv1 round trip", want.Pred, predict(t, back, want.X))
 		})
 	}
 }

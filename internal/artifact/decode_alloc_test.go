@@ -21,6 +21,17 @@ const (
 	jsonv1AllocBase   = 16 << 10
 )
 
+// decodeAllocBound is what one decode of l input bytes may allocate:
+// l + 64 KB for lamb1, which maps its node columns in place (the packed
+// table is 16 of a node's 28 bytes), and jsonv1AllocFactor·l +
+// jsonv1AllocBase for jsonv1.
+func decodeAllocBound(c Codec, l int) uint64 {
+	if c.Name() == FormatLAMB1 {
+		return uint64(l) + 64<<10
+	}
+	return jsonv1AllocFactor*uint64(l) + jsonv1AllocBase
+}
+
 // decodeAllocs returns the bytes one Decode of data allocates,
 // averaged over a few runs; the verdict does not matter.
 func decodeAllocs(c Codec, data []byte) uint64 {
@@ -38,10 +49,9 @@ func decodeAllocs(c Codec, data []byte) uint64 {
 // TestDecodeAllocationBounded holds both decoders to input-bounded
 // allocation over the committed artifacts — the fuzz targets' file
 // seeds: the lamb1 files, the jsonv1 goldens (live kinds and retired
-// refusal inputs) and the goldens re-encoded as lamb1. A lamb1 decode
-// of L bytes maps its node columns in place, so it allocates at most
-// L + 64 KB (the packed table is 16 of a node's 28 bytes); a jsonv1
-// decode stays under jsonv1AllocFactor·L + jsonv1AllocBase.
+// refusal inputs) and the goldens re-encoded as lamb1, each held to
+// decodeAllocBound. requireDecodeContract holds every fuzzed input to
+// the same bound.
 func TestDecodeAllocationBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
@@ -87,10 +97,7 @@ func TestDecodeAllocationBounded(t *testing.T) {
 	}
 	for _, in := range inputs {
 		l := uint64(len(in.data))
-		bound := jsonv1AllocFactor*l + jsonv1AllocBase
-		if in.codec.Name() == FormatLAMB1 {
-			bound = l + 64<<10
-		}
+		bound := decodeAllocBound(in.codec, len(in.data))
 		got := decodeAllocs(in.codec, in.data)
 		t.Logf("%-32s %s %8d B input, %8d B allocated (%.2f per byte, bound %d)", in.name, in.codec.Name(), l, got, float64(got)/float64(l), bound)
 		if got > bound {

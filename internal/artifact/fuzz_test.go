@@ -45,29 +45,37 @@ const maxFuzzArity = 4096
 // requireDecodeContract is both codecs' fuzz contract for one input:
 // the bytes fail with ErrCorruptArtifact, or they decode to a payload
 // that scores one row of its own arity without panicking and whose
-// re-encoding decodes and re-encodes to itself. The decoder reads a
+// lamb1 encoding — the one format written — decodes and re-encodes to
+// itself. Either way the decode allocates within
+// TestDecodeAllocationBounded's bound for the input's length (checked
+// without -race, which perturbs the counts). The decoder reads a
 // read-only mapping, so a write into its input faults.
 func requireDecodeContract(t *testing.T, c Codec, data []byte) {
 	t.Helper()
 	opts := DecodeOptions{Analytical: testAM}
 	p, err := c.Decode(readOnlyCopy(t, data), opts)
-	if err != nil {
-		if !errors.Is(err, lamerr.ErrCorruptArtifact) {
-			t.Fatalf("decode failed untyped: %v", err)
+	if err != nil && !errors.Is(err, lamerr.ErrCorruptArtifact) {
+		t.Fatalf("decode failed untyped: %v", err)
+	}
+	if !raceEnabled {
+		if got, bound := decodeAllocs(c, data), decodeAllocBound(c, len(data)); got > bound {
+			t.Fatalf("%s decode of %d bytes allocates %d, bound %d", c.Name(), len(data), got, bound)
 		}
+	}
+	if err != nil {
 		return
 	}
 	scoreOneRow(t, p)
 	var once bytes.Buffer
-	if err := c.Encode(&once, p); err != nil {
-		t.Fatalf("decoded payload does not re-encode: %v", err)
+	if err := (lamb1Codec{}).Encode(&once, p); err != nil {
+		t.Fatalf("decoded payload does not encode in lamb1: %v", err)
 	}
-	again, err := c.Decode(readOnlyCopy(t, once.Bytes()), opts)
+	again, err := lamb1Codec{}.Decode(readOnlyCopy(t, once.Bytes()), opts)
 	if err != nil {
-		t.Fatalf("re-encoded payload does not decode: %v", err)
+		t.Fatalf("lamb1 encoding does not decode: %v", err)
 	}
 	var twice bytes.Buffer
-	if err := c.Encode(&twice, again); err != nil {
+	if err := (lamb1Codec{}).Encode(&twice, again); err != nil {
 		t.Fatalf("second re-encode: %v", err)
 	}
 	if !bytes.Equal(once.Bytes(), twice.Bytes()) {
@@ -100,7 +108,7 @@ func scoreOneRow(t *testing.T, p *Payload) {
 }
 
 // fuzzSeedModels are small fresh fits of every live kind, the seeds
-// both decoders' fuzz targets add beside the committed files.
+// the lamb1 fuzz target adds beside the committed files.
 func fuzzSeedModels(f *testing.F) []*Payload {
 	small := func() ml.Regressor { return ml.NewExtraTrees(3, 1) }
 	var out []*Payload
@@ -159,14 +167,16 @@ func FuzzLAMB1Decode(f *testing.F) {
 
 // FuzzJSONV1Decode holds the jsonv1 decoder, which has no checksum to
 // stop a damaged document before the structural checks, to
-// requireDecodeContract. Seeds: the committed goldens — the four live
-// kinds, and the five retired estimators as refusal inputs — and fresh
-// documents of every live kind.
+// requireDecodeContract. Nothing writes jsonv1 any more, so every seed
+// is a committed golden: the four live kinds, the five retired
+// estimators as refusal inputs, and each arityCases mutation of a live
+// golden, one edit away from decoding.
 func FuzzJSONV1Decode(f *testing.F) {
 	add := func(data []byte) { f.Add(data) }
 	addFileSeeds(f, "golden_*.json", add)
-	for _, p := range fuzzSeedModels(f) {
-		add(encode(f, jsonv1Codec{}, p))
+	for _, tc := range arityCases {
+		golden, _ := readGolden(f, tc.golden)
+		add(mutateJSON(f, golden, tc.json))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		requireDecodeContract(t, jsonv1Codec{}, data)

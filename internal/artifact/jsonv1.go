@@ -3,6 +3,7 @@ package artifact
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -11,23 +12,19 @@ import (
 	"lam/internal/ml"
 )
 
-// jsonv1Codec wraps today's JSON encodings unchanged: a regressor
-// payload is exactly ml.SaveModel's document, a hybrid payload is
-// exactly hybrid.Model.Save's. Registries written before the codec
-// layer existed are jsonv1 registries; they keep loading forever.
+// jsonv1Codec reads the legacy JSON encodings: a regressor payload is
+// ml.LoadModel's document, a hybrid payload hybrid.Load's. Registries
+// written before the binary format are jsonv1 registries; they keep
+// loading forever. The codec is read-only: a legacy version is
+// migrated to lamb1 (Registry.Convert), never written back.
 type jsonv1Codec struct{}
 
 func (jsonv1Codec) Name() string { return FormatJSONV1 }
 
-func (jsonv1Codec) Encode(w io.Writer, p *Payload) error {
-	if err := p.validate(); err != nil {
-		return err
-	}
-	if p.Hybrid != nil {
-		return p.Hybrid.Save(w)
-	}
-	return ml.SaveModel(w, p.Regressor)
-}
+// errReadOnly is what a read-only codec's Encode returns.
+var errReadOnly = errors.New("artifact: jsonv1 is a read-only legacy format; artifacts are written as lamb1")
+
+func (jsonv1Codec) Encode(io.Writer, *Payload) error { return errReadOnly }
 
 // jsonv1Probe distinguishes the two jsonv1 document shapes when the
 // caller doesn't say which to expect: the hybrid DTO carries an "ml"
@@ -76,7 +73,7 @@ func (jsonv1Codec) Decode(data []byte, opts DecodeOptions) (*Payload, error) {
 }
 
 // Sniff accepts anything starting (after ASCII whitespace) with a JSON
-// object brace — exactly the documents the two jsonv1 writers produce.
+// object brace — exactly the documents the two jsonv1 writers produced.
 func (jsonv1Codec) Sniff(prefix []byte) bool {
 	for _, b := range prefix {
 		switch b {

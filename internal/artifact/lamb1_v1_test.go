@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -37,14 +36,7 @@ func readV1Fixture(t testing.TB, name string) []byte {
 func TestLamb1V1Decode(t *testing.T) {
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			rawPred, err := os.ReadFile(filepath.Join("testdata", "golden_"+fx.name+".pred.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want goldenPredictions
-			if err := json.Unmarshal(rawPred, &want); err != nil {
-				t.Fatal(err)
-			}
+			_, want := readGolden(t, fx.name)
 
 			info, decoded, err := Inspect(readV1Fixture(t, fx.name), DecodeOptions{})
 			if err != nil {
@@ -86,7 +78,7 @@ func TestLamb1V1DecodeHybrid(t *testing.T) {
 
 // TestLamb1VersionReporting pins the header versions and the Inspect
 // node-layout field across the format generations: new artifacts are
-// v2 implicit-left; jsonv1 stays explicit-children.
+// v2 implicit-left; a jsonv1 golden stays explicit-children.
 func TestLamb1VersionReporting(t *testing.T) {
 	reg, _ := fitFixture(t, fixtures[1].build) // forest
 	p := &Payload{Regressor: reg}
@@ -103,7 +95,7 @@ func TestLamb1VersionReporting(t *testing.T) {
 		t.Fatalf("v2 node layout %q, want implicit-left", info.NodeLayout)
 	}
 
-	jdata := encode(t, jsonv1Codec{}, p)
+	jdata, _ := readGolden(t, "forest")
 	jinfo, _, err := Inspect(jdata, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)

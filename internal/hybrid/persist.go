@@ -9,11 +9,13 @@ import (
 	"lam/internal/ml"
 )
 
-// Persistence for trained hybrid models. The analytical model is a
-// closed-form function and is not serialised — Load takes it as an
-// argument (it is reconstructed from the machine description, exactly
-// as at training time). The fitted ML component and coupling
-// configuration are stored.
+// The legacy JSON encoding (jsonv1) of a trained hybrid model: the
+// coupling configuration and the fitted ML component's own jsonv1
+// document. The analytical model is a closed-form function and was
+// never serialised — Load takes it as an argument (it is reconstructed
+// from the machine description, exactly as at training time). Hybrids
+// are published in lamb1 (binary.go); Load keeps legacy artifacts
+// loading.
 
 type modelDTO struct {
 	Mode            Mode            `json:"mode"`
@@ -23,29 +25,8 @@ type modelDTO struct {
 	ML              json.RawMessage `json:"ml"`
 }
 
-// Save serialises the trained hybrid model. The ML component must be
-// one of the types internal/ml can persist (the default extra-trees
-// pipeline is).
-func (m *Model) Save(w io.Writer) error {
-	if m.mlModel == nil {
-		return fmt.Errorf("hybrid: cannot save untrained model")
-	}
-	var mlBuf bytes.Buffer
-	if err := ml.SaveModel(&mlBuf, m.mlModel); err != nil {
-		return fmt.Errorf("hybrid: saving ML component: %w", err)
-	}
-	dto := modelDTO{
-		Mode:            m.cfg.Mode,
-		Aggregate:       m.cfg.Aggregate,
-		AggregateWeight: m.cfg.AggregateWeight,
-		NFeatures:       m.nFeatures,
-		ML:              json.RawMessage(mlBuf.Bytes()),
-	}
-	return json.NewEncoder(w).Encode(dto)
-}
-
-// Load restores a hybrid model saved with Save, reattaching the
-// analytical model.
+// Load restores a hybrid model from its jsonv1 document, reattaching
+// the analytical model.
 func Load(r io.Reader, am AnalyticalModel) (*Model, error) {
 	if am == nil {
 		return nil, fmt.Errorf("hybrid: Load requires the analytical model")

@@ -187,9 +187,9 @@ func appendTreeBody(buf []byte, t *DecisionTree) []byte {
 }
 
 // AppendBinary appends the binary encoding of a fitted regressor to buf
-// and returns the extended slice. Supported types and fitted-state
-// requirements match SaveModel exactly; the two encodings are
-// interconvertible without loss.
+// and returns the extended slice: a fitted DecisionTree, Forest, or
+// Pipeline wrapping either. It is the only model writer; LoadModel's
+// legacy JSON documents decode to the same predictions.
 func AppendBinary(buf []byte, m Regressor) ([]byte, error) {
 	switch v := m.(type) {
 	case *DecisionTree:

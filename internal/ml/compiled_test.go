@@ -495,8 +495,7 @@ func TestCompileEnsembleMatchesReference(t *testing.T) {
 		}
 		assertWalksFromPacked(t, "forest", f.compiled, Xq, fwant)
 
-		// The decode paths compile through the same function.
-		assertFusedEqualsReference(t, "forest json", roundTrip(t, f).(*Forest).compiled, refTrees)
+		// The decode path compiles through the same function.
 		bin, err := AppendBinary(nil, f)
 		if err != nil {
 			t.Fatal(err)

@@ -7,23 +7,14 @@ import (
 	"math"
 )
 
-// Model persistence. The paper stresses that the model "is constructed
-// once offline but used many times" (Section VI) — these functions
-// serialise fitted estimators to JSON so a trained predictor can be
-// shipped with an application and queried without retraining.
-//
-// SaveModel writes any supported fitted Regressor; LoadModel restores
-// it. Supported: DecisionTree, Forest and Pipeline (wrapping either).
-// The kinds of the retired estimators (linreg, knn, gbr, bagging,
-// stacking) are refused by name.
-//
-// This file is the jsonv1 side of the artifact codec layer
-// (internal/artifact): SaveModel/LoadModel define the legacy JSON
-// encoding that every registry written before the binary format keeps
-// loading forever, and binary.go defines the lamb1 payload encoding of
-// the same estimators. The two are interconvertible without loss and
-// must stay prediction-bit-identical (asserted by the round-trip
-// property test in internal/artifact).
+// The legacy JSON encoding (jsonv1). Fitted estimators are published
+// in the lamb1 binary format (binary.go); LoadModel is kept so that
+// every registry written before the binary format keeps loading
+// forever. It restores a DecisionTree, a Forest or a Pipeline wrapping
+// either, bit-identical in prediction to the lamb1 decode of the same
+// model (asserted over the committed goldens in internal/artifact),
+// and refuses the kinds of the retired estimators (linreg, knn, gbr,
+// bagging, stacking) by name.
 
 // modelEnvelope tags the concrete type on disk.
 type modelEnvelope struct {
@@ -31,7 +22,7 @@ type modelEnvelope struct {
 	Data json.RawMessage `json:"data"`
 }
 
-// nodeDTO serialises one tree node (children by index; -1 = none).
+// nodeDTO is one tree node of a document (children by index; -1 = none).
 type nodeDTO struct {
 	Feature   int     `json:"f"`
 	Threshold float64 `json:"t"`
@@ -48,36 +39,11 @@ type treeDTO struct {
 	Nodes       []nodeDTO  `json:"nodes"`
 }
 
-// The on-disk node list keeps explicit two-child form (the jsonv1
-// forward-compat contract): the Left column is synthesised from the
-// canonical implicit-left runtime layout on save (i+1 for internal
-// nodes, -1 for leaves — exactly the bytes the pre-PR 8 format wrote,
-// since the builder has always emitted canonical preorder) and folded
-// back out on load. Loading canonicalises: any structurally valid
+// The on-disk node list is in explicit two-child form; its Left column
+// is folded out on load. Loading canonicalises: any structurally valid
 // explicit-child table — canonical or not — is re-emitted in preorder
 // with the left child adjacent, a node permutation that leaves every
-// prediction bit-identical. The split fields are read back from the
-// packed records, so every leaf is saved as f -1, t 0, l -1, r -1.
-
-func flattenTree(c *CompiledTree) []nodeDTO {
-	nodes := make([]nodeDTO, c.Len())
-	for i := range nodes {
-		f, thr, r := c.split(i)
-		left := -1
-		if f >= 0 {
-			left = i + 1
-		}
-		nodes[i] = nodeDTO{
-			Feature:   int(f),
-			Threshold: thr,
-			Value:     c.value[i],
-			N:         int(c.nSamples[i]),
-			Left:      left,
-			Right:     int(r),
-		}
-	}
-	return nodes
-}
+// prediction bit-identical.
 
 func compileNodes(nodes []nodeDTO, nFeatures int) (nodeTable, error) {
 	n := len(nodes)
@@ -177,15 +143,6 @@ func canonicalTree(feature []int32, threshold, value []float64, left, right, nSa
 	return c, nil
 }
 
-func (t *DecisionTree) toDTO() treeDTO {
-	return treeDTO{
-		Config:      t.Config,
-		NFeatures:   t.nFeatures,
-		Importances: t.importances,
-		Nodes:       flattenTree(&t.nodes),
-	}
-}
-
 // fromDTO restores t from its document but its nodes, which it returns
 // as the node table for compileEnsemble.
 func (t *DecisionTree) fromDTO(d treeDTO) (nodeTable, error) {
@@ -217,54 +174,7 @@ type pipelineDTO struct {
 	Model modelEnvelope `json:"model"`
 }
 
-// SaveModel serialises a fitted regressor to w.
-func SaveModel(w io.Writer, m Regressor) error {
-	env, err := encodeModel(m)
-	if err != nil {
-		return err
-	}
-	return json.NewEncoder(w).Encode(env)
-}
-
-func encodeModel(m Regressor) (*modelEnvelope, error) {
-	var kind string
-	var payload any
-	switch v := m.(type) {
-	case *DecisionTree:
-		if !v.IsFitted() {
-			return nil, fmt.Errorf("ml: cannot save unfitted DecisionTree")
-		}
-		kind, payload = "decision_tree", v.toDTO()
-	case *Forest:
-		if len(v.trees) == 0 {
-			return nil, fmt.Errorf("ml: cannot save unfitted Forest")
-		}
-		d := forestDTO{NTrees: v.NTrees, Tree: v.Tree, Bootstrap: v.Bootstrap,
-			Seed: v.Seed, NFeatures: v.nFeatures}
-		for _, t := range v.trees {
-			d.Trees = append(d.Trees, t.toDTO())
-		}
-		kind, payload = "forest", d
-	case *Pipeline:
-		if !v.fitted {
-			return nil, fmt.Errorf("ml: cannot save unfitted Pipeline")
-		}
-		inner, err := encodeModel(v.Model)
-		if err != nil {
-			return nil, err
-		}
-		kind, payload = "pipeline", pipelineDTO{Mean: v.scaler.mean, Std: v.scaler.std, Model: *inner}
-	default:
-		return nil, fmt.Errorf("ml: SaveModel does not support %T", m)
-	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return nil, err
-	}
-	return &modelEnvelope{Kind: kind, Data: raw}, nil
-}
-
-// LoadModel restores a regressor saved by SaveModel.
+// LoadModel restores a regressor from its jsonv1 document.
 func LoadModel(r io.Reader) (Regressor, error) {
 	var env modelEnvelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {

@@ -1,20 +1,20 @@
 package ml
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-// roundTrip saves and reloads a model, failing the test on error.
+// roundTrip encodes a model with the one writer, AppendBinary, and
+// decodes it back, failing the test on error.
 func roundTrip(t *testing.T, m Regressor) Regressor {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, m); err != nil {
+	bin, err := AppendBinary(nil, m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadModel(&buf)
+	got, err := DecodeBinaryVersion(bin, BinaryVersionLatest, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,21 +80,19 @@ func TestPersistPipeline(t *testing.T) {
 }
 
 func TestPersistRejectsUnfitted(t *testing.T) {
-	var buf bytes.Buffer
 	for _, m := range []Regressor{
 		NewDecisionTree(TreeConfig{}),
 		NewRandomForest(5, 1),
 		&Pipeline{Model: NewExtraTrees(3, 1)},
 	} {
-		if err := SaveModel(&buf, m); err == nil {
+		if _, err := AppendBinary(nil, m); err == nil {
 			t.Errorf("saving unfitted %T should fail", m)
 		}
 	}
 }
 
 func TestPersistRejectsUnsupported(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SaveModel(&buf, &constModel{}); err == nil {
+	if _, err := AppendBinary(nil, &constModel{}); err == nil {
 		t.Error("expected unsupported-type error")
 	}
 }

@@ -1,9 +1,12 @@
 package registry
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,104 +20,128 @@ import (
 	"lam/internal/ml"
 )
 
-// TestFormatDefaultsAndEscapeHatch checks new saves write lamb1 under
-// model.lamb, the jsonv1 escape hatch writes model.json, and both load
-// bit-identically.
-func TestFormatDefaultsAndEscapeHatch(t *testing.T) {
-	hy, X := trainFixture(t)
-	reg, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Meta{Name: "m", Workload: "stencil-grid", Machine: "bluewaters"}
-	m1, err := reg.SaveHybrid(hy, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.Format != artifact.FormatLAMB1 {
-		t.Fatalf("default save format = %q, want lamb1", m1.Format)
-	}
-	m2, err := reg.SaveHybridOpts(hy, base, SaveOptions{Format: artifact.FormatJSONV1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Format != artifact.FormatJSONV1 {
-		t.Fatalf("jsonv1 save format = %q", m2.Format)
-	}
-	if _, err := os.Stat(filepath.Join(reg.Root(), "m", "v0001", "model.lamb")); err != nil {
-		t.Fatalf("lamb1 artifact file: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(reg.Root(), "m", "v0002", "model.json")); err != nil {
-		t.Fatalf("jsonv1 artifact file: %v", err)
-	}
-	if _, err := reg.SaveHybridOpts(hy, base, SaveOptions{Format: "no-such-format"}); err == nil {
-		t.Fatal("unknown format accepted")
-	}
+// The legacy fixture under testdata/legacy is a registry as a build
+// from before the codec layer left it: each version holds model.json
+// (jsonv1) and a meta.json with no "format" key. Nothing in this module
+// writes jsonv1 any more, so the fixture is committed and never
+// regenerated. Recipe (run once, at commit f4b08b4, the last build
+// with a jsonv1 writer):
+//
+//	bw := machine.BlueWatersXE6(); w, _ := workload.Lookup("stencil-grid")
+//	ds, _ := w.Dataset(bw, 42)
+//	train, test, _ := ds.SampleFraction(0.05, rand.New(rand.NewSource(42)))
+//	small := func() ml.Regressor { return &ml.Pipeline{Model: ml.NewExtraTrees(4, 42)} }
+//	hy, _ := hybrid.TrainCtx(ctx, train, w.AM(bw), hybrid.Config{Seed: 42, NewML: small})
+//	et := small(); ml.FitCtx(ctx, et, train.X, train.Y)
+//	meta := registry.Meta{Workload: "stencil-grid", Machine: "bluewaters", TrainSize: train.Len()}
+//	opts := registry.SaveOptions{Format: artifact.FormatJSONV1}
+//	reg.SaveHybridOpts(hy, meta /* Name: "grid-hybrid" */, opts)
+//	reg.SaveRegressorOpts(et, meta /* Name: "grid-et" */, opts)
+//
+// then each meta.json rewritten without "format" and with created_at
+// 2026-10-17T00:00:00Z, and pred.json holding test.X[:16] and each
+// version's PredictBatch of it.
 
-	want := make([]float64, len(X))
-	if err := hy.PredictBatchIntoCtx(context.Background(), X, want, 0); err != nil {
-		t.Fatal(err)
-	}
-	for v := 1; v <= 2; v++ {
-		lm, err := reg.Load("m", v)
-		if err != nil {
-			t.Fatalf("load v%d: %v", v, err)
-		}
-		got, err := lm.PredictBatch(context.Background(), X)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("v%d row %d: %v != %v", v, i, got[i], want[i])
-			}
-		}
-	}
+// legacyPredictions is testdata/legacy/pred.json: probe rows and each
+// model's pinned predictions on them.
+type legacyPredictions struct {
+	X    [][]float64          `json:"x"`
+	Pred map[string][]float64 `json:"pred"`
 }
 
-// TestLegacyRegistrySniffAndCache simulates a registry written before
-// the codec layer — model.json with no format field in meta.json — and
-// checks it loads unchanged, with the sniffed format cached back into
-// meta.json so the second load skips the probe.
-func TestLegacyRegistrySniffAndCache(t *testing.T) {
+// legacyNames are the model names in the legacy fixture.
+var legacyNames = []string{"grid-hybrid", "grid-et"}
+
+// openLegacy copies the legacy fixture into a temp dir (loads and
+// converts write to it) and opens it, with its pinned predictions.
+func openLegacy(t *testing.T) (*Registry, legacyPredictions) {
+	t.Helper()
+	src := filepath.Join("testdata", "legacy")
+	dst := t.TempDir()
+	if err := os.CopyFS(dst, os.DirFS(src)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(src, "pred.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want legacyPredictions
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := Open(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg, want
+}
+
+// requirePinned loads name's latest version and requires its format
+// and bit-identical pinned predictions.
+func requirePinned(t *testing.T, reg *Registry, want legacyPredictions, name, format string) *Model {
+	t.Helper()
+	lm, err := reg.Load(name, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if lm.Meta.Format != format {
+		t.Fatalf("%s: format %q, want %q", name, lm.Meta.Format, format)
+	}
+	got, err := lm.PredictBatch(context.Background(), want.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := want.Pred[name]
+	if len(got) != len(pinned) || len(got) == 0 {
+		t.Fatalf("%s: %d predictions, %d pinned", name, len(got), len(pinned))
+	}
+	for i := range pinned {
+		if math.Float64bits(got[i]) != math.Float64bits(pinned[i]) {
+			t.Fatalf("%s row %d: %v, pinned %v", name, i, got[i], pinned[i])
+		}
+	}
+	return lm
+}
+
+// TestSavesWriteLAMB1 checks every save writes lamb1 under model.lamb,
+// records the format, and loads bit-identically.
+func TestSavesWriteLAMB1(t *testing.T) {
 	hy, X := trainFixture(t)
 	reg, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.SaveHybridOpts(hy, Meta{Name: "legacy", Workload: "stencil-grid", Machine: "bluewaters"},
-		SaveOptions{Format: artifact.FormatJSONV1}); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite meta.json without the format field, as a pre-codec build
-	// would have written it.
-	metaPath := filepath.Join(reg.Root(), "legacy", "v0001", "meta.json")
-	raw, err := os.ReadFile(metaPath)
+	m, err := reg.SaveHybrid(hy, Meta{Name: "m", Workload: "stencil-grid", Machine: "bluewaters"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fields map[string]any
-	if err := json.Unmarshal(raw, &fields); err != nil {
-		t.Fatal(err)
+	if m.Format != artifact.FormatLAMB1 {
+		t.Fatalf("save format = %q, want lamb1", m.Format)
 	}
-	delete(fields, "format")
-	stripped, err := json.Marshal(fields)
+	entries, err := os.ReadDir(filepath.Join(reg.Root(), "m", "v0001"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(metaPath, stripped, 0o644); err != nil {
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	if !slices.Equal(files, []string{"meta.json", "model.lamb"}) {
+		t.Fatalf("version directory holds %v, want [meta.json model.lamb]", files)
+	}
+	fi, err := entries[0].Info()
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	lm, err := reg.Load("legacy", 0)
-	if err != nil {
-		t.Fatalf("legacy load: %v", err)
-	}
-	if lm.Meta.Format != artifact.FormatJSONV1 {
-		t.Fatalf("sniffed format = %q, want jsonv1", lm.Meta.Format)
+	if fi.Mode().Perm()&0o044 != 0o044 {
+		t.Fatalf("meta.json has mode %v: other users cannot read it", fi.Mode().Perm())
 	}
 	want := make([]float64, len(X))
 	if err := hy.PredictBatchIntoCtx(context.Background(), X, want, 0); err != nil {
+		t.Fatal(err)
+	}
+	lm, err := reg.Load("m", 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := lm.PredictBatch(context.Background(), X)
@@ -126,87 +153,128 @@ func TestLegacyRegistrySniffAndCache(t *testing.T) {
 			t.Fatalf("row %d: %v != %v", i, got[i], want[i])
 		}
 	}
-	// The sniff result must now be cached in meta.json (satellite:
-	// mixed-format registries pay the probe once, not per load).
-	cached, err := reg.readMeta("legacy", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.Format != artifact.FormatJSONV1 {
-		t.Fatalf("cached format = %q, want jsonv1 written back", cached.Format)
-	}
 }
 
-// TestConvertInPlace converts a version jsonv1 → lamb1 → jsonv1 and
-// checks predictions are bit-identical at every step, the artifact file
-// is swapped, and converting to the current format is a no-op.
-func TestConvertInPlace(t *testing.T) {
-	hy, X := trainFixture(t)
-	reg, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.SaveHybridOpts(hy, Meta{Name: "c", Workload: "stencil-grid", Machine: "bluewaters"},
-		SaveOptions{Format: artifact.FormatJSONV1}); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, len(X))
-	if err := hy.PredictBatchIntoCtx(context.Background(), X, want, 0); err != nil {
-		t.Fatal(err)
-	}
-	check := func(stage string) {
-		t.Helper()
-		lm, err := reg.Load("c", 0)
-		if err != nil {
-			t.Fatalf("%s: %v", stage, err)
-		}
-		got, err := lm.PredictBatch(context.Background(), X)
+// TestLegacyRegistrySniffAndCache loads the legacy fixture — model.json
+// with no format in meta.json — and checks each version loads to its
+// pinned predictions, with the sniffed format cached back into
+// meta.json so the second load skips the probe. The hybrid's pinned
+// predictions hold only if its analytical model is rebuilt from the
+// (workload, machine) metadata exactly as at training time.
+func TestLegacyRegistrySniffAndCache(t *testing.T) {
+	reg, want := openLegacy(t)
+	for _, name := range legacyNames {
+		raw, err := os.ReadFile(filepath.Join(reg.Root(), name, "v0001", "meta.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s row %d: %v != %v", stage, i, got[i], want[i])
+		if strings.Contains(string(raw), `"format"`) {
+			t.Fatalf("%s: the fixture's meta.json records a format; it must be pre-codec", name)
+		}
+		lm := requirePinned(t, reg, want, name, artifact.FormatJSONV1)
+		if (lm.Hybrid() != nil) != (name == "grid-hybrid") {
+			t.Fatalf("%s: loaded as kind %s", name, lm.Meta.Kind)
+		}
+		cached, err := reg.readMeta(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached.Format != artifact.FormatJSONV1 {
+			t.Fatalf("%s: cached format = %q, want jsonv1 written back", name, cached.Format)
+		}
+		requirePinned(t, reg, want, name, artifact.FormatJSONV1)
+	}
+}
+
+// TestConvertInPlace migrates each legacy version to lamb1 and checks
+// the predictions stay bit-identical to the pinned ones, the artifact
+// file is swapped, and converting a lamb1 version is a no-op.
+func TestConvertInPlace(t *testing.T) {
+	reg, want := openLegacy(t)
+	for _, name := range legacyNames {
+		vdir := filepath.Join(reg.Root(), name, "v0001")
+		meta, err := reg.Convert(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Format != artifact.FormatLAMB1 {
+			t.Fatalf("%s: converted format = %q", name, meta.Format)
+		}
+		if _, err := os.Stat(filepath.Join(vdir, "model.json")); !os.IsNotExist(err) {
+			t.Fatalf("%s: old jsonv1 artifact still present after convert: %v", name, err)
+		}
+		for _, f := range []string{"model.lamb", "meta.json"} {
+			fi, err := os.Stat(filepath.Join(vdir, f))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if fi.Mode().Perm() != 0o644 {
+				t.Fatalf("%s: converted %s has mode %v, want -rw-r--r--", name, f, fi.Mode().Perm())
 			}
 		}
-	}
-	vdir := filepath.Join(reg.Root(), "c", "v0001")
+		requirePinned(t, reg, want, name, artifact.FormatLAMB1)
 
-	meta, err := reg.Convert("c", 0, artifact.FormatLAMB1)
+		before, err := os.ReadFile(filepath.Join(vdir, "model.lamb"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Convert(name, 0); err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.ReadFile(filepath.Join(vdir, "model.lamb"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("%s: converting a lamb1 version rewrote its artifact", name)
+		}
+		requirePinned(t, reg, want, name, artifact.FormatLAMB1)
+	}
+	info, _, err := reg.ArtifactInfo("grid-hybrid", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Format != artifact.FormatLAMB1 {
-		t.Fatalf("converted format = %q", meta.Format)
-	}
-	if _, err := os.Stat(filepath.Join(vdir, "model.json")); !os.IsNotExist(err) {
-		t.Fatalf("old jsonv1 artifact still present after convert: %v", err)
-	}
-	check("after convert to lamb1")
-
-	// No-op convert.
-	if _, err := reg.Convert("c", 0, artifact.FormatLAMB1); err != nil {
-		t.Fatal(err)
-	}
-	check("after no-op convert")
-
-	if _, err := reg.Convert("c", 0, artifact.FormatJSONV1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(vdir, "model.lamb")); !os.IsNotExist(err) {
-		t.Fatalf("old lamb1 artifact still present after convert back: %v", err)
-	}
-	check("after convert back to jsonv1")
-
-	info, _, err := reg.ArtifactInfo("c", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Format != artifact.FormatJSONV1 || info.Kind != KindHybrid {
+	if info.Format != artifact.FormatLAMB1 || info.Kind != KindHybrid || info.Trees != 4 {
 		t.Fatalf("ArtifactInfo = %+v", info)
 	}
 	if !strings.HasPrefix(info.Estimator, "hybrid(") {
 		t.Fatalf("estimator = %q", info.Estimator)
+	}
+}
+
+// TestConvertReplacesMeta: Convert replaces meta.json through a temp
+// file and a rename, never by rewriting it in place, so a reader that
+// opened the old document before the convert still reads all of it —
+// as a Load in another process mid-convert would — and the new
+// document is complete.
+func TestConvertReplacesMeta(t *testing.T) {
+	reg, _ := openLegacy(t)
+	path := filepath.Join(reg.Root(), "grid-et", "v0001", "meta.json")
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := reg.Convert("grid-et", 0); err != nil {
+		t.Fatal(err)
+	}
+	held, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(held, old) {
+		t.Fatalf("meta.json was rewritten in place: a reader that opened it before Convert read\n%s\nwant the old document\n%s", held, old)
+	}
+	meta, err := reg.readMeta("grid-et", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Format != artifact.FormatLAMB1 {
+		t.Fatalf("meta.json after convert records format %q, want lamb1", meta.Format)
 	}
 }
 
@@ -276,22 +344,25 @@ func benchModel(b testing.TB, n int) ml.Regressor {
 	return reg
 }
 
-// benchRegistry publishes the bench model once per format and returns
-// the registry.
-func benchRegistry(b testing.TB, format string, n int) *Registry {
+// benchRegistry publishes the bench model, fitted on n samples, and
+// returns the registry.
+func benchRegistry(b testing.TB, n int) *Registry {
 	b.Helper()
 	reg, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := reg.SaveRegressorOpts(benchModel(b, n), Meta{Name: "bench"}, SaveOptions{Format: format}); err != nil {
+	if _, err := reg.SaveRegressor(benchModel(b, n), Meta{Name: "bench"}); err != nil {
 		b.Fatal(err)
 	}
 	return reg
 }
 
-func benchColdLoad(b *testing.B, format string) {
-	reg := benchRegistry(b, format, 4000)
+// BenchmarkColdLoadBinary is the cold-start cost of the artifact plane:
+// a lamb1 load is one file mapping, slice-casting and one pack into the
+// walk table (TestColdLoadAllocationBudget pins its allocation).
+func BenchmarkColdLoadBinary(b *testing.B) {
+	reg := benchRegistry(b, 4000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -311,7 +382,7 @@ func TestColdLoadAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	reg := benchRegistry(t, artifact.FormatLAMB1, 800)
+	reg := benchRegistry(t, 800)
 	info, _, err := reg.ArtifactInfo("bench", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -336,10 +407,3 @@ func TestColdLoadAllocationBudget(t *testing.T) {
 		t.Fatalf("cold load allocates %d B, budget %d B (16 x %d nodes + 64 KB)", perLoad, budget, info.Nodes)
 	}
 }
-
-// BenchmarkColdLoadJSON vs BenchmarkColdLoadBinary is the cold-start
-// claim of the artifact plane: lamb1 loads are one file mapping plus
-// slice-casting, jsonv1 loads decode per node. See BENCH_PR6.json for
-// recorded runs.
-func BenchmarkColdLoadJSON(b *testing.B)   { benchColdLoad(b, artifact.FormatJSONV1) }
-func BenchmarkColdLoadBinary(b *testing.B) { benchColdLoad(b, artifact.FormatLAMB1) }

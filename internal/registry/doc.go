@@ -1,25 +1,25 @@
-// Package registry stores versioned trained-model artifacts on disk,
-// unifying the repository's ad-hoc Save/Load paths (ml.SaveModel,
-// hybrid.Model.Save) behind one layout with metadata. It is the
-// storage backend of the lam-serve prediction service and of the
-// -registry flag on lam-predict.
+// Package registry stores versioned trained-model artifacts on disk
+// with their metadata, and is the one way to persist a model: publish
+// once, load many times. It is the storage backend of the lam-serve
+// prediction service, of the -registry flag on lam-predict and of the
+// online retrainer.
 //
 // On-disk layout (one directory per model name, one per version):
 //
 //	<root>/<name>/v0001/meta.json   — Meta: kind, format, workload, …
-//	<root>/<name>/v0001/model.lamb  — the artifact (lamb1 flat binary,
-//	                                  the default) — or model.json for
-//	                                  jsonv1 saves and legacy registries
+//	<root>/<name>/v0001/model.lamb  — the artifact (lamb1 flat binary)
+//	                                  — or model.json in a legacy
+//	                                  jsonv1 version not yet converted
 //	<root>/<name>/v0002/…
 //
 // All byte-level encoding and decoding goes through internal/artifact's
-// codec layer; the registry only decides which codec to use. Saves
-// default to lamb1 (SaveOptions.Format is the escape hatch); loads
-// follow the format recorded in meta.json, and when it is absent (any
-// registry written before the codec layer) sniff the artifact's leading
-// bytes and cache the resolved format back into meta.json so only the
-// first load pays the probe. Convert re-encodes a version in place;
-// ArtifactInfo summarises one without building a serving model.
+// codec layer; the registry only decides which codec to use. Every save
+// writes lamb1; loads follow the format recorded in meta.json, and when
+// it is absent (any registry written before the codec layer) sniff the
+// artifact's leading bytes and cache the resolved format back into
+// meta.json so only the first load pays the probe. Convert migrates a
+// legacy version to lamb1 in place; ArtifactInfo summarises one without
+// building a serving model.
 //
 // Contracts callers rely on:
 //
@@ -35,7 +35,9 @@
 //     mtimes (see LatestVersion).
 //   - Published artifacts are immutable. Save and Convert write a
 //     temporary file and rename it into place; nothing truncates or
-//     rewrites an artifact in place, and nothing else may. Load,
+//     rewrites an artifact in place, and nothing else may. meta.json is
+//     replaced the same way, by one writer (writeMeta), so a reader
+//     never sees a torn document. Load,
 //     ArtifactInfo and Convert map the artifact read-only on Linux
 //     (mmap_linux.go) and decode it in place: the walk table is packed
 //     onto the heap, and each loaded tree's value and nSamples columns
@@ -49,8 +51,7 @@
 //     silently wrong model.
 //   - Loading a hybrid model reconstructs its analytical component
 //     from the (workload, machine) metadata, exactly as at training
-//     time — which is what the old hybrid.Load required every caller
-//     to hand-wire.
+//     time, so no caller hand-wires it.
 //   - A loaded Model satisfies the facade's context-first Predictor
 //     interface, decodes tree ensembles straight into the compiled
 //     plane's flat node tables (the packed table the walks read is the

@@ -158,7 +158,7 @@ func TestLoadedComponentsOutliveModel(t *testing.T) {
 // TestMappingReleasedWithLastReference: once nothing references a
 // loaded model, collection unmaps its artifact.
 func TestMappingReleasedWithLastReference(t *testing.T) {
-	reg := benchRegistry(t, artifact.FormatLAMB1, 300)
+	reg := benchRegistry(t, 300)
 	path := filepath.Join(reg.Root(), "bench", "v0001", "model.lamb")
 	m, err := reg.Load("bench", 1)
 	if err != nil {

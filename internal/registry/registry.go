@@ -58,11 +58,12 @@ type Meta struct {
 	BaseSize int `json:"base_size,omitempty"`
 	// TestMAPE is the held-out MAPE (percent) measured at save time.
 	TestMAPE float64 `json:"test_mape,omitempty"`
-	// Format is the artifact codec the model file is encoded with
-	// (artifact.FormatLAMB1 / artifact.FormatJSONV1). Empty in
-	// registries written before the codec layer; Load sniffs those by
-	// content and caches the resolved format back into meta.json so
-	// later loads skip the probe.
+	// Format is the artifact codec the model file is encoded with:
+	// artifact.FormatLAMB1 for every save, artifact.FormatJSONV1 for
+	// legacy versions not yet converted. Empty in registries written
+	// before the codec layer; Load sniffs those by content and caches
+	// the resolved format back into meta.json so later loads skip the
+	// probe.
 	Format string `json:"format,omitempty"`
 	// CreatedAt is the save timestamp (UTC).
 	CreatedAt time.Time `json:"created_at"`
@@ -70,18 +71,9 @@ type Meta struct {
 	Notes string `json:"notes,omitempty"`
 }
 
-// SaveOptions tune how an artifact is written. The zero value is the
-// default: the lamb1 flat binary format.
-type SaveOptions struct {
-	// Format selects the artifact codec by name; empty means
-	// artifact.DefaultFormat (lamb1). Use artifact.FormatJSONV1 to
-	// write artifacts older builds can read.
-	Format string
-}
-
 // artifactFileName maps a codec name to the artifact's file name in a
 // version directory. The jsonv1 name is the historical "model.json",
-// so legacy registries need no migration.
+// so legacy registries load without a migration.
 func artifactFileName(format string) string {
 	if format == artifact.FormatJSONV1 {
 		return "model.json"
@@ -92,6 +84,10 @@ func artifactFileName(format string) string {
 // artifactCandidates are the file names Load probes, newest format
 // first, when metadata doesn't record one.
 var artifactCandidates = []string{"model.lamb", "model.json"}
+
+// lamb1 is the codec every save and every Convert writes. FormatLAMB1
+// is always registered, so ByName cannot fail.
+var lamb1, _ = artifact.ByName(artifact.FormatLAMB1)
 
 var nameRE = regexp.MustCompile(`^[a-z0-9][a-z0-9._-]*$`)
 
@@ -139,13 +135,8 @@ func (r *Registry) Root() string { return r.root }
 // the completed metadata (version, kind, timestamp filled in).
 // meta.Workload and meta.Machine are required: they are what Load uses
 // to reconstruct the analytical component. The artifact is written in
-// the default format (lamb1); use SaveHybridOpts to pick another.
+// lamb1.
 func (r *Registry) SaveHybrid(m *hybrid.Model, meta Meta) (Meta, error) {
-	return r.SaveHybridOpts(m, meta, SaveOptions{})
-}
-
-// SaveHybridOpts is SaveHybrid with explicit save options.
-func (r *Registry) SaveHybridOpts(m *hybrid.Model, meta Meta, opts SaveOptions) (Meta, error) {
 	if m == nil || !m.IsFitted() {
 		return Meta{}, fmt.Errorf("registry: %w", lamerr.ErrNotFitted)
 	}
@@ -157,43 +148,33 @@ func (r *Registry) SaveHybridOpts(m *hybrid.Model, meta Meta, opts SaveOptions) 
 		return Meta{}, err
 	}
 	meta.Kind = KindHybrid
-	return r.save(meta, &artifact.Payload{Hybrid: m}, opts)
+	return r.save(meta, &artifact.Payload{Hybrid: m})
 }
 
 // SaveRegressor stores a fitted ML regressor (any type the artifact
 // codecs support) under meta.Name and returns the completed metadata.
-// The artifact is written in the default format (lamb1); use
-// SaveRegressorOpts to pick another.
+// The artifact is written in lamb1.
 func (r *Registry) SaveRegressor(reg ml.Regressor, meta Meta) (Meta, error) {
-	return r.SaveRegressorOpts(reg, meta, SaveOptions{})
-}
-
-// SaveRegressorOpts is SaveRegressor with explicit save options.
-func (r *Registry) SaveRegressorOpts(reg ml.Regressor, meta Meta, opts SaveOptions) (Meta, error) {
 	if reg == nil || !ml.Fitted(reg) {
 		return Meta{}, fmt.Errorf("registry: %w", lamerr.ErrNotFitted)
 	}
 	meta.Kind = KindRegressor
-	return r.save(meta, &artifact.Payload{Regressor: reg}, opts)
+	return r.save(meta, &artifact.Payload{Regressor: reg})
 }
 
-// save allocates the next version directory and writes the model
-// artifact (via the codec opts.Format selects) and meta.json into it
-// atomically (tmp dir + rename). In-process saves are serialised by
+// save allocates the next version directory and writes the lamb1
+// artifact and meta.json into it atomically (tmp dir + rename).
+// In-process saves are serialised by
 // saveMu; a concurrent save from another process is detected by the
 // rename failing against the already-published version directory, in
 // which case the allocation is retried with a fresh version number (the
 // artifact is only written once — only meta.json is rewritten with the
 // new number).
-func (r *Registry) save(meta Meta, p *artifact.Payload, opts SaveOptions) (Meta, error) {
+func (r *Registry) save(meta Meta, p *artifact.Payload) (Meta, error) {
 	if !nameRE.MatchString(meta.Name) {
 		return Meta{}, fmt.Errorf("registry: invalid model name %q (want %s)", meta.Name, nameRE)
 	}
-	codec, err := artifact.ByName(opts.Format)
-	if err != nil {
-		return Meta{}, fmt.Errorf("registry: %w", err)
-	}
-	meta.Format = codec.Name()
+	meta.Format = lamb1.Name()
 	r.saveMu.Lock()
 	defer r.saveMu.Unlock()
 
@@ -211,7 +192,7 @@ func (r *Registry) save(meta Meta, p *artifact.Payload, opts SaveOptions) (Meta,
 	if err != nil {
 		return Meta{}, fmt.Errorf("registry: %w", err)
 	}
-	if err := codec.Encode(mf, p); err != nil {
+	if err := lamb1.Encode(mf, p); err != nil {
 		mf.Close()
 		return Meta{}, fmt.Errorf("registry: writing model artifact: %w", err)
 	}
@@ -231,12 +212,8 @@ func (r *Registry) save(meta Meta, p *artifact.Payload, opts SaveOptions) (Meta,
 		}
 		meta.Version = next
 		meta.CreatedAt = time.Now().UTC()
-		metaRaw, err := json.MarshalIndent(meta, "", "  ")
-		if err != nil {
-			return Meta{}, fmt.Errorf("registry: %w", err)
-		}
-		if err := os.WriteFile(filepath.Join(tmp, "meta.json"), append(metaRaw, '\n'), 0o644); err != nil {
-			return Meta{}, fmt.Errorf("registry: %w", err)
+		if err := writeMeta(tmp, meta); err != nil {
+			return Meta{}, err
 		}
 		err = os.Rename(tmp, r.versionDir(meta.Name, next))
 		if err == nil {
@@ -426,28 +403,41 @@ func (r *Registry) readArtifact(dir, format string) (data []byte, owner any, cod
 	return nil, nil, nil, false, fmt.Errorf("registry: no model artifact in %s (tried %v)", dir, artifactCandidates)
 }
 
-// cacheFormat rewrites a version's meta.json with the resolved artifact
-// format so subsequent loads skip content sniffing. It is best-effort:
-// a read-only registry keeps working, it just re-sniffs each load.
-func (r *Registry) cacheFormat(dir string, meta Meta) {
+// writeMeta is the one writer of meta.json: it writes meta to a temp
+// file in dir and renames it over dir/meta.json, so a reader — in this
+// process or another — sees the old document or the new one, never a
+// torn one, and a descriptor open on the old file keeps reading it
+// whole.
+func writeMeta(dir string, meta Meta) error {
 	raw, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
-		return
+		return fmt.Errorf("registry: %w", err)
 	}
 	tmp, err := os.CreateTemp(dir, ".meta-*")
 	if err != nil {
-		return
+		return fmt.Errorf("registry: %w", err)
 	}
-	_, werr := tmp.Write(append(raw, '\n'))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
+	werr := tmp.Chmod(0o644) // CreateTemp's 0600 would hide it from other users
+	if werr == nil {
+		_, werr = tmp.Write(append(raw, '\n'))
+	}
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr == nil {
+		werr = os.Rename(tmp.Name(), filepath.Join(dir, "meta.json"))
+	}
+	if werr != nil {
 		os.Remove(tmp.Name())
-		return
+		return fmt.Errorf("registry: %w", werr)
 	}
-	if os.Rename(tmp.Name(), filepath.Join(dir, "meta.json")) != nil {
-		os.Remove(tmp.Name())
-	}
+	return nil
 }
+
+// cacheFormat rewrites a version's meta.json with the resolved artifact
+// format so subsequent loads skip content sniffing. It is best-effort:
+// a read-only registry keeps working, it just re-sniffs each load.
+func cacheFormat(dir string, meta Meta) { _ = writeMeta(dir, meta) }
 
 // decodeOptions builds the codec decode options for a version: the
 // expected payload kind, the owner of the mapped artifact bytes and,
@@ -489,7 +479,7 @@ func (r *Registry) Load(name string, version int) (*Model, error) {
 	defer runtime.KeepAlive(owner)
 	if !cached {
 		meta.Format = codec.Name()
-		r.cacheFormat(dir, meta)
+		cacheFormat(dir, meta)
 	}
 	opts, err := decodeOptions(meta, owner)
 	if err != nil {
@@ -544,20 +534,15 @@ func (r *Registry) ArtifactInfo(name string, version int) (artifact.Info, Meta, 
 	return info, meta, nil
 }
 
-// Convert re-encodes one stored version's artifact in the named format,
-// in place. version <= 0 means the latest. Converting to the format the
-// version already uses is a no-op (beyond caching the format in
-// meta.json if it wasn't recorded). The new artifact is written and
-// renamed into place before meta.json is updated and the old file
-// removed, so a crash mid-convert leaves a loadable version: both
-// artifact files briefly coexist and Load follows meta.json, falling
-// back to probing.
-func (r *Registry) Convert(name string, version int, format string) (Meta, error) {
-	target, err := artifact.ByName(format)
-	if err != nil {
-		return Meta{}, fmt.Errorf("registry: %w", err)
-	}
-	version, err = r.resolveVersion(name, version)
+// Convert migrates one stored version's artifact to lamb1, in place.
+// version <= 0 means the latest. Converting a version already in lamb1
+// is a no-op (beyond caching the format in meta.json if it wasn't
+// recorded). The new artifact is written and renamed into place before
+// meta.json is replaced (writeMeta) and the old file removed, so a
+// crash mid-convert leaves a loadable version: both artifact files
+// briefly coexist and Load follows meta.json, falling back to probing.
+func (r *Registry) Convert(name string, version int) (Meta, error) {
+	version, err := r.resolveVersion(name, version)
 	if err != nil {
 		return Meta{}, err
 	}
@@ -571,10 +556,10 @@ func (r *Registry) Convert(name string, version int, format string) (Meta, error
 		return Meta{}, err
 	}
 	defer runtime.KeepAlive(owner)
-	if codec.Name() == target.Name() {
-		if !cached || meta.Format != target.Name() {
-			meta.Format = target.Name()
-			r.cacheFormat(dir, meta)
+	if codec.Name() == lamb1.Name() {
+		if !cached || meta.Format != lamb1.Name() {
+			meta.Format = lamb1.Name()
+			cacheFormat(dir, meta)
 		}
 		return meta, nil
 	}
@@ -592,30 +577,26 @@ func (r *Registry) Convert(name string, version int, format string) (Meta, error
 		return Meta{}, fmt.Errorf("registry: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := target.Encode(tmp, p); err != nil {
+	if err := tmp.Chmod(0o644); err != nil { // as a save's model.lamb
+		tmp.Close()
+		return Meta{}, fmt.Errorf("registry: %w", err)
+	}
+	if err := lamb1.Encode(tmp, p); err != nil {
 		tmp.Close()
 		return Meta{}, fmt.Errorf("registry: converting %s v%d: %w", name, version, err)
 	}
 	if err := tmp.Close(); err != nil {
 		return Meta{}, fmt.Errorf("registry: %w", err)
 	}
-	oldFile := artifactFileName(codec.Name())
-	newFile := artifactFileName(target.Name())
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, newFile)); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, artifactFileName(lamb1.Name()))); err != nil {
 		return Meta{}, fmt.Errorf("registry: %w", err)
 	}
-	meta.Format = target.Name()
-	raw, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return Meta{}, fmt.Errorf("registry: %w", err)
+	meta.Format = lamb1.Name()
+	if err := writeMeta(dir, meta); err != nil {
+		return Meta{}, err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "meta.json"), append(raw, '\n'), 0o644); err != nil {
-		return Meta{}, fmt.Errorf("registry: %w", err)
-	}
-	if oldFile != newFile {
-		if err := os.Remove(filepath.Join(dir, oldFile)); err != nil && !os.IsNotExist(err) {
-			return Meta{}, fmt.Errorf("registry: removing superseded artifact: %w", err)
-		}
+	if err := os.Remove(filepath.Join(dir, artifactFileName(codec.Name()))); err != nil && !os.IsNotExist(err) {
+		return Meta{}, fmt.Errorf("registry: removing superseded artifact: %w", err)
 	}
 	return meta, nil
 }

@@ -497,6 +497,9 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := reg.Load("nope", 0); !errors.Is(err, lamerr.ErrUnknownModel) {
 		t.Fatalf("missing name: got %v, want ErrUnknownModel", err)
 	}
+	if _, err := reg.SaveHybrid(&hybrid.Model{}, Meta{Name: "m", Workload: "stencil-grid", Machine: "bluewaters"}); !errors.Is(err, lamerr.ErrNotFitted) {
+		t.Fatalf("untrained hybrid: got %v, want ErrNotFitted", err)
+	}
 	if _, err := reg.SaveHybrid(hy, Meta{Name: "m"}); err == nil {
 		t.Fatal("SaveHybrid without workload/machine metadata succeeded")
 	}

@@ -30,7 +30,6 @@ package lam
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"lam/internal/dataset"
@@ -139,17 +138,3 @@ func MAPE(yTrue, yPred []float64) float64 { return ml.MAPE(yTrue, yPred) }
 
 // FigureIDs lists the reproducible figures in paper order.
 func FigureIDs() []string { return experiments.AllFigureIDs() }
-
-// LoadHybrid restores a hybrid model saved with (*HybridModel).Save,
-// reattaching the analytical model (rebuilt from the machine
-// description, exactly as at training time).
-func LoadHybrid(r io.Reader, am AnalyticalModel) (*HybridModel, error) {
-	return hybrid.Load(r, am)
-}
-
-// SaveRegressor serialises a fitted ML regressor (trees, forests and
-// pipelines over them) to JSON.
-func SaveRegressor(w io.Writer, m Regressor) error { return ml.SaveModel(w, m) }
-
-// LoadRegressor restores a regressor saved with SaveRegressor.
-func LoadRegressor(r io.Reader) (Regressor, error) { return ml.LoadModel(r) }

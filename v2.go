@@ -22,7 +22,6 @@ package lam
 import (
 	"context"
 
-	"lam/internal/artifact"
 	"lam/internal/experiments"
 	"lam/internal/hybrid"
 	"lam/internal/lamerr"
@@ -105,11 +104,12 @@ func (p regressorPredictor) PredictBatch(ctx context.Context, X [][]float64) ([]
 	return out, nil
 }
 
-// Registry is versioned on-disk model storage: each save allocates a
-// new immutable version holding the serialised artifact plus metadata
-// (workload, machine, train size, test MAPE, created-at). It unifies
-// the v1 SaveRegressor/LoadRegressor and HybridModel.Save/LoadHybrid
-// paths and backs the lam-serve prediction service.
+// Registry is versioned on-disk model storage and the one way to
+// persist a model: each save allocates a new immutable version holding
+// the lamb1 artifact plus metadata (workload, machine, train size,
+// test MAPE, created-at), and Load restores it — a hybrid with its
+// analytical model rebuilt from that metadata. It backs the lam-serve
+// prediction service.
 type Registry = registry.Registry
 
 // ModelMeta describes one stored model version.
@@ -117,19 +117,6 @@ type ModelMeta = registry.Meta
 
 // RegistryModel is a loaded registry version; it implements Predictor.
 type RegistryModel = registry.Model
-
-// SaveOptions tune how a registry save encodes its artifact; the zero
-// value writes the default lamb1 flat binary format.
-type SaveOptions = registry.SaveOptions
-
-// Artifact format names for SaveOptions.Format and Registry.Convert.
-// FormatLAMB1 is the flat binary default (instant cold start: one file
-// read, no per-node decode); FormatJSONV1 is the legacy JSON encoding,
-// readable by every build of this module.
-const (
-	FormatLAMB1  = artifact.FormatLAMB1
-	FormatJSONV1 = artifact.FormatJSONV1
-)
 
 // OpenRegistry opens (creating if necessary) a model registry rooted
 // at dir.

@@ -5,8 +5,7 @@
 // Usage:
 //
 //	lam-gateway -backends http://127.0.0.1:9001,http://127.0.0.1:9002 \
-//	            [-addr :8080] [-route consistent|random] \
-//	            [-attempts 2] [-bound-factor 1.25] \
+//	            [-addr :8080] [-attempts 2] [-bound-factor 1.25] \
 //	            [-probe-interval 500ms] [-probe-timeout 2s] \
 //	            [-eject-after 3] [-readmit-after 2] \
 //	            [-pprof localhost:6061] \
@@ -15,13 +14,12 @@
 // -pprof exposes net/http/pprof on a separate listener (kept off the
 // proxy address) for profiling the gateway itself under load.
 //
-// Routing: POST /predict and /observe are routed by consistent hashing
-// on the model name — each model has a primary replica and a
-// deterministic spill-over order through the rest of the fleet, with a
-// bounded-load check (-bound-factor) that moves requests off a replica
-// whose in-flight count runs past the fleet mean. -route random
-// replaces this with uniform-random selection: the measurement
-// baseline for what affinity buys (see BENCH_PR7.json).
+// Routing: POST /predict, POST /observe and /models/{name}/rollout are
+// routed by consistent hashing on the model name — each model has a
+// primary replica and a deterministic spill-over order through the
+// rest of the fleet, with a bounded-load check (-bound-factor) that
+// moves requests off a replica whose in-flight count runs past the
+// fleet mean. This is the only routing policy.
 //
 // Health: every backend's GET /readyz is probed each -probe-interval;
 // -eject-after consecutive failures (probes and request-level
@@ -31,9 +29,11 @@
 // Spill-over: a connection failure or 429 moves the request to the
 // next ring candidate within a total budget of -attempts; 429
 // Retry-After values are respected as routing cooldowns and forwarded
-// when every attempt sheds. /observe is retried only when the request
-// provably never reached a backend, so observations are never ingested
-// twice.
+// when every attempt sheds. A 429 spills over for every request.
+// /predict and rollout GETs retry after any connection failure;
+// /observe and rollout POSTs only after a dial error, when the request
+// provably never reached a backend, so an observation is never
+// ingested twice and an action never applied twice.
 //
 // Endpoints:
 //
@@ -76,7 +76,6 @@ var lg = slog.Default()
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	backends := flag.String("backends", "", "comma-separated lam-serve base URLs (required)")
-	route := flag.String("route", "consistent", "routing policy: consistent (per-model hash ring + bounded-load spill) or random (baseline)")
 	attempts := flag.Int("attempts", 2, "total backend attempts per request (first try + retries)")
 	boundFactor := flag.Float64("bound-factor", 1.25, "bounded-load spill threshold as a multiple of the fleet-mean in-flight count (<= 1 disables)")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "active /readyz probe interval per backend")
@@ -84,7 +83,6 @@ func main() {
 	ejectAfter := flag.Int("eject-after", 3, "consecutive failures (probe or request) that eject a backend")
 	readmitAfter := flag.Int("readmit-after", 2, "consecutive probe successes that re-admit an ejected backend")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
-	seed := flag.Int64("seed", 1, "random-route mode: PRNG seed")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061; empty disables)")
 	logFormat := flag.String("log-format", "text", "structured-log output format: text or json")
 	traceSlow := flag.Duration("trace-slow", 0, "log the span tree of any proxied request slower than this (0 disables)")
@@ -114,9 +112,6 @@ func main() {
 			urls = append(urls, u)
 		}
 	}
-	if *route != "consistent" && *route != "random" {
-		fatal(fmt.Errorf("-route must be consistent or random, got %q", *route))
-	}
 
 	g, err := gateway.New(urls, gateway.Config{
 		Health: gateway.HealthConfig{
@@ -127,8 +122,6 @@ func main() {
 		},
 		BoundFactor: *boundFactor,
 		MaxAttempts: *attempts,
-		Random:      *route == "random",
-		Seed:        *seed,
 		Logger:      lg,
 		TraceSlow:   *traceSlow,
 	})
@@ -136,7 +129,7 @@ func main() {
 		fatal(err)
 	}
 	defer g.Close()
-	lg.Info("routing configured", "policy", *route, "backends", len(urls))
+	lg.Info("routing configured", "backends", len(urls))
 	for _, u := range urls {
 		lg.Info("backend", "url", u)
 	}

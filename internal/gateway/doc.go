@@ -6,8 +6,8 @@
 //
 // # Routing
 //
-// Requests that address a model (POST /predict, POST /observe) are
-// routed by consistent hashing on the model name: a static ring of
+// Requests that address a model (POST /predict, POST /observe, GET and
+// POST /models/{name}/rollout) are routed by consistent hashing on the model name: a static ring of
 // virtual nodes (ring.go) maps each model to a primary replica and a
 // deterministic spill-over sequence through the rest of the fleet.
 // Affinity is the point — the replicas' micro-batch coalescers
@@ -36,11 +36,12 @@
 // 429s set a Retry-After cooldown that deprioritizes the shedding
 // replica for subsequent routing decisions, and a 429 that survives
 // the attempt budget is forwarded to the client with its Retry-After
-// intact. /predict is idempotent and retries after any transport
-// failure; /observe mutates the online plane's windows, so it is
-// retried only on dial errors (the request provably never reached a
-// backend) or 429s (the backend shed before processing) — an
-// observation is never ingested twice.
+// intact; a 429 spills over for every request, since the backend shed
+// it before processing. /predict and rollout GETs are idempotent and
+// retry after any transport failure; /observe and rollout POSTs mutate
+// replica state, so they are retried only on dial errors (the request
+// provably never reached a backend) — an observation is never ingested
+// twice, and an action never applied twice.
 //
 // Responses stream through unchanged, so a proxied prediction is
 // byte-identical to the direct replica call. GET /models aggregates

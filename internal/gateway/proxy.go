@@ -8,13 +8,12 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net"
 	"net/http"
+	"path"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,12 +52,6 @@ type Config struct {
 	// MaxAttempts is the total backend attempts one client request may
 	// consume (first try + retries). Default 2.
 	MaxAttempts int
-	// Random replaces consistent routing with a uniform-random live
-	// backend per request — the comparison baseline for measuring what
-	// per-model affinity buys the replicas' coalescers. Default false.
-	Random bool
-	// Seed seeds the Random mode's generator; 0 means 1.
-	Seed int64
 	// Logger receives the gateway's structured log output (backend
 	// ejections/readmissions, slow traces). Nil discards.
 	Logger *slog.Logger
@@ -74,9 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 2
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -116,9 +106,6 @@ type Gateway struct {
 	// discard logger when unset).
 	Log *slog.Logger
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
 	cancel context.CancelFunc
 }
 
@@ -138,7 +125,6 @@ func New(urls []string, cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		Telemetry: telemetry.NewRegistry(),
 		Tracer:    telemetry.NewRecorder(traceRingSize),
 		Log:       lg,
@@ -223,92 +209,22 @@ func (g *Gateway) Handler() http.Handler {
 	mux.Handle("GET /trace/recent", g.Tracer.Handler())
 	mux.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
 		g.Metrics.PredictRequests.Add(1)
-		g.proxy(w, r, "/predict", true)
+		g.proxy(w, r, "", true)
 	})
 	mux.HandleFunc("POST /observe", func(w http.ResponseWriter, r *http.Request) {
 		g.Metrics.ObserveRequests.Add(1)
-		g.proxy(w, r, "/observe", false)
+		g.proxy(w, r, "", false)
 	})
-	mux.HandleFunc("GET /models/{name}/rollout", g.proxyRollout)
-	mux.HandleFunc("POST /models/{name}/rollout", g.proxyRollout)
+	// A rollout request routes by the model name in its path — the same
+	// ring key /predict uses, so the state a client reads comes from the
+	// replica most of that model's traffic lands on. Inspections are
+	// idempotent; actions are not.
+	rollout := func(w http.ResponseWriter, r *http.Request) {
+		g.proxy(w, r, r.PathValue("name"), r.Method != http.MethodPost)
+	}
+	mux.HandleFunc("GET /models/{name}/rollout", rollout)
+	mux.HandleFunc("POST /models/{name}/rollout", rollout)
 	return mux
-}
-
-// proxyRollout forwards a rollout inspect or action request, routed by
-// the model name in the path — the same ring key /predict uses, so the
-// state a client reads comes from the replica most of that model's
-// traffic lands on. (Replicas share the registry and make canary
-// decisions from the same deterministic hash, so any replica's answer
-// agrees; routing by name just keeps reads cheap and cache-warm.)
-// Inspections (GET) may retry on any transport failure; actions (POST)
-// only when the failure provably preceded the request reaching a
-// backend, so a force-promote is never applied twice.
-func (g *Gateway) proxyRollout(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	tr := g.Tracer.StartFromHeader(r.Header, "rollout")
-	if tr != nil {
-		w.Header().Set(telemetry.TraceHeader, tr.ID().String())
-		defer g.Tracer.Finish(tr)
-	}
-	ctx := telemetry.WithTrace(r.Context(), tr)
-	tr.SetModel(name, 0)
-	var body []byte
-	if r.Method == http.MethodPost {
-		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))
-		if err != nil {
-			g.Metrics.Errors.Add(1)
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("gateway: reading request body: %v", err)})
-			return
-		}
-	}
-	var orderBuf [maxBackends]int
-	rsp := telemetry.StartSpan(ctx, "route")
-	order := g.tryOrder(name, orderBuf[:])
-	rsp.End()
-	if len(order) == 0 {
-		g.Metrics.NoBackend.Add(1)
-		g.Metrics.Errors.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "gateway: no live backend"})
-		return
-	}
-	attempts := g.cfg.MaxAttempts
-	if attempts > len(order) {
-		attempts = len(order)
-	}
-	endpoint := "/models/" + name + "/rollout"
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		b := g.backends[order[attempt]]
-		b.metrics.Requests.Add(1)
-		if attempt > 0 {
-			b.metrics.Retries.Add(1)
-			g.Metrics.Retries.Add(1)
-		}
-		psp := telemetry.StartSpan(ctx, "proxy").Detail(b.url)
-		resp, err := g.attempt(ctx, b, r.Method, endpoint, body, r.Header.Get("Content-Type"))
-		psp.End()
-		if err != nil {
-			b.metrics.Failures.Add(1)
-			b.health.reportFailure()
-			lastErr = err
-			if r.Context().Err() != nil {
-				break
-			}
-			if attempt+1 < attempts && (r.Method == http.MethodGet || isDialError(err)) {
-				continue
-			}
-			break
-		}
-		b.health.reportRequestSuccess()
-		forward(w, resp)
-		return
-	}
-	g.Metrics.Errors.Add(1)
-	writeJSON(w, http.StatusBadGateway, errorResponse{
-		Error: fmt.Sprintf("gateway: all attempts failed: %v", lastErr),
-	})
 }
 
 type errorResponse struct {
@@ -327,26 +243,12 @@ type modelPeek struct {
 }
 
 // tryOrder returns the ordered backends this request may attempt:
-// live candidates in ring order for the model (or a uniform-random
-// permutation in Random mode), rotated so the first entry respects the
-// bounded-load rule and active cooldowns. The walk is the routing
+// live candidates in ring order for the model, rotated so the first
+// entry respects the bounded-load rule and active cooldowns. The walk is the routing
 // decision proper and is what the route-latency histogram measures.
 func (g *Gateway) tryOrder(model string, buf []int) []int {
 	start := time.Now()
 	defer func() { g.Metrics.RouteLatency.Observe(time.Since(start)) }()
-
-	if g.cfg.Random {
-		g.rngMu.Lock()
-		perm := g.rng.Perm(len(g.backends))
-		g.rngMu.Unlock()
-		live := buf[:0]
-		for _, i := range perm {
-			if g.backends[i].health.live() {
-				live = append(live, i)
-			}
-		}
-		return live
-	}
 
 	cands := g.ring.candidates(model, buf)
 	live := cands[:0] // filter in place: cands is not reused
@@ -403,21 +305,25 @@ func rotate(live []int, off int) {
 	copy(live, tmp)
 }
 
-// proxy forwards one model-addressed POST to the fleet. The body is
-// buffered (routing needs the model name and a retry needs to resend
-// it); the response streams straight through, so a forwarded answer is
-// byte-identical to the backend's. idempotent requests (/predict) may
-// be retried after any transport failure; non-idempotent ones
-// (/observe) are retried only when the failure provably happened
-// before the request reached a backend (a dial error) or when the
-// backend shed it with 429 before processing — never after bytes were
-// written to a live connection, so an observation is never ingested
-// twice.
-func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, endpoint string, idempotent bool) {
+// proxy forwards one model-addressed request to the fleet, to the same
+// path on the replica, routed by key: the model name of a rollout path,
+// or, when key is empty, the "model" field peeked from the body. The
+// body is buffered (a retry needs to resend it); the response streams
+// straight through, so a forwarded answer is byte-identical to the
+// backend's. idempotent requests (/predict, rollout GETs) may be
+// retried after any transport failure; the others (/observe, rollout
+// actions) only when the failure provably happened before the request
+// reached a backend (a dial error) — never after bytes were written to
+// a live connection, so an observation is never ingested twice and an
+// action never applied twice. A 429 spills over for every request: the
+// backend shed it before processing.
+func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, key string, idempotent bool) {
 	// The gateway is the trace edge: it adopts the client's X-Lam-Trace
 	// ID or mints one, echoes it on the response, and forwards it on
 	// every backend attempt so the replica's spans join the same trace.
-	tr := g.Tracer.StartFromHeader(r.Header, strings.TrimPrefix(endpoint, "/"))
+	// The trace is named for the path's last segment: predict, observe
+	// or rollout.
+	tr := g.Tracer.StartFromHeader(r.Header, path.Base(r.URL.Path))
 	if tr != nil {
 		w.Header().Set(telemetry.TraceHeader, tr.ID().String())
 		defer g.Tracer.Finish(tr)
@@ -438,15 +344,18 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, endpoint string,
 	// A body the gateway cannot peek a model out of still gets
 	// forwarded (with an empty routing key): the backend owns the
 	// authoritative 400 so error responses are byte-identical too.
-	var peek modelPeek
-	_ = json.Unmarshal(body, &peek)
+	if key == "" {
+		var peek modelPeek
+		_ = json.Unmarshal(body, &peek)
+		key = peek.Model
+	}
 	// Version is unknown at the gateway: routing keys on the name; the
 	// replica resolves (and records) the served version.
-	tr.SetModel(peek.Model, 0)
+	tr.SetModel(key, 0)
 
 	var orderBuf [maxBackends]int
 	rsp := telemetry.StartSpan(ctx, "route")
-	order := g.tryOrder(peek.Model, orderBuf[:])
+	order := g.tryOrder(key, orderBuf[:])
 	rsp.End()
 	if len(order) == 0 {
 		g.Metrics.NoBackend.Add(1)
@@ -470,7 +379,9 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, endpoint string,
 			g.Metrics.Retries.Add(1)
 		}
 		psp := telemetry.StartSpan(ctx, "proxy").Detail(b.url)
-		resp, err := g.attempt(ctx, b, http.MethodPost, endpoint, body, r.Header.Get("Content-Type"))
+		// The escaped path keeps a name holding "/" one segment on the
+		// replica too.
+		resp, err := g.attempt(ctx, b, r.Method, r.URL.EscapedPath(), body, r.Header.Get("Content-Type"))
 		psp.End()
 		if err != nil {
 			b.metrics.Failures.Add(1)
@@ -492,7 +403,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, endpoint string,
 			if attempt+1 < attempts {
 				// Spill over: the next ring candidate gets one shot. A
 				// 429 always precedes processing, so this is safe for
-				// /observe too.
+				// non-idempotent requests too.
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				spill429 = true
@@ -626,12 +537,7 @@ func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request) {
 		if !b.health.live() {
 			continue
 		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.url+"/models", nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp, err := b.client.Do(req)
+		resp, err := g.attempt(r.Context(), b, http.MethodGet, "/models", nil, "")
 		if err != nil {
 			b.health.reportFailure()
 			lastErr = err

@@ -234,33 +234,3 @@ func TestNoLiveBackend(t *testing.T) {
 		t.Fatalf("no_backend = %d, want 1", g.Metrics.NoBackend.Load())
 	}
 }
-
-// TestRandomRouteSpread: random mode must hit every live backend.
-func TestRandomRouteSpread(t *testing.T) {
-	var hits [2]int
-	mk := func(i int) *httptest.Server {
-		return stubBackend(t, func(w http.ResponseWriter, r *http.Request) {
-			hits[i]++
-			fmt.Fprint(w, `{}`)
-		})
-	}
-	s1, s2 := mk(0), mk(1)
-	g, err := New([]string{s1.URL, s2.URL}, Config{Health: slowHealth, Random: true, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	gw := httptest.NewServer(g.Handler())
-	defer gw.Close()
-
-	body := []byte(`{"model":"one-single-model","x":[1]}`)
-	for i := 0; i < 40; i++ {
-		resp, _ := postJSON(t, gw.URL+"/predict", body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-	}
-	if hits[0] == 0 || hits[1] == 0 {
-		t.Fatalf("random routing did not spread: hits %v", hits)
-	}
-}

@@ -165,16 +165,17 @@ func (s *Server) shadowScoreBatch(ctx context.Context, rv *rollout.View, X [][]f
 	s.recordShadow(rv, X, served, *buf)
 }
 
-// rolloutObserve is handleObserve's ingest path while a rollout is
-// active: in shadow, the incumbent serves every row and the candidate
-// scores them all on the side; in canary, rows are partitioned by the
-// same deterministic hash /predict routes with, each side scored by
-// its own version. The incumbent's rows go through the online plane,
-// the candidate's through the controller; both land in the plane's
-// ledger, where the gate reads them.
+// rolloutObserve is handleObserve's ingest path. With no active
+// rollout (rv nil) every row is the incumbent's and no rollout status
+// is returned. In shadow, the incumbent serves every row and the
+// candidate scores them all on the side; in canary, rows are
+// partitioned by the same deterministic hash /predict routes with,
+// each side scored by its own version. The incumbent's rows go through
+// the online plane, the candidate's through the controller; both land
+// in the plane's ledger, where the gate reads them.
 func (s *Server) rolloutObserve(ctx context.Context, m *registry.Model, rv *rollout.View, X [][]float64, obs []float64) (online.Status, *rollout.Status, error) {
 	incX, incObs, candX, candObs, candSpan := X, obs, X, obs, "shadow"
-	if rv.Phase == rollout.PhaseCanary {
+	if rv != nil && rv.Phase == rollout.PhaseCanary {
 		incX, candX = make([][]float64, 0, len(X)), make([][]float64, 0, len(X))
 		incObs, candObs = make([]float64, 0, len(obs)), make([]float64, 0, len(obs))
 		candSpan = "predict"
@@ -186,17 +187,20 @@ func (s *Server) rolloutObserve(ctx context.Context, m *registry.Model, rv *roll
 			}
 		}
 	}
+	// Spans open on the trace itself: telemetry.StartSpan is not inlined
+	// here, so its span would escape and cost each request allocations.
+	tr := telemetry.FromContext(ctx)
 	var status online.Status
 	inc := ml.GetScratch(len(incX))
 	defer ml.PutScratch(inc)
 	if len(incX) > 0 {
-		psp := telemetry.StartSpan(ctx, "predict")
+		psp := tr.StartSpan("predict")
 		err := m.PredictBatchInto(ctx, incX, *inc)
 		psp.End()
 		if err != nil {
 			return online.Status{}, nil, predictError(err)
 		}
-		isp := telemetry.StartSpan(ctx, "observe_ingest")
+		isp := tr.StartSpan("observe_ingest")
 		status, err = s.online.Observe(m, incX, *inc, incObs)
 		isp.End()
 		if err != nil {
@@ -205,10 +209,13 @@ func (s *Server) rolloutObserve(ctx context.Context, m *registry.Model, rv *roll
 	} else {
 		status = s.online.Status(m)
 	}
+	if rv == nil {
+		return status, nil, nil
+	}
 	cand := ml.GetScratch(len(candX))
 	defer ml.PutScratch(cand)
 	if len(candX) > 0 {
-		csp := telemetry.StartSpan(ctx, candSpan)
+		csp := tr.StartSpan(candSpan)
 		err := rv.Candidate.PredictBatchInto(ctx, candX, *cand)
 		csp.End()
 		switch {

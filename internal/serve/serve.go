@@ -620,31 +620,10 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr.SetModel(m.Meta.Name, m.Meta.Version)
-	var status online.Status
-	var rst *rollout.Status
-	if rv := s.rolloutView(req.Model, 0); rv != nil {
-		status, rst, err = s.rolloutObserve(ctx, m, rv, X, obs)
-		if err != nil {
-			fail(err)
-			return
-		}
-	} else {
-		buf := ml.GetScratch(len(X))
-		defer ml.PutScratch(buf)
-		psp := tr.StartSpan("predict")
-		err = m.PredictBatchInto(ctx, X, *buf)
-		psp.End()
-		if err != nil {
-			fail(predictError(err))
-			return
-		}
-		isp := tr.StartSpan("observe_ingest")
-		status, err = s.online.Observe(m, X, *buf, obs)
-		isp.End()
-		if err != nil {
-			fail(err)
-			return
-		}
+	status, rst, err := s.rolloutObserve(ctx, m, s.rolloutView(req.Model, 0), X, obs)
+	if err != nil {
+		fail(err)
+		return
 	}
 	s.Metrics.ObserveRows.Add(uint64(len(X)))
 	writeJSON(w, http.StatusOK, observeResponse{

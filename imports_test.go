@@ -1,10 +1,6 @@
 package lam
 
 import (
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -54,45 +50,20 @@ func TestServingLinksNoResearchCode(t *testing.T) {
 // its non-test files import.
 func moduleImports(t *testing.T) map[string]map[string]bool {
 	t.Helper()
-	fset := token.NewFileSet()
 	imports := map[string]map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for _, sf := range loadModule(t).files {
+		if imports[sf.pkg] == nil {
+			imports[sf.pkg] = map[string]bool{}
 		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		pkg := "lam"
-		if dir := filepath.Dir(path); dir != "." {
-			pkg += "/" + filepath.ToSlash(dir)
-		}
-		if imports[pkg] == nil {
-			imports[pkg] = map[string]bool{}
-		}
-		for _, spec := range f.Imports {
+		for _, spec := range sf.file.Imports {
 			imp, err := strconv.Unquote(spec.Path.Value)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
 			if imp == "lam" || strings.HasPrefix(imp, "lam/") {
-				imports[pkg][imp] = true
+				imports[sf.pkg][imp] = true
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return imports
 }

@@ -14,20 +14,18 @@ import (
 
 // Cache is one set-associative LRU cache level.
 type Cache struct {
-	name     string
 	lineBits uint
 	setCount int
 	assoc    int
 	tags     []uint64 // setCount × assoc tag array; 0 means empty
 	stamps   []uint64 // LRU timestamps parallel to tags
 	clock    uint64
-	hits     uint64
 	misses   uint64
 }
 
 // NewCache builds a cache with the given geometry. sizeBytes must be a
 // multiple of lineBytes×assoc and lineBytes must be a power of two.
-func NewCache(name string, sizeBytes, lineBytes, assoc int) (*Cache, error) {
+func NewCache(sizeBytes, lineBytes, assoc int) (*Cache, error) {
 	if lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
 		return nil, fmt.Errorf("cachesim: line size %d not a power of two", lineBytes)
 	}
@@ -43,7 +41,6 @@ func NewCache(name string, sizeBytes, lineBytes, assoc int) (*Cache, error) {
 		bits++
 	}
 	c := &Cache{
-		name:     name,
 		lineBits: bits,
 		setCount: lines / assoc,
 		assoc:    assoc,
@@ -64,7 +61,6 @@ func (c *Cache) Access(addr uint64) bool {
 	for i := base; i < base+c.assoc; i++ {
 		if c.tags[i] == line {
 			c.stamps[i] = c.clock
-			c.hits++
 			return true
 		}
 		if c.stamps[i] < lruStamp {
@@ -77,30 +73,13 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// Hits returns the number of hits recorded so far.
-func (c *Cache) Hits() uint64 { return c.hits }
-
 // Misses returns the number of misses recorded so far.
 func (c *Cache) Misses() uint64 { return c.misses }
-
-// Name returns the level label.
-func (c *Cache) Name() string { return c.name }
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamps[i] = 0
-	}
-	c.clock, c.hits, c.misses = 0, 0, 0
-}
 
 // Hierarchy chains cache levels: an access probes L1 first and descends
 // on miss; a miss at the last level is a memory access.
 type Hierarchy struct {
-	levels    []*Cache
-	memAccess uint64
-	accesses  uint64
+	levels []*Cache
 }
 
 // NewHierarchy builds a hierarchy from inner to outer levels.
@@ -112,7 +91,7 @@ func NewHierarchy(levels ...*Cache) *Hierarchy {
 func FromMachine(m *machine.Machine) (*Hierarchy, error) {
 	levels := make([]*Cache, 0, len(m.Levels))
 	for _, l := range m.Levels {
-		c, err := NewCache(l.Name, l.SizeBytes, l.LineBytes, l.Assoc)
+		c, err := NewCache(l.SizeBytes, l.LineBytes, l.Assoc)
 		if err != nil {
 			return nil, fmt.Errorf("cachesim: level %s: %w", l.Name, err)
 		}
@@ -124,38 +103,13 @@ func FromMachine(m *machine.Machine) (*Hierarchy, error) {
 // Access walks addr down the hierarchy and returns the index of the
 // level that hit, or len(levels) for a memory access.
 func (h *Hierarchy) Access(addr uint64) int {
-	h.accesses++
 	for i, c := range h.levels {
 		if c.Access(addr) {
 			return i
 		}
 	}
-	h.memAccess++
 	return len(h.levels)
 }
 
 // Levels returns the cache levels from inner to outer.
 func (h *Hierarchy) Levels() []*Cache { return h.levels }
-
-// MemAccesses returns the number of accesses that reached memory.
-func (h *Hierarchy) MemAccesses() uint64 { return h.memAccess }
-
-// Accesses returns the total number of Access calls.
-func (h *Hierarchy) Accesses() uint64 { return h.accesses }
-
-// Reset clears all levels and counters.
-func (h *Hierarchy) Reset() {
-	for _, c := range h.levels {
-		c.Reset()
-	}
-	h.memAccess, h.accesses = 0, 0
-}
-
-// MissesPerLevel returns the miss count of every level, inner to outer.
-func (h *Hierarchy) MissesPerLevel() []uint64 {
-	out := make([]uint64, len(h.levels))
-	for i, c := range h.levels {
-		out[i] = c.Misses()
-	}
-	return out
-}

@@ -10,7 +10,6 @@
 package dataset
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 )
@@ -147,22 +146,6 @@ func (d *Dataset) SampleN(k int, rng *rand.Rand) (sample, rest *Dataset, err err
 	return d.Subset(perm[:k]), d.Subset(perm[k:]), nil
 }
 
-// Split partitions the dataset into a training set holding frac of the
-// rows and a test set holding the remainder, shuffled by rng.
-func (d *Dataset) Split(frac float64, rng *rand.Rand) (train, test *Dataset, err error) {
-	return d.SampleFraction(frac, rng)
-}
-
-// Bootstrap draws n samples uniformly at random with replacement.
-func (d *Dataset) Bootstrap(n int, rng *rand.Rand) *Dataset {
-	out := New(d.FeatureNames...)
-	for i := 0; i < n; i++ {
-		j := rng.Intn(d.Len())
-		out.MustAdd(d.X[j], d.Y[j])
-	}
-	return out
-}
-
 // WithFeature returns a copy of the dataset with one extra column
 // appended. values must have one entry per sample. The stacked hybrid
 // model uses this to append the analytical model's prediction.
@@ -179,39 +162,4 @@ func (d *Dataset) WithFeature(name string, values []float64) (*Dataset, error) {
 	}
 	out.Y = append([]float64(nil), d.Y...)
 	return out, nil
-}
-
-// Column returns a copy of the values of the named feature column.
-func (d *Dataset) Column(name string) ([]float64, error) {
-	idx := -1
-	for i, n := range d.FeatureNames {
-		if n == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("dataset: no feature named %q", name)
-	}
-	out := make([]float64, d.Len())
-	for i, row := range d.X {
-		out[i] = row[idx]
-	}
-	return out, nil
-}
-
-// Append concatenates other onto d. Feature names must match exactly.
-func (d *Dataset) Append(other *Dataset) error {
-	if other.NumFeatures() != d.NumFeatures() {
-		return errors.New("dataset: appending datasets with different arity")
-	}
-	for i, n := range d.FeatureNames {
-		if other.FeatureNames[i] != n {
-			return fmt.Errorf("dataset: feature %d named %q vs %q", i, n, other.FeatureNames[i])
-		}
-	}
-	for i := range other.X {
-		d.MustAdd(other.X[i], other.Y[i])
-	}
-	return nil
 }

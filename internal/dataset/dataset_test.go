@@ -183,22 +183,6 @@ func TestSampleNErrors(t *testing.T) {
 	}
 }
 
-func TestBootstrapSize(t *testing.T) {
-	d := sample()
-	rng := rand.New(rand.NewSource(1))
-	b := d.Bootstrap(10, rng)
-	if b.Len() != 10 {
-		t.Errorf("bootstrap len = %d, want 10", b.Len())
-	}
-	// All bootstrapped responses must come from the original dataset.
-	valid := map[float64]bool{10: true, 20: true, 30: true, 40: true}
-	for _, y := range b.Y {
-		if !valid[y] {
-			t.Errorf("bootstrap produced foreign response %v", y)
-		}
-	}
-}
-
 func TestWithFeature(t *testing.T) {
 	d := sample()
 	aug, err := d.WithFeature("am", []float64{0.1, 0.2, 0.3, 0.4})
@@ -220,43 +204,6 @@ func TestWithFeature(t *testing.T) {
 	}
 	if _, err := d.WithFeature("am", []float64{1}); err == nil {
 		t.Error("expected length mismatch error")
-	}
-}
-
-func TestColumn(t *testing.T) {
-	d := sample()
-	col, err := d.Column("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 4, 6, 8}
-	for i := range want {
-		if col[i] != want[i] {
-			t.Errorf("Column(b)[%d] = %v, want %v", i, col[i], want[i])
-		}
-	}
-	if _, err := d.Column("zzz"); err == nil {
-		t.Error("expected missing-column error")
-	}
-}
-
-func TestAppend(t *testing.T) {
-	d := sample()
-	e := sample()
-	if err := d.Append(e); err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 8 {
-		t.Errorf("appended len = %d, want 8", d.Len())
-	}
-	bad := New("a", "zz")
-	bad.MustAdd([]float64{1, 2}, 3)
-	if err := d.Append(bad); err == nil {
-		t.Error("expected name mismatch error")
-	}
-	bad2 := New("a")
-	if err := d.Append(bad2); err == nil {
-		t.Error("expected arity mismatch error")
 	}
 }
 

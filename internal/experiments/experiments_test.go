@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,15 +75,25 @@ func TestStencilBlockingDatasetShape(t *testing.T) {
 		t.Errorf("blocking dataset has %d rows, want a few thousand", ds.Len())
 	}
 	// All block sizes divide into valid candidates, bi == 1 everywhere.
-	bi, err := ds.Column("bi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range bi {
+	for _, v := range column(t, ds, "bi") {
 		if v != 1 {
 			t.Fatal("bi must be 1 (I = 1 in the paper's sweep)")
 		}
 	}
+}
+
+// column returns the values of ds's feature name.
+func column(t *testing.T, ds *dataset.Dataset, name string) []float64 {
+	t.Helper()
+	f := slices.Index(ds.FeatureNames, name)
+	if f < 0 {
+		t.Fatalf("no feature %q", name)
+	}
+	out := make([]float64, ds.Len())
+	for i, row := range ds.X {
+		out[i] = row[f]
+	}
+	return out
 }
 
 func TestStencilThreadsDatasetShape(t *testing.T) {
@@ -90,10 +101,7 @@ func TestStencilThreadsDatasetShape(t *testing.T) {
 	if ds.NumFeatures() != 4 {
 		t.Errorf("threads dataset arity %d, want 4", ds.NumFeatures())
 	}
-	tcol, err := ds.Column("t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tcol := column(t, ds, "t")
 	lo, hi := tcol[0], tcol[0]
 	for _, v := range tcol {
 		if v < lo {

@@ -157,22 +157,3 @@ func L2P(s *MultiIndexSet, l []float64, cx, cy, cz, x, y, z float64) float64 {
 	}
 	return acc
 }
-
-// M2P evaluates a multipole expansion about c directly at a
-// well-separated point: φ = Σ_γ (−1)^{|γ|} M_γ b_γ(p − c). Used by
-// tests to validate P2M/M2M independently of the local-expansion path.
-func M2P(s *MultiIndexSet, m []float64, cx, cy, cz, x, y, z float64) float64 {
-	b := make([]float64, s.Len())
-	TaylorCoeffs(s, x-cx, y-cy, z-cz, b)
-	acc := 0.0
-	sign := 1.0
-	for gi, g := range s.Idx {
-		if (g[0]+g[1]+g[2])%2 == 0 {
-			sign = 1
-		} else {
-			sign = -1
-		}
-		acc += sign * m[gi] * b[gi]
-	}
-	return acc
-}

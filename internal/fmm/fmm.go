@@ -54,9 +54,6 @@ type Stats struct {
 	P2PInteractions int
 }
 
-// pair is one target/source interaction from the dual-tree traversal.
-type pair struct{ target, source *Cell }
-
 // Evaluate computes the potential Φ(y_j) = Σ_i q_i / |y_j − x_i|
 // (self-interactions excluded) for every particle, in place, and returns
 // traversal statistics.

@@ -1,6 +1,7 @@
 package fmm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -22,7 +23,7 @@ func TestTreeInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.Validate(len(ps)); err != nil {
+	if err := validateTree(tree, len(ps)); err != nil {
 		t.Error(err)
 	}
 	if tree.Depth() < 2 {
@@ -39,7 +40,7 @@ func TestTreeInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return tree.Validate(n) == nil
+		return validateTree(tree, n) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -66,7 +67,7 @@ func TestTreeDuplicatePointsTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.Validate(len(ps)); err != nil {
+	if err := validateTree(tree, len(ps)); err != nil {
 		t.Error(err)
 	}
 }
@@ -259,4 +260,41 @@ func TestFMMStatsScaleWithLeafCap(t *testing.T) {
 	if stSmall.P2PInteractions >= stBig.P2PInteractions {
 		t.Errorf("q=8 P2P %d should be below q=256 P2P %d", stSmall.P2PInteractions, stBig.P2PInteractions)
 	}
+}
+
+// validateTree checks the tree invariants: every particle appears in exactly
+// one leaf, children partition their parent's particles, leaves respect
+// the capacity (unless at MaxDepth), and children lie inside parents.
+func validateTree(t *Tree, n int) error {
+	seen := make([]int, n)
+	for _, c := range t.Cells {
+		if c.IsLeaf() {
+			if len(c.Particles) > t.LeafCap && c.Level < t.MaxDepth {
+				return fmt.Errorf("fmm: leaf at level %d holds %d > %d particles", c.Level, len(c.Particles), t.LeafCap)
+			}
+			for _, i := range c.Particles {
+				seen[i]++
+			}
+		} else {
+			total := 0
+			for _, ch := range c.Children {
+				total += len(ch.Particles)
+				if math.Abs(ch.CX-c.CX) > c.Half || math.Abs(ch.CY-c.CY) > c.Half || math.Abs(ch.CZ-c.CZ) > c.Half {
+					return fmt.Errorf("fmm: child centre escapes parent cube at level %d", c.Level)
+				}
+				if ch.Half*2 != c.Half {
+					return fmt.Errorf("fmm: child half-width %v not half of parent %v", ch.Half, c.Half)
+				}
+			}
+			if total != len(c.Particles) {
+				return fmt.Errorf("fmm: children hold %d particles, parent %d", total, len(c.Particles))
+			}
+		}
+	}
+	for i, s := range seen {
+		if s != 1 {
+			return fmt.Errorf("fmm: particle %d appears in %d leaves", i, s)
+		}
+	}
+	return nil
 }

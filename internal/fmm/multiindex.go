@@ -29,12 +29,6 @@ type MultiIndexSet struct {
 	Binomial [][]float64
 }
 
-// NumCoeffs returns the number of multi-indices of total degree <= p in
-// three variables: (p+1)(p+2)(p+3)/6.
-func NumCoeffs(p int) int {
-	return (p + 1) * (p + 2) * (p + 3) / 6
-}
-
 // NewMultiIndexSet builds the index set for maximum degree p >= 0.
 func NewMultiIndexSet(p int) (*MultiIndexSet, error) {
 	if p < 0 {
@@ -80,12 +74,6 @@ func (s *MultiIndexSet) Pos(gx, gy, gz int) int {
 		return p
 	}
 	return -1
-}
-
-// Degree returns |γ| for the multi-index at position i.
-func (s *MultiIndexSet) Degree(i int) int {
-	g := s.Idx[i]
-	return g[0] + g[1] + g[2]
 }
 
 // MultiBinomial returns Π_d C(a_d, b_d), the multi-index binomial

@@ -135,40 +135,3 @@ func (t *Tree) Depth() int {
 	}
 	return d
 }
-
-// Validate checks the tree invariants: every particle appears in exactly
-// one leaf, children partition their parent's particles, leaves respect
-// the capacity (unless at MaxDepth), and children lie inside parents.
-func (t *Tree) Validate(n int) error {
-	seen := make([]int, n)
-	for _, c := range t.Cells {
-		if c.IsLeaf() {
-			if len(c.Particles) > t.LeafCap && c.Level < t.MaxDepth {
-				return fmt.Errorf("fmm: leaf at level %d holds %d > %d particles", c.Level, len(c.Particles), t.LeafCap)
-			}
-			for _, i := range c.Particles {
-				seen[i]++
-			}
-		} else {
-			total := 0
-			for _, ch := range c.Children {
-				total += len(ch.Particles)
-				if math.Abs(ch.CX-c.CX) > c.Half || math.Abs(ch.CY-c.CY) > c.Half || math.Abs(ch.CZ-c.CZ) > c.Half {
-					return fmt.Errorf("fmm: child centre escapes parent cube at level %d", c.Level)
-				}
-				if ch.Half*2 != c.Half {
-					return fmt.Errorf("fmm: child half-width %v not half of parent %v", ch.Half, c.Half)
-				}
-			}
-			if total != len(c.Particles) {
-				return fmt.Errorf("fmm: children hold %d particles, parent %d", total, len(c.Particles))
-			}
-		}
-	}
-	for i, s := range seen {
-		if s != 1 {
-			return fmt.Errorf("fmm: particle %d appears in %d leaves", i, s)
-		}
-	}
-	return nil
-}

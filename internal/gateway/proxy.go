@@ -469,11 +469,11 @@ func retryAfter(resp *http.Response) time.Duration {
 	if err != nil || s < 0 {
 		return time.Second
 	}
-	d := time.Duration(s) * time.Second
-	if d > cooldownCap {
-		d = cooldownCap
+	// Compare in seconds: a huge s overflows the Duration product.
+	if s > int(cooldownCap/time.Second) {
+		return cooldownCap
 	}
-	return d
+	return time.Duration(s) * time.Second
 }
 
 // isDialError reports whether err happened while establishing the

@@ -234,3 +234,17 @@ func TestNoLiveBackend(t *testing.T) {
 		t.Fatalf("no_backend = %d, want 1", g.Metrics.NoBackend.Load())
 	}
 }
+
+// TestRetryAfterCapped: a replica's Retry-After cools it down for at
+// most cooldownCap, however large the header, and a malformed or
+// negative one means one second.
+func TestRetryAfterCapped(t *testing.T) {
+	for header, want := range map[string]time.Duration{
+		"30": cooldownCap, "10000000000": cooldownCap, "-1": time.Second, "abc": time.Second,
+	} {
+		resp := &http.Response{Header: http.Header{"Retry-After": {header}}}
+		if got := retryAfter(resp); got != want {
+			t.Errorf("Retry-After %q: cooldown %v, want %v", header, got, want)
+		}
+	}
+}

@@ -9,11 +9,6 @@
 // motivates (training cheaply after a machine swap).
 package machine
 
-import (
-	"errors"
-	"fmt"
-)
-
 // CacheLevel describes one level of the cache hierarchy.
 type CacheLevel struct {
 	// Name labels the level, e.g. "L1".
@@ -74,48 +69,6 @@ type Machine struct {
 	// ThreadSpawnOverheadSec is the per-thread fork/join cost per
 	// parallel region. Used by the performance simulators only.
 	ThreadSpawnOverheadSec float64
-}
-
-// Validate checks that the machine description is physically sensible.
-func (m *Machine) Validate() error {
-	if len(m.Levels) == 0 {
-		return errors.New("machine: at least one cache level required")
-	}
-	if len(m.Levels) > MaxLevels {
-		return fmt.Errorf("machine: %d cache levels, at most %d supported", len(m.Levels), MaxLevels)
-	}
-	prev := 0
-	for _, l := range m.Levels {
-		if l.SizeBytes <= 0 || l.LineBytes <= 0 || l.Assoc <= 0 {
-			return fmt.Errorf("machine: level %s has non-positive geometry", l.Name)
-		}
-		if l.SizeBytes%l.LineBytes != 0 {
-			return fmt.Errorf("machine: level %s size not a multiple of line size", l.Name)
-		}
-		if (l.SizeBytes/l.LineBytes)%l.Assoc != 0 {
-			return fmt.Errorf("machine: level %s lines not divisible by associativity", l.Name)
-		}
-		if l.SizeBytes < prev {
-			return fmt.Errorf("machine: level %s smaller than inner level", l.Name)
-		}
-		if l.BandwidthBytesPerSec <= 0 {
-			return fmt.Errorf("machine: level %s has non-positive bandwidth", l.Name)
-		}
-		prev = l.SizeBytes
-	}
-	if m.MemBandwidthBytesPerSec <= 0 {
-		return errors.New("machine: non-positive memory bandwidth")
-	}
-	if m.FlopsPerCorePerSec <= 0 {
-		return errors.New("machine: non-positive flop rate")
-	}
-	if m.Cores <= 0 {
-		return errors.New("machine: non-positive core count")
-	}
-	if m.BWSaturationThreads <= 0 {
-		return errors.New("machine: non-positive bandwidth-saturation thread count")
-	}
-	return nil
 }
 
 // TimePerFlop returns tc, the seconds per floating-point operation.

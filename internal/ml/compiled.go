@@ -130,43 +130,6 @@ func predictHot(hot []hotNode, root int32, x []float64) float64 {
 	}
 }
 
-// depth returns the tree depth (a lone leaf has depth 1) by one linear
-// pass: preorder guarantees parents precede children, so each node's
-// depth is known when its children are visited.
-func (c *CompiledTree) depth() int {
-	n := c.Len()
-	if n == 0 {
-		return 0
-	}
-	depths := make([]int32, n)
-	depths[0] = 1
-	max := int32(1)
-	for i := 0; i < n; i++ {
-		f, _, r := c.split(i)
-		if f < 0 {
-			continue
-		}
-		d := depths[i] + 1
-		depths[i+1] = d
-		depths[r] = d
-		if d > max {
-			max = d
-		}
-	}
-	return int(max)
-}
-
-// numLeaves counts the leaf nodes.
-func (c *CompiledTree) numLeaves() int {
-	n := 0
-	for i := range c.Len() {
-		if f, _, _ := c.split(i); f < 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // validate checks the invariants a deserialised node table over
 // nFeatures features must satisfy: every internal node splits on a
 // feature the row has, its implicit left child (i+1) exists and its

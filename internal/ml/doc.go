@@ -2,7 +2,7 @@
 // supervised regression estimators the paper's figures use from
 // scikit-learn (Section V): CART decision trees, random forests and
 // extremely randomized trees (extra trees), behind a standardising
-// scaler (Pipeline), plus regression metrics (MAPE first and foremost).
+// scaler (Pipeline), plus the paper's error metric, MAPE.
 //
 // All estimators are deterministic given their Seed, and fit in memory
 // on the dataset sizes the paper uses (10^3–10^5 samples).

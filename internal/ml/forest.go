@@ -156,31 +156,9 @@ func (f *Forest) predictBatchIntoSeq(X [][]float64, out []float64) {
 	f.compiled.PredictBatchInto(X, out)
 }
 
-// NumTrees returns the number of fitted member trees.
-func (f *Forest) NumTrees() int { return len(f.trees) }
-
 // IsFitted reports whether the ensemble has been trained.
 func (f *Forest) IsFitted() bool { return len(f.trees) > 0 }
 
 // NumFeatures returns the feature arity the ensemble was fitted on (0
 // before Fit).
 func (f *Forest) NumFeatures() int { return f.nFeatures }
-
-// FeatureImportances averages the member trees' impurity-decrease
-// importances. The returned slice is a copy; it is all zeros when no
-// tree managed a split.
-func (f *Forest) FeatureImportances() []float64 {
-	out := make([]float64, f.nFeatures)
-	if len(f.trees) == 0 {
-		return out
-	}
-	for _, t := range f.trees {
-		for i, v := range t.FeatureImportances() {
-			out[i] += v
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(f.trees))
-	}
-	return out
-}

@@ -109,8 +109,8 @@ func TestForestDefaultSize(t *testing.T) {
 	if err := f.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if f.NumTrees() != 100 {
-		t.Errorf("default ensemble size = %d, want 100", f.NumTrees())
+	if len(f.trees) != 100 {
+		t.Errorf("default ensemble size = %d, want 100", len(f.trees))
 	}
 }
 
@@ -143,7 +143,12 @@ func TestForestImportancesConcentrate(t *testing.T) {
 	if err := f.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	imp := f.FeatureImportances()
+	imp := make([]float64, 3)
+	for _, tree := range f.trees {
+		for i, v := range tree.importances {
+			imp[i] += v / float64(len(f.trees))
+		}
+	}
 	if imp[1] < 0.8 {
 		t.Errorf("feature 1 importance = %v, want > 0.8 (%v)", imp[1], imp)
 	}

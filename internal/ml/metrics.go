@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // MAPE returns the mean absolute percentage error, in percent — the
@@ -30,7 +29,7 @@ func MAPE(yTrue, yPred []float64) float64 {
 // whether it is defined (zero truth has no percentage error — the
 // repository's responses are strictly positive execution times, so a
 // zero is a degenerate sample, skipped by the aggregate metrics). It is
-// the per-sample unit behind MedAPE and the online plane's sliding
+// the per-sample unit behind MAPE and the online plane's sliding
 // accuracy window, which must score observations one at a time as they
 // stream in.
 func APE(yTrue, yPred float64) (float64, bool) {
@@ -38,83 +37,6 @@ func APE(yTrue, yPred float64) (float64, bool) {
 		return 0, false
 	}
 	return 100 * math.Abs(yPred-yTrue) / math.Abs(yTrue), true
-}
-
-// MedAPE returns the median absolute percentage error, in percent.
-func MedAPE(yTrue, yPred []float64) float64 {
-	checkSameLen(yTrue, yPred)
-	apes := make([]float64, 0, len(yTrue))
-	for i := range yTrue {
-		ape, ok := APE(yTrue[i], yPred[i])
-		if !ok {
-			continue
-		}
-		apes = append(apes, ape)
-	}
-	if len(apes) == 0 {
-		return 0
-	}
-	sort.Float64s(apes)
-	m := len(apes) / 2
-	if len(apes)%2 == 1 {
-		return apes[m]
-	}
-	return (apes[m-1] + apes[m]) / 2
-}
-
-// MAE returns the mean absolute error.
-func MAE(yTrue, yPred []float64) float64 {
-	checkSameLen(yTrue, yPred)
-	if len(yTrue) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range yTrue {
-		s += math.Abs(yPred[i] - yTrue[i])
-	}
-	return s / float64(len(yTrue))
-}
-
-// RMSE returns the root mean squared error.
-func RMSE(yTrue, yPred []float64) float64 {
-	checkSameLen(yTrue, yPred)
-	if len(yTrue) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range yTrue {
-		d := yPred[i] - yTrue[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(yTrue)))
-}
-
-// R2 returns the coefficient of determination. A constant-truth vector
-// yields R2 = 0 by convention unless predictions are exact.
-func R2(yTrue, yPred []float64) float64 {
-	checkSameLen(yTrue, yPred)
-	if len(yTrue) == 0 {
-		return 0
-	}
-	mean := 0.0
-	for _, v := range yTrue {
-		mean += v
-	}
-	mean /= float64(len(yTrue))
-	ssRes, ssTot := 0.0, 0.0
-	for i := range yTrue {
-		d := yTrue[i] - yPred[i]
-		ssRes += d * d
-		m := yTrue[i] - mean
-		ssTot += m * m
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return 0
-	}
-	return 1 - ssRes/ssTot
 }
 
 func checkSameLen(a, b []float64) {

@@ -34,28 +34,9 @@ func TestMAPESkipsZeroTruth(t *testing.T) {
 	}
 }
 
-func TestMedAPE(t *testing.T) {
-	yt := []float64{100, 100, 100}
-	yp := []float64{101, 110, 200}
-	// APEs: 1, 10, 100 -> median 10.
-	if got := MedAPE(yt, yp); math.Abs(got-10) > 1e-12 {
-		t.Errorf("MedAPE = %v, want 10", got)
-	}
-	yt = []float64{100, 100}
-	yp = []float64{110, 130}
-	if got := MedAPE(yt, yp); math.Abs(got-20) > 1e-12 {
-		t.Errorf("MedAPE even = %v, want 20", got)
-	}
-}
-
-func TestMAERMSE(t *testing.T) {
-	yt := []float64{1, 2, 3}
-	yp := []float64{2, 2, 5}
-	if got := MAE(yt, yp); math.Abs(got-1) > 1e-12 {
-		t.Errorf("MAE = %v, want 1", got)
-	}
+func TestRMSE(t *testing.T) {
 	want := math.Sqrt((1.0 + 0 + 4) / 3)
-	if got := RMSE(yt, yp); math.Abs(got-want) > 1e-12 {
+	if got := RMSE([]float64{1, 2, 3}, []float64{2, 2, 5}); math.Abs(got-want) > 1e-12 {
 		t.Errorf("RMSE = %v, want %v", got, want)
 	}
 }
@@ -78,7 +59,7 @@ func TestR2(t *testing.T) {
 }
 
 func TestMetricsEmpty(t *testing.T) {
-	if MAE(nil, nil) != 0 || RMSE(nil, nil) != 0 || R2(nil, nil) != 0 || MAPE(nil, nil) != 0 || MedAPE(nil, nil) != 0 {
+	if RMSE(nil, nil) != 0 || R2(nil, nil) != 0 || MAPE(nil, nil) != 0 {
 		t.Error("metrics on empty slices should be 0")
 	}
 }
@@ -90,24 +71,6 @@ func TestMetricsLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	MAPE([]float64{1}, []float64{1, 2})
-}
-
-func TestRMSEAtLeastMAEProperty(t *testing.T) {
-	// RMSE >= MAE always (Jensen).
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(50)
-		yt := make([]float64, n)
-		yp := make([]float64, n)
-		for i := range yt {
-			yt[i] = rng.NormFloat64() * 10
-			yp[i] = rng.NormFloat64() * 10
-		}
-		return RMSE(yt, yp) >= MAE(yt, yp)-1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestMAPEScaleInvarianceProperty(t *testing.T) {
@@ -132,4 +95,46 @@ func TestMAPEScaleInvarianceProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// RMSE is the root mean squared error: the quality tests' error scale.
+func RMSE(yTrue, yPred []float64) float64 {
+	checkSameLen(yTrue, yPred)
+	if len(yTrue) == 0 {
+		return 0
+	}
+	s := 0.0
+	for i := range yTrue {
+		d := yPred[i] - yTrue[i]
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(yTrue)))
+}
+
+// R2 is the coefficient of determination. A constant-truth vector
+// yields R2 = 0 by convention unless predictions are exact.
+func R2(yTrue, yPred []float64) float64 {
+	checkSameLen(yTrue, yPred)
+	if len(yTrue) == 0 {
+		return 0
+	}
+	mean := 0.0
+	for _, v := range yTrue {
+		mean += v
+	}
+	mean /= float64(len(yTrue))
+	ssRes, ssTot := 0.0, 0.0
+	for i := range yTrue {
+		d := yTrue[i] - yPred[i]
+		ssRes += d * d
+		m := yTrue[i] - mean
+		ssTot += m * m
+	}
+	if ssTot == 0 {
+		if ssRes == 0 {
+			return 1
+		}
+		return 0
+	}
+	return 1 - ssRes/ssTot
 }

@@ -42,11 +42,11 @@ func TestPersistDecisionTree(t *testing.T) {
 	loaded := roundTrip(t, tree)
 	assertSamePredictions(t, tree, loaded, probes)
 	lt := loaded.(*DecisionTree)
-	if lt.Depth() != tree.Depth() || lt.NumLeaves() != tree.NumLeaves() {
+	if lt.nodes.depth() != tree.nodes.depth() || lt.nodes.numLeaves() != tree.nodes.numLeaves() {
 		t.Error("tree shape changed through persistence")
 	}
-	imp := lt.FeatureImportances()
-	want := tree.FeatureImportances()
+	imp := lt.importances
+	want := tree.importances
 	for i := range want {
 		if imp[i] != want[i] {
 			t.Error("importances changed through persistence")
@@ -63,7 +63,7 @@ func TestPersistForest(t *testing.T) {
 		}
 		loaded := roundTrip(t, f)
 		assertSamePredictions(t, f, loaded, probes)
-		if loaded.(*Forest).NumTrees() != 15 {
+		if len(loaded.(*Forest).trees) != 15 {
 			t.Error("forest size changed")
 		}
 	}

@@ -70,34 +70,6 @@ func (s *StandardScaler) Transform(X [][]float64) ([][]float64, error) {
 	return out, nil
 }
 
-// TransformRow standardises a single feature vector.
-func (s *StandardScaler) TransformRow(x []float64) ([]float64, error) {
-	rows, err := s.Transform([][]float64{x})
-	if err != nil {
-		return nil, err
-	}
-	return rows[0], nil
-}
-
-// InverseTransform maps standardised rows back to the original scale.
-func (s *StandardScaler) InverseTransform(X [][]float64) ([][]float64, error) {
-	if s.mean == nil {
-		return nil, errors.New("ml: StandardScaler.InverseTransform before Fit")
-	}
-	out := make([][]float64, len(X))
-	for i, row := range X {
-		if len(row) != len(s.mean) {
-			return nil, fmt.Errorf("ml: StandardScaler.InverseTransform row arity %d, want %d", len(row), len(s.mean))
-		}
-		r := make([]float64, len(row))
-		for j, v := range row {
-			r[j] = v*s.std[j] + s.mean[j]
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
 // FitTransform is Fit followed by Transform.
 func (s *StandardScaler) FitTransform(X [][]float64) ([][]float64, error) {
 	if err := s.Fit(X); err != nil {

@@ -148,19 +148,6 @@ func (t *DecisionTree) predictBatchIntoSeq(X [][]float64, out []float64) {
 	}
 }
 
-// Depth returns the depth of the fitted tree (a lone leaf has depth 1).
-func (t *DecisionTree) Depth() int { return t.nodes.depth() }
-
-// NumLeaves returns the number of leaves of the fitted tree.
-func (t *DecisionTree) NumLeaves() int { return t.nodes.numLeaves() }
-
-// FeatureImportances returns the impurity-decrease importance of each
-// feature, normalised to sum to one (all zeros when the tree is a single
-// leaf). The returned slice is a copy.
-func (t *DecisionTree) FeatureImportances() []float64 {
-	return slices.Clone(t.importances)
-}
-
 // columnView transposes a validated design matrix into one column-major
 // block: cols[f][i] == X[i][f]. It is built once per fit and shared
 // read-only by every tree of an ensemble, so the split search streams a

@@ -63,8 +63,8 @@ func TestTreeConstantResponseIsSingleLeaf(t *testing.T) {
 	if err := tree.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if tree.NumLeaves() != 1 {
-		t.Errorf("constant response grew %d leaves, want 1", tree.NumLeaves())
+	if tree.nodes.numLeaves() != 1 {
+		t.Errorf("constant response grew %d leaves, want 1", tree.nodes.numLeaves())
 	}
 	if got := tree.Predict([]float64{99}); got != 7 {
 		t.Errorf("predict = %v, want 7", got)
@@ -77,10 +77,10 @@ func TestTreeMaxDepth(t *testing.T) {
 	if err := tree.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if d := tree.Depth(); d > 2 {
+	if d := tree.nodes.depth(); d > 2 {
 		t.Errorf("depth = %d, want <= 2", d)
 	}
-	if l := tree.NumLeaves(); l > 2 {
+	if l := tree.nodes.numLeaves(); l > 2 {
 		t.Errorf("leaves = %d, want <= 2 at depth 2", l)
 	}
 }
@@ -109,8 +109,8 @@ func TestTreeMinSamplesSplit(t *testing.T) {
 	if err := tree.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if tree.NumLeaves() != 1 {
-		t.Errorf("MinSamplesSplit > n should give a stump, got %d leaves", tree.NumLeaves())
+	if tree.nodes.numLeaves() != 1 {
+		t.Errorf("MinSamplesSplit > n should give a stump, got %d leaves", tree.nodes.numLeaves())
 	}
 }
 
@@ -256,7 +256,7 @@ func TestTreeFeatureImportances(t *testing.T) {
 	if err := tree.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	imp := tree.FeatureImportances()
+	imp := tree.importances
 	if len(imp) != 2 {
 		t.Fatalf("importances len = %d, want 2", len(imp))
 	}

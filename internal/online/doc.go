@@ -25,8 +25,7 @@
 //     score a row without allocating, so neither half of the adaptation
 //     loop — serving the prediction, ingesting the truth — allocates
 //     per row.
-//   - Retraining is bounded to one run in flight per model
-//     (ErrRetrainInFlight reports a second on-demand request) and is
+//   - Retraining is bounded to one run in flight per model and is
 //     cancellable via Plane.Close.
 //   - Publication is monotone and judged: a retrained candidate is
 //     compared against the deployed model on a held-out slice of the

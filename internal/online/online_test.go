@@ -2,7 +2,6 @@ package online
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -183,6 +182,15 @@ func driftFixture(t *testing.T) (*registry.Registry, *registry.Model, *experimen
 // observeStream feeds n observations from the scenario stream (starting
 // at off) through the plane, scoring them with m, and returns the last
 // status.
+// retrainNow starts a background retrain of m without waiting for the
+// detector, reporting whether it did (false while one is in flight).
+func retrainNow(p *Plane, m *registry.Model) bool {
+	st := p.state(m.Meta.Name)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return p.startRetrainLocked(st, m)
+}
+
 func observeStream(t *testing.T, p *Plane, m *registry.Model, sc *experiments.DriftScenario, off, n int) Status {
 	t.Helper()
 	var last Status
@@ -307,7 +315,7 @@ func TestRetrainOneInFlightPerModel(t *testing.T) {
 			<-release
 			return sc.Train, nil
 		},
-		// Only the test's own RetrainNow calls may start retrains, or
+		// Only the test's own retrainNow calls may start retrains, or
 		// the drifting window would race us to the in-flight slot.
 		DisableRetrain: true,
 		Seed:           7,
@@ -325,11 +333,11 @@ func TestRetrainOneInFlightPerModel(t *testing.T) {
 	}()
 
 	observeStream(t, p, m, sc, 0, 32)
-	if err := p.RetrainNow(m); err != nil {
-		t.Fatal(err)
+	if !retrainNow(p, m) {
+		t.Fatal("first retrain did not start")
 	}
-	if err := p.RetrainNow(m); !errors.Is(err, ErrRetrainInFlight) {
-		t.Fatalf("second retrain got %v, want ErrRetrainInFlight", err)
+	if retrainNow(p, m) {
+		t.Fatal("a second retrain started while the first was in flight")
 	}
 	close(release)
 	st := waitRetrainDone(t, p, m)
@@ -373,8 +381,8 @@ func TestRetrainDiscardsWhenWorse(t *testing.T) {
 	if _, err := p.Observe(m, X, pred, obs); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RetrainNow(m); err != nil {
-		t.Fatal(err)
+	if !retrainNow(p, m) {
+		t.Fatal("retrain did not start")
 	}
 	st := waitRetrainDone(t, p, m)
 	if st.RetrainsDiscarded != 1 || st.RetrainsPublished != 0 {
@@ -488,8 +496,8 @@ func TestRetrainRegressorKind(t *testing.T) {
 	})
 	defer p.Close()
 	observeStream(t, p, m, sc, 0, 192)
-	if err := p.RetrainNow(m); err != nil {
-		t.Fatal(err)
+	if !retrainNow(p, m) {
+		t.Fatal("retrain did not start")
 	}
 	st := waitRetrainDone(t, p, m)
 	if st.RetrainsPublished != 1 {

@@ -21,11 +21,6 @@ import (
 	"lam/internal/xmath"
 )
 
-// ErrRetrainInFlight reports an on-demand retrain request for a model
-// that is already retraining — the plane bounds retraining to one run
-// in flight per model.
-var ErrRetrainInFlight = errors.New("retrain already in flight")
-
 // Config tunes the plane. The zero value is usable: a 512-sample
 // window per model, default detector thresholds, automatic retraining
 // enabled.
@@ -36,8 +31,8 @@ type Config struct {
 	// Detector tunes drift detection.
 	Detector DetectorConfig
 	// DisableRetrain turns off automatic background retraining on
-	// drift trips (ingest and detection keep running; RetrainNow still
-	// works). Named negatively so the zero Config adapts.
+	// drift trips (ingest and detection keep running). Named negatively
+	// so the zero Config adapts.
 	DisableRetrain bool
 	// HoldoutFraction is the share of the window held out of retraining
 	// to judge old vs. new model on fresh-distribution data. 0 means 0.25.
@@ -192,9 +187,9 @@ func New(reg *registry.Registry, cfg Config) *Plane {
 func (p *Plane) Ledger() *Ledger { return p.ledger }
 
 // Close cancels in-flight retrains and waits for them to exit.
-// Concurrent Observe/RetrainNow calls remain safe: once Close has
-// begun they can no longer spawn a retrain (the trip still registers;
-// a fresh plane would pick it up).
+// Concurrent Observe calls remain safe: once Close has begun they can
+// no longer spawn a retrain (the trip still registers; a fresh plane
+// would pick it up).
 func (p *Plane) Close() {
 	p.mu.Lock()
 	p.closed = true
@@ -330,23 +325,6 @@ func (p *Plane) Counters() Counters {
 		st.mu.Unlock()
 	}
 	return c
-}
-
-// RetrainNow starts a background retrain of the served model m without
-// waiting for the detector (the "on demand" path). It returns
-// ErrRetrainInFlight if one is already running for the model, and an
-// error (not a silent no-op) if the plane has been closed.
-func (p *Plane) RetrainNow(m *registry.Model) error {
-	st := p.state(m.Meta.Name)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.retraining {
-		return fmt.Errorf("online: %s: %w", m.Meta.Name, ErrRetrainInFlight)
-	}
-	if !p.startRetrainLocked(st, m) {
-		return fmt.Errorf("online: %s: plane is closed", m.Meta.Name)
-	}
-	return nil
 }
 
 // startRetrainLocked marks the model retraining and spawns the

@@ -118,7 +118,7 @@ func TestSavesWriteLAMB1(t *testing.T) {
 	if m.Format != artifact.FormatLAMB1 {
 		t.Fatalf("save format = %q, want lamb1", m.Format)
 	}
-	entries, err := os.ReadDir(filepath.Join(reg.Root(), "m", "v0001"))
+	entries, err := os.ReadDir(filepath.Join(reg.root, "m", "v0001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSavesWriteLAMB1(t *testing.T) {
 func TestLegacyRegistrySniffAndCache(t *testing.T) {
 	reg, want := openLegacy(t)
 	for _, name := range legacyNames {
-		raw, err := os.ReadFile(filepath.Join(reg.Root(), name, "v0001", "meta.json"))
+		raw, err := os.ReadFile(filepath.Join(reg.root, name, "v0001", "meta.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestLegacyRegistrySniffAndCache(t *testing.T) {
 func TestConvertInPlace(t *testing.T) {
 	reg, want := openLegacy(t)
 	for _, name := range legacyNames {
-		vdir := filepath.Join(reg.Root(), name, "v0001")
+		vdir := filepath.Join(reg.root, name, "v0001")
 		meta, err := reg.Convert(name, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -249,7 +249,7 @@ func TestConvertInPlace(t *testing.T) {
 // document is complete.
 func TestConvertReplacesMeta(t *testing.T) {
 	reg, _ := openLegacy(t)
-	path := filepath.Join(reg.Root(), "grid-et", "v0001", "meta.json")
+	path := filepath.Join(reg.root, "grid-et", "v0001", "meta.json")
 	old, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestCorruptLamb1FailsTyped(t *testing.T) {
 	if _, err := reg.SaveHybrid(hy, Meta{Name: "x", Workload: "stencil-grid", Machine: "bluewaters"}); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(reg.Root(), "x", "v0001", "model.lamb")
+	path := filepath.Join(reg.root, "x", "v0001", "model.lamb")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

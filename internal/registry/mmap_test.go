@@ -118,7 +118,7 @@ func TestLoadedComponentsOutliveModel(t *testing.T) {
 	}
 
 	for _, name := range []string{"hy", "tree", "forest"} {
-		path := filepath.Join(reg.Root(), name, "v0001", "model.lamb")
+		path := filepath.Join(reg.root, name, "v0001", "model.lamb")
 		file, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +159,7 @@ func TestLoadedComponentsOutliveModel(t *testing.T) {
 // loaded model, collection unmaps its artifact.
 func TestMappingReleasedWithLastReference(t *testing.T) {
 	reg := benchRegistry(t, 300)
-	path := filepath.Join(reg.Root(), "bench", "v0001", "model.lamb")
+	path := filepath.Join(reg.root, "bench", "v0001", "model.lamb")
 	m, err := reg.Load("bench", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestEmptyArtifactIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	publish(t, reg, "e")
-	replaceFile(t, filepath.Join(reg.Root(), "e", "v0001", "model.lamb"), nil)
+	replaceFile(t, filepath.Join(reg.root, "e", "v0001", "model.lamb"), nil)
 	_, err = reg.Load("e", 1)
 	if !errors.Is(err, lamerr.ErrCorruptArtifact) || !strings.Contains(err.Error(), "short artifact") {
 		t.Fatalf("load of an empty artifact: got %v, want a short-artifact ErrCorruptArtifact", err)

@@ -128,9 +128,6 @@ func Open(dir string) (*Registry, error) {
 	return &Registry{root: dir}, nil
 }
 
-// Root returns the registry's root directory.
-func (r *Registry) Root() string { return r.root }
-
 // SaveHybrid stores a trained hybrid model under meta.Name and returns
 // the completed metadata (version, kind, timestamp filled in).
 // meta.Workload and meta.Machine are required: they are what Load uses

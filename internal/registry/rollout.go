@@ -108,16 +108,3 @@ func (r *Registry) LoadRolloutState(name string) (st RolloutState, ok bool, err 
 	}
 	return st, true, nil
 }
-
-// ClearRolloutState removes name's persisted rollout state. A missing
-// file is not an error.
-func (r *Registry) ClearRolloutState(name string) error {
-	if !nameRE.MatchString(name) {
-		return nil
-	}
-	err := os.Remove(filepath.Join(r.root, name, rolloutStateFile))
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("registry: %w", err)
-	}
-	return nil
-}

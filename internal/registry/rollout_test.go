@@ -57,7 +57,7 @@ func TestRolloutStateRoundTrip(t *testing.T) {
 
 	// Atomicity hygiene: the tmp+rename dance must leave no temp files
 	// behind in the model directory.
-	entries, err := os.ReadDir(filepath.Join(r.Root(), "blk"))
+	entries, err := os.ReadDir(filepath.Join(r.root, "blk"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,23 +84,12 @@ func TestRolloutStateRoundTrip(t *testing.T) {
 
 	// Corruption is an error, not an absence — the caller must know the
 	// pin may have been lost.
-	path := filepath.Join(r.Root(), "blk", "rollout.json")
+	path := filepath.Join(r.root, "blk", "rollout.json")
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := r.LoadRolloutState("blk"); err == nil {
 		t.Fatal("corrupt rollout.json must surface an error")
-	}
-
-	// Clear removes; clearing twice is idempotent.
-	if err := r.ClearRolloutState("blk"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := r.LoadRolloutState("blk"); ok || err != nil {
-		t.Fatalf("load after clear: ok=%v err=%v, want false,nil", ok, err)
-	}
-	if err := r.ClearRolloutState("blk"); err != nil {
-		t.Fatal(err)
 	}
 
 	// Invalid model names are rejected on save, ignored on load.

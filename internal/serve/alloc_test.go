@@ -24,10 +24,11 @@ import (
 	"lam/internal/workload"
 )
 
-// loadedRegressorModel publishes a trained extra-trees pipeline and
-// loads it back, mirroring what the serve cache holds for a regressor
-// artifact. The registry is returned too, for full-server benches.
-func loadedRegressorModel(t testing.TB) (*registry.Model, [][]float64, *registry.Registry) {
+// loadedRegressorModel publishes a trained extra-trees pipeline into a
+// registry at dir and loads it back, mirroring what the serve cache
+// holds for a regressor artifact. The registry is returned too, for
+// full-server benches.
+func loadedRegressorModel(t testing.TB, dir string) (*registry.Model, [][]float64, *registry.Registry) {
 	t.Helper()
 	m := machine.BlueWatersXE6()
 	ds, err := experiments.DatasetByName("stencil-grid", m, 42)
@@ -43,7 +44,7 @@ func loadedRegressorModel(t testing.TB) (*registry.Model, [][]float64, *registry
 	if err := et.Fit(train.X, train.Y); err != nil {
 		t.Fatal(err)
 	}
-	reg, err := registry.Open(t.TempDir())
+	reg, err := registry.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestServeBatchZeroPerRowAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	lm, X, _ := loadedRegressorModel(t)
+	lm, X, _ := loadedRegressorModel(t, t.TempDir())
 	ctx := context.Background()
 	out := ml.GetScratch(len(X))
 	defer ml.PutScratch(out)
@@ -98,8 +99,9 @@ func TestServeBatchZeroPerRowAllocationsOnlineEnabled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	_, X, reg := loadedRegressorModel(t)
-	backdateRegistry(t, reg)
+	dir := t.TempDir()
+	_, X, reg := loadedRegressorModel(t, dir)
+	backdateRegistry(t, dir)
 	srv := New(reg)
 	srv.Workers = 1
 	plane := online.New(reg, online.Config{DisableRetrain: true, Workers: 1})
@@ -144,21 +146,18 @@ func TestServeBatchZeroPerRowAllocationsOnlineEnabled(t *testing.T) {
 	}
 }
 
-// backdateRegistry moves the mtimes of reg's root and every name
-// directory an hour into the past, out of LatestVersion's racy window,
-// so resolution answers from its cache without the test sleeping.
-func backdateRegistry(t testing.TB, reg *registry.Registry) {
+// backdateRegistry moves the mtimes of the registry root dir and every
+// name directory an hour into the past, out of LatestVersion's racy
+// window, so resolution answers from its cache without the test sleeping.
+func backdateRegistry(t testing.TB, dir string) {
 	t.Helper()
-	names, err := reg.Names()
+	names, err := filepath.Glob(filepath.Join(dir, "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	old := time.Now().Add(-time.Hour)
-	for _, dir := range append([]string{reg.Root()}, names...) {
-		if dir != reg.Root() {
-			dir = filepath.Join(reg.Root(), dir)
-		}
-		if err := os.Chtimes(dir, old, old); err != nil {
+	for _, path := range append(names, dir) {
+		if err := os.Chtimes(path, old, old); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +209,7 @@ func TestPredictHandlerAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	_, X, reg := loadedRegressorModel(t)
+	_, X, reg := loadedRegressorModel(t, t.TempDir())
 	srv := New(reg)
 	srv.Workers = 1
 	h := srv.Handler()
@@ -350,14 +349,15 @@ func stencilHybridServer(t testing.TB) (*Server, *dataset.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := registry.Open(t.TempDir())
+	dir := t.TempDir()
+	reg, err := registry.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.SaveHybrid(hy, registry.Meta{Name: "hybrid-0", Workload: "stencil-blocking", Machine: "bluewaters"}); err != nil {
 		t.Fatal(err)
 	}
-	backdateRegistry(t, reg)
+	backdateRegistry(t, dir)
 	srv := New(reg)
 	srv.Coalesce = CoalesceConfig{MaxBatch: 32}
 	srv.Admit = AdmitConfig{MaxInflight: 0, Queue: 64}
@@ -371,7 +371,7 @@ func stencilHybridServer(t testing.TB) (*Server, *dataset.Dataset) {
 // BenchmarkForestPredictBatch/recursive in internal/ml for the
 // pre-refactor traversal cost.
 func BenchmarkServePredictBatch(b *testing.B) {
-	lm, X, _ := loadedRegressorModel(b)
+	lm, X, _ := loadedRegressorModel(b, b.TempDir())
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -388,7 +388,7 @@ func BenchmarkServePredictBatch(b *testing.B) {
 // — HTTP, JSON codec both ways, pooled buffers, compiled batch scoring
 // — for a 256-row request against a live test server.
 func BenchmarkServeRoundTrip(b *testing.B) {
-	_, X, reg := loadedRegressorModel(b)
+	_, X, reg := loadedRegressorModel(b, b.TempDir())
 	srv := New(reg)
 	srv.Workers = 1
 	ts := httptest.NewServer(srv.Handler())

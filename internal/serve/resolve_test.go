@@ -39,9 +39,9 @@ func publishScaled(t *testing.T, reg *registry.Registry, name string, scale floa
 	return meta.Version
 }
 
-func newResolverServer(t *testing.T) (*Server, *registry.Registry) {
+func newResolverServer(t *testing.T, dir string) (*Server, *registry.Registry) {
 	t.Helper()
-	reg, err := registry.Open(t.TempDir())
+	reg, err := registry.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func newResolverServer(t *testing.T) (*Server, *registry.Registry) {
 // racing in any order leave each reader seeing versions only move
 // forward, and the newest wins.
 func TestResolverMonotoneUnderConcurrentSwaps(t *testing.T) {
-	srv, reg := newResolverServer(t)
+	srv, reg := newResolverServer(t, t.TempDir())
 	const versions = 6
 	for v := 1; v <= versions; v++ {
 		publishScaled(t, reg, "m", float64(v))
@@ -112,7 +112,7 @@ func TestResolverMonotoneUnderConcurrentSwaps(t *testing.T) {
 // stays the newest version on disk, and latest keeps answering with the
 // incumbent — through requests and Reload alike.
 func TestResolverNeverServesRolledBack(t *testing.T) {
-	srv, reg := newResolverServer(t)
+	srv, reg := newResolverServer(t, t.TempDir())
 	srv.AttachRollout(rollout.New(reg, online.NewLedger(16), rollout.Config{}))
 	r := &srv.models
 	ctx := context.Background()
@@ -125,7 +125,7 @@ func TestResolverNeverServesRolledBack(t *testing.T) {
 	if m, err := r.latest(ctx, "m"); err != nil || m.Meta.Version != 1 {
 		t.Fatalf("latest during the rollout = %v, %v; want the v1 incumbent", m, err)
 	}
-	if err := srv.Rollout().ForceRollback("m"); err != nil {
+	if err := srv.rollout.ForceRollback("m"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -144,7 +144,7 @@ func TestResolverNeverServesRolledBack(t *testing.T) {
 // TestResolverInFlightModelSurvivesSwap: a model resolved before a swap
 // keeps scoring, unchanged, after the slot has moved on.
 func TestResolverInFlightModelSurvivesSwap(t *testing.T) {
-	srv, reg := newResolverServer(t)
+	srv, reg := newResolverServer(t, t.TempDir())
 	r := &srv.models
 	ctx := context.Background()
 	x := []float64{7, 1}
@@ -180,7 +180,7 @@ func TestResolverInFlightModelSurvivesSwap(t *testing.T) {
 // TestResolverReleasesSwappedOutModel: nothing in the resolver keeps a
 // swapped-out model alive.
 func TestResolverReleasesSwappedOutModel(t *testing.T) {
-	srv, reg := newResolverServer(t)
+	srv, reg := newResolverServer(t, t.TempDir())
 	r := &srv.models
 	ctx := context.Background()
 	publishScaled(t, reg, "m", 1)
@@ -209,11 +209,12 @@ func TestResolverReleasesSwappedOutMapping(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("artifact mappings are Linux-only")
 	}
-	srv, reg := newResolverServer(t)
+	dir := t.TempDir()
+	srv, reg := newResolverServer(t, dir)
 	r := &srv.models
 	ctx := context.Background()
 	publishScaled(t, reg, "m", 1)
-	v1 := filepath.Join(reg.Root(), "m", "v0001", "model.lamb")
+	v1 := filepath.Join(dir, "m", "v0001", "model.lamb")
 	mapped := func() bool {
 		maps, err := os.ReadFile("/proc/self/maps")
 		if err != nil {

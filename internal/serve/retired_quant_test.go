@@ -14,11 +14,11 @@ import (
 	"lam/internal/registry"
 )
 
-// plantVersion writes raw artifact bytes as model.lamb of name@version,
-// with metadata saying it is a lamb1 regressor.
-func plantVersion(t *testing.T, reg *registry.Registry, name string, version int, data []byte) {
+// plantVersion writes raw artifact bytes as model.lamb of name@version
+// in the registry at root, with metadata saying it is a lamb1 regressor.
+func plantVersion(t *testing.T, root, name string, version int, data []byte) {
 	t.Helper()
-	dir := filepath.Join(reg.Root(), name, fmt.Sprintf("v%04d", version))
+	dir := filepath.Join(root, name, fmt.Sprintf("v%04d", version))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,8 @@ func TestRetiredQuantVersionServedAsCorrupt(t *testing.T) {
 	if err := f.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	reg, err := registry.Open(t.TempDir())
+	dir := t.TempDir()
+	reg, err := registry.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +62,13 @@ func TestRetiredQuantVersionServedAsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plantVersion(t, reg, "m", 2, quant)
+	plantVersion(t, dir, "m", 2, quant)
 	knn, err := os.ReadFile(filepath.Join("..", "artifact", "testdata", "lamb1_v1_knn.lamb"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plantVersion(t, reg, "m", 3, knn)
-	plantVersion(t, reg, "garbage", 1, quant[:len(quant)/2])
+	plantVersion(t, dir, "m", 3, knn)
+	plantVersion(t, dir, "garbage", 1, quant[:len(quant)/2])
 
 	ts := httptest.NewServer(New(reg).Handler())
 	t.Cleanup(ts.Close)

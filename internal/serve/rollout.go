@@ -92,10 +92,6 @@ func (s *Server) AttachRollout(c *rollout.Controller) {
 		})
 }
 
-// Rollout returns the attached controller (nil without AttachRollout);
-// embedders and tests use it to inspect or force transitions.
-func (s *Server) Rollout() *rollout.Controller { return s.rollout }
-
 // rolloutView returns the model's active rollout view for a latest
 // (version 0) request; explicit version pins bypass the rollout.
 func (s *Server) rolloutView(name string, version int) *rollout.View {

@@ -21,12 +21,12 @@ import (
 	"lam/internal/rollout"
 )
 
-// newRolloutFixture trains a good extra-trees v1 of "grid-et" and
-// returns a miscalibrated challenger trained on labels scaled 3x (a
+// newRolloutFixture trains a good extra-trees v1 of "grid-et" into a
+// registry at dir and returns a miscalibrated challenger trained on labels scaled 3x (a
 // model that looks great against equally miscalibrated observations
 // and terrible against the truth). The challenger is returned
 // unpublished so each test controls when the rollout begins.
-func newRolloutFixture(t *testing.T) (*registry.Registry, *ml.Pipeline, *dataset.Dataset, *dataset.Dataset) {
+func newRolloutFixture(t *testing.T, dir string) (*registry.Registry, *ml.Pipeline, *dataset.Dataset, *dataset.Dataset) {
 	t.Helper()
 	m := machine.BlueWatersXE6()
 	ds, err := experiments.DatasetByName("stencil-grid", m, 42)
@@ -42,7 +42,7 @@ func newRolloutFixture(t *testing.T) (*registry.Registry, *ml.Pipeline, *dataset
 	if err := good.Fit(train.X, train.Y); err != nil {
 		t.Fatal(err)
 	}
-	reg, err := registry.Open(t.TempDir())
+	reg, err := registry.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestCanaryPromotesBetterModel(t *testing.T) {
 // the stage fraction — and is rolled back and quarantined the moment
 // honest labels arrive, with the incumbent taking back every request.
 func TestCanaryRollsBackWorseModel(t *testing.T) {
-	reg, bad, train, test := newRolloutFixture(t)
+	reg, bad, train, test := newRolloutFixture(t, t.TempDir())
 	ts, _, ctrl := newRolloutServer(t, reg, rollout.Config{
 		Stages:        []float64{0.5, 1.0},
 		ShadowSamples: 32,
@@ -400,7 +400,8 @@ func TestCanaryRollsBackWorseModel(t *testing.T) {
 // and the shadow phase) and a post-rollback quarantine must come back
 // after the serving process is rebuilt from the registry directory.
 func TestRolloutStateSurvivesRestart(t *testing.T) {
-	reg, bad, train, test := newRolloutFixture(t)
+	dir := t.TempDir()
+	reg, bad, train, test := newRolloutFixture(t, dir)
 	cfg := rollout.Config{
 		Stages:        []float64{0.5, 1.0},
 		ShadowSamples: 32,
@@ -428,7 +429,7 @@ func TestRolloutStateSurvivesRestart(t *testing.T) {
 	// "Restart": a fresh registry handle over the same directory, a
 	// fresh server, a fresh controller. The rollout must resume — same
 	// phase, same pin — not blindly serve the newest artifact.
-	reg2, err := registry.Open(reg.Root())
+	reg2, err := registry.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +448,7 @@ func TestRolloutStateSurvivesRestart(t *testing.T) {
 		t.Fatalf("rollback action: status %d", resp.StatusCode)
 	}
 	ts2.Close()
-	reg3, err := registry.Open(reg.Root())
+	reg3, err := registry.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +466,7 @@ func TestRolloutStateSurvivesRestart(t *testing.T) {
 // resume, rollback, conflict on an idle model, bad actions, unknown
 // models.
 func TestRolloutEndpointActions(t *testing.T) {
-	reg, bad, _, test := newRolloutFixture(t)
+	reg, bad, _, test := newRolloutFixture(t, t.TempDir())
 	ts, _, _ := newRolloutServer(t, reg, rollout.Config{
 		Stages: []float64{0.5, 1.0}, ShadowSamples: 32, StageSamples: 16,
 	})
@@ -532,7 +533,7 @@ func TestRolloutEndpointActions(t *testing.T) {
 // lam_served_ape series summarise the same samples — equal bit for bit.
 // The incumbent keeps its own series beside it.
 func TestServedAPEIsTheGateRing(t *testing.T) {
-	reg, bad, _, test := newRolloutFixture(t)
+	reg, bad, _, test := newRolloutFixture(t, t.TempDir())
 	ts, _, _ := newRolloutServer(t, reg, rollout.Config{
 		Stages: []float64{1.0}, ShadowSamples: 1 << 20,
 	})
@@ -601,7 +602,7 @@ func TestServedAPEIsTheGateRing(t *testing.T) {
 // for the candidate equals scoring the same rows through an
 // independently loaded copy of the candidate artifact, bit for bit.
 func TestShadowPredictionsBitIdentical(t *testing.T) {
-	reg, bad, _, test := newRolloutFixture(t)
+	reg, bad, _, test := newRolloutFixture(t, t.TempDir())
 	ts, _, ctrl := newRolloutServer(t, reg, rollout.Config{
 		Stages: []float64{1.0}, ShadowSamples: 1 << 20,
 	})
@@ -683,7 +684,7 @@ func TestServeZeroPerRowAllocationsWithShadow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	reg, bad, _, test := newRolloutFixture(t)
+	reg, bad, _, test := newRolloutFixture(t, t.TempDir())
 	ts, srv, _ := newRolloutServer(t, reg, rollout.Config{
 		Stages: []float64{1.0}, ShadowSamples: 1 << 20,
 	})

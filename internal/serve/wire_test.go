@@ -22,7 +22,7 @@ import (
 // answered when encoding/json decoded every body: the scanner may only
 // change how fast a body is decoded, never what it is answered.
 func TestBodyVerdictsPinned(t *testing.T) {
-	_, _, reg := loadedRegressorModel(t)
+	_, _, reg := loadedRegressorModel(t, t.TempDir())
 	srv := New(reg)
 	plane := online.New(reg, online.Config{DisableRetrain: true, Workers: 1})
 	defer plane.Close()
@@ -65,7 +65,7 @@ func TestBodyVerdictsPinned(t *testing.T) {
 // same answer whatever follows the closing brace, however long, and no
 // wait for the end of a body the client keeps open.
 func TestBodyAnsweredAtClosingBrace(t *testing.T) {
-	_, _, reg := loadedRegressorModel(t)
+	_, _, reg := loadedRegressorModel(t, t.TempDir())
 	h := New(reg).Handler()
 	const obj = `{"model":"grid-et","x":[1,2,3]}`
 	const answer = `{"model":"grid-et","version":1,"y":0.015060035887662936}` + "\n"

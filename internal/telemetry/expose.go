@@ -85,17 +85,6 @@ func writeLabels(w *bufio.Writer, labels []Label, extra ...Label) {
 // families sorted by name, series within a family sorted by label
 // signature, histogram buckets cumulative with a terminal +Inf.
 func (r *Registry) WriteExposition(w io.Writer) error {
-	// Scrape hooks run outside the registry lock: they typically call
-	// back into registration (lazily creating labeled series) or read
-	// other subsystems' locks.
-	r.mu.Lock()
-	hooks := make([]func(), len(r.hooks))
-	copy(hooks, r.hooks)
-	r.mu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
-
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {
@@ -158,12 +147,6 @@ func (r *Registry) WriteExposition(w io.Writer) error {
 				writeLabels(bw, s.labels)
 				bw.WriteByte(' ')
 				bw.WriteString(strconv.FormatInt(s.g.Load(), 10))
-				bw.WriteByte('\n')
-			case s.f != nil:
-				bw.WriteString(f.name)
-				writeLabels(bw, s.labels)
-				bw.WriteByte(' ')
-				bw.WriteString(formatValue(s.f.Value()))
 				bw.WriteByte('\n')
 			case s.h != nil:
 				cum := s.h.Cumulative()

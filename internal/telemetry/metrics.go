@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"regexp"
 	"sort"
 	"strings"
@@ -42,15 +41,6 @@ func (g *Gauge) SetMax(v int64) {
 		}
 	}
 }
-
-// FloatGauge is a settable float64 metric slot (atomic on the bits).
-type FloatGauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value loads the current value.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // LatencyBucketBoundsNs is the one shared histogram bucket ladder
 // (upper bounds, inclusive, nanoseconds; the final implicit bucket is
@@ -129,10 +119,6 @@ func (h *Histogram) Count() uint64 {
 // SumNs returns the accumulated observed time in nanoseconds.
 func (h *Histogram) SumNs() uint64 { return h.sumNs.Load() }
 
-// BoundsNs returns the bucket upper bounds (nanoseconds, +Inf
-// excluded).
-func (h *Histogram) BoundsNs() []uint64 { return h.boundsNs }
-
 // Metric family types, as emitted in the exposition's # TYPE line.
 const (
 	TypeCounter   = "counter"
@@ -146,7 +132,6 @@ type series struct {
 	sig    string
 	c      *Counter
 	g      *Gauge
-	f      *FloatGauge
 	h      *Histogram
 }
 
@@ -162,14 +147,13 @@ type family struct {
 }
 
 // Registry is a set of metric families with a Prometheus text
-// exposition. Registration (Counter/Gauge/FloatGauge/Histogram) is
+// exposition. Registration (Counter/Gauge/Histogram) is
 // get-or-create on (name, label set) and safe for concurrent use; the
 // returned handles are the storage, so the hot path never touches the
 // registry again.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-	hooks    []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -215,10 +199,10 @@ func normalizeLabels(name string, labels []Label) []Label {
 // getOrCreate resolves the series for (name, labels), creating family
 // and series as needed. The slot kind is fixed at creation so series
 // fields are immutable afterwards and exposition can read them
-// lock-free. Conflicting re-registration (same name, different type or
-// gauge kind) panics: it is a programming error, caught at init or
-// first load, never on the hot path.
-func (r *Registry) getOrCreate(name, help, typ string, float bool, labels []Label) *series {
+// lock-free. Conflicting re-registration (same name, different type)
+// panics: it is a programming error, caught at init or first load,
+// never on the hot path.
+func (r *Registry) getOrCreate(name, help, typ string, labels []Label) *series {
 	if !metricNameRE.MatchString(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
@@ -243,8 +227,6 @@ func (r *Registry) getOrCreate(name, help, typ string, float bool, labels []Labe
 		switch {
 		case typ == TypeCounter:
 			s.c = &Counter{}
-		case typ == TypeGauge && float:
-			s.f = &FloatGauge{}
 		case typ == TypeGauge:
 			s.g = &Gauge{}
 		case typ == TypeHistogram:
@@ -253,34 +235,25 @@ func (r *Registry) getOrCreate(name, help, typ string, float bool, labels []Labe
 		fam.series[sig] = s
 		fam.ordered = append(fam.ordered, s)
 	}
-	if typ == TypeGauge && (float != (s.f != nil)) {
-		panic(fmt.Sprintf("telemetry: gauge %s re-registered with a different value kind", name))
-	}
 	return s
 }
 
 // Counter returns the counter registered under name with the given
 // labels, creating it on first use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.getOrCreate(name, help, TypeCounter, false, labels).c
+	return r.getOrCreate(name, help, TypeCounter, labels).c
 }
 
 // Gauge returns the gauge registered under name with the given labels.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.getOrCreate(name, help, TypeGauge, false, labels).g
-}
-
-// FloatGauge returns a float-valued gauge. It shares the gauge type in
-// the exposition; a family is either all-int or all-float.
-func (r *Registry) FloatGauge(name, help string, labels ...Label) *FloatGauge {
-	return r.getOrCreate(name, help, TypeGauge, true, labels).f
+	return r.getOrCreate(name, help, TypeGauge, labels).g
 }
 
 // Histogram returns the duration histogram registered under name. All
 // histograms share the one LatencyBucketBoundsNs ladder — defined
 // once, here, so serve and gateway can never drift apart again.
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	return r.getOrCreate(name, help, TypeHistogram, false, labels).h
+	return r.getOrCreate(name, help, TypeHistogram, labels).h
 }
 
 // CollectFunc registers a collector family: at each scrape, fn is
@@ -301,13 +274,4 @@ func (r *Registry) CollectFunc(name, help, typ string, fn func(emit func(labels 
 		panic(fmt.Sprintf("telemetry: metric %s registered twice", name))
 	}
 	r.families[name] = &family{name: name, help: help, typ: typ, collect: fn}
-}
-
-// OnScrape registers a hook run at the start of every exposition,
-// before any family is written — the place to refresh gauges whose
-// source of truth lives outside the registry.
-func (r *Registry) OnScrape(fn func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hooks = append(r.hooks, fn)
 }

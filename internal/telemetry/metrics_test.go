@@ -81,7 +81,6 @@ func TestExpositionRoundTrips(t *testing.T) {
 	r.Counter("lam_a_total", "a count", L("model", "g"), L("outcome", "ok")).Add(2)
 	r.Counter("lam_a_total", "a count", L("model", "g"), L("outcome", "error")).Inc()
 	r.Gauge("lam_depth", "queue depth").Store(4)
-	r.FloatGauge("lam_ratio", "a ratio").Set(0.25)
 	h := r.Histogram("lam_lat_seconds", "latency", L("model", "g"))
 	h.Observe(3 * time.Millisecond)
 	r.CollectFunc("lam_col", "collected", TypeGauge, func(emit func([]Label, float64)) {
@@ -143,19 +142,6 @@ func TestExpositionLabelEscaping(t *testing.T) {
 	got, _ := exp.Family("lam_esc_total").Samples[0].Label("model")
 	if got != "a\"b\\c\nd" {
 		t.Fatalf("label value did not round-trip: %q", got)
-	}
-}
-
-func TestOnScrapeHook(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("lam_hooked", "help")
-	r.OnScrape(func() { g.Store(11) })
-	var sb strings.Builder
-	if err := r.WriteExposition(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "lam_hooked 11") {
-		t.Fatalf("scrape hook did not run:\n%s", sb.String())
 	}
 }
 

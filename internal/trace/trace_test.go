@@ -103,7 +103,7 @@ func TestStencilSmallGridFitsL1AllRevisitsHit(t *testing.T) {
 	// A grid whose two arrays fit in one cache must produce exactly
 	// compulsory misses: distinct lines touched = misses.
 	cfg := StencilConfig{I: 8, J: 8, K: 2}
-	c, err := cachesim.NewCache("L", 1<<20, 64, 16)
+	c, err := cachesim.NewCache(1<<20, 64, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

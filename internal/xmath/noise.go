@@ -36,12 +36,6 @@ func HashFloat(parts ...uint64) float64 {
 	return float64(Hash64(parts...)>>11) / float64(1<<53)
 }
 
-// HashUnit returns a deterministic uniform value in [-1, 1) derived from
-// the given parts.
-func HashUnit(parts ...uint64) float64 {
-	return 2*HashFloat(parts...) - 1
-}
-
 // HashNormal returns a deterministic sample from the standard normal
 // distribution derived from the given parts, via the Box-Muller
 // transform over two decorrelated hash streams.

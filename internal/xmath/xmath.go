@@ -125,48 +125,7 @@ func Median(xs []float64) float64 {
 	return Percentile(xs, 50)
 }
 
-// MinMax returns the minimum and maximum of xs.
-// It returns (0, 0) for an empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // CeilDiv returns ceil(a/b) for positive integers.
 func CeilDiv(a, b int) int {
 	return (a + b - 1) / b
-}
-
-// NearlyEqual reports whether a and b agree to within a relative
-// tolerance rel (or an absolute tolerance rel for values near zero).
-func NearlyEqual(a, b, rel float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		return diff <= rel
-	}
-	return diff <= rel*scale
 }

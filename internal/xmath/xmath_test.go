@@ -2,6 +2,7 @@ package xmath
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -165,23 +166,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = (%v, %v), want (-1, 7)", lo, hi)
-	}
-	lo, hi = MinMax(nil)
-	if lo != 0 || hi != 0 {
-		t.Errorf("MinMax(nil) = (%v, %v), want (0, 0)", lo, hi)
-	}
-}
-
-func TestSum(t *testing.T) {
-	if got := Sum([]float64{1, 2, 3}); got != 6 {
-		t.Errorf("Sum = %v, want 6", got)
-	}
-}
-
 func TestCeilDiv(t *testing.T) {
 	cases := []struct{ a, b, want int }{
 		{10, 5, 2}, {11, 5, 3}, {1, 5, 1}, {5, 5, 1}, {0, 5, 0},
@@ -190,18 +174,6 @@ func TestCeilDiv(t *testing.T) {
 		if got := CeilDiv(c.a, c.b); got != c.want {
 			t.Errorf("CeilDiv(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func TestNearlyEqual(t *testing.T) {
-	if !NearlyEqual(1.0, 1.0+1e-12, 1e-9) {
-		t.Error("expected nearly equal")
-	}
-	if NearlyEqual(1.0, 1.1, 1e-3) {
-		t.Error("expected not nearly equal")
-	}
-	if !NearlyEqual(0, 1e-12, 1e-9) {
-		t.Error("expected nearly equal near zero")
 	}
 }
 
@@ -240,15 +212,6 @@ func TestHashFloatUniformity(t *testing.T) {
 		frac := float64(c) / n
 		if frac < 0.085 || frac > 0.115 {
 			t.Errorf("bucket %d holds %.3f of mass, want ~0.1", b, frac)
-		}
-	}
-}
-
-func TestHashUnitRange(t *testing.T) {
-	for i := uint64(0); i < 1000; i++ {
-		v := HashUnit(i)
-		if v < -1 || v >= 1 {
-			t.Fatalf("HashUnit(%d) = %v out of [-1,1)", i, v)
 		}
 	}
 }
@@ -292,8 +255,7 @@ func TestPercentileMatchesSortedExtremes(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		lo, hi := MinMax(xs)
-		return Percentile(xs, 0) == lo && Percentile(xs, 100) == hi
+		return Percentile(xs, 0) == slices.Min(xs) && Percentile(xs, 100) == slices.Max(xs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

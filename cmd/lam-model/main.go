@@ -7,18 +7,19 @@
 //	lam-model convert  -registry ./models -name grid-hybrid [-version 3]
 //	lam-model convert  -registry ./models -name grid-hybrid -all
 //
-// info decodes one stored version and prints its artifact format,
-// payload kind, estimator structure, tree/node counts, node layout,
-// encoded size and (for lamb1) the CRC32-C trailer checksum, alongside
-// the registry metadata. -json emits the same as one JSON object for
-// scripting.
+// info decodes one stored version and prints its artifact format, its
+// lamb1 version, payload kind, estimator structure, tree/node counts,
+// node layout, encoded size and (for lamb1) the CRC32-C trailer
+// checksum, alongside the registry metadata. -json emits the same as
+// one JSON object for scripting.
 //
-// convert migrates a legacy (jsonv1) version to lamb1 in place —
-// predictions are bit-identical across formats, so this is safe on live
-// registries: the new artifact is renamed into place before the old one
-// is removed, and a reader mid-convert still loads a consistent
-// version. Converting a version already in lamb1 is a no-op. -all
-// converts every version of the name.
+// convert migrates a legacy version — jsonv1, or lamb1 before the
+// latest version (3) — to the latest lamb1 in place. Predictions are
+// bit-identical across formats, so this is safe on live registries: the
+// new artifact is renamed into place before the old one is removed, and
+// a reader mid-convert still loads a consistent version. Converting a
+// version already at the latest lamb1 version is a no-op. -all converts
+// every version of the name.
 package main
 
 import (
@@ -104,6 +105,9 @@ func runInfo(args []string) {
 	}
 	fmt.Printf("%s v%d\n", meta.Name, meta.Version)
 	fmt.Printf("  format:     %s\n", info.Format)
+	if info.Version > 0 {
+		fmt.Printf("  version:    %d\n", info.Version)
+	}
 	fmt.Printf("  kind:       %s\n", info.Kind)
 	fmt.Printf("  estimator:  %s\n", info.Estimator)
 	if info.Trees > 0 || info.Nodes > 0 {

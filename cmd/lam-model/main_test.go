@@ -103,9 +103,11 @@ func TestInfoRefusesRetiredQuant(t *testing.T) {
 
 // TestConvertAllMigratesLegacy runs `lam-model convert -all` on a copy
 // of the committed pre-codec registry (internal/registry's legacy
-// fixture: jsonv1 model.json, meta.json without a format) and checks
-// each version is now lamb1 on disk and in its metadata, with the old
-// file gone, and still predicts the pinned values bit for bit.
+// fixture: jsonv1 model.json, meta.json without a format) with a lamb1
+// version-2 version planted beside it (internal/artifact's committed
+// lamb1_v2_pipeline.lamb), and checks each version is now lamb1 version
+// 3 on disk, in its metadata and in `info`, with the old file gone, and
+// still predicts the pinned values bit for bit.
 func TestConvertAllMigratesLegacy(t *testing.T) {
 	src := filepath.Join("..", "..", "internal", "registry", "testdata", "legacy")
 	dir := t.TempDir()
@@ -123,7 +125,12 @@ func TestConvertAllMigratesLegacy(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"grid-hybrid", "grid-et"} {
+	pinned := map[string]pinnedPredictions{}
+	for name, pred := range want.Pred {
+		pinned[name] = pinnedPredictions{X: want.X, Pred: pred}
+	}
+	pinned["golden-pipeline"] = plantLamb1V2(t, dir, "golden-pipeline", "pipeline")
+	for _, name := range []string{"grid-hybrid", "grid-et", "golden-pipeline"} {
 		stdout, stderr, exit := runCLI(t, "convert", "-registry", dir, "-name", name, "-all")
 		if exit != 0 {
 			t.Fatalf("convert -all %s exited %d: %s", name, exit, stderr)
@@ -137,6 +144,22 @@ func TestConvertAllMigratesLegacy(t *testing.T) {
 		}
 		if _, err := os.Stat(filepath.Join(vdir, "model.json")); !os.IsNotExist(err) {
 			t.Fatalf("%s: model.json still present after convert: %v", name, err)
+		}
+		stdout, stderr, exit = runCLI(t, "info", "-registry", dir, "-name", name, "-json")
+		if exit != 0 {
+			t.Fatalf("info %s exited %d: %s", name, exit, stderr)
+		}
+		var info struct {
+			Artifact struct {
+				Format  string `json:"format"`
+				Version int    `json:"version"`
+			} `json:"artifact"`
+		}
+		if err := json.Unmarshal([]byte(stdout), &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.Artifact.Format != "lamb1" || info.Artifact.Version != 3 {
+			t.Fatalf("%s: info after convert reports %s version %d, want lamb1 version 3", name, info.Artifact.Format, info.Artifact.Version)
 		}
 		rawMeta, err := os.ReadFile(filepath.Join(vdir, "meta.json"))
 		if err != nil {
@@ -160,18 +183,60 @@ func TestConvertAllMigratesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.PredictBatch(context.Background(), want.X)
+		pred := pinned[name].Pred
+		got, err := m.PredictBatch(context.Background(), pinned[name].X)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pinned := want.Pred[name]
-		if len(got) != len(pinned) || len(got) == 0 {
-			t.Fatalf("%s: %d predictions, %d pinned", name, len(got), len(pinned))
+		if len(got) != len(pred) || len(got) == 0 {
+			t.Fatalf("%s: %d predictions, %d pinned", name, len(got), len(pred))
 		}
-		for i := range pinned {
-			if math.Float64bits(got[i]) != math.Float64bits(pinned[i]) {
-				t.Fatalf("%s row %d: %v after convert, pinned %v", name, i, got[i], pinned[i])
+		for i := range pred {
+			if math.Float64bits(got[i]) != math.Float64bits(pred[i]) {
+				t.Fatalf("%s row %d: %v after convert, pinned %v", name, i, got[i], pred[i])
 			}
 		}
 	}
+}
+
+// pinnedPredictions are probe rows and a model's pinned predictions on
+// them.
+type pinnedPredictions struct {
+	X    [][]float64 `json:"x"`
+	Pred []float64   `json:"pred"`
+}
+
+// plantLamb1V2 publishes internal/artifact's committed lamb1 version-2
+// artifact of one golden regressor as version 1 of name in the registry
+// at dir, and returns the golden's pinned predictions.
+func plantLamb1V2(t *testing.T, dir, name, golden string) pinnedPredictions {
+	t.Helper()
+	testdata := filepath.Join("..", "..", "internal", "artifact", "testdata")
+	data, err := os.ReadFile(filepath.Join(testdata, "lamb1_v2_"+golden+".lamb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vdir := filepath.Join(dir, name, "v0001")
+	if err := os.MkdirAll(vdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := json.Marshal(registry.Meta{Name: name, Version: 1, Kind: registry.KindRegressor, Format: "lamb1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(vdir, "meta.json"), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(vdir, "model.lamb"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(testdata, "golden_"+golden+".pred.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want pinnedPredictions
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
 }

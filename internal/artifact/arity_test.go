@@ -70,10 +70,11 @@ var arityCases = []struct {
 }{
 	{
 		name: "tree split past arity", golden: "tree", want: "feature 3 of 3",
-		// kind, nodes, features, importances, six config words, the
-		// importances, then the feature column: the root's.
+		// kind, features, six config words, the importance count, the
+		// importances, the record count, then the records: the root's
+		// feature follows its threshold.
 		lamb1: func(p []byte) []byte {
-			binary.LittleEndian.PutUint32(p[80+8*binary.LittleEndian.Uint64(p[24:]):], 3)
+			binary.LittleEndian.PutUint32(p[88+8*binary.LittleEndian.Uint64(p[64:]):], 3)
 			return p
 		},
 		json: func(doc map[string]any) { obj(obj(doc["data"])["nodes"].([]any)[0])["f"] = 3 },

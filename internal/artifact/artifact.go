@@ -69,9 +69,10 @@ type DecodeOptions struct {
 	Analytical hybrid.AnalyticalModel
 	// Owner keeps the artifact bytes valid when they are not Go heap
 	// memory: the registry passes the owner of a file mapping, which
-	// every decoded tree whose value and nSamples columns alias the
-	// bytes then holds.
-	// Nil for heap bytes, which those aliases keep alive themselves.
+	// every decoded tree and ensemble whose walk table aliases the
+	// bytes (lamb1 version 3) then holds. Nil for heap bytes, which
+	// those aliases keep alive themselves. Either way the bytes must
+	// not change while a decoded model is in use.
 	Owner any
 }
 
@@ -130,6 +131,9 @@ func Detect(data []byte) (Codec, error) {
 type Info struct {
 	// Format is the codec name the artifact is encoded with.
 	Format string `json:"format"`
+	// Version is the lamb1 format version (1, 2 or 3), zero for
+	// jsonv1. Registry Convert rewrites every version but the latest.
+	Version int `json:"version,omitempty"`
 	// Kind is KindHybrid or KindRegressor.
 	Kind string `json:"kind"`
 	// Estimator is the decoded model's structural kind, e.g.
@@ -140,7 +144,7 @@ type Info struct {
 	Trees int `json:"trees"`
 	Nodes int `json:"nodes"`
 	// NodeLayout is the on-disk node encoding: "implicit-left" for
-	// lamb1 version-2 payloads (tree bodies drop the left-child array),
+	// lamb1 version-2 and version-3 payloads (no left-child array),
 	// "explicit-children" for version-1 and jsonv1 artifacts. Empty for
 	// non-tree estimators.
 	NodeLayout string `json:"node_layout,omitempty"`
@@ -149,6 +153,13 @@ type Info struct {
 	// CRC32 is the lamb1 trailer checksum (Castagnoli), zero for
 	// formats without one.
 	CRC32 uint32 `json:"crc32,omitempty"`
+}
+
+// Legacy reports whether the artifact is in a format or version that
+// is no longer written: jsonv1, or lamb1 before the latest version.
+// Registry Convert rewrites exactly these.
+func (i Info) Legacy() bool {
+	return i.Format != FormatLAMB1 || i.Version != lamb1VersionLatest
 }
 
 // Inspect detects an artifact's codec, decodes it, and summarises it.
@@ -177,7 +188,8 @@ func Inspect(data []byte, opts DecodeOptions) (Info, *Payload, error) {
 	}
 	if c.Name() == FormatLAMB1 {
 		info.CRC32 = lamb1TrailerCRC(data)
-		if stats.Trees > 0 && lamb1FormatVersion(data) >= 2 {
+		info.Version = lamb1FormatVersion(data)
+		if stats.Trees > 0 && info.Version >= lamb1Version2 {
 			info.NodeLayout = "implicit-left"
 		}
 	}

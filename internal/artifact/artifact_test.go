@@ -350,11 +350,32 @@ func readGolden(t testing.TB, name string) ([]byte, goldenPredictions) {
 	return data, want
 }
 
-// TestGoldenArtifacts decodes the committed jsonv1 artifacts — one per
-// live estimator kind — and requires bit-identical predictions to the
-// committed values, directly and after converting to lamb1. This is
-// the cross-build forward-compat contract: a change that breaks these
-// goldens breaks every legacy registry in the field.
+// readLamb1Fixture returns the committed lamb1 artifact of one golden
+// kind at one format version, checking its header says so. The
+// version-2 files are the jsonv1 goldens converted by the last build
+// with a version-2 writer (commit 8ef7e57), the version-3 files the same
+// goldens converted by the first version-3 writer; neither is ever
+// regenerated.
+func readLamb1Fixture(t testing.TB, name string, version int) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("lamb1_v%d_%s.lamb", version, name)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := lamb1FormatVersion(data); v != version {
+		t.Fatalf("lamb1_v%d_%s.lamb: header says version %d", version, name, v)
+	}
+	return data
+}
+
+// TestGoldenArtifacts decodes the committed artifacts of each live
+// estimator kind — the jsonv1 golden and its lamb1 version-2 and
+// version-3 conversions — and requires bit-identical predictions to the
+// committed values from each, and from the golden converted to lamb1
+// now. The conversion must be the committed version-3 bytes, whether it
+// starts from jsonv1 or from version 2. This is the cross-build
+// forward-compat contract: a change that breaks these goldens breaks
+// every legacy registry in the field.
 func TestGoldenArtifacts(t *testing.T) {
 	for _, name := range []string{"tree", "forest", "pipeline", "hybrid"} {
 		t.Run(name, func(t *testing.T) {
@@ -386,6 +407,25 @@ func TestGoldenArtifacts(t *testing.T) {
 				t.Fatalf("converted golden detected as %s, want lamb1", binInfo.Format)
 			}
 			requireBitIdentical(t, "golden lamb1", want.Pred, predict(t, fromBin, want.X))
+			if binInfo.Version != lamb1VersionLatest || info.Version != 0 {
+				t.Fatalf("versions: jsonv1 %d, converted %d; want 0 and %d", info.Version, binInfo.Version, lamb1VersionLatest)
+			}
+
+			v3 := readLamb1Fixture(t, name, 3)
+			if !bytes.Equal(bin, v3) {
+				t.Fatal("the golden's lamb1 conversion is not the committed version-3 artifact")
+			}
+			for _, version := range []int{2, 3} {
+				fixture := readLamb1Fixture(t, name, version)
+				fromFixture, err := lamb1Codec{}.Decode(fixture, opts)
+				if err != nil {
+					t.Fatalf("decoding lamb1 v%d: %v", version, err)
+				}
+				requireBitIdentical(t, fmt.Sprintf("lamb1 v%d", version), want.Pred, predict(t, fromFixture, want.X))
+				if again := encode(t, lamb1Codec{}, fromFixture); !bytes.Equal(again, v3) {
+					t.Fatalf("lamb1 v%d re-encodes to other bytes than the committed version 3", version)
+				}
+			}
 		})
 	}
 }

@@ -11,19 +11,20 @@
 //
 //   - lamb1 — the format every artifact is written in: a versioned
 //     flat binary format, with magic, format version, model-kind header
-//     and CRC32-C trailer around each tree's node table as columns
-//     (feature, right, nSamples, threshold, value), little-endian and
+//     and CRC32-C trailer around each model's walk table, stored
+//     verbatim as 16-byte records (version 3), little-endian and
 //     8-byte aligned. Loading is one read-only file mapping (the
-//     registry's; DecodeOptions.Owner keeps it alive), slice-casting
-//     the columns out of it and one pack into the walk table, the only
-//     per-node allocation — no per-node decode, no heap copy of the
-//     file — which turns cold starts from a function of model size
-//     into an effectively constant mapping (see BenchmarkColdLoadBinary
-//     in internal/registry). A leaf's split fields (feature, threshold,
-//     right) are not part of the model: the walk table keeps only a
-//     leaf's value, so any leaf decodes to the same predictions and
-//     re-encodes as feature -1, threshold 0, right -1. Version-1 files
-//     (explicit left children) decode forever; new files are version 2.
+//     registry's; DecodeOptions.Owner keeps it alive), a CRC and one
+//     validation pass over the mapped records, which then are the walk
+//     table — no per-node decode, no heap copy of the file, no per-node
+//     allocation (see BenchmarkColdLoadBinary in internal/registry).
+//     Version-1 files (explicit left children) and version-2 files
+//     (five node columns) decode forever into a packed heap table; a
+//     leaf's split fields there (feature, threshold, right) are not
+//     part of the model, so any legacy leaf decodes to the same
+//     predictions and re-encodes as the canonical leaf record (feature
+//     -1, right 0). New files are version 3; registry Convert migrates
+//     the older versions.
 //   - jsonv1 — the original JSON encoding, read-only. Every registry
 //     written before the binary format keeps loading forever; this
 //     codec is the forward-compat contract (pinned by the goldens under
@@ -33,7 +34,7 @@
 //
 // Contracts callers rely on:
 //
-//   - Bit-identity: a legacy artifact (jsonv1 or lamb1 version 1)
+//   - Bit-identity: a legacy artifact (jsonv1 or lamb1 version 1 or 2)
 //     produces byte-identical predictions to its lamb1 conversion,
 //     asserted over the committed goldens and fixtures; a lamb1
 //     artifact decodes to predictions byte-identical to the model that

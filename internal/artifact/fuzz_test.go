@@ -146,8 +146,10 @@ func addFileSeeds(f *testing.F, pattern string, add func([]byte)) {
 // FuzzLAMB1Decode holds the lamb1 decoder to requireDecodeContract.
 // With fix set, the input's length field and CRC are made consistent
 // first, so mutations reach the payload decoder. Seeds: the committed
-// version-1, retired-quantised and retired-estimator artifacts, and
-// fresh version-2 ones.
+// artifacts of every version — among them the version-3 hybrid, whose
+// nested ML payload starts at byte 56, an odd word, so its records are
+// read in place at 8- but not 16-byte alignment — the retired-quantised
+// and retired-estimator artifacts, and fresh version-3 ones.
 func FuzzLAMB1Decode(f *testing.F) {
 	add := func(data []byte) {
 		f.Add(data, false)

@@ -18,12 +18,15 @@ import (
 // File layout (all integers little-endian):
 //
 //	offset  0  magic   [8]byte  "LAMB1\r\n\x00"
-//	offset  8  u32     format version (1 or 2)
+//	offset  8  u32     format version (1, 2 or 3; 3 is written)
 //	offset 12  u32     payload kind (1 = regressor, 2 = hybrid)
 //	offset 16  u64     payload length in bytes
 //	offset 24  []byte  payload (internal/ml + internal/hybrid binary
 //	                   encoding; starts 8-byte aligned, every array on
-//	                   its natural alignment — see ml/binary.go)
+//	                   its natural alignment — see ml/binary.go). In
+//	                   version 3 a model's nodes are its walk table's
+//	                   16-byte records, which a load on a little-endian
+//	                   host reads in place
 //	trailer    u32     CRC32-C over bytes [0, 24+payloadLen)
 //
 // The \r\n in the magic catches text-mode line-ending mangling the way
@@ -35,11 +38,13 @@ var lamb1Magic = [8]byte{'L', 'A', 'M', 'B', '1', '\r', '\n', 0}
 const (
 	// lamb1Version1 payloads carry explicit left-child arrays in every
 	// tree body; lamb1Version2 drops them (the canonical layout makes
-	// left implicit, shrinking tree bodies 25%). The header version
-	// equals the ml binary payload version, so decode threads it
-	// straight down. New artifacts are written at lamb1VersionLatest;
-	// both versions decode forever.
-	lamb1Version1      = 1
+	// left implicit, shrinking tree bodies 25%); lamb1VersionLatest (3)
+	// stores each model's packed walk table, 16 bytes a node where
+	// version 2 took 28. The header version equals the ml binary payload
+	// version, so decode threads it straight down. New artifacts are
+	// written at lamb1VersionLatest; every version decodes forever.
+	lamb1Version1      = ml.BinaryVersion1
+	lamb1Version2      = ml.BinaryVersion2
 	lamb1VersionLatest = ml.BinaryVersionLatest
 	lamb1HeaderLen     = 24
 	lamb1TrailerLen    = 4
@@ -62,21 +67,18 @@ func (lamb1Codec) Encode(w io.Writer, p *Payload) error {
 	}
 	// Encode the payload first: its length lives in the header and its
 	// bytes under the CRC, and append-style encoding lets the whole
-	// artifact be assembled in one buffer and written in one call.
-	// The capacity is a hint, not a second size walk: tree nodes are 28
-	// bytes each on the wire and dominate any artifact that is large,
-	// so sizing for them up front spares a 14 MB forest the dozens of
-	// grow-and-copy rounds append would take; append still corrects an
-	// under-estimate.
-	buf := make([]byte, lamb1HeaderLen, lamb1HeaderLen+28*p.Stats().Nodes+4096)
+	// artifact be assembled in one exact-size buffer — the payload is
+	// mostly one bulk copy of the walk table — and written in one call.
+	kind, size := lamb1KindRegressor, ml.BinaryLen(p.Regressor)
+	if p.Hybrid != nil {
+		kind, size = lamb1KindHybrid, hybrid.BinaryLen(p.Hybrid)
+	}
+	buf := make([]byte, lamb1HeaderLen, lamb1HeaderLen+size+lamb1TrailerLen)
 	copy(buf, lamb1Magic[:])
-	var kind uint32
 	var err error
 	if p.Hybrid != nil {
-		kind = lamb1KindHybrid
 		buf, err = hybrid.AppendBinary(buf, p.Hybrid)
 	} else {
-		kind = lamb1KindRegressor
 		buf, err = ml.AppendBinary(buf, p.Regressor)
 	}
 	if err != nil {
@@ -102,8 +104,8 @@ func (lamb1Codec) Decode(data []byte, opts DecodeOptions) (*Payload, error) {
 		return nil, corrupt1("bad magic %q", data[:8])
 	}
 	version := binary.LittleEndian.Uint32(data[8:12])
-	if version != lamb1Version1 && version != lamb1VersionLatest {
-		return nil, corrupt1("unsupported format version %d (this build reads %d and %d)",
+	if version < lamb1Version1 || version > lamb1VersionLatest {
+		return nil, corrupt1("unsupported format version %d (this build reads %d to %d)",
 			version, lamb1Version1, lamb1VersionLatest)
 	}
 	kind := binary.LittleEndian.Uint32(data[12:16])
@@ -161,8 +163,8 @@ func lamb1TrailerCRC(data []byte) uint32 {
 
 // lamb1FormatVersion reads the header version of an already-decoded
 // artifact (callers guarantee the header is present and valid).
-func lamb1FormatVersion(data []byte) uint32 {
-	return binary.LittleEndian.Uint32(data[8:12])
+func lamb1FormatVersion(data []byte) int {
+	return int(binary.LittleEndian.Uint32(data[8:12]))
 }
 
 // alignedPayload returns the payload bytes at 8-byte base alignment so
@@ -171,7 +173,8 @@ func lamb1FormatVersion(data []byte) uint32 {
 // file mapping (page-aligned) and every Go heap allocation of this size
 // are — the payload alias is returned as-is, zero-copy. A misaligned
 // buffer (a caller slicing into the middle of something) falls back to
-// one bulk copy into uint64-backed storage.
+// one bulk copy into uint64-backed storage, which a version-3 model
+// then reads as its walk table.
 func alignedPayload(payload []byte) []byte {
 	if len(payload) == 0 || uintptr(unsafe.Pointer(&payload[0]))%8 == 0 {
 		return payload

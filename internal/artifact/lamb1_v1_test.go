@@ -1,8 +1,6 @@
 package artifact
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"lam/internal/hybrid"
@@ -17,18 +15,6 @@ import (
 // testdata/lamb1_v1_*.lamb (written by the last build that had it, PR 23)
 // and are the compatibility contract.
 
-func readV1Fixture(t testing.TB, name string) []byte {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "lamb1_v1_"+name+".lamb"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := lamb1FormatVersion(data); v != lamb1Version1 {
-		t.Fatalf("%s: fixture header says version %d, want %d", name, v, lamb1Version1)
-	}
-	return data
-}
-
 // TestLamb1V1Decode checks every fixture's committed version-1 artifact
 // decodes to the predictions pinned beside the jsonv1 goldens and to a
 // fresh fit's, bit for bit, and that Inspect reports the legacy
@@ -38,7 +24,7 @@ func TestLamb1V1Decode(t *testing.T) {
 		t.Run(fx.name, func(t *testing.T) {
 			_, want := readGolden(t, fx.name)
 
-			info, decoded, err := Inspect(readV1Fixture(t, fx.name), DecodeOptions{})
+			info, decoded, err := Inspect(readLamb1Fixture(t, fx.name, 1), DecodeOptions{})
 			if err != nil {
 				t.Fatalf("v1 Inspect: %v", err)
 			}
@@ -66,7 +52,7 @@ func TestLamb1V1DecodeHybrid(t *testing.T) {
 	m, probe := fitHybrid(t, hybrid.Config{Seed: 1, Mode: hybrid.ResidualMode, NewML: v1HybridML})
 	want := predict(t, &Payload{Hybrid: m}, probe)
 
-	decoded, err := lamb1Codec{}.Decode(readV1Fixture(t, "hybrid"), DecodeOptions{Analytical: testAM})
+	decoded, err := lamb1Codec{}.Decode(readLamb1Fixture(t, "hybrid", 1), DecodeOptions{Analytical: testAM})
 	if err != nil {
 		t.Fatalf("v1 hybrid decode: %v", err)
 	}
@@ -77,8 +63,9 @@ func TestLamb1V1DecodeHybrid(t *testing.T) {
 }
 
 // TestLamb1VersionReporting pins the header versions and the Inspect
-// node-layout field across the format generations: new artifacts are
-// v2 implicit-left; a jsonv1 golden stays explicit-children.
+// version and node-layout fields across the format generations: new
+// artifacts are v3 implicit-left, legacy only before that; a jsonv1
+// golden stays explicit-children and versionless.
 func TestLamb1VersionReporting(t *testing.T) {
 	reg, _ := fitFixture(t, fixtures[1].build) // forest
 	p := &Payload{Regressor: reg}
@@ -91,8 +78,18 @@ func TestLamb1VersionReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.NodeLayout != "implicit-left" {
-		t.Fatalf("v2 node layout %q, want implicit-left", info.NodeLayout)
+	if info.NodeLayout != "implicit-left" || info.Version != lamb1VersionLatest || info.Legacy() {
+		t.Fatalf("new artifact: layout %q, version %d, legacy %v; want implicit-left, %d, false",
+			info.NodeLayout, info.Version, info.Legacy(), lamb1VersionLatest)
+	}
+	for _, version := range []int{1, 2} {
+		legacy, _, err := Inspect(readLamb1Fixture(t, "forest", version), DecodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if legacy.Version != version || !legacy.Legacy() {
+			t.Fatalf("v%d fixture: version %d, legacy %v", version, legacy.Version, legacy.Legacy())
+		}
 	}
 
 	jdata, _ := readGolden(t, "forest")
@@ -100,7 +97,7 @@ func TestLamb1VersionReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jinfo.NodeLayout != "explicit-children" {
-		t.Fatalf("jsonv1 node layout %q, want explicit-children", jinfo.NodeLayout)
+	if jinfo.NodeLayout != "explicit-children" || jinfo.Version != 0 || !jinfo.Legacy() {
+		t.Fatalf("jsonv1: layout %q, version %d, legacy %v; want explicit-children, 0, true", jinfo.NodeLayout, jinfo.Version, jinfo.Legacy())
 	}
 }

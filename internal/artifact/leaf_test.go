@@ -38,7 +38,7 @@ func lamb1Tree(leafFeature int32, leafThreshold float64, leafRight int32) []byte
 		threshold = le.AppendUint64(threshold, math.Float64bits(thr))
 	}
 	buf := append([]byte(nil), lamb1Magic[:]...)
-	buf = le.AppendUint32(buf, lamb1VersionLatest)
+	buf = le.AppendUint32(buf, lamb1Version2)
 	buf = le.AppendUint32(buf, lamb1KindRegressor)
 	buf = le.AppendUint64(buf, 0) // payload length, set by reframe
 	// Kind (tree); node, feature and importance counts; the config
@@ -75,19 +75,23 @@ func soaPredict(x []float64) float64 {
 	return leafTable.value[i]
 }
 
-// TestLeafSplitFieldsAreNotModel pins leaf normalisation: an artifact
-// whose leaves carry split fields no fit writes (feature -7, threshold
-// 3.5, right 7 — out of range, which a leaf may be) decodes, predicts
-// exactly what its column reading does, and re-encodes with canonical
-// leaves (feature -1, threshold 0, right -1) — byte for byte the
-// artifact that wrote them so — after which re-encoding is a fixed
-// point. The packed walk table keeps no leaf split fields, so they
-// cannot survive a round trip.
+// TestLeafSplitFieldsAreNotModel pins leaf normalisation: a version-2
+// artifact whose leaves carry split fields no fit writes (feature -7,
+// threshold 3.5, right 7 — out of range, which a legacy leaf may be)
+// decodes, predicts exactly what its column reading does, and
+// re-encodes with canonical leaves — byte for byte what the artifact
+// that wrote them so (feature -1, threshold 0, right -1) re-encodes
+// to — after which re-encoding is a fixed point. The packed walk table
+// keeps no leaf split fields, so they cannot survive a round trip.
 func TestLeafSplitFieldsAreNotModel(t *testing.T) {
 	odd, canonical := lamb1Tree(-7, 3.5, 7), lamb1Tree(-1, 0, -1)
 	p, err := lamb1Codec{}.Decode(odd, DecodeOptions{})
 	if err != nil {
 		t.Fatalf("odd leaves refused: %v", err)
+	}
+	fromCanonical, err := lamb1Codec{}.Decode(canonical, DecodeOptions{})
+	if err != nil {
+		t.Fatalf("canonical leaves refused: %v", err)
 	}
 	for _, a := range []float64{-2, -1, -0.5, 0.25, 0.3, math.NaN()} {
 		for _, b := range []float64{-1, 0.25, 0.26, 3, math.NaN()} {
@@ -98,8 +102,8 @@ func TestLeafSplitFieldsAreNotModel(t *testing.T) {
 		}
 	}
 	once := encode(t, lamb1Codec{}, p)
-	if !bytes.Equal(once, canonical) {
-		t.Fatalf("re-encoding kept leaf split fields:\n got %x\nwant %x", once, canonical)
+	if want := encode(t, lamb1Codec{}, fromCanonical); !bytes.Equal(once, want) {
+		t.Fatalf("re-encoding kept leaf split fields:\n got %x\nwant %x", once, want)
 	}
 	again, err := lamb1Codec{}.Decode(once, DecodeOptions{})
 	if err != nil {

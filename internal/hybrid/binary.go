@@ -15,7 +15,9 @@ import (
 // the caller. The body is a fixed 32-byte header (mode, aggregate flag,
 // aggregate weight, feature arity — all 8-byte little-endian words, so
 // the nested ML section stays 8-byte aligned) followed by the ML
-// component in internal/ml's binary encoding.
+// component in internal/ml's binary encoding. Inside a lamb1 file the
+// ML section starts at byte 56, an odd word: its records need only
+// 8-byte alignment to be read in place.
 
 // ML returns the fitted ML component (nil before training). The
 // artifact layer uses it for structural introspection (lam-model info);
@@ -43,13 +45,21 @@ func AppendBinary(buf []byte, m *Model) ([]byte, error) {
 	return out, nil
 }
 
+// BinaryLen returns the number of bytes AppendBinary writes for a
+// trained m (see ml.BinaryLen).
+func BinaryLen(m *Model) int {
+	if m == nil || m.mlModel == nil {
+		return 0
+	}
+	return 32 + ml.BinaryLen(m.mlModel)
+}
+
 // DecodeBinaryVersion restores a hybrid model encoded by AppendBinary,
 // reattaching the analytical model, and consumes the whole input.
 // version is the ML payload version — the artifact layer passes the
-// lamb1 header version down so version-1 artifacts (whose tree bodies
-// still carry explicit left arrays) keep decoding forever. owner keeps
-// data valid while the ML component's trees alias it, as in
-// ml.DecodeBinaryVersion. Corruption (short header, trailing bytes, a
+// lamb1 header version down so artifacts of every earlier version keep
+// decoding forever. owner keeps data valid while the ML component's
+// walk table aliases it, as in ml.DecodeBinaryVersion. Corruption (short header, trailing bytes, a
 // mangled ML section, parts that disagree — see checkDecoded) wraps
 // lamerr.ErrCorruptArtifact.
 func DecodeBinaryVersion(data []byte, am AnalyticalModel, version int, owner any) (*Model, error) {

@@ -11,28 +11,31 @@ import (
 )
 
 // Binary model encoding: the payload layer of the lamb1 artifact format
-// (see internal/artifact). Where the JSON encoding spells every node
-// out as a document, this encoding writes each tree's node table as
-// columns — feature/right/nSamples ([]int32) and threshold/value
-// ([]float64; version 1 also a left column) — little-endian, so
-// decoding a tree ensemble is a handful of bounds checks, slice-casts
-// of the columns straight out of the file buffer (zero-copy on a
-// little-endian machine; big-endian or misaligned inputs take a bulk
-// conversion) and one pack into the walk table, the only per-node
-// allocation. Once packed, only a tree's value and nSamples columns
-// alias the input; every other vector (importances, scaler state) is
-// O(features) and copied, so the input stays pinned by the trees alone
-// (see DecodeBinaryVersion's owner). A leaf's split fields are not part
-// of the model: every leaf is written as feature -1, threshold 0 and
-// right -1.
+// (see internal/artifact). Version 3, the one written, stores a model's
+// walk table verbatim: one contiguous block of 16-byte records — the
+// split threshold or leaf value (f64), the feature (i32, -1 for a
+// leaf) and the right child (i32, absolute in the block, 0 for a leaf)
+// — followed by the per-tree root column. Encoding is a bulk copy of
+// the table; decoding a tree ensemble is a handful of bounds checks, one
+// branch-free validation pass over the records (adoptRecords) and, on a
+// little-endian host reading an aligned buffer, no copy at all: the
+// input's records become the walk table. A big-endian host or a
+// misaligned buffer copies the block once. The only per-node state is
+// the record: no per-node mean or sample count is stored.
+//
+// Versions 1 and 2 wrote each tree's node table as columns —
+// feature/right/nSamples ([]int32) and threshold/value ([]float64;
+// version 1 also a left column) — and are decoded forever, by packing
+// the columns into a fresh heap table (compileEnsemble), but never
+// written. Nothing decoded from them aliases the input.
 //
 // The layout discipline, relied on for the casts:
 //
 //   - Every scalar is a fixed 8-byte little-endian word (u64/i64/f64),
 //     so sections never perturb alignment.
-//   - []int32 arrays are written in groups of four (4·4n bytes), so a
-//     group is always a multiple of 8 bytes and any following []float64
-//     stays 8-byte aligned.
+//   - Records are 16 bytes. An []int32 array is followed by zero
+//     padding to a multiple of 8 bytes (version 2 padded its three
+//     node columns as one group; version 1's four needed none).
 //   - Consequently every section is a multiple of 8 bytes long and, as
 //     long as the caller hands Decode an 8-byte-aligned buffer (the
 //     artifact layer guarantees it), every array lands on its natural
@@ -41,8 +44,8 @@ import (
 // Integrity: the artifact layer CRC-checks the whole file before the
 // payload is decoded, so these decoders mainly defend structure —
 // counts are bounded by the remaining input before any allocation, and
-// node tables go through the same validate() pass as the JSON path.
-// Every failure wraps lamerr.ErrCorruptArtifact; nothing panics.
+// every node table is validated before a walk can reach it. Every
+// failure wraps lamerr.ErrCorruptArtifact; nothing panics.
 
 // Binary model-kind tags. Values are part of the on-disk format; never
 // renumber, only append.
@@ -73,11 +76,13 @@ var retiredBinKinds = map[uint64]string{
 // version and passes it down here). Version 1 tree bodies store an
 // explicit left-child array; version 2 drops it — the runtime layout
 // is canonical implicit-left preorder (left == i+1), so the column is
-// pure redundancy. Encoding always writes the current version;
-// decoding accepts both.
+// pure redundancy; version 3 stores the packed walk table itself.
+// Encoding always writes the latest version; decoding accepts all
+// three.
 const (
 	BinaryVersion1      = 1
-	BinaryVersionLatest = 2
+	BinaryVersion2      = 2
+	BinaryVersionLatest = 3
 )
 
 // nativeLittleEndian reports whether the host stores multi-byte words
@@ -156,39 +161,41 @@ func appendTreeConfig(buf []byte, cfg TreeConfig) []byte {
 	return appendI64(buf, cfg.Seed)
 }
 
-// appendTreeBody writes one fitted tree (config, importances and its
-// node table as columns) without a kind tag — forests embed member
-// trees directly since their members are trees by construction.
-// Bodies carry three int32 arrays per tree (feature, right, nSamples —
-// the left column is implicit in the canonical layout), so an odd node
-// count needs 4 bytes of padding to keep the following float64 arrays
-// 8-byte aligned. The split columns are read back from the packed
-// records (CompiledTree.split) and stored node by node.
-func appendTreeBody(buf []byte, t *DecisionTree) []byte {
-	c := &t.nodes
-	n := c.Len()
-	buf = appendU64(buf, uint64(n))
-	buf = appendU64(buf, uint64(t.nFeatures))
-	buf = appendU64(buf, uint64(len(t.importances)))
+// appendMember writes what a version-3 tree keeps beside its records:
+// its config and importances.
+func appendMember(buf []byte, t *DecisionTree) []byte {
 	buf = appendTreeConfig(buf, t.Config)
-	buf = appendF64s(buf, t.importances)
-	buf = slices.Grow(buf, 28*n+pad8(3*n, 4)) // every column below is written in full
-	feature, right := len(buf), len(buf)+4*n
-	buf = appendPad8(appendI32s(buf[:right+4*n], c.nSamples), 3*n, 4)
-	threshold := len(buf)
-	buf = buf[:threshold+8*n]
-	for i := range n {
-		f, thr, r := c.split(i)
-		binary.LittleEndian.PutUint32(buf[feature+4*i:], uint32(f))
-		binary.LittleEndian.PutUint32(buf[right+4*i:], uint32(r))
-		binary.LittleEndian.PutUint64(buf[threshold+8*i:], math.Float64bits(thr))
-	}
-	return appendF64s(buf, c.value)
+	buf = appendU64(buf, uint64(len(t.importances)))
+	return appendF64s(buf, t.importances)
 }
+
+func memberLen(t *DecisionTree) int { return 56 + 8*len(t.importances) }
+
+// appendNodes writes a version-3 node block: the record count, the
+// records of hot with right children taken relative to hot[0] (whose
+// fused index is base), and the root column. A walk table's records
+// are already canonical, so on a little-endian host a table at base 0
+// — every forest's, every standalone tree's — is one bulk copy.
+func appendNodes(buf []byte, hot []hotNode, base int32, roots []int32) []byte {
+	buf = appendU64(buf, uint64(len(hot)))
+	if nativeLittleEndian && base == 0 {
+		buf = append(buf, unsafe.Slice((*byte)(unsafe.Pointer(&hot[0])), 16*len(hot))...)
+	} else {
+		for _, n := range hot {
+			buf = appendF64(buf, n.threshold)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(n.feature))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(n.right-base&^(n.feature>>31)))
+		}
+	}
+	return appendPad8(appendI32s(buf, roots), len(roots), 4)
+}
+
+func nodesLen(nodes, trees int) int { return 8 + 16*nodes + 4*trees + pad8(trees, 4) }
 
 // AppendBinary appends the binary encoding of a fitted regressor to buf
 // and returns the extended slice: a fitted DecisionTree, Forest, or
-// Pipeline wrapping either. It is the only model writer; LoadModel's
+// Pipeline wrapping either, at BinaryVersionLatest. It is the only
+// model writer, and it writes exactly BinaryLen(m) bytes; LoadModel's
 // legacy JSON documents decode to the same predictions.
 func AppendBinary(buf []byte, m Regressor) ([]byte, error) {
 	switch v := m.(type) {
@@ -196,7 +203,11 @@ func AppendBinary(buf []byte, m Regressor) ([]byte, error) {
 		if !v.IsFitted() {
 			return nil, fmt.Errorf("ml: cannot save unfitted DecisionTree")
 		}
-		return appendTreeBody(appendU64(buf, binKindTree), v), nil
+		buf = appendU64(buf, binKindTree)
+		buf = appendU64(buf, uint64(v.nFeatures))
+		buf = appendMember(buf, v)
+		c := &v.nodes
+		return appendNodes(buf, c.hot[c.root:], c.root, []int32{0}), nil
 	case *Forest:
 		if len(v.trees) == 0 {
 			return nil, fmt.Errorf("ml: cannot save unfitted Forest")
@@ -209,9 +220,9 @@ func AppendBinary(buf []byte, m Regressor) ([]byte, error) {
 		buf = appendTreeConfig(buf, v.Tree)
 		buf = appendU64(buf, uint64(len(v.trees)))
 		for _, t := range v.trees {
-			buf = appendTreeBody(buf, t)
+			buf = appendMember(buf, t)
 		}
-		return buf, nil
+		return appendNodes(buf, v.compiled.hot, 0, v.compiled.roots), nil
 	case *Pipeline:
 		if !v.fitted {
 			return nil, fmt.Errorf("ml: cannot save unfitted Pipeline")
@@ -226,21 +237,47 @@ func AppendBinary(buf []byte, m Regressor) ([]byte, error) {
 	}
 }
 
+// BinaryLen returns the number of bytes AppendBinary writes for m, so
+// a writer can size its buffer once; 0 for a model it refuses.
+func BinaryLen(m Regressor) int {
+	switch v := m.(type) {
+	case *DecisionTree:
+		if !v.IsFitted() {
+			return 0
+		}
+		return 16 + memberLen(v) + nodesLen(v.nodes.Len(), 1)
+	case *Forest:
+		if len(v.trees) == 0 {
+			return 0
+		}
+		n := 8*12 + nodesLen(len(v.compiled.hot), len(v.trees))
+		for _, t := range v.trees {
+			n += memberLen(t)
+		}
+		return n
+	case *Pipeline:
+		if !v.fitted {
+			return 0
+		}
+		return 16 + 16*len(v.scaler.mean) + BinaryLen(v.Model)
+	default:
+		return 0
+	}
+}
+
 // --- decoding -------------------------------------------------------
 
 // binReader walks a binary payload with bounds-checked, typed reads.
-// Node-column reads slice-cast in place when the host is little-endian
-// and the underlying bytes are naturally aligned (always, given an
-// aligned buffer — see the layout discipline above); otherwise they
-// fall back to a bulk element-wise conversion.
+// Array reads slice-cast in place when the host is little-endian and
+// the underlying bytes are naturally aligned (always, given an aligned
+// buffer — see the layout discipline above); otherwise they fall back
+// to a bulk element-wise conversion.
 type binReader struct {
-	data []byte
-	off  int
-	// v1 selects the legacy payload layout: tree bodies carry an
-	// explicit left-child array (and no odd-count padding).
-	v1 bool
-	// keep is the owner of data, stored in every decoded tree whose
-	// value and nSamples columns alias it (see DecodeBinaryVersion).
+	data    []byte
+	off     int
+	version int
+	// keep is the owner of data, held by every decoded tree and
+	// ensemble whose records alias it (see DecodeBinaryVersion).
 	keep any
 }
 
@@ -282,8 +319,21 @@ func (r *binReader) count(elemSize int) (int, error) {
 	return int(v), nil
 }
 
-// f64Column reads a tree's n-node float64 column, aliasing the input
-// when it can.
+// features reads a model's feature arity: at least one, and few enough
+// for an int32 split feature to name.
+func (r *binReader) features() (int, error) {
+	n, err := r.u64()
+	if err != nil {
+		return 0, err
+	}
+	if n < 1 || n > math.MaxInt32 {
+		return 0, corruptf("tree over %d features", n)
+	}
+	return int(n), nil
+}
+
+// f64Column reads a legacy tree's n-node float64 column, aliasing the
+// input when it can.
 func (r *binReader) f64Column(n int) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
@@ -302,8 +352,8 @@ func (r *binReader) f64Column(n int) ([]float64, error) {
 	return out, nil
 }
 
-// i32Column reads a tree's n-node int32 column, aliasing the input
-// when it can.
+// i32Column reads a legacy tree's n-node int32 column, aliasing the
+// input when it can.
 func (r *binReader) i32Column(n int) ([]int32, error) {
 	if n == 0 {
 		return nil, nil
@@ -336,7 +386,7 @@ func (r *binReader) skipPad(elems, size int) error {
 
 func (r *binReader) treeConfig() (TreeConfig, error) {
 	var cfg TreeConfig
-	vals := make([]int64, 6)
+	var vals [6]int64
 	for i := range vals {
 		v, err := r.i64()
 		if err != nil {
@@ -353,20 +403,91 @@ func (r *binReader) treeConfig() (TreeConfig, error) {
 	return cfg, nil
 }
 
-// treeBody reads one tree body: the tree, still unpacked, and its node
-// table for compileEnsemble.
+// member reads what a version-3 tree over nFeat features keeps beside
+// its records (appendMember).
+func (r *binReader) member(nFeat int) (DecisionTree, error) {
+	cfg, err := r.treeConfig()
+	if err != nil {
+		return DecisionTree{}, err
+	}
+	nImp, err := r.count(8)
+	if err != nil {
+		return DecisionTree{}, err
+	}
+	imp, err := r.f64s(nImp)
+	if err != nil {
+		return DecisionTree{}, err
+	}
+	return DecisionTree{Config: cfg, nFeatures: nFeat, importances: imp}, nil
+}
+
+// nodes reads a version-3 node block (appendNodes) and adopts it as the
+// walk table of trees, whose arity is nFeat.
+func (r *binReader) nodes(trees []*DecisionTree, nFeat int) (*CompiledEnsemble, error) {
+	n, err := r.count(16)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 || n > math.MaxInt32 {
+		return nil, corruptf("node block of %d records", n)
+	}
+	b, err := r.bytes(16 * n)
+	if err != nil {
+		return nil, err
+	}
+	hot, keep := r.records(b)
+	rb, err := r.bytes(4 * len(trees))
+	if err != nil {
+		return nil, err
+	}
+	if err := r.skipPad(len(trees), 4); err != nil {
+		return nil, err
+	}
+	roots := make([]int32, len(trees))
+	for t := range roots {
+		roots[t] = int32(binary.LittleEndian.Uint32(rb[4*t:]))
+	}
+	e, err := adoptRecords(trees, hot, roots, nFeat, keep)
+	if err != nil {
+		return nil, corruptf("%v", err)
+	}
+	return e, nil
+}
+
+// records returns the record block b as a walk table and the owner a
+// model must hold to keep reading it: b itself and the reader's owner
+// when the host is little-endian and b is 8-byte aligned, else a copy
+// and no owner. Nothing writes the table afterwards: a refit grows a
+// new one.
+func (r *binReader) records(b []byte) ([]hotNode, any) {
+	n := len(b) / 16
+	if nativeLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
+		return unsafe.Slice((*hotNode)(unsafe.Pointer(&b[0])), n), r.keep
+	}
+	hot := make([]hotNode, n)
+	for i := range hot {
+		rec := b[16*i : 16*i+16]
+		hot[i] = hotNode{
+			threshold: math.Float64frombits(binary.LittleEndian.Uint64(rec)),
+			feature:   int32(binary.LittleEndian.Uint32(rec[8:])),
+			right:     int32(binary.LittleEndian.Uint32(rec[12:])),
+		}
+	}
+	return hot, nil
+}
+
+// treeBody reads one legacy (version 1 or 2) tree body: the tree, still
+// unpacked, and its node table for compileEnsemble. The per-node sample
+// counts are skipped: they are not part of the model.
 func (r *binReader) treeBody() (*DecisionTree, nodeTable, error) {
 	var c nodeTable
 	nNodes, err := r.count(4)
 	if err != nil {
 		return nil, c, err
 	}
-	nFeat, err := r.u64()
+	nFeat, err := r.features()
 	if err != nil {
 		return nil, c, err
-	}
-	if nFeat < 1 || nFeat > math.MaxInt32 {
-		return nil, c, corruptf("tree over %d features", nFeat)
 	}
 	nImp, err := r.count(8)
 	if err != nil {
@@ -380,11 +501,12 @@ func (r *binReader) treeBody() (*DecisionTree, nodeTable, error) {
 	if err != nil {
 		return nil, c, err
 	}
+	v1 := r.version == BinaryVersion1
 	var left []int32
 	if c.feature, err = r.i32Column(nNodes); err != nil {
 		return nil, c, err
 	}
-	if r.v1 {
+	if v1 {
 		// Legacy layout: explicit left column, four int32 arrays (a
 		// multiple of 8 bytes for any node count, so no padding).
 		if left, err = r.i32Column(nNodes); err != nil {
@@ -394,10 +516,10 @@ func (r *binReader) treeBody() (*DecisionTree, nodeTable, error) {
 	if c.right, err = r.i32Column(nNodes); err != nil {
 		return nil, c, err
 	}
-	if c.nSamples, err = r.i32Column(nNodes); err != nil {
+	if _, err = r.bytes(4 * nNodes); err != nil { // nSamples
 		return nil, c, err
 	}
-	if !r.v1 {
+	if !v1 {
 		if err := r.skipPad(3*nNodes, 4); err != nil {
 			return nil, c, err
 		}
@@ -408,21 +530,19 @@ func (r *binReader) treeBody() (*DecisionTree, nodeTable, error) {
 	if c.value, err = r.f64Column(nNodes); err != nil {
 		return nil, c, err
 	}
-	if r.v1 {
+	if v1 {
 		// Fold the explicit children back into canonical implicit-left
 		// form. Every table this codebase ever wrote is already
 		// canonical, so this validates and adopts the zero-copy arrays
 		// without moving a node; foreign-but-valid orders are permuted
 		// (prediction-bit-identical).
-		if c, err = canonicalTree(c.feature, c.threshold, c.value, left, c.right, c.nSamples, int(nFeat)); err != nil {
+		if c, err = canonicalTree(c.feature, c.threshold, c.value, left, c.right, nFeat); err != nil {
 			return nil, c, corruptf("%v", err)
 		}
-	} else if err := c.validate(int(nFeat)); err != nil {
+	} else if err := c.validate(nFeat); err != nil {
 		return nil, c, corruptf("%v", err)
 	}
-	t := &DecisionTree{Config: cfg, nFeatures: int(nFeat), importances: imp}
-	t.nodes.keep = r.keep
-	return t, c, nil
+	return &DecisionTree{Config: cfg, nFeatures: nFeat, importances: imp}, c, nil
 }
 
 // DecodeBinaryVersion restores a regressor payload encoded by
@@ -430,14 +550,15 @@ func (r *binReader) treeBody() (*DecisionTree, nodeTable, error) {
 // the whole input. Trailing bytes are treated as corruption — the
 // artifact layer frames payloads with an exact length. The artifact
 // layer reads the version from the lamb1 header and passes it down, so
-// files written before the implicit-left layout keep decoding forever.
+// files written by every earlier writer keep decoding forever.
 //
-// The decoded trees' value and nSamples columns alias data, which the
-// decoder never writes. owner is what keeps data valid: every such
-// tree holds it, so data lives exactly as long as some tree reads it.
-// Pass nil when data is Go heap memory, which the aliases keep alive
-// on their own; pass the mapping's owner when data is a file mapping
-// released once its owner is unreachable.
+// A version-3 model's walk table aliases data, which the decoder and
+// the model never write. owner is what keeps data valid: every tree and
+// ensemble reading it holds it, so data lives exactly as long as some
+// model reads it. Pass nil when data is Go heap memory, which the
+// aliases keep alive on their own; pass the mapping's owner when data
+// is a file mapping released once its owner is unreachable. Either
+// way, data must not change while a decoded model is in use.
 func DecodeBinaryVersion(data []byte, version int, owner any) (Regressor, error) {
 	r, err := newBinReader(data, version, owner)
 	if err != nil {
@@ -470,14 +591,10 @@ func DecodeBinaryPrefixVersion(data []byte, version int, owner any) (Regressor, 
 }
 
 func newBinReader(data []byte, version int, owner any) (*binReader, error) {
-	switch version {
-	case BinaryVersion1:
-		return &binReader{data: data, v1: true, keep: owner}, nil
-	case BinaryVersionLatest:
-		return &binReader{data: data, keep: owner}, nil
-	default:
+	if version < BinaryVersion1 || version > BinaryVersionLatest {
 		return nil, corruptf("unsupported binary payload version %d", version)
 	}
+	return &binReader{data: data, version: version, keep: owner}, nil
 }
 
 func decodeModelBinary(r *binReader) (Regressor, error) {
@@ -487,14 +604,28 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 	}
 	switch kind {
 	case binKindTree:
-		t, c, err := r.treeBody()
+		if r.version < BinaryVersionLatest {
+			t, c, err := r.treeBody()
+			if err != nil {
+				return nil, err
+			}
+			if _, err := compileEnsemble([]*DecisionTree{t}, []nodeTable{c}); err != nil {
+				return nil, corruptf("%v", err)
+			}
+			return t, nil
+		}
+		nFeat, err := r.features()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := compileEnsemble([]*DecisionTree{t}, []nodeTable{c}); err != nil {
-			return nil, corruptf("%v", err)
+		t, err := r.member(nFeat)
+		if err != nil {
+			return nil, err
 		}
-		return t, nil
+		if _, err := r.nodes([]*DecisionTree{&t}, nFeat); err != nil {
+			return nil, err
+		}
+		return &t, nil
 	case binKindForest:
 		nTreesCfg, err := r.i64()
 		if err != nil {
@@ -508,7 +639,7 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 		if err != nil {
 			return nil, err
 		}
-		nFeat, err := r.u64()
+		nFeat, err := r.features()
 		if err != nil {
 			return nil, err
 		}
@@ -516,8 +647,13 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 		if err != nil {
 			return nil, err
 		}
-		// A member tree body is at least its 9-word header.
-		n, err := r.count(72)
+		// A member is at least its config and importance count: seven
+		// words in version 3, and in a legacy tree body two more.
+		minMember := 56
+		if r.version < BinaryVersionLatest {
+			minMember = 72
+		}
+		n, err := r.count(minMember)
 		if err != nil {
 			return nil, err
 		}
@@ -527,20 +663,31 @@ func decodeModelBinary(r *binReader) (Regressor, error) {
 		// n is bounded by the payload, so the exact-size lists cost at
 		// most a small multiple of the input.
 		f := &Forest{NTrees: int(nTreesCfg), Tree: cfg, Bootstrap: bootstrap != 0,
-			Seed: seed, nFeatures: int(nFeat), trees: make([]*DecisionTree, 0, n)}
-		tables := make([]nodeTable, 0, n)
-		for i := 0; i < n; i++ {
-			t, c, err := r.treeBody()
-			if err != nil {
+			Seed: seed, nFeatures: nFeat, trees: make([]*DecisionTree, n)}
+		if r.version < BinaryVersionLatest {
+			tables := make([]nodeTable, n)
+			for i := range f.trees {
+				if f.trees[i], tables[i], err = r.treeBody(); err != nil {
+					return nil, fmt.Errorf("forest tree %d: %w", i, err)
+				}
+				if got := f.trees[i].nFeatures; got != nFeat {
+					return nil, corruptf("forest over %d features holds tree %d over %d", nFeat, i, got)
+				}
+			}
+			if f.compiled, err = compileEnsemble(f.trees, tables); err != nil {
+				return nil, corruptf("%v", err)
+			}
+			return f, nil
+		}
+		slab := make([]DecisionTree, n)
+		for i := range slab {
+			if slab[i], err = r.member(nFeat); err != nil {
 				return nil, fmt.Errorf("forest tree %d: %w", i, err)
 			}
-			if uint64(t.nFeatures) != nFeat {
-				return nil, corruptf("forest over %d features holds tree %d over %d", nFeat, i, t.nFeatures)
-			}
-			f.trees, tables = append(f.trees, t), append(tables, c)
+			f.trees[i] = &slab[i]
 		}
-		if f.compiled, err = compileEnsemble(f.trees, tables); err != nil {
-			return nil, corruptf("%v", err)
+		if f.compiled, err = r.nodes(f.trees, nFeat); err != nil {
+			return nil, fmt.Errorf("forest over %d features: %w", nFeat, err)
 		}
 		return f, nil
 	case binKindPipeline:

@@ -25,16 +25,17 @@ func b2i32(b bool) int32 {
 // conditional move instead of a branch (see predictHot), so the CPU
 // never mispredicts data-dependent splits.
 //
-// A fit grows each tree straight into the walk table (growth); a
-// decoder reads a tree as a nodeTable, which compileEnsemble packs. A
-// tree keeps only what the records lack (CompiledTree). The walk is
-// bit-identical to the recursive form: the node ordering, thresholds
-// and comparison directions are unchanged, only the storage differs
-// (asserted exhaustively by TestCompiledEquivalence in
+// The table is the whole model: a fit grows each tree straight into it
+// (growth), a lamb1 version-3 decode adopts the file's records as it
+// (adoptRecords), and only the legacy decoders (lamb1 versions 1 and 2,
+// jsonv1) read a tree as a nodeTable, which compileEnsemble packs. The
+// walk is bit-identical to the recursive form: the node ordering,
+// thresholds and comparison directions are unchanged, only the storage
+// differs (asserted exhaustively by TestCompiledEquivalence in
 // compiled_test.go).
 
 // nodeTable is one tree's nodes in canonical preorder, one column per
-// field — the on-disk layout, which no model keeps. Leaves have
+// field — the legacy on-disk layout, which no model keeps. Leaves have
 // feature[i] < 0; internal nodes keep their left child at i+1 and their
 // right child at right[i] > i+1, so a walk always terminates.
 type nodeTable struct {
@@ -42,59 +43,46 @@ type nodeTable struct {
 	threshold []float64
 	value     []float64
 	right     []int32
-	nSamples  []int32
 }
 
 // CompiledTree is one fitted regression tree: a range of a packed walk
 // table — its ensemble's fused table for a forest member, its own for a
-// standalone tree — plus the two columns the records lack. The zero
-// value is an empty (unfitted) tree.
+// standalone tree. The zero value is an empty (unfitted) tree.
 type CompiledTree struct {
 	// hot ends at the tree's last record; hot[root] is its root.
 	hot  []hotNode
 	root int32
-	// value is the per-node mean response and nSamples the per-node
-	// sample count: persistence state the walk never reads.
-	value    []float64
-	nSamples []int32
-	// keep owns the file mapping value and nSamples alias when they
-	// were decoded in place; holding it keeps the mapping alive.
+	// keep owns the file mapping hot aliases when the tree was decoded
+	// in place; holding it keeps the mapping alive.
 	keep any
 }
 
 // Len returns the number of nodes.
-func (c *CompiledTree) Len() int { return len(c.value) }
-
-// split returns node i's split fields as the tree builder writes them.
-// A packed leaf keeps none of them, so every leaf reads feature -1,
-// threshold 0 and right -1 whatever the table it was packed from held:
-// a leaf's split fields are not part of the model. It selects with the
-// sign mask, as packTree does: a branch would mispredict on encodes.
-func (c *CompiledTree) split(i int) (feature int32, threshold float64, right int32) {
-	n := c.hot[int(c.root)+i]
-	leaf := n.feature >> 31 // all ones for a leaf, else zero
-	thr := math.Float64bits(n.threshold) &^ uint64(int64(leaf))
-	return n.feature | leaf, math.Float64frombits(thr), (n.right - c.root) | leaf
-}
+func (c *CompiledTree) Len() int { return len(c.hot) - int(c.root) }
 
 // hotNode packs the three fields the branchless descent reads into one
 // 16-byte record, so each visited node costs a single cache line.
-// Leaves reuse the threshold slot for the leaf value — the walk never
-// touches the value column at all. The values are verbatim copies of
-// the grown or decoded table's, so the walk stays bit-identical.
+// Leaves reuse the threshold slot for the leaf value, and a leaf is
+// canonical: feature -1, right 0. The values are verbatim copies of the
+// grown or decoded table's, so the walk stays bit-identical. On a
+// little-endian host a record's memory image is its lamb1 version-3
+// encoding, which is what lets a decode alias the file.
 type hotNode struct {
 	threshold float64 // leaf value when feature < 0
 	feature   int32
 	right     int32
 }
 
-// packTree writes one node table's packed records into dst (exactly
-// as long), rebasing its tree-local right-child indices by base,
-// the tree's first index in the fused table. Leaves and splits
+// A hotNode layout other than threshold at byte 0, feature at 8 and
+// right at 12 of 16 fails to compile here.
+var _ [0]struct{} = [unsafe.Sizeof(hotNode{}) - 16 + unsafe.Offsetof(hotNode{}.feature) - 8 + unsafe.Offsetof(hotNode{}.right) - 12]struct{}{}
+
+// packTree writes one legacy node table's packed records into dst
+// (exactly as long), rebasing its tree-local right-child indices by
+// base, the tree's first index in the fused table. Leaves and splits
 // alternate unpredictably in preorder, so the leaf/split choice is made
 // with a sign mask instead of a branch: the loop runs at half the cost
-// of the branching form, which is what lets the fuse stay on the
-// calling goroutine (see compileEnsemble).
+// of the branching form.
 func packTree(dst []hotNode, c *nodeTable, base int) {
 	n := len(dst)
 	feature, threshold, value, right := c.feature[:n], c.threshold[:n], c.value[:n], c.right[:n]
@@ -130,7 +118,7 @@ func predictHot(hot []hotNode, root int32, x []float64) float64 {
 	}
 }
 
-// validate checks the invariants a deserialised node table over
+// validate checks the invariants a legacy node table over
 // nFeatures features must satisfy: every internal node splits on a
 // feature the row has, its implicit left child (i+1) exists and its
 // right child strictly follows the left subtree's first node (which
@@ -142,7 +130,7 @@ func (c *nodeTable) validate(nFeatures int) error {
 	if n == 0 {
 		return fmt.Errorf("ml: corrupt tree: empty node list")
 	}
-	if len(c.threshold) != n || len(c.value) != n || len(c.right) != n || len(c.nSamples) != n {
+	if len(c.threshold) != n || len(c.value) != n || len(c.right) != n {
 		return fmt.Errorf("ml: corrupt tree: ragged node arrays")
 	}
 	for i := 0; i < n; i++ {
@@ -164,18 +152,21 @@ func (c *nodeTable) validate(nFeatures int) error {
 // CompiledEnsemble is a whole tree ensemble fused onto one contiguous
 // table of packed 16-byte records: every member tree's nodes are
 // concatenated (each tree preorder-contiguous, right-child indices
-// rebased) with per-tree root offsets, so scoring streams through one
-// allocation-free memory region instead of hopping between per-tree
-// heaps. The member trees are views of this table, so it is the only
-// per-node copy of the splits. The table itself is always heap memory,
-// so the walk never touches a mapped page. It is walked two ways — one
-// row across four trees (predictHotInterleaved) and one tree across
+// absolute in the table) with per-tree root offsets, so scoring streams
+// through one allocation-free memory region instead of hopping between
+// per-tree heaps. The member trees are views of this table, so it is
+// the only per-node copy of the model. A fit's table is heap memory; a
+// lamb1 version-3 load's is the artifact's mapping itself, which keep
+// then owns, so every walk reads mapped pages. It is walked two ways —
+// one row across four trees (predictHotInterleaved) and one tree across
 // four rows (predictHotTreeRows) — and both take the mean of the leaf
 // values, summed in tree order.
 type CompiledEnsemble struct {
 	// hot is the fused packed table, hot[roots[t]] the root of tree t.
 	hot   []hotNode
 	roots []int32
+	// keep owns the file mapping hot aliases, as CompiledTree.keep.
+	keep any
 }
 
 // NumNodes returns the total node count across all members.
@@ -207,12 +198,19 @@ func fusedRoots(n int, treeLen func(t int) int) ([]int32, int, error) {
 	return roots, total, nil
 }
 
-// compileEnsemble is where decoded trees become models: it packs
+// views makes trees[t] a view of its range of e's table.
+func (e *CompiledEnsemble) views(trees []*DecisionTree) {
+	for t, tree := range trees {
+		hi := e.treeEnd(t)
+		tree.nodes = CompiledTree{hot: e.hot[:hi:hi], root: e.roots[t], keep: e.keep}
+	}
+}
+
+// compileEnsemble is where legacy-decoded trees become models: it packs
 // tables[t] into one exact-size fused table and makes trees[t] a view
-// of its range that keeps the table's value and nSamples columns. The
-// fill stays on the calling goroutine, so a load's time does not depend
-// on a second core being free. It fails, touching no tree, only past
-// int32 node indices.
+// of its range. The fill stays on the calling goroutine, so a load's
+// time does not depend on a second core being free. It fails, touching
+// no tree, only past int32 node indices.
 func compileEnsemble(trees []*DecisionTree, tables []nodeTable) (*CompiledEnsemble, error) {
 	roots, total, err := fusedRoots(len(tables), func(t int) int { return len(tables[t].feature) })
 	if err != nil {
@@ -220,19 +218,79 @@ func compileEnsemble(trees []*DecisionTree, tables []nodeTable) (*CompiledEnsemb
 	}
 	e := &CompiledEnsemble{hot: make([]hotNode, total), roots: roots}
 	for t := range tables {
-		tab, lo, hi := &tables[t], roots[t], e.treeEnd(t)
-		packTree(e.hot[lo:hi], tab, int(lo))
-		c := &trees[t].nodes
-		c.hot, c.root, c.value, c.nSamples = e.hot[:hi:hi], lo, tab.value, tab.nSamples
+		lo, hi := roots[t], e.treeEnd(t)
+		packTree(e.hot[lo:hi], &tables[t], int(lo))
 	}
+	e.views(trees)
 	return e, nil
 }
 
-// treeSlot is the range of a fit's tables one tree grows into.
-type treeSlot struct {
-	hot      []hotNode
-	value    []float64
-	nSamples []int32
+// adoptRecords is where lamb1 version-3 trees become models: hot is the
+// file's record block, used as the walk table as it stands, and roots
+// its root column. One pass checks what a walk relies on, so a table
+// that passes can neither leave its tree nor index past a row of
+// nFeatures: roots start at 0 and rise strictly inside the table; a
+// split names a feature below nFeatures and a right child inside its
+// own tree past its left child (preorder, so every walk ends); a leaf
+// is canonical (feature -1, right 0). The pass only reads hot, which
+// may be a read-only mapping; keep is what owns it.
+func adoptRecords(trees []*DecisionTree, hot []hotNode, roots []int32, nFeatures int, keep any) (*CompiledEnsemble, error) {
+	if len(roots) != len(trees) || len(roots) == 0 || roots[0] != 0 {
+		return nil, fmt.Errorf("ml: corrupt tree: %d roots for %d trees, first %v", len(roots), len(trees), roots[:min(len(roots), 1)])
+	}
+	e := &CompiledEnsemble{hot: hot, roots: roots, keep: keep}
+	for t := range roots {
+		lo, hi := roots[t], e.treeEnd(t)
+		if hi <= lo || int(hi) > len(hot) {
+			return nil, fmt.Errorf("ml: corrupt tree: tree %d spans records [%d, %d) of %d", t, lo, hi, len(hot))
+		}
+		if i := badRecord(hot, lo, hi, int32(nFeatures)); i >= 0 {
+			switch n := hot[i]; {
+			case n.feature < 0:
+				return nil, fmt.Errorf("ml: corrupt tree: leaf %d of tree %d has feature %d and right child %d, not -1 and 0", i, t, n.feature, n.right)
+			case int(n.feature) >= nFeatures:
+				return nil, fmt.Errorf("ml: corrupt tree: internal node %d of tree %d splits on feature %d of %d", i, t, n.feature, nFeatures)
+			default:
+				return nil, fmt.Errorf("ml: corrupt tree: internal node %d of tree %d has right child %d outside (%d, %d)", i, t, n.right, i+1, hi)
+			}
+		}
+	}
+	e.views(trees)
+	return e, nil
+}
+
+// badRecord returns the first index in [lo, hi) whose record a walk of
+// the tree hot[lo:hi] could not follow (see adoptRecords), or -1.
+// Leaves and splits alternate unpredictably, so the verdicts are folded
+// together with no branch; only a table that fails is scanned twice.
+func badRecord(hot []hotNode, lo, hi, nFeatures int32) int32 {
+	var bad int64
+	for i, n := range hot[lo:hi] {
+		bad |= recordFault(n, int64(lo)+int64(i), int64(hi), int64(nFeatures))
+	}
+	if bad == 0 {
+		return -1
+	}
+	for i, n := range hot[lo:hi] {
+		if recordFault(n, int64(lo)+int64(i), int64(hi), int64(nFeatures)) != 0 {
+			return lo + int32(i)
+		}
+	}
+	return -1
+}
+
+// recordFault is non-zero when record n at index at of a tree ending at
+// hi is neither a canonical leaf nor a followable split. Each bound is
+// a subtraction whose sign says which side of it a field lies on, and
+// the feature's sign mask selects the leaf or the split verdict, so the
+// check is a dozen ALU operations with no compare-and-set.
+func recordFault(n hotNode, at, hi, nFeatures int64) int64 {
+	f, r := int64(n.feature), int64(n.right)
+	leaf := f >> 63 // all ones for a leaf, else zero
+	// Negative when the right child is at or before the left one or at
+	// or past the tree's end, or the feature is past the arity.
+	split := (r - at - 2) | (hi - 1 - r) | ^(f - nFeatures)
+	return ((f+1)|r)&leaf | split>>63&^leaf
 }
 
 // growth is a fit's walk table in the making. Each tree grows straight
@@ -241,11 +299,9 @@ type treeSlot struct {
 // staging to copy out of, and a fit's bytes depend only on its data and
 // seed. pack then closes the gaps the bounds leave.
 type growth struct {
-	hot      []hotNode
-	value    []float64
-	nSamples []int32
-	slots    []int32 // slots[t] is tree t's first index
-	sizes    []int32 // sizes[t] is the node count tree t grew
+	hot   []hotNode
+	slots []int32 // slots[t] is tree t's first index
+	sizes []int32 // sizes[t] is the node count tree t grew
 }
 
 // newGrowth lays out slots of bounds[t] nodes, refusing a layout int32
@@ -255,17 +311,16 @@ func newGrowth(bounds []int) (*growth, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &growth{hot: make([]hotNode, total), value: make([]float64, total),
-		nSamples: make([]int32, total), slots: slots, sizes: make([]int32, len(bounds))}, nil
+	return &growth{hot: make([]hotNode, total), slots: slots, sizes: make([]int32, len(bounds))}, nil
 }
 
 // slot returns tree t's slot.
-func (g *growth) slot(t int) treeSlot {
+func (g *growth) slot(t int) []hotNode {
 	lo, hi := int(g.slots[t]), len(g.hot)
 	if t+1 < len(g.slots) {
 		hi = int(g.slots[t+1])
 	}
-	return treeSlot{g.hot[lo:hi:hi], g.value[lo:hi:hi], g.nSamples[lo:hi:hi]}
+	return g.hot[lo:hi:hi]
 }
 
 // pack moves every grown tree down against its predecessor, rebasing
@@ -284,20 +339,15 @@ func (g *growth) pack(trees []*DecisionTree) *CompiledEnsemble {
 			h.right += end &^ (h.feature >> 31) // leaves keep right 0
 			g.hot[end+i] = h
 		}
-		copy(g.value[end:end+size], g.value[lo:lo+size])
-		copy(g.nSamples[end:end+size], g.nSamples[lo:lo+size])
 		roots[t] = end
 		end += size
 	}
-	hot, value, nSamples := g.hot[:end:end], g.value[:end:end], g.nSamples[:end:end]
+	hot := g.hot[:end:end]
 	if 4*len(hot) < 3*len(g.hot) {
-		hot, value, nSamples = slices.Clone(hot), slices.Clone(value), slices.Clone(nSamples)
+		hot = slices.Clone(hot)
 	}
 	e := &CompiledEnsemble{hot: hot, roots: roots}
-	for t, tree := range trees {
-		lo, hi := roots[t], e.treeEnd(t)
-		tree.nodes = CompiledTree{hot: hot[:hi:hi], root: lo, value: value[lo:hi:hi], nSamples: nSamples[lo:hi:hi]}
-	}
+	e.views(trees)
 	return e
 }
 

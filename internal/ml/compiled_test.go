@@ -34,14 +34,29 @@ func (n *refNode) predict(x []float64) float64 {
 	return n.right.predict(x)
 }
 
-// treeTable reads a compiled tree back into node columns: the split
-// fields from its packed records, value and nSamples from its own.
+// split returns node i's split fields as the legacy tree builder wrote
+// them. A packed leaf keeps none of them, so every leaf reads feature
+// -1, threshold 0 and right -1 whatever the table it was packed from
+// held: a leaf's split fields are not part of the model.
+func (c *CompiledTree) split(i int) (feature int32, threshold float64, right int32) {
+	n := c.hot[int(c.root)+i]
+	if n.feature < 0 {
+		return -1, 0, -1
+	}
+	return n.feature, n.threshold, n.right - c.root
+}
+
+// treeTable reads a compiled tree back into legacy node columns from
+// its packed records: the split fields, and a leaf's value (an
+// internal node's reads 0 — the records keep no per-node mean).
 func treeTable(c *CompiledTree) nodeTable {
 	n := c.Len()
-	tab := nodeTable{feature: make([]int32, n), threshold: make([]float64, n), right: make([]int32, n),
-		value: c.value, nSamples: c.nSamples}
+	tab := nodeTable{feature: make([]int32, n), threshold: make([]float64, n), value: make([]float64, n), right: make([]int32, n)}
 	for i := range n {
 		tab.feature[i], tab.threshold[i], tab.right[i] = c.split(i)
+		if tab.feature[i] < 0 {
+			tab.value[i] = c.hot[int(c.root)+i].threshold
+		}
 	}
 	return tab
 }
@@ -520,7 +535,6 @@ func TestPackTreeMasksLeaves(t *testing.T) {
 		threshold: []float64{nan, 9, math.Copysign(0, -1), nan, 1},
 		value:     []float64{5, 1.5, 6, nan, math.Inf(-1)},
 		right:     []int32{2, 99, 4, -3, 0},
-		nSamples:  make([]int32, 5),
 	}
 	want := []hotNode{
 		{threshold: nan, feature: 2, right: 1002},
@@ -605,11 +619,7 @@ func TestGrowthPack(t *testing.T) {
 			t.Fatal(err)
 		}
 		for tr, recs := range grown {
-			s := g.slot(tr)
-			copy(s.hot, recs)
-			for i := range recs {
-				s.value[i], s.nSamples[i] = float64(10*tr+i), int32(100*tr+i)
-			}
+			copy(g.slot(tr), recs)
 			g.sizes[tr] = int32(len(recs))
 		}
 		backing := &g.hot[0]
@@ -623,14 +633,9 @@ func TestGrowthPack(t *testing.T) {
 		}
 		for tr, tree := range trees {
 			n := &tree.nodes
-			if n.root != e.roots[tr] || n.Len() != len(grown[tr]) || &n.hot[0] != &e.hot[0] {
-				t.Fatalf("bounds %v: tree %d is root %d of %d nodes, want root %d of %d in the packed table",
-					c.bounds, tr, n.root, n.Len(), e.roots[tr], len(grown[tr]))
-			}
-			for i := range n.Len() {
-				if n.value[i] != float64(10*tr+i) || n.nSamples[i] != int32(100*tr+i) {
-					t.Errorf("bounds %v: tree %d node %d carries value %v, nSamples %d", c.bounds, tr, i, n.value[i], n.nSamples[i])
-				}
+			if n.root != e.roots[tr] || n.Len() != len(grown[tr]) || &n.hot[0] != &e.hot[0] || n.keep != nil {
+				t.Fatalf("bounds %v: tree %d is root %d of %d nodes (owner %v), want root %d of %d in the packed table and no owner",
+					c.bounds, tr, n.root, n.Len(), n.keep, e.roots[tr], len(grown[tr]))
 			}
 		}
 	}

@@ -23,11 +23,12 @@ type modelEnvelope struct {
 }
 
 // nodeDTO is one tree node of a document (children by index; -1 = none).
+// A document's per-node sample counts ("n") are not part of the model
+// and are not read.
 type nodeDTO struct {
 	Feature   int     `json:"f"`
 	Threshold float64 `json:"t"`
 	Value     float64 `json:"v"`
-	N         int     `json:"n"`
 	Left      int     `json:"l"`
 	Right     int     `json:"r"`
 }
@@ -52,16 +53,14 @@ func compileNodes(nodes []nodeDTO, nFeatures int) (nodeTable, error) {
 	value := make([]float64, n)
 	left := make([]int32, n)
 	right := make([]int32, n)
-	nSamples := make([]int32, n)
 	for i, d := range nodes {
 		feature[i] = int32(d.Feature)
 		threshold[i] = d.Threshold
 		value[i] = d.Value
 		left[i] = int32(d.Left)
 		right[i] = int32(d.Right)
-		nSamples[i] = int32(d.N)
 	}
-	return canonicalTree(feature, threshold, value, left, right, nSamples, nFeatures)
+	return canonicalTree(feature, threshold, value, left, right, nFeatures)
 }
 
 // canonicalTree builds a canonical implicit-left node table over
@@ -71,14 +70,14 @@ func compileNodes(nodes []nodeDTO, nFeatures int) (nodeTable, error) {
 // from the root) and every split's feature index (see validate).
 // Tables already in canonical order — everything this codebase has
 // ever written — are adopted without copying, preserving the binary
-// codec's zero-copy decode; anything else is permuted into preorder,
-// which leaves predictions bit-identical.
-func canonicalTree(feature []int32, threshold, value []float64, left, right, nSamples []int32, nFeatures int) (nodeTable, error) {
+// codec's zero-copy column reads; anything else is permuted into
+// preorder, which leaves predictions bit-identical.
+func canonicalTree(feature []int32, threshold, value []float64, left, right []int32, nFeatures int) (nodeTable, error) {
 	n := len(feature)
 	if n == 0 {
 		return nodeTable{}, fmt.Errorf("ml: corrupt tree: empty node list")
 	}
-	if len(threshold) != n || len(value) != n || len(left) != n || len(right) != n || len(nSamples) != n {
+	if len(threshold) != n || len(value) != n || len(left) != n || len(right) != n {
 		return nodeTable{}, fmt.Errorf("ml: corrupt tree: ragged node arrays")
 	}
 	canonical := true
@@ -107,14 +106,13 @@ func canonicalTree(feature []int32, threshold, value []float64, left, right, nSa
 	if size[0] != int32(n) {
 		return nodeTable{}, fmt.Errorf("ml: corrupt tree: node graph is not a single tree (root subtree covers %d of %d nodes)", size[0], n)
 	}
-	c := nodeTable{feature: feature, threshold: threshold, value: value, right: right, nSamples: nSamples}
+	c := nodeTable{feature: feature, threshold: threshold, value: value, right: right}
 	if !canonical {
 		out := nodeTable{
 			feature:   make([]int32, n),
 			threshold: make([]float64, n),
 			value:     make([]float64, n),
 			right:     make([]int32, n),
-			nSamples:  make([]int32, n),
 		}
 		type frame struct{ old, new int32 }
 		stack := make([]frame, 1, 64)
@@ -125,7 +123,6 @@ func canonicalTree(feature []int32, threshold, value []float64, left, right, nSa
 			out.feature[fr.new] = feature[fr.old]
 			out.threshold[fr.new] = threshold[fr.old]
 			out.value[fr.new] = value[fr.old]
-			out.nSamples[fr.new] = nSamples[fr.old]
 			if feature[fr.old] < 0 {
 				out.right[fr.new] = -1
 				continue

@@ -212,8 +212,8 @@ type splitFunc func(b *treeBuilder, col []float64, idx []int) (thr, sse float64,
 
 // treeBuilder owns all the working memory of growing one tree and is
 // recycled through treeBuilderPool, so a warmed fit allocates only what
-// the fitted tree keeps (its slot of the walk table and of the value
-// and nSamples columns, and its importances).
+// the fitted tree keeps (its slot of the walk table and its
+// importances).
 //
 // idx is the tree's one sample-index array — positions into the column
 // view, with repeats for a bootstrap. Each split partitions the node's
@@ -237,7 +237,7 @@ type treeBuilder struct {
 	cols        [][]float64
 	y           []float64
 	importances []float64
-	out         treeSlot
+	out         []hotNode
 	size        int32
 	cfg         TreeConfig
 	split       splitFunc // chosen once per tree from cfg.Splitter
@@ -258,7 +258,7 @@ func getTreeBuilder() *treeBuilder { return treeBuilderPool.Get().(*treeBuilder)
 // release returns the builder to the pool holding nothing of the fit it
 // served but its own scratch.
 func (b *treeBuilder) release() {
-	b.cols, b.y, b.importances, b.out = nil, nil, nil, treeSlot{}
+	b.cols, b.y, b.importances, b.out = nil, nil, nil, nil
 	treeBuilderPool.Put(b)
 }
 
@@ -311,7 +311,7 @@ func (b *treeBuilder) distinct(class []int) int {
 // the samples and their row classes nodes, and its normalised
 // feature importances into importances (len(cols) zeros on entry). It
 // returns the number of nodes grown.
-func (b *treeBuilder) fit(cfg TreeConfig, cols [][]float64, y, importances []float64, out treeSlot) int32 {
+func (b *treeBuilder) fit(cfg TreeConfig, cols [][]float64, y, importances []float64, out []hotNode) int32 {
 	p, n := len(cols), len(b.idx)
 	b.cols, b.y, b.importances, b.out, b.size = cols, y, importances, out, 0
 	b.cfg = cfg.normalized()
@@ -360,11 +360,10 @@ func (b *treeBuilder) build(idx []int, depth int) int32 {
 	}
 	mean := sum / float64(n)
 	sse := sum2 - sum*sum/float64(n)
-	// A node starts as a leaf, packed as packTree packs one.
-	node, out := b.size, &b.out
+	// A node starts as a canonical leaf.
+	node := b.size
 	b.size++
-	out.hot[node] = hotNode{threshold: mean, feature: -1}
-	out.value[node], out.nSamples[node] = mean, int32(n)
+	b.out[node] = hotNode{threshold: mean, feature: -1}
 
 	if n < b.cfg.MinSamplesSplit ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) ||
@@ -406,7 +405,7 @@ func (b *treeBuilder) build(idx []int, depth int) int32 {
 		panic(fmt.Sprintf("ml: tree builder broke the preorder invariant: node %d has left child %d, want %d", node, l, node+1))
 	}
 	r := b.build(idx[k:], depth+1)
-	out.hot[node] = hotNode{threshold: thr, feature: int32(feat), right: r}
+	b.out[node] = hotNode{threshold: thr, feature: int32(feat), right: r}
 	return node
 }
 

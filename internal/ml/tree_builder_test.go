@@ -64,16 +64,16 @@ func assertSameTree(t *testing.T, what string, got, want *DecisionTree) {
 	if len(g.feature) != n {
 		t.Fatalf("%s: %d nodes, reference has %d", what, len(g.feature), n)
 	}
-	if len(g.threshold) != n || len(g.value) != n || len(g.right) != n || len(g.nSamples) != n {
+	if len(g.threshold) != n || len(g.value) != n || len(g.right) != n {
 		t.Fatalf("%s: ragged node arrays", what)
 	}
 	for i := 0; i < n; i++ {
-		if g.feature[i] != w.feature[i] || g.right[i] != w.right[i] || g.nSamples[i] != w.nSamples[i] ||
+		if g.feature[i] != w.feature[i] || g.right[i] != w.right[i] ||
 			math.Float64bits(g.threshold[i]) != math.Float64bits(w.threshold[i]) ||
 			math.Float64bits(g.value[i]) != math.Float64bits(w.value[i]) {
-			t.Fatalf("%s: node %d = (f %d, thr %v, val %v, right %d, n %d), reference (f %d, thr %v, val %v, right %d, n %d)",
-				what, i, g.feature[i], g.threshold[i], g.value[i], g.right[i], g.nSamples[i],
-				w.feature[i], w.threshold[i], w.value[i], w.right[i], w.nSamples[i])
+			t.Fatalf("%s: node %d = (f %d, thr %v, val %v, right %d), reference (f %d, thr %v, val %v, right %d)",
+				what, i, g.feature[i], g.threshold[i], g.value[i], g.right[i],
+				w.feature[i], w.threshold[i], w.value[i], w.right[i])
 		}
 	}
 	if got.nFeatures != want.nFeatures || len(got.importances) != len(want.importances) {
@@ -132,7 +132,16 @@ func TestTreeBuilderMatchesReference(t *testing.T) {
 		}
 		refTrees := refFitForest(forest, X, y)
 		assertSameTrees(t, fmt.Sprintf("%s forest %+v bootstrap=%v", what, forest.Tree, forest.Bootstrap), forest.trees, refTrees)
-		assertSameArtifacts(t, what+" forest", forest, &Forest{NTrees: forest.NTrees, Tree: forest.Tree, Bootstrap: forest.Bootstrap, Seed: forest.Seed, trees: refTrees, nFeatures: p})
+		twin := &Forest{NTrees: forest.NTrees, Tree: forest.Tree, Bootstrap: forest.Bootstrap, Seed: forest.Seed, trees: refTrees, nFeatures: p}
+		tables := make([]nodeTable, len(refTrees))
+		for i, tr := range refTrees {
+			tables[i] = treeTable(&tr.nodes)
+		}
+		var err error
+		if twin.compiled, err = compileEnsemble(refTrees, tables); err != nil {
+			t.Fatal(err)
+		}
+		assertSameArtifacts(t, what+" forest", forest, twin)
 
 	}
 	// The generated cases hold no NaN, and on them both splitters enforce
@@ -282,13 +291,12 @@ func fitAllocs(fit func() int) (warm, cold [2]uint64, nodes int) {
 }
 
 // fitBudget is what a fit over an n×p training set may allocate for a
-// model of the given node count: the 28 B/node it keeps (the 16 B
-// packed record and the value and nSamples columns) plus 10 %, the
-// column view (8 B per training value), and per builder a 4.9 kB
-// random source plus 32 B per row of working memory, plus 16 KB for
-// the rest (member headers, importances, roots).
+// model of the given node count: the 16 B/node it keeps (the packed
+// record) plus 10 %, the column view (8 B per training value), and per
+// builder a 4.9 kB random source plus 32 B per row of working memory,
+// plus 16 KB for the rest (member headers, importances, roots).
 func fitBudget(nodes, n, p, builders int) uint64 {
-	return uint64(1.1*28*float64(nodes)) + uint64(8*n*p) + uint64(builders*(5<<10+32*n)) + 16<<10
+	return uint64(1.1*16*float64(nodes)) + uint64(8*n*p) + uint64(builders*(5<<10+32*n)) + 16<<10
 }
 
 // checkFitAllocs holds both measurements of fitAllocs to fitBudget and
@@ -318,11 +326,11 @@ func checkFitAllocs(t *testing.T, name string, fit func() int, n, p, builders, m
 // TestForestFitAllocBudget: an extra-trees fit and a bootstrap random
 // forest fit allocate the node data their model keeps, once, in a
 // number of mallocs that depends on neither the node count nor the tree
-// count — the trees grow straight into the packed table, the value and
-// nSamples columns, and the members are one allocation each. A tree's
-// slot is sized by the distinct rows it drew, so a random forest, and a
-// forest over rows that each appear three times with their own
-// responses, keep the same 28 B/node.
+// count — the trees grow straight into the packed table, and the
+// members are one allocation each. A tree's slot is sized by the
+// distinct rows it drew, so a random forest, and a forest over rows
+// that each appear three times with their own responses, keep the same
+// 16 B/node.
 func TestForestFitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")

@@ -19,13 +19,12 @@ import (
 // (TestTreeBuilderMatchesReference).
 
 // refGrow appends a leaf node and returns its index.
-func refGrow(c *nodeTable, value float64, n int) int32 {
+func refGrow(c *nodeTable, value float64) int32 {
 	idx := int32(len(c.feature))
 	c.feature = append(c.feature, -1)
 	c.threshold = append(c.threshold, 0)
 	c.value = append(c.value, value)
 	c.right = append(c.right, -1)
-	c.nSamples = append(c.nSamples, int32(n))
 	return idx
 }
 
@@ -102,7 +101,7 @@ func (b *refTreeBuilder) build(idx []int, depth int) int32 {
 	}
 	mean := sum / float64(n)
 	sse := sum2 - sum*sum/float64(n)
-	node := refGrow(&b.out, mean, n)
+	node := refGrow(&b.out, mean)
 
 	if n < b.cfg.MinSamplesSplit ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) ||

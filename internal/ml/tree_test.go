@@ -91,14 +91,24 @@ func TestTreeMinSamplesLeaf(t *testing.T) {
 	if err := tree.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	assertLeafSizes(t, &tree.nodes, 10)
+	assertLeafSizes(t, &tree.nodes, X, 10)
 }
 
-func assertLeafSizes(t *testing.T, c *CompiledTree, min int) {
+// assertLeafSizes routes every training row of X down c and requires
+// each leaf to receive at least min of them.
+func assertLeafSizes(t *testing.T, c *CompiledTree, X [][]float64, min int) {
 	t.Helper()
-	for i := 0; i < c.Len(); i++ {
-		if f, _, _ := c.split(i); f < 0 && int(c.nSamples[i]) < min {
-			t.Errorf("leaf %d holds %d samples, want >= %d", i, c.nSamples[i], min)
+	held := make([]int, len(c.hot))
+	for _, x := range X {
+		i := c.root
+		for c.hot[i].feature >= 0 {
+			i = hotStep(i, c.hot[i], x)
+		}
+		held[i]++
+	}
+	for i := int(c.root); i < len(c.hot); i++ {
+		if c.hot[i].feature < 0 && held[i] < min {
+			t.Errorf("leaf %d holds %d samples, want >= %d", i, held[i], min)
 		}
 	}
 }

@@ -39,12 +39,12 @@
 //     replaced the same way, by one writer (writeMeta), so a reader
 //     never sees a torn document. Load,
 //     ArtifactInfo and Convert map the artifact read-only on Linux
-//     (mmap_linux.go) and decode it in place: the walk table is packed
-//     onto the heap, and each loaded tree's value and nSamples columns
-//     alias the mapping, which is released once no tree is reachable.
-//     Truncating a mapped artifact under a running process
-//     therefore faults that process (SIGBUS), and rewriting it in
-//     place changes a loaded model's tables under it.
+//     (mmap_linux.go) and decode it in place: a lamb1 version-3
+//     model's walk table is the mapped record block, which is released
+//     once no tree or ensemble reading it is reachable. Every predict
+//     reads the mapping, so truncating a mapped artifact under a
+//     running process faults that process (SIGBUS), and rewriting it in
+//     place changes the splits a loaded model walks.
 //   - Legacy jsonv1 registries load forever, unchanged; a damaged
 //     artifact in either format fails Load with an error wrapping
 //     lamerr.ErrCorruptArtifact rather than panicking or serving a
@@ -54,8 +54,9 @@
 //     time, so no caller hand-wires it.
 //   - A loaded Model satisfies the facade's context-first Predictor
 //     interface, decodes tree ensembles straight into the compiled
-//     plane's flat node tables (the packed table the walks read is the
-//     only per-node heap allocation), and its PredictBatchInto is the
+//     plane's flat node tables (a version-3 load allocates nothing per
+//     node: the mapped records are the table), and its PredictBatchInto
+//     is the
 //     allocation-free serving path: batch output is bit-identical to
 //     sequential Predict calls for every worker count.
 package registry

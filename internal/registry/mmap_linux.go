@@ -7,15 +7,16 @@ import (
 	"syscall"
 )
 
-// mapping owns one read-only file mapping. Decoded trees whose node
-// columns alias the mapped bytes hold it (artifact.DecodeOptions.Owner);
-// once none does, a cleanup unmaps the bytes.
+// mapping owns one read-only file mapping. Decoded trees and ensembles
+// whose walk table is the mapped records hold it
+// (artifact.DecodeOptions.Owner); once none does, a cleanup unmaps the
+// bytes.
 type mapping struct{ data []byte }
 
 // mapFile maps a published artifact read-only and shared, its pages
-// faulted in up front: the decoded trees alias the mapping instead of a
-// heap copy of the file, and processes serving one file share its page
-// cache. It returns the bytes and their owner; the bytes stay valid
+// faulted in up front: the decoded models walk the mapping instead of
+// a heap copy of the file, and processes serving one file share its
+// page cache. It returns the bytes and their owner; the bytes stay valid
 // only while the owner is reachable. An empty file maps to no bytes and
 // no owner (mmap refuses a zero length), leaving the codec to report it
 // as short.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -89,9 +91,9 @@ func encoded(t *testing.T, p *artifact.Payload) []byte {
 // TestLoadedComponentsOutliveModel keeps only what Model.Regressor and
 // Model.Hybrid hand out, drops the Model and collects: the components
 // must still predict every row bit-identically and re-encode to the
-// published bytes, because their trees, not the Model, own the
-// artifact's mapping. A lone tree walks its mapped columns on Predict;
-// re-encoding reads every column of every model.
+// published bytes, because their trees and ensembles, not the Model,
+// own the artifact's mapping: every predict walks the mapped records,
+// and re-encoding copies them.
 func TestLoadedComponentsOutliveModel(t *testing.T) {
 	hy, X := trainFixture(t)
 	reg, err := Open(t.TempDir())
@@ -152,6 +154,56 @@ func TestLoadedComponentsOutliveModel(t *testing.T) {
 			t.Fatalf("%s: re-encoding the held component no longer gives the published bytes", name)
 		}
 		runtime.KeepAlive(payload)
+	}
+}
+
+// TestLoadedWalkTableSurvivesGC: a version-3 load's walk table is the
+// mapping itself, so every predict reads mapped pages. Keeping only what
+// Model.Regressor or Model.Hybrid hands out, two collections must leave
+// each component predicting a batch — the large bench model takes the
+// tree-major walk — bit-identically; a component that let the mapping
+// go would fault here instead.
+func TestLoadedWalkTableSurvivesGC(t *testing.T) {
+	reg := benchRegistry(t, 300)
+	hy, X := trainFixture(t)
+	if _, err := reg.SaveHybrid(hy, Meta{Name: "hy", Workload: "stencil-grid", Machine: "bluewaters"}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	rows := make([][]float64, 64)
+	for i := range rows {
+		rows[i] = make([]float64, 6)
+		for j := range rows[i] {
+			rows[i][j] = rng.Float64()
+		}
+	}
+	for name, X := range map[string][][]float64{"bench": rows, "hy": X} {
+		m, err := reg.Load(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.PredictBatch(context.Background(), X)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regressor, hybrid := m.Regressor(), m.Hybrid()
+		m = nil
+		runtime.GC()
+		runtime.GC()
+		got := make([]float64, len(X))
+		if hybrid != nil {
+			err = hybrid.PredictBatchIntoCtx(context.Background(), X, got, 1)
+		} else {
+			err = ml.PredictBatchIntoCtx(context.Background(), regressor, X, got, 1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s row %d: %v after two collections, %v before", name, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -531,13 +531,17 @@ func (r *Registry) ArtifactInfo(name string, version int) (artifact.Info, Meta, 
 	return info, meta, nil
 }
 
-// Convert migrates one stored version's artifact to lamb1, in place.
-// version <= 0 means the latest. Converting a version already in lamb1
-// is a no-op (beyond caching the format in meta.json if it wasn't
-// recorded). The new artifact is written and renamed into place before
-// meta.json is replaced (writeMeta) and the old file removed, so a
-// crash mid-convert leaves a loadable version: both artifact files
-// briefly coexist and Load follows meta.json, falling back to probing.
+// Convert migrates one stored version's artifact to the latest lamb1
+// version, in place: a jsonv1 artifact and a lamb1 artifact of an
+// earlier version are rewritten. version <= 0 means the latest.
+// Converting a version already at the latest lamb1 version is a no-op
+// (beyond caching the format in meta.json if it wasn't recorded). The
+// new artifact is written and renamed into place before meta.json is
+// replaced (writeMeta) and the old file removed, so a crash mid-convert
+// leaves a loadable version: both artifact files briefly coexist and
+// Load follows meta.json, falling back to probing. A lamb1 rewrite
+// replaces model.lamb through the same rename, so a process still
+// serving the old file keeps its mapping.
 func (r *Registry) Convert(name string, version int) (Meta, error) {
 	version, err := r.resolveVersion(name, version)
 	if err != nil {
@@ -553,20 +557,20 @@ func (r *Registry) Convert(name string, version int) (Meta, error) {
 		return Meta{}, err
 	}
 	defer runtime.KeepAlive(owner)
-	if codec.Name() == lamb1.Name() {
+	opts, err := decodeOptions(meta, owner)
+	if err != nil {
+		return Meta{}, err
+	}
+	info, p, err := artifact.Inspect(data, opts)
+	if err != nil {
+		return Meta{}, fmt.Errorf("registry: %s v%d: %w", name, version, err)
+	}
+	if !info.Legacy() {
 		if !cached || meta.Format != lamb1.Name() {
 			meta.Format = lamb1.Name()
 			cacheFormat(dir, meta)
 		}
 		return meta, nil
-	}
-	opts, err := decodeOptions(meta, owner)
-	if err != nil {
-		return Meta{}, err
-	}
-	p, err := codec.Decode(data, opts)
-	if err != nil {
-		return Meta{}, fmt.Errorf("registry: %s v%d: %w", name, version, err)
 	}
 
 	tmp, err := os.CreateTemp(dir, ".convert-*")
@@ -592,8 +596,11 @@ func (r *Registry) Convert(name string, version int) (Meta, error) {
 	if err := writeMeta(dir, meta); err != nil {
 		return Meta{}, err
 	}
-	if err := os.Remove(filepath.Join(dir, artifactFileName(codec.Name()))); err != nil && !os.IsNotExist(err) {
-		return Meta{}, fmt.Errorf("registry: removing superseded artifact: %w", err)
+	// A lamb1 rewrite's rename has already replaced the old file.
+	if codec.Name() != lamb1.Name() {
+		if err := os.Remove(filepath.Join(dir, artifactFileName(codec.Name()))); err != nil && !os.IsNotExist(err) {
+			return Meta{}, fmt.Errorf("registry: removing superseded artifact: %w", err)
+		}
 	}
 	return meta, nil
 }

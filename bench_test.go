@@ -24,7 +24,6 @@ import (
 	"lam/internal/cachesim"
 	"lam/internal/dataset"
 	"lam/internal/fmm"
-	"lam/internal/hybrid"
 	"lam/internal/machine"
 	"lam/internal/ml"
 	"lam/internal/stencil"
@@ -101,30 +100,6 @@ func ablationSetup(b *testing.B) (train, test *Dataset, am AnalyticalModel) {
 		b.Fatal(err)
 	}
 	return train, test, am
-}
-
-// BenchmarkAblationHybridModes compares the paper's feature stacking
-// against residual and ratio coupling (the Didona et al. alternatives).
-func BenchmarkAblationHybridModes(b *testing.B) {
-	train, test, am := ablationSetup(b)
-	modes := []hybrid.Mode{hybrid.StackMode, hybrid.ResidualMode, hybrid.RatioMode}
-	results := map[hybrid.Mode]float64{}
-	for i := 0; i < b.N; i++ {
-		for _, mode := range modes {
-			hm, err := TrainHybridCtx(context.Background(), train, am, HybridConfig{Mode: mode, Seed: 3})
-			if err != nil {
-				b.Fatal(err)
-			}
-			mape, err := hm.MAPE(test)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results[mode] = mape
-		}
-	}
-	for _, mode := range modes {
-		b.ReportMetric(results[mode], "mape_"+mode.String())
-	}
 }
 
 // BenchmarkAblationAggregation measures the bagging-style aggregation

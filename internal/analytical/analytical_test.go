@@ -93,17 +93,6 @@ func TestStencilFullBlockEqualsUnblocked(t *testing.T) {
 	}
 }
 
-func TestStencilCalibrationScales(t *testing.T) {
-	a := stencilModel()
-	b := stencilModel()
-	b.Calibration = 2
-	pa, _ := a.Predict(StencilParams{I: 64, J: 64, K: 64})
-	pb, _ := b.Predict(StencilParams{I: 64, J: 64, K: 64})
-	if math.Abs(pb-2*pa) > 1e-12*pb {
-		t.Errorf("calibration 2: %v, want %v", pb, 2*pa)
-	}
-}
-
 func TestStencilWriteAllocateCostsMore(t *testing.T) {
 	wa := stencilModel()
 	nwa := stencilModel()
@@ -250,16 +239,5 @@ func TestFMMErrors(t *testing.T) {
 		if _, err := m.Predict(p); err == nil {
 			t.Errorf("expected error for %+v", p)
 		}
-	}
-}
-
-func TestFMMCalibration(t *testing.T) {
-	a := fmmModel()
-	b := fmmModel()
-	b.Calibration = 0.5
-	pa, _ := a.Predict(FMMParams{N: 4096, Q: 64, K: 4})
-	pb, _ := b.Predict(FMMParams{N: 4096, Q: 64, K: 4})
-	if math.Abs(pb-0.5*pa) > 1e-12*pa {
-		t.Errorf("calibration 0.5: %v, want %v", pb, 0.5*pa)
 	}
 }

@@ -35,13 +35,11 @@ func (p FMMParams) Validate() error {
 }
 
 // FMMModel is the paper's single-core FMM cost model for the two
-// dominant phases, P2P and M2L (Section IV.B).
+// dominant phases, P2P and M2L (Section IV.B). It is untuned, as in the
+// paper (FMM analytical model MAPE = 84.5%).
 type FMMModel struct {
 	// Machine supplies tc, βmem and the cache size Z. Required.
 	Machine *machine.Machine
-	// Calibration scales the final time; 0 is treated as 1 (untuned, as
-	// in the paper: FMM analytical model MAPE = 84.5%).
-	Calibration float64
 }
 
 // bP2P is the average number of source cells in the neighbour list of
@@ -61,10 +59,6 @@ func (m *FMMModel) Predict(p FMMParams) (float64, error) {
 	}
 	if err := p.Validate(); err != nil {
 		return 0, err
-	}
-	cal := m.Calibration
-	if cal == 0 {
-		cal = 1
 	}
 	tc := m.Machine.TimePerFlop()
 	beta := m.Machine.MemBetaSecPerElem()
@@ -88,7 +82,7 @@ func (m *FMMModel) Predict(p FMMParams) (float64, error) {
 	tMemM2L := n*k6/q*beta + n*k*k*lElems/(q*math.Cbrt(z))*beta
 
 	total := math.Max(tFlopP2P, tMemP2P) + math.Max(tFlopM2L, tMemM2L)
-	return cal * total, nil
+	return total, nil
 }
 
 // OptimalQ returns the leaf capacity that minimises the modelled time

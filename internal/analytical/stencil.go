@@ -58,9 +58,6 @@ type StencilModel struct {
 	// but L2/L3 are write-back; the model applies one policy globally,
 	// as the paper does.
 	WriteAllocate bool
-	// Calibration scales the final time; 1 (default 0 is treated as 1)
-	// means the untuned model used throughout the paper's evaluation.
-	Calibration float64
 }
 
 // refsPerPoint is the number of explicit array references per stencil
@@ -142,10 +139,6 @@ func (m *StencilModel) Predict(p StencilParams) (float64, error) {
 	}
 	misses := m.misses(pp)
 	l := m.order()
-	cal := m.Calibration
-	if cal == 0 {
-		cal = 1
-	}
 
 	mach := m.Machine
 	w := mach.Levels[0].LineElems() // W, elements per cache line
@@ -188,7 +181,7 @@ func (m *StencilModel) Predict(p StencilParams) (float64, error) {
 	if tflops > total {
 		total = tflops
 	}
-	return cal * total * float64(pp.TimeSteps), nil
+	return total * float64(pp.TimeSteps), nil
 }
 
 // stencilFlopsPerPoint matches internal/stencil.FlopsPerPoint without

@@ -69,10 +69,6 @@ func refPredict(m *StencilModel, p StencilParams) (float64, error) {
 	if l <= 0 {
 		l = 1
 	}
-	cal := m.Calibration
-	if cal == 0 {
-		cal = 1
-	}
 
 	mach := m.Machine
 	w := mach.Levels[0].LineElems()
@@ -108,7 +104,7 @@ func refPredict(m *StencilModel, p StencilParams) (float64, error) {
 	if tflops > total {
 		total = tflops
 	}
-	return cal * total * float64(pp.TimeSteps), nil
+	return total * float64(pp.TimeSteps), nil
 }
 
 // TestStencilMatchesSliceReference pins the array-based Misses and

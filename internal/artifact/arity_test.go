@@ -116,12 +116,14 @@ var arityCases = []struct {
 		json:  func(doc map[string]any) { doc["n_features"] = 2 },
 	},
 	{
-		name: "residual hybrid arity", golden: "hybrid", want: "residual coupling over 3 features needs an ML component over 3, artifact has 4",
+		// Residual coupling is retired: refused by name before any arity
+		// is checked.
+		name: "residual hybrid arity", golden: "hybrid", want: `retired coupling "residual" is refused`,
 		lamb1: func(p []byte) []byte { putU64(p[0:], 1); return p },
 		json:  func(doc map[string]any) { doc["mode"] = 1 },
 	},
 	{
-		name: "unknown hybrid coupling", golden: "hybrid", want: "unknown coupling Mode(7)",
+		name: "unknown hybrid coupling", golden: "hybrid", want: "unknown coupling 7",
 		lamb1: func(p []byte) []byte { putU64(p[0:], 7); return p },
 		json:  func(doc map[string]any) { doc["mode"] = 7 },
 	},

@@ -170,12 +170,14 @@ func FuzzLAMB1Decode(f *testing.F) {
 // FuzzJSONV1Decode holds the jsonv1 decoder, which has no checksum to
 // stop a damaged document before the structural checks, to
 // requireDecodeContract. Nothing writes jsonv1 any more, so every seed
-// is a committed golden: the four live kinds, the five retired
-// estimators as refusal inputs, and each arityCases mutation of a live
-// golden, one edit away from decoding.
+// is a committed file: the four live kinds, the five retired
+// estimators and the three retired hybrid options as refusal inputs,
+// and each arityCases mutation of a live golden, one edit away from
+// decoding.
 func FuzzJSONV1Decode(f *testing.F) {
 	add := func(data []byte) { f.Add(data) }
 	addFileSeeds(f, "golden_*.json", add)
+	addFileSeeds(f, "retired_*.json", add)
 	for _, tc := range arityCases {
 		golden, _ := readGolden(f, tc.golden)
 		add(mutateJSON(f, golden, tc.json))

@@ -1,10 +1,11 @@
 package artifact
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
-	"lam/internal/hybrid"
-	"lam/internal/ml"
+	"lam/internal/lamerr"
 )
 
 // Version-1 decode regression: artifacts written before the implicit-left
@@ -42,24 +43,16 @@ func TestLamb1V1Decode(t *testing.T) {
 	}
 }
 
-// v1HybridML is the ML component of the committed version-1 hybrid
-// fixture: small, so the fixture is a few kilobytes.
-func v1HybridML() ml.Regressor { return &ml.Pipeline{Model: ml.NewExtraTrees(6, 1)} }
-
-// TestLamb1V1DecodeHybrid is the same regression for a hybrid payload
-// (residual coupling, so the header's mode word is non-zero).
+// TestLamb1V1DecodeHybrid: the committed version-1 hybrid is a
+// residual one, a coupling since retired, so it is refused by name like
+// every retired fixture (TestRetiredKindsRefused). The hybrid header is
+// the same at every lamb1 version; the version-1 ML payloads stay
+// covered by the tree, forest and pipeline fixtures above.
 func TestLamb1V1DecodeHybrid(t *testing.T) {
-	m, probe := fitHybrid(t, hybrid.Config{Seed: 1, Mode: hybrid.ResidualMode, NewML: v1HybridML})
-	want := predict(t, &Payload{Hybrid: m}, probe)
-
-	decoded, err := lamb1Codec{}.Decode(readLamb1Fixture(t, "hybrid", 1), DecodeOptions{Analytical: testAM})
-	if err != nil {
-		t.Fatalf("v1 hybrid decode: %v", err)
+	_, err := lamb1Codec{}.Decode(readLamb1Fixture(t, "hybrid", 1), DecodeOptions{Analytical: testAM})
+	if !errors.Is(err, lamerr.ErrCorruptArtifact) || !strings.Contains(err.Error(), `retired coupling "residual"`) {
+		t.Fatalf("v1 hybrid decode: got %v, want the residual coupling refused", err)
 	}
-	if got := decoded.Hybrid.Config().Mode; got != hybrid.ResidualMode {
-		t.Fatalf("v1 hybrid mode %v, want residual", got)
-	}
-	requireBitIdentical(t, "lamb1-v1-hybrid", want, predict(t, decoded, probe))
 }
 
 // TestLamb1VersionReporting pins the header versions and the Inspect

@@ -13,12 +13,16 @@ import (
 // retiredFixtures are real artifacts of every retired kind, written by
 // the last builds that could write them, and pin the refusals: the
 // quantised node table (ml binary kind 9, lamb1 v2 only; a 3-tree
-// forest at 16 bits and a hybrid at 8) and the five
+// forest at 16 bits and a hybrid at 8), the five
 // estimators retired with their code (linear regression, k-nearest
 // neighbours, gradient boosting, bagging and stacking: binary kinds 3,
-// 4, 5, 7 and 8 and their jsonv1 kind strings), each in both codecs.
-// Every tag stays reserved and is never reused. want is what the error
-// must name.
+// 4, 5, 7 and 8 and their jsonv1 kind strings), each in both codecs,
+// and the retired hybrid options: residual and ratio coupling (hybrid
+// header coupling 1 and 2, jsonv1 "mode") and a weighted aggregate
+// (w = 0.7), each in both codecs. The lamb1 ones were written at
+// version 3, the jsonv1 ones by the last jsonv1 writer; the version-1
+// hybrid is a residual one too. Every tag stays reserved and is never
+// reused. want is what the error must name.
 var retiredFixtures = []struct {
 	file string
 	opts DecodeOptions
@@ -36,6 +40,13 @@ var retiredFixtures = []struct {
 	{"golden_gbr.json", DecodeOptions{}, []string{`"gbr"`, "retired"}},
 	{"golden_bagging.json", DecodeOptions{}, []string{`"bagging"`, "retired"}},
 	{"golden_stacking.json", DecodeOptions{}, []string{`"stacking"`, "retired"}},
+	{"retired_residual_hybrid.lamb", DecodeOptions{Analytical: testAM}, []string{`"residual"`, "retired"}},
+	{"retired_ratio_hybrid.lamb", DecodeOptions{Analytical: testAM}, []string{`"ratio"`, "retired"}},
+	{"retired_weighted_hybrid.lamb", DecodeOptions{Analytical: testAM}, []string{"aggregate weight 0.7", "retired"}},
+	{"lamb1_v1_hybrid.lamb", DecodeOptions{Analytical: testAM}, []string{`"residual"`, "retired"}},
+	{"retired_residual_hybrid.json", DecodeOptions{Analytical: testAM}, []string{`"residual"`, "retired"}},
+	{"retired_ratio_hybrid.json", DecodeOptions{Analytical: testAM}, []string{`"ratio"`, "retired"}},
+	{"retired_weighted_hybrid.json", DecodeOptions{Analytical: testAM}, []string{"aggregate weight 0.7", "retired"}},
 }
 
 func TestRetiredKindsRefused(t *testing.T) {
@@ -66,10 +77,11 @@ func TestRetiredKindsRefused(t *testing.T) {
 			requireRefused("Inspect", err)
 
 			// Every truncation still fails typed, and never panics. A JSON
-			// prefix costs a parse of its own, so jsonv1 strides.
+			// prefix costs a parse of its own, so jsonv1 strides: 13 bytes,
+			// widened so a document gets about 1 200 prefixes.
 			step := 1
 			if codec.Name() == FormatJSONV1 {
-				step = 13
+				step = max(13, len(data)/1200)
 			}
 			for l := 0; l < len(data); l += step {
 				if _, err := codec.Decode(data[:l:l], fx.opts); !errors.Is(err, lamerr.ErrCorruptArtifact) {

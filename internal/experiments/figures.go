@@ -163,7 +163,10 @@ func hybridVsET(ctx context.Context, id, title string, ds *dataset.Dataset, am h
 
 // fig5 regenerates Fig. 5: grid-size-only stencil dataset, where the
 // analytical model is accurate. Extra trees at {10, 15, 20}%, hybrid at
-// {1, 2, 4}%; aggregation enabled (the AM is representative).
+// {1, 2, 4}%; stacking only, with aggregation disabled like every other
+// figure (the golden pins this). The paper's case for aggregating here
+// is ROADMAP item 3's to rule on; BenchmarkAblationAggregation measures
+// both variants.
 func fig5(ctx context.Context, opts Options) (*Report, error) {
 	o := opts.normalized()
 	ds, am, err := canonical("stencil-grid", o)

@@ -19,8 +19,8 @@ import (
 
 // batchSizes are the batch sizes the block path is swept over: the
 // kernel's lane tails (n mod 4) and one row either side of the
-// batchBlock seams.
-var batchSizes = []int{0, 1, 3, 4, 5, 7, 8, 9, batchBlock - 1, batchBlock, batchBlock + 1, 2*batchBlock + 1}
+// ml.BatchBlock seams.
+var batchSizes = []int{0, 1, 3, 4, 5, 7, 8, 9, ml.BatchBlock - 1, ml.BatchBlock, ml.BatchBlock + 1, 2*ml.BatchBlock + 1}
 
 // awkwardRows returns n rows in syntheticWorkload's ranges, a quarter of
 // them carrying NaN, ±Inf, −0 or a denormal in a random feature.
@@ -47,8 +47,8 @@ func smallML() ml.Regressor {
 }
 
 // TestBatchPathMatchesPerRow is the differential test of the hybrid's
-// block path: for every coupling mode, with and without the aggregate,
-// under every batch size and worker count, PredictBatchIntoCtx writes
+// block path: with and without the aggregate, under every batch size
+// and worker count, PredictBatchIntoCtx writes
 // exactly — math.Float64bits — what a per-row Predict loop returns,
 // with and without a cancellable context.
 func TestBatchPathMatchesPerRow(t *testing.T) {
@@ -59,29 +59,27 @@ func TestBatchPathMatchesPerRow(t *testing.T) {
 	defer cancel()
 
 	want := make([]float64, len(Xq))
-	for _, mode := range []Mode{StackMode, ResidualMode, RatioMode} {
-		for _, agg := range []bool{false, true} {
-			m, err := TrainCtx(context.Background(), train, am, Config{Mode: mode, Aggregate: agg, AggregateWeight: 0.3, NewML: smallML, Workers: 1})
-			if err != nil {
+	for _, agg := range []bool{false, true} {
+		m, err := TrainCtx(context.Background(), train, am, Config{Aggregate: agg, NewML: smallML, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range Xq {
+			if want[i], err = m.Predict(x); err != nil {
 				t.Fatal(err)
 			}
-			for i, x := range Xq {
-				if want[i], err = m.Predict(x); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, n := range batchSizes {
-				for _, workers := range []int{1, 2, 7} {
-					for _, c := range []context.Context{nil, ctx} {
-						got := make([]float64, n)
-						if err := m.PredictBatchIntoCtx(c, Xq[:n], got, workers); err != nil {
-							t.Fatalf("%v agg=%v n=%d workers=%d: %v", mode, agg, n, workers, err)
-						}
-						for i := range got {
-							if !sameBits(got[i], want[i]) {
-								t.Fatalf("%v agg=%v n=%d workers=%d row %d (%v): block path %x != Predict %x",
-									mode, agg, n, workers, i, Xq[i], got[i], want[i])
-							}
+		}
+		for _, n := range batchSizes {
+			for _, workers := range []int{1, 2, 7} {
+				for _, c := range []context.Context{nil, ctx} {
+					got := make([]float64, n)
+					if err := m.PredictBatchIntoCtx(c, Xq[:n], got, workers); err != nil {
+						t.Fatalf("agg=%v n=%d workers=%d: %v", agg, n, workers, err)
+					}
+					for i := range got {
+						if !sameBits(got[i], want[i]) {
+							t.Fatalf("agg=%v n=%d workers=%d row %d (%v): block path %x != Predict %x",
+								agg, n, workers, i, Xq[i], got[i], want[i])
 						}
 					}
 				}
@@ -104,55 +102,53 @@ func TestBatchFailingRowSemantics(t *testing.T) {
 		}
 		return base.Predict(x)
 	})
-	for _, mode := range []Mode{StackMode, ResidualMode} {
-		m, err := TrainCtx(context.Background(), train, am, Config{Mode: mode, NewML: smallML, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
+	m, err := TrainCtx(context.Background(), train, am, Config{NewML: smallML, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(22))
+	n := 3*ml.BatchBlock + 10
+	for _, tc := range []struct {
+		name string
+		bad  map[int][]float64 // row → replacement
+	}{
+		{"first block", map[int][]float64{5: {1, 1, -1}, ml.BatchBlock + 7: {1, 1}, 3 * ml.BatchBlock: {1, 1, -2}}},
+		{"arity before refusal", map[int][]float64{ml.BatchBlock + 40: {1, 1}, ml.BatchBlock + 41: {1, 1, -1}, 2*ml.BatchBlock + 1: {1, 1, -3}}},
+		{"last block", map[int][]float64{3*ml.BatchBlock + 9: {2, 2, -5}}},
+		{"block seam", map[int][]float64{2 * ml.BatchBlock: {2, 2, -5}, 2*ml.BatchBlock + 1: {1}}},
+	} {
+		X := awkwardRows(rng, n)
+		for i := range X {
+			X[i][2] = math.Abs(X[i][2]) // only the planted rows are refused
 		}
-		rng := rand.New(rand.NewSource(22))
-		n := 3*batchBlock + 10
-		for _, tc := range []struct {
-			name string
-			bad  map[int][]float64 // row → replacement
-		}{
-			{"first block", map[int][]float64{5: {1, 1, -1}, batchBlock + 7: {1, 1}, 3 * batchBlock: {1, 1, -2}}},
-			{"arity before refusal", map[int][]float64{batchBlock + 40: {1, 1}, batchBlock + 41: {1, 1, -1}, 2*batchBlock + 1: {1, 1, -3}}},
-			{"last block", map[int][]float64{3*batchBlock + 9: {2, 2, -5}}},
-			{"block seam", map[int][]float64{2 * batchBlock: {2, 2, -5}, 2*batchBlock + 1: {1}}},
-		} {
-			X := awkwardRows(rng, n)
-			for i := range X {
-				X[i][2] = math.Abs(X[i][2]) // only the planted rows are refused
+		first := n
+		for i, x := range tc.bad {
+			X[i] = x
+			first = min(first, i)
+		}
+		_, wantErr := m.Predict(X[first])
+		if wantErr == nil {
+			t.Fatalf("%s: planted row %d scores", tc.name, first)
+		}
+		for _, workers := range []int{1, 2, 7} {
+			got := make([]float64, n)
+			for i := range got {
+				got[i] = -12345
 			}
-			first := n
-			for i, x := range tc.bad {
-				X[i] = x
-				first = min(first, i)
+			err := m.PredictBatchIntoCtx(context.Background(), X, got, workers)
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s workers=%d: error %q, want row %d's %q", tc.name, workers, err, first, wantErr)
 			}
-			_, wantErr := m.Predict(X[first])
-			if wantErr == nil {
-				t.Fatalf("%s: planted row %d scores", tc.name, first)
+			if errors.Is(wantErr, refused) != errors.Is(err, refused) || errors.Is(wantErr, lamerr.ErrDimension) != errors.Is(err, lamerr.ErrDimension) {
+				t.Fatalf("%s workers=%d: error %q does not wrap what Predict's does", tc.name, workers, err)
 			}
-			for _, workers := range []int{1, 2, 7} {
-				got := make([]float64, n)
-				for i := range got {
-					got[i] = -12345
+			for i := 0; i < first; i++ {
+				want, err := m.Predict(X[i])
+				if err != nil {
+					t.Fatal(err)
 				}
-				err := m.PredictBatchIntoCtx(context.Background(), X, got, workers)
-				if err == nil || err.Error() != wantErr.Error() {
-					t.Fatalf("%v %s workers=%d: error %q, want row %d's %q", mode, tc.name, workers, err, first, wantErr)
-				}
-				if errors.Is(wantErr, refused) != errors.Is(err, refused) || errors.Is(wantErr, lamerr.ErrDimension) != errors.Is(err, lamerr.ErrDimension) {
-					t.Fatalf("%v %s workers=%d: error %q does not wrap what Predict's does", mode, tc.name, workers, err)
-				}
-				for i := 0; i < first; i++ {
-					want, err := m.Predict(X[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameBits(got[i], want) {
-						t.Fatalf("%v %s workers=%d: row %d before the failing row %d holds %x, want %x", mode, tc.name, workers, i, first, got[i], want)
-					}
+				if !sameBits(got[i], want) {
+					t.Fatalf("%s workers=%d: row %d before the failing row %d holds %x, want %x", tc.name, workers, i, first, got[i], want)
 				}
 			}
 		}
@@ -178,7 +174,7 @@ func TestBatchCancelledBetweenBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	X := awkwardRows(rand.New(rand.NewSource(32)), 3*batchBlock)
+	X := awkwardRows(rand.New(rand.NewSource(32)), 3*ml.BatchBlock)
 	X[10][2] = trigger
 	for _, workers := range []int{1, 2} {
 		var ctx context.Context
@@ -196,7 +192,7 @@ func TestBatchCancelledBetweenBlocks(t *testing.T) {
 			continue
 		}
 		for i, v := range got {
-			if written := v != -12345; written != (i < batchBlock) {
+			if written := v != -12345; written != (i < ml.BatchBlock) {
 				t.Fatalf("row %d written = %v after a cancel inside block 0", i, written)
 			}
 		}
@@ -204,7 +200,7 @@ func TestBatchCancelledBetweenBlocks(t *testing.T) {
 }
 
 // TestBatchAllocationFree: a warmed 512-row PredictBatchIntoCtx on one
-// worker allocates nothing in any coupling mode — the augmented block
+// worker allocates nothing, with and without the aggregate — the augmented block
 // and the ML component's column are pooled, and the analytical models
 // of the catalogue allocate nothing per row either. It runs over the
 // synthetic workload and over the paper's stencil-blocking and FMM
@@ -224,7 +220,7 @@ func TestBatchAllocationFree(t *testing.T) {
 	// test bounding a pooled block by its own arity sees its own blocks.
 	t.Cleanup(func() { runtime.GC(); runtime.GC() })
 	train, am := syntheticWorkload(200, 41)
-	loads := []load{{"synthetic", train, am, awkwardRows(rand.New(rand.NewSource(42)), 2*batchBlock)}}
+	loads := []load{{"synthetic", train, am, awkwardRows(rand.New(rand.NewSource(42)), 2*ml.BatchBlock)}}
 	for _, name := range []string{"stencil-blocking", "fmm"} {
 		w, err := workload.Lookup(name)
 		if err != nil {
@@ -238,14 +234,14 @@ func TestBatchAllocationFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loads = append(loads, load{name, train, w.AM(machine.BlueWatersXE6()), rest.X[:2*batchBlock]})
+		loads = append(loads, load{name, train, w.AM(machine.BlueWatersXE6()), rest.X[:2*ml.BatchBlock]})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, l := range loads {
 		out := make([]float64, len(l.X))
-		for _, mode := range []Mode{StackMode, ResidualMode, RatioMode} {
-			m, err := TrainCtx(context.Background(), l.train, l.am, Config{Mode: mode, Aggregate: true, NewML: smallML, Workers: 1})
+		for _, agg := range []bool{false, true} {
+			m, err := TrainCtx(context.Background(), l.train, l.am, Config{Aggregate: agg, NewML: smallML, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,14 +250,14 @@ func TestBatchAllocationFree(t *testing.T) {
 					t.Fatal(err)
 				}
 			}); allocs != 0 {
-				t.Errorf("%s %v: PredictBatchIntoCtx allocates %.1f per 512-row batch, want 0", l.name, mode, allocs)
+				t.Errorf("%s agg=%v: PredictBatchIntoCtx allocates %.1f per 512-row batch, want 0", l.name, agg, allocs)
 			}
 		}
 	}
 }
 
-// TestAugBlockHoldsNoCallerRows: stack mode's pooled augmented block is
-// bounded — at most batchBlock rows of p+1 floats — and its row views
+// TestAugBlockHoldsNoCallerRows: the pooled augmented block is
+// bounded — at most ml.BatchBlock rows of p+1 floats — and its row views
 // point only into its own flat array, so a scored batch is collectable
 // once its caller drops it.
 func TestAugBlockHoldsNoCallerRows(t *testing.T) {
@@ -272,16 +268,16 @@ func TestAugBlockHoldsNoCallerRows(t *testing.T) {
 	}
 	collected := make(chan string, 2)
 	func() {
-		X := awkwardRows(rand.New(rand.NewSource(52)), 2*batchBlock+1)
+		X := awkwardRows(rand.New(rand.NewSource(52)), 2*ml.BatchBlock+1)
 		runtime.SetFinalizer(&X[0], func(*[]float64) { collected <- "row headers" })
-		runtime.SetFinalizer(&X[batchBlock][0], func(*float64) { collected <- "a row" })
+		runtime.SetFinalizer(&X[ml.BatchBlock][0], func(*float64) { collected <- "a row" })
 		if err := m.PredictBatchIntoCtx(context.Background(), X, make([]float64, len(X)), 1); err != nil {
 			t.Fatal(err)
 		}
 	}()
 	blk := augBlockPool.Get().(*augBlock)
-	if p := m.nFeatures + 1; cap(blk.flat) > batchBlock*p || cap(blk.rows) > batchBlock {
-		t.Errorf("pooled block holds %d floats and %d rows, bound is %d and %d", cap(blk.flat), cap(blk.rows), batchBlock*p, batchBlock)
+	if p := m.nFeatures + 1; cap(blk.flat) > ml.BatchBlock*p || cap(blk.rows) > ml.BatchBlock {
+		t.Errorf("pooled block holds %d floats and %d rows, bound is %d and %d", cap(blk.flat), cap(blk.rows), ml.BatchBlock*p, ml.BatchBlock)
 	}
 	flat := blk.flat[:cap(blk.flat)]
 	for i, row := range blk.rows[:cap(blk.rows)] {
@@ -291,14 +287,22 @@ func TestAugBlockHoldsNoCallerRows(t *testing.T) {
 	}
 	augBlockPool.Put(blk)
 
-	runtime.GC()
-	runtime.GC()
+	// The row headers point at the row, so the runtime runs their
+	// finalizers in dependency order: the row's is queued only by a
+	// collection that starts after the headers' finalizer has run. Two
+	// back-to-back collections can both precede it, so collect until
+	// both have run; a batch the pool really holds stays reachable
+	// through every collection.
+	deadline := time.Now().Add(5 * time.Second)
 	for seen := 0; seen < 2; {
+		runtime.GC()
 		select {
 		case <-collected:
 			seen++
-		case <-time.After(5 * time.Second):
-			t.Fatalf("the scored batch is still reachable after two GCs (%d of 2 finalizers ran)", seen)
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatalf("the scored batch is still reachable after 5 s of collections (%d of 2 finalizers ran)", seen)
+			}
 		}
 	}
 }

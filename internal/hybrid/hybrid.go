@@ -5,12 +5,15 @@
 //  1. Stacking: the analytical model's prediction is appended to every
 //     feature vector and an ML regressor (extra trees by default) is
 //     trained on the augmented features, letting it "learn and correct"
-//     the analytical model.
+//     the analytical model. Stacking is the only coupling: residual
+//     and ratio coupling (the Didona et al. alternatives) were retired,
+//     and artifacts that carry them are refused at decode
+//     (EXPERIMENTS.md § Coupling retirement).
 //  2. Bagging-style aggregation (optional): the analytical and stacked
-//     predictions are averaged, reducing variance when the analytical
-//     model is representative of the code. The paper disables this when
-//     the analytical model misses whole effects (Fig. 7: a serial AM
-//     paired with a multithreaded code).
+//     predictions are averaged with equal weights, reducing variance
+//     when the analytical model is representative of the code. The
+//     paper disables this when the analytical model misses whole
+//     effects (Fig. 7: a serial AM paired with a multithreaded code).
 //
 // Training follows Fig. 4 of the paper: the model is constructed once
 // offline from a (small) training dataset and then queried many times.
@@ -48,35 +51,6 @@ type AnalyticalFunc func(x []float64) (float64, error)
 // Predict implements AnalyticalModel.
 func (f AnalyticalFunc) Predict(x []float64) (float64, error) { return f(x) }
 
-// Mode selects how the ML component consumes the analytical prediction.
-type Mode int
-
-const (
-	// StackMode appends the analytical prediction as an extra feature
-	// (the paper's method).
-	StackMode Mode = iota
-	// ResidualMode trains the ML model on y − AM(x) and adds the AM
-	// back at prediction time (the Didona et al. alternative; kept for
-	// the ablation benches).
-	ResidualMode
-	// RatioMode trains the ML model on y / AM(x) and multiplies at
-	// prediction time.
-	RatioMode
-)
-
-func (m Mode) String() string {
-	switch m {
-	case StackMode:
-		return "stack"
-	case ResidualMode:
-		return "residual"
-	case RatioMode:
-		return "ratio"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
 // Config tunes the hybrid model. The zero value reproduces the paper's
 // setup: stacking with a standardising extra-trees pipeline and no
 // aggregation.
@@ -85,14 +59,9 @@ type Config struct {
 	// StandardScaler + 100-tree extra-trees pipeline, the paper's
 	// best-performing estimator.
 	NewML func() ml.Regressor
-	// Mode selects stacking (default), residual or ratio coupling.
-	Mode Mode
-	// Aggregate enables the bagging-style averaging of the analytical
-	// and stacked predictions (paper Fig. 4, "optional").
+	// Aggregate enables the bagging-style plain average of the
+	// analytical and stacked predictions (paper Fig. 4, "optional").
 	Aggregate bool
-	// AggregateWeight is the weight of the stacked model in the
-	// aggregate; 0 means 0.5 (the plain average of the two predictors).
-	AggregateWeight float64
 	// Seed drives the ML component's randomness.
 	Seed int64
 	// Workers bounds training parallelism and MAPE scoring; values <= 0
@@ -121,12 +90,12 @@ type Model struct {
 
 // TrainCtx builds a hybrid model from a training dataset and an
 // analytical model, following the paper's training algorithm: score
-// every training sample with the AM, augment (or transform) the
-// features, fit the ML component. Cancellation is prompt: the context
-// is checked between analytical-model scores and threaded into the ML
-// component's fit, so a cancelled training run returns a typed error
-// (wrapping lamerr.ErrCancelled and ctx.Err()) within one unit's
-// duration.
+// every training sample with the AM, append its prediction to the
+// features, fit the ML component on the augmented set. Cancellation is
+// prompt: the context is checked between analytical-model scores and
+// threaded into the ML component's fit, so a cancelled training run
+// returns a typed error (wrapping lamerr.ErrCancelled and ctx.Err())
+// within one unit's duration.
 func TrainCtx(ctx context.Context, train *dataset.Dataset, am AnalyticalModel, cfg Config) (*Model, error) {
 	if am == nil {
 		return nil, errors.New("hybrid: analytical model required")
@@ -149,60 +118,34 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, am AnalyticalModel, c
 		return nil, err
 	}
 
-	m := &Model{cfg: cfg, am: am, nFeatures: train.NumFeatures()}
-	mlModel := cfg.newML()
-	switch cfg.Mode {
-	case StackMode:
-		aug, err := train.WithFeature("__analytical", amPred)
-		if err != nil {
-			return nil, err
-		}
-		if err := ml.FitCtx(ctx, mlModel, aug.X, aug.Y); err != nil {
-			return nil, err
-		}
-	case ResidualMode:
-		res := make([]float64, train.Len())
-		for i := range res {
-			res[i] = train.Y[i] - amPred[i]
-		}
-		if err := ml.FitCtx(ctx, mlModel, train.X, res); err != nil {
-			return nil, err
-		}
-	case RatioMode:
-		ratio := make([]float64, train.Len())
-		for i := range ratio {
-			if amPred[i] == 0 {
-				return nil, fmt.Errorf("hybrid: ratio mode with zero analytical prediction at sample %d", i)
-			}
-			ratio[i] = train.Y[i] / amPred[i]
-		}
-		if err := ml.FitCtx(ctx, mlModel, train.X, ratio); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("hybrid: unknown mode %v", cfg.Mode)
+	aug, err := train.WithFeature("__analytical", amPred)
+	if err != nil {
+		return nil, err
 	}
-	m.mlModel = mlModel
-	return m, nil
+	mlModel := cfg.newML()
+	if err := ml.FitCtx(ctx, mlModel, aug.X, aug.Y); err != nil {
+		return nil, err
+	}
+	return &Model{cfg: cfg, am: am, mlModel: mlModel, nFeatures: train.NumFeatures()}, nil
 }
 
 // NumFeatures returns the feature arity the model was trained on (the
 // raw vector, without the stacked analytical feature).
 func (m *Model) NumFeatures() int { return m.nFeatures }
 
-// Config returns the coupling configuration the model was trained (or
-// loaded) with. The online retrainer uses it to rebuild a drifted
-// model with the same mode/aggregation as the deployed artifact —
-// persistence stores these fields, so a registry-loaded model
-// round-trips its coupling exactly. NewML is not persisted; a zero
-// NewML retrains with the default extra-trees pipeline.
+// Config returns the configuration the model was trained (or loaded)
+// with. The online retrainer uses it to rebuild a drifted model with
+// the same aggregation as the deployed artifact — persistence stores
+// Aggregate, so a registry-loaded model round-trips it exactly. NewML,
+// Seed and Workers are not persisted; a zero NewML retrains with the
+// default extra-trees pipeline.
 func (m *Model) Config() Config { return m.cfg }
 
 // IsFitted reports whether the model carries a trained ML component.
 func (m *Model) IsFitted() bool { return m != nil && m.mlModel != nil }
 
-// Predict scores one feature vector: run the AM, couple it with the ML
-// component per the mode, optionally aggregate.
+// Predict scores one feature vector: run the AM, stack its prediction
+// onto the features for the ML component, optionally aggregate.
 func (m *Model) Predict(x []float64) (float64, error) {
 	if !m.IsFitted() {
 		return 0, fmt.Errorf("hybrid: %w", lamerr.ErrNotFitted)
@@ -215,30 +158,24 @@ func (m *Model) Predict(x []float64) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("hybrid: analytical model: %w", err)
 	}
-	var stacked float64
-	switch m.cfg.Mode {
-	case StackMode:
-		// The augmented vector lives in pooled scratch: the serve hot
-		// path calls Predict per row and must not allocate per row.
-		buf := ml.GetScratch(len(x) + 1)
-		aug := *buf
-		copy(aug, x)
-		aug[len(x)] = amP
-		stacked = m.mlModel.Predict(aug)
-		ml.PutScratch(buf)
-	case ResidualMode:
-		stacked = amP + m.mlModel.Predict(x)
-	case RatioMode:
-		stacked = amP * m.mlModel.Predict(x)
+	// The augmented vector lives in pooled scratch: the serve hot path
+	// calls Predict per row and must not allocate per row.
+	buf := ml.GetScratch(len(x) + 1)
+	aug := *buf
+	copy(aug, x)
+	aug[len(x)] = amP
+	s := m.mlModel.Predict(aug)
+	ml.PutScratch(buf)
+	return m.couple(s, amP), nil
+}
+
+// couple finishes one row from its stacked prediction s and analytical
+// prediction amP: the plain average under Aggregate, s otherwise.
+func (m *Model) couple(s, amP float64) float64 {
+	if m.cfg.Aggregate {
+		return 0.5*s + 0.5*amP
 	}
-	if !m.cfg.Aggregate {
-		return stacked, nil
-	}
-	w := m.cfg.AggregateWeight
-	if w == 0 {
-		w = 0.5
-	}
-	return w*stacked + (1-w)*amP, nil
+	return s
 }
 
 // PredictCtx is Predict with an up-front cancellation check — single
@@ -252,27 +189,22 @@ func (m *Model) PredictCtx(ctx context.Context, x []float64) (float64, error) {
 	return m.Predict(x)
 }
 
-// batchBlock is the row count PredictBatchIntoCtx scores at a time: the
-// same kernel-sized block internal/ml's batch path uses (its batchBlock;
-// see there for the measurement), so one block here is one sequential
-// tree-major walk there. It bounds the pooled augmented block, is the
-// unit dealt to workers and the distance between context polls.
-const batchBlock = 256
-
 // PredictBatchIntoCtx scores every row of X into out (which must have
 // len(X) elements) with prompt cancellation between row blocks: the one
 // batch path, behind registry batch prediction, lam-serve and the
-// experiment sweeps. Each block of up to batchBlock rows is scored as a
-// block — the analytical column once, one batch call into the ML
-// component, then the mode's coupling per row in Predict's operation
-// order — so the result is bit-identical to len(X) sequential Predict
-// calls for every worker count, and the ML component's tree-major
-// kernel is reached from every caller. workers bounds the block
-// fan-out (<= 0 means GOMAXPROCS), as in ml.PredictBatchIntoCtx; it is
-// resolved over the number of blocks, so up to one block (an /observe
-// batch, a coalescer drain) — or any batch at workers == 1 — runs
-// inline on the caller's goroutine and, given an allocation-free
-// analytical model, performs zero steady-state allocations.
+// experiment sweeps. Rows are taken ml.BatchBlock at a time, the block
+// internal/ml's batch path uses, so one block here is one sequential
+// tree-major walk there. Each block is scored as a block — the
+// analytical column once, one batch call into the ML component, then
+// the optional aggregate per row in Predict's operation order — so the
+// result is bit-identical to len(X) sequential Predict calls for every
+// worker count, and the ML component's tree-major kernel is reached
+// from every caller. workers bounds the block fan-out (<= 0 means
+// GOMAXPROCS), as in ml.PredictBatchIntoCtx; it is resolved over the
+// number of blocks, so up to one block (an /observe batch, a coalescer
+// drain) — or any batch at workers == 1 — runs inline on the caller's
+// goroutine and, given an allocation-free analytical model, performs
+// zero steady-state allocations.
 //
 // On a failing row (wrong arity, analytical-model error) the error is
 // the one Predict returns for the lowest such row, and every row
@@ -285,11 +217,11 @@ func (m *Model) PredictBatchIntoCtx(ctx context.Context, X [][]float64, out []fl
 		return fmt.Errorf("hybrid: %w: output slice holds %d values for %d rows",
 			lamerr.ErrDimension, len(out), len(X))
 	}
-	blocks := (len(X) + batchBlock - 1) / batchBlock
+	blocks := (len(X) + ml.BatchBlock - 1) / ml.BatchBlock
 	if parallel.Resolve(workers, blocks) > 1 {
 		return parallel.ForCtx(ctx, blocks, workers, func(b int) error {
-			lo := b * batchBlock
-			hi := min(lo+batchBlock, len(X))
+			lo := b * ml.BatchBlock
+			hi := min(lo+ml.BatchBlock, len(X))
 			return m.predictBlock(X[lo:hi], out[lo:hi])
 		})
 	}
@@ -304,13 +236,13 @@ func (m *Model) PredictBatchIntoCtx(ctx context.Context, X [][]float64, out []fl
 		}
 		done = ctx.Done()
 	}
-	for lo := 0; lo < len(X); lo += batchBlock {
+	for lo := 0; lo < len(X); lo += ml.BatchBlock {
 		select {
 		case <-done:
 			return parallel.Cancelled(ctx.Err())
 		default:
 		}
-		hi := min(lo+batchBlock, len(X))
+		hi := min(lo+ml.BatchBlock, len(X))
 		if err := m.predictBlock(X[lo:hi], out[lo:hi]); err != nil {
 			return err
 		}
@@ -318,10 +250,10 @@ func (m *Model) PredictBatchIntoCtx(ctx context.Context, X [][]float64, out []fl
 	return nil
 }
 
-// augBlock is the pooled block stack mode augments its rows into: one
+// augBlock is the pooled block a batch's rows are augmented into: one
 // flat backing array and the row views over it. The views point only
 // into flat, so a pooled block keeps no caller's rows alive, and it
-// holds at most batchBlock rows.
+// holds at most ml.BatchBlock rows.
 type augBlock struct {
 	flat []float64
 	rows [][]float64
@@ -329,7 +261,7 @@ type augBlock struct {
 
 var augBlockPool = sync.Pool{New: func() any { return new(augBlock) }}
 
-// predictBlock scores one block of at most batchBlock rows into out.
+// predictBlock scores one block of at most ml.BatchBlock rows into out.
 // The analytical column is computed first, into out itself; if row k
 // fails, the rows before it are still scored and row k's error — the
 // text Predict gives it — is returned.
@@ -354,8 +286,8 @@ func (m *Model) predictBlock(X [][]float64, out []float64) error {
 }
 
 // coupleBlock turns out from the block's analytical column into its
-// predictions: one batch call into the ML component, then the mode's
-// coupling and the optional aggregate per row, in Predict's operation
+// predictions: one batch call into the ML component over the augmented
+// rows, then the optional aggregate per row, in Predict's operation
 // order.
 func (m *Model) coupleBlock(X [][]float64, out []float64) error {
 	n := len(X)
@@ -365,47 +297,27 @@ func (m *Model) coupleBlock(X [][]float64, out []float64) error {
 	mlBuf := ml.GetScratch(n)
 	defer ml.PutScratch(mlBuf)
 	stacked := *mlBuf
-	var err error
-	if m.cfg.Mode == StackMode {
-		p := m.nFeatures + 1
-		blk := augBlockPool.Get().(*augBlock)
-		defer augBlockPool.Put(blk)
-		if cap(blk.flat) < n*p {
-			blk.flat = make([]float64, n*p)
-		}
-		if cap(blk.rows) < n {
-			blk.rows = make([][]float64, n)
-		}
-		blk.flat, blk.rows = blk.flat[:n*p], blk.rows[:n]
-		for i, x := range X {
-			aug := blk.flat[i*p : (i+1)*p : (i+1)*p]
-			copy(aug, x)
-			aug[p-1] = out[i]
-			blk.rows[i] = aug
-		}
-		err = ml.PredictBatchInto(m.mlModel, blk.rows, stacked, 1)
-	} else {
-		err = ml.PredictBatchInto(m.mlModel, X, stacked, 1)
+	p := m.nFeatures + 1
+	blk := augBlockPool.Get().(*augBlock)
+	defer augBlockPool.Put(blk)
+	if cap(blk.flat) < n*p {
+		blk.flat = make([]float64, n*p)
 	}
-	if err != nil {
+	if cap(blk.rows) < n {
+		blk.rows = make([][]float64, n)
+	}
+	blk.flat, blk.rows = blk.flat[:n*p], blk.rows[:n]
+	for i, x := range X {
+		aug := blk.flat[i*p : (i+1)*p : (i+1)*p]
+		copy(aug, x)
+		aug[p-1] = out[i]
+		blk.rows[i] = aug
+	}
+	if err := ml.PredictBatchInto(m.mlModel, blk.rows, stacked, 1); err != nil {
 		return fmt.Errorf("hybrid: %w", err)
 	}
-	w := m.cfg.AggregateWeight
-	if w == 0 {
-		w = 0.5
-	}
 	for i, amP := range out {
-		s := stacked[i]
-		switch m.cfg.Mode {
-		case ResidualMode:
-			s = amP + s
-		case RatioMode:
-			s = amP * s
-		}
-		if m.cfg.Aggregate {
-			s = w*s + (1-w)*amP
-		}
-		out[i] = s
+		out[i] = m.couple(stacked[i], amP)
 	}
 	return nil
 }

@@ -86,8 +86,8 @@ func refHotTreeRows(hot []hotNode, r int32, X [][]float64, out []float64) {
 
 // diffSizes are the batch sizes the differential tests sweep: the lane
 // tails (n mod 4), one row either side of a group, and one row either
-// side of the batchBlock seams.
-var diffSizes = []int{0, 1, 3, 4, 5, 7, 8, 9, batchBlock - 1, batchBlock, batchBlock + 1, 2*batchBlock + 1}
+// side of the BatchBlock seams.
+var diffSizes = []int{0, 1, 3, 4, 5, 7, 8, 9, BatchBlock - 1, BatchBlock, BatchBlock + 1, 2*BatchBlock + 1}
 
 // splitPoint is a (feature, threshold) pair some model splits on.
 type splitPoint struct {
@@ -270,7 +270,7 @@ func TestBatchPathMatchesPerRow(t *testing.T) {
 }
 
 // TestPooledBlocksHoldNoCallerRows: the wrappers' pooled row blocks are
-// bounded by construction — at most batchBlock rows, because wrappers
+// bounded by construction — at most BatchBlock rows, because wrappers
 // chunk — and their row views point only into the block's own flat
 // array, so a served batch is collectable as soon as its caller drops
 // it, whatever the pool keeps.
@@ -282,9 +282,9 @@ func TestPooledBlocksHoldNoCallerRows(t *testing.T) {
 
 	collected := make(chan string, 2)
 	func() {
-		Xq := awkwardRows(rng, 2*batchBlock+1, p, nil)
+		Xq := awkwardRows(rng, 2*BatchBlock+1, p, nil)
 		runtime.SetFinalizer(&Xq[0], func(*[]float64) { collected <- "row headers" })
-		runtime.SetFinalizer(&Xq[batchBlock][0], func(*float64) { collected <- "a row" })
+		runtime.SetFinalizer(&Xq[BatchBlock][0], func(*float64) { collected <- "a row" })
 		out := make([]float64, len(Xq))
 		for _, m := range models {
 			if err := PredictBatchInto(m.r, Xq, out, 1); err != nil {
@@ -299,8 +299,8 @@ func TestPooledBlocksHoldNoCallerRows(t *testing.T) {
 	for i := range held {
 		b := rowBlockPool.Get().(*rowBlock)
 		held[i] = b
-		if cap(b.flat) > batchBlock*p || cap(b.rows) > batchBlock {
-			t.Errorf("pooled block holds %d floats and %d rows, bound is %d and %d", cap(b.flat), cap(b.rows), batchBlock*p, batchBlock)
+		if cap(b.flat) > BatchBlock*p || cap(b.rows) > BatchBlock {
+			t.Errorf("pooled block holds %d floats and %d rows, bound is %d and %d", cap(b.flat), cap(b.rows), BatchBlock*p, BatchBlock)
 		}
 		flat := b.flat[:cap(b.flat)]
 		for j, row := range b.rows[:cap(b.rows)] {

@@ -340,7 +340,7 @@ func TestPredictAllocationFree(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	X, y := randomRegression(rng, 200, 4)
-	Xq, _ := randomRegression(rng, 2*batchBlock, 4) // two pooled blocks per wrapper
+	Xq, _ := randomRegression(rng, 2*BatchBlock, 4) // two pooled blocks per wrapper
 	out := make([]float64, len(Xq))
 
 	fit := func(r Regressor) Regressor {

@@ -113,18 +113,18 @@ func PredictBatchIntoCtx(ctx context.Context, r Regressor, X [][]float64, out []
 	}
 	if parallel.Resolve(workers, batchBlocks(len(X))) == 1 {
 		done := ctx.Done()
-		for lo := 0; lo < len(X); lo += batchBlock {
+		for lo := 0; lo < len(X); lo += BatchBlock {
 			select {
 			case <-done:
 				return parallel.Cancelled(ctx.Err())
 			default:
 			}
-			hi := min(lo+batchBlock, len(X))
+			hi := min(lo+BatchBlock, len(X))
 			predictSeq(r, X[lo:hi], out[lo:hi])
 		}
 		return nil
 	}
-	return parallel.ForBlocksCtx(ctx, len(X), workers, batchBlock, func(lo, hi int) {
+	return parallel.ForBlocksCtx(ctx, len(X), workers, BatchBlock, func(lo, hi int) {
 		predictSeq(r, X[lo:hi], out[lo:hi])
 	})
 }

@@ -31,7 +31,7 @@
 //     enforce it in CI.
 //   - Batch means batch: a row block reaches the tree-major kernel as
 //     a block through every wrapper nesting. Pipeline transforms up
-//     to batchBlock rows at a time into a pooled block and hands it to
+//     to BatchBlock rows at a time into a pooled block and hands it to
 //     the inner model's batch walk (see seqBatchIntoPredictor);
 //     TestBatchPathMatchesPerRow pins the result to a per-row Predict
 //     loop bit for bit.

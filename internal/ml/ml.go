@@ -59,7 +59,7 @@ type seqBatchIntoPredictor interface {
 	predictBatchIntoSeq(X [][]float64, out []float64)
 }
 
-// batchBlock is the one block size of the batch path: the rows a
+// BatchBlock is the one block size of the batch path: the rows a
 // wrapper transforms into its pooled rowBlock at a time, the rows
 // between context polls, and the unit the batch cores deal to workers.
 // It is sized for the tree-major kernel, which re-reads one tree's
@@ -69,10 +69,10 @@ type seqBatchIntoPredictor interface {
 // rows (EXPERIMENTS.md § Batch budget). 256 keeps the pooled block and
 // the cancellation latency small and still lets a 512-row request use
 // two workers.
-const batchBlock = 256
+const BatchBlock = 256
 
-// batchBlocks returns how many batchBlock-row blocks cover n rows.
-func batchBlocks(n int) int { return (n + batchBlock - 1) / batchBlock }
+// batchBlocks returns how many BatchBlock-row blocks cover n rows.
+func batchBlocks(n int) int { return (n + BatchBlock - 1) / BatchBlock }
 
 // PredictBatchInto is PredictBatchIntoCtx without cancellation.
 func PredictBatchInto(r Regressor, X [][]float64, out []float64, workers int) error {
@@ -89,7 +89,7 @@ func predictBatchInto(r Regressor, X [][]float64, out []float64, workers int) {
 		predictSeq(r, X, out)
 		return
 	}
-	parallel.ForBlocks(len(X), workers, batchBlock, func(lo, hi int) {
+	parallel.ForBlocks(len(X), workers, BatchBlock, func(lo, hi int) {
 		predictSeq(r, X[lo:hi], out[lo:hi])
 	})
 }

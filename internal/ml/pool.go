@@ -29,7 +29,7 @@ func PutScratch(p *[]float64) { f64Pool.Put(p) }
 // its input into before handing it to the inner model: one flat
 // backing array and the row views over it. The views never point
 // anywhere else, so a pooled block keeps no caller's rows alive, and
-// it holds at most batchBlock rows because every wrapper chunks.
+// it holds at most BatchBlock rows because every wrapper chunks.
 type rowBlock struct {
 	flat []float64
 	rows [][]float64
@@ -38,7 +38,7 @@ type rowBlock struct {
 var rowBlockPool = sync.Pool{New: func() any { return new(rowBlock) }}
 
 // getRowBlock returns a pooled block of n rows of p features each
-// (n <= batchBlock). Contents are undefined; release with
+// (n <= BatchBlock). Contents are undefined; release with
 // putRowBlock.
 func getRowBlock(n, p int) *rowBlock {
 	b := rowBlockPool.Get().(*rowBlock)

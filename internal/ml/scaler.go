@@ -151,15 +151,15 @@ func (s *StandardScaler) transformInto(x, dst []float64) {
 }
 
 // predictBatchIntoSeq implements the compiled plane's sequential block
-// contract as a block → block transform: up to batchBlock rows at a
+// contract as a block → block transform: up to BatchBlock rows at a
 // time are standardised into a pooled rowBlock and handed to the inner
 // model's own batch walk (predictSeq), so a wrapped ensemble is scored
 // by the tree-major kernel exactly as a bare one is. The scaling
 // arithmetic and the inner walk's fold order are those of Predict, so
 // the result is bit-identical to a per-row loop.
 func (p *Pipeline) predictBatchIntoSeq(X [][]float64, out []float64) {
-	for lo := 0; lo < len(X); lo += batchBlock {
-		hi := min(lo+batchBlock, len(X))
+	for lo := 0; lo < len(X); lo += BatchBlock {
+		hi := min(lo+BatchBlock, len(X))
 		blk := getRowBlock(hi-lo, len(p.scaler.mean))
 		for i, x := range X[lo:hi] {
 			p.scaler.transformInto(x, blk.rows[i])

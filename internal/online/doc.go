@@ -33,9 +33,10 @@
 //     on improvement, so the served model never silently regresses.
 //     The serving layer's hot swap (serve.Server) is likewise
 //     monotone: the served version number never moves backwards.
-//   - The detector has hysteresis (DegradeFactor to trip,
-//     RecoverFactor to re-arm) plus MinSamples and MinMAPE guards, so
-//     a handful of noisy observations cannot flap it.
+//   - The detector has hysteresis (DegradeFactor to trip, a fixed 1.1
+//     × baseline to re-arm) plus a MinSamples guard and a fixed 5 %
+//     MAPE floor on both thresholds, so a handful of noisy
+//     observations cannot flap it.
 //   - Served accuracy has one record, the Ledger: a bounded APE ring
 //     per (model, version) read through sequence cursors. The rollout
 //     gate, its status and lam_served_ape all read it, so they can

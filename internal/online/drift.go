@@ -1,5 +1,17 @@
 package online
 
+// recoverFactor re-arms a tripped detector once the windowed MAPE falls
+// back below recoverFactor × baseline — the hysteresis band that keeps
+// a window oscillating around the trip threshold from firing
+// repeatedly.
+const recoverFactor = 1.1
+
+// minMAPE is an absolute floor (percent) on the trip and re-arm
+// thresholds: models whose recorded baseline is tiny (or zero, for
+// artifacts saved without a TestMAPE) would otherwise trip on
+// measurement noise alone.
+const minMAPE = 5
+
 // DetectorConfig tunes the drift detector. The zero value is usable:
 // every field has a conservative default chosen so the detector is not
 // flappy on noisy windows.
@@ -8,59 +20,35 @@ type DetectorConfig struct {
 	// DegradeFactor × the model's registry-recorded test MAPE.
 	// 0 means 1.5 (accuracy degraded by half again over the baseline).
 	DegradeFactor float64
-	// RecoverFactor re-arms a tripped detector once the windowed MAPE
-	// falls back below RecoverFactor × baseline — the hysteresis band
-	// that keeps a window oscillating around the trip threshold from
-	// firing repeatedly. 0 means 1.1.
-	RecoverFactor float64
 	// MinSamples is the number of windowed samples required before the
 	// detector changes state in either direction, so a handful of
 	// unlucky observations cannot trip it. 0 means 64.
 	MinSamples int
-	// MinMAPE is an absolute floor (percent) on the trip threshold:
-	// models whose recorded baseline is tiny (or zero, for artifacts
-	// saved without a TestMAPE) would otherwise trip on measurement
-	// noise alone. 0 means 5.
-	MinMAPE float64
 }
 
 func (c DetectorConfig) normalized() DetectorConfig {
 	if c.DegradeFactor <= 0 {
 		c.DegradeFactor = 1.5
 	}
-	if c.RecoverFactor <= 0 {
-		c.RecoverFactor = 1.1
-	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 64
-	}
-	if c.MinMAPE <= 0 {
-		c.MinMAPE = 5
 	}
 	return c
 }
 
 // threshold returns the trip threshold for a baseline MAPE.
 func (c DetectorConfig) threshold(baseline float64) float64 {
-	t := c.DegradeFactor * baseline
-	if t < c.MinMAPE {
-		t = c.MinMAPE
-	}
-	return t
+	return max(c.DegradeFactor*baseline, minMAPE)
 }
 
 // recoverThreshold returns the re-arm threshold. It carries the same
-// MinMAPE floor as the trip threshold: with a zero or tiny recorded
-// baseline, a pure RecoverFactor×baseline band could demand a window
+// minMAPE floor as the trip threshold: with a zero or tiny recorded
+// baseline, a pure recoverFactor×baseline band could demand a window
 // MAPE the floor-tripped detector can never reach, latching it tripped
-// forever. RecoverFactor < DegradeFactor keeps it at or below the trip
+// forever. recoverFactor < DegradeFactor keeps it at or below the trip
 // threshold, preserving the hysteresis band.
 func (c DetectorConfig) recoverThreshold(baseline float64) float64 {
-	t := c.RecoverFactor * baseline
-	if t < c.MinMAPE {
-		t = c.MinMAPE
-	}
-	return t
+	return max(recoverFactor*baseline, minMAPE)
 }
 
 // detector is the per-model drift state machine. Not internally

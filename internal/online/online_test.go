@@ -87,9 +87,7 @@ func TestWindowArityChangeResizes(t *testing.T) {
 }
 
 func TestDetectorHysteresisAndMinSamples(t *testing.T) {
-	d := detector{cfg: DetectorConfig{
-		DegradeFactor: 1.5, RecoverFactor: 1.1, MinSamples: 10, MinMAPE: 5,
-	}.normalized()}
+	d := detector{cfg: DetectorConfig{DegradeFactor: 1.5, MinSamples: 10}.normalized()}
 	baseline := 10.0 // threshold 15, recover band 11
 
 	if d.update(50, baseline, 9) {
@@ -128,10 +126,10 @@ func TestDetectorHysteresisAndMinSamples(t *testing.T) {
 	// band would demand MAPE <= 0 and latch the detector forever).
 	d2 := detector{cfg: DetectorConfig{MinSamples: 1}.normalized()}
 	if d2.update(4, 0, 100) {
-		t.Fatal("fired below the MinMAPE floor on a zero baseline")
+		t.Fatal("fired below the minMAPE floor on a zero baseline")
 	}
 	if !d2.update(6, 0, 100) {
-		t.Fatal("did not fire above the MinMAPE floor")
+		t.Fatal("did not fire above the minMAPE floor")
 	}
 	if d2.update(4, 0, 100) {
 		t.Fatal("fired instead of recovering")

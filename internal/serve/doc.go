@@ -7,13 +7,18 @@
 //
 // Endpoints:
 //
-//	GET  /healthz  — liveness: {"status":"ok","models":N}
-//	GET  /models   — every stored model version's metadata
-//	GET  /metrics  — request/coalesce/shed/cache/swap counters and the
-//	                 /predict latency histogram (+ online-plane
-//	                 counters when attached), flat JSON
-//	POST /predict  — {"model":"name","version":2,"x":[…]} or
-//	                 {"model":"name","batch":[[…],[…]]}
+//	GET  /healthz       — liveness: {"status":"ok","models":N}
+//	GET  /readyz        — readiness: 200 once the registry is reachable
+//	                      and every WarmNames model is loaded, else 503
+//	                      naming what is still warming
+//	GET  /models        — every stored model version's metadata
+//	GET  /metrics       — the Prometheus text exposition: request,
+//	                      coalesce, shed, cache and swap counters and
+//	                      the /predict latency histogram (+ online-plane
+//	                      series when attached)
+//	GET  /trace/recent  — the most recent request traces, newest first
+//	POST /predict       — {"model":"name","version":2,"x":[…]} or
+//	                      {"model":"name","batch":[[…],[…]]}
 //
 // With an online adaptation plane attached (AttachOnline; lam-serve
 // -online):
@@ -23,6 +28,14 @@
 //	                             "batch":[[…]],"y_batch":[…]}
 //	GET  /models/{name}/drift  — the model's sliding-window accuracy,
 //	                             detector and retrain state
+//
+// With a rollout controller attached (AttachRollout; lam-serve
+// -rollout):
+//
+//	GET  /models/{name}/rollout  — the model's rollout phase, stage,
+//	                               versions and gate windows
+//	POST /models/{name}/rollout  — an operator action: {"action":
+//	                               "pause"|"resume"|"promote"|"rollback"}
 //
 // The /predict and /observe bodies and the /predict answer go through
 // the wire codec (internal/wire): request rows are scanned straight

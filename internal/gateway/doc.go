@@ -44,7 +44,12 @@
 // twice, and an action never applied twice.
 //
 // Responses stream through unchanged, so a proxied prediction is
-// byte-identical to the direct replica call. GET /models aggregates
+// byte-identical to the direct replica call. The gateway relays rather
+// than acting as a client (relay.go): each attempt is one RoundTrip on
+// the backend's Transport, a 3xx is relayed rather than followed, the
+// replica's Content-Length is passed on, the routing key is peeked with
+// internal/wire's scanner, and the body, header and relay buffer of a
+// request come from a pool. GET /models aggregates
 // the fleet (union by name and version), GET /healthz summarizes
 // per-backend liveness, and GET /metrics exports per-backend counters
 // (requests, retries, failures, 429s, ejections, in-flight) plus a

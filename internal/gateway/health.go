@@ -128,7 +128,7 @@ func (h *health) live() bool { return !h.ejected.Load() }
 
 // probeLoop actively checks one backend's /readyz until ctx is done.
 // Probes continue while ejected — that is the half-open path back in.
-func probeLoop(ctx context.Context, client *http.Client, readyzURL string, h *health) {
+func probeLoop(ctx context.Context, rt http.RoundTripper, readyzURL string, h *health) {
 	t := time.NewTicker(h.cfg.Interval)
 	defer t.Stop()
 	for {
@@ -137,14 +137,14 @@ func probeLoop(ctx context.Context, client *http.Client, readyzURL string, h *he
 			return
 		case <-t.C:
 		}
-		probeOnce(ctx, client, readyzURL, h)
+		probeOnce(ctx, rt, readyzURL, h)
 	}
 }
 
 // probeOnce issues one /readyz round trip and feeds the outcome into
-// the state machine. Any 2xx is ready; anything else — non-2xx,
-// timeout, connection refused — is a failure.
-func probeOnce(ctx context.Context, client *http.Client, readyzURL string, h *health) {
+// the state machine. Any 2xx is ready; anything else — non-2xx, a
+// redirect included, timeout, connection refused — is a failure.
+func probeOnce(ctx context.Context, rt http.RoundTripper, readyzURL string, h *health) {
 	pctx, cancel := context.WithTimeout(ctx, h.cfg.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, readyzURL, nil)
@@ -153,7 +153,7 @@ func probeOnce(ctx context.Context, client *http.Client, readyzURL string, h *he
 		h.reportFailure()
 		return
 	}
-	resp, err := client.Do(req)
+	resp, err := rt.RoundTrip(req)
 	if err != nil {
 		h.lastProbeOK.Store(false)
 		h.reportFailure()

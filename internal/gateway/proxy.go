@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,7 +9,10 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/httptrace"
+	"net/url"
 	"path"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,6 +21,7 @@ import (
 
 	"lam/internal/registry"
 	"lam/internal/telemetry"
+	"lam/internal/wire"
 )
 
 // maxRequestBytes bounds a proxied request body — the same 64 MiB cap
@@ -71,15 +74,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// backend is one lam-serve replica: its base URL, a dedicated pooled
-// HTTP client (per-backend pooling keeps one slow replica from
-// starving the others' idle connections), its health state machine and
-// its counter set.
+// backend is one lam-serve replica: its base URL, the prebuilt targets
+// of the two hot endpoints, a dedicated Transport (per-backend pooling
+// keeps one slow replica from starving the others' idle connections),
+// its health state machine and its counter set.
 type backend struct {
-	url     string
-	client  *http.Client
-	health  *health
-	metrics backendMetrics
+	url              string
+	predict, observe *url.URL
+	transport        *http.Transport
+	health           *health
+	metrics          backendMetrics
 	// cooldownUntil is a unix-nano deadline set from a 429's
 	// Retry-After: until it passes, routing deprioritizes this backend
 	// (used only when every other live candidate is also cooling down).
@@ -147,21 +151,27 @@ func New(urls []string, cfg Config) (*Gateway, error) {
 		}
 		seen[u] = true
 		normalized = append(normalized, u)
-		g.backends = append(g.backends, &backend{
+		b := &backend{
 			url: u,
-			client: &http.Client{
-				// No overall timeout: a slow prediction must be allowed
-				// to finish, and the client request context already
-				// cancels abandoned work. Probes get their own timeout.
-				Transport: &http.Transport{
-					MaxIdleConns:        256,
-					MaxIdleConnsPerHost: 256,
-					IdleConnTimeout:     90 * time.Second,
-				},
+			// No overall timeout: a slow prediction must be allowed to
+			// finish, and the client request context already cancels
+			// abandoned work. Probes get their own timeout.
+			transport: &http.Transport{
+				MaxIdleConns:        256,
+				MaxIdleConnsPerHost: 256,
+				IdleConnTimeout:     90 * time.Second,
 			},
 			health:  newHealth(cfg.Health, lg, u),
 			metrics: newBackendMetrics(g.Telemetry, u),
-		})
+		}
+		var err error
+		if b.predict, err = url.Parse(u + "/predict"); err != nil {
+			return nil, fmt.Errorf("gateway: backend %q: %w", u, err)
+		}
+		if b.observe, err = url.Parse(u + "/observe"); err != nil {
+			return nil, fmt.Errorf("gateway: backend %q: %w", u, err)
+		}
+		g.backends = append(g.backends, b)
 	}
 	// Liveness and ejection counts live in the health state machine;
 	// collectors read them at scrape time instead of mirroring.
@@ -187,7 +197,7 @@ func New(urls []string, cfg Config) (*Gateway, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	g.cancel = cancel
 	for _, b := range g.backends {
-		go probeLoop(ctx, b.client, b.url+"/readyz", b.health)
+		go probeLoop(ctx, b.transport, b.url+"/readyz", b.health)
 	}
 	return g, nil
 }
@@ -196,7 +206,7 @@ func New(urls []string, cfg Config) (*Gateway, error) {
 func (g *Gateway) Close() {
 	g.cancel()
 	for _, b := range g.backends {
-		b.client.CloseIdleConnections()
+		b.transport.CloseIdleConnections()
 	}
 }
 
@@ -235,11 +245,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// modelPeek extracts the one field routing needs from a request body.
-type modelPeek struct {
-	Model string `json:"model"`
 }
 
 // tryOrder returns the ordered backends this request may attempt:
@@ -294,29 +299,27 @@ func (g *Gateway) tryOrder(model string, buf []int) []int {
 	return live
 }
 
-// rotate moves live[off:] to the front, preserving relative order.
+// rotate moves live[off:] to the front, preserving relative order, in
+// place: reversing both parts and then the whole turns [a b] into
+// [b a].
 func rotate(live []int, off int) {
-	if off == 0 {
-		return
-	}
-	tmp := make([]int, 0, len(live))
-	tmp = append(tmp, live[off:]...)
-	tmp = append(tmp, live[:off]...)
-	copy(live, tmp)
+	slices.Reverse(live[:off])
+	slices.Reverse(live[off:])
+	slices.Reverse(live)
 }
 
 // proxy forwards one model-addressed request to the fleet, to the same
 // path on the replica, routed by key: the model name of a rollout path,
 // or, when key is empty, the "model" field peeked from the body. The
-// body is buffered (a retry needs to resend it); the response streams
-// straight through, so a forwarded answer is byte-identical to the
-// backend's. idempotent requests (/predict, rollout GETs) may be
-// retried after any transport failure; the others (/observe, rollout
-// actions) only when the failure provably happened before the request
-// reached a backend (a dial error) — never after bytes were written to
-// a live connection, so an observation is never ingested twice and an
-// action never applied twice. A 429 spills over for every request: the
-// backend shed it before processing.
+// body is buffered in pooled memory (a retry needs to resend it); the
+// response streams straight through, so a forwarded answer is
+// byte-identical to the backend's. idempotent requests (/predict,
+// rollout GETs) may be retried after any transport failure; the others
+// (/observe, rollout actions) only when the failure provably happened
+// before the request reached a backend (a dial error) — never after
+// bytes were written to a live connection, so an observation is never
+// ingested twice and an action never applied twice. A 429 spills over
+// for every request: the backend shed it before processing.
 func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, key string, idempotent bool) {
 	// The gateway is the trace edge: it adopts the client's X-Lam-Trace
 	// ID or mints one, echoes it on the response, and forwards it on
@@ -325,13 +328,14 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, key string, idem
 	// or rollout.
 	tr := g.Tracer.StartFromHeader(r.Header, path.Base(r.URL.Path))
 	if tr != nil {
-		w.Header().Set(telemetry.TraceHeader, tr.ID().String())
+		w.Header().Set(telemetry.TraceHeader, tr.IDString())
 		defer g.Tracer.Finish(tr)
 	}
 	ctx := telemetry.WithTrace(r.Context(), tr)
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
+	out := newOutbound(r.Header.Get("Content-Type"), tr.IDString())
+	defer out.release()
+	if err := out.read(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength); err != nil {
 		var tooLarge *http.MaxBytesError
 		status := http.StatusBadRequest
 		if errors.As(err, &tooLarge) {
@@ -345,16 +349,16 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, key string, idem
 	// forwarded (with an empty routing key): the backend owns the
 	// authoritative 400 so error responses are byte-identical too.
 	if key == "" {
-		var peek modelPeek
-		_ = json.Unmarshal(body, &peek)
-		key = peek.Model
+		key = wire.PeekModel(out.body.Bytes())
 	}
+	// Every attempt's Transport write is counted on out (see outbound).
+	actx := httptrace.WithClientTrace(ctx, &out.trace)
 	// Version is unknown at the gateway: routing keys on the name; the
 	// replica resolves (and records) the served version.
 	tr.SetModel(key, 0)
 
 	var orderBuf [maxBackends]int
-	rsp := telemetry.StartSpan(ctx, "route")
+	rsp := tr.StartSpan("route")
 	order := g.tryOrder(key, orderBuf[:])
 	rsp.End()
 	if len(order) == 0 {
@@ -369,6 +373,9 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, key string, idem
 		attempts = len(order)
 	}
 
+	// The escaped path keeps a name holding "/" one segment on the
+	// replica too.
+	endpoint := r.URL.EscapedPath()
 	var lastErr error
 	spill429 := false
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -378,11 +385,9 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, key string, idem
 			b.metrics.Retries.Add(1)
 			g.Metrics.Retries.Add(1)
 		}
-		psp := telemetry.StartSpan(ctx, "proxy").Detail(b.url)
-		// The escaped path keeps a name holding "/" one segment on the
-		// replica too.
-		resp, err := g.attempt(ctx, b, r.Method, r.URL.EscapedPath(), body, r.Header.Get("Content-Type"))
-		psp.End()
+		psp := tr.StartSpan("proxy")
+		resp, err := g.attempt(actx, b, r.Method, endpoint, out)
+		psp.EndDetail(b.url)
 		if err != nil {
 			b.metrics.Failures.Add(1)
 			b.health.reportFailure()
@@ -417,7 +422,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, key string, idem
 				g.Metrics.SpilledFailure.Add(1)
 			}
 		}
-		forward(w, resp)
+		forward(w, resp, out.copyBuf)
 		return
 	}
 	g.Metrics.Errors.Add(1)
@@ -426,40 +431,52 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, key string, idem
 	})
 }
 
-// attempt issues one backend round trip, tracking the in-flight gauge
-// the bounded-load router reads. The response body is the caller's to
-// close.
-func (g *Gateway) attempt(ctx context.Context, b *backend, method, endpoint string, body []byte, contentType string) (*http.Response, error) {
+// attempt issues one backend round trip on b's Transport, tracking the
+// in-flight gauge the bounded-load router reads. It relays, as
+// httputil.ReverseProxy does: a 3xx comes back as the answer, never
+// followed. out, when set, supplies the body and header; the response
+// body is the caller's to close.
+func (g *Gateway) attempt(ctx context.Context, b *backend, method, endpoint string, out *outbound) (*http.Response, error) {
 	inflight := b.metrics.Inflight.Add(1)
 	b.metrics.InflightPeak.SetMax(inflight)
 	defer b.metrics.Inflight.Add(-1)
-	req, err := http.NewRequestWithContext(ctx, method, b.url+endpoint, bytes.NewReader(body))
+	target, err := b.target(endpoint)
 	if err != nil {
 		return nil, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	req := &http.Request{
+		Method:     method,
+		URL:        target,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
 	}
-	if tr := telemetry.FromContext(ctx); tr != nil {
-		req.Header.Set(telemetry.TraceHeader, tr.ID().String())
+	if out == nil {
+		req.Header = http.Header{}
+	} else {
+		req.Header = out.header
+		if n := out.body.Len(); n > 0 {
+			req.Body, req.GetBody, req.ContentLength = out.newBody(), out.rewind, int64(n)
+		}
 	}
-	req.ContentLength = int64(len(body))
-	return b.client.Do(req)
+	resp, err := b.transport.RoundTrip(req.WithContext(ctx))
+	if err != nil {
+		// The error http.Client.Do would return, so a 502 reads the same.
+		return nil, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: target.Redacted(), Err: err}
+	}
+	return resp, nil
 }
 
-// forward streams a backend response to the client unchanged: status,
-// the headers the API uses, and the body bytes verbatim — the
-// bit-identity contract for proxied predictions.
-func forward(w http.ResponseWriter, resp *http.Response) {
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+// target returns the URL of endpoint on b: prebuilt for /predict and
+// /observe, parsed for the rest.
+func (b *backend) target(endpoint string) (*url.URL, error) {
+	switch endpoint {
+	case "/predict":
+		return b.predict, nil
+	case "/observe":
+		return b.observe, nil
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	return url.Parse(b.url + endpoint)
 }
 
 // retryAfter parses a 429's Retry-After seconds, capped so a
@@ -537,7 +554,7 @@ func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request) {
 		if !b.health.live() {
 			continue
 		}
-		resp, err := g.attempt(r.Context(), b, http.MethodGet, "/models", nil, "")
+		resp, err := g.attempt(r.Context(), b, http.MethodGet, "/models", nil)
 		if err != nil {
 			b.health.reportFailure()
 			lastErr = err

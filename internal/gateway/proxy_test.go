@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -246,5 +247,65 @@ func TestRetryAfterCapped(t *testing.T) {
 		if got := retryAfter(resp); got != want {
 			t.Errorf("Retry-After %q: cooldown %v, want %v", header, got, want)
 		}
+	}
+}
+
+// TestRotate checks the in-place rotation at every offset of every
+// length up to 9 against a rotation built by appending.
+func TestRotate(t *testing.T) {
+	for n := 0; n <= 9; n++ {
+		for off := 0; off < max(n, 1); off++ {
+			live := make([]int, n)
+			for i := range live {
+				live[i] = 10 + i
+			}
+			want := append(append([]int(nil), live[off:]...), live[:off]...)
+			rotate(live, off)
+			if fmt.Sprint(live) != fmt.Sprint(want) {
+				t.Fatalf("rotate(n=%d, off=%d) = %v, want %v", n, off, live, want)
+			}
+		}
+	}
+	live := []int{1, 2, 3, 4}
+	if got := testing.AllocsPerRun(10, func() { rotate(live, 3) }); got != 0 {
+		t.Fatalf("rotate allocates %.0f objects, want 0", got)
+	}
+}
+
+// TestRedirectRelayed: a replica's 3xx is the answer the client gets,
+// Location and all — the gateway relays, it does not follow (a client
+// that followed a 301 would resend the POST as a GET).
+func TestRedirectRelayed(t *testing.T) {
+	var gets atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {})
+	mux.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
+		http.Redirect(w, r, "/elsewhere", http.StatusMovedPermanently)
+	})
+	mux.HandleFunc("/elsewhere", func(w http.ResponseWriter, r *http.Request) {
+		gets.Add(1)
+		fmt.Fprint(w, `{"followed":true}`)
+	})
+	replica := httptest.NewServer(mux)
+	defer replica.Close()
+	g, err := New([]string{replica.URL}, Config{Health: slowHealth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	cli := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	resp, err := cli.Post(gw.URL+"/predict", "application/json", bytes.NewReader([]byte(`{"model":"m","x":[1]}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMovedPermanently || resp.Header.Get("Location") != "/elsewhere" {
+		t.Fatalf("got %d Location %q, want the replica's 301 to /elsewhere", resp.StatusCode, resp.Header.Get("Location"))
+	}
+	if n := gets.Load(); n != 0 {
+		t.Fatalf("the gateway followed the redirect: /elsewhere was requested %d time(s)", n)
 	}
 }

@@ -496,11 +496,12 @@ func (r *Registry) Load(name string, version int) (*Model, error) {
 func (r *Registry) LoadCtx(ctx context.Context, name string, version int) (*Model, error) {
 	sp := telemetry.StartSpan(ctx, "artifact_load")
 	m, err := r.Load(name, version)
-	if err == nil {
-		sp.Detail(m.Meta.Name + "@v" + strconv.Itoa(m.Meta.Version))
+	if err != nil {
+		sp.End()
+		return nil, err
 	}
-	sp.End()
-	return m, err
+	sp.EndDetail(m.Meta.Name + "@v" + strconv.Itoa(m.Meta.Version))
+	return m, nil
 }
 
 // ArtifactInfo inspects one stored version's artifact — format, payload

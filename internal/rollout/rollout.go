@@ -471,7 +471,7 @@ func (c *Controller) Ingest(ctx context.Context, name string, observed, predicte
 	if m.st.Candidate == 0 || m.cand == nil {
 		st := c.statusLocked(m)
 		m.mu.Unlock()
-		sp.Detail("idle").End()
+		sp.EndDetail("idle")
 		return st
 	}
 	c.ledger.Record(name, m.st.Candidate, observed, predicted)
@@ -484,7 +484,7 @@ func (c *Controller) Ingest(ctx context.Context, name string, observed, predicte
 	for _, f := range after {
 		f()
 	}
-	sp.Detail(st.Phase).End()
+	sp.EndDetail(st.Phase)
 	return st
 }
 

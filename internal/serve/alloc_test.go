@@ -265,7 +265,7 @@ func TestPredictHandlerAllocations(t *testing.T) {
 // maxSingleRowAllocs is the measured allocation count of a single-row
 // /predict, pinned as a ceiling. None of them is the analytical model's:
 // the stencil model scores a row without allocating.
-const maxSingleRowAllocs = 14
+const maxSingleRowAllocs = 8
 
 // TestObserveHandlerAllocations extends the zero-per-row contract to
 // /observe on the stencil-blocking hybrid with the online plane
@@ -322,7 +322,7 @@ func TestObserveHandlerAllocations(t *testing.T) {
 
 // maxObserveAllocs is the measured allocation count of a batched
 // /observe on the stencil hybrid, pinned as a ceiling.
-const maxObserveAllocs = 13
+const maxObserveAllocs = 8
 
 // stencilHybridServer publishes a hybrid trained on a 4% sample of the
 // stencil-blocking dataset and returns a server over it, wired with

@@ -114,13 +114,13 @@ func (r *resolver) swapIn(ctx context.Context, name string, s *slot, version int
 		return cur, nil
 	}
 	sp := telemetry.StartSpan(ctx, "hot_swap")
-	defer sp.End()
 	r.metrics.ModelCacheMisses.Add(1)
 	m, err := r.load(ctx, name, version)
 	if err != nil {
+		sp.End()
 		return nil, err
 	}
-	sp.Detail(m.Meta.Name + "@v" + strconv.Itoa(m.Meta.Version))
+	defer sp.EndDetail(m.Meta.Name + "@v" + strconv.Itoa(m.Meta.Version))
 	for {
 		cur := s.model.Load()
 		if cur != nil && cur.Meta.Version >= m.Meta.Version {

@@ -183,8 +183,8 @@ func (s *Server) rolloutObserve(ctx context.Context, m *registry.Model, rv *roll
 			}
 		}
 	}
-	// Spans open on the trace itself: telemetry.StartSpan is not inlined
-	// here, so its span would escape and cost each request allocations.
+	// The spans below open on the trace itself: one context lookup for
+	// all three.
 	tr := telemetry.FromContext(ctx)
 	var status online.Status
 	inc := ml.GetScratch(len(incX))

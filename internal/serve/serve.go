@@ -401,7 +401,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	tr := s.Tracer.StartFromHeader(r.Header, "predict")
 	ctx := r.Context()
 	if tr != nil {
-		w.Header().Set(telemetry.TraceHeader, tr.ID().String())
+		w.Header().Set(telemetry.TraceHeader, tr.IDString())
 		ctx = telemetry.WithTrace(ctx, tr)
 		defer s.Tracer.Finish(tr)
 	}
@@ -530,13 +530,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	buf := ml.GetScratch(len(req.Batch))
 	defer ml.PutScratch(buf)
 	psp := tr.StartSpan("predict")
+	err = m.PredictBatchInto(ctx, req.Batch, *buf)
 	if tr != nil {
 		// One allocation whatever the row count (Itoa allocates from 100).
 		var detail [24]byte
-		psp.Detail(string(strconv.AppendInt(append(detail[:0], "rows="...), int64(len(req.Batch)), 10)))
+		psp.EndDetail(string(strconv.AppendInt(append(detail[:0], "rows="...), int64(len(req.Batch)), 10)))
 	}
-	err = m.PredictBatchInto(ctx, req.Batch, *buf)
-	psp.End()
 	if err != nil {
 		mt.err.Inc()
 		fail(predictError(err))
@@ -572,7 +571,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	tr := s.Tracer.StartFromHeader(r.Header, "observe")
 	ctx := r.Context()
 	if tr != nil {
-		w.Header().Set(telemetry.TraceHeader, tr.ID().String())
+		w.Header().Set(telemetry.TraceHeader, tr.IDString())
 		ctx = telemetry.WithTrace(ctx, tr)
 		defer s.Tracer.Finish(tr)
 	}

@@ -32,9 +32,12 @@
 // hop it proxies to join one logical trace. Spans (admission wait,
 // coalesce queue, artifact load, predict, …) are recorded into the
 // trace by the request path via context (WithTrace / StartSpan) and
-// are cheap: one small append under the trace's own mutex, bounded by
+// are cheap: an open span is a value, and ending it is one append under
+// the trace's own mutex into storage the trace holds inline, bounded by
 // maxSpans. A Recorder keeps the most recent finished traces in a
-// bounded ring served as JSON at GET /trace/recent, and logs the full
+// bounded ring served as JSON at GET /trace/recent; Finish overwrites a
+// slot in place and Recent copies slots out, so a traced request
+// allocates its Trace and nothing else. The Recorder also logs the full
 // span list of any trace slower than its Slow threshold through its
 // slog.Logger — the "-trace-slow" flag of the daemons.
 //

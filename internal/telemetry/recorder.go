@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 )
@@ -34,9 +35,24 @@ type Recorder struct {
 	Logger *slog.Logger
 
 	mu   sync.Mutex
-	ring []Record
+	ring []slot
 	next int
 	full bool
+}
+
+// slot is one finished trace in the Recorder's ring. Finish overwrites
+// a slot in place, reusing its span storage, so recording a trace
+// allocates nothing once the ring has turned over; Recent copies slots
+// out as Records.
+type slot struct {
+	id      TraceID
+	name    string
+	model   string
+	version int
+	start   time.Time
+	durNs   int64
+	spans   []Span
+	dropped int
 }
 
 // NewRecorder returns a recorder keeping the last size finished
@@ -45,7 +61,7 @@ func NewRecorder(size int) *Recorder {
 	if size < 1 {
 		size = 1
 	}
-	return &Recorder{ring: make([]Record, size)}
+	return &Recorder{ring: make([]slot, size)}
 }
 
 // Start mints a fresh trace. name labels the operation ("predict",
@@ -54,23 +70,26 @@ func (r *Recorder) Start(name string) *Trace {
 	if r == nil {
 		return nil
 	}
-	return &Trace{id: NewTraceID(), name: name, start: time.Now()}
+	return newTrace(NewTraceID(), "", name)
 }
 
 // StartFromHeader adopts the TraceHeader ID from an incoming request,
 // minting a fresh one when the header is absent or malformed — the
-// edge mints, interior hops join.
+// edge mints, interior hops join. An adopted ID in lowercase, the form
+// every hop sends, is kept as the header's own string.
 func (r *Recorder) StartFromHeader(h http.Header, name string) *Trace {
 	if r == nil {
 		return nil
 	}
-	t := &Trace{name: name, start: time.Now()}
-	if id, ok := ParseTraceID(h.Get(TraceHeader)); ok {
-		t.id = id
-	} else {
-		t.id = NewTraceID()
+	s := h.Get(TraceHeader)
+	id, ok := ParseTraceID(s)
+	if !ok {
+		return newTrace(NewTraceID(), "", name)
 	}
-	return t
+	if strings.ContainsAny(s, "ABCDEF") {
+		s = ""
+	}
+	return newTrace(id, s, name)
 }
 
 // Finish completes the trace: stores it in the ring and, if the trace
@@ -80,21 +99,14 @@ func (r *Recorder) Finish(t *Trace) {
 		return
 	}
 	dur := time.Since(t.start)
-	t.mu.Lock()
-	rec := Record{
-		TraceID:      t.id.String(),
-		Name:         t.name,
-		Model:        t.model,
-		Version:      t.version,
-		Start:        t.start,
-		DurNs:        dur.Nanoseconds(),
-		Spans:        append([]Span(nil), t.spans...),
-		SpansDropped: t.dropped,
-	}
-	t.mu.Unlock()
-
 	r.mu.Lock()
-	r.ring[r.next] = rec
+	s := &r.ring[r.next]
+	t.mu.Lock()
+	s.id, s.name, s.model, s.version = t.id, t.name, t.model, t.version
+	s.start, s.durNs, s.dropped = t.start, dur.Nanoseconds(), t.dropped
+	s.spans = append(s.spans[:0], t.spans...)
+	model, version, spans := t.model, t.version, t.spans
+	t.mu.Unlock()
 	r.next++
 	if r.next == len(r.ring) {
 		r.next = 0
@@ -108,17 +120,21 @@ func (r *Recorder) Finish(t *Trace) {
 			lg = slog.Default()
 		}
 		lg.Warn("slow trace",
-			"trace_id", rec.TraceID,
-			"op", rec.Name,
-			"model", rec.Model,
-			"version", rec.Version,
+			"trace_id", t.idText,
+			"op", t.name,
+			"model", model,
+			"version", version,
 			"dur", dur,
-			"spans", rec.Spans,
+			"spans", clone(spans),
 		)
 	}
 }
 
-// Recent returns the stored traces newest-first.
+// clone copies spans, nil when there are none.
+func clone(spans []Span) []Span { return append([]Span(nil), spans...) }
+
+// Recent returns copies of the stored traces, newest-first: later
+// Finish calls, which overwrite the ring in place, do not change them.
 func (r *Recorder) Recent() []Record {
 	if r == nil {
 		return nil
@@ -136,7 +152,17 @@ func (r *Recorder) Recent() []Record {
 		if idx < 0 {
 			idx += len(r.ring)
 		}
-		out = append(out, r.ring[idx])
+		s := &r.ring[idx]
+		out = append(out, Record{
+			TraceID:      s.id.String(),
+			Name:         s.name,
+			Model:        s.model,
+			Version:      s.version,
+			Start:        s.start,
+			DurNs:        s.durNs,
+			Spans:        clone(s.spans),
+			SpansDropped: s.dropped,
+		})
 	}
 	return out
 }

@@ -17,7 +17,11 @@ const TraceHeader = "X-Lam-Trace"
 type TraceID [16]byte
 
 // String renders the ID as lowercase hex.
-func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
+func (id TraceID) String() string {
+	var b [2 * len(id)]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
+}
 
 // IsZero reports whether the ID is all-zero (no trace).
 func (id TraceID) IsZero() bool { return id == TraceID{} }
@@ -48,10 +52,16 @@ func NewTraceID() TraceID {
 	return id
 }
 
-// maxSpans bounds one trace's span list; a span started past the
-// bound increments Dropped instead of growing the slice, so a
-// pathological request cannot balloon the ring's memory.
+// maxSpans bounds one trace's span list; a span ended past the bound
+// increments Dropped instead of growing the slice, so a pathological
+// request cannot balloon the ring's memory.
 const maxSpans = 64
+
+// inlineSpans is how many spans a trace holds without a heap slice of
+// its own: enough for every request path (admission, coalesce,
+// predict; route, proxy and a retry), so recording a request's spans
+// never regrows a slice.
+const inlineSpans = 4
 
 // Span is one completed unit of work within a trace. Times are offsets
 // from the trace's start so span trees from different processes can be
@@ -67,15 +77,28 @@ type Span struct {
 // methods are safe on a nil receiver — instrumented code never checks
 // whether tracing is enabled.
 type Trace struct {
-	id    TraceID
-	name  string
-	start time.Time
+	id     TraceID
+	idText string // id as TraceHeader carries it, formatted once
+	name   string
+	start  time.Time
 
 	mu      sync.Mutex
 	model   string
 	version int
-	spans   []Span
+	spans   []Span // inline[:0] until a trace outgrows it
 	dropped int
+	inline  [inlineSpans]Span
+}
+
+// newTrace returns a trace of the given ID started now. text is the ID
+// as TraceHeader carries it, or "" to format it here.
+func newTrace(id TraceID, text, name string) *Trace {
+	if text == "" {
+		text = id.String()
+	}
+	t := &Trace{id: id, idText: text, name: name, start: time.Now()}
+	t.spans = t.inline[:0]
+	return t
 }
 
 // ID returns the trace's identifier (zero on nil).
@@ -84,6 +107,16 @@ func (t *Trace) ID() TraceID {
 		return TraceID{}
 	}
 	return t.id
+}
+
+// IDString returns the ID as 32 lowercase hex digits, the form
+// TraceHeader carries: formatted once per trace, or adopted as is from
+// the header it arrived in ("" on nil).
+func (t *Trace) IDString() string {
+	if t == nil {
+		return ""
+	}
+	return t.idText
 }
 
 // SetModel records the model name and version the trace resolved to;
@@ -99,41 +132,35 @@ func (t *Trace) SetModel(model string, version int) {
 	t.mu.Unlock()
 }
 
-// ActiveSpan is an in-progress span; End completes it and appends it
-// to the trace.
+// ActiveSpan is an in-progress span, held by value: opening one
+// allocates nothing. End or EndDetail completes it and appends it to
+// the trace. The zero ActiveSpan (from a nil trace) no-ops.
 type ActiveSpan struct {
-	t      *Trace
-	name   string
-	detail string
-	start  time.Time
+	t     *Trace
+	name  string
+	start time.Time
 }
 
-// StartSpan opens a span. Nil-safe: on a nil trace the returned nil
-// *ActiveSpan's methods no-op.
-func (t *Trace) StartSpan(name string) *ActiveSpan {
+// StartSpan opens a span. Nil-safe: on a nil trace the returned span's
+// methods no-op.
+func (t *Trace) StartSpan(name string) ActiveSpan {
 	if t == nil {
-		return nil
+		return ActiveSpan{}
 	}
-	return &ActiveSpan{t: t, name: name, start: time.Now()}
-}
-
-// Detail attaches a free-form annotation (backend URL, model@version,
-// batch size) and returns the span for chaining.
-func (s *ActiveSpan) Detail(d string) *ActiveSpan {
-	if s == nil {
-		return s
-	}
-	s.detail = d
-	return s
+	return ActiveSpan{t: t, name: name, start: time.Now()}
 }
 
 // End completes the span and records it on the trace.
-func (s *ActiveSpan) End() {
-	if s == nil {
+func (s ActiveSpan) End() { s.EndDetail("") }
+
+// EndDetail completes the span with a free-form annotation (backend
+// URL, model@version, batch size) and records it on the trace.
+func (s ActiveSpan) EndDetail(detail string) {
+	t := s.t
+	if t == nil {
 		return
 	}
 	now := time.Now()
-	t := s.t
 	t.mu.Lock()
 	if len(t.spans) >= maxSpans {
 		t.dropped++
@@ -142,7 +169,7 @@ func (s *ActiveSpan) End() {
 			Name:    s.name,
 			StartNs: s.start.Sub(t.start).Nanoseconds(),
 			DurNs:   now.Sub(s.start).Nanoseconds(),
-			Detail:  s.detail,
+			Detail:  detail,
 		})
 	}
 	t.mu.Unlock()
@@ -170,6 +197,6 @@ func FromContext(ctx context.Context) *Trace {
 // instrumentation form:
 //
 //	defer telemetry.StartSpan(ctx, "artifact_load").End()
-func StartSpan(ctx context.Context, name string) *ActiveSpan {
+func StartSpan(ctx context.Context, name string) ActiveSpan {
 	return FromContext(ctx).StartSpan(name)
 }

@@ -55,7 +55,7 @@ func TestSpansAndRing(t *testing.T) {
 		tr.SetModel("grid", 3)
 		sp := tr.StartSpan("admission")
 		sp.End()
-		tr.StartSpan("predict").Detail("batch=4").End()
+		tr.StartSpan("predict").EndDetail("batch=4")
 		r.Finish(tr)
 	}
 	recs := r.Recent()
@@ -91,7 +91,7 @@ func TestNilSafety(t *testing.T) {
 	var r *Recorder
 	tr := r.Start("predict") // nil
 	tr.SetModel("m", 1)
-	tr.StartSpan("x").Detail("d").End()
+	tr.StartSpan("x").EndDetail("d")
 	r.Finish(tr)
 	if r.Recent() != nil {
 		t.Fatal("nil recorder must report no traces")
@@ -164,5 +164,71 @@ func TestRecentHandler(t *testing.T) {
 	}
 	if _, ok := ParseTraceID(doc.Traces[0].TraceID); !ok {
 		t.Fatalf("trace_id not a valid ID: %q", doc.Traces[0].TraceID)
+	}
+}
+
+// TestRecorderFinishAllocations: once the ring has turned over, a
+// request's trace is one object — its spans live inline, an adopted
+// header ID is kept as it came, and Finish reuses its slot's storage.
+func TestRecorderFinishAllocations(t *testing.T) {
+	r := NewRecorder(4)
+	h := http.Header{}
+	h.Set(TraceHeader, NewTraceID().String())
+	request := func() *Trace {
+		tr := r.StartFromHeader(h, "predict")
+		for _, name := range [...]string{"admission", "coalesce", "predict"} {
+			tr.StartSpan(name).End()
+		}
+		return tr
+	}
+	for i := 0; i < 2*len(r.ring); i++ {
+		r.Finish(request())
+	}
+	if got := testing.AllocsPerRun(100, func() { r.Finish(request()) }); got != 1 {
+		t.Fatalf("a traced request allocates %.0f objects, want 1 (the trace)", got)
+	}
+	tr := request()
+	if got := testing.AllocsPerRun(100, func() { r.Finish(tr) }); got != 0 {
+		t.Fatalf("Finish allocates %.0f objects, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { r.Start("retrain") }); got != 2 {
+		t.Fatalf("minting a trace allocates %.0f objects, want 2 (the trace and its ID text)", got)
+	}
+}
+
+// TestRecentIsACopy: Finish overwrites ring slots in place, so what
+// Recent returned must not share their storage — neither the record
+// nor its JSON may change when later traces land in the same slots.
+func TestRecentIsACopy(t *testing.T) {
+	r := NewRecorder(1)
+	tr := r.Start("predict")
+	tr.SetModel("grid", 2)
+	tr.StartSpan("admission").End()
+	tr.StartSpan("predict").EndDetail("rows=4")
+	r.Finish(tr)
+	recs := r.Recent()
+	before, err := json.Marshal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		later := r.Start("observe")
+		later.SetModel("other", 9)
+		later.StartSpan("observe_ingest").EndDetail("overwritten")
+		later.StartSpan("rollout").End()
+		r.Finish(later)
+	}
+	after, err := json.Marshal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("a later Finish changed an earlier Recent result:\nbefore %s\nafter  %s", before, after)
+	}
+	if rec := recs[0]; rec.TraceID != tr.ID().String() || rec.Spans[1].Detail != "rows=4" {
+		t.Fatalf("record lost its trace: %+v", rec)
+	}
+	if r.Recent()[0].Name != "observe" {
+		t.Fatal("the ring did not take the later trace")
 	}
 }

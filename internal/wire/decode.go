@@ -480,11 +480,36 @@ func digits(b []byte, i int) int {
 	return i
 }
 
-// float scans a number that strconv.ParseFloat parses in range.
+// exactDigits is the longest integer literal float converts itself:
+// every integer of up to 15 digits is below 2^53, so its float64 is
+// exact and equals strconv.ParseFloat's.
+const exactDigits = 15
+
+// float scans a number that strconv.ParseFloat parses in range. An
+// integer literal of up to exactDigits digits is converted without
+// strconv: its magnitude as a uint64, then the sign, so "-0" is -0.
 func (s *scanner) float() (float64, bool) {
 	lit, ok := s.number()
 	if !ok {
 		return 0, false
+	}
+	digs := lit
+	if digs[0] == '-' {
+		digs = digs[1:]
+	}
+	if len(digs) <= exactDigits {
+		var u uint64
+		i := 0
+		for ; i < len(digs) && '0' <= digs[i] && digs[i] <= '9'; i++ {
+			u = u*10 + uint64(digs[i]-'0')
+		}
+		if i == len(digs) {
+			f := float64(u)
+			if len(digs) < len(lit) {
+				f = -f
+			}
+			return f, true
+		}
 	}
 	v, err := strconv.ParseFloat(string(lit), 64)
 	return v, err == nil

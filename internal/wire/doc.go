@@ -36,6 +36,15 @@
 // limit, before it is decided. Only when its answer goes out changes,
 // never what the answer is.
 //
+// PeekModel is the gateway's routing read: the body's "model" field as
+// json.Unmarshal would store it, answered by the same scanner for a
+// canonical body and by json.Unmarshal for any other; FuzzModelPeek
+// holds the two together.
+//
+// An integer literal of up to 15 digits, the shape of every stencil
+// feature, is converted without strconv: below 2^53 its float64 is
+// exact, so the bits are ParseFloat's.
+//
 // Decoded /predict and /observe rows live in pooled memory and are
 // valid until Predict.Release and Observe.Release: whatever keeps a row
 // past the request — the online plane's window, a shadow sink — copies

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -273,6 +274,70 @@ func TestLamb1CorruptionFailsTyped(t *testing.T) {
 	// Kind mismatch against metadata.
 	if _, err := (lamb1Codec{}).Decode(data, DecodeOptions{Kind: KindHybrid, Analytical: testAM}); !errors.Is(err, lamerr.ErrCorruptArtifact) {
 		t.Fatalf("kind mismatch: got %v, want ErrCorruptArtifact", err)
+	}
+}
+
+// TestLamb1CRCWinsOverRecordFault decodes a forest artifact large
+// enough that its CRC and its structural decode run side by side for a
+// while, at one and two processors: a record fault under a stale
+// trailer, a payload
+// the decoder refuses at its first word under a stale trailer, and
+// single bit flips anywhere past the header all fail as
+// a CRC mismatch; the same record fault reframed (the CRC fixed) fails
+// as the record fault.
+func TestLamb1CRCWinsOverRecordFault(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	X, y := synth(rng, 2000, 3)
+	reg := ml.NewExtraTrees(40, 1)
+	if err := reg.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	p := &Payload{Regressor: reg}
+	data := encode(t, lamb1Codec{}, p)
+	if len(data) < largeArtifactBytes {
+		t.Fatalf("artifact is %d bytes, want at least %d", len(data), largeArtifactBytes)
+	}
+	// A forest's records end at its root column and padding, just
+	// before the trailer; pick a split past the middle of the block.
+	st := p.Stats()
+	recordsEnd := len(data) - lamb1TrailerLen - 4*st.Trees - 4*(st.Trees%2)
+	at := recordsEnd - 16*st.Nodes/3
+	for int32(binary.LittleEndian.Uint32(data[at+8:])) < 0 {
+		at += 16
+	}
+	faulted := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(faulted[at+8:], 3)
+	badKind := bytes.Clone(data)
+	putU64(badKind[lamb1HeaderLen:], 99)
+	type mangled struct {
+		name string
+		data []byte
+		want string
+	}
+	cases := []mangled{
+		{"record fault, stale trailer", faulted, "CRC32C mismatch"},
+		{"unknown model kind, stale trailer", badKind, "CRC32C mismatch"},
+		{"record fault, reframed", reframe(faulted), "splits on feature 3 of 3"},
+	}
+	for range 16 {
+		i := lamb1HeaderLen + rng.Intn(len(data)-lamb1HeaderLen)
+		flipped := bytes.Clone(data)
+		flipped[i] ^= 1 << rng.Intn(8)
+		cases = append(cases, mangled{fmt.Sprintf("bit flip at %d", i), flipped, "CRC32C mismatch"})
+	}
+
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, c := range cases {
+			_, err := lamb1Codec{}.Decode(c.data, DecodeOptions{})
+			if !errors.Is(err, lamerr.ErrCorruptArtifact) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s at %d processors: got %v, want ErrCorruptArtifact naming %q", c.name, procs, err, c.want)
+			}
+		}
+		if _, err := (lamb1Codec{}).Decode(data, DecodeOptions{}); err != nil {
+			t.Errorf("the unfaulted artifact at %d processors: %v", procs, err)
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 

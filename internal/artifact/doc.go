@@ -18,6 +18,10 @@
 //     validation pass over the mapped records, which then are the walk
 //     table — no per-node decode, no heap copy of the file, no per-node
 //     allocation (see BenchmarkColdLoadBinary in internal/registry).
+//     The CRC runs on its own goroutine while the payload decodes, and
+//     the validation pass of a large table fans out over blocks of
+//     trees; Decode joins the CRC before it returns on every path, and
+//     a checksum mismatch is the error whatever the decode found.
 //     Version-1 files (explicit left children) and version-2 files
 //     (five node columns) decode forever into a packed heap table; a
 //     leaf's split fields there (feature, threshold, right) are not
@@ -43,8 +47,10 @@
 //   - Corruption safety: a truncated or bit-flipped artifact fails
 //     Decode with a typed error wrapping lamerr.ErrCorruptArtifact —
 //     never a panic, never a silently wrong model. lamb1's CRC covers
-//     the whole header+payload, so any single-bit flip is detected
-//     before parsing begins. Both decoders are fuzzed, and a decode's
+//     the whole header+payload, so any single-bit flip is detected, and
+//     reported as a CRC mismatch ahead of any structural fault, in
+//     place of whatever the decode beside the CRC returned. Both
+//     decoders are fuzzed, and a decode's
 //     allocation is bounded by its input's length.
 //   - Detection: Detect picks the codec from the artifact's leading
 //     bytes (lamb1 by magic, jsonv1 by JSON syntax), so mixed-format

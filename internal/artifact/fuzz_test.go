@@ -5,8 +5,10 @@ package artifact
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -185,4 +187,45 @@ func FuzzJSONV1Decode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		requireDecodeContract(t, jsonv1Codec{}, data)
 	})
+}
+
+// largeArtifactBytes is the least size of the artifacts the tests of
+// Decode's concurrent CRC build: a checksum of that many bytes takes
+// tens of microseconds, while a payload refused at its first word is
+// decoded in well under one, so the CRC is still reading when the
+// decode returns.
+const largeArtifactBytes = 1 << 20
+
+// TestDecodeReturnsAfterTheCRC unmaps a large artifact the moment
+// Decode returns, the way a registry load's mapping may go once the
+// load has failed. The payload is refused at its first word, long
+// before the CRC beside the decode can have read the mapping through,
+// so a Decode that returned without joining the CRC would fault here.
+func TestDecodeReturnsAfterTheCRC(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	reg := ml.NewExtraTrees(40, 1)
+	X, y := synth(rand.New(rand.NewSource(11)), 2000, 3)
+	if err := reg.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	data := encode(t, lamb1Codec{}, &Payload{Regressor: reg})
+	if len(data) < largeArtifactBytes {
+		t.Fatalf("artifact is %d bytes, want at least %d", len(data), largeArtifactBytes)
+	}
+	putU64(data[lamb1HeaderLen:], 99)
+	data = reframe(data)
+	for range 20 {
+		m, err := syscall.Mmap(-1, 0, len(data), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(m, data)
+		_, err = lamb1Codec{}.Decode(m, DecodeOptions{})
+		if err := syscall.Munmap(m); err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(err, lamerr.ErrCorruptArtifact) || !strings.Contains(err.Error(), "unknown binary model kind 99") {
+			t.Fatalf("got %v, want the unknown model kind", err)
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 	"unsafe"
 
 	"lam/internal/hybrid"
@@ -31,8 +32,9 @@ import (
 //
 // The \r\n in the magic catches text-mode line-ending mangling the way
 // PNG's does; the CRC covers header and payload, so any truncation or
-// bit flip fails loudly (wrapping lamerr.ErrCorruptArtifact) before a
-// single payload byte is parsed.
+// bit flip fails loudly (wrapping lamerr.ErrCorruptArtifact) as a CRC
+// mismatch, whatever the payload holds: Decode checks the CRC beside
+// the parse, and its error wins.
 var lamb1Magic = [8]byte{'L', 'A', 'M', 'B', '1', '\r', '\n', 0}
 
 const (
@@ -115,9 +117,30 @@ func (lamb1Codec) Decode(data []byte, opts DecodeOptions) (*Payload, error) {
 			payloadLen, len(data)-lamb1HeaderLen-lamb1TrailerLen)
 	}
 	body := data[:len(data)-lamb1TrailerLen]
-	if got, want := crc32.Checksum(body, crcTable), lamb1TrailerCRC(data); got != want {
+	// The CRC runs beside the structural decode and is joined on every
+	// path out, a panic included: data may be a mapping that only the
+	// caller's hold on its owner keeps mapped, and that hold ends when
+	// Decode returns. A mismatch wins over whatever the decode said.
+	var got uint32
+	var crc sync.WaitGroup
+	crc.Add(1)
+	go func() {
+		defer crc.Done()
+		got = crc32.Checksum(body, crcTable)
+	}()
+	p, err := func() (*Payload, error) {
+		defer crc.Wait()
+		return decodeLamb1Payload(body, version, kind, opts)
+	}()
+	if want := lamb1TrailerCRC(data); got != want {
 		return nil, corrupt1("CRC32C mismatch: computed %08x, trailer %08x", got, want)
 	}
+	return p, err
+}
+
+// decodeLamb1Payload decodes the payload of body, a lamb1 artifact
+// without its trailer whose header has been checked.
+func decodeLamb1Payload(body []byte, version, kind uint32, opts DecodeOptions) (*Payload, error) {
 	payload := alignedPayload(body[lamb1HeaderLen:])
 
 	var kindName string

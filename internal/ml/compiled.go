@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 	"unsafe"
+
+	"lam/internal/parallel"
 )
 
 // b2i32 converts a bool to 0/1 without a branch: the comparison's
@@ -208,9 +211,10 @@ func (e *CompiledEnsemble) views(trees []*DecisionTree) {
 
 // compileEnsemble is where legacy-decoded trees become models: it packs
 // tables[t] into one exact-size fused table and makes trees[t] a view
-// of its range. The fill stays on the calling goroutine, so a load's
-// time does not depend on a second core being free. It fails, touching
-// no tree, only past int32 node indices.
+// of its range. The fill stays on the calling goroutine: the
+// branch-free packTree is as fast as a branching fill on two cores, so
+// unlike adoptRecords' check it would not halve with a second core. It
+// fails, touching no tree, only past int32 node indices.
 func compileEnsemble(trees []*DecisionTree, tables []nodeTable) (*CompiledEnsemble, error) {
 	roots, total, err := fusedRoots(len(tables), func(t int) int { return len(tables[t].feature) })
 	if err != nil {
@@ -233,30 +237,103 @@ func compileEnsemble(trees []*DecisionTree, tables []nodeTable) (*CompiledEnsemb
 // split names a feature below nFeatures and a right child inside its
 // own tree past its left child (preorder, so every walk ends); a leaf
 // is canonical (feature -1, right 0). The pass only reads hot, which
-// may be a read-only mapping; keep is what owns it.
+// may be a read-only mapping; keep is what owns it. A large table is
+// checked in blocks of trees across cores (firstBadTree), and the error
+// is always the lowest faulty tree's, so it does not depend on the
+// worker count.
 func adoptRecords(trees []*DecisionTree, hot []hotNode, roots []int32, nFeatures int, keep any) (*CompiledEnsemble, error) {
 	if len(roots) != len(trees) || len(roots) == 0 || roots[0] != 0 {
 		return nil, fmt.Errorf("ml: corrupt tree: %d roots for %d trees, first %v", len(roots), len(trees), roots[:min(len(roots), 1)])
 	}
 	e := &CompiledEnsemble{hot: hot, roots: roots, keep: keep}
-	for t := range roots {
-		lo, hi := roots[t], e.treeEnd(t)
-		if hi <= lo || int(hi) > len(hot) {
-			return nil, fmt.Errorf("ml: corrupt tree: tree %d spans records [%d, %d) of %d", t, lo, hi, len(hot))
-		}
-		if i := badRecord(hot, lo, hi, int32(nFeatures)); i >= 0 {
-			switch n := hot[i]; {
-			case n.feature < 0:
-				return nil, fmt.Errorf("ml: corrupt tree: leaf %d of tree %d has feature %d and right child %d, not -1 and 0", i, t, n.feature, n.right)
-			case int(n.feature) >= nFeatures:
-				return nil, fmt.Errorf("ml: corrupt tree: internal node %d of tree %d splits on feature %d of %d", i, t, n.feature, nFeatures)
-			default:
-				return nil, fmt.Errorf("ml: corrupt tree: internal node %d of tree %d has right child %d outside (%d, %d)", i, t, n.right, i+1, hi)
-			}
-		}
+	if t := e.firstBadTree(int32(nFeatures)); t < len(roots) {
+		return nil, e.treeFault(t, nFeatures)
 	}
 	e.views(trees)
 	return e, nil
+}
+
+// adoptBlockMinRecords is the fewest records one block of
+// firstBadTree's fan-out checks when the trees are of equal size: below
+// it a helper's wake-up costs more than the share of the check it
+// takes, so a table of fewer than twice as many records is one block,
+// checked on the calling goroutine (EXPERIMENTS.md § Cold-load budget).
+const adoptBlockMinRecords = 1 << 14
+
+// adoptBlocks splits n trees holding records records into blocks of
+// perBlock contiguous trees, the last block also taking the n%perBlock
+// left over. perBlock is the fewest trees that, at the average tree's
+// size, hold adoptBlockMinRecords records, so no block holds fewer
+// trees than that.
+func adoptBlocks(n, records int) (blocks, perBlock int) {
+	most := records / adoptBlockMinRecords
+	if most < 2 {
+		return 1, n
+	}
+	perBlock = (n + most - 1) / most
+	return n / perBlock, perBlock
+}
+
+// firstBadTree returns the lowest tree whose records a walk could not
+// follow, or len(e.roots) when every tree passes. The blocks of
+// adoptBlocks are checked in parallel; the only shared state is the
+// lowest faulty tree found so far, which a block starting past it
+// skips. Tree t's range is taken from the roots as they stand: one that
+// starts below 0 is counted as faulty, and cannot be the lowest, since
+// roots that rise strictly from 0 up to t keep roots[t] positive.
+func (e *CompiledEnsemble) firstBadTree(nFeatures int32) int {
+	n := len(e.roots)
+	blocks, perBlock := adoptBlocks(n, len(e.hot))
+	var first atomic.Int64
+	first.Store(int64(n))
+	parallel.For(blocks, 0, func(b int) {
+		lo, hi := b*perBlock, (b+1)*perBlock
+		if b == blocks-1 {
+			hi = n
+		}
+		if int64(lo) >= first.Load() {
+			return
+		}
+		t := e.firstBadTreeIn(lo, hi, nFeatures)
+		if t == hi {
+			return
+		}
+		for cur := first.Load(); int64(t) < cur; cur = first.Load() {
+			if first.CompareAndSwap(cur, int64(t)) {
+				return
+			}
+		}
+	})
+	return int(first.Load())
+}
+
+// firstBadTreeIn returns the lowest tree in [lo, hi) a walk could not
+// follow, or hi.
+func (e *CompiledEnsemble) firstBadTreeIn(lo, hi int, nFeatures int32) int {
+	for t := lo; t < hi; t++ {
+		l, h := e.roots[t], e.treeEnd(t)
+		if l < 0 || h <= l || int(h) > len(e.hot) || badRecord(e.hot, l, h, nFeatures) >= 0 {
+			return t
+		}
+	}
+	return hi
+}
+
+// treeFault describes why tree t, the lowest faulty one, was refused.
+func (e *CompiledEnsemble) treeFault(t, nFeatures int) error {
+	lo, hi := e.roots[t], e.treeEnd(t)
+	if lo < 0 || hi <= lo || int(hi) > len(e.hot) {
+		return fmt.Errorf("ml: corrupt tree: tree %d spans records [%d, %d) of %d", t, lo, hi, len(e.hot))
+	}
+	i := badRecord(e.hot, lo, hi, int32(nFeatures))
+	switch n := e.hot[i]; {
+	case n.feature < 0:
+		return fmt.Errorf("ml: corrupt tree: leaf %d of tree %d has feature %d and right child %d, not -1 and 0", i, t, n.feature, n.right)
+	case int(n.feature) >= nFeatures:
+		return fmt.Errorf("ml: corrupt tree: internal node %d of tree %d splits on feature %d of %d", i, t, n.feature, nFeatures)
+	default:
+		return fmt.Errorf("ml: corrupt tree: internal node %d of tree %d has right child %d outside (%d, %d)", i, t, n.right, i+1, hi)
+	}
 }
 
 // badRecord returns the first index in [lo, hi) whose record a walk of

@@ -3,8 +3,11 @@ package ml
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"lam/internal/lamerr"
@@ -370,6 +373,180 @@ func TestMisalignedRecordsAreCopied(t *testing.T) {
 	for _, x := range X {
 		if a, c := aligned.Predict(x), copied.Predict(x); !sameBits(a, c) {
 			t.Fatalf("copied records predict %v, aligned %v", c, a)
+		}
+	}
+}
+
+// combTables lays out trees of per records each as one walk table over
+// nFeat features: in each tree a split at every even index whose right
+// child is two past it, leaves between, and a leaf to end the tree.
+func combTables(rng *rand.Rand, trees, per, nFeat int) ([]hotNode, []int32) {
+	hot := make([]hotNode, trees*per)
+	roots := make([]int32, trees)
+	for t := range roots {
+		base := t * per
+		roots[t] = int32(base)
+		for i := range per {
+			at := base + i
+			if i%2 == 0 && i+2 < per {
+				hot[at] = hotNode{threshold: math.Round(rng.NormFloat64()*8) / 4, feature: rng.Int31n(int32(nFeat)), right: int32(at + 2)}
+			} else {
+				hot[at] = hotNode{threshold: rng.NormFloat64(), feature: -1}
+			}
+		}
+	}
+	return hot, roots
+}
+
+// withGOMAXPROCS runs fn with the runtime's processor count at procs,
+// which is what adoptRecords' fan-out reads.
+func withGOMAXPROCS(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// TestAdoptVerdictIndependentOfWorkers plants one kind of fault in two
+// trees that fall in different blocks of adoptRecords' fan-out and
+// requires the lower tree's refusal, word for word, at 1, 2 and 7
+// processors, and the same walk table from the unfaulted records
+// whatever the processor count. Each kind is planted twice: far apart
+// (the first block and the last), and in adjacent blocks with the lower
+// fault at the end of its block and the upper one at the start of its
+// own, so the upper block usually reports first.
+func TestAdoptVerdictIndependentOfWorkers(t *testing.T) {
+	const trees, per, nFeat = 48, 1501, 3
+	rng := rand.New(rand.NewSource(0xb10c))
+	clean, roots := combTables(rng, trees, per, nFeat)
+	blocks, perBlock := adoptBlocks(trees, len(clean))
+	if blocks < 3 {
+		t.Fatalf("%d trees of %d records make %d blocks of %d trees: too few blocks", trees, per, blocks, perBlock)
+	}
+	adopt := func(hot []hotNode, roots []int32) (*CompiledEnsemble, error) {
+		members := make([]*DecisionTree, len(roots))
+		for i := range members {
+			members[i] = &DecisionTree{}
+		}
+		return adoptRecords(members, hot, roots, nFeat, nil)
+	}
+
+	// Splits sit at the even indices of a tree below per-1, leaves at
+	// the odd ones and at per-1. late picks a tree's last split or leaf,
+	// else its first.
+	split := func(tree int, late bool) int {
+		if late {
+			return tree*per + per - 3
+		}
+		return tree * per
+	}
+	leaf := func(tree int, late bool) int {
+		if late {
+			return tree*per + per - 1
+		}
+		return tree*per + 1
+	}
+	kinds := []struct {
+		name  string
+		plant func(hot []hotNode, roots []int32, tree int, late bool) string // returns tree's refusal
+	}{
+		{"right child out of range", func(hot []hotNode, _ []int32, tree int, late bool) string {
+			i, end := split(tree, late), (tree+1)*per
+			hot[i].right = int32(end)
+			return fmt.Sprintf("ml: corrupt tree: internal node %d of tree %d has right child %d outside (%d, %d)", i, tree, end, i+1, end)
+		}},
+		{"feature equal to the arity", func(hot []hotNode, _ []int32, tree int, late bool) string {
+			i := split(tree, late)
+			hot[i].feature = nFeat
+			return fmt.Sprintf("ml: corrupt tree: internal node %d of tree %d splits on feature %d of %d", i, tree, nFeat, nFeat)
+		}},
+		{"non-canonical leaf", func(hot []hotNode, _ []int32, tree int, late bool) string {
+			i := leaf(tree, late)
+			hot[i].right = 1
+			return fmt.Sprintf("ml: corrupt tree: leaf %d of tree %d has feature -1 and right child 1, not -1 and 0", i, tree)
+		}},
+		{"root below zero", func(hot []hotNode, roots []int32, tree int, _ bool) string {
+			// Tree tree-1 now ends before it starts, and tree tree
+			// starts below the table.
+			roots[tree] = -5
+			return fmt.Sprintf("ml: corrupt tree: tree %d spans records [%d, -5) of %d", tree-1, (tree-1)*per, len(hot))
+		}},
+	}
+	for _, pair := range [][2]int{{3, trees - 4}, {perBlock - 1, perBlock}, {2*perBlock - 1, 2 * perBlock}} {
+		for _, k := range kinds {
+			hot, rs := slices.Clone(clean), slices.Clone(roots)
+			want := k.plant(hot, rs, pair[0], true)
+			k.plant(hot, rs, pair[1], false)
+			for _, procs := range []int{1, 2, 7} {
+				withGOMAXPROCS(procs, func() {
+					for range 20 {
+						if _, err := adopt(hot, rs); err == nil || err.Error() != want {
+							t.Fatalf("%s in trees %v at %d processors: got %v, want %q", k.name, pair, procs, err, want)
+						}
+					}
+				})
+			}
+		}
+	}
+
+	// A block that starts at a root below zero reports it rather than
+	// indexing the table there.
+	rs := slices.Clone(roots)
+	rs[perBlock] = -5
+	e := &CompiledEnsemble{hot: clean, roots: rs}
+	if got := e.firstBadTreeIn(perBlock, 2*perBlock, nFeat); got != perBlock {
+		t.Fatalf("a block starting at root -5 reports tree %d, want %d", got, perBlock)
+	}
+
+	var want *CompiledEnsemble
+	x := make([]float64, nFeat)
+	for _, procs := range []int{1, 2, 7} {
+		withGOMAXPROCS(procs, func() {
+			e, err := adopt(clean, roots)
+			if err != nil {
+				t.Fatalf("%d processors refuse the clean table: %v", procs, err)
+			}
+			if want == nil {
+				want = e
+				return
+			}
+			if &e.hot[0] != &want.hot[0] || len(e.hot) != len(want.hot) || !slices.Equal(e.roots, want.roots) {
+				t.Fatalf("%d processors adopt a different walk table", procs)
+			}
+			for range 64 {
+				for f := range x {
+					x[f] = rng.NormFloat64() * 2
+				}
+				if a, b := e.Predict(x), want.Predict(x); !sameBits(a, b) {
+					t.Fatalf("%d processors predict %v, one processor %v", procs, a, b)
+				}
+			}
+		})
+	}
+}
+
+// TestAdoptBlocksThreshold pins where adoptRecords' check fans out: a
+// table of fewer than 2·adoptBlockMinRecords records is one block, and
+// above that every block of equal-size trees holds at least
+// adoptBlockMinRecords records, while the blocks cover the trees once,
+// in order.
+func TestAdoptBlocksThreshold(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 10, 48, 100, 1000} {
+		if blocks, perBlock := adoptBlocks(n, 2*adoptBlockMinRecords-1); blocks != 1 || perBlock != n {
+			t.Fatalf("%d trees below two blocks of records: %d blocks of %d trees, want one of %d", n, blocks, perBlock, n)
+		}
+	}
+	if blocks, perBlock := adoptBlocks(100, 2*adoptBlockMinRecords); blocks != 2 || perBlock != 50 {
+		t.Fatalf("100 trees at two blocks of records: %d blocks of %d trees, want 2 of 50", blocks, perBlock)
+	}
+	for n := 1; n <= 200; n++ {
+		for records := 2 * adoptBlockMinRecords; records <= 40*adoptBlockMinRecords; records += 997 {
+			blocks, perBlock := adoptBlocks(n, records)
+			if blocks < 1 || perBlock < 1 || blocks*perBlock > n || n-blocks*perBlock >= perBlock {
+				t.Fatalf("%d trees, %d records: %d blocks of %d trees do not cover the trees once", n, records, blocks, perBlock)
+			}
+			if blocks > 1 && perBlock*records < adoptBlockMinRecords*n {
+				t.Fatalf("%d trees, %d records: blocks of %d trees hold %d records on average, below %d",
+					n, records, perBlock, perBlock*records/n, adoptBlockMinRecords)
+			}
 		}
 	}
 }

@@ -48,7 +48,10 @@
 //   - Legacy jsonv1 registries load forever, unchanged; a damaged
 //     artifact in either format fails Load with an error wrapping
 //     lamerr.ErrCorruptArtifact rather than panicking or serving a
-//     silently wrong model.
+//     silently wrong model. A lamb1 load computes the CRC beside the
+//     decode; a checksum mismatch is still
+//     the error reported, and the decode joins the CRC before it
+//     returns, so a failed load's mapping may be released at once.
 //   - Loading a hybrid model reconstructs its analytical component
 //     from the (workload, machine) metadata, exactly as at training
 //     time, so no caller hand-wires it.

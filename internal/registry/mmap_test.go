@@ -3,7 +3,9 @@ package registry
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -247,5 +249,59 @@ func TestEmptyArtifactIsCorrupt(t *testing.T) {
 	}
 	if _, _, err := reg.ArtifactInfo("e", 1); !errors.Is(err, lamerr.ErrCorruptArtifact) {
 		t.Fatalf("info on an empty artifact: got %v, want ErrCorruptArtifact", err)
+	}
+}
+
+// TestFailedLoadJoinsTheCRC: a large artifact whose payload the decoder
+// refuses at its first word, under a CRC that matches, fails Load; the
+// failed load's mapping is released by the next two collections, and a
+// load of a good version after them loads and predicts, ten times over.
+// Whether Decode joined its CRC before returning is left to
+// TestDecodeReturnsAfterTheCRC in internal/artifact, which unmaps the
+// input the moment Decode returns: here the collections come too late
+// to catch a CRC still reading.
+func TestFailedLoadJoinsTheCRC(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	reg, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := benchModel(t, 800)
+	for range 2 {
+		if _, err := reg.SaveRegressor(model, Meta{Name: "bench"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := filepath.Join(reg.root, "bench", "v0002", "model.lamb")
+	data, err := os.ReadFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 1<<20 {
+		t.Fatalf("artifact is %d bytes, want a large one of 1 MB or more", len(data))
+	}
+	// An unknown model kind in the payload's first word, under a trailer
+	// that matches it.
+	binary.LittleEndian.PutUint64(data[24:], 99)
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	replaceFile(t, bad, data)
+
+	x := make([]float64, 6)
+	for range 10 {
+		if _, err := reg.Load("bench", 2); !errors.Is(err, lamerr.ErrCorruptArtifact) {
+			t.Fatalf("load of the corrupt version: got %v, want ErrCorruptArtifact", err)
+		}
+		collect(t)
+		if artifactMapped(t, bad) {
+			t.Fatal("the failed load's mapping outlived two collections")
+		}
+		m, err := reg.Load("bench", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Predict(context.Background(), x); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

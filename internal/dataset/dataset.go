@@ -12,6 +12,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // Dataset is a column-named design matrix X with response vector Y.
@@ -120,9 +121,10 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 
 // SampleFraction draws a uniform random sample holding round(frac*n)
 // samples (at least 1 when frac > 0 and the dataset is non-empty) and
-// returns it together with the complement. This mirrors the paper's
-// uniform-random-sampling construction of training sets, with the
-// complement used as the held-out evaluation set.
+// returns it together with the complement, both sharing the parent's
+// rows (see SampleN). This mirrors the paper's uniform-random-sampling
+// construction of training sets, with the complement used as the
+// held-out evaluation set.
 func (d *Dataset) SampleFraction(frac float64, rng *rand.Rand) (sample, rest *Dataset, err error) {
 	if frac < 0 || frac > 1 {
 		return nil, nil, fmt.Errorf("dataset: fraction %v out of [0,1]", frac)
@@ -136,14 +138,60 @@ func (d *Dataset) SampleFraction(frac float64, rng *rand.Rand) (sample, rest *Da
 }
 
 // SampleN draws k samples uniformly at random without replacement and
-// returns them together with the complement.
+// returns them together with the complement. Both subsets share the
+// parent's rows: their row headers and responses are their own, but
+// each feature vector is the parent's, so a sample is cheap however
+// large its complement, and writing to a subset's feature values
+// writes to the parent's (Clone first to get rows of its own). The
+// draw is rng.Perm(n)'s, made in pooled memory, so it consumes rng
+// exactly as Perm does.
 func (d *Dataset) SampleN(k int, rng *rand.Rand) (sample, rest *Dataset, err error) {
 	n := d.Len()
 	if k < 0 || k > n {
 		return nil, nil, fmt.Errorf("dataset: cannot sample %d of %d rows", k, n)
 	}
-	perm := rng.Perm(n)
-	return d.Subset(perm[:k]), d.Subset(perm[k:]), nil
+	buf := permPool.Get().(*[]int)
+	defer permPool.Put(buf)
+	perm := permInto(*buf, n, rng)
+	*buf = perm
+	return d.share(perm[:k]), d.share(perm[k:]), nil
+}
+
+// permPool recycles SampleN's permutations.
+var permPool = sync.Pool{New: func() any { return new([]int) }}
+
+// permInto returns a pseudo-random permutation of [0, n) in buf (grown
+// when short): the algorithm of rand.Rand.Perm, draw for draw.
+func permInto(buf []int, n int, rng *rand.Rand) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	m := buf[:n]
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
+
+// share returns the rows selected by idx as a dataset whose feature
+// vectors are d's own (see SampleN). It panics on a row of the wrong
+// arity, like Subset.
+func (d *Dataset) share(idx []int) *Dataset {
+	out := New(d.FeatureNames...)
+	if len(idx) == 0 {
+		return out
+	}
+	out.X = make([][]float64, len(idx))
+	out.Y = make([]float64, len(idx))
+	for k, i := range idx {
+		if len(d.X[i]) != d.NumFeatures() {
+			panic(fmt.Errorf("dataset: sample has %d features, want %d", len(d.X[i]), d.NumFeatures()))
+		}
+		out.X[k], out.Y[k] = d.X[i], d.Y[i]
+	}
+	return out
 }
 
 // WithFeature returns a copy of the dataset with one extra column

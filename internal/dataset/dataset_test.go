@@ -286,3 +286,38 @@ func TestReadCSVHeaderNames(t *testing.T) {
 		t.Errorf("Y[0] = %v, want 0.5", d.Y[0])
 	}
 }
+
+// TestSampleNSharesRowsAndDrawsPerm: SampleN splits the dataset by the
+// permutation rand.Perm would draw, leaves the generator where Perm
+// leaves it, and hands out the parent's own rows rather than copies.
+func TestSampleNSharesRowsAndDrawsPerm(t *testing.T) {
+	d := New("a", "b", "c")
+	for i := 0; i < 300; i++ {
+		d.MustAdd([]float64{float64(i), float64(2 * i), float64(3 * i)}, float64(i))
+	}
+	for _, k := range []int{0, 1, 9, 150, 300} {
+		for seed := int64(1); seed <= 3; seed++ {
+			ref, rng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			perm := ref.Perm(d.Len())
+			s, r, err := d.SampleN(k, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Len() != k || r.Len() != d.Len()-k {
+				t.Fatalf("k=%d: split %d/%d", k, s.Len(), r.Len())
+			}
+			for i, j := range perm {
+				part, at := s, i
+				if i >= k {
+					part, at = r, i-k
+				}
+				if part.Y[at] != d.Y[j] || &part.X[at][0] != &d.X[j][0] {
+					t.Fatalf("k=%d seed=%d: position %d is not parent row %d, shared", k, seed, i, j)
+				}
+			}
+			if a, b := ref.Int63(), rng.Int63(); a != b {
+				t.Fatalf("k=%d seed=%d: SampleN left the generator elsewhere than Perm does", k, seed)
+			}
+		}
+	}
+}

@@ -204,7 +204,12 @@ func (m *Model) PredictCtx(ctx context.Context, x []float64) (float64, error) {
 // number of blocks, so up to one block (an /observe batch, a coalescer
 // drain) — or any batch at workers == 1 — runs inline on the caller's
 // goroutine and, given an allocation-free analytical model, performs
-// zero steady-state allocations.
+// zero steady-state allocations. A sequential batch the ML component
+// routes (ml.Routes) is one block: the analytical column is computed
+// for every row into pooled scratch, and the stacked rows go to the
+// routed kernel whole (ml.PredictStackedIntoCtx), which polls ctx
+// before it starts and between trees; out is written only as the rows
+// are coupled.
 //
 // On a failing row (wrong arity, analytical-model error) the error is
 // the one Predict returns for the lowest such row, and every row
@@ -236,6 +241,9 @@ func (m *Model) PredictBatchIntoCtx(ctx context.Context, X [][]float64, out []fl
 		}
 		done = ctx.Done()
 	}
+	if ml.Routes(m.mlModel, len(X)) {
+		return m.predictRouted(ctx, X, out)
+	}
 	for lo := 0; lo < len(X); lo += ml.BatchBlock {
 		select {
 		case <-done:
@@ -266,23 +274,49 @@ var augBlockPool = sync.Pool{New: func() any { return new(augBlock) }}
 // fails, the rows before it are still scored and row k's error — the
 // text Predict gives it — is returned.
 func (m *Model) predictBlock(X [][]float64, out []float64) error {
-	var rowErr error
-	for i, x := range X {
-		if len(x) != m.nFeatures {
-			rowErr = fmt.Errorf("hybrid: %w: predict got %d features, want %d",
-				lamerr.ErrDimension, len(x), m.nFeatures)
-		} else if out[i], rowErr = m.am.Predict(x); rowErr != nil {
-			rowErr = fmt.Errorf("hybrid: analytical model: %w", rowErr)
-		}
-		if rowErr != nil {
-			X, out = X[:i], out[:i]
-			break
-		}
-	}
-	if err := m.coupleBlock(X, out); err != nil {
+	k, rowErr := m.analytical(X, out)
+	if err := m.coupleBlock(X[:k], out[:k]); err != nil {
 		return err
 	}
 	return rowErr
+}
+
+// predictRouted scores a batch the ML component routes, as one block:
+// the analytical column into pooled scratch, the stacked rows through
+// the routed kernel into out, then the optional aggregate per row in
+// Predict's operation order. If row k fails, the rows before it are
+// still scored and row k's error is returned, as in predictBlock.
+func (m *Model) predictRouted(ctx context.Context, X [][]float64, out []float64) error {
+	buf := ml.GetScratch(len(X))
+	defer ml.PutScratch(buf)
+	am := *buf
+	k, rowErr := m.analytical(X, am)
+	if err := ml.PredictStackedIntoCtx(ctx, m.mlModel, X[:k], am[:k], out[:k]); err != nil {
+		return fmt.Errorf("hybrid: %w", err)
+	}
+	for i, amP := range am[:k] {
+		out[i] = m.couple(out[i], amP)
+	}
+	return rowErr
+}
+
+// analytical writes the analytical model's score of each row of X into
+// am until a row fails: it returns how many rows it scored and, for a
+// failing row, the error Predict gives it.
+func (m *Model) analytical(X [][]float64, am []float64) (int, error) {
+	for i, x := range X {
+		var err error
+		if len(x) != m.nFeatures {
+			err = fmt.Errorf("hybrid: %w: predict got %d features, want %d",
+				lamerr.ErrDimension, len(x), m.nFeatures)
+		} else if am[i], err = m.am.Predict(x); err != nil {
+			err = fmt.Errorf("hybrid: analytical model: %w", err)
+		}
+		if err != nil {
+			return i, err
+		}
+	}
+	return len(X), nil
 }
 
 // coupleBlock turns out from the block's analytical column into its

@@ -99,7 +99,10 @@ func PredictCtx(ctx context.Context, r Regressor, x []float64) (float64, error) 
 // workers == 1 (or at most one block of rows) the loop runs inline
 // with zero allocations: a plain loop, no closure, no pool dispatch —
 // compiled tree walks are allocation-free and the pipeline's scaler
-// draws its blocks from a sync.Pool.
+// draws its blocks from a sync.Pool. Such a sequential batch with
+// enough rows per node of r's ensemble is one block of the routed
+// kernel instead (see routes), polled between trees, that writes out
+// only once every tree is folded.
 func PredictBatchIntoCtx(ctx context.Context, r Regressor, X [][]float64, out []float64, workers int) error {
 	if err := checkInto(r, X, out); err != nil {
 		return err
@@ -113,6 +116,12 @@ func PredictBatchIntoCtx(ctx context.Context, r Regressor, X [][]float64, out []
 	}
 	if parallel.Resolve(workers, batchBlocks(len(X))) == 1 {
 		done := ctx.Done()
+		if e, s := routedEnsemble(r, len(X)); e != nil {
+			if !e.predictRouted(done, s, X, nil, out) {
+				return parallel.Cancelled(ctx.Err())
+			}
+			return nil
+		}
 		for lo := 0; lo < len(X); lo += BatchBlock {
 			select {
 			case <-done:

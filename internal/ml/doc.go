@@ -35,6 +35,17 @@
 //     the inner model's batch walk (see seqBatchIntoPredictor);
 //     TestBatchPathMatchesPerRow pins the result to a per-row Predict
 //     loop bit for bit.
+//   - Three walks, one rule: the compiled plane scores a row across
+//     four trees (row-major), a tree across four rows (tree-major), or
+//     — the third walk — routes a whole batch down each tree, which
+//     writes the rows column-major once and partitions an index array
+//     of them at every split (routed.go). One unexported rule chooses
+//     it: a sequential batch with at least routeMinRowsPerNode rows per
+//     node of the average tree, such as a held-out set scored by a
+//     model fitted on a few percent of its dataset, is routed as one
+//     block, polled between trees; anything smaller is walked in
+//     BatchBlock pieces. All three fold each row's trees in tree order,
+//     so they agree bit for bit (TestRoutedMatchesWalk).
 //   - Fitted estimators are immutable: after a successful Fit, Predict
 //     and the batch path are safe for unbounded concurrent use, which is
 //     what lets the server hot-swap model versions under live traffic.

@@ -83,9 +83,14 @@ func PredictBatchInto(r Regressor, X [][]float64, out []float64, workers int) er
 // context that cannot be cancelled. Workers are resolved over the
 // number of blocks, so anything up to one block is scored inline on the
 // caller's goroutine; that case has no closure and no pool dispatch, so
-// it is provably allocation-free.
+// it is provably allocation-free. A sequential batch r routes is one
+// routed block (see routes).
 func predictBatchInto(r Regressor, X [][]float64, out []float64, workers int) {
 	if parallel.Resolve(workers, batchBlocks(len(X))) == 1 {
+		if e, s := routedEnsemble(r, len(X)); e != nil {
+			e.predictRouted(nil, s, X, nil, out)
+			return
+		}
 		predictSeq(r, X, out)
 		return
 	}

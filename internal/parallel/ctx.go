@@ -56,11 +56,11 @@ func ForCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	errs := make([]error, n)
+	first := newLowestErr(n)
 	var stopped atomic.Bool
 	done := ctx.Done()
 	For(n, workers, func(i int) {
-		if stopped.Load() {
+		if stopped.Load() || first.past(i) {
 			return
 		}
 		select {
@@ -69,17 +69,14 @@ func ForCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 			return
 		default:
 		}
-		errs[i] = fn(i)
+		if err := fn(i); err != nil {
+			first.record(i, err)
+		}
 	})
 	if stopped.Load() {
 		return Cancelled(ctx.Err())
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return first.err
 }
 
 // MapCtx runs fn over [0, n) and collects the results by index, with

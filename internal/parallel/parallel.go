@@ -107,7 +107,8 @@ func For(n, workers int, fn func(i int)) {
 // ForErr runs fn over [0, n) like For and returns the error of the
 // lowest failing index — the same error a sequential loop that stops
 // at the first failure would report, which keeps error output
-// independent of scheduling.
+// independent of scheduling. Like that loop, it starts no unit past a
+// failure it has already seen.
 func ForErr(n, workers int, fn func(i int) error) error {
 	if Resolve(workers, n) == 1 {
 		for i := 0; i < n; i++ {
@@ -117,14 +118,44 @@ func ForErr(n, workers int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	errs := make([]error, n)
-	For(n, workers, func(i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
+	first := newLowestErr(n)
+	For(n, workers, func(i int) {
+		if first.past(i) {
+			return
 		}
+		if err := fn(i); err != nil {
+			first.record(i, err)
+		}
+	})
+	return first.err
+}
+
+// lowestErr is the error of the lowest failing index of a parallel
+// loop: the index is read without the lock, so a unit past it is
+// skipped cheaply, and the lock orders the updates.
+type lowestErr struct {
+	at  atomic.Int64 // the lowest failing index so far, n when none
+	mu  sync.Mutex
+	err error
+}
+
+func newLowestErr(n int) *lowestErr {
+	l := new(lowestErr)
+	l.at.Store(int64(n))
+	return l
+}
+
+// past reports whether unit i lies past a failure already recorded.
+func (l *lowestErr) past(i int) bool { return int64(i) > l.at.Load() }
+
+// record keeps err when unit i is the lowest failure so far.
+func (l *lowestErr) record(i int, err error) {
+	l.mu.Lock()
+	if int64(i) < l.at.Load() {
+		l.at.Store(int64(i))
+		l.err = err
 	}
-	return nil
+	l.mu.Unlock()
 }
 
 // ForBlocks processes [0, n) as contiguous blocks of at least minBlock

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -119,5 +120,67 @@ func TestDeterministicUnderContention(t *testing.T) {
 				t.Fatalf("workers=%d: result[%d] differs", workers, i)
 			}
 		}
+	}
+}
+
+// TestLowestErrorIndependentOfProcs plants failures at a slow low index
+// and at fast higher ones, so the higher ones usually fail first, and
+// requires the low one's error from ForErr and ForCtx at 1, 2 and 7
+// processors, on the default worker count and on an explicit one.
+func TestLowestErrorIndependentOfProcs(t *testing.T) {
+	const n = 400
+	fail := map[int]bool{37: true, 38: true, 211: true, n - 1: true}
+	fn := func(i int) error {
+		if i == 37 {
+			for range 2000 {
+				runtime.Gosched()
+			}
+		}
+		if fail[i] {
+			return fmt.Errorf("unit %d failed", i)
+		}
+		return nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, procs := range []int{1, 2, 7} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, workers := range []int{0, 7} {
+				for range 10 {
+					for name, err := range map[string]error{
+						"ForErr": ForErr(n, workers, fn),
+						"ForCtx": ForCtx(ctx, n, workers, fn),
+					} {
+						if err == nil || err.Error() != "unit 37 failed" {
+							t.Fatalf("%s at %d processors, workers=%d: got %v, want unit 37's error", name, procs, workers, err)
+						}
+					}
+				}
+			}
+		}()
+	}
+}
+
+// TestForErrBytesIndependentOfN: the parallel error paths keep one
+// lowest failing index, not an error per unit, so a loop's bytes do not
+// grow with its length.
+func TestForErrBytesIndependentOfN(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	bytes := func(n int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 10 {
+			_ = ForErr(n, 2, func(int) error { return nil })
+			_ = ForCtx(ctx, n, 2, func(int) error { return nil })
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 10
+	}
+	bytes(1 << 10) // warm the goroutine free lists
+	small, large := bytes(1<<10), bytes(1<<16)
+	if large > small+4<<10 {
+		t.Fatalf("a pair of 65 536-unit loops allocates %d B against %d B for 1 024 units: something grows with n", large, small)
 	}
 }

@@ -126,15 +126,25 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 // construction of training sets, with the complement used as the
 // held-out evaluation set.
 func (d *Dataset) SampleFraction(frac float64, rng *rand.Rand) (sample, rest *Dataset, err error) {
+	k, err := d.FractionLen(frac)
+	if err != nil {
+		return nil, nil, err
+	}
+	return d.SampleN(k, rng)
+}
+
+// FractionLen is the size of the sample SampleFraction draws:
+// round(frac*n), at least 1 when frac > 0 and the dataset is non-empty.
+func (d *Dataset) FractionLen(frac float64) (int, error) {
 	if frac < 0 || frac > 1 {
-		return nil, nil, fmt.Errorf("dataset: fraction %v out of [0,1]", frac)
+		return 0, fmt.Errorf("dataset: fraction %v out of [0,1]", frac)
 	}
 	n := d.Len()
 	k := int(frac*float64(n) + 0.5)
 	if frac > 0 && k == 0 && n > 0 {
 		k = 1
 	}
-	return d.SampleN(k, rng)
+	return k, nil
 }
 
 // SampleN draws k samples uniformly at random without replacement and
@@ -146,15 +156,31 @@ func (d *Dataset) SampleFraction(frac float64, rng *rand.Rand) (sample, rest *Da
 // draw is rng.Perm(n)'s, made in pooled memory, so it consumes rng
 // exactly as Perm does.
 func (d *Dataset) SampleN(k int, rng *rand.Rand) (sample, rest *Dataset, err error) {
+	sample, rest = new(Dataset), new(Dataset)
+	if err := d.SampleNInto(k, rng, sample, rest); err != nil {
+		return nil, nil, err
+	}
+	return sample, rest, nil
+}
+
+// SampleNInto is SampleN drawing into the datasets it is given: sample
+// and rest become the subsets SampleN returns, and their row headers,
+// responses and feature names are written over the memory they already
+// hold when it is large enough. A caller that draws many subsets of one
+// dataset, such as a sweep's trials, reuses one pair of datasets for
+// all of them. On an error both are left as they were.
+func (d *Dataset) SampleNInto(k int, rng *rand.Rand, sample, rest *Dataset) error {
 	n := d.Len()
 	if k < 0 || k > n {
-		return nil, nil, fmt.Errorf("dataset: cannot sample %d of %d rows", k, n)
+		return fmt.Errorf("dataset: cannot sample %d of %d rows", k, n)
 	}
 	buf := permPool.Get().(*[]int)
 	defer permPool.Put(buf)
 	perm := permInto(*buf, n, rng)
 	*buf = perm
-	return d.share(perm[:k]), d.share(perm[k:]), nil
+	d.shareInto(sample, perm[:k])
+	d.shareInto(rest, perm[k:])
+	return nil
 }
 
 // permPool recycles SampleN's permutations.
@@ -175,23 +201,26 @@ func permInto(buf []int, n int, rng *rand.Rand) []int {
 	return m
 }
 
-// share returns the rows selected by idx as a dataset whose feature
-// vectors are d's own (see SampleN). It panics on a row of the wrong
-// arity, like Subset.
-func (d *Dataset) share(idx []int) *Dataset {
-	out := New(d.FeatureNames...)
-	if len(idx) == 0 {
-		return out
-	}
-	out.X = make([][]float64, len(idx))
-	out.Y = make([]float64, len(idx))
+// shareInto makes dst the rows selected by idx, its feature vectors d's
+// own (see SampleN), reusing dst's memory where it is large enough. It
+// panics on a row of the wrong arity, like Subset.
+func (d *Dataset) shareInto(dst *Dataset, idx []int) {
+	dst.FeatureNames = append(dst.FeatureNames[:0], d.FeatureNames...)
+	dst.X, dst.Y = resize(dst.X, len(idx)), resize(dst.Y, len(idx))
 	for k, i := range idx {
 		if len(d.X[i]) != d.NumFeatures() {
 			panic(fmt.Errorf("dataset: sample has %d features, want %d", len(d.X[i]), d.NumFeatures()))
 		}
-		out.X[k], out.Y[k] = d.X[i], d.Y[i]
+		dst.X[k], dst.Y[k] = d.X[i], d.Y[i]
 	}
-	return out
+}
+
+// resize returns s[:n], or a new n-element slice when s is shorter.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // WithFeature returns a copy of the dataset with one extra column

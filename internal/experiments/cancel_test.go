@@ -9,6 +9,7 @@ import (
 
 	"lam/internal/dataset"
 	"lam/internal/lamerr"
+	"lam/internal/ml"
 )
 
 // cancelOpts keeps each trial small so the promptness bound is tight
@@ -108,20 +109,21 @@ func TestNoiseSensitivityCtxCancel(t *testing.T) {
 // the sweep.
 type sweepKey struct{}
 
-// ctxTrainable is a fake Trainable that records the context its Fit
-// receives.
+// ctxTrainable is a fake Trainable that records the context its Trial
+// receives and scores every held-out row 1.
 type ctxTrainable struct{ fit func(context.Context) error }
 
-func (c ctxTrainable) Fit(ctx context.Context, _ *dataset.Dataset) error { return c.fit(ctx) }
-
-func (ctxTrainable) PredictBatchInto(_ [][]float64, out []float64) error {
+func (c ctxTrainable) Trial(ctx context.Context, _ *ml.Tables, _ *dataset.Dataset, _ [][]float64, out []float64) error {
+	if err := c.fit(ctx); err != nil {
+		return err
+	}
 	for i := range out {
 		out[i] = 1
 	}
 	return nil
 }
 
-// TestMAPECurveCtxFitsOnSweepContext: every trial's Fit receives the
+// TestMAPECurveCtxFitsOnSweepContext: every trial receives the
 // sweep's own context, so a cancel reaches fits already in flight
 // instead of waiting them out.
 func TestMAPECurveCtxFitsOnSweepContext(t *testing.T) {
@@ -134,7 +136,7 @@ func TestMAPECurveCtxFitsOnSweepContext(t *testing.T) {
 	newModel := func(int64) Trainable {
 		return ctxTrainable{fit: func(c context.Context) error {
 			if c.Value(sweepKey{}) != "sweep" {
-				return errors.New("Fit did not receive the sweep's context")
+				return errors.New("the trial did not receive the sweep's context")
 			}
 			fits.Add(1)
 			return nil

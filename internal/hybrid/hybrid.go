@@ -97,14 +97,46 @@ type Model struct {
 // returns a typed error (wrapping lamerr.ErrCancelled and ctx.Err())
 // within one unit's duration.
 func TrainCtx(ctx context.Context, train *dataset.Dataset, am AnalyticalModel, cfg Config) (*Model, error) {
+	m, aug, err := stage(ctx, train, am, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := ml.FitCtx(ctx, m.mlModel, aug.X, aug.Y); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// TrialCtx is one trial of a sweep: it trains a model on train as
+// TrainCtx does, scores the rows of X into out as PredictBatchIntoCtx
+// does with one worker, and drops the model. The ML component is
+// fitted with its walk tables drawn from tables and unfitted before
+// TrialCtx returns (ml.Tables.FitScore), so the model never outlives
+// the call. A trial that fails or is cancelled while it trains leaves
+// out untouched.
+func TrialCtx(ctx context.Context, tables *ml.Tables, train *dataset.Dataset, am AnalyticalModel, cfg Config, X [][]float64, out []float64) error {
+	m, aug, err := stage(ctx, train, am, cfg)
+	if err != nil {
+		return err
+	}
+	return tables.FitScore(ctx, m.mlModel, aug.X, aug.Y, func() error {
+		return m.PredictBatchIntoCtx(ctx, X, out, 1)
+	})
+}
+
+// stage is the body TrainCtx and TrialCtx share: it checks the inputs,
+// scores every training sample with the AM and returns the model with
+// its ML component still unfitted, and the augmented training set that
+// component is to be fitted on.
+func stage(ctx context.Context, train *dataset.Dataset, am AnalyticalModel, cfg Config) (*Model, *dataset.Dataset, error) {
 	if am == nil {
-		return nil, errors.New("hybrid: analytical model required")
+		return nil, nil, errors.New("hybrid: analytical model required")
 	}
 	if train == nil || train.Len() == 0 {
-		return nil, errors.New("hybrid: empty training set")
+		return nil, nil, errors.New("hybrid: empty training set")
 	}
 	if err := train.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	amPred := make([]float64, train.Len())
 	if err := parallel.ForCtx(ctx, train.Len(), cfg.Workers, func(i int) error {
@@ -115,18 +147,13 @@ func TrainCtx(ctx context.Context, train *dataset.Dataset, am AnalyticalModel, c
 		amPred[i] = p
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
 	aug, err := train.WithFeature("__analytical", amPred)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	mlModel := cfg.newML()
-	if err := ml.FitCtx(ctx, mlModel, aug.X, aug.Y); err != nil {
-		return nil, err
-	}
-	return &Model{cfg: cfg, am: am, mlModel: mlModel, nFeatures: train.NumFeatures()}, nil
+	return &Model{cfg: cfg, am: am, mlModel: cfg.newML(), nFeatures: train.NumFeatures()}, aug, nil
 }
 
 // NumFeatures returns the feature arity the model was trained on (the

@@ -374,21 +374,31 @@ func recordFault(n hotNode, at, hi, nFeatures int64) int64 {
 // into its own slot, sized by the tree's node bound (TreeConfig.maxNodes)
 // and laid end to end in tree order, so trees grow concurrently with no
 // staging to copy out of, and a fit's bytes depend only on its data and
-// seed. pack then closes the gaps the bounds leave.
+// seed. pack then closes the gaps the bounds leave. The table is a
+// fresh allocation, or one taken on a lease (see Tables) when the model
+// is scored and dropped within one FitScore call.
 type growth struct {
-	hot   []hotNode
-	slots []int32 // slots[t] is tree t's first index
-	sizes []int32 // sizes[t] is the node count tree t grew
+	hot    []hotNode
+	slots  []int32 // slots[t] is tree t's first index
+	sizes  []int32 // sizes[t] is the node count tree t grew
+	leased bool
 }
 
-// newGrowth lays out slots of bounds[t] nodes, refusing a layout int32
-// node indices cannot address.
-func newGrowth(bounds []int) (*growth, error) {
+// newGrowth lays out slots of bounds[t] nodes, in a table taken on l or
+// allocated when l is nil, refusing a layout int32 node indices cannot
+// address.
+func newGrowth(bounds []int, l *lease) (*growth, error) {
 	slots, total, err := fusedRoots(len(bounds), func(t int) int { return bounds[t] })
 	if err != nil {
 		return nil, err
 	}
-	return &growth{hot: make([]hotNode, total), slots: slots, sizes: make([]int32, len(bounds))}, nil
+	g := &growth{slots: slots, sizes: make([]int32, len(bounds)), leased: l != nil}
+	if g.leased {
+		g.hot = l.table(total)
+	} else {
+		g.hot = make([]hotNode, total)
+	}
+	return g, nil
 }
 
 // slot returns tree t's slot.
@@ -405,8 +415,10 @@ func (g *growth) slot(t int) []hotNode {
 // trees[t] a view of its range. The bounds are within 3 % of the grown
 // trees on the paper's workloads, but nodes that stop early (pure
 // responses, MinSamplesSplit, a depth limit short of full) can leave a
-// table mostly empty: one that is more than a quarter empty is copied
-// to exact size, so a model never keeps much more than its nodes.
+// table mostly empty: an allocated one that is more than a quarter
+// empty is copied to exact size, so a kept model never keeps much more
+// than its nodes. A leased table is used as it stands: its model is
+// dropped within the call, and the lease takes the whole table back.
 func (g *growth) pack(trees []*DecisionTree) *CompiledEnsemble {
 	roots, end := g.slots, int32(0)
 	for t, size := range g.sizes {
@@ -420,7 +432,7 @@ func (g *growth) pack(trees []*DecisionTree) *CompiledEnsemble {
 		end += size
 	}
 	hot := g.hot[:end:end]
-	if 4*len(hot) < 3*len(g.hot) {
+	if !g.leased && 4*len(hot) < 3*len(g.hot) {
 		hot = slices.Clone(hot)
 	}
 	e := &CompiledEnsemble{hot: hot, roots: roots}

@@ -614,7 +614,7 @@ func TestGrowthPack(t *testing.T) {
 		bounds []int
 		copied bool
 	}{{[]int{3, 1, 3}, false}, {[]int{4, 2, 3}, false}, {[]int{5, 4, 5}, true}} {
-		g, err := newGrowth(c.bounds)
+		g, err := newGrowth(c.bounds, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

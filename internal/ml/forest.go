@@ -72,6 +72,11 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 // without mutating the receiver. Every tree grows straight into its
 // slot of the ensemble's walk table (see growth).
 func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
+	return f.fitLeased(ctx, X, y, nil)
+}
+
+// fitLeased is FitCtx with the walk table taken on l (see leasedFitter).
+func (f *Forest) fitLeased(ctx context.Context, X [][]float64, y []float64, l *lease) error {
 	p, err := checkXY(X, y)
 	if err != nil {
 		return err
@@ -104,7 +109,7 @@ func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
 			return err
 		}
 	}
-	g, err := newGrowth(bounds)
+	g, err := newGrowth(bounds, l)
 	if err != nil {
 		return err
 	}
@@ -155,6 +160,9 @@ func (f *Forest) Predict(x []float64) float64 {
 func (f *Forest) predictBatchIntoSeq(X [][]float64, out []float64) {
 	f.compiled.PredictBatchInto(X, out)
 }
+
+// unfit drops the fitted ensemble (see leasedFitter).
+func (f *Forest) unfit() { f.trees, f.compiled, f.nFeatures = nil, nil, 0 }
 
 // IsFitted reports whether the ensemble has been trained.
 func (f *Forest) IsFitted() bool { return len(f.trees) > 0 }

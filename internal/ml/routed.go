@@ -28,7 +28,9 @@ import (
 // per node, where a partition's per-node work (a frame, a column, a
 // loop) costs what the walks it saves cost; from two the routed one was
 // as fast or faster on every fit size measured, from four about twice
-// as fast (EXPERIMENTS.md § Routed held-out scoring). A 256-row block
+// as fast (EXPERIMENTS.md § Routed held-out scoring). At one row per
+// node the routed kernel still lost on some fits (fmm on 554 rows,
+// 1.07 of the walk's time), so the rule stays at two. A 256-row block
 // of a model fitted on more than 64 rows stays on the walk.
 const routeMinRowsPerNode = 2
 

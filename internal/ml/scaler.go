@@ -100,6 +100,12 @@ func (p *Pipeline) Fit(X [][]float64, y []float64) error {
 // cancelled or failed refit of an already-fitted pipeline leaves the
 // previous (consistent) state untouched.
 func (p *Pipeline) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
+	return p.fitLeased(ctx, X, y, nil)
+}
+
+// fitLeased is FitCtx with the inner model's walk tables taken on l
+// (see leasedFitter).
+func (p *Pipeline) fitLeased(ctx context.Context, X [][]float64, y []float64, l *lease) error {
 	if p.Model == nil {
 		return errors.New("ml: Pipeline requires a Model")
 	}
@@ -111,12 +117,26 @@ func (p *Pipeline) FitCtx(ctx context.Context, X [][]float64, y []float64) error
 	if err != nil {
 		return err
 	}
-	if err := FitCtx(ctx, p.Model, scaled, y); err != nil {
+	if lf, ok := p.Model.(leasedFitter); ok && l != nil {
+		err = lf.fitLeased(ctx, scaled, y, l)
+	} else {
+		err = FitCtx(ctx, p.Model, scaled, y)
+	}
+	if err != nil {
 		return err
 	}
 	p.scaler = scaler
 	p.fitted = true
 	return nil
+}
+
+// unfit drops the fitted scaler and the inner model's fit (see
+// leasedFitter).
+func (p *Pipeline) unfit() {
+	if lf, ok := p.Model.(leasedFitter); ok {
+		lf.unfit()
+	}
+	p.scaler, p.fitted = StandardScaler{}, false
 }
 
 // IsFitted reports whether the pipeline has been trained.

@@ -2,11 +2,15 @@ package ml
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sync"
+
+	"lam/internal/parallel"
+	"lam/internal/xmath"
 )
 
 // Splitter selects how a tree node chooses its split threshold.
@@ -108,13 +112,24 @@ func (t *DecisionTree) NumFeatures() int { return t.nFeatures }
 // failed fit leaves the receiver untouched: fitted state is assigned
 // only once the tree is grown.
 func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
+	return t.fitLeased(context.Background(), X, y, nil)
+}
+
+// fitLeased is Fit with the walk table taken on l (see leasedFitter).
+// A tree is one unit of work, so ctx is checked once, before it grows.
+func (t *DecisionTree) fitLeased(ctx context.Context, X [][]float64, y []float64, l *lease) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return parallel.Cancelled(err)
+		}
+	}
 	p, err := checkXY(X, y)
 	if err != nil {
 		return err
 	}
 	n, cols := len(X), columnView(X)
 	_, distinct := rowClasses(cols)
-	g, err := newGrowth([]int{t.Config.maxNodes(n, distinct)})
+	g, err := newGrowth([]int{t.Config.maxNodes(n, distinct)}, l)
 	if err != nil {
 		return err
 	}
@@ -126,6 +141,11 @@ func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 	g.pack([]*DecisionTree{t})
 	t.nFeatures, t.importances = p, imp
 	return nil
+}
+
+// unfit drops the fitted tree (see leasedFitter).
+func (t *DecisionTree) unfit() {
+	t.nodes, t.nFeatures, t.importances = CompiledTree{}, 0, nil
 }
 
 // Predict returns the fitted response for x: an iterative walk over
@@ -250,7 +270,7 @@ type treeBuilder struct {
 }
 
 var treeBuilderPool = sync.Pool{New: func() any {
-	return &treeBuilder{rng: rand.New(rand.NewSource(0))}
+	return &treeBuilder{rng: rand.New(new(xmath.Source))}
 }}
 
 func getTreeBuilder() *treeBuilder { return treeBuilderPool.Get().(*treeBuilder) }
@@ -323,7 +343,7 @@ func (b *treeBuilder) fit(cfg TreeConfig, cols [][]float64, y, importances []flo
 		}
 	}
 	// Same stream as rand.New(rand.NewSource(Seed)) without the 4.9 kB
-	// source per tree.
+	// source per tree, and seeded at a third of its cost.
 	b.rng.Seed(b.cfg.Seed)
 	if cap(b.tmp) < n {
 		b.tmp = make([]int, n)

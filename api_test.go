@@ -21,8 +21,6 @@ var twinAllowlist = map[string]string{
 	"lam/internal/registry.Registry.Load": "called by frozen benchmark/",
 	"lam/internal/ml.Pipeline.Fit":        "called by frozen benchmark/; ml.Regressor requires Fit",
 	"lam/internal/ml.Forest.Fit":          "ml.Regressor requires Fit; FitCtx is the ml.ContextFitter half",
-	"lam/internal/parallel.For":           "the uncancellable loop ForCtx is built on",
-	"lam/internal/parallel.ForBlocks":     "the uncancellable block loop of the context-free batch branch",
 }
 
 // TestOneEntryPointPerOperation keeps the API from regrowing the

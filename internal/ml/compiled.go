@@ -1,10 +1,10 @@
 package ml
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 	"unsafe"
 
 	"lam/internal/parallel"
@@ -238,7 +238,7 @@ func compileEnsemble(trees []*DecisionTree, tables []nodeTable) (*CompiledEnsemb
 // own tree past its left child (preorder, so every walk ends); a leaf
 // is canonical (feature -1, right 0). The pass only reads hot, which
 // may be a read-only mapping; keep is what owns it. A large table is
-// checked in blocks of trees across cores (firstBadTree), and the error
+// checked in blocks of trees across cores (checkTrees), and the error
 // is always the lowest faulty tree's, so it does not depend on the
 // worker count.
 func adoptRecords(trees []*DecisionTree, hot []hotNode, roots []int32, nFeatures int, keep any) (*CompiledEnsemble, error) {
@@ -246,15 +246,15 @@ func adoptRecords(trees []*DecisionTree, hot []hotNode, roots []int32, nFeatures
 		return nil, fmt.Errorf("ml: corrupt tree: %d roots for %d trees, first %v", len(roots), len(trees), roots[:min(len(roots), 1)])
 	}
 	e := &CompiledEnsemble{hot: hot, roots: roots, keep: keep}
-	if t := e.firstBadTree(int32(nFeatures)); t < len(roots) {
-		return nil, e.treeFault(t, nFeatures)
+	if err := e.checkTrees(nFeatures); err != nil {
+		return nil, err
 	}
 	e.views(trees)
 	return e, nil
 }
 
 // adoptBlockMinRecords is the fewest records one block of
-// firstBadTree's fan-out checks when the trees are of equal size: below
+// checkTrees' fan-out checks when the trees are of equal size: below
 // it a helper's wake-up costs more than the share of the check it
 // takes, so a table of fewer than twice as many records is one block,
 // checked on the calling goroutine (EXPERIMENTS.md § Cold-load budget).
@@ -274,37 +274,26 @@ func adoptBlocks(n, records int) (blocks, perBlock int) {
 	return n / perBlock, perBlock
 }
 
-// firstBadTree returns the lowest tree whose records a walk could not
-// follow, or len(e.roots) when every tree passes. The blocks of
-// adoptBlocks are checked in parallel; the only shared state is the
-// lowest faulty tree found so far, which a block starting past it
-// skips. Tree t's range is taken from the roots as they stand: one that
-// starts below 0 is counted as faulty, and cannot be the lowest, since
-// roots that rise strictly from 0 up to t keep roots[t] positive.
-func (e *CompiledEnsemble) firstBadTree(nFeatures int32) int {
+// checkTrees returns treeFault of the lowest tree whose records a walk
+// could not follow, or nil when every tree passes. The blocks of
+// adoptBlocks are checked in parallel, each returning its own lowest
+// faulty tree's error, and ForCtx keeps the lowest block's. Tree t's
+// range is taken from the roots as they stand: one that starts below 0
+// is counted as faulty, and cannot be the lowest, since roots that rise
+// strictly from 0 up to t keep roots[t] positive.
+func (e *CompiledEnsemble) checkTrees(nFeatures int) error {
 	n := len(e.roots)
 	blocks, perBlock := adoptBlocks(n, len(e.hot))
-	var first atomic.Int64
-	first.Store(int64(n))
-	parallel.For(blocks, 0, func(b int) {
-		lo, hi := b*perBlock, (b+1)*perBlock
+	return parallel.ForCtx(context.Background(), blocks, 0, func(b int) error {
+		hi := (b + 1) * perBlock
 		if b == blocks-1 {
 			hi = n
 		}
-		if int64(lo) >= first.Load() {
-			return
+		if t := e.firstBadTreeIn(b*perBlock, hi, int32(nFeatures)); t < hi {
+			return e.treeFault(t, nFeatures)
 		}
-		t := e.firstBadTreeIn(lo, hi, nFeatures)
-		if t == hi {
-			return
-		}
-		for cur := first.Load(); int64(t) < cur; cur = first.Load() {
-			if first.CompareAndSwap(cur, int64(t)) {
-				return
-			}
-		}
+		return nil
 	})
-	return int(first.Load())
 }
 
 // firstBadTreeIn returns the lowest tree in [lo, hi) a walk could not

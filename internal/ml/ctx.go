@@ -107,9 +107,8 @@ func PredictBatchIntoCtx(ctx context.Context, r Regressor, X [][]float64, out []
 	if err := checkInto(r, X, out); err != nil {
 		return err
 	}
-	if ctx == nil || ctx.Done() == nil {
-		predictBatchInto(r, X, out, workers)
-		return nil
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return parallel.Cancelled(err)
@@ -120,6 +119,12 @@ func PredictBatchIntoCtx(ctx context.Context, r Regressor, X [][]float64, out []
 			if !e.predictRouted(done, s, X, nil, out) {
 				return parallel.Cancelled(ctx.Err())
 			}
+			return nil
+		}
+		if done == nil {
+			// Blocks are what the context is polled between; with
+			// nothing to poll the batch is one block.
+			predictSeq(r, X, out)
 			return nil
 		}
 		for lo := 0; lo < len(X); lo += BatchBlock {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"lam/internal/lamerr"
-	"lam/internal/parallel"
 )
 
 // Regressor is the common estimator interface: fit on a design matrix
@@ -77,26 +76,6 @@ func batchBlocks(n int) int { return (n + BatchBlock - 1) / BatchBlock }
 // PredictBatchInto is PredictBatchIntoCtx without cancellation.
 func PredictBatchInto(r Regressor, X [][]float64, out []float64, workers int) error {
 	return PredictBatchIntoCtx(context.Background(), r, X, out, workers)
-}
-
-// predictBatchInto is PredictBatchIntoCtx's validated core for a
-// context that cannot be cancelled. Workers are resolved over the
-// number of blocks, so anything up to one block is scored inline on the
-// caller's goroutine; that case has no closure and no pool dispatch, so
-// it is provably allocation-free. A sequential batch r routes is one
-// routed block (see routes).
-func predictBatchInto(r Regressor, X [][]float64, out []float64, workers int) {
-	if parallel.Resolve(workers, batchBlocks(len(X))) == 1 {
-		if e, s := routedEnsemble(r, len(X)); e != nil {
-			e.predictRouted(nil, s, X, nil, out)
-			return
-		}
-		predictSeq(r, X, out)
-		return
-	}
-	parallel.ForBlocks(len(X), workers, BatchBlock, func(lo, hi int) {
-		predictSeq(r, X[lo:hi], out[lo:hi])
-	})
 }
 
 // predictSeq scores a validated row block sequentially through r's

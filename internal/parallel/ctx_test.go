@@ -10,8 +10,8 @@ import (
 	"lam/internal/lamerr"
 )
 
-// TestForCtxCompletesLikeForErr checks the uncancelled path is
-// indistinguishable from ForErr.
+// TestForCtxCompletesLikeForErr checks the uncancelled path runs every
+// unit once and returns nil, as the former error-only loop did.
 func TestForCtxCompletesLikeForErr(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
@@ -35,7 +35,8 @@ func TestForCtxNilContext(t *testing.T) {
 	}
 }
 
-// TestForCtxLowestError keeps ForErr's deterministic error selection.
+// TestForCtxLowestError keeps the deterministic error selection of a
+// sequential loop that stops at its first failure.
 func TestForCtxLowestError(t *testing.T) {
 	want := errors.New("unit 3")
 	err := ForCtx(context.Background(), 10, 4, func(i int) error {
@@ -95,8 +96,8 @@ func TestForCtxMidLoopCancel(t *testing.T) {
 	}
 }
 
-// TestForCtxSequentialShortCircuit checks the one-worker path mirrors
-// ForErr: a failing unit stops the loop instead of running the rest.
+// TestForCtxSequentialShortCircuit checks the one-worker path stops at
+// a failing unit instead of running the rest.
 func TestForCtxSequentialShortCircuit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

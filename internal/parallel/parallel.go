@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -61,125 +62,128 @@ func Resolve(workers, n int) int {
 	return workers
 }
 
-// For calls fn(i) exactly once for every i in [0, n), using the
-// calling goroutine plus up to workers-1 helper goroutines. Indices
-// are handed out through a shared atomic counter (a work-stealing-free
-// pool), so uneven unit costs balance automatically. With one
-// effective worker — including when a default-inherited nested call
-// finds the process-wide helper budget exhausted — the loop runs
-// inline.
-func For(n, workers int, fn func(i int)) {
-	resolved := Resolve(workers, n)
-	helpers := resolved - 1
-	budgeted := workers <= 0 && helpers > 0
-	if budgeted {
+// ForCtx calls fn(i) at most once for every i in [0, n), using the
+// calling goroutine plus up to workers-1 helper goroutines, and returns
+// the error of the lowest failing index: the error a sequential loop
+// that stops at its first failure reports, whatever the scheduling.
+// Indices are handed out through a shared atomic counter, so uneven
+// unit costs balance automatically. With one effective worker —
+// including when a default-inherited nested call finds the
+// process-wide helper budget exhausted — the loop runs inline and stops
+// at its first failure; in parallel, no unit is claimed once a failure
+// is seen, and every unit below it still runs.
+//
+// Each worker checks ctx before it runs a claimed unit, so after ctx is
+// done no new unit starts and the loop returns once the units in flight
+// finish: cancellation latency is bounded by one unit. A loop cancelled
+// before every unit has run returns an error wrapping both
+// lamerr.ErrCancelled and ctx.Err(), in preference to any unit's error
+// (the sequential prefix is incomplete, so "the lowest failing index"
+// is not defined). A nil ctx means context.Background(), whose nil
+// Done channel makes every check fall through.
+//
+// The caller returns as soon as no unit is left to claim and every
+// claimed unit has finished; it does not wait for a helper that has not
+// started yet, which finds nothing to claim and exits.
+func ForCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return Cancelled(err)
+	}
+	done := ctx.Done()
+	helpers := Resolve(workers, n) - 1
+	if workers <= 0 && helpers > 0 {
 		helpers = acquireHelpers(helpers)
 		defer releaseHelpers(helpers)
 	}
 	if helpers == 0 {
 		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
+			select {
+			case <-done:
+				return Cancelled(ctx.Err())
+			default:
 			}
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(helpers)
-	for w := 0; w < helpers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}
-
-// ForErr runs fn over [0, n) like For and returns the error of the
-// lowest failing index — the same error a sequential loop that stops
-// at the first failure would report, which keeps error output
-// independent of scheduling. Like that loop, it starts no unit past a
-// failure it has already seen.
-func ForErr(n, workers int, fn func(i int) error) error {
-	if Resolve(workers, n) == 1 {
-		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	first := newLowestErr(n)
-	For(n, workers, func(i int) {
-		if first.past(i) {
-			return
-		}
-		if err := fn(i); err != nil {
-			first.record(i, err)
-		}
-	})
-	return first.err
+	l := &loop{n: int64(n), done: done, fn: fn}
+	l.remaining.Store(int64(n))
+	l.wg.Add(1)
+	for range helpers {
+		go l.work()
+	}
+	l.work()
+	l.wg.Wait()
+	if l.stopped.Load() {
+		return Cancelled(ctx.Err())
+	}
+	return l.err
 }
 
-// lowestErr is the error of the lowest failing index of a parallel
-// loop: the index is read without the lock, so a unit past it is
-// skipped cheaply, and the lock orders the updates.
-type lowestErr struct {
-	at  atomic.Int64 // the lowest failing index so far, n when none
-	mu  sync.Mutex
+// loop is what the workers of one parallel ForCtx share, in one
+// allocation.
+type loop struct {
+	n    int64
+	done <-chan struct{}
+	fn   func(i int) error
+
+	next      atomic.Int64 // the lowest unclaimed index
+	remaining atomic.Int64 // units neither finished nor given up
+	stopped   atomic.Bool  // a worker saw ctx done
+	wg        sync.WaitGroup
+
+	mu  sync.Mutex // orders the updates of at and err
+	at  int        // the lowest failing index so far, when err != nil
 	err error
 }
 
-func newLowestErr(n int) *lowestErr {
-	l := new(lowestErr)
-	l.at.Store(int64(n))
-	return l
+// work runs claimed units until none is left to claim.
+func (l *loop) work() {
+	for {
+		i := l.next.Add(1) - 1
+		if i >= l.n {
+			return
+		}
+		select {
+		case <-l.done:
+			l.stopped.Store(true)
+			l.close()
+		default:
+			if err := l.fn(int(i)); err != nil {
+				l.record(int(i), err)
+				l.close()
+			}
+		}
+		l.finish(1)
+	}
 }
 
-// past reports whether unit i lies past a failure already recorded.
-func (l *lowestErr) past(i int) bool { return int64(i) > l.at.Load() }
-
 // record keeps err when unit i is the lowest failure so far.
-func (l *lowestErr) record(i int, err error) {
+func (l *loop) record(i int, err error) {
 	l.mu.Lock()
-	if int64(i) < l.at.Load() {
-		l.at.Store(int64(i))
-		l.err = err
+	if l.err == nil || i < l.at {
+		l.at, l.err = i, err
 	}
 	l.mu.Unlock()
 }
 
-// ForBlocks processes [0, n) as contiguous blocks of at least minBlock
-// elements, calling fn(lo, hi) for each block. Use it when the
-// per-element work is too cheap to pay a pool dispatch per index
-// (e.g. scoring one sample with a shallow tree).
-func ForBlocks(n, workers, minBlock int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
+// close gives up every unit not yet claimed. After a failure they all
+// lie past it, since the counter only rises; after a cancellation none
+// may start.
+func (l *loop) close() {
+	if old := l.next.Swap(l.n); old < l.n {
+		l.finish(l.n - old)
 	}
-	if minBlock < 1 {
-		minBlock = 1
+}
+
+// finish counts k units as done; the last of the n releases the caller.
+func (l *loop) finish(k int64) {
+	if l.remaining.Add(-k) == 0 {
+		l.wg.Done()
 	}
-	blocks := (n + minBlock - 1) / minBlock
-	if Resolve(workers, blocks) == 1 {
-		fn(0, n)
-		return
-	}
-	For(blocks, workers, func(b int) {
-		lo := b * minBlock
-		hi := lo + minBlock
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
-	})
 }

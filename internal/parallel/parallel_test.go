@@ -9,15 +9,77 @@ import (
 	"testing"
 )
 
+// ctxKinds are the contexts ForCtx must treat alike when none is
+// cancelled: nil, Background (a nil Done channel) and a cancellable
+// one, since all three take the same loop body.
+func ctxKinds() (kinds map[string]context.Context, cancel func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	return map[string]context.Context{"nil": nil, "Background": context.Background(), "cancellable": ctx}, cancel
+}
+
 func TestForCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{-1, 0, 1, 2, 7, 64} {
-		for _, n := range []int{0, 1, 2, 3, 100} {
-			hits := make([]int32, n)
-			For(n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) })
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
+	kinds, cancel := ctxKinds()
+	defer cancel()
+	for name, ctx := range kinds {
+		for _, workers := range []int{-1, 0, 1, 2, 7, 64} {
+			for _, n := range []int{0, 1, 2, 3, 100} {
+				hits := make([]int32, n)
+				err := ForCtx(ctx, n, workers, func(i int) error {
+					atomic.AddInt32(&hits[i], 1)
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s ctx, workers=%d n=%d: %v", name, workers, n, err)
 				}
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("%s ctx, workers=%d n=%d: index %d visited %d times", name, workers, n, i, h)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLateHelperRunsNothing: a helper that is not scheduled before the
+// caller has run every unit holds nothing up. At one processor, with
+// units that never yield, the caller runs all of them while its helper
+// waits in the run queue, and returns with the helper still there
+// (counted by runtime.NumGoroutine); the helper then exits having
+// claimed nothing.
+func TestLateHelperRunsNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	kinds, cancel := ctxKinds()
+	defer cancel()
+	const n = 64
+	for name, ctx := range kinds {
+		hits := make([]int32, n)
+		fn := func(i int) error {
+			atomic.AddInt32(&hits[i], 1)
+			return nil
+		}
+		runtime.GC() // no collection starts inside the loop to preempt the caller
+		before := runtime.NumGoroutine()
+		err := ForCtx(ctx, n, 2, fn)
+		after := runtime.NumGoroutine()
+		if err != nil {
+			t.Fatalf("%s ctx: %v", name, err)
+		}
+		if after != before+1 {
+			t.Fatalf("%s ctx: %d goroutines before the loop and %d after it, want the unstarted helper still counted: the caller waited for it", name, before, after)
+		}
+		for range 1_000_000 {
+			if runtime.NumGoroutine() <= before {
+				break
+			}
+			runtime.Gosched()
+		}
+		if g := runtime.NumGoroutine(); g > before {
+			t.Fatalf("%s ctx: the late helper has not exited (%d goroutines, %d before the loop)", name, g, before)
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("%s ctx: index %d visited %d times", name, i, h)
 			}
 		}
 	}
@@ -42,38 +104,49 @@ func TestResolveClamps(t *testing.T) {
 	}
 }
 
-func TestForErrReturnsLowestIndexError(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		err := ForErr(10, workers, func(i int) error {
-			if i == 3 || i == 7 {
-				return fmt.Errorf("unit %d failed", i)
+func TestForCtxReturnsLowestIndexError(t *testing.T) {
+	kinds, cancel := ctxKinds()
+	defer cancel()
+	for name, ctx := range kinds {
+		for _, workers := range []int{1, 4} {
+			err := ForCtx(ctx, 10, workers, func(i int) error {
+				if i == 3 || i == 7 {
+					return fmt.Errorf("unit %d failed", i)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "unit 3 failed" {
+				t.Fatalf("%s ctx, workers=%d: got %v, want the lowest-index error", name, workers, err)
 			}
-			return nil
-		})
-		if err == nil || err.Error() != "unit 3 failed" {
-			t.Fatalf("workers=%d: got %v, want the lowest-index error", workers, err)
 		}
-	}
-	if err := ForErr(5, 4, func(int) error { return nil }); err != nil {
-		t.Fatalf("unexpected error: %v", err)
+		if err := ForCtx(ctx, 5, 4, func(int) error { return nil }); err != nil {
+			t.Fatalf("%s ctx: unexpected error: %v", name, err)
+		}
 	}
 }
 
 func TestForBlocksCoversRange(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		for _, n := range []int{0, 1, 5, 64, 100} {
-			hits := make([]int32, n)
-			ForBlocks(n, workers, 8, func(lo, hi int) {
-				if lo < 0 || hi > n || lo >= hi {
-					t.Errorf("bad block [%d, %d) for n=%d", lo, hi, n)
+	kinds, cancel := ctxKinds()
+	defer cancel()
+	for name, ctx := range kinds {
+		for _, workers := range []int{1, 4} {
+			for _, n := range []int{0, 1, 5, 64, 100} {
+				hits := make([]int32, n)
+				err := ForBlocksCtx(ctx, n, workers, 8, func(lo, hi int) {
+					if lo < 0 || hi > n || lo >= hi {
+						t.Errorf("bad block [%d, %d) for n=%d", lo, hi, n)
+					}
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&hits[i], 1)
+					}
+				})
+				if err != nil {
+					t.Fatalf("%s ctx, workers=%d n=%d: %v", name, workers, n, err)
 				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("%s ctx, workers=%d n=%d: index %d visited %d times", name, workers, n, i, h)
+					}
 				}
 			}
 		}
@@ -125,8 +198,9 @@ func TestDeterministicUnderContention(t *testing.T) {
 
 // TestLowestErrorIndependentOfProcs plants failures at a slow low index
 // and at fast higher ones, so the higher ones usually fail first, and
-// requires the low one's error from ForErr and ForCtx at 1, 2 and 7
-// processors, on the default worker count and on an explicit one.
+// requires the low one's error from ForCtx under every context kind at
+// 1, 2 and 7 processors, on the default worker count and on an explicit
+// one.
 func TestLowestErrorIndependentOfProcs(t *testing.T) {
 	const n = 400
 	fail := map[int]bool{37: true, 38: true, 211: true, n - 1: true}
@@ -141,19 +215,16 @@ func TestLowestErrorIndependentOfProcs(t *testing.T) {
 		}
 		return nil
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	kinds, cancel := ctxKinds()
 	defer cancel()
 	for _, procs := range []int{1, 2, 7} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for _, workers := range []int{0, 7} {
 				for range 10 {
-					for name, err := range map[string]error{
-						"ForErr": ForErr(n, workers, fn),
-						"ForCtx": ForCtx(ctx, n, workers, fn),
-					} {
-						if err == nil || err.Error() != "unit 37 failed" {
-							t.Fatalf("%s at %d processors, workers=%d: got %v, want unit 37's error", name, procs, workers, err)
+					for name, ctx := range kinds {
+						if err := ForCtx(ctx, n, workers, fn); err == nil || err.Error() != "unit 37 failed" {
+							t.Fatalf("%s ctx at %d processors, workers=%d: got %v, want unit 37's error", name, procs, workers, err)
 						}
 					}
 				}
@@ -162,18 +233,19 @@ func TestLowestErrorIndependentOfProcs(t *testing.T) {
 	}
 }
 
-// TestForErrBytesIndependentOfN: the parallel error paths keep one
-// lowest failing index, not an error per unit, so a loop's bytes do not
-// grow with its length.
-func TestForErrBytesIndependentOfN(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
+// TestForCtxBytesIndependentOfN: a parallel loop keeps one lowest
+// failing index, not an error per unit, and its shared state is one
+// allocation, so its bytes do not grow with its length.
+func TestForCtxBytesIndependentOfN(t *testing.T) {
+	kinds, cancel := ctxKinds()
 	defer cancel()
 	bytes := func(n int) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range 10 {
-			_ = ForErr(n, 2, func(int) error { return nil })
-			_ = ForCtx(ctx, n, 2, func(int) error { return nil })
+			for _, ctx := range kinds {
+				_ = ForCtx(ctx, n, 2, func(int) error { return nil })
+			}
 		}
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / 10
@@ -181,6 +253,6 @@ func TestForErrBytesIndependentOfN(t *testing.T) {
 	bytes(1 << 10) // warm the goroutine free lists
 	small, large := bytes(1<<10), bytes(1<<16)
 	if large > small+4<<10 {
-		t.Fatalf("a pair of 65 536-unit loops allocates %d B against %d B for 1 024 units: something grows with n", large, small)
+		t.Fatalf("three 65 536-unit loops allocate %d B against %d B for 1 024 units: something grows with n", large, small)
 	}
 }

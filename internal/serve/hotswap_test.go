@@ -216,6 +216,20 @@ func TestObserveEndToEndDrift(t *testing.T) {
 		return v
 	}
 
+	drift := func() online.Status {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/models/blk/drift")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st online.Status
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
 	const batch = 32
 	swapped := false
 	var preSwap, postSwap float64
@@ -244,11 +258,16 @@ func TestObserveEndToEndDrift(t *testing.T) {
 			sent += batch
 			break
 		}
-		// The background retrain needs a moment once the detector has
-		// tripped; without the pause the stream can exhaust the window
-		// before the publish lands.
-		if v.Drift.Retraining {
-			time.Sleep(10 * time.Millisecond)
+		// Hold the stream while the background retrain runs, so the
+		// publish lands at the batch that tripped the detector, not
+		// wherever a slow host lets it: the windows either side of the
+		// swap are then the same stream rows on every run.
+		for v.Drift.Retraining {
+			if time.Now().After(deadline) {
+				t.Fatal("stream deadline exceeded waiting for the retrain")
+			}
+			time.Sleep(time.Millisecond)
+			v.Drift = drift()
 		}
 	}
 	if !swapped {
@@ -267,15 +286,7 @@ func TestObserveEndToEndDrift(t *testing.T) {
 	t.Logf("windowed MAPE pre-swap %.2f%% -> post-swap %.2f%% (baseline %.2f%%)", preSwap, postSwap, baseline)
 
 	// The drift endpoint reports the adapted state.
-	resp, err := http.Get(ts.URL + "/models/blk/drift")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st online.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	st := drift()
 	if st.Model != "blk" || st.Version < 2 {
 		t.Fatalf("drift endpoint reports %+v", st)
 	}

@@ -289,32 +289,36 @@ func (e *CompiledEnsemble) checkTrees(nFeatures int) error {
 		if b == blocks-1 {
 			hi = n
 		}
-		if t := e.firstBadTreeIn(b*perBlock, hi, int32(nFeatures)); t < hi {
+		if t := e.firstBadTreeIn(b*perBlock, hi, int64(nFeatures)); t < hi {
 			return e.treeFault(t, nFeatures)
 		}
 		return nil
 	})
 }
 
-// firstBadTreeIn returns the lowest tree in [lo, hi) a walk could not
-// follow, or hi.
-func (e *CompiledEnsemble) firstBadTreeIn(lo, hi int, nFeatures int32) int {
+// firstBadTreeIn returns the lowest tree in [lo, hi) a walk over nf
+// features could not follow, or hi.
+func (e *CompiledEnsemble) firstBadTreeIn(lo, hi int, nf int64) int {
 	for t := lo; t < hi; t++ {
 		l, h := e.roots[t], e.treeEnd(t)
-		if l < 0 || h <= l || int(h) > len(e.hot) || badRecord(e.hot, l, h, nFeatures) >= 0 {
+		if l < 0 || h <= l || int(h) > len(e.hot) || recordsBad(e.hot[l:h], int64(l)+2, int64(h), nf) != 0 {
 			return t
 		}
 	}
 	return hi
 }
 
-// treeFault describes why tree t, the lowest faulty one, was refused.
+// treeFault describes why tree t, the lowest faulty one, was refused:
+// its range, or else its first record recordsBad refuses.
 func (e *CompiledEnsemble) treeFault(t, nFeatures int) error {
 	lo, hi := e.roots[t], e.treeEnd(t)
 	if lo < 0 || hi <= lo || int(hi) > len(e.hot) {
 		return fmt.Errorf("ml: corrupt tree: tree %d spans records [%d, %d) of %d", t, lo, hi, len(e.hot))
 	}
-	i := badRecord(e.hot, lo, hi, int32(nFeatures))
+	i := lo
+	for recordsBad(e.hot[i:i+1], int64(i)+2, int64(hi), int64(nFeatures)) == 0 {
+		i++
+	}
 	switch n := e.hot[i]; {
 	case n.feature < 0:
 		return fmt.Errorf("ml: corrupt tree: leaf %d of tree %d has feature %d and right child %d, not -1 and 0", i, t, n.feature, n.right)
@@ -325,38 +329,26 @@ func (e *CompiledEnsemble) treeFault(t, nFeatures int) error {
 	}
 }
 
-// badRecord returns the first index in [lo, hi) whose record a walk of
-// the tree hot[lo:hi] could not follow (see adoptRecords), or -1.
-// Leaves and splits alternate unpredictably, so the verdicts are folded
-// together with no branch; only a table that fails is scanned twice.
-func badRecord(hot []hotNode, lo, hi, nFeatures int32) int32 {
+// recordsBad is non-zero when some record of recs, the first at index
+// a-2 of a tree ending at h over nf features, is neither a canonical
+// leaf nor a followable split. Both fields are zero-extended, so a
+// negative one reads as 2³¹ or more and fails the bounds a split must
+// meet, and no subtraction can wrap: ok is negative exactly when
+// 0 <= feature < nf and index+2 <= right < h, and a record that is not
+// such a split passes only as feature -1 (0xFFFFFFFF), right 0. Leaves
+// and splits alternate unpredictably, so the verdicts are folded
+// together with no branch, and the bounds are int64 once per call
+// rather than re-extended per record (EXPERIMENTS.md § Cold-load
+// budget).
+func recordsBad(recs []hotNode, a, h, nf int64) int64 {
 	var bad int64
-	for i, n := range hot[lo:hi] {
-		bad |= recordFault(n, int64(lo)+int64(i), int64(hi), int64(nFeatures))
+	for _, n := range recs {
+		f, r := int64(uint32(n.feature)), int64(uint32(n.right))
+		ok := (f - nf) & (r - h) &^ (r - a)
+		bad |= (f ^ 0xFFFFFFFF | r) &^ (ok >> 63)
+		a++
 	}
-	if bad == 0 {
-		return -1
-	}
-	for i, n := range hot[lo:hi] {
-		if recordFault(n, int64(lo)+int64(i), int64(hi), int64(nFeatures)) != 0 {
-			return lo + int32(i)
-		}
-	}
-	return -1
-}
-
-// recordFault is non-zero when record n at index at of a tree ending at
-// hi is neither a canonical leaf nor a followable split. Each bound is
-// a subtraction whose sign says which side of it a field lies on, and
-// the feature's sign mask selects the leaf or the split verdict, so the
-// check is a dozen ALU operations with no compare-and-set.
-func recordFault(n hotNode, at, hi, nFeatures int64) int64 {
-	f, r := int64(n.feature), int64(n.right)
-	leaf := f >> 63 // all ones for a leaf, else zero
-	// Negative when the right child is at or before the left one or at
-	// or past the tree's end, or the feature is past the arity.
-	split := (r - at - 2) | (hi - 1 - r) | ^(f - nFeatures)
-	return ((f+1)|r)&leaf | split>>63&^leaf
+	return bad
 }
 
 // growth is a fit's walk table in the making. Each tree grows straight

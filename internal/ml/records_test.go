@@ -338,6 +338,66 @@ func TestRecordsValidatorMatchesSpec(t *testing.T) {
 	}
 }
 
+// TestRecordVerdictBoundaryGrid holds recordsBad, the record check's
+// branch-free verdict, to the rule spelled with compares and branches
+// on every combination of a field at or beside each bound it meets:
+// the feature around 0, -1 and the arity, the right child around its
+// left child, the tree's end and both int32 limits, the record first,
+// last or next to last in its tree, and trees ending as high as
+// MaxInt32, where a subtraction in the wrong width would wrap. Each
+// record is checked alone and behind a canonical leaf in the same
+// call, so the per-record index step is covered too.
+func TestRecordVerdictBoundaryGrid(t *testing.T) {
+	spec := func(f, r, at, hi, nf int64) bool { // true when a walk could follow the record
+		if f < 0 {
+			return f == -1 && r == 0
+		}
+		return f < nf && r >= at+2 && r < hi
+	}
+	const maxI, minI = math.MaxInt32, math.MinInt32
+	checked, accepted := 0, 0
+	for _, nf := range []int64{1, 2, 7, maxI} {
+		for _, hi := range []int64{1, 2, 3, 4, 1000, maxI - 1, maxI} {
+			for _, lo := range []int64{0, hi / 2, hi - 3, hi - 1} {
+				if lo < 0 {
+					continue
+				}
+				for _, at := range []int64{lo, hi - 3, hi - 2, hi - 1} {
+					if at < lo {
+						continue
+					}
+					for _, f := range []int64{minI, -2, -1, 0, nf - 1, nf, maxI} {
+						for _, r := range []int64{minI, -1, 0, at + 1, at + 2, hi - 1, hi, maxI} {
+							if r > maxI {
+								continue
+							}
+							rec := hotNode{feature: int32(f), right: int32(r)}
+							want := spec(f, r, at, hi, nf)
+							if got := recordsBad([]hotNode{rec}, at+2, hi, nf) == 0; got != want {
+								t.Fatalf("feature %d, right %d at %d of [%d, %d), %d features: verdict accepts %v, spec %v", f, r, at, lo, hi, nf, got, want)
+							}
+							if at > lo {
+								leaf := hotNode{feature: -1}
+								if got := recordsBad([]hotNode{leaf, rec}, at+1, hi, nf) == 0; got != want {
+									t.Fatalf("feature %d, right %d at %d behind a leaf at %d, tree end %d, %d features: verdict accepts %v, spec %v", f, r, at, at-1, hi, nf, got, want)
+								}
+							}
+							checked++
+							if want {
+								accepted++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if accepted == 0 || accepted == checked {
+		t.Fatalf("%d of %d grid records accepted: the grid does not reach both sides of the rule", accepted, checked)
+	}
+	t.Logf("%d records, %d accepted", checked, accepted)
+}
+
 // TestMisalignedRecordsAreCopied: a version-3 payload whose records do
 // not sit on an 8-byte boundary cannot be read in place, so the decoder
 // copies the record block once — the big-endian path too — and the

@@ -88,44 +88,45 @@ type Series struct {
 // spares each trial a 4.9 kB source.
 var rngPool = sync.Pool{New: func() any { return rand.New(new(xmath.Source)) }}
 
-// sweepMemory is the memory one MAPECurveCtx call owns and lends to its
-// trials: the walk tables their fits grow into, and per trial in
-// flight a trialMemory. A trial hands back all it borrowed once its
-// MAPE is taken, so the sweep holds a table and a trialMemory per
-// worker, and all of it is dropped with the sweep: nothing is global.
+// sweepMemory is the memory a figure owns and lends to the trials of
+// its sweeps: the walk tables and all other fit memory their fits
+// borrow (ml.Tables), and per trial in flight a trialMemory. A trial
+// hands back all it borrowed once its MAPE is taken, so the memory
+// holds a table, a lease and a trialMemory per worker, and all of it
+// is dropped with the figure: nothing is global.
 type sweepMemory struct {
 	tables ml.Tables
-	// trainRows and testRows are the most rows a training and a
-	// held-out subset of the sweep hold.
-	trainRows, testRows int
 
 	mu   sync.Mutex
 	free []*trialMemory
 }
 
 // trialMemory is one trial's subsets — row headers and responses over
-// the dataset's rows (dataset.SampleNInto) — and its held-out scores,
-// sized for the largest training and held-out subsets of the sweep.
+// the dataset's rows (dataset.SampleNInto) — and its held-out scores.
 type trialMemory struct {
 	train, test dataset.Dataset
 	pred        []float64
 }
 
-// get lends a trialMemory, made when none is free.
-func (s *sweepMemory) get() *trialMemory {
+// get lends a trialMemory that holds trainRows training and testRows
+// held-out rows, made when none is free and regrown when the one lent
+// is smaller (a later sweep of the figure draws larger subsets).
+func (s *sweepMemory) get(trainRows, testRows int) *trialMemory {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	t := new(trialMemory)
 	if k := len(s.free) - 1; k >= 0 {
-		t := s.free[k]
+		t = s.free[k]
 		s.free[k], s.free = nil, s.free[:k]
-		return t
 	}
-	k, n := s.trainRows, s.testRows
-	return &trialMemory{
-		train: dataset.Dataset{X: make([][]float64, 0, k), Y: make([]float64, 0, k)},
-		test:  dataset.Dataset{X: make([][]float64, 0, n), Y: make([]float64, 0, n)},
-		pred:  make([]float64, n),
+	s.mu.Unlock()
+	if cap(t.train.X) < trainRows {
+		t.train = dataset.Dataset{X: make([][]float64, 0, trainRows), Y: make([]float64, 0, trainRows)}
 	}
+	if cap(t.test.X) < testRows {
+		t.test = dataset.Dataset{X: make([][]float64, 0, testRows), Y: make([]float64, 0, testRows)}
+		t.pred = make([]float64, testRows)
+	}
+	return t
 }
 
 // put takes a trialMemory back.
@@ -148,29 +149,34 @@ func (s *sweepMemory) put(t *trialMemory) {
 // cancellation error (wrapping lamerr.ErrCancelled and ctx.Err()).
 //
 // The sweep owns the memory its trials reuse (sweepMemory), created
-// here and dropped on return: each trial borrows walk tables and
-// subset headers, keeps only its MAPE, and hands them back, and no
-// model a trial fits outlives the trial (see Trainable). Trials start
-// largest fraction first, so the first table each worker takes is the
-// largest the sweep needs and no later trial outgrows it (ml.Tables
-// ratchets to it). A fraction outside [0, 1] fails the sweep before
-// any trial starts; otherwise a failed sweep reports the error of the
-// first failing trial in that order.
+// here and dropped on return; a figure's sweeps share one instead (see
+// mapeCurve). A fraction outside [0, 1] fails the sweep before any
+// trial starts; otherwise a failed sweep reports the error of the
+// first failing trial in largest-fraction-first order.
 func MAPECurveCtx(ctx context.Context, ds *dataset.Dataset, newModel func(seed int64) Trainable, fractions []float64, reps int, seed int64, label string, workers int) (Series, error) {
+	return mapeCurve(ctx, new(sweepMemory), ds, newModel, fractions, reps, seed, label, workers)
+}
+
+// mapeCurve is MAPECurveCtx with its trials' memory borrowed from mem:
+// each trial borrows walk tables, fit memory and subset headers, keeps
+// only its MAPE, and hands them back, and no model a trial fits
+// outlives the trial (see Trainable). Trials start largest fraction
+// first, so the first table each worker takes is the largest the sweep
+// needs and no later trial outgrows it (ml.Tables ratchets to it).
+func mapeCurve(ctx context.Context, mem *sweepMemory, ds *dataset.Dataset, newModel func(seed int64) Trainable, fractions []float64, reps int, seed int64, label string, workers int) (Series, error) {
 	if reps < 1 {
 		reps = 1
 	}
 	s := Series{Label: label, Fractions: fractions, Reps: reps}
-	mem := new(sweepMemory)
 	sizes, order := make([]int, len(fractions)), make([]int, len(fractions))
+	trainRows, testRows := 0, 0
 	for fi, frac := range fractions {
 		k, err := ds.FractionLen(frac)
 		if err != nil {
 			return Series{}, err
 		}
 		sizes[fi], order[fi] = k, fi
-		mem.trainRows = max(mem.trainRows, k)
-		mem.testRows = max(mem.testRows, ds.Len()-k)
+		trainRows, testRows = max(trainRows, k), max(testRows, ds.Len()-k)
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) })
 	scores := make([]float64, len(fractions)*reps)
@@ -178,7 +184,7 @@ func MAPECurveCtx(ctx context.Context, ds *dataset.Dataset, newModel func(seed i
 		fi, r := order[u/reps], u%reps
 		frac := fractions[fi]
 		drawSeed := int64(xmath.Hash64(uint64(seed), uint64(fi), uint64(r)))
-		t := mem.get()
+		t := mem.get(trainRows, testRows)
 		defer mem.put(t)
 		rng := rngPool.Get().(*rand.Rand)
 		rng.Seed(drawSeed)

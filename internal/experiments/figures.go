@@ -90,10 +90,11 @@ func fig3Stencil(ctx context.Context, opts Options) (*Report, error) {
 		Title:       "pure-ML model comparison, stencil (X = I,J,K,bi,bj,bk)",
 		DatasetSize: ds.Len(),
 	}
+	mem := new(sweepMemory)
 	for _, kind := range []struct{ key, label string }{
 		{"dt", "Decision Trees"}, {"et", "Extra Trees"}, {"rf", "Random Forests"},
 	} {
-		s, err := MAPECurveCtx(ctx, ds, MLTrainable(DefaultPipeline(kind.key, o.Trees)),
+		s, err := mapeCurve(ctx, mem, ds, MLTrainable(DefaultPipeline(kind.key, o.Trees)),
 			fractions, o.Reps, o.Seed, kind.label, o.Workers)
 		if err != nil {
 			return nil, err
@@ -117,10 +118,11 @@ func fig3FMM(ctx context.Context, opts Options) (*Report, error) {
 		Title:       "pure-ML model comparison, FMM (X = t,N,q,k)",
 		DatasetSize: ds.Len(),
 	}
+	mem := new(sweepMemory)
 	for _, kind := range []struct{ key, label string }{
 		{"dt", "Decision Trees"}, {"et", "Extra Trees"}, {"rf", "Random Forests"},
 	} {
-		s, err := MAPECurveCtx(ctx, ds, MLTrainable(DefaultPipeline(kind.key, o.Trees)),
+		s, err := mapeCurve(ctx, mem, ds, MLTrainable(DefaultPipeline(kind.key, o.Trees)),
 			fractions, o.Reps, o.Seed, kind.label, o.Workers)
 		if err != nil {
 			return nil, err
@@ -132,7 +134,9 @@ func fig3FMM(ctx context.Context, opts Options) (*Report, error) {
 
 // hybridVsET builds the standard two-panel comparison the paper uses in
 // Figs. 5–8: extra trees at the larger fractions, the hybrid model at
-// the smaller ones, plus the standalone AM MAPE as a note.
+// the smaller ones, plus the standalone AM MAPE as a note. The two
+// sweeps share one sweepMemory, as fig3a's and fig3b's three do, so the
+// hybrid's trials fit into the tables the extra trees' left.
 func hybridVsET(ctx context.Context, id, title string, ds *dataset.Dataset, am hybrid.AnalyticalModel,
 	etFractions, hyFractions []float64, cfg hybrid.Config, o Options) (*Report, error) {
 	r := &Report{ID: id, Title: title, DatasetSize: ds.Len()}
@@ -144,7 +148,8 @@ func hybridVsET(ctx context.Context, id, title string, ds *dataset.Dataset, am h
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("standalone analytical model MAPE = %.1f%% (untuned)", amMAPE))
 
-	et, err := MAPECurveCtx(ctx, ds, MLTrainable(DefaultPipeline("et", o.Trees)),
+	mem := new(sweepMemory)
+	et, err := mapeCurve(ctx, mem, ds, MLTrainable(DefaultPipeline("et", o.Trees)),
 		etFractions, o.Reps, o.Seed, "Extra Trees (pure ML)", o.Workers)
 	if err != nil {
 		return nil, err
@@ -152,7 +157,7 @@ func hybridVsET(ctx context.Context, id, title string, ds *dataset.Dataset, am h
 	r.Series = append(r.Series, et)
 
 	cfg.Workers = o.Workers
-	hy, err := MAPECurveCtx(ctx, ds, HybridTrainable(am, cfg),
+	hy, err := mapeCurve(ctx, mem, ds, HybridTrainable(am, cfg),
 		hyFractions, o.Reps, o.Seed, "Hybrid Model", o.Workers)
 	if err != nil {
 		return nil, err

@@ -146,9 +146,10 @@ func BenchmarkLanes(b *testing.B) {
 	for s, shape := range batchShapes {
 		p, Xq := fitBatchShape(b, s)
 		e := ensembleOf(p)
-		scaled, err := p.scaler.Transform(Xq)
-		if err != nil {
-			b.Fatal(err)
+		scaled := make([][]float64, len(Xq))
+		for i, x := range Xq {
+			scaled[i] = make([]float64, len(x))
+			p.scaler.transformInto(x, scaled[i])
 		}
 		out := make([]float64, len(scaled))
 		batch := func(name string, walk func(hot []hotNode, r int32, X [][]float64, out []float64)) {

@@ -183,22 +183,21 @@ func (e *CompiledEnsemble) treeEnd(t int) int32 {
 	return int32(len(e.hot))
 }
 
-// fusedRoots lays n member trees of treeLen(t) nodes end to end: it
-// returns each tree's first index in the fused table and the table's
-// length. Sizes are summed in int and a table int32 node indices
-// cannot address is refused, never wrapped.
-func fusedRoots(n int, treeLen func(t int) int) ([]int32, int, error) {
-	roots := make([]int32, n)
+// fusedRoots lays len(roots) member trees of treeLen(t) nodes end to
+// end: it writes each tree's first index in the fused table into roots
+// and returns the table's length. Sizes are summed in int and a table
+// int32 node indices cannot address is refused, never wrapped.
+func fusedRoots(roots []int32, treeLen func(t int) int) (int, error) {
 	total := 0
 	for t := range roots {
 		l := treeLen(t)
 		if l > math.MaxInt32-total {
-			return nil, 0, fmt.Errorf("ml: ensemble exceeds %d nodes at tree %d of %d (%d so far, %d more)", math.MaxInt32, t, n, total, l)
+			return 0, fmt.Errorf("ml: ensemble exceeds %d nodes at tree %d of %d (%d so far, %d more)", math.MaxInt32, t, len(roots), total, l)
 		}
 		roots[t] = int32(total)
 		total += l
 	}
-	return roots, total, nil
+	return total, nil
 }
 
 // views makes trees[t] a view of its range of e's table.
@@ -216,7 +215,8 @@ func (e *CompiledEnsemble) views(trees []*DecisionTree) {
 // unlike adoptRecords' check it would not halve with a second core. It
 // fails, touching no tree, only past int32 node indices.
 func compileEnsemble(trees []*DecisionTree, tables []nodeTable) (*CompiledEnsemble, error) {
-	roots, total, err := fusedRoots(len(tables), func(t int) int { return len(tables[t].feature) })
+	roots := make([]int32, len(tables))
+	total, err := fusedRoots(roots, func(t int) int { return len(tables[t].feature) })
 	if err != nil {
 		return nil, err
 	}
@@ -355,26 +355,27 @@ func recordsBad(recs []hotNode, a, h, nf int64) int64 {
 // into its own slot, sized by the tree's node bound (TreeConfig.maxNodes)
 // and laid end to end in tree order, so trees grow concurrently with no
 // staging to copy out of, and a fit's bytes depend only on its data and
-// seed. pack then closes the gaps the bounds leave. The table is a
-// fresh allocation, or one taken on a lease (see Tables) when the model
-// is scored and dropped within one FitScore call.
+// seed. pack then closes the gaps the bounds leave. The table and the
+// layout are fresh allocations, or borrowed on a lease (see Tables)
+// when the model is scored and dropped within one FitScore call.
 type growth struct {
-	hot    []hotNode
-	slots  []int32 // slots[t] is tree t's first index
-	sizes  []int32 // sizes[t] is the node count tree t grew
-	leased bool
+	hot   []hotNode
+	slots []int32 // slots[t] is tree t's first index
+	sizes []int32 // sizes[t] is the node count tree t grew
+	l     *lease
 }
 
-// newGrowth lays out slots of bounds[t] nodes, in a table taken on l or
+// newGrowth lays out slots of bounds[t] nodes, borrowed on l or
 // allocated when l is nil, refusing a layout int32 node indices cannot
 // address.
 func newGrowth(bounds []int, l *lease) (*growth, error) {
-	slots, total, err := fusedRoots(len(bounds), func(t int) int { return bounds[t] })
+	slots, sizes := l.layout(len(bounds))
+	total, err := fusedRoots(slots, func(t int) int { return bounds[t] })
 	if err != nil {
 		return nil, err
 	}
-	g := &growth{slots: slots, sizes: make([]int32, len(bounds)), leased: l != nil}
-	if g.leased {
+	g := &growth{slots: slots, sizes: sizes, l: l}
+	if l != nil {
 		g.hot = l.table(total)
 	} else {
 		g.hot = make([]hotNode, total)
@@ -413,7 +414,7 @@ func (g *growth) pack(trees []*DecisionTree) *CompiledEnsemble {
 		end += size
 	}
 	hot := g.hot[:end:end]
-	if !g.leased && 4*len(hot) < 3*len(g.hot) {
+	if g.l == nil && 4*len(hot) < 3*len(g.hot) {
 		hot = slices.Clone(hot)
 	}
 	e := &CompiledEnsemble{hot: hot, roots: roots}

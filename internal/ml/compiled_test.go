@@ -558,11 +558,12 @@ func TestPackTreeMasksLeaves(t *testing.T) {
 // int32 indices cannot address is refused instead of wrapping.
 func TestFusedRootsRefusesOverflow(t *testing.T) {
 	lens := []int{1 << 30, 1<<30 - 1, 7}
-	roots, total, err := fusedRoots(len(lens)-1, func(i int) int { return lens[i] })
+	roots := make([]int32, len(lens)-1)
+	total, err := fusedRoots(roots, func(i int) int { return lens[i] })
 	if err != nil || total != math.MaxInt32 || roots[1] != 1<<30 {
 		t.Fatalf("a table of exactly MaxInt32 nodes: roots %v total %d err %v", roots, total, err)
 	}
-	if _, _, err := fusedRoots(len(lens), func(i int) int { return lens[i] }); err == nil {
+	if _, err := fusedRoots(make([]int32, len(lens)), func(i int) int { return lens[i] }); err == nil {
 		t.Fatal("a table of MaxInt32+7 nodes was accepted")
 	}
 }

@@ -46,13 +46,14 @@
 //     block, polled between trees; anything smaller is walked in
 //     BatchBlock pieces. All three fold each row's trees in tree order,
 //     so they agree bit for bit (TestRoutedMatchesWalk).
-//   - Kept models own their tables; trial models borrow them. Fit and
+//   - Kept models own their memory; trial models borrow it. Fit and
 //     FitCtx allocate the exact walk table a kept model needs.
 //     Tables.FitScore fits a model that is scored once and dropped — a
-//     sweep's trial — into a table borrowed from a Tables the caller
-//     owns, and unfits the model before handing the table back, so a
-//     borrowed record is reachable only from a model local to that
-//     call (TestFitScoreMatchesFit, TestFitScoreLeavesKeptModelsAlone).
+//     sweep's trial — into a table, and with a column view, members
+//     and builders, borrowed from a Tables the caller owns, and unfits
+//     the model before handing them back, so borrowed memory is
+//     reachable only from a model local to that call
+//     (TestFitScoreMatchesFit, TestFitScoreLeavesKeptModelsAlone).
 //   - Fitted estimators are immutable: after a successful Fit, Predict
 //     and the batch path are safe for unbounded concurrent use, which is
 //     what lets the server hot-swap model versions under live traffic.

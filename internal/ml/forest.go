@@ -72,16 +72,16 @@ func (f *Forest) Fit(X [][]float64, y []float64) error {
 // without mutating the receiver. Every tree grows straight into its
 // slot of the ensemble's walk table (see growth).
 func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
-	return f.fitLeased(ctx, X, y, nil)
-}
-
-// fitLeased is FitCtx with the walk table taken on l (see leasedFitter).
-func (f *Forest) fitLeased(ctx context.Context, X [][]float64, y []float64, l *lease) error {
-	p, err := checkXY(X, y)
-	if err != nil {
+	if _, err := checkXY(X, y); err != nil {
 		return err
 	}
-	n := len(X)
+	return f.fitColumns(ctx, columnView(X), y, nil)
+}
+
+// fitColumns is FitCtx over a column view, with its memory borrowed on
+// l (see leasedFitter).
+func (f *Forest) fitColumns(ctx context.Context, cols [][]float64, y []float64, l *lease) error {
+	n, p := len(cols[0]), len(cols)
 	nTrees := f.NTrees
 	if nTrees < 1 {
 		nTrees = 100
@@ -89,18 +89,19 @@ func (f *Forest) fitLeased(ctx context.Context, X [][]float64, y []float64, l *l
 	// Every tree's randomness derives only from (Seed, t), so the
 	// worker pool cannot perturb the fitted ensemble.
 	bootSeed := func(t int) int64 { return int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x626f6f74)) }
-	cols := columnView(X)
-	class, distinct := rowClasses(cols)
-	bounds := make([]int, nTrees)
+	class, order := l.rowScratch(n)
+	distinct := rowClasses(cols, class, order)
+	bounds, slab, trees := l.members(nTrees)
+	imps := l.importances(nTrees * p)
 	for t := range bounds {
 		bounds[t] = f.Tree.maxNodes(n, distinct)
 	}
 	if f.Bootstrap {
 		// A bootstrap draws about 63% of the rows, which bounds its tree
 		// far tighter than all of them do; the draw is repeated to grow.
-		err = parallel.ForCtx(ctx, nTrees, f.Workers, func(t int) error {
-			b := getTreeBuilder()
-			defer b.release()
+		err := parallel.ForCtx(ctx, nTrees, f.Workers, func(t int) error {
+			b := l.builder()
+			defer l.putBuilder(b)
 			b.sampleBootstrap(bootSeed(t), n)
 			bounds[t] = f.Tree.maxNodes(n, b.distinct(class))
 			return nil
@@ -113,15 +114,12 @@ func (f *Forest) fitLeased(ctx context.Context, X [][]float64, y []float64, l *l
 	if err != nil {
 		return err
 	}
-	slab := make([]DecisionTree, nTrees)
-	trees := make([]*DecisionTree, nTrees)
-	imps := make([]float64, nTrees*p)
 	err = parallel.ForCtx(ctx, nTrees, f.Workers, func(t int) error {
 		cfg := f.Tree
 		cfg.Seed = int64(xmath.Hash64(uint64(f.Seed), uint64(t), 0x7265657301))
 
-		b := getTreeBuilder()
-		defer b.release()
+		b := l.builder()
+		defer l.putBuilder(b)
 		if f.Bootstrap {
 			b.sampleBootstrap(bootSeed(t), n)
 		} else {

@@ -138,10 +138,14 @@ type routeScratch struct {
 
 var routeScratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
 
-// grow returns s[:n], reallocated when too short.
+// grow returns s[:n], reallocated when too short with a quarter more
+// room than s had (an empty s grows to exactly n): the held-out sets a
+// sweep scores grow by a few percent from one fraction to the next, so
+// a pooled scratch that scored one takes the next rather than regrow
+// at each.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, cap(s)+cap(s)/4))
 	}
 	return s[:n]
 }

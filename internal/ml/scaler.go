@@ -16,66 +16,41 @@ type StandardScaler struct {
 	std  []float64
 }
 
-// Fit learns per-column means and standard deviations.
-func (s *StandardScaler) Fit(X [][]float64) error {
-	if len(X) == 0 {
-		return errors.New("ml: StandardScaler.Fit on empty matrix")
-	}
-	p := len(X[0])
-	s.mean = make([]float64, p)
-	s.std = make([]float64, p)
-	n := float64(len(X))
-	for _, row := range X {
-		if len(row) != p {
-			return fmt.Errorf("ml: StandardScaler.Fit row arity %d, want %d", len(row), p)
-		}
-		for j, v := range row {
+// standardize fits the scaler on the rows of a column view and
+// standardises the view in place. Each column's mean and standard
+// deviation fold its values in row order.
+func (s *StandardScaler) standardize(cols [][]float64) {
+	n := float64(len(cols[0]))
+	s.mean, s.std = make([]float64, len(cols)), make([]float64, len(cols))
+	for j, col := range cols {
+		for _, v := range col {
 			s.mean[j] += v
 		}
-	}
-	for j := range s.mean {
 		s.mean[j] /= n
-	}
-	for _, row := range X {
-		for j, v := range row {
+		for _, v := range col {
 			d := v - s.mean[j]
 			s.std[j] += d * d
 		}
-	}
-	for j := range s.std {
 		s.std[j] = math.Sqrt(s.std[j] / n)
 		if s.std[j] == 0 {
 			s.std[j] = 1
 		}
+		for i, v := range col {
+			col[i] = (v - s.mean[j]) / s.std[j]
+		}
 	}
-	return nil
 }
 
-// Transform standardises X into a newly allocated matrix.
-func (s *StandardScaler) Transform(X [][]float64) ([][]float64, error) {
-	if s.mean == nil {
-		return nil, errors.New("ml: StandardScaler.Transform before Fit")
-	}
-	out := make([][]float64, len(X))
-	for i, row := range X {
-		if len(row) != len(s.mean) {
-			return nil, fmt.Errorf("ml: StandardScaler.Transform row arity %d, want %d", len(row), len(s.mean))
+// rowView transposes a column view back into rows.
+func rowView(cols [][]float64) [][]float64 {
+	rows := make([][]float64, len(cols[0]))
+	for i := range rows {
+		rows[i] = make([]float64, len(cols))
+		for j, col := range cols {
+			rows[i][j] = col[i]
 		}
-		r := make([]float64, len(row))
-		for j, v := range row {
-			r[j] = (v - s.mean[j]) / s.std[j]
-		}
-		out[i] = r
 	}
-	return out, nil
-}
-
-// FitTransform is Fit followed by Transform.
-func (s *StandardScaler) FitTransform(X [][]float64) ([][]float64, error) {
-	if err := s.Fit(X); err != nil {
-		return nil, err
-	}
-	return s.Transform(X)
+	return rows
 }
 
 // Pipeline standardises features before delegating to an inner model,
@@ -100,27 +75,27 @@ func (p *Pipeline) Fit(X [][]float64, y []float64) error {
 // cancelled or failed refit of an already-fitted pipeline leaves the
 // previous (consistent) state untouched.
 func (p *Pipeline) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
-	return p.fitLeased(ctx, X, y, nil)
-}
-
-// fitLeased is FitCtx with the inner model's walk tables taken on l
-// (see leasedFitter).
-func (p *Pipeline) fitLeased(ctx context.Context, X [][]float64, y []float64, l *lease) error {
-	if p.Model == nil {
-		return errors.New("ml: Pipeline requires a Model")
-	}
 	if _, err := checkXY(X, y); err != nil {
 		return err
 	}
-	var scaler StandardScaler
-	scaled, err := scaler.FitTransform(X)
-	if err != nil {
-		return err
+	return p.fitColumns(ctx, columnView(X), y, nil)
+}
+
+// fitColumns is FitCtx over a column view, which it standardises in
+// place, with the inner model's memory borrowed on l (see
+// leasedFitter). An inner estimator of this package fits on the
+// standardised view itself; any other regressor fits on its rows.
+func (p *Pipeline) fitColumns(ctx context.Context, cols [][]float64, y []float64, l *lease) error {
+	if p.Model == nil {
+		return errors.New("ml: Pipeline requires a Model")
 	}
-	if lf, ok := p.Model.(leasedFitter); ok && l != nil {
-		err = lf.fitLeased(ctx, scaled, y, l)
+	var scaler StandardScaler
+	scaler.standardize(cols)
+	var err error
+	if lf, ok := p.Model.(leasedFitter); ok {
+		err = lf.fitColumns(ctx, cols, y, l)
 	} else {
-		err = FitCtx(ctx, p.Model, scaled, y)
+		err = FitCtx(ctx, p.Model, rowView(cols), y)
 	}
 	if err != nil {
 		return err
@@ -162,8 +137,8 @@ func (p *Pipeline) Predict(x []float64) float64 {
 	return p.Model.Predict(*buf)
 }
 
-// transformInto standardises x into dst (same arithmetic as Transform,
-// no allocation). Caller guarantees matching arities.
+// transformInto standardises x into dst (same arithmetic as
+// standardize, no allocation). Caller guarantees matching arities.
 func (s *StandardScaler) transformInto(x, dst []float64) {
 	for j, v := range x {
 		dst[j] = (v - s.mean[j]) / s.std[j]

@@ -37,61 +37,6 @@ func trialModels(trees, workers int, seed int64) map[string]func() Regressor {
 // that still holds a larger or a differently shaped fit's records.
 var trialSizes = []int{40, 160, 25, 90, 300, 12, 300, 60}
 
-// TestFitScoreMatchesFit: a model fitted through FitScore scores its
-// held-out rows bit for bit as the same model fitted with Fit does,
-// whatever stale records its reused table holds, and it is unfitted
-// when FitScore returns. At workers 1, 2 and 7, as many goroutines run
-// the size sequence at once on one Tables, so tables pass between
-// concurrent fits.
-func TestFitScoreMatchesFit(t *testing.T) {
-	X, y := friedman1(700, 0.5, 21)
-	testX := X[400:]
-	for _, workers := range []int{1, 2, 7} {
-		for name, newModel := range trialModels(12, workers, int64(workers)) {
-			var tb Tables
-			var wg sync.WaitGroup
-			for g := range workers {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i, k := range trialSizes {
-						lo := (g*37 + i*11) % 100
-						trainX, trainY := X[lo:lo+k], y[lo:lo+k]
-						kept, want, got := newModel(), make([]float64, len(testX)), make([]float64, len(testX))
-						r := newModel()
-						err := kept.Fit(trainX, trainY)
-						if err == nil {
-							err = PredictBatchInto(kept, testX, want, 1)
-						}
-						if err == nil {
-							err = tb.FitScore(context.Background(), r, trainX, trainY, func() error {
-								return PredictBatchInto(r, testX, got, 1)
-							})
-						}
-						if err != nil {
-							t.Errorf("%s workers %d size %d: %v", name, workers, k, err)
-							return
-						}
-						for j := range want {
-							if !sameBits(got[j], want[j]) {
-								t.Errorf("%s workers %d size %d row %d: FitScore model scored %v, Fit model %v", name, workers, k, j, got[j], want[j])
-								return
-							}
-						}
-						if Fitted(r) {
-							t.Errorf("%s workers %d size %d: model still fitted after FitScore", name, workers, k)
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			if len(tb.free) > workers {
-				t.Errorf("%s workers %d: Tables holds %d tables after %d concurrent trial sequences", name, workers, len(tb.free), workers)
-			}
-		}
-	}
-}
-
 // fitted fits r on (X, y) with Fit and returns it.
 func fitted(t *testing.T, r Regressor, X [][]float64, y []float64) Regressor {
 	t.Helper()
@@ -192,15 +137,21 @@ func TestFitScoreCancelledMidFit(t *testing.T) {
 	}
 }
 
-// TestFitScoreTrialBytes: once its Tables holds a table, a trial
-// allocates only what depends on its rows, features and tree count —
-// the column view, the builder's per-row memory, the member headers —
-// and nothing per node: across a 90-fold spread of trees × nodes its
-// bytes stay within a budget without the 16 B/node term of fitBudget.
+// TestFitScoreTrialBytes: once its Tables holds what a trial borrows
+// — the walk table, a lease and a builder — a trial allocates a
+// constant: nothing per row, per feature, per tree or per node, across
+// a 90-fold spread of trees × nodes. The collector runs twice before
+// each measured trial, so scratch a sync.Pool would have lost is
+// counted if the trial still drew it from one. Before the lease lent
+// the fit's memory, the budget was 8·n·p + 32·n + trees·(160+8·p) +
+// 9 KB (94 016 B at 100 trees on 900 rows), and a trial after a
+// collection read 100 688 B there, the pool's builder being rebuilt;
+// the trial now reads 464 B at every size.
 func TestFitScoreTrialBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
+	const budget = 1 << 10
 	X, y := friedman1(900, 0.5, 17)
 	for _, c := range []struct{ trees, n int }{{10, 100}, {100, 100}, {100, 400}, {100, 900}} {
 		var tb Tables
@@ -216,13 +167,19 @@ func TestFitScoreTrialBytes(t *testing.T) {
 			}
 		}
 		trial()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		trial()
-		runtime.ReadMemStats(&after)
-		bytes := after.TotalAlloc - before.TotalAlloc
-		p := len(X[0])
-		budget := uint64(8*c.n*p) + uint64(5<<10+32*c.n) + uint64(c.trees*(160+8*p)) + 4<<10
+		// TotalAlloc counts the whole process, so the least of three
+		// trials is taken: a goroutine another test left running can
+		// allocate during one, but a cost of the trial's shows in all.
+		bytes := uint64(math.MaxUint64)
+		for range 3 {
+			runtime.GC()
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			trial()
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
 		t.Logf("%d trees on %d rows: %d nodes (%d B of table), trial %d B, budget %d B", c.trees, c.n, nodes, 16*nodes, bytes, budget)
 		if bytes > budget {
 			t.Errorf("%d trees on %d rows: a steady-state trial allocated %d bytes for %d nodes, budget %d", c.trees, c.n, bytes, nodes, budget)

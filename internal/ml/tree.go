@@ -112,31 +112,32 @@ func (t *DecisionTree) NumFeatures() int { return t.nFeatures }
 // failed fit leaves the receiver untouched: fitted state is assigned
 // only once the tree is grown.
 func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
-	return t.fitLeased(context.Background(), X, y, nil)
+	if _, err := checkXY(X, y); err != nil {
+		return err
+	}
+	return t.fitColumns(context.Background(), columnView(X), y, nil)
 }
 
-// fitLeased is Fit with the walk table taken on l (see leasedFitter).
-// A tree is one unit of work, so ctx is checked once, before it grows.
-func (t *DecisionTree) fitLeased(ctx context.Context, X [][]float64, y []float64, l *lease) error {
+// fitColumns is Fit over a column view, with its memory borrowed on l
+// (see leasedFitter). A tree is one unit of work, so ctx is checked
+// once, before it grows.
+func (t *DecisionTree) fitColumns(ctx context.Context, cols [][]float64, y []float64, l *lease) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return parallel.Cancelled(err)
 		}
 	}
-	p, err := checkXY(X, y)
-	if err != nil {
-		return err
-	}
-	n, cols := len(X), columnView(X)
-	_, distinct := rowClasses(cols)
+	n, p := len(cols[0]), len(cols)
+	class, order := l.rowScratch(n)
+	distinct := rowClasses(cols, class, order)
 	g, err := newGrowth([]int{t.Config.maxNodes(n, distinct)}, l)
 	if err != nil {
 		return err
 	}
-	b := getTreeBuilder()
-	defer b.release()
+	b := l.builder()
+	defer l.putBuilder(b)
 	b.sampleAll(n)
-	imp := make([]float64, p)
+	imp := l.importances(p)
 	g.sizes[0] = b.fit(t.Config, cols, y, imp, g.slot(0))
 	g.pack([]*DecisionTree{t})
 	t.nFeatures, t.importances = p, imp
@@ -176,8 +177,13 @@ func (t *DecisionTree) predictBatchIntoSeq(X [][]float64, out []float64) {
 // it rather than a copied row set.
 func columnView(X [][]float64) [][]float64 {
 	n, p := len(X), len(X[0])
-	flat := make([]float64, n*p)
-	cols := make([][]float64, p)
+	return fillColumns(make([]float64, n*p), make([][]float64, p), X)
+}
+
+// fillColumns writes the column view of X into flat (len(X)·p values)
+// and points cols (p headers) at its columns.
+func fillColumns(flat []float64, cols, X [][]float64) [][]float64 {
+	n := len(X)
 	for f := range cols {
 		cols[f] = flat[f*n : (f+1)*n : (f+1)*n]
 	}
@@ -190,11 +196,11 @@ func columnView(X [][]float64) [][]float64 {
 }
 
 // rowClasses labels every row of a column view with a class shared by
-// exactly the rows whose features are bitwise equal to its own, and
-// returns the labels (in [0, n)) and their number. Rows of one class
-// compare alike against every threshold, so no split parts them.
-func rowClasses(cols [][]float64) (class []int, distinct int) {
-	n := len(cols[0])
+// exactly the rows whose features are bitwise equal to its own, writing
+// the labels (in [0, n)) into class and using order as scratch (n
+// entries each), and returns their number. Rows of one class compare
+// alike against every threshold, so no split parts them.
+func rowClasses(cols [][]float64, class, order []int) (distinct int) {
 	cmpRows := func(a, b int) int {
 		for _, col := range cols {
 			if c := cmp.Compare(math.Float64bits(col[a]), math.Float64bits(col[b])); c != 0 {
@@ -203,12 +209,10 @@ func rowClasses(cols [][]float64) (class []int, distinct int) {
 		}
 		return 0
 	}
-	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortFunc(order, cmpRows)
-	class = make([]int, n)
 	for k, i := range order {
 		if k > 0 && cmpRows(order[k-1], i) == 0 {
 			class[i] = class[order[k-1]]
@@ -216,7 +220,7 @@ func rowClasses(cols [][]float64) (class []int, distinct int) {
 			class[i], distinct = i, distinct+1
 		}
 	}
-	return class, distinct
+	return distinct
 }
 
 // splitSample pairs one feature value with its response for sorting.
@@ -231,9 +235,10 @@ type splitSample struct {
 type splitFunc func(b *treeBuilder, col []float64, idx []int) (thr, sse float64, ok bool)
 
 // treeBuilder owns all the working memory of growing one tree and is
-// recycled through treeBuilderPool, so a warmed fit allocates only what
-// the fitted tree keeps (its slot of the walk table and its
-// importances).
+// recycled, through treeBuilderPool for a kept model's fit and through
+// the fit's Tables for a leased one (see lease.builder), so a warmed
+// fit allocates only what the fitted tree keeps (its slot of the walk
+// table and its importances).
 //
 // idx is the tree's one sample-index array — positions into the column
 // view, with repeats for a bootstrap. Each split partitions the node's
@@ -251,8 +256,8 @@ type splitFunc func(b *treeBuilder, col []float64, idx []int) (thr, sse float64,
 // grown so far.
 //
 // cols, y, importances and out belong to the fit in progress, not to
-// the builder; release drops them so a pooled builder never pins a
-// caller's training set or model.
+// the builder; putBuilder drops them so a recycled builder never pins
+// a caller's training set or model.
 type treeBuilder struct {
 	cols        [][]float64
 	y           []float64
@@ -269,18 +274,9 @@ type treeBuilder struct {
 	scratch []splitSample
 }
 
-var treeBuilderPool = sync.Pool{New: func() any {
-	return &treeBuilder{rng: rand.New(new(xmath.Source))}
-}}
+var treeBuilderPool = sync.Pool{New: func() any { return newTreeBuilder() }}
 
-func getTreeBuilder() *treeBuilder { return treeBuilderPool.Get().(*treeBuilder) }
-
-// release returns the builder to the pool holding nothing of the fit it
-// served but its own scratch.
-func (b *treeBuilder) release() {
-	b.cols, b.y, b.importances, b.out = nil, nil, nil, nil
-	treeBuilderPool.Put(b)
-}
+func newTreeBuilder() *treeBuilder { return &treeBuilder{rng: rand.New(new(xmath.Source))} }
 
 // samples resizes the index array to n entries for the caller to fill.
 func (b *treeBuilder) samples(n int) []int {

@@ -221,11 +221,12 @@ func TestTreeBuilderReleasesTrainingSet(t *testing.T) {
 	}()
 	// White box: whichever builder the pool hands back holds no view,
 	// response or importances of the fit it last served.
-	b := getTreeBuilder()
+	var kept *lease
+	b := kept.builder()
 	if b.cols != nil || b.y != nil || b.importances != nil {
 		t.Errorf("released builder still references its last fit: cols %v, y %v, importances %v", b.cols != nil, b.y != nil, b.importances != nil)
 	}
-	b.release()
+	kept.putBuilder(b)
 
 	smallX, smallY := synthetic(10, 1)
 	if err := NewDecisionTree(TreeConfig{}).Fit(smallX, smallY); err != nil {
@@ -367,7 +368,8 @@ func TestForestFitAllocBudget(t *testing.T) {
 func TestRowClasses(t *testing.T) {
 	nan := math.NaN()
 	X := [][]float64{{1, 2}, {nan, 0}, {1, 2}, {nan, math.Copysign(0, -1)}, {nan, 0}, {2, 1}, {1, 2}}
-	class, distinct := rowClasses(columnView(X))
+	class := make([]int, len(X))
+	distinct := rowClasses(columnView(X), class, make([]int, len(X)))
 	want := [][]int{{0, 2, 6}, {1, 4}, {3}, {5}}
 	if distinct != len(want) {
 		t.Fatalf("%d classes, want %d: %v", distinct, len(want), class)
